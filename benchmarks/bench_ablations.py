@@ -1,4 +1,4 @@
-"""Ablations over the design choices DESIGN.md calls out.
+"""Ablations over the design choices of docs/ARCHITECTURE.md.
 
 A1 -- fingerprint width t: accuracy vs round cost (the xi^-2 tradeoff that
      motivates Lemma 5.6's compression).

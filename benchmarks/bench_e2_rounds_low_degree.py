@@ -61,7 +61,7 @@ def test_e2_shattered_components(benchmark):
     """With the shattering phase truncated, the post-shattering component
     structure becomes visible: components stay polylog-sized and the
     small-instance finisher completes them in few rounds (the Lemma 9.1
-    stand-in of DESIGN.md 3.4)."""
+    stand-in of docs/ARCHITECTURE.md, D4)."""
     from repro.coloring.low_degree import (
         shattering,
         small_instance_coloring,

@@ -57,7 +57,7 @@ def random_groups(
     its neighbors -- one H-round with an ``O(log x)``-bit message.  When
     ``verify`` is set we also check the adjacency guarantee, which the
     algorithms rely on for correctness; callers treat a failed draw like any
-    other failed w.h.p. event (retry -- see DESIGN.md 3.3).
+    other failed w.h.p. event (retry -- see docs/ARCHITECTURE.md, D3).
     """
     if num_groups < 1:
         raise ValueError("need at least one group")

@@ -23,7 +23,6 @@ import numpy as np
 
 from repro.network.ledger import BandwidthLedger
 from repro.observe.tracer import NULL_TRACER
-from repro.parallel.backend import SERIAL_BACKEND
 from repro.params import AlgorithmParameters, log2ceil
 
 
@@ -47,13 +46,6 @@ class ClusterRuntime:
         no-op :data:`~repro.observe.tracer.NULL_TRACER`.  The runtime binds
         its ledger to the tracer so spans attribute this execution's
         charges.  Tracing is bitwise-invisible: it reads snapshots only.
-    backend:
-        Optional :class:`~repro.parallel.backend.ExecutionBackend` that
-        evaluates the batched kernels; defaults to the shared serial
-        backend.  The runtime binds it after the tracer so sharded
-        backends trace their exchanges and size their boundary charges
-        from this execution (backends are value-identical by contract, so
-        the choice never changes simulated metrics).
     netmodel:
         Optional :class:`~repro.network.hetnet.HetNetModel` attached to
         the ledger before any charge: the execution then additionally
@@ -67,7 +59,6 @@ class ClusterRuntime:
     rng: np.random.Generator
     ledger: BandwidthLedger | None = None
     tracer: object = None
-    backend: object = None
     netmodel: object = None
 
     def __post_init__(self) -> None:
@@ -84,9 +75,6 @@ class ClusterRuntime:
             self.tracer = NULL_TRACER
         else:
             self.tracer.bind_ledger(self.ledger)
-        if self.backend is None:
-            self.backend = SERIAL_BACKEND
-        self.backend.bind(self)
 
     # ---- convenience sizes ---------------------------------------------------
 

@@ -64,37 +64,11 @@ def _build_workload(args) -> object:
     return maker(np.random.default_rng(args.instance_seed))
 
 
-def _backend_kwargs(args) -> dict:
-    """Backend selection kwargs shared by the backend-aware commands.
-
-    ``--backend`` / ``--shards`` default to ``None`` so library-level
-    resolution applies (``$REPRO_BACKEND`` / ``$REPRO_SHARDS`` are read by
-    :func:`repro.parallel.backend.make_backend`; unset means serial).
-    """
-    backend = getattr(args, "backend", None)
-    shards = getattr(args, "shards", None)
-    if backend is None and shards is not None:
-        backend = "sharded"
-    return {"backend": backend, "shards": shards}
-
-
-def _print_boundary(summary: dict | None) -> None:
-    """One-line cross-shard traffic report for sharded executions."""
-    if not summary:
-        return
-    print(
-        f"backend=sharded shards={summary.get('shards')} "
-        f"mode={summary.get('mode')} exchanges={summary.get('exchanges')} "
-        f"boundary_bits={summary.get('total_message_bits')}"
-    )
-
-
 def _cmd_color(args) -> int:
     w = _build_workload(args)
     params = paper() if args.params == "paper" else scaled()
     result = color_cluster_graph(
-        w.graph, params=params, seed=args.seed, regime=args.regime,
-        **_backend_kwargs(args),
+        w.graph, params=params, seed=args.seed, regime=args.regime
     )
     print(f"workload: {w.name}  ({w.notes})")
     print(
@@ -106,7 +80,6 @@ def _cmd_color(args) -> int:
         f"rounds_h={result.rounds_h} rounds_g={result.rounds_g} "
         f"colors={len(set(result.colors.tolist()))}/{result.num_colors}"
     )
-    _print_boundary(result.backend_summary)
     rows = [
         {"stage": stage, "rounds_h": rounds}
         for stage, rounds in sorted(result.stats.stage_rounds.items())
@@ -207,7 +180,7 @@ def _cmd_stream(args) -> int:
         # regenerate per mode: both sides must see the identical stream
         w = maker(np.random.default_rng(args.instance_seed))
         _engine, result, metrics = run_stream(
-            w, params=params, seed=args.seed, mode=mode, **_backend_kwargs(args)
+            w, params=params, seed=args.seed, mode=mode
         )
         summaries[mode] = metrics
         print(f"workload: {w.name}  ({w.notes})")
@@ -246,13 +219,6 @@ def _cmd_stream(args) -> int:
                 f"p95={metrics['repair_ms_p95']:.3f}ms "
                 f"p99={metrics['repair_ms_p99']:.3f}ms  "
                 f"throughput={metrics['updates_per_sec']:.1f} updates/s"
-            )
-        if "boundary_bits" in metrics:
-            print(
-                f"backend=sharded shards={metrics['backend_shards']} "
-                f"mode={metrics['backend_mode']} "
-                f"exchanges={metrics['boundary_exchanges']} "
-                f"boundary_bits={metrics['boundary_bits']}"
             )
     if len(summaries) == 2:
         repair, scratch = summaries["repair"], summaries["scratch"]
@@ -299,7 +265,6 @@ def _cmd_serve(args) -> int:
         params=params,
         seed=args.seed,
         slos=slos,
-        **_backend_kwargs(args),
     )
     print(f"workload: {w.name}  ({w.notes})")
     print(
@@ -335,13 +300,6 @@ def _cmd_serve(args) -> int:
         f"sustained throughput: {metrics['updates_per_sec']:.1f} updates/s "
         f"over {metrics['trace_duration_s']:.2f} trace-seconds"
     )
-    if "boundary_bits" in metrics:
-        print(
-            f"backend=sharded shards={metrics['backend_shards']} "
-            f"mode={metrics['backend_mode']} "
-            f"exchanges={metrics['boundary_exchanges']} "
-            f"boundary_bits={metrics['boundary_bits']}"
-        )
     report = evaluate_slos(metrics, slos)
     print(render_slo_report(report))
     if metrics["violation_batches"]:
@@ -359,22 +317,11 @@ def _cmd_sweep(args) -> int:
 
     spec = SUITES[args.suite]
     cells = spec.cells()
-    backend_kwargs = _backend_kwargs(args)
     progress = None if args.quiet else (lambda line: print(line, file=sys.stderr))
     if not args.quiet:
-        backend_note = (
-            f", backend={backend_kwargs['backend']}"
-            + (
-                f":{backend_kwargs['shards']}"
-                if backend_kwargs["shards"] is not None
-                else ""
-            )
-            if backend_kwargs["backend"] is not None
-            else ""
-        )
         print(
-            f"suite {spec.name!r}: {len(cells)} cells, jobs={args.jobs}"
-            f"{backend_note} ({spec.description})",
+            f"suite {spec.name!r}: {len(cells)} cells, jobs={args.jobs} "
+            f"({spec.description})",
             file=sys.stderr,
         )
     path, records = run_sweep(
@@ -384,7 +331,6 @@ def _cmd_sweep(args) -> int:
         out_path=args.out,
         progress=progress,
         trace=args.trace,
-        **backend_kwargs,
     )
     print(format_table(summarize(read_artifact(path))))
     failed = [r for r in records if r["status"] != "ok"]
@@ -405,13 +351,11 @@ def _cmd_trace(args) -> int:
     w = maker(np.random.default_rng(args.instance_seed))
     params = paper() if args.params == "paper" else scaled()
     tracer = Tracer()
-    backend_kwargs = _backend_kwargs(args)
     if args.workload in STREAMS:
         from repro.dynamic import run_stream
 
         _engine, _result, metrics = run_stream(
-            w, params=params, seed=args.seed, mode=args.mode, tracer=tracer,
-            **backend_kwargs,
+            w, params=params, seed=args.seed, mode=args.mode, tracer=tracer
         )
         proper = bool(metrics["proper"])
         ledger_rounds = metrics["rounds_h"]
@@ -422,7 +366,7 @@ def _cmd_trace(args) -> int:
     else:
         result = color_cluster_graph(
             w.graph, params=params, seed=args.seed, regime=args.regime,
-            tracer=tracer, **backend_kwargs,
+            tracer=tracer,
         )
         proper = bool(result.proper)
         ledger_rounds = result.rounds_h
@@ -460,20 +404,6 @@ def _cmd_trace(args) -> int:
         f"ledger totals: rounds_h={ledger_rounds} bits={ledger_bits}  "
         f"({'match' if matches else 'MISMATCH'})"
     )
-    exchange_spans = _collect_nested_spans(tracer.to_dict(), "shard.exchange")
-    if exchange_spans:
-        # nested spans: excluded from the top-level tables above, so they
-        # never disturb the span-sum invariant; their boundary_bits counter
-        # is the *real* cross-shard traffic (backend exchange ledger), not
-        # a simulation charge
-        total_bits = sum(
-            s.get("counters", {}).get("boundary_bits", 0) for s in exchange_spans
-        )
-        wall = sum(s.get("wall_time_s", 0.0) for s in exchange_spans)
-        print(
-            f"shard.exchange: {len(exchange_spans)} exchanges, "
-            f"boundary_bits={int(total_bits)}, wall_s={wall:.4f}"
-        )
     return 0 if proper and matches else 1
 
 
@@ -556,21 +486,6 @@ def _cmd_netsim(args) -> int:
         for name, ms in slowest:
             print(f"  {ms:10.3f}ms  {name}")
     return 0 if proper else 1
-
-
-def _collect_nested_spans(trace: dict | None, name: str) -> list[dict]:
-    """Every span named ``name`` anywhere in a serialized trace tree."""
-    found: list[dict] = []
-
-    def visit(span: dict) -> None:
-        if span.get("name") == name:
-            found.append(span)
-        for child in span.get("children", []):
-            visit(child)
-
-    for span in (trace or {}).get("spans", []):
-        visit(span)
-    return found
 
 
 def _cmd_history(args) -> int:
@@ -841,19 +756,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--instance-seed", type=int, default=0)
         p.add_argument("--seed", type=int, default=0)
 
-    def add_backend_args(p):
-        p.add_argument(
-            "--backend", choices=["serial", "sharded"], default=None,
-            help="execution backend for the batched kernels "
-            "(default: $REPRO_BACKEND, else serial); metric-invariant "
-            "by the backend contract (docs/PARALLEL.md)",
-        )
-        p.add_argument(
-            "--shards", type=int, default=None,
-            help="shard count for --backend sharded "
-            "(default: $REPRO_SHARDS, else 2); implies --backend sharded",
-        )
-
     p_color = sub.add_parser("color", help="run the coloring pipeline")
     add_workload_args(p_color)
     p_color.add_argument(
@@ -861,7 +763,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="auto",
     )
     p_color.add_argument("--params", choices=["scaled", "paper"], default="scaled")
-    add_backend_args(p_color)
     p_color.set_defaults(func=_cmd_color)
 
     p_base = sub.add_parser("baselines", help="compare against the baselines")
@@ -890,7 +791,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_stream.add_argument(
         "--quiet", action="store_true", help="summary only, no per-batch table"
     )
-    add_backend_args(p_stream)
     p_stream.set_defaults(func=_cmd_stream)
 
     p_serve = sub.add_parser(
@@ -934,7 +834,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument(
         "--quiet", action="store_true", help="final report only, no live dashboard"
     )
-    add_backend_args(p_serve)
     p_serve.set_defaults(func=_cmd_serve)
 
     p_list = sub.add_parser("workloads", help="list instance generators")
@@ -967,7 +866,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--trace", action="store_true",
         help="attach span trees to traceable cells (bitwise-invisible)",
     )
-    add_backend_args(p_sweep)
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_report = sub.add_parser("report", help="summarize a sweep artifact")
@@ -1009,7 +907,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_trace.add_argument(
         "--json", action="store_true", help="dump the full span tree as JSON"
     )
-    add_backend_args(p_trace)
     p_trace.set_defaults(func=_cmd_trace)
 
     p_netsim = sub.add_parser(

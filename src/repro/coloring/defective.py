@@ -10,7 +10,8 @@ argument making global monochromatic weight strictly decrease.
 
 This is a real distributed algorithm in the model (each round exchanges
 one color, ``O(log q)`` bits) and is exercised by the small-instance
-finisher's tests; the full GK rounding is substituted per DESIGN.md §3.4.
+finisher's tests; the full GK rounding is substituted per
+docs/ARCHITECTURE.md, D4.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Stage failures and the fallback discipline (DESIGN.md 3.3).
+"""Stage failures and the fallback discipline (docs/ARCHITECTURE.md, D3).
 
 "W.h.p." events fail at finite scale.  A stage that cannot meet its
 postcondition raises :class:`StageFailure`; the caller retries up to

@@ -8,7 +8,7 @@ shattering framework:
    the *exact* current palette ([BEPS16]); the uncolored remainder shatters
    into ``poly log n``-sized components w.h.p.
 2. **SmallInstanceColoring** -- each component finishes independently.
-   Substitution (DESIGN.md 3.4): instead of the Ghaffari-Kuhn rounding of
+   Substitution (docs/ARCHITECTURE.md, D4): instead of the Ghaffari-Kuhn rounding of
    Lemma 9.1 we run local-minima greedy -- every round, each uncolored
    vertex that holds the smallest ID among its uncolored neighbors takes
    its smallest free color.  This is a *bona fide* distributed algorithm in

@@ -5,7 +5,7 @@ Regime dispatch mirrors the paper: when ``Δ ≥ Δ_low`` the high-degree
 path of Section 9.  Every stage checks its postcondition; a miss triggers
 the fallback ladder (retry, then per-component random-trial completion,
 then sequential greedy), all recorded in the returned stats so degradation
-is visible, never silent (DESIGN.md 3.3).
+is visible, never silent (docs/ARCHITECTURE.md, D3).
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from repro.coloring.try_color import (
 from repro.coloring.types import PartialColoring
 from repro.decomposition.acd import compute_acd
 from repro.decomposition.cabals import annotate_with_cabals
-from repro.parallel.backend import ExecutionBackend, make_backend
 from repro.params import AlgorithmParameters, scaled
 from repro.verify.checker import is_proper
 
@@ -101,8 +100,6 @@ def color_cluster_graph(
     regime: str = "auto",
     verify: bool = True,
     tracer=None,
-    backend: str | ExecutionBackend | None = None,
-    shards: int | None = None,
     netmodel=None,
 ) -> ColoringResult:
     """(Δ+1)-color a cluster (or virtual) graph.
@@ -128,14 +125,6 @@ def color_cluster_graph(
         wall/round/bit sums reproduce the ledger totals.  Tracing never
         touches the RNG or the ledger -- traced runs are bitwise-identical
         to untraced ones.
-    backend / shards:
-        Where the batched kernels run: ``"serial"`` (default),
-        ``"sharded"`` (``shards`` vertex shards, see docs/PARALLEL.md), or
-        a pre-built :class:`~repro.parallel.backend.ExecutionBackend`.
-        Backends are value-identical by contract -- colorings, RNG
-        stream, and simulated ledger charges do not depend on this choice;
-        a sharded run additionally reports its cross-shard boundary
-        traffic in ``ColoringResult.backend_summary``.
     netmodel:
         Optional :class:`~repro.network.hetnet.HetNetModel`: converts the
         ledger's round charges into a simulated-clock makespan
@@ -146,17 +135,8 @@ def color_cluster_graph(
     """
     params = params or scaled()
     rng = rng if rng is not None else np.random.default_rng(seed)
-    owns_backend = not isinstance(backend, ExecutionBackend) and (
-        backend is not None or shards is not None
-    )
-    if backend is None and shards is not None:
-        backend = "sharded"
-    exec_backend = make_backend(backend, shards=shards) if (
-        backend is not None
-    ) else None
     runtime = ClusterRuntime(
-        graph=graph, params=params, rng=rng, tracer=tracer,
-        backend=exec_backend, netmodel=netmodel,
+        graph=graph, params=params, rng=rng, tracer=tracer, netmodel=netmodel
     )
     tracer = runtime.tracer
     ledger = runtime.ledger
@@ -255,9 +235,6 @@ def color_cluster_graph(
         stats.record_stage("pipeline_fallback", before, ledger)
 
     proper = is_proper(graph, coloring.colors) if verify else True
-    backend_summary = runtime.backend.exchange_summary()
-    if owns_backend:
-        runtime.backend.close()
     return ColoringResult(
         colors=coloring.colors,
         num_colors=num_colors,
@@ -266,5 +243,4 @@ def color_cluster_graph(
         proper=proper,
         seed=seed,
         params_name=params.name,
-        backend_summary=backend_summary,
     )

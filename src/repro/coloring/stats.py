@@ -2,7 +2,7 @@
 
 The theorems bound rounds; the experiments need those counts broken down by
 stage, along with every fallback taken, so a run that silently degraded is
-visible in benchmark output (DESIGN.md 3.3).
+visible in benchmark output (docs/ARCHITECTURE.md, D3).
 """
 
 from __future__ import annotations
@@ -58,12 +58,7 @@ class ColoringStats:
 
 @dataclass
 class ColoringResult:
-    """The output of the end-to-end pipeline.
-
-    ``backend_summary`` is ``None`` for serial executions; sharded runs
-    carry the exchange-ledger totals of their cross-shard boundary traffic
-    (see :meth:`repro.parallel.backend.ExecutionBackend.exchange_summary`).
-    """
+    """The output of the end-to-end pipeline."""
 
     colors: np.ndarray
     num_colors: int
@@ -72,7 +67,6 @@ class ColoringResult:
     proper: bool
     seed: int
     params_name: str
-    backend_summary: dict | None = None
 
     @property
     def rounds_h(self) -> int:

@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.aggregation.runtime import ClusterRuntime
 from repro.coloring.types import PartialColoring
-from repro.graphcore import csr_of
+from repro.graphcore import batch_conflict_mask, batch_used_color_masks, csr_of
 
 ColorSampler = Callable[[int], int | None]
 
@@ -47,7 +47,7 @@ def resolve_proposals(
         cands = np.fromiter(proposals.values(), dtype=np.int64, count=len(proposals))
         proposal_arr = np.full(graph.n_vertices, -2, dtype=np.int64)
         proposal_arr[verts] = cands
-        blocked = runtime.backend.conflict_mask(
+        blocked = batch_conflict_mask(
             csr_of(graph),
             coloring.colors,
             verts,
@@ -120,10 +120,10 @@ def palette_sampler(
 
     The returned sampler also carries a ``sample_batch`` attribute:
     :func:`try_color_round` uses it (at full activation) to discover every
-    palette in one backend used-color-mask evaluation instead of a
+    palette in one batched used-color-mask evaluation instead of a
     per-vertex CSR gather, then draws per vertex in the same order the
     per-vertex path would -- same RNG stream, same proposals, just batched
-    (and shardable) palette discovery.
+    palette discovery.
     """
 
     def sample(v: int) -> int | None:
@@ -136,7 +136,7 @@ def palette_sampler(
         if not vertices:
             return {}
         verts = np.asarray(vertices, dtype=np.int64)
-        used = runtime.backend.used_color_masks(
+        used = batch_used_color_masks(
             csr_of(runtime.graph), coloring.colors, verts, coloring.num_colors
         )
         proposals: dict[int, int] = {}

@@ -113,30 +113,16 @@ class PartialColoring:
         return {int(c) for c in self.palette_array(graph, v)}
 
     def slacks(
-        self, graph, vertices, among: set[int] | None = None, *, backend=None
+        self, graph, vertices, among: set[int] | None = None
     ) -> np.ndarray:
         """``s_φ(v)`` for a whole vertex array at once (batched form of
-        :meth:`slack`, one CSR gather instead of per-vertex loops).
-
-        ``backend`` optionally routes the evaluation through an
-        :class:`~repro.parallel.backend.ExecutionBackend` (callers holding
-        a runtime pass ``runtime.backend``); the default evaluates the
-        kernel in-process, value-identically.
-        """
+        :meth:`slack`, one CSR gather instead of per-vertex loops)."""
         from repro.graphcore import batch_slack_counts, csr_of
 
         active_mask = None
         if among is not None:
             active_mask = np.zeros(self.n_vertices, dtype=bool)
             active_mask[list(among)] = True
-        if backend is not None:
-            return backend.slack_counts(
-                csr_of(graph),
-                self.colors,
-                vertices,
-                self.num_colors,
-                active_mask=active_mask,
-            )
         return batch_slack_counts(
             csr_of(graph),
             self.colors,

@@ -11,7 +11,7 @@ Pipeline (all fingerprint-powered, ``O(eps^-2)`` rounds):
    an ``O(1)``-round BFS elects leaders and spreads clique ids;
 4. repair: components violating Definition 4.2 (possible at finite scale,
    where "w.h.p." events do fail) are dissolved into the sparse side --
-   the fallback discipline of DESIGN.md 3.3.
+   the fallback discipline of docs/ARCHITECTURE.md, D3.
 """
 
 from __future__ import annotations

@@ -155,12 +155,6 @@ class DynamicColoring:
         :meth:`apply` call in a span (``stream.bootstrap``,
         ``stream.batch[batch=i]``).  Tracing reads snapshots only -- traced
         streams are bitwise-identical to untraced ones.
-    backend:
-        Optional :class:`~repro.parallel.backend.ExecutionBackend` (or
-        spec string) for the pipeline runs the engine delegates to: the
-        bootstrap coloring and every large-frontier scratch-recolor
-        escalation -- exactly the paths where batched kernels dominate.
-        Value-identical by the backend contract (docs/PARALLEL.md).
     metrics:
         Optional :class:`~repro.observe.metrics.MetricsRegistry`; when
         bound, every applied batch feeds the live ``stream.*`` instruments
@@ -191,7 +185,6 @@ class DynamicColoring:
         rebuild_fraction: float = 0.25,
         verify_each_batch: bool = True,
         tracer=None,
-        backend=None,
         metrics=None,
         netmodel=None,
     ):
@@ -200,7 +193,6 @@ class DynamicColoring:
         self.params = params or scaled()
         self.rng = rng if rng is not None else np.random.default_rng(seed)
         self.mode = mode
-        self.backend = backend
         self.metrics = metrics
         self.netmodel = netmodel
         self.escalate_fraction = escalate_fraction
@@ -240,7 +232,6 @@ class DynamicColoring:
                     params=self.params,
                     rng=self.rng,
                     verify=True,
-                    backend=self.backend,
                 )
             colors = bootstrap.colors
         self.colors = np.asarray(colors, dtype=np.int64).copy()
@@ -587,7 +578,6 @@ class DynamicColoring:
             params=self.params,
             rng=self.rng,
             verify=False,
-            backend=self.backend,
             netmodel=self.netmodel,
         )
         self.colors = np.asarray(result.colors, dtype=np.int64).copy()

@@ -16,7 +16,6 @@ import time
 from typing import Any
 
 from repro.dynamic.engine import DynamicColoring, StreamResult
-from repro.parallel.backend import ExecutionBackend, make_backend
 from repro.params import AlgorithmParameters
 
 
@@ -59,9 +58,8 @@ def summarize_stream(
     Covers the static cell fields (sizes, Delta, dilation of the
     *initial* graph), the stream aggregates, and the per-batch latency
     fields (:func:`latency_fields`).  Callers layer on whatever only
-    they know: :func:`run_stream` adds bootstrap wall time and backend
-    boundary traffic; the service driver adds queueing-delay and SLO
-    fields.
+    they know: :func:`run_stream` adds bootstrap wall time; the service
+    driver adds queueing-delay and SLO fields.
     """
     graph = engine.graph
     ledger = engine.ledger.summary()
@@ -115,8 +113,6 @@ def run_stream(
     mode: str = "repair",
     verify_each_batch: bool = True,
     tracer=None,
-    backend: str | ExecutionBackend | None = None,
-    shards: int | None = None,
     metrics=None,
 ) -> tuple[DynamicColoring, StreamResult, dict[str, Any]]:
     """Bootstrap, absorb every batch, and summarize.
@@ -131,10 +127,6 @@ def run_stream(
     generation and the bootstrap coloring (identical for both modes).
     ``tracer`` (optional) is handed to the engine: the trace gains a
     ``stream.bootstrap`` span plus one ``stream.batch`` span per batch.
-    ``backend`` / ``shards`` select the execution backend for the engine's
-    pipeline delegations (bootstrap + scratch escalations); every metric
-    is backend-invariant by contract, and a sharded run adds its real
-    boundary-traffic totals (``boundary_bits`` et al.) to ``metrics``.
     ``metrics`` (a :class:`~repro.observe.metrics.MetricsRegistry`,
     optional) binds a live registry to the engine; it is fed from
     finished batch reports only, so passing one cannot change any
@@ -150,14 +142,6 @@ def run_stream(
             f"workload {workload.name!r} has no update stream; "
             "stream modes need a StreamWorkload"
         )
-    owns_backend = not isinstance(backend, ExecutionBackend) and (
-        backend is not None or shards is not None
-    )
-    if backend is None and shards is not None:
-        backend = "sharded"
-    exec_backend = (
-        make_backend(backend, shards=shards) if backend is not None else None
-    )
     bootstrap_start = time.perf_counter()
     # map the cell-algorithm alias; anything unrecognized falls through to
     # DynamicColoring's own mode validation rather than silently running
@@ -170,7 +154,6 @@ def run_stream(
         mode=engine_mode,
         verify_each_batch=verify_each_batch,
         tracer=tracer,
-        backend=exec_backend,
         metrics=metrics,
         netmodel=getattr(workload, "netmodel", None),
     )
@@ -178,16 +161,4 @@ def run_stream(
     result = engine.run(batches)
     summary = summarize_stream(engine, result, batches)
     summary["bootstrap_wall_time_s"] = round(bootstrap_s, 4)
-    if exec_backend is not None:
-        exchange = exec_backend.exchange_summary()
-        if exchange:
-            summary.update(
-                backend="sharded",
-                backend_mode=exchange.get("mode"),
-                backend_shards=exchange.get("shards"),
-                boundary_bits=exchange.get("total_message_bits", 0),
-                boundary_exchanges=exchange.get("exchanges", 0),
-            )
-        if owns_backend:
-            exec_backend.close()
     return engine, result, summary

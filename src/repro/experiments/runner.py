@@ -3,11 +3,9 @@
 Expands a :class:`~repro.experiments.spec.ScenarioSpec` into cells and runs
 them either serially in-process (``jobs <= 1``: no pool overhead, exact
 tracebacks -- what the benchmark wrappers use) or scattered across the
-shared process pool of :mod:`repro.parallel.pool`.  Each cell is
+process pool of :mod:`repro.experiments.pool`.  Each cell is
 independent and deterministic given its seeds, so parallel execution
-cannot change any measured number.  Orthogonally, ``backend="sharded"``
-runs each cell's *kernels* through the sharded execution backend
-(docs/PARALLEL.md) -- also metric-invariant by the backend contract.
+cannot change any measured number.
 
 Failure discipline: a cell that raises is captured as a ``status="error"``
 record with its traceback; a cell that exceeds its wall-clock budget is
@@ -20,7 +18,6 @@ sweep hits one pathological instance.
 from __future__ import annotations
 
 import hashlib
-import os
 import pathlib
 import signal
 import time
@@ -50,8 +47,7 @@ from repro.experiments.spec import (
 )
 from repro.serve import run_service
 from repro.observe.tracer import Tracer
-from repro.parallel.backend import BACKEND_ENV_VAR, ExecutionBackend
-from repro.parallel.pool import (
+from repro.experiments.pool import (
     WatchdogTimeout,
     alarm_available,
     arm_alarm,
@@ -62,10 +58,6 @@ from repro.params import paper, scaled
 from repro.workloads import GENERATORS
 
 ProgressFn = Callable[[str], None]
-
-#: Backwards-compatible alias: the runner's timeout exception is now the
-#: shared watchdog's (:mod:`repro.parallel.pool`).
-CellTimeout = WatchdogTimeout
 
 
 def error_summary(error: str | None) -> str:
@@ -109,44 +101,12 @@ TRACEABLE_ALGORITHMS = (
 )
 
 
-def _boundary_metrics(summary: dict[str, Any] | None) -> dict[str, Any]:
-    """Flatten a backend exchange summary into artifact metric keys.
-
-    Empty for serial executions (no cross-shard traffic exists); the keys
-    are additive, so serial and sharded artifacts still align cell-for-cell
-    under ``repro compare`` (which only gates the shared metrics).
-    """
-    if not summary:
-        return {}
-    return {
-        "backend": "sharded",
-        "backend_mode": summary.get("mode"),
-        "backend_shards": summary.get("shards"),
-        "boundary_bits": summary.get("total_message_bits", 0),
-        "boundary_exchanges": summary.get("exchanges", 0),
-    }
-
-
-def _execute(
-    cell: Cell,
-    tracer: Tracer | None = None,
-    backend: str | ExecutionBackend | None = None,
-    shards: int | None = None,
-) -> dict[str, Any]:
+def _execute(cell: Cell, tracer: Tracer | None = None) -> dict[str, Any]:
     """Run one cell's algorithm and extract its metric dict.
 
     ``tracer`` (optional, traceable algorithms only) records the stage
-    spans; passing one is bitwise-invisible to every metric.  ``backend`` /
-    ``shards`` select the execution backend for backend-aware algorithms
-    (the paper pipeline and the stream engine); by the backend contract
-    every gated metric is backend-invariant, and sharded runs additionally
-    record their real boundary traffic (``boundary_bits`` et al.).
+    spans; passing one is bitwise-invisible to every metric.
     """
-    if backend is None:
-        # honor $REPRO_BACKEND here (not in the pipeline) so library callers
-        # of color_cluster_graph stay env-independent while sweeps can be
-        # flipped wholesale without new plumbing
-        backend = os.environ.get(BACKEND_ENV_VAR) or None
     workload = _build_workload(cell)
     graph = workload.graph
     params = _params(cell)
@@ -164,8 +124,6 @@ def _execute(
             params=params,
             seed=cell.seed,
             tracer=tracer,
-            backend=backend,
-            shards=shards,
         )
         metrics.update(service_metrics)
         if _service.engine is not None:
@@ -180,8 +138,6 @@ def _execute(
             seed=cell.seed,
             mode="repair" if cell.algorithm == "dynamic" else "scratch",
             tracer=tracer,
-            backend=backend,
-            shards=shards,
         )
         metrics.update(stream_metrics)
         metrics["coloring_digest"] = coloring_digest(
@@ -195,8 +151,6 @@ def _execute(
             seed=cell.seed,
             regime=cell.regime,
             tracer=tracer,
-            backend=backend,
-            shards=shards,
             netmodel=netmodel,
         )
         metrics.update(
@@ -210,7 +164,6 @@ def _execute(
             fallbacks=int(sum(result.stats.fallbacks.values())),
             retries=int(sum(result.stats.retries.values())),
             coloring_digest=coloring_digest(result.colors),
-            **_boundary_metrics(result.backend_summary),
         )
         if "makespan_ms" in result.ledger_summary:
             # heterogeneous fabric attached: simulated-clock ride-alongs
@@ -246,20 +199,16 @@ def run_cell(
     cell_dict: dict[str, Any],
     timeout_s: float | None = None,
     trace: bool = False,
-    backend: str | None = None,
-    shards: int | None = None,
 ) -> dict[str, Any]:
     """Execute one cell (module-level so worker processes can pickle it).
 
     Returns an artifact-ready record; never raises.  ``trace=True`` adds a
     ``"trace"`` section (the serialized span tree) to records of traceable
-    algorithms; tracing is bitwise-invisible to the metrics.  ``backend`` /
-    ``shards`` are spec strings (not instances -- cells must stay
-    picklable) forwarded to :func:`_execute`.
+    algorithms; tracing is bitwise-invisible to the metrics.
     """
     try:
-        return _run_cell_timed(cell_dict, timeout_s, trace, backend, shards)
-    except CellTimeout:
+        return _run_cell_timed(cell_dict, timeout_s, trace)
+    except WatchdogTimeout:
         # a late interval re-fire escaped _run_cell_timed's own except
         # blocks before they could disarm; the timer is off by now (the
         # inner finally ran while the exception propagated)
@@ -280,8 +229,6 @@ def _run_cell_timed(
     cell_dict: dict[str, Any],
     timeout_s: float | None,
     trace: bool = False,
-    backend: str | None = None,
-    shards: int | None = None,
 ) -> dict[str, Any]:
     cell = Cell.from_dict(cell_dict)
     tracer = Tracer() if trace and cell.algorithm in TRACEABLE_ALGORITHMS else None
@@ -310,13 +257,13 @@ def _run_cell_timed(
     try:
         if use_alarm:
             previous = arm_alarm(timeout_s)
-        metrics = _execute(cell, tracer, backend, shards)
+        metrics = _execute(cell, tracer)
         if use_alarm:
             disarm_alarm()
         record["metrics"] = metrics
         if tracer is not None:
             record["trace"] = tracer.to_dict()
-    except CellTimeout:
+    except WatchdogTimeout:
         disarm_alarm()
         record["status"] = "timeout"
         record["error"] = f"cell exceeded {timeout_s:g}s budget"
@@ -370,19 +317,13 @@ def run_suite(
     timeout_s: float | None = None,
     progress: ProgressFn | None = None,
     trace: bool = False,
-    backend: str | None = None,
-    shards: int | None = None,
 ) -> list[dict[str, Any]]:
     """Run every cell of ``spec``; returns records in grid order.
 
     ``jobs <= 1`` runs serially in-process.  ``timeout_s=None`` uses the
     spec's ``cell_timeout_s``; pass ``0`` to disable timeouts entirely.
     ``trace=True`` attaches span trees to traceable cells (see
-    :func:`run_cell`).  ``backend`` / ``shards`` select the per-cell
-    execution backend (spec strings, see
-    :func:`repro.parallel.backend.make_backend`); backends are *not* part
-    of a cell's key, so serial and sharded sweeps of the same suite align
-    cell-for-cell under ``repro compare``.
+    :func:`run_cell`).
     """
     cells = spec.cells()
     if timeout_s is None:
@@ -393,14 +334,12 @@ def run_suite(
 
     if jobs <= 1 or total <= 1:
         for i, cell in enumerate(cells):
-            record = run_cell(cell.to_dict(), timeout_s, trace, backend, shards)
+            record = run_cell(cell.to_dict(), timeout_s, trace)
             results[i] = record
             emit(_progress_line(record, sum(r is not None for r in results), total))
         return [r for r in results if r is not None]
 
-    payloads = [
-        (cell.to_dict(), timeout_s, trace, backend, shards) for cell in cells
-    ]
+    payloads = [(cell.to_dict(), timeout_s, trace) for cell in cells]
     for index, record, error in scatter(run_cell, payloads, jobs=jobs):
         if error is not None:  # worker died (OOM, hard crash)
             record = {
@@ -425,8 +364,6 @@ def run_sweep(
     out_path: str | pathlib.Path | None = None,
     progress: ProgressFn | None = None,
     trace: bool = False,
-    backend: str | None = None,
-    shards: int | None = None,
 ) -> tuple[pathlib.Path, list[dict[str, Any]]]:
     """Run a suite and persist the artifact; returns (path, records)."""
     records = run_suite(
@@ -435,8 +372,6 @@ def run_sweep(
         timeout_s=timeout_s,
         progress=progress,
         trace=trace,
-        backend=backend,
-        shards=shards,
     )
     header = artifacts.make_header(
         spec.name,
@@ -445,8 +380,6 @@ def run_sweep(
             "description": spec.description,
             "jobs": jobs,
             "n_cells": len(records),
-            "backend": backend or "serial",
-            "shards": shards,
         },
     )
     path = pathlib.Path(out_path) if out_path else artifacts.default_artifact_path(spec.name)

@@ -14,7 +14,6 @@ colorings of pinned seeds (property-tested in ``tests/test_graphcore.py``).
 """
 
 from repro.graphcore.csr import CSRAdjacency, csr_of
-from repro.graphcore.shard import CSRShard, ShardPlan, shard_csr
 from repro.graphcore.kernels import (
     batch_conflict_mask,
     batch_label_mismatch_counts,
@@ -32,10 +31,7 @@ from repro.graphcore.kernels import (
 
 __all__ = [
     "CSRAdjacency",
-    "CSRShard",
-    "ShardPlan",
     "csr_of",
-    "shard_csr",
     "batch_conflict_mask",
     "batch_label_mismatch_counts",
     "batch_neighbor_colors",

@@ -1,6 +1,6 @@
 """Faithful per-machine synchronous message-passing simulator.
 
-This is the validation backend of DESIGN.md Section 3.1: it executes actual
+This is the validation simulator of docs/ARCHITECTURE.md, D1: it executes actual
 flooding on the communication graph, one message per link per round, with the
 bandwidth cap enforced on every concrete message.  It is ``Theta(m)`` work
 per round and is therefore used only on small instances, by tests that check

@@ -33,7 +33,7 @@ within relative error ``sqrt(growth) - 1`` of the true nearest-rank
 percentile (default growth ``2**0.25``: under 9.1%; the property tests in
 ``tests/test_metrics.py`` pin this against ``numpy.percentile``).  Two
 histograms with the same layout merge by adding bucket counts -- merge is
-associative and commutative, so per-shard or per-window histograms roll up
+associative and commutative, so per-worker or per-window histograms roll up
 losslessly.
 """
 
@@ -370,7 +370,7 @@ class MetricsRegistry:
         return inst
 
     def merge(self, other: "MetricsRegistry") -> None:
-        """Absorb another registry instrument-by-instrument (per-shard or
+        """Absorb another registry instrument-by-instrument (per-worker or
         per-window registries roll up into one)."""
         for name, counter in other.counters.items():
             self.counter(name).merge(counter)

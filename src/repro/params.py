@@ -78,7 +78,7 @@ class AlgorithmParameters:
       bits per round.
     * ``mct_slack_coeff`` -- minimum slack (in units of ``log n`` for the
       paper, scaled down here) required by MultiColorTrial's Lemma D.1.
-    * ``max_stage_retries`` -- fallback discipline (DESIGN.md 3.3).
+    * ``max_stage_retries`` -- fallback discipline (docs/ARCHITECTURE.md, D3).
     """
 
     name: str
@@ -157,7 +157,7 @@ class AlgorithmParameters:
         Requested ``xi`` below ``xi_floor`` is clamped first: at laptop scale
         the separation margins of the workloads exceed the paper's
         ``xi * Delta``, so coarser sketches keep the same discrimination
-        power (DESIGN.md 3.2).
+        power (docs/ARCHITECTURE.md, D2).
         """
         xi_eff = max(xi, self.xi_floor)
         base = max(2.0, math.log2(max(n, 2)))

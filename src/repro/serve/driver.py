@@ -13,7 +13,7 @@ wall time while still reporting trace-clock throughput and queueing.
 
 Lifecycle follows the workload-manager idiom: :meth:`ColoringService.start`
 bootstraps the engine, :meth:`~ColoringService.step` absorbs one batch,
-:meth:`~ColoringService.stop` releases owned resources, and
+:meth:`~ColoringService.stop` ends serving, and
 :meth:`~ColoringService.collect` returns the artifact-ready metrics dict --
 the stream summary of :func:`repro.dynamic.harness.summarize_stream` plus
 the service-only fields (queue/latency percentiles, sustained trace-clock
@@ -36,7 +36,6 @@ from repro.dynamic.engine import BatchReport, DynamicColoring, StreamResult
 from repro.dynamic.harness import latency_fields, summarize_stream
 from repro.observe.metrics import MetricsRegistry, exact_percentiles
 from repro.observe.tracer import NULL_TRACER
-from repro.parallel.backend import ExecutionBackend, make_backend
 from repro.params import AlgorithmParameters
 from repro.serve.slo import DEFAULT_SLOS, SLOTarget, evaluate_slos
 
@@ -93,8 +92,6 @@ class ColoringService:
         mode: str = "repair",
         verify_each_batch: bool = True,
         tracer=None,
-        backend: str | ExecutionBackend | None = None,
-        shards: int | None = None,
         metrics: MetricsRegistry | None = None,
         slos: Iterable[SLOTarget] = DEFAULT_SLOS,
     ) -> None:
@@ -112,14 +109,6 @@ class ColoringService:
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.slos = tuple(slos)
-        self._backend_spec = backend
-        self._shards = shards
-        self._owns_backend = not isinstance(backend, ExecutionBackend) and (
-            backend is not None or shards is not None
-        )
-        self.backend: ExecutionBackend | None = (
-            backend if isinstance(backend, ExecutionBackend) else None
-        )
         arrivals = getattr(workload, "arrivals", None)
         self.arrivals: list[float] = (
             [float(t) for t in arrivals]
@@ -151,7 +140,7 @@ class ColoringService:
         return len(self.workload.batches) - self._next_batch
 
     def start(self) -> None:
-        """Bootstrap the engine (and the execution backend, if requested).
+        """Bootstrap the engine.
 
         Idempotent-hostile on purpose: a service serves one trace once;
         restarting mid-trace would silently skip arrivals."""
@@ -161,11 +150,6 @@ class ColoringService:
             raise RuntimeError("service already consumed its trace")
         import time
 
-        backend_spec = self._backend_spec
-        if backend_spec is None and self._shards is not None:
-            backend_spec = "sharded"
-        if self.backend is None and backend_spec is not None:
-            self.backend = make_backend(backend_spec, shards=self._shards)
         bootstrap_start = time.perf_counter()
         engine_mode = "scratch" if self.mode == "recolor_scratch" else self.mode
         # the engine owns the tracer from here: it binds its stream ledger
@@ -178,7 +162,6 @@ class ColoringService:
             mode=engine_mode,
             verify_each_batch=self.verify_each_batch,
             tracer=self.tracer,
-            backend=self.backend,
             metrics=self.metrics,
             netmodel=getattr(self.workload, "netmodel", None),
         )
@@ -237,12 +220,8 @@ class ColoringService:
         return self.entries
 
     def stop(self) -> None:
-        """Stop serving and release an owned execution backend."""
-        if not self._running:
-            return
+        """Stop serving (idempotent)."""
         self._running = False
-        if self.backend is not None and self._owns_backend:
-            self.backend.close()
 
     # ---- views ---------------------------------------------------------------
 
@@ -310,16 +289,6 @@ class ColoringService:
         metrics["slo"] = slo_report.to_dict()
         metrics["slo_pass"] = slo_report.passed
         metrics["slo_failed"] = len(slo_report.failed)
-        if self.backend is not None:
-            exchange = self.backend.exchange_summary()
-            if exchange:
-                metrics.update(
-                    backend="sharded",
-                    backend_mode=exchange.get("mode"),
-                    backend_shards=exchange.get("shards"),
-                    boundary_bits=exchange.get("total_message_bits", 0),
-                    boundary_exchanges=exchange.get("exchanges", 0),
-                )
         return metrics
 
 
@@ -381,8 +350,6 @@ def run_service(
     mode: str = "repair",
     verify_each_batch: bool = True,
     tracer=None,
-    backend: str | ExecutionBackend | None = None,
-    shards: int | None = None,
     metrics: MetricsRegistry | None = None,
     slos: Iterable[SLOTarget] = DEFAULT_SLOS,
 ) -> tuple[ColoringService, dict[str, Any]]:
@@ -396,8 +363,6 @@ def run_service(
         mode=mode,
         verify_each_batch=verify_each_batch,
         tracer=tracer,
-        backend=backend,
-        shards=shards,
         metrics=metrics,
         slos=slos,
     )

@@ -5,7 +5,7 @@ A ``(eps, s)``-min-wise family guarantees that for any set ``X`` of at most
 ``(1 ± eps)/|X|``.  Algorithm 7 (Step 7) uses such functions to sample a
 near-uniform anti-neighbor.
 
-Substitution (DESIGN.md 3.4): instead of the ``O(log 1/eps)``-wise
+Substitution (docs/ARCHITECTURE.md, D4): instead of the ``O(log 1/eps)``-wise
 independent constructions of [Ind01], we use a seeded 64-bit mixing hash,
 which is statistically *stronger* (indistinguishable from full independence
 for our set sizes); the descriptor cost charged to the ledger is the

@@ -6,7 +6,7 @@ of ``s``-sized subsets of the color universe such that a random member
 intersects every large-enough target set proportionally; a vertex sends only
 the index of its chosen member.
 
-Substitution (DESIGN.md 3.4): Lemma C.6 proves such families *exist* via the
+Substitution (docs/ARCHITECTURE.md, D4): Lemma C.6 proves such families *exist* via the
 probabilistic method; we realize a member directly as a seeded pseudorandom
 subset (which satisfies Definition C.5 w.h.p. -- the same argument), and
 charge the ``O(log n)``-bit index for shipping it.

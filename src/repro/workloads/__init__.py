@@ -1,4 +1,4 @@
-"""Instance generators with planted ground truth (see DESIGN.md Section 2).
+"""Instance generators with planted ground truth (docs/ARCHITECTURE.md).
 
 Importing this package registers both the static families
 (:mod:`repro.workloads.generators`) and the churn streams

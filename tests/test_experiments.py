@@ -1,6 +1,8 @@
 """The experiment orchestration subsystem: specs, runner, artifacts, gating."""
 
 import json
+import signal
+import time
 
 import numpy as np
 import pytest
@@ -21,6 +23,13 @@ from repro.experiments import (
     to_csv,
 )
 from repro.experiments.artifacts import Artifact, make_header, write_artifact
+from repro.experiments.pool import (
+    WatchdogTimeout,
+    alarm_available,
+    arm_alarm,
+    disarm_alarm,
+    scatter,
+)
 
 TINY = ScenarioSpec(
     name="tiny",
@@ -612,3 +621,49 @@ class TestStreamCells:
         header = csv_path.read_text().splitlines()[0]
         assert "recolor_fraction_mean" in header
         assert "stream_wall_time_s" in header
+
+
+# ---- pool machinery (repro.experiments.pool) --------------------------------
+
+
+def _square(x):
+    return x * x
+
+
+def _boom(x):
+    raise RuntimeError(f"boom {x}")
+
+
+class TestScatter:
+    def test_results_cover_all_payloads(self):
+        got = dict()
+        for index, result, error in scatter(
+            _square, [(i,) for i in range(6)], jobs=2
+        ):
+            assert error is None
+            got[index] = result
+        assert got == {i: i * i for i in range(6)}
+
+    def test_errors_are_captured_not_raised(self):
+        triples = list(scatter(_boom, [(1,)], jobs=1))
+        assert len(triples) == 1
+        index, result, error = triples[0]
+        assert index == 0 and result is None
+        assert "boom 1" in error
+
+
+class TestWatchdog:
+    def test_alarm_available_on_main_thread(self):
+        assert alarm_available() == hasattr(signal, "SIGALRM")
+
+    @pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="no SIGALRM")
+    def test_arm_alarm_interrupts(self):
+        previous = arm_alarm(0.05)
+        try:
+            with pytest.raises(WatchdogTimeout):
+                deadline = time.monotonic() + 5.0
+                while time.monotonic() < deadline:
+                    pass
+        finally:
+            disarm_alarm()
+            signal.signal(signal.SIGALRM, previous)

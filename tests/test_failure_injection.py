@@ -1,5 +1,5 @@
 """Failure injection: forced postcondition misses must degrade gracefully
-(DESIGN.md 3.3) -- proper coloring always, degradation always recorded."""
+(docs/ARCHITECTURE.md, D3) -- proper coloring always, degradation always recorded."""
 
 import numpy as np
 import pytest

@@ -1,5 +1,5 @@
 """Cluster-level accounting vs faithful machine-level execution
-(DESIGN.md 3.1): the charged primitives must be realizable on the wire."""
+(docs/ARCHITECTURE.md, D1): the charged primitives must be realizable on the wire."""
 
 import numpy as np
 import pytest

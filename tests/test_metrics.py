@@ -4,7 +4,7 @@ The load-bearing property is the LogHistogram accuracy contract: every
 extracted quantile is within relative error ``sqrt(growth) - 1`` of the
 true nearest-rank percentile, pinned here against ``numpy.percentile``
 over hypothesis-generated samples.  Merge must be associative and
-commutative (per-shard histograms roll up losslessly), and the registry
+commutative (per-worker histograms roll up losslessly), and the registry
 must enforce layout identity.  Edge cases -- empty, single-sample, zero
 and sub-``min_value`` samples -- are covered explicitly because the
 quantile walk special-cases all three.

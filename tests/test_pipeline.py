@@ -1,5 +1,7 @@
 """End-to-end integration: the pipeline on every workload family."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from repro.network import CommGraph
 from repro.params import scaled
 from repro.verify import is_proper
 from repro.workloads import (
+    GENERATORS,
     bridge_pathology,
     cabal_instance,
     congest_instance,
@@ -59,6 +62,27 @@ class TestAllFamilies:
         a = color_cluster_graph(w.graph, seed=1)
         b = color_cluster_graph(w.graph, seed=2)
         assert (a.colors != b.colors).any()
+
+
+#: Pinned colorings (sha256 of the colors buffer, first 16 hex chars) of
+#: seed-0 runs on the seed-0 instance of each generator.
+PINNED_DIGESTS = {
+    "figure1": "7b0a91667ad8d58a",
+    "low_degree": "04d969a44989e875",  # shattering regime
+    "high_degree": "1f757a107a73fad2",  # Algorithm 3 regime
+}
+
+
+class TestPinnedDigests:
+    @pytest.mark.parametrize("workload", sorted(PINNED_DIGESTS))
+    def test_serial_digest(self, workload):
+        w = GENERATORS[workload](np.random.default_rng(0))
+        result = color_cluster_graph(w.graph, seed=0)
+        digest = hashlib.sha256(
+            np.ascontiguousarray(result.colors).tobytes()
+        ).hexdigest()[:16]
+        assert digest == PINNED_DIGESTS[workload]
+        assert result.proper
 
 
 class TestRegimeDispatch:

@@ -35,7 +35,6 @@ DEFAULT_TARGETS = (
     "src/repro/observe",
     "src/repro/serve",
     "src/repro/experiments",
-    "src/repro/parallel",
     "src/repro/network",
     "src/repro/fuzz",
     "src/repro/workloads",
