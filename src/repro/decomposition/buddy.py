@@ -19,9 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.aggregation.runtime import ClusterRuntime
-from repro.graphcore import csr_of
+from repro.graphcore import csr_of, neighborhood_max_rows
 from repro.sketch.fingerprint import FingerprintTable
-from repro.sketch.streaming import StreamingUnionEstimator
+from repro.sketch.geometric import EMPTY_MAX
+from repro.sketch.streaming import UnionPlanes
 
 
 @dataclass
@@ -71,14 +72,13 @@ def buddy_predicate(
     trials = runtime.params.fingerprint_trials(runtime.n, max(xi / 2.0, 1e-3))
 
     table = FingerprintTable(n_v, trials, runtime.rng)
-    stream = StreamingUnionEstimator.from_csr_neighborhoods(
-        csr_of(graph), table.rows
+    rows = neighborhood_max_rows(
+        csr_of(graph), table.rows, empty_value=EMPTY_MAX
     )
-    rows = stream.state
 
     # One fused order-statistics pass serves both the degree estimates and
     # the union probes: the planes index caches per-row (K*, Z).
-    planes = stream.union_planes()
+    planes = UnionPlanes(rows)
     degree_estimates = planes.row_estimates()
     # Charge: fingerprint convergecast + broadcast (pipelined wide messages).
     bits = 2 * trials + 16

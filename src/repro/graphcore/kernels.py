@@ -265,59 +265,23 @@ def label_components(
 
 
 def neighborhood_max_rows(
-    csr: CSRAdjacency,
-    rows: np.ndarray,
-    *,
-    empty_value: int,
-    flat_chunk: int = 1 << 22,
+    csr: CSRAdjacency, rows: np.ndarray, *, empty_value: int
 ) -> np.ndarray:
     """``out[v] = max over u in N(v) of rows[u]`` for every vertex at once.
 
-    The fingerprint workhorse (Lemma 5.8 / buddy predicate).  Two
-    execution strategies, chosen by row width (both exact, so the choice is
-    invisible to callers -- max is associative and order-free):
-
-    * wide rows (``t >= 96``, the fingerprint regime): per-segment
-      ``gather.max(axis=0)`` -- each reduction runs numpy's SIMD maximum
-      over a contiguous ``(degree, t)`` block, ~5x faster than
-      ``maximum.reduceat``'s scalar inner loop at these widths;
-    * narrow rows: segmented ``maximum.reduceat`` over the CSR layout,
-      gathered in flat chunks of at most ``flat_chunk`` entries split on
-      segment boundaries, which amortizes per-segment call overhead when
-      thousands of segments fit one chunk.
-
-    Neither path materializes the full ``(2m, trials)`` gather.  Vertices
-    with empty neighborhoods get ``empty_value`` rows.
+    The fingerprint workhorse (Lemma 5.8 / buddy predicate).  Each vertex
+    reduces its contiguous ``(degree, t)`` neighbor block with
+    ``gather.max(axis=0)``, numpy's SIMD maximum, written straight into its
+    output row, so the full ``(2m, trials)`` gather is never materialized.
+    Vertices with empty neighborhoods get ``empty_value`` rows.
     """
     n = csr.n_vertices
-    t = int(rows.shape[1])
-    out = np.full((n, t), empty_value, dtype=rows.dtype)
-    if csr.indices.size == 0 or t == 0:
-        return out
-    if t >= 96:
-        indptr, indices = csr.indptr, csr.indices
-        for v in range(n):
-            start, stop = indptr[v], indptr[v + 1]
-            if stop > start:
-                rows[indices[start:stop]].max(axis=0, out=out[v])
-        return out
-    row_budget = max(1, flat_chunk // max(1, t))
-    lo = 0
-    while lo < n:
-        # grow the vertex block until its flat neighbor count hits budget
-        hi = int(
-            np.searchsorted(csr.indptr, csr.indptr[lo] + row_budget, side="left")
-        )
-        hi = max(hi, lo + 1)
-        hi = min(hi, n)
-        flat = csr.indices[csr.indptr[lo] : csr.indptr[hi]]
-        if flat.size:
-            counts = np.diff(csr.indptr[lo : hi + 1])
-            nonempty = counts > 0
-            starts = (csr.indptr[lo:hi] - csr.indptr[lo])[nonempty]
-            reduced = np.maximum.reduceat(rows[flat], starts, axis=0)
-            out[lo:hi][nonempty] = reduced
-        lo = hi
+    out = np.full((n, rows.shape[1]), empty_value, dtype=rows.dtype)
+    indptr, indices = csr.indptr, csr.indices
+    for v in range(n):
+        start, stop = indptr[v], indptr[v + 1]
+        if stop > start:
+            rows[indices[start:stop]].max(axis=0, out=out[v])
     return out
 
 

@@ -15,8 +15,6 @@ from repro.sketch.fingerprint import (
     Fingerprint,
     FingerprintTable,
     batch_count_estimates,
-    batch_estimate,
-    batch_estimate_exact,
     direct_count_fingerprint,
     estimate_cardinality,
     failure_probability_bound,
@@ -29,16 +27,9 @@ from repro.sketch.encoding import (
     encode_maxima,
     encoded_size_bits,
 )
-from repro.sketch.counting import (
-    approximate_counts_direct,
-    approximate_counts_shared,
-    approximate_degrees,
-    neighborhood_fingerprints,
-)
 from repro.sketch.minwise import MinwiseHash, sample_minwise
 from repro.sketch.representative import RepresentativeFamily, RepresentativeSet
 from repro.sketch.streaming import (
-    StreamingUnionEstimator,
     UnionPlanes,
     estimates_from_counts,
     fused_topk_counts,
@@ -58,8 +49,6 @@ __all__ = [
     "Fingerprint",
     "FingerprintTable",
     "batch_count_estimates",
-    "batch_estimate",
-    "batch_estimate_exact",
     "direct_count_fingerprint",
     "neighborhood_maxima",
     "estimate_cardinality",
@@ -69,15 +58,10 @@ __all__ = [
     "decode_maxima",
     "encode_maxima",
     "encoded_size_bits",
-    "approximate_counts_direct",
-    "approximate_counts_shared",
-    "approximate_degrees",
-    "neighborhood_fingerprints",
     "MinwiseHash",
     "sample_minwise",
     "RepresentativeFamily",
     "RepresentativeSet",
-    "StreamingUnionEstimator",
     "UnionPlanes",
     "estimates_from_counts",
     "fused_topk_counts",

@@ -77,48 +77,6 @@ def estimate_cardinality(maxima: np.ndarray) -> float:
     return math.log(z_eff / t) / math.log(1.0 - 2.0 ** (-k_star))
 
 
-def _batched_estimates(maxima: np.ndarray, *, exact: bool) -> np.ndarray:
-    """Shared body of the batched Lemma 5.2 estimators: one fused
-    order-statistics pass (:func:`~repro.sketch.streaming.fused_topk_counts`)
-    followed by the requested final-math form
-    (:func:`~repro.sketch.streaming.estimates_from_counts`)."""
-    if maxima.ndim != 2:
-        raise ValueError("expected a (rows, trials) matrix")
-    rows, t = maxima.shape
-    if t == 0:
-        raise ValueError("empty fingerprints have no estimate")
-    empty_rows = np.all(maxima == EMPTY_MAX, axis=1)
-    k_star, z = fused_topk_counts(maxima, threshold_index(t))
-    return estimates_from_counts(
-        k_star, z, t, exact=exact, empty_rows=empty_rows
-    )
-
-
-def batch_estimate(maxima: np.ndarray) -> np.ndarray:
-    """Vectorized Lemma 5.2 estimator over a ``(rows, t)`` matrix of maxima.
-
-    Agrees with :func:`estimate_cardinality` per row up to one ulp (the
-    fully vectorized ``log1p``/``exp2`` final step can round differently in
-    the last bit); rows that are entirely ``EMPTY_MAX`` estimate 0.  Use
-    :func:`batch_estimate_exact` when a per-vertex loop is being replaced
-    and bitwise identity matters.
-    """
-    return _batched_estimates(maxima, exact=False)
-
-
-def batch_estimate_exact(maxima: np.ndarray) -> np.ndarray:
-    """Bitwise-exact batched Lemma 5.2 estimator.
-
-    The order statistics (integer, exact) are vectorized; the two ``log``
-    calls go through :mod:`math` -- evaluated once per *distinct* ``(K*, Z)``
-    pair rather than once per row (``K*`` and ``Z`` are small integers, so
-    large batches share a handful of pairs) -- so every row reproduces
-    :func:`estimate_cardinality` to the last bit: the contract the
-    decomposition's pinned-seed bitwise tests rely on.
-    """
-    return _batched_estimates(maxima, exact=True)
-
-
 def failure_probability_bound(xi: float, t: int) -> float:
     """Lemma 5.2's failure bound ``6 exp(-xi^2 t / 200)``."""
     return 6.0 * math.exp(-(xi * xi) * t / 200.0)
@@ -185,10 +143,6 @@ class FingerprintTable:
         self.lam = lam
         self.rows = sample_geometric(rng, (n_vertices, trials), lam).astype(np.int16)
 
-    def vertex_fingerprint(self, v: int) -> Fingerprint:
-        """Fingerprint of the singleton ``{v}`` (its own variables)."""
-        return Fingerprint(self.rows[v].astype(np.int64))
-
     def set_fingerprint(self, vertices) -> Fingerprint:
         """Fingerprint of an arbitrary vertex set (max over their rows)."""
         idx = np.fromiter(vertices, dtype=np.int64)
@@ -252,11 +206,16 @@ def batch_count_estimates(
     ``direct_count_fingerprint(rng, d, trials).estimate()``: one
     :func:`~repro.sketch.geometric.sample_max_of_geometrics_batch` draw (RNG
     stream bitwise identical to the loop, rows with ``counts == 0`` drawing
-    nothing) followed by one :func:`batch_estimate_exact` pass (bitwise
-    identical to per-row :func:`estimate_cardinality`).
+    nothing) followed by one fused order-statistics pass and the exact
+    final-math form (bitwise identical to per-row
+    :func:`estimate_cardinality`).
 
     Returns a float64 array aligned with ``counts``; zero-count rows
     estimate exactly 0.
     """
     maxima = sample_max_of_geometrics_batch(rng, counts, trials, lam)
-    return batch_estimate_exact(maxima)
+    k_star, z = fused_topk_counts(maxima)
+    empty_rows = np.all(maxima == EMPTY_MAX, axis=1)
+    return estimates_from_counts(
+        k_star, z, trials, exact=True, empty_rows=empty_rows
+    )

@@ -1,4 +1,4 @@
-"""Fused streaming union-cardinality estimation (Lemma 5.2 at scale).
+"""Fused union-cardinality estimation (Lemma 5.2 at scale).
 
 The Lemma 5.2 estimator needs only two *integer* statistics of a
 fingerprint ``(Y_1, ..., Y_t)``:
@@ -15,9 +15,8 @@ accumulated.  Everything in this module exploits that invariance:
   ``(rows, trials)`` matrix -- the fused top-``k`` that replaces the second
   ``maxima < K*`` sweep of the pre-fusion batched estimator.
 * :func:`estimates_from_counts` turns ``(K*, Z)`` into ``d_hat`` in either
-  the vectorized ``log1p`` form (bitwise-identical to
-  :func:`~repro.sketch.fingerprint.batch_estimate`) or the ``math.log``
-  scalar form (bitwise-identical to
+  the vectorized ``log1p`` form (within one ulp of the scalar estimator) or
+  the ``math.log`` scalar form (bitwise-identical to
   :func:`~repro.sketch.fingerprint.estimate_cardinality`), evaluating the
   scalar form once per *distinct* ``(K*, Z)`` pair instead of once per row.
 * :class:`UnionPlanes` answers Lemma 5.8's union queries
@@ -27,10 +26,6 @@ accumulated.  Everything in this module exploits that invariance:
   per-vertex threshold bitmasks.  An escalating probe starts each edge at
   its provable lower bound ``K* >= max(K*_u, K*_v)`` and almost always
   terminates in one round.
-* :class:`StreamingUnionEstimator` is the accumulation half of the
-  contract: per-trial running maxima absorbed block by block
-  (``np.maximum.at`` / segment reductions) in ``O(rows * trials)`` memory,
-  finalized by a single fused order-statistics pass.
 
 The estimator contract -- which variants agree bit-for-bit, and where the
 sanctioned one-ulp divergence lives -- is documented in
@@ -51,7 +46,7 @@ _THRESHOLD_DEN = 40
 
 def threshold_index(trials: int) -> int:
     """Lemma 5.2's threshold rank ``q = ceil((27/40) t)``, clamped to
-    ``[1, t]`` exactly as the batched estimators clamp it."""
+    ``[1, t]``."""
     q = int(math.ceil((_THRESHOLD_NUM / _THRESHOLD_DEN) * trials))
     return min(max(q, 1), trials)
 
@@ -104,14 +99,14 @@ def estimates_from_counts(
 .estimate_cardinality` exactly.  Two final-math forms:
 
     * ``exact=False`` -- the vectorized ``log1p``/``exp2`` expression,
-      bitwise-identical to :func:`~repro.sketch.fingerprint.batch_estimate`
-      (and within one ulp of the scalar estimator);
+      within one ulp of the scalar estimator (the buddy predicate's form);
     * ``exact=True`` -- the scalar ``math.log`` expression of the per-vertex
       estimator, evaluated once per *distinct* ``(K*, Z)`` pair (both are
       small integers, so whole edge arrays share a handful of pairs) and
       scattered back -- bitwise-identical to per-row
       :func:`~repro.sketch.fingerprint.estimate_cardinality` at a fraction
-      of the scalar-loop cost.
+      of the scalar-loop cost (the form of
+      :func:`~repro.sketch.fingerprint.batch_count_estimates`).
 
     ``empty_rows`` marks rows whose underlying set was empty; their
     estimate is forced to exactly ``0.0``.
@@ -146,20 +141,7 @@ def estimates_from_counts(
 
 def _popcount_rows(words: np.ndarray) -> np.ndarray:
     """Per-row popcount of a ``(rows, words)`` uint64 matrix."""
-    if hasattr(np, "bitwise_count"):
-        return np.bitwise_count(words).sum(axis=1, dtype=np.int64)
-    # numpy < 2.0 fallback: 256-entry lookup over the byte view
-    lut = _popcount_rows._lut
-    if lut is None:
-        lut = np.array(
-            [bin(i).count("1") for i in range(256)], dtype=np.uint8
-        )
-        _popcount_rows._lut = lut
-    as_bytes = words.view(np.uint8).reshape(words.shape[0], -1)
-    return lut[as_bytes].sum(axis=1, dtype=np.int64)
-
-
-_popcount_rows._lut = None
+    return np.bitwise_count(words).sum(axis=1, dtype=np.int64)
 
 
 class UnionPlanes:
@@ -178,12 +160,12 @@ class UnionPlanes:
 
     Memory: ``O(rows * planes * trials / 64)`` words for the planes plus
     ``O(chunk)`` probe temporaries -- nothing scales with the number of
-    queried pairs.  All outputs are bitwise-identical to running
-    :func:`~repro.sketch.fingerprint.batch_estimate` (or the ``exact``
-    variant) on the materialized union matrix.
+    queried pairs.  The order statistics are exactly the integers
+    :func:`fused_topk_counts` yields on the materialized union matrix, and
+    the estimates use the ``log1p`` form of :func:`estimates_from_counts`.
     """
 
-    def __init__(self, rows: np.ndarray, *, empty_value: int = EMPTY_MAX):
+    def __init__(self, rows: np.ndarray):
         if rows.ndim != 2:
             raise ValueError("expected a (rows, trials) matrix")
         n, t = rows.shape
@@ -192,7 +174,7 @@ class UnionPlanes:
         self.trials = int(t)
         self.q = threshold_index(t)
         self.row_k, self.row_z = fused_topk_counts(rows, self.q)
-        self.empty_rows = np.all(rows == empty_value, axis=1)
+        self.empty_rows = np.all(rows == EMPTY_MAX, axis=1)
         # plane k covers threshold k_lo + k; K* of any union lies in
         # [min row K*, global max value + 1] and Z at the top plane is t,
         # so the probe always terminates inside the plane range.
@@ -210,17 +192,11 @@ class UnionPlanes:
             n, self._n_planes, self._words
         )
 
-    def row_estimates(self, *, exact: bool = False) -> np.ndarray:
+    def row_estimates(self) -> np.ndarray:
         """Lemma 5.2 estimates of the rows themselves (no union), from the
-        order statistics already computed at construction -- bitwise equal
-        to ``batch_estimate(rows)`` (``batch_estimate_exact`` when
-        ``exact``)."""
+        order statistics already computed at construction."""
         return estimates_from_counts(
-            self.row_k,
-            self.row_z,
-            self.trials,
-            exact=exact,
-            empty_rows=self.empty_rows,
+            self.row_k, self.row_z, self.trials, empty_rows=self.empty_rows
         )
 
     def union_order_statistics(
@@ -267,113 +243,16 @@ class UnionPlanes:
         return k_star, z
 
     def union_estimates(
-        self,
-        left: np.ndarray,
-        right: np.ndarray,
-        *,
-        exact: bool = False,
-        chunk_rows: int = 1 << 18,
+        self, left: np.ndarray, right: np.ndarray, *, chunk_rows: int = 1 << 18
     ) -> np.ndarray:
-        """Cardinality estimates of ``N(left) ∪ N(right)`` per pair --
-        bitwise equal to ``batch_estimate(np.maximum(rows[left],
-        rows[right]))`` without the ``(pairs, trials)`` intermediate."""
+        """Cardinality estimates of ``N(left) ∪ N(right)`` per pair, from
+        :meth:`union_order_statistics` -- no ``(pairs, trials)``
+        intermediate."""
         k_star, z = self.union_order_statistics(
             left, right, chunk_rows=chunk_rows
         )
         left = np.asarray(left, dtype=np.int64).reshape(-1)
         right = np.asarray(right, dtype=np.int64).reshape(-1)
         empty = self.empty_rows[left] & self.empty_rows[right]
-        return estimates_from_counts(
-            k_star, z, self.trials, exact=exact, empty_rows=empty
-        )
+        return estimates_from_counts(k_star, z, self.trials, empty_rows=empty)
 
-
-class StreamingUnionEstimator:
-    """Per-row union fingerprints accumulated block by block, estimated in
-    one fused pass -- the streaming half of the estimator contract.
-
-    The state is the ``(n_rows, trials)`` matrix of running coordinate-wise
-    maxima (initialized to ``EMPTY_MAX``, the merge identity).  Because max
-    is idempotent, commutative, and associative, *any* block partition and
-    absorption order yields the same final state, and because the Lemma 5.2
-    statistics are exact integer counts, the resulting estimates are
-    bitwise-identical to a single batched pass over the fully materialized
-    matrix (``tests/test_streaming.py`` pins this property).
-
-    Peak memory is ``O(n_rows * trials)`` regardless of how many elements
-    stream through -- absorbing the neighbor blocks of a graph never builds
-    the ``(edges, trials)`` gather the pre-fusion union path materialized.
-    """
-
-    def __init__(
-        self,
-        n_rows: int,
-        trials: int,
-        *,
-        dtype: np.dtype | type = np.int16,
-        empty_value: int = EMPTY_MAX,
-    ):
-        self.trials = int(trials)
-        self.empty_value = int(empty_value)
-        self._state = np.full((n_rows, trials), empty_value, dtype=dtype)
-
-    @classmethod
-    def from_csr_neighborhoods(
-        cls, csr, rows: np.ndarray, *, empty_value: int = EMPTY_MAX
-    ) -> "StreamingUnionEstimator":
-        """Seed the state with every vertex's neighborhood fingerprint in
-        one segmented reduction over the CSR layout
-        (:func:`~repro.graphcore.neighborhood_max_rows` -- itself a
-        flat-chunked streaming pass, so neighbor rows are never gathered
-        whole)."""
-        from repro.graphcore import neighborhood_max_rows
-
-        est = cls(0, rows.shape[1], dtype=rows.dtype, empty_value=empty_value)
-        est._state = neighborhood_max_rows(csr, rows, empty_value=empty_value)
-        return est
-
-    @property
-    def state(self) -> np.ndarray:
-        """The ``(n_rows, trials)`` running-maxima matrix (live view)."""
-        return self._state
-
-    def absorb(self, row_ids: np.ndarray, maxima: np.ndarray) -> None:
-        """Merge a block of fingerprints into the running maxima.
-
-        ``maxima[j]`` is merged into row ``row_ids[j]``; repeated ids within
-        one block are handled correctly (``np.maximum.at`` is an unbuffered
-        scatter), so a neighbor stream can be absorbed in arbitrary
-        segments.
-        """
-        ids = np.asarray(row_ids, dtype=np.int64).reshape(-1)
-        if ids.size == 0:
-            return
-        np.maximum.at(self._state, ids, maxima)
-
-    def absorb_block(self, start: int, maxima: np.ndarray) -> None:
-        """Merge a contiguous block (rows ``start : start + len(maxima)``)
-        with a plain elementwise maximum -- the fast path when the caller
-        streams disjoint row ranges."""
-        stop = start + maxima.shape[0]
-        np.maximum(
-            self._state[start:stop], maxima, out=self._state[start:stop]
-        )
-
-    def order_statistics(self) -> tuple[np.ndarray, np.ndarray]:
-        """Raw per-row ``(K*, Z)`` of the current state (one fused pass)."""
-        return fused_topk_counts(self._state, threshold_index(self.trials))
-
-    def estimates(self, *, exact: bool = False) -> np.ndarray:
-        """Lemma 5.2 estimates of the current state -- bitwise equal to
-        ``batch_estimate(state)`` (``batch_estimate_exact`` when
-        ``exact``), rows still at the merge identity estimating 0."""
-        k_star, z = self.order_statistics()
-        empty = np.all(self._state == self.empty_value, axis=1)
-        return estimates_from_counts(
-            k_star, z, self.trials, exact=exact, empty_rows=empty
-        )
-
-    def union_planes(self) -> UnionPlanes:
-        """Freeze the current state into a :class:`UnionPlanes` index for
-        pairwise union queries (the Lemma 5.8 buddy step)."""
-        return UnionPlanes(self._state, empty_value=self.empty_value)

@@ -7,13 +7,24 @@ from repro.sketch import (
     EMPTY_MAX,
     Fingerprint,
     FingerprintTable,
-    batch_estimate,
     direct_count_fingerprint,
     estimate_cardinality,
+    estimates_from_counts,
     failure_probability_bound,
+    fused_topk_counts,
     neighborhood_maxima,
     trials_for,
 )
+
+
+def batched_estimates(rows, *, exact=False):
+    """Lemma 5.2 over a ``(rows, t)`` matrix: fused order statistics plus
+    the requested final-math form."""
+    k_star, z = fused_topk_counts(rows)
+    empty = np.all(rows == EMPTY_MAX, axis=1)
+    return estimates_from_counts(
+        k_star, z, rows.shape[1], exact=exact, empty_rows=empty
+    )
 
 
 class TestEstimator:
@@ -62,17 +73,13 @@ class TestBatchEstimate:
         rows = np.stack(
             [direct_count_fingerprint(rng, d, 256).maxima for d in (3, 50, 700)]
         )
-        batch = batch_estimate(rows)
+        batch = batched_estimates(rows)
         scalar = [estimate_cardinality(r) for r in rows]
         assert np.allclose(batch, scalar, rtol=1e-9)
 
     def test_empty_rows_zero(self):
         rows = np.full((2, 64), EMPTY_MAX, dtype=np.int64)
-        assert (batch_estimate(rows) == 0).all()
-
-    def test_requires_matrix(self):
-        with pytest.raises(ValueError):
-            batch_estimate(np.zeros(10, dtype=np.int64))
+        assert (batched_estimates(rows) == 0).all()
 
 
 class TestFingerprintObject:
@@ -161,13 +168,11 @@ class TestBatchSampling:
         assert rng.bit_generator.state == rng2.bit_generator.state
 
     def test_batch_estimate_exact_is_bitwise(self, rng):
-        from repro.sketch import batch_estimate_exact
-
         counts = np.random.default_rng(1).integers(0, 5000, size=400)
         rows = np.stack(
             [direct_count_fingerprint(rng, int(d), 64).maxima for d in counts]
         )
-        exact = batch_estimate_exact(rows)
+        exact = batched_estimates(rows, exact=True)
         scalar = np.array([estimate_cardinality(r) for r in rows])
         # array_equal, not allclose: the exact variant promises the last bit
         assert np.array_equal(exact, scalar)

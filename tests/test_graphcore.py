@@ -220,15 +220,17 @@ class TestKernelAgreement:
         assert set(violations_edges(eu, ev, colors)) == expected_bad
 
     @given(
-        trials=st.integers(1, 8),
+        trials=st.sampled_from([1, 7, 95, 96, 257]),
         **graph_params,
     )
     @settings(max_examples=40)
     def test_neighborhood_max_rows_vs_scatter_reference(
         self, trials, seed, n, density
     ):
-        """The segmented reduceat must equal the legacy np.maximum.at
-        scatter (kept in repro.sketch.fingerprint as the reference)."""
+        """The per-vertex block reduction must equal the np.maximum.at
+        scatter (kept in repro.sketch.fingerprint as the reference), at
+        narrow widths and at the hundreds of trials the buddy predicate
+        runs."""
         g = random_graph(seed, n, density)
         rng = np.random.default_rng(seed + 7)
         rows = rng.integers(0, 100, size=(n, trials)).astype(np.int16)
@@ -238,26 +240,6 @@ class TestKernelAgreement:
         expected = neighborhood_maxima(rows, src, dst, n)
         got = neighborhood_max_rows(g.csr, rows, empty_value=EMPTY_MAX)
         assert np.array_equal(got, expected)
-
-    @given(
-        trials=st.integers(1, 4),
-        chunk=st.integers(1, 64),
-        **graph_params,
-    )
-    @settings(max_examples=30)
-    def test_neighborhood_max_rows_chunking_invariant(
-        self, trials, chunk, seed, n, density
-    ):
-        """Chunk boundaries are an implementation detail: any flat_chunk
-        must give the same answer."""
-        g = random_graph(seed, n, density)
-        rng = np.random.default_rng(seed + 8)
-        rows = rng.integers(0, 50, size=(n, trials)).astype(np.int16)
-        full = neighborhood_max_rows(g.csr, rows, empty_value=EMPTY_MAX)
-        chunked = neighborhood_max_rows(
-            g.csr, rows, empty_value=EMPTY_MAX, flat_chunk=chunk
-        )
-        assert np.array_equal(full, chunked)
 
 
 class TestCSRFromAdjLists:

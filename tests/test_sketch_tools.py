@@ -1,67 +1,9 @@
-"""Approximate counting (Lemma 5.7), min-wise hashing (App. C),
-representative sets (Def. C.5)."""
+"""Min-wise hashing (App. C) and representative sets (Def. C.5)."""
 
 import numpy as np
 import pytest
 
-from repro.cluster import ClusterGraph
-from repro.network import CommGraph
-from repro.sketch import (
-    FingerprintTable,
-    MinwiseHash,
-    RepresentativeFamily,
-    approximate_counts_direct,
-    approximate_counts_shared,
-    approximate_degrees,
-    neighborhood_fingerprints,
-    sample_minwise,
-)
-from tests.conftest import make_runtime
-
-
-def _clique_runtime(n=40, seed=3):
-    comm = CommGraph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
-    return make_runtime(ClusterGraph.identity(comm), seed)
-
-
-class TestApproximateCounting:
-    def test_direct_counts_accurate(self):
-        runtime = _clique_runtime()
-        truth = {0: 10, 1: 200, 2: 3000}
-        estimates = approximate_counts_direct(runtime, truth, trials=2048)
-        for v, d in truth.items():
-            assert estimates[v] == pytest.approx(d, rel=0.2)
-
-    def test_shared_counts_with_predicate(self):
-        runtime = _clique_runtime(n=30)
-        table = FingerprintTable(30, 1024, runtime.rng)
-        eligible = {0: list(range(1, 20)), 1: list(range(25, 30))}
-        estimates = approximate_counts_shared(runtime, table, eligible)
-        assert estimates[0] == pytest.approx(19, rel=0.35)
-        assert estimates[1] == pytest.approx(5, rel=0.6)
-
-    def test_degree_estimation_all_vertices(self):
-        runtime = _clique_runtime(n=50)
-        estimates = approximate_degrees(runtime, xi=0.25)
-        values = np.array(list(estimates.values()))
-        # individual estimates are noisy (sd ~ 15% at this t); the
-        # population must center on the truth with few far outliers
-        assert values.mean() == pytest.approx(49, rel=0.15)
-        assert np.quantile(np.abs(values - 49) / 49, 0.9) < 0.5
-
-    def test_neighborhood_fingerprints_mergeable(self):
-        runtime = _clique_runtime(n=20)
-        table = FingerprintTable(20, 256, runtime.rng)
-        fps = neighborhood_fingerprints(runtime, table, [0, 1])
-        merged = fps[0].merge(fps[1])
-        whole = table.set_fingerprint(range(20))
-        assert (merged.maxima == whole.maxima).all()
-
-    def test_counting_charges_rounds(self):
-        runtime = _clique_runtime(n=10)
-        before = runtime.ledger.rounds_h
-        approximate_counts_direct(runtime, {0: 5}, trials=512)
-        assert runtime.ledger.rounds_h > before
+from repro.sketch import MinwiseHash, RepresentativeFamily, sample_minwise
 
 
 class TestMinwise:

@@ -1,14 +1,13 @@
-"""The fused streaming estimator's contract (docs/ESTIMATORS.md).
+"""The fused estimator's contract (docs/ESTIMATORS.md).
 
 Three layers of guarantees, each pinned here:
 
-* **integer layer** -- ``(K*, Z)`` from the fused top-k, the bit-plane
-  union probe, and any block-partitioned accumulation order are *exactly*
-  the integers the naive sort-based definition produces;
-* **estimate layer** -- within one final-math form the streaming/fused
-  paths are bitwise-identical to the batched estimators
-  (``batch_estimate`` for the ``log1p`` form, ``batch_estimate_exact`` ==
-  per-row ``estimate_cardinality`` for the exact form);
+* **integer layer** -- ``(K*, Z)`` from the fused top-k and the bit-plane
+  union probe are *exactly* the integers the naive sort-based definition
+  (:func:`reference_topk`) produces;
+* **estimate layer** -- the fused paths are bitwise-identical to the
+  final math applied to those reference integers, and the exact form is
+  bitwise-identical to per-row ``estimate_cardinality``;
 * **cross-form tolerance** -- the two forms differ by at most the
   documented one-ulp slip, never enough to move a well-separated
   threshold comparison.
@@ -25,10 +24,7 @@ from hypothesis import strategies as st
 
 from repro.sketch import (
     EMPTY_MAX,
-    StreamingUnionEstimator,
     UnionPlanes,
-    batch_estimate,
-    batch_estimate_exact,
     estimate_cardinality,
     estimates_from_counts,
     fused_topk_counts,
@@ -42,6 +38,19 @@ def reference_topk(maxima: np.ndarray, q: int):
     k_star = srt[:, q - 1].astype(np.int64) + 1
     z = (maxima < k_star[:, None]).sum(axis=1).astype(np.int64)
     return k_star, z
+
+
+def reference_estimates(maxima: np.ndarray, *, exact: bool = False):
+    """Lemma 5.2 estimates of every row from the sort-based integers."""
+    t = maxima.shape[1]
+    k_star, z = reference_topk(maxima, threshold_index(t))
+    empty = np.all(maxima == EMPTY_MAX, axis=1)
+    return estimates_from_counts(k_star, z, t, exact=exact, empty_rows=empty)
+
+
+def scalar_estimates(maxima: np.ndarray):
+    """Per-row scalar Lemma 5.2 estimator, the exact form's reference."""
+    return np.array([estimate_cardinality(r) for r in maxima])
 
 
 @st.composite
@@ -74,74 +83,36 @@ class TestFusedTopK:
     @given(maxima_matrices())
     @settings(max_examples=100)
     def test_estimates_bitwise_vs_batched(self, mat):
-        """Both final-math forms reproduce their batched counterpart
-        bit-for-bit from the fused integers."""
+        """Both final-math forms reproduce the sort-based reference
+        bit-for-bit from the fused integers; the exact form also equals
+        the scalar estimator row by row."""
         t = mat.shape[1]
         k, z = fused_topk_counts(mat, threshold_index(t))
         empty = np.all(mat == EMPTY_MAX, axis=1)
         log1p_form = estimates_from_counts(k, z, t, empty_rows=empty)
         exact_form = estimates_from_counts(k, z, t, exact=True, empty_rows=empty)
-        assert np.array_equal(log1p_form, batch_estimate(mat))
-        assert np.array_equal(exact_form, batch_estimate_exact(mat))
-        scalar = np.array([estimate_cardinality(r) for r in mat])
-        assert np.array_equal(exact_form, scalar)
+        assert np.array_equal(log1p_form, reference_estimates(mat))
+        assert np.array_equal(exact_form, reference_estimates(mat, exact=True))
+        assert np.array_equal(exact_form, scalar_estimates(mat))
 
     @given(maxima_matrices())
     @settings(max_examples=100)
     def test_cross_form_tolerance_contract(self, mat):
         """The documented divergence between the two forms: at most a few
         ulp of relative slip, nothing more (docs/ESTIMATORS.md)."""
-        exact = batch_estimate_exact(mat)
-        vectorized = batch_estimate(mat)
+        exact = reference_estimates(mat, exact=True)
+        vectorized = reference_estimates(mat)
         np.testing.assert_allclose(vectorized, exact, rtol=1e-12, atol=0.0)
-
-
-class TestStreamingAccumulation:
-    @given(maxima_matrices(), st.integers(0, 2**31 - 1))
-    @settings(max_examples=150)
-    def test_random_block_partition_bitwise(self, mat, seed):
-        """Absorbing any random partition of the element stream -- including
-        repeated row ids within a block -- lands on the same estimates as
-        one batched pass over the materialized maxima."""
-        rng = np.random.default_rng(seed)
-        rows, t = mat.shape
-        # element stream: (row, fingerprint) pairs in shuffled order,
-        # one pair per "set element"; the final state is the row-wise max
-        n_elems = int(rng.integers(0, 4 * rows + 1))
-        ids = rng.integers(0, rows, n_elems).astype(np.int64)
-        values = (rng.geometric(0.5, size=(n_elems, t)) - 1).astype(np.int16)
-        reference = np.full((rows, t), EMPTY_MAX, dtype=np.int16)
-        np.maximum.at(reference, ids, values)
-
-        est = StreamingUnionEstimator(rows, t, dtype=np.int16)
-        cursor = 0
-        while cursor < n_elems:
-            block = int(rng.integers(1, n_elems - cursor + 1))
-            est.absorb(ids[cursor : cursor + block], values[cursor : cursor + block])
-            cursor += block
-        assert np.array_equal(est.state, reference)
-        assert np.array_equal(est.estimates(), batch_estimate(reference))
-        assert np.array_equal(
-            est.estimates(exact=True), batch_estimate_exact(reference)
-        )
-
-    @given(maxima_matrices())
-    @settings(max_examples=60)
-    def test_single_block_equals_batched(self, mat):
-        """The degenerate single-block stream is exactly the batched path."""
-        rows, t = mat.shape
-        est = StreamingUnionEstimator(rows, t, dtype=mat.dtype)
-        est.absorb_block(0, mat)
-        assert np.array_equal(est.state, mat)
-        assert np.array_equal(est.estimates(), batch_estimate(mat))
 
 
 class TestUnionPlanes:
     @given(maxima_matrices(), st.integers(0, 2**31 - 1))
     @settings(max_examples=150)
     def test_union_estimates_bitwise_vs_materialized(self, mat, seed):
-        """Bit-plane union queries == batch_estimate over the materialized
-        (pairs, trials) union matrix, to the last bit, for both forms."""
+        """Bit-plane union probes yield the sort-based integers of the
+        materialized (pairs, trials) union matrix, so the estimates match
+        the reference to the last bit (and, in the exact form, the scalar
+        estimator)."""
         rng = np.random.default_rng(seed)
         rows = mat.shape[0]
         m = int(rng.integers(1, 30))
@@ -150,19 +121,23 @@ class TestUnionPlanes:
         union = np.maximum(mat[left], mat[right])
 
         planes = UnionPlanes(mat)
+        k, z = planes.union_order_statistics(left, right)
+        k_ref, z_ref = reference_topk(union, planes.q)
+        assert np.array_equal(k, k_ref)
+        assert np.array_equal(z, z_ref)
         got = planes.union_estimates(left, right)
-        assert np.array_equal(got, batch_estimate(union))
-        got_exact = planes.union_estimates(left, right, exact=True)
-        assert np.array_equal(got_exact, batch_estimate_exact(union))
+        assert np.array_equal(got, reference_estimates(union))
+        empty = np.all(union == EMPTY_MAX, axis=1)
+        got_exact = estimates_from_counts(
+            k, z, planes.trials, exact=True, empty_rows=empty
+        )
+        assert np.array_equal(got_exact, scalar_estimates(union))
 
     @given(maxima_matrices())
     @settings(max_examples=60)
     def test_row_estimates_bitwise(self, mat):
         planes = UnionPlanes(mat)
-        assert np.array_equal(planes.row_estimates(), batch_estimate(mat))
-        assert np.array_equal(
-            planes.row_estimates(exact=True), batch_estimate_exact(mat)
-        )
+        assert np.array_equal(planes.row_estimates(), reference_estimates(mat))
 
     def test_chunking_invariant(self):
         rng = np.random.default_rng(3)
@@ -187,6 +162,38 @@ class TestUnionPlanes:
         planes = UnionPlanes(mat)
         out = planes.union_estimates(np.array([0, 1]), np.array([2, 3]))
         assert np.array_equal(out, np.zeros(2))
+
+
+_ROWS = np.zeros((3, 8), dtype=np.int16)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda: fused_topk_counts(_ROWS[0]), id="topk-1d"),
+        pytest.param(lambda: fused_topk_counts(_ROWS[:, :0]), id="topk-t0"),
+        pytest.param(
+            lambda: estimates_from_counts(np.ones(2), np.ones(2), 0),
+            id="counts-trials0",
+        ),
+        pytest.param(
+            lambda: estimates_from_counts(np.ones(2), np.ones(2), -3),
+            id="counts-trials-negative",
+        ),
+        pytest.param(lambda: UnionPlanes(_ROWS[0]), id="planes-1d"),
+        pytest.param(lambda: UnionPlanes(_ROWS[:, :0]), id="planes-t0"),
+        pytest.param(
+            lambda: UnionPlanes(_ROWS).union_estimates(
+                np.array([0, 1]), np.array([2])
+            ),
+            id="union-misaligned",
+        ),
+    ],
+)
+def test_input_checks_raise(call):
+    """Malformed input to the sketch kernels fails loudly, never silently."""
+    with pytest.raises(ValueError):
+        call()
 
 
 class TestPinnedBuddyDigest:
