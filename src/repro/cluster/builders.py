@@ -15,13 +15,13 @@ module provides all three:
 
 from __future__ import annotations
 
-from typing import Literal, Sequence
+from typing import Literal
 
 import networkx as nx
 import numpy as np
 
 from repro.cluster.cluster_graph import ClusterGraph
-from repro.network.commgraph import CommGraph
+from repro.network.commgraph import CommGraph, networkx_edge_array
 
 ClusterTopology = Literal["path", "star", "clique", "tree", "bridge"]
 
@@ -101,41 +101,81 @@ def contraction_clusters(
     return ClusterGraph.from_assignment(comm, assignment)
 
 
-def _cluster_internal_edges(
-    machines: Sequence[int], topology: ClusterTopology, rng: np.random.Generator
-) -> list[tuple[int, int]]:
-    """Internal wiring of one cluster; controls its support-tree height."""
-    k = len(machines)
-    if k == 1:
-        return []
+def _internal_links(
+    starts: np.ndarray,
+    sizes: np.ndarray,
+    topology: ClusterTopology,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """Internal wiring of every cluster at once; controls support-tree
+    height.  Clusters are the contiguous machine ranges
+    ``[starts[c], starts[c] + sizes[c])``.
+
+    Only ``tree`` draws: machine ``i`` of each cluster picks its parent
+    among the first ``i``, clusters and machines in order.  The others are
+    fixed shapes, and ``CommGraph`` sorts the links, so their order here
+    is free.
+    """
+    cluster = np.repeat(np.arange(sizes.size, dtype=np.int64), sizes)
+    machine = np.arange(cluster.size, dtype=np.int64)
+    first = starts[cluster]
+    offset = machine - first
+    rest = offset > 0
     if topology == "path":
-        return [(machines[i], machines[i + 1]) for i in range(k - 1)]
+        return np.stack([machine[rest] - 1, machine[rest]], axis=1)
     if topology == "star":
-        return [(machines[0], machines[i]) for i in range(1, k)]
-    if topology == "clique":
-        return [
-            (machines[i], machines[j]) for i in range(k) for j in range(i + 1, k)
-        ]
+        return np.stack([first[rest], machine[rest]], axis=1)
     if topology == "tree":
-        edges = []
-        for i in range(1, k):
-            j = int(rng.integers(0, i))
-            edges.append((machines[j], machines[i]))
-        return edges
+        parent = first[rest] + rng.integers(0, offset[rest])
+        return np.stack([parent, machine[rest]], axis=1)
     if topology == "bridge":
         # Two stars joined by a single bridge link (Figures 2/3): every path
         # between the halves crosses one O(log n)-bit link.
-        half = k // 2
-        left, right = machines[:half], machines[half:]
-        edges = [(left[0], m) for m in left[1:]]
-        edges += [(right[0], m) for m in right[1:]]
-        edges.append((left[0], right[0]))
-        return edges
+        half = (sizes // 2)[cluster]
+        hub = np.where(offset < half, first, first + half)
+        spoke = rest & (offset != half)
+        split = sizes > 1
+        return np.concatenate([
+            np.stack([hub[spoke], machine[spoke]], axis=1),
+            np.stack([starts[split], starts[split] + sizes[split] // 2], axis=1),
+        ])
+    if topology == "clique":
+        parts = [np.empty((0, 2), dtype=np.int64)]
+        for k in np.unique(sizes[sizes > 1]).tolist():
+            i, j = np.triu_indices(k, 1)
+            base = starts[sizes == k][:, None]
+            parts.append(np.stack([(base + i).ravel(), (base + j).ravel()], axis=1))
+        return np.concatenate(parts)
     raise ValueError(f"unknown topology {topology!r}")
 
 
+def _check_conflict_edges(n_vertices: int, edges: np.ndarray) -> None:
+    """Reject what no cluster graph can realize: an endpoint outside
+    ``0..n_vertices-1``, an H self-loop, or the same H-edge twice."""
+    if not edges.size:
+        return
+    outside = ((edges < 0) | (edges >= n_vertices)).any(axis=1)
+    if outside.any():
+        u, v = edges[outside][0].tolist()
+        raise ValueError(
+            f"conflict edge ({u}, {v}) names an H vertex outside 0..{n_vertices - 1}"
+        )
+    loops = edges[:, 0] == edges[:, 1]
+    if loops.any():
+        raise ValueError(f"conflict graph self-loop on H vertex {int(edges[loops][0, 0])}")
+    codes = np.minimum(edges[:, 0], edges[:, 1]) * n_vertices + np.maximum(
+        edges[:, 0], edges[:, 1]
+    )
+    if not (codes[1:] > codes[:-1]).all():  # sorted input skips the sort
+        codes = np.sort(codes)
+        repeated = codes[1:][codes[1:] == codes[:-1]]
+        if repeated.size:
+            u, v = divmod(int(repeated[0]), n_vertices)
+            raise ValueError(f"duplicate conflict edge ({u}, {v}) at H vertex {u}")
+
+
 def blowup(
-    conflict_graph: nx.Graph,
+    conflict_graph: nx.Graph | tuple[int, np.ndarray],
     rng: np.random.Generator,
     *,
     cluster_size: int = 1,
@@ -145,70 +185,52 @@ def blowup(
 ) -> ClusterGraph:
     """Synthesize a network ``G`` realizing a desired conflict graph ``H``.
 
-    Each vertex of ``conflict_graph`` becomes a cluster of about
-    ``cluster_size`` machines wired according to ``topology``; each H-edge is
-    realized by ``link_multiplicity`` links between machines chosen uniformly
-    in the two clusters (several links between the same cluster pair are the
-    norm in real cluster graphs -- Figure 1).
+    ``conflict_graph`` is either ``(n, edges)``, an int64 ``(m, 2)`` edge
+    array over H vertices ``0..n-1``, or a networkx graph, whose nodes are
+    numbered in sorted label order (:func:`networkx_edge_array`).  Each
+    vertex becomes a cluster of about ``cluster_size`` machines wired
+    according to ``topology``; each H-edge, in edge order, is realized by
+    ``link_multiplicity`` links between machines chosen uniformly in the
+    two clusters (several links between the same cluster pair are the norm
+    in real cluster graphs -- Figure 1).  Self-loops, repeated edges and
+    out-of-range endpoints are rejected before any draw.
 
-    Returns a :class:`ClusterGraph` whose ``H`` equals ``conflict_graph`` (up
-    to the integer relabeling of networkx nodes).
+    Returns a :class:`ClusterGraph` whose ``H`` equals ``conflict_graph``.
     """
     if cluster_size < 1:
         raise ValueError("cluster_size must be >= 1")
     if link_multiplicity < 1:
         raise ValueError("link_multiplicity must be >= 1")
-    relabeled = nx.convert_node_labels_to_integers(conflict_graph, ordering="sorted")
-    n_vertices = relabeled.number_of_nodes()
+    if isinstance(conflict_graph, nx.Graph):
+        n_vertices, edge_arr = networkx_edge_array(conflict_graph, ordering="sorted")
+    else:
+        n_vertices, edge_arr = conflict_graph
+        edge_arr = np.asarray(edge_arr, dtype=np.int64).reshape(-1, 2)
+    _check_conflict_edges(n_vertices, edge_arr)
 
-    machine_lists: list[list[int]] = []
-    next_machine = 0
-    for _v in range(n_vertices):
-        size = cluster_size
-        if size_jitter > 0:
-            size = max(1, int(round(cluster_size * (1 + rng.uniform(-size_jitter, size_jitter)))))
-        machine_lists.append(list(range(next_machine, next_machine + size)))
-        next_machine += size
-
-    internal: list[tuple[int, int]] = []
-    for v, machines in enumerate(machine_lists):
-        internal.extend(_cluster_internal_edges(machines, topology, rng))
+    if size_jitter > 0:
+        # one uniform per vertex, in vertex order
+        spread = rng.uniform(-size_jitter, size_jitter, size=n_vertices)
+        sizes = np.maximum(1, np.rint(cluster_size * (1 + spread)).astype(np.int64))
+    else:
+        sizes = np.full(n_vertices, cluster_size, dtype=np.int64)
+    starts = np.cumsum(sizes) - sizes
+    internal = _internal_links(starts, sizes, topology, rng)
 
     # Inter-cluster links, vectorized: clusters are contiguous machine
     # ranges, so a pick is start + offset.  The (edges, multiplicity, 2)
     # draw matrix consumes the rng in exactly the order the per-edge loop
     # did (C-order: edge, copy, endpoint), keeping pinned instances
     # bitwise identical.
-    starts = np.fromiter(
-        (m[0] for m in machine_lists), dtype=np.int64, count=n_vertices
-    )
-    sizes = np.fromiter(
-        (len(m) for m in machine_lists), dtype=np.int64, count=n_vertices
-    )
-    edge_arr = np.asarray(list(relabeled.edges()), dtype=np.int64).reshape(-1, 2)
-    parts: list[np.ndarray] = []
-    if internal:
-        parts.append(np.asarray(internal, dtype=np.int64))
-    if edge_arr.size:
-        highs = np.stack(
-            [sizes[edge_arr[:, 0]], sizes[edge_arr[:, 1]]], axis=1
-        )[:, None, :].repeat(link_multiplicity, axis=1)
-        offsets = rng.integers(0, highs)
-        inter = (
-            np.stack(
-                [starts[edge_arr[:, 0]], starts[edge_arr[:, 1]]], axis=1
-            )[:, None, :]
-            + offsets
-        ).reshape(-1, 2)
-        parts.append(inter)
-    edges = (
-        np.concatenate(parts)
-        if parts
-        else np.empty((0, 2), dtype=np.int64)
-    )
+    highs = np.stack(
+        [sizes[edge_arr[:, 0]], sizes[edge_arr[:, 1]]], axis=1
+    )[:, None, :].repeat(link_multiplicity, axis=1)
+    offsets = rng.integers(0, highs) if edge_arr.size else highs
+    inter = (
+        np.stack([starts[edge_arr[:, 0]], starts[edge_arr[:, 1]]], axis=1)[:, None, :]
+        + offsets
+    ).reshape(-1, 2)
 
-    comm = CommGraph(next_machine, edges)
-    assignment = np.repeat(
-        np.arange(n_vertices, dtype=np.int64), sizes
-    ).tolist()
+    comm = CommGraph(int(sizes.sum()), np.concatenate([internal, inter]))
+    assignment = np.repeat(np.arange(n_vertices, dtype=np.int64), sizes).tolist()
     return ClusterGraph.from_assignment(comm, assignment)

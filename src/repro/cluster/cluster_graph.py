@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.graphcore.csr import CSRAdjacency
+from repro.graphcore.csr import CSRAdjacency, sorted_unique
 from repro.network.commgraph import CommGraph
 from repro.cluster.support_tree import SupportTree, build_forest
 
@@ -132,7 +132,7 @@ class ClusterGraph:
         a = np.where(swap, cv, cu)
         b = np.where(swap, cu, cv)
         pair_codes = a * n_vertices + b
-        uniq_codes = np.unique(pair_codes)
+        uniq_codes = sorted_unique(pair_codes)
         ua, ub = uniq_codes // n_vertices, uniq_codes % n_vertices
         csr = CSRAdjacency.from_edge_arrays(ua, ub, n_vertices)
 

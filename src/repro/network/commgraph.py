@@ -17,7 +17,7 @@ from typing import Iterable, Iterator, Sequence
 import networkx as nx
 import numpy as np
 
-from repro.graphcore.csr import CSRAdjacency
+from repro.graphcore.csr import CSRAdjacency, sorted_unique
 
 
 class CommGraph:
@@ -57,7 +57,7 @@ class CommGraph:
                 raise ValueError(f"link ({int(u)},{int(v)}) out of range for n={n}")
             lo = np.minimum(arr[:, 0], arr[:, 1])
             hi = np.maximum(arr[:, 0], arr[:, 1])
-            codes = np.unique(lo * n + hi)
+            codes = sorted_unique(lo * n + hi)
             self._link_u = codes // n
             self._link_v = codes % n
             self._link_codes = codes
@@ -129,25 +129,9 @@ class CommGraph:
 
     @classmethod
     def from_networkx(cls, graph: nx.Graph) -> "CommGraph":
-        """Build from a networkx graph with integer-relabelable nodes.
-
-        Nodes already labeled ``0..n-1`` in iteration order (every
-        generator in :mod:`repro.workloads` produces these) skip the
-        relabeling graph copy, and the edge list is drained into a flat
-        int64 buffer instead of a boxed list of tuples -- together ~4x
-        faster at 50k machines / 250k links.
-        """
-        identity = all(i == node for i, node in enumerate(graph.nodes()))
-        relabeled = (
-            graph if identity else nx.convert_node_labels_to_integers(graph)
-        )
-        m = relabeled.number_of_edges()
-        flat = np.fromiter(
-            (endpoint for edge in relabeled.edges() for endpoint in edge),
-            dtype=np.int64,
-            count=2 * m,
-        )
-        return cls(relabeled.number_of_nodes(), flat.reshape(-1, 2))
+        """Build from a networkx graph with integer-relabelable nodes
+        (labelled in iteration order, see :func:`networkx_edge_array`)."""
+        return cls(*networkx_edge_array(graph))
 
     def to_networkx(self) -> nx.Graph:
         """Export to networkx (used by reference checks and generators)."""
@@ -176,3 +160,30 @@ class CommGraph:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"CommGraph(n={self.n}, links={self._m})"
+
+
+def networkx_edge_array(
+    graph: nx.Graph, *, ordering: str = "default"
+) -> tuple[int, np.ndarray]:
+    """``(n, edges)`` of a networkx graph as an int64 ``(m, 2)`` array.
+
+    Nodes are numbered ``0..n-1`` as ``nx.convert_node_labels_to_integers(
+    graph, ordering=ordering)`` would (``"default"``: iteration order,
+    ``"sorted"``: label order), and the edges come in that relabelled
+    graph's ``edges()`` order.  The relabelled copy is never built: it has
+    the same node order and, per node, the same later neighbors in the
+    same order, so its ``edges()`` is ``graph.edges()`` mapped through the
+    numbering.  Nodes already iterating as ``0..n-1`` (every generator in
+    :mod:`repro.workloads` builds these) skip the mapping too.
+    """
+    if ordering not in ("default", "sorted"):
+        raise ValueError(f"unknown node ordering {ordering!r}")
+    m = graph.number_of_edges()
+    if all(i == node for i, node in enumerate(graph)):
+        endpoints = (x for edge in graph.edges() for x in edge)
+    else:
+        nodes = sorted(graph) if ordering == "sorted" else list(graph)
+        label = {node: i for i, node in enumerate(nodes)}
+        endpoints = (label[x] for edge in graph.edges() for x in edge)
+    flat = np.fromiter(endpoints, dtype=np.int64, count=2 * m)
+    return graph.number_of_nodes(), flat.reshape(-1, 2)

@@ -25,6 +25,7 @@ import numpy as np
 from repro.cluster.builders import ClusterTopology, blowup, contraction_clusters, voronoi_clusters
 from repro.cluster.cluster_graph import ClusterGraph
 from repro.network.commgraph import CommGraph
+from repro.workloads.gnp import connect_components, fast_gnp_edges, gnp_edges
 from repro.workloads.specs import PARAM_SPECS, validated  # noqa: F401  (re-exported)
 
 
@@ -125,10 +126,11 @@ def planted_acd_instance(
     h.add_nodes_from(sparse)
     if n_sparse > 1:
         p = min(1.0, sparse_degree_fraction * clique_size / max(1, n_sparse - 1))
-        for i in range(n_sparse):
-            for j in range(i + 1, n_sparse):
-                if rng.random() < p:
-                    h.add_edge(sparse[i], sparse[j])
+        # one draw per pair in (i, j) order: a block draw, bitwise the
+        # scalar loop (ARCHITECTURE.md "Block draws")
+        i, j = np.triu_indices(n_sparse, 1)
+        keep = rng.random(i.size) < p
+        h.add_edges_from(zip((next_id + i[keep]).tolist(), (next_id + j[keep]).tolist()))
     if sparse:
         for members in cliques:
             for v in members:
@@ -202,25 +204,24 @@ def cabal_instance(
 
 def _random_network(
     rng: np.random.Generator, n: int, p: float, avg_degree: float | None
-) -> nx.Graph:
-    """One connected G(n, p) draw.
+) -> tuple[int, np.ndarray]:
+    """One connected G(n, p) draw as ``(n, edges)``, an int64 edge array.
 
     When ``avg_degree`` is given it overrides ``p`` with ``avg_degree/(n-1)``
     and switches to the O(n + m) sampler, which is what makes 50k-machine
     instances generable at all; the default dense sampler is kept for every
     historical call site so pinned instance seeds keep drawing the exact
-    same graphs.
+    same graphs.  Both are array ports of the networkx samplers
+    (:mod:`repro.workloads.gnp`): the edges, their order and the patch
+    that connects the draw are the ones the networkx graph had.
     """
     seed = int(rng.integers(0, 2**31))
     if avg_degree is not None:
         p = min(1.0, avg_degree / max(1, n - 1))
-        g = nx.fast_gnp_random_graph(n, p, seed=seed)
+        edges = fast_gnp_edges(n, p, seed)
     else:
-        g = nx.erdos_renyi_graph(n, p, seed=seed)
-    components = list(nx.connected_components(g))
-    for i in range(len(components) - 1):
-        g.add_edge(next(iter(components[i])), next(iter(components[i + 1])))
-    return g
+        edges = gnp_edges(n, p, seed)
+    return n, connect_components(n, edges)
 
 
 @validated("congest")
@@ -234,8 +235,7 @@ def congest_instance(
     """``H = G``: the CONGEST special case the paper strictly generalizes."""
     if p is None:
         p = min(1.0, 8.0 / n + 0.05)
-    g = _random_network(rng, n, p, avg_degree)
-    comm = CommGraph.from_networkx(g)
+    comm = CommGraph(*_random_network(rng, n, p, avg_degree))
     return Workload(
         name="congest",
         graph=ClusterGraph.identity(comm),
@@ -256,8 +256,7 @@ def contraction_instance(
     """Cluster graph obtained by contracting a random forest of a random
     network -- how cluster graphs arise in flow/decomposition algorithms.
     """
-    g = _random_network(rng, n, p, avg_degree)
-    comm = CommGraph.from_networkx(g)
+    comm = CommGraph(*_random_network(rng, n, p, avg_degree))
     return Workload(
         name="contraction",
         graph=contraction_clusters(comm, fraction, rng),
@@ -276,8 +275,7 @@ def voronoi_instance(
     avg_degree: float | None = None,
 ) -> Workload:
     """Voronoi (BFS-region) clustering of a random network."""
-    g = _random_network(rng, n, p, avg_degree)
-    comm = CommGraph.from_networkx(g)
+    comm = CommGraph(*_random_network(rng, n, p, avg_degree))
     return Workload(
         name="voronoi",
         graph=voronoi_clusters(comm, n_clusters, rng),
@@ -365,8 +363,8 @@ def high_degree_instance(
     quadratic edge counts.
     """
     p = degree_fraction
-    g = _random_network(rng, n_vertices, p, avg_degree)
-    graph = blowup(g, rng, cluster_size=cluster_size, topology=topology)
+    h = _random_network(rng, n_vertices, p, avg_degree)
+    graph = blowup(h, rng, cluster_size=cluster_size, topology=topology)
     density = f"{p:.2f}" if avg_degree is None else f"d~{avg_degree:g}"
     return Workload(
         name="high_degree",

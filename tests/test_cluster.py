@@ -177,6 +177,74 @@ class TestBuilders:
             blowup(nx.path_graph(2), rng, cluster_size=0)
         with pytest.raises(ValueError):
             blowup(nx.path_graph(2), rng, link_multiplicity=0)
+        with pytest.raises(ValueError, match="unknown topology"):
+            blowup(nx.path_graph(2), rng, cluster_size=2, topology="ring")
+
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize(
+        "conflict_graph,message",
+        [
+            (nx.Graph([(0, 1), (1, 2), (2, 3), (1, 1)]), "self-loop on H vertex 1"),
+            ((4, np.array([[0, 1], [2, 2]])), "self-loop on H vertex 2"),
+            ((4, np.array([[0, 1], [1, 2], [2, 1]])), r"duplicate conflict edge \(1, 2\) at H vertex 1"),
+            ((4, np.array([[0, 1], [1, 2], [0, 1]])), r"duplicate conflict edge \(0, 1\) at H vertex 0"),
+            ((4, np.array([[0, 1], [3, 4]])), r"\(3, 4\) names an H vertex outside 0..3"),
+            ((4, np.array([[-1, 2]])), r"\(-1, 2\) names an H vertex outside 0..3"),
+        ],
+        ids=["nx-self-loop", "array-self-loop", "reversed-duplicate",
+             "duplicate", "too-large", "negative"],
+    )
+    def test_blowup_rejects_unrealizable_h_before_drawing(self, conflict_graph, message, seed):
+        # the H self-loop used to be rejected or silently turned into an
+        # intra-cluster link depending on which machines the seed picked
+        rng = np.random.default_rng(seed)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=message):
+            blowup(conflict_graph, rng, cluster_size=3)
+        assert rng.bit_generator.state == state
+
+    def test_blowup_takes_an_edge_array(self, rng):
+        target = nx.petersen_graph()
+        edges = np.array(list(target.edges()), dtype=np.int64)
+        for topology in ("path", "star", "clique", "tree", "bridge"):
+            from_nx = blowup(target, np.random.default_rng(3), cluster_size=4, topology=topology)
+            from_arr = blowup((10, edges), np.random.default_rng(3), cluster_size=4, topology=topology)
+            assert np.array_equal(from_nx.csr.indices, from_arr.csr.indices)
+            assert np.array_equal(from_nx.comm._link_u, from_arr.comm._link_u)
+            assert np.array_equal(from_nx.comm._link_v, from_arr.comm._link_v)
+
+
+class TestNetworkxEdgeArray:
+    """The one networkx adapter equals relabel-then-``edges()``."""
+
+    @staticmethod
+    def _random_graph(seed: int) -> nx.Graph:
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 40))
+        g = nx.gnp_random_graph(n, float(rng.uniform(0.05, 0.5)), seed=seed)
+        edges = list(g.edges())
+        for k in rng.permutation(len(edges))[: len(edges) // 3].tolist():
+            g.remove_edge(*edges[k])
+        if seed % 3 == 1:  # nodes no longer 0..n-1 in iteration order
+            labels = rng.permutation(n) * 3 + 5
+            g = nx.relabel_nodes(g, dict(zip(range(n), labels.tolist())))
+        elif seed % 3 == 2:  # insertion order differs from label order
+            h = nx.Graph()
+            h.add_nodes_from(rng.permutation(n).tolist())
+            h.add_edges_from(g.edges())
+            g = h
+        return g
+
+    @pytest.mark.parametrize("ordering", ["default", "sorted"])
+    def test_matches_convert_node_labels_to_integers(self, ordering):
+        from repro.network.commgraph import networkx_edge_array
+
+        for seed in range(200):
+            g = self._random_graph(seed)
+            ref = nx.convert_node_labels_to_integers(g, ordering=ordering)
+            n, edges = networkx_edge_array(g, ordering=ordering)
+            assert n == ref.number_of_nodes()
+            assert edges.tolist() == [list(e) for e in ref.edges()], seed
 
 
 class TestVirtualGraph:

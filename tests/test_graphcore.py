@@ -77,6 +77,29 @@ class TestCSRStructure:
         assert set(zip(eu.tolist(), ev.tolist())) == set(g.iter_h_edges())
         assert eu.size == g.n_h_edges
 
+    @given(**graph_params, dedupe=st.booleans())
+    @settings(max_examples=60)
+    def test_from_edge_arrays_matches_lexsort_reference(self, seed, n, density, dedupe):
+        rng = np.random.default_rng(seed)
+        pairs = rng.integers(0, n, size=(int(density * 3 * n), 2))
+        pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+        if dedupe:
+            codes = np.unique(np.minimum(*pairs.T) * n + np.maximum(*pairs.T))
+            eu, ev = codes // n, codes % n
+        else:
+            eu, ev = pairs[:, 0], pairs[:, 1]
+        src, dst = np.concatenate([eu, ev]), np.concatenate([ev, eu])
+        csr = CSRAdjacency.from_edge_arrays(pairs[:, 0], pairs[:, 1], n, dedupe=dedupe)
+        assert csr.indices.tolist() == dst[np.lexsort((dst, src))].tolist()
+        assert csr.indptr.tolist() == [0] + np.cumsum(np.bincount(src, minlength=n)).tolist()
+
+    @given(st.lists(st.integers(-(2**40), 2**40), max_size=60))
+    def test_sorted_unique_matches_np_unique(self, values):
+        from repro.graphcore.csr import sorted_unique
+
+        codes = np.asarray(values, dtype=np.int64)
+        assert sorted_unique(codes).tolist() == np.unique(codes).tolist()
+
     def test_csr_of_duck_typed_graph(self):
         class Stub:
             n_vertices = 3

@@ -35,6 +35,9 @@ class TestLintDocstrings:
         assert "src/repro/observe" in targets
         assert "src/repro/experiments" in targets
 
+    def test_covers_cluster_builders(self):
+        assert "src/repro/cluster" in lint_docstrings.DEFAULT_TARGETS
+
 
 class TestPrintCellTimes:
     def _artifact(self, tmp_path) -> Path:

@@ -257,3 +257,286 @@ class TestParamValidation:
         cleaned = clamp_params("voronoi", wild)
         validate_params("voronoi", cleaned)
         assert cleaned["n_clusters"] <= cleaned["n"]
+
+
+def _instance_digest(workload, rng) -> str:
+    """sha256 over everything a generator decides: the H CSR, the
+    assignment, the communication links, the stream batches (if any) and
+    one draw from the rng it left behind (its end state)."""
+    import hashlib
+
+    graph = workload.graph
+    h = hashlib.sha256()
+    for arr in (
+        graph.csr.indptr,
+        graph.csr.indices,
+        np.asarray(graph.assignment, dtype=np.int64),
+        graph.comm._link_u,
+        graph.comm._link_v,
+    ):
+        a = np.ascontiguousarray(arr, dtype=np.int64)
+        h.update(str(a.shape).encode())
+        h.update(a.tobytes())
+    for batch in getattr(workload, "batches", ()):
+        h.update(repr([
+            (up.kind, int(up.u), int(up.v), tuple(int(x) for x in up.edges), int(up.size))
+            for up in batch.updates
+        ]).encode())
+    h.update(np.float64(rng.random()).tobytes())
+    return h.hexdigest()
+
+
+def _blowup_workload(rng, *, topology, size_jitter):
+    import networkx as nx
+
+    from repro.cluster.builders import blowup
+    from repro.workloads import Workload
+
+    h = nx.gnp_random_graph(40, 0.15, seed=3)
+    return Workload(
+        name="blowup",
+        graph=blowup(
+            h, rng, cluster_size=4, topology=topology,
+            link_multiplicity=2, size_jitter=size_jitter,
+        ),
+    )
+
+
+BLOWUP_DIGESTS = {
+    ("path", 0.0): "e407ef4a6e7de15c141e6b0c9db7fca7ae615965283c8409400fc93ed319e10a",
+    ("path", 0.5): "4ef7d5217435eb7e78b52cfa3e9e68b878a931aa814290c4aefc0fe764045208",
+    ("star", 0.0): "15f350d794ca4fe64953f1491f147e5465c52ed990869b64be7e401b1d119e9a",
+    ("star", 0.5): "51c96f3b118812cbb47aaaa2bfd83fe0c9ec80b2266f910ed3879847ad579e04",
+    ("clique", 0.0): "035e53255d1857e1f7e14ff43f04e752c79fbb51aee4d4d99eba10b23bd34c54",
+    ("clique", 0.5): "8b8032df2e7f7f47ee2188cd94f3d47f6f7aae2ed76fae1d4fdd326fdf137db4",
+    ("tree", 0.0): "89df9a7143d3c65558dc711c202757ee94f9b86fad5eabe32f668943ed6ae682",
+    ("tree", 0.5): "d5b42d0cb0546720a3f30d82f84a189735d3ad758c804fb7cda8889bc30b8768",
+    ("bridge", 0.0): "bcaa102f1718bb9bfe81e40e2f5f070df14ad60078672873532d1a1262c4ab74",
+    ("bridge", 0.5): "ad1edf2bf8d7d20efacac6329ae4f19fd60878f557d7291533885fc1bedc52b1",
+}
+
+#: (case id, generator name or callable, kwargs, sha256).  The digests were
+#: captured before instance construction moved off networkx; every case
+#: must keep building the bit-identical instance and rng end state.
+PINNED_INSTANCES = [
+    ("planted_acd", "planted_acd", {},
+     "d6d479885b80eedb2c9b843d7a681106c907c4ebdf77b642eeecf9bca28dca97"),
+    ("planted_acd-tree", "planted_acd",
+     dict(n_cliques=2, clique_size=20, n_sparse=30, topology="tree"),
+     "579f6cb55c9dc5daa7b6cbf43b85f13b73584816f7dfa57f17059b293f7da406"),
+    ("cabal", "cabal", dict(clique_size=30),
+     "044b93246355d617fde881647401ae77816e643387fa2cad32af91fb9b216bf4"),
+    ("congest", "congest", dict(n=120),
+     "34b8e0427edf102753352a5b40c1a9319eded20b0edc5aa13d1e30a100350ad5"),
+    ("congest-sparse", "congest", dict(n=300, avg_degree=1.2),
+     "30fd4be989baad566eef745de12bf5d50a0cb6c5944ca69c8474a67472bef20a"),
+    ("contraction", "contraction", dict(n=200),
+     "217c58077d055fa070eb14378d93cc1c19888ee9e46678e11ab2214789794752"),
+    ("contraction-avg", "contraction", dict(n=300, avg_degree=6.0),
+     "d6d60cd48dca111951eb1cec051290c9d1d3d48d72b2e27cc465eaec9be7bced"),
+    ("voronoi", "voronoi", dict(n=200, n_clusters=40),
+     "175ec6cb8bade12c329221d68aa527af355e664fc67957c0e83e8b96b4022511"),
+    ("voronoi-avg", "voronoi", dict(n=300, avg_degree=3.0, n_clusters=50),
+     "8f0aece79e78c885eb103df245f9c12c936b380a22df3a654508d0a9f1b6cc54"),
+    ("bridge", "bridge", {},
+     "6f11201b15ea738774a3cf37fbf957f6a809415d8153ac9f76d22fcb67181752"),
+    ("high_degree-fraction", "high_degree", dict(n_vertices=120),
+     "84522211c7ae7052c06ff44ca8f26d6fac3405bf6764d22ddaf1683230f7a53a"),
+    ("high_degree-avg", "high_degree",
+     dict(n_vertices=400, avg_degree=30, cluster_size=3, topology="path"),
+     "a70ab81d094c90d46f5b0474df9d6be09bdfd5af33f0c9b09688774c3f40b2f5"),
+    ("high_degree-clique", "high_degree",
+     dict(n_vertices=80, cluster_size=4, topology="clique"),
+     "6cbc10458aed088fbdf03d740fceee1d47e97e2768bd5606d4b71ca5b8e802cf"),
+    ("high_degree-tree", "high_degree",
+     dict(n_vertices=80, cluster_size=5, topology="tree"),
+     "e10292c9df4017b780a41ed4299c9bb7ed7a9036f9e6a784fe8367ed25c4d01e"),
+    ("high_degree-bridge", "high_degree",
+     dict(n_vertices=80, cluster_size=5, topology="bridge"),
+     "73ffb543e15d41d09f0bdc7c04fe058ba9241f7515f5fb3b606cd5e6e8586530"),
+    ("low_degree", "low_degree", dict(n_vertices=200),
+     "25ef7b808e93e05786cd7e4f400c056eef7fa125af4b285f46cd97e299d94d4f"),
+    ("figure1", "figure1", {},
+     "e3d7effb58ef1e66946a9bfed6d247524e3fe5bf677df6c58d68ea3a3a573cab"),
+    ("sliding_window", "sliding_window", {},
+     "853d78dc9b08f2201200cb95074e2c7f31ad3754e0c09bb6f8b196430c651810"),
+    ("hotspot_churn", "hotspot_churn", {},
+     "798f3c076cd95288884810cec4107dc88c9e92fe9222589d733049e830ddc540"),
+    ("cluster_churn", "cluster_churn", dict(cluster_size=2),
+     "63e404d5c15fab678348f137d6ee4d6ac8abb0230a45d4c90b6b39053e213097"),
+] + [
+    (f"blowup-{topology}-jitter{jitter}", _blowup_workload,
+     dict(topology=topology, size_jitter=jitter),
+     BLOWUP_DIGESTS[topology, jitter])
+    for topology in ("path", "star", "clique", "tree", "bridge")
+    for jitter in (0.0, 0.5)
+]
+
+
+class TestPinnedInstances:
+    """Every generator builds the instance it built before construction
+    moved to edge arrays: same H, assignment, links and rng end state."""
+
+    def test_every_generator_is_pinned(self):
+        from repro.workloads import GENERATORS
+
+        covered = {maker for _, maker, _, _ in PINNED_INSTANCES}
+        assert set(GENERATORS) <= covered
+
+    @pytest.mark.parametrize(
+        "maker,kwargs,expected",
+        [case[1:] for case in PINNED_INSTANCES],
+        ids=[case[0] for case in PINNED_INSTANCES],
+    )
+    def test_instance_digest(self, maker, kwargs, expected):
+        from repro.workloads import GENERATORS
+
+        rng = np.random.default_rng(7)
+        make = GENERATORS[maker] if isinstance(maker, str) else maker
+        assert _instance_digest(make(rng, **kwargs), rng) == expected
+
+
+def _nx_array(graph) -> np.ndarray:
+    flat = np.fromiter((x for e in graph.edges() for x in e), dtype=np.int64)
+    return flat.reshape(-1, 2)
+
+
+def _nx_edges(graph) -> list[list[int]]:
+    return _nx_array(graph).tolist()
+
+
+class TestGnpPorts:
+    """The array samplers against networkx as oracle: same edges, same
+    order, element by element."""
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 50, 2000])
+    @pytest.mark.parametrize("p", [0.0, 1e-3, 0.05, 0.5, 1.0])
+    def test_samplers_match_networkx(self, n, p):
+        import networkx as nx
+
+        from repro.workloads.gnp import fast_gnp_edges, gnp_edges
+
+        # a million-edge networkx oracle is slow: one seed there
+        seeds = (0,) if n * p >= 1000 else (0, 1, 7, 2**31 - 1)
+        for seed in seeds:
+            assert np.array_equal(
+                fast_gnp_edges(n, p, seed),
+                _nx_array(nx.fast_gnp_random_graph(n, p, seed=seed)),
+            )
+            assert np.array_equal(
+                gnp_edges(n, p, seed), _nx_array(nx.gnp_random_graph(n, p, seed=seed))
+            )
+
+    def test_dense_draw_crosses_blocks(self, monkeypatch):
+        import networkx as nx
+
+        from repro.workloads import gnp
+
+        monkeypatch.setattr(gnp, "BLOCK_DRAWS", 97)
+        for seed in range(3):
+            assert gnp.gnp_edges(60, 0.3, seed).tolist() == _nx_edges(
+                nx.gnp_random_graph(60, 0.3, seed=seed)
+            )
+            assert gnp.fast_gnp_edges(300, 0.02, seed).tolist() == _nx_edges(
+                nx.fast_gnp_random_graph(300, 0.02, seed=seed)
+            )
+
+    @pytest.mark.parametrize(
+        "n,avg_degree", [(300, 1.2), (2000, 1.0), (2000, 1.2), (5000, 0.6), (600, 4.0)]
+    )
+    def test_patched_network_matches_networkx(self, n, avg_degree):
+        """The connectivity patch, including its set-order endpoints, on
+        draws with many multi-vertex components."""
+        import networkx as nx
+
+        from repro.workloads.gnp import connect_components, fast_gnp_edges, gnp_edges
+
+        for seed in range(4):
+            p = avg_degree / (n - 1)
+            for sampler, oracle in (
+                (fast_gnp_edges, nx.fast_gnp_random_graph),
+                (gnp_edges, nx.gnp_random_graph),
+            ):
+                if n > 2000 and sampler is gnp_edges:
+                    continue
+                g = oracle(n, p, seed=seed)
+                components = list(nx.connected_components(g))
+                for a, b in zip(components, components[1:]):
+                    g.add_edge(next(iter(a)), next(iter(b)))
+                assert connect_components(n, sampler(n, p, seed)).tolist() == _nx_edges(g)
+
+    def test_random_network_keeps_generator_contract(self):
+        from repro.workloads.generators import _random_network
+
+        rng = np.random.default_rng(3)
+        n, edges = _random_network(rng, 400, 0.0, 1.5)
+        assert n == 400 and edges.dtype == np.int64
+        assert (edges[:, 0] < edges[:, 1]).all()
+
+    def test_truncation_guard_recomputes_near_integer_quotients(self):
+        """Quotients a last-ulp log difference could push across an integer
+        are recomputed with scalar math.log, whatever the vector log said."""
+        import math
+
+        from repro.workloads.gnp import truncate_skips
+
+        p = 0.013
+        lp = math.log(1.0 - p)
+        # draws whose exact quotient lands on (or next to) an integer k
+        draws = np.array([1.0 - math.exp(k * lp) for k in range(1, 400)] + [0.0, 0.5])
+        exact = [min(int(math.log(1.0 - u) / lp), 10**6) for u in draws.tolist()]
+        assert any(math.log(1.0 - u) / lp == int(math.log(1.0 - u) / lp)
+                   for u in draws[:-2].tolist())
+        quotients = np.log(1.0 - draws) / lp
+        # nudge every quotient one ulp to the wrong side of its integer, as
+        # a vector log differing in the last place would
+        wrong = np.where(
+            quotients >= np.rint(quotients),
+            np.nextafter(np.rint(quotients), -np.inf),
+            np.nextafter(np.rint(quotients), np.inf),
+        )
+        near = np.abs(quotients - np.rint(quotients)) < 1e-9
+        nudged = np.where(near, wrong, quotients)
+        assert (nudged.astype(np.int64) != np.array(exact)).any()
+        assert truncate_skips(nudged, draws, lp, 10**6).tolist() == exact
+        assert truncate_skips(quotients, draws, lp, 10**6).tolist() == exact
+        assert truncate_skips(quotients, draws, lp, 5).max() == 5
+
+
+class TestNoNetworkx:
+    """The edge-array path never touches networkx."""
+
+    @pytest.fixture
+    def no_networkx(self, monkeypatch):
+        import networkx as nx
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("networkx called on the edge-array path")
+
+        for name in (
+            "fast_gnp_random_graph",
+            "gnp_random_graph",
+            "erdos_renyi_graph",
+            "connected_components",
+            "convert_node_labels_to_integers",
+        ):
+            monkeypatch.setattr(nx, name, forbidden)
+
+    @pytest.mark.parametrize(
+        "name,kwargs",
+        [
+            ("high_degree", dict(n_vertices=150)),
+            ("high_degree", dict(n_vertices=300, avg_degree=12)),
+            ("congest", dict(n=200, avg_degree=1.5)),
+            ("contraction", dict(n=200)),
+            ("voronoi", dict(n=200, n_clusters=30)),
+            ("sliding_window", dict(n_vertices=200, batches=3)),
+        ],
+        ids=["high_degree-fraction", "high_degree-avg", "congest", "contraction",
+             "voronoi", "sliding_window"],
+    )
+    def test_builds_without_networkx(self, no_networkx, name, kwargs):
+        from repro.workloads import GENERATORS
+
+        workload = GENERATORS[name](np.random.default_rng(0), **kwargs)
+        assert workload.graph.n_vertices > 0

@@ -38,6 +38,7 @@ DEFAULT_TARGETS = (
     "src/repro/network",
     "src/repro/fuzz",
     "src/repro/workloads",
+    "src/repro/cluster",
 )
 
 FunctionNode = (ast.FunctionDef, ast.AsyncFunctionDef)
