@@ -441,37 +441,41 @@ class TestGnpPorts:
                 nx.fast_gnp_random_graph(300, 0.02, seed=seed)
             )
 
+    @staticmethod
+    def _nx_random_network(rng, n, p, avg_degree):
+        """The networkx construction ``_random_network`` replaced: the
+        oracle for its edges, their order and the connectivity patch."""
+        import networkx as nx
+
+        seed = int(rng.integers(0, 2**31))
+        if avg_degree is not None:
+            p = min(1.0, avg_degree / max(1, n - 1))
+            g = nx.fast_gnp_random_graph(n, p, seed=seed)
+        else:
+            g = nx.erdos_renyi_graph(n, p, seed=seed)
+        components = list(nx.connected_components(g))
+        for a, b in zip(components, components[1:]):
+            g.add_edge(next(iter(a)), next(iter(b)))
+        return g
+
     @pytest.mark.parametrize(
         "n,avg_degree", [(300, 1.2), (2000, 1.0), (2000, 1.2), (5000, 0.6), (600, 4.0)]
     )
-    def test_patched_network_matches_networkx(self, n, avg_degree):
-        """The connectivity patch, including its set-order endpoints, on
-        draws with many multi-vertex components."""
-        import networkx as nx
-
-        from repro.workloads.gnp import connect_components, fast_gnp_edges, gnp_edges
-
-        for seed in range(4):
-            p = avg_degree / (n - 1)
-            for sampler, oracle in (
-                (fast_gnp_edges, nx.fast_gnp_random_graph),
-                (gnp_edges, nx.gnp_random_graph),
-            ):
-                if n > 2000 and sampler is gnp_edges:
-                    continue
-                g = oracle(n, p, seed=seed)
-                components = list(nx.connected_components(g))
-                for a, b in zip(components, components[1:]):
-                    g.add_edge(next(iter(a)), next(iter(b)))
-                assert connect_components(n, sampler(n, p, seed)).tolist() == _nx_edges(g)
-
-    def test_random_network_keeps_generator_contract(self):
+    def test_random_network_matches_networkx(self, n, avg_degree):
+        """Disconnected draws with many multi-vertex components, on both
+        samplers; the patch endpoints are the set-order representatives."""
         from repro.workloads.generators import _random_network
 
-        rng = np.random.default_rng(3)
-        n, edges = _random_network(rng, 400, 0.0, 1.5)
-        assert n == 400 and edges.dtype == np.int64
-        assert (edges[:, 0] < edges[:, 1]).all()
+        for seed in range(4):
+            cases = [(0.0, avg_degree)]
+            if n <= 2000:
+                cases.append((avg_degree / (n - 1), None))
+            for p, avg in cases:
+                size, edges = _random_network(np.random.default_rng(seed), n, p, avg)
+                g = self._nx_random_network(np.random.default_rng(seed), n, p, avg)
+                assert size == g.number_of_nodes()
+                assert edges.dtype == np.int64
+                assert edges.tolist() == _nx_edges(g)
 
     def test_truncation_guard_recomputes_near_integer_quotients(self):
         """Quotients a last-ulp log difference could push across an integer
