@@ -487,6 +487,92 @@ class TestRepairVsScratch:
         assert is_proper(snapshot, engine.colors)
 
 
+def _stream_run_digest(name: str, instance_seed: int, mode: str,
+                       kwargs: dict) -> tuple[str, int]:
+    """sha256 over everything an engine run decides -- the final colors,
+    every :class:`BatchReport` field but ``wall_time_s``, the ledger
+    summary and the engine rng's end state -- plus the compaction count."""
+    import dataclasses
+    import hashlib
+    import json
+
+    from repro.workloads import STREAMS
+
+    w = STREAMS[name](np.random.default_rng(instance_seed), **kwargs)
+    engine = DynamicColoring(w.graph, seed=7, mode=mode)
+    result = engine.run(w.batches)
+    reports = []
+    for report in result.reports:
+        fields = dataclasses.asdict(report)
+        del fields["wall_time_s"]
+        reports.append(fields)
+    payload = json.dumps(
+        {
+            "colors": hashlib.sha256(
+                np.ascontiguousarray(engine.colors, dtype=np.int64).tobytes()
+            ).hexdigest(),
+            "reports": reports,
+            "ledger": engine.ledger.summary(),
+            "rng": engine.rng.bit_generator.state,
+        },
+        sort_keys=True,
+        default=int,
+    )
+    compactions = sum(1 for r in result.reports if r.compacted)
+    return hashlib.sha256(payload.encode()).hexdigest(), compactions
+
+
+#: (stream, instance seed, mode, kwargs, sha256), captured before the
+#: delta overlay moved to arrays; the storage layer must not change a bit
+#: of any engine run.  The last row's stream compacts at least 3 times.
+PINNED_STREAM_RUNS = [
+    ("sliding_window", 0, "repair", {},
+     "94a84c9bbfbd522d011f4e04da00c600ee001140fde9ca4c2f0d825f17c59051"),
+    ("sliding_window", 0, "scratch", {},
+     "50878164d0c2dae7ab3b3da7c008b99231f1e2bdf3ca48283d064ba6d8e69390"),
+    ("sliding_window", 1, "repair", {},
+     "7c04ce839f0f7d96e6caab25f65102c67d894975e627465a6aa70dddb5820fd1"),
+    ("sliding_window", 1, "scratch", {},
+     "c16830eb1f3290eba1683b7fb7cf913bb102b243ee111e60c155b5a67d7106a7"),
+    ("hotspot_churn", 0, "repair", {},
+     "414dc3b8665b4701e1b68aa419076e5c3c131a634bb10dc604ad8beb03c465a3"),
+    ("hotspot_churn", 0, "scratch", {},
+     "8d0bfb2c7999a5a2f1acf390767078e65e617694280b11d9ef0a9d35277e2a55"),
+    ("hotspot_churn", 1, "repair", {},
+     "dffa5c9f18cf2558b4a51fea3e99c55145fbbec896fe0aa8c2edfb11b6576ffc"),
+    ("hotspot_churn", 1, "scratch", {},
+     "a07e41e17c3742b6dac599adc25e5d701acb5a87dffd053270fd2ac400032bfe"),
+    ("cluster_churn", 0, "repair", {},
+     "2e51afb24f0f8a107272258bd1707e1d49ad242156b0be329d1644833ae7fb81"),
+    ("cluster_churn", 0, "scratch", {},
+     "abe49feabcf4ff7bc0a59646e295a1f82bcc9f1011d9aa8553e3ffc16e2c3d54"),
+    ("cluster_churn", 1, "repair", {},
+     "9e69d0a867ee4535a9cb3460c337aa45a282b3004b4acb5891a28ea132b1e8c4"),
+    ("cluster_churn", 1, "scratch", {},
+     "e00ebc5f46deec3a21bbb3a293261dc293bde6bc198543810b796da69ccf1b77"),
+    ("sliding_window", 0, "repair", dict(batches=16, churn_fraction=0.1),
+     "c1c83804d89fe989bc5550f4e60a3969f2edea90b710a3ff0b66aafb0fb0562a"),
+]
+
+
+class TestPinnedStreamRuns:
+    """Engine runs on every ``STREAMS`` entry stay bitwise identical."""
+
+    @pytest.mark.parametrize(
+        "name,seed,mode,kwargs,expected",
+        PINNED_STREAM_RUNS,
+        ids=[
+            f"{name}-{seed}-{mode}" + ("-compacting" if kwargs else "")
+            for name, seed, mode, kwargs, _ in PINNED_STREAM_RUNS
+        ],
+    )
+    def test_run_digest(self, name, seed, mode, kwargs, expected):
+        got, compactions = _stream_run_digest(name, seed, mode, kwargs)
+        if kwargs:
+            assert compactions >= 3
+        assert got == expected
+
+
 # ---------------------------------------------------------------------------
 # Ledger absorb (the escalation accounting primitive)
 # ---------------------------------------------------------------------------
