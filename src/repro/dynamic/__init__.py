@@ -6,7 +6,9 @@ appear and disappear, clusters arrive, depart, merge and split -- repairing
 only the conflict frontier instead of recoloring from scratch.
 
 * :class:`~repro.dynamic.delta.DeltaCSR` -- delta-buffered CSR adjacency
-  with periodic rebuild through ``CSRAdjacency.from_edge_arrays``;
+  (array overlay: a dead mask over the base edges plus packed int64 codes
+  of the inserted ones) with periodic rebuild through
+  ``CSRAdjacency.from_edge_arrays``;
 * :class:`~repro.dynamic.updates.UpdateBatch` -- the update vocabulary;
 * :class:`~repro.dynamic.engine.DynamicColoring` -- the engine: batched
   TryColor repair on the dirty set, ledger-charged, escalating to the

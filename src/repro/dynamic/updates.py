@@ -14,7 +14,9 @@ generators mirror that rule so batches can reference vertices they create.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Iterable
 
 #: Update kinds, in application order within a batch (removals before
@@ -69,12 +71,8 @@ class UpdateBatch:
 
     def counts(self) -> dict[str, int]:
         """Events per kind (stable key order, zero-free)."""
-        out: dict[str, int] = {}
-        for kind in KINDS:
-            k = sum(1 for up in self.updates if up.kind == kind)
-            if k:
-                out[kind] = k
-        return out
+        tally = Counter(map(attrgetter("kind"), self.updates))
+        return {kind: tally[kind] for kind in KINDS if tally[kind]}
 
     def in_application_order(self) -> list[Update]:
         """Updates sorted by kind precedence (stable within a kind)."""

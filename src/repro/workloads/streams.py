@@ -15,8 +15,8 @@ production cluster graphs actually move:
   edge churn (the contraction/decomposition shape: clusters are transient).
 
 Generators validate their own events against a *shadow* of the engine's
-structural state (the same :class:`~repro.dynamic.delta.DeltaCSR` machinery),
-so every emitted batch is applicable by construction; the engine re-validates
+structural state (``_Shadow``, a base CSR plus per-vertex edit sets), so
+every emitted batch is applicable by construction; the engine re-validates
 on application and raises on any drift.
 """
 
@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.cluster.builders import ClusterTopology, blowup
-from repro.dynamic.delta import DeltaCSR
 from repro.dynamic.updates import UpdateBatch
 from repro.workloads.generators import GENERATORS, Workload, _random_network
 from repro.workloads.specs import validated
@@ -62,48 +61,135 @@ class _Shadow:
     Tracks just enough (adjacency + cluster sizes + liveness) to emit only
     applicable events; the engine's own application is the authority and
     raises if a generator ever drifts from these semantics.
+
+    The adjacency is the immutable base CSR plus per-vertex *sets* of
+    inserted (non-base) and deleted (base) edges, never compacted.  That is
+    deliberately not :class:`~repro.dynamic.delta.DeltaCSR`: the generators
+    draw edges by index into :meth:`edge_arrays`, so its order is part of
+    every generated stream.  It is the surviving base edges in base order,
+    then the overlay in Python set iteration order -- which depends on the
+    exact sequence of set operations below.  Changing this class changes
+    the pinned streams; it runs only while a stream is generated.
     """
 
     def __init__(self, graph):
-        self.delta = DeltaCSR(graph.csr)
+        self.base = graph.csr
+        self.alive_mask = np.ones(graph.n_vertices, dtype=bool)
         self.sizes = [graph.cluster_size(v) for v in range(graph.n_vertices)]
+        # _deleted only holds base edges, _inserted only non-base edges
+        self._inserted: dict[int, set[int]] = {}
+        self._deleted: dict[int, set[int]] = {}
 
     def alive_vertices(self) -> np.ndarray:
-        return np.flatnonzero(self.delta.alive_mask)
+        return np.flatnonzero(self.alive_mask)
+
+    def _base_has(self, u: int, v: int) -> bool:
+        if u >= self.base.n_vertices:
+            return False
+        nbrs = self.base.neighbors(u)
+        i = int(np.searchsorted(nbrs, v))
+        return i < nbrs.size and int(nbrs[i]) == v
+
+    def has_edge(self, u: int, v: int) -> bool:
+        if v in self._inserted.get(u, ()):
+            return True
+        if v in self._deleted.get(u, ()):
+            return False
+        return self._base_has(u, v)
+
+    def neighbors(self, v: int) -> np.ndarray:
+        """Sorted current neighbors of ``v`` (dead vertices: empty)."""
+        if not self.alive_mask[v]:
+            return np.empty(0, dtype=np.int64)
+        nbrs = (
+            self.base.neighbors(v)
+            if v < self.base.n_vertices
+            else np.empty(0, dtype=np.int64)
+        )
+        dels = self._deleted.get(v)
+        if dels:
+            nbrs = nbrs[~np.isin(nbrs, np.fromiter(dels, dtype=np.int64))]
+        ins = self._inserted.get(v)
+        if ins:
+            extra = np.fromiter(ins, dtype=np.int64, count=len(ins))
+            nbrs = np.sort(np.concatenate([nbrs, extra]))
+        return nbrs
+
+    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """Current edges as ``(u, v)`` arrays with ``u < v``, in the order
+        the generators index into (see the class docstring)."""
+        n = self.alive_mask.size
+        base_u, base_v = self.base.edge_arrays()
+        if any(self._deleted.values()):
+            dead = np.fromiter(
+                (u * n + w for u, ws in self._deleted.items() for w in ws if u < w),
+                dtype=np.int64,
+            )
+            keep = ~np.isin(base_u * n + base_v, dead)
+            base_u, base_v = base_u[keep], base_v[keep]
+        ins = [(u, w) for u, ws in self._inserted.items() for w in ws if u < w]
+        if not ins:
+            return base_u, base_v
+        pairs = np.asarray(ins, dtype=np.int64)
+        return (
+            np.concatenate([base_u, pairs[:, 0]]),
+            np.concatenate([base_v, pairs[:, 1]]),
+        )
 
     def insert(self, u: int, v: int) -> None:
-        self.delta.insert_edge(u, v)
+        if self._base_has(u, v):  # resurrect a base edge: undo its deletion
+            self._deleted[u].discard(v)
+            self._deleted[v].discard(u)
+        else:
+            self._inserted.setdefault(u, set()).add(v)
+            self._inserted.setdefault(v, set()).add(u)
 
     def delete(self, u: int, v: int) -> None:
-        self.delta.delete_edge(u, v)
+        ins_u = self._inserted.get(u)
+        if ins_u is not None and v in ins_u:  # overlay-only edge: cancel it
+            ins_u.discard(v)
+            self._inserted[v].discard(u)
+        else:
+            self._deleted.setdefault(u, set()).add(v)
+            self._deleted.setdefault(v, set()).add(u)
+
+    def _add_vertex(self, size: int) -> int:
+        self.alive_mask = np.append(self.alive_mask, True)
+        self.sizes.append(size)
+        return self.alive_mask.size - 1
+
+    def _remove_vertex(self, v: int) -> list[int]:
+        detached = [int(u) for u in self.neighbors(v)]
+        for u in detached:
+            self.delete(v, u)
+        self.alive_mask[v] = False
+        return detached
 
     def add(self, edges, size: int) -> int:
-        w = self.delta.add_vertex()
-        self.sizes.append(size)
+        w = self._add_vertex(size)
         for x in edges:
-            self.delta.insert_edge(w, int(x))
+            self.insert(w, int(x))
         return w
 
     def remove(self, v: int) -> None:
-        self.delta.remove_vertex(v)
+        self._remove_vertex(v)
         self.sizes[v] = 0
 
     def merge(self, u: int, v: int) -> None:
-        for x in self.delta.remove_vertex(v):
-            if x != u and not self.delta.has_edge(u, x):
-                self.delta.insert_edge(u, x)
+        for x in self._remove_vertex(v):
+            if x != u and not self.has_edge(u, x):
+                self.insert(u, x)
         self.sizes[u] += self.sizes[v]
         self.sizes[v] = 0
 
     def split(self, u: int, moved, size: int) -> int:
-        w = self.delta.add_vertex()
         size = max(1, min(int(size), self.sizes[u] - 1))
-        self.sizes.append(size)
+        w = self._add_vertex(size)
         self.sizes[u] -= size
         for x in moved:
-            self.delta.delete_edge(u, int(x))
-            self.delta.insert_edge(w, int(x))
-        self.delta.insert_edge(u, w)
+            self.delete(u, int(x))
+            self.insert(w, int(x))
+        self.insert(u, w)
         return w
 
 
@@ -201,7 +287,7 @@ def _sample_new_edge(
     for _ in range(max_tries):
         u = int(pool_u[rng.integers(0, pool_u.size)])
         v = int(pool_v[rng.integers(0, pool_v.size)])
-        if u != v and not shadow.delta.has_edge(u, v):
+        if u != v and not shadow.has_edge(u, v):
             return (u, v)
     return None
 
@@ -304,7 +390,7 @@ def hotspot_churn_stream(
     for _ in range(batches):
         batch = UpdateBatch()
         # retire random hotspot-incident edges (any edge when none left)
-        edge_u, edge_v = shadow.delta.edge_arrays()
+        edge_u, edge_v = shadow.edge_arrays()
         touches_hot = (edge_u < hot_count) | (edge_v < hot_count)
         pool = np.flatnonzero(touches_hot)
         if pool.size == 0:
@@ -325,7 +411,7 @@ def hotspot_churn_stream(
             candidates = candidates[candidates != v]
         # arrivals: new clusters wired into the hotspot
         for _ in range(arrivals):
-            alive_hot = hotspot[shadow.delta.alive_mask[hotspot]]
+            alive_hot = hotspot[shadow.alive_mask[hotspot]]
             if alive_hot.size == 0:
                 break
             k = min(3, alive_hot.size)
@@ -335,7 +421,7 @@ def hotspot_churn_stream(
             shadow.add(targets, size=size)
         # fresh hotspot-incident edges
         verts = shadow.alive_vertices()
-        alive_hot = hotspot[shadow.delta.alive_mask[hotspot]]
+        alive_hot = hotspot[shadow.alive_mask[hotspot]]
         if alive_hot.size:
             for _ in range(churn):
                 pair = _sample_new_edge(rng, shadow, alive_hot, verts)
@@ -393,7 +479,7 @@ def cluster_churn_stream(
     for _ in range(batches):
         batch = UpdateBatch()
         # background edge churn first (matches the batch application order)
-        edge_u, edge_v = shadow.delta.edge_arrays()
+        edge_u, edge_v = shadow.edge_arrays()
         take = min(churn, edge_u.size)
         picked = rng.choice(edge_u.size, size=take, replace=False)
         for i in picked:
@@ -409,7 +495,7 @@ def cluster_churn_stream(
             shadow.insert(*pair)
         # merges: adjacent alive pairs coalesce
         for _ in range(merges_per_batch):
-            edge_u, edge_v = shadow.delta.edge_arrays()
+            edge_u, edge_v = shadow.edge_arrays()
             if edge_u.size == 0:
                 break
             i = int(rng.integers(0, edge_u.size))
@@ -421,12 +507,12 @@ def cluster_churn_stream(
             candidates = [
                 int(v)
                 for v in shadow.alive_vertices()
-                if shadow.sizes[v] >= 2 and shadow.delta.neighbors(int(v)).size >= 1
+                if shadow.sizes[v] >= 2 and shadow.neighbors(int(v)).size >= 1
             ]
             if not candidates:
                 break
             u = candidates[int(rng.integers(0, len(candidates)))]
-            nbrs = shadow.delta.neighbors(u)
+            nbrs = shadow.neighbors(u)
             k = int(nbrs.size) // 2
             moved = (
                 [int(x) for x in rng.choice(nbrs, size=k, replace=False)]

@@ -99,7 +99,9 @@ class TestDeltaCSR:
     @settings(max_examples=60)
     def test_matches_reference_adjacency(self, script):
         """Random valid edits against an independent dict-of-sets mirror;
-        interleaved compactions must never change any answer."""
+        interleaved compactions must never change any answer.  Insertions
+        often re-insert a recently deleted pair, so base edges are
+        resurrected and deleted again across compactions."""
         seed, n, density, n_edits, compact_every = script
         rng = np.random.default_rng(seed)
         reference = {v: set() for v in range(n)}
@@ -113,6 +115,8 @@ class TestDeltaCSR:
         arr = np.asarray(init_pairs, dtype=np.int64).reshape(-1, 2)
         delta = DeltaCSR(CSRAdjacency.from_edge_arrays(arr[:, 0], arr[:, 1], n))
         alive = set(range(n))
+        recently_deleted: list[tuple[int, int]] = []
+        pending = 0
         for step in range(n_edits):
             choice = rng.random()
             live = sorted(alive)
@@ -123,49 +127,114 @@ class TestDeltaCSR:
                 for v in live[i + 1:]
                 if v not in reference[u]
             ]
-            if choice < 0.35 and non_edges:
-                u, v = non_edges[int(rng.integers(0, len(non_edges)))]
+            revivable = [
+                (u, v) for u, v in recently_deleted
+                if u in alive and v in alive and v not in reference[u]
+            ]
+            if choice < 0.35 and (non_edges or revivable):
+                if revivable and (rng.random() < 0.35 or not non_edges):
+                    u, v = revivable[int(rng.integers(0, len(revivable)))]
+                else:
+                    u, v = non_edges[int(rng.integers(0, len(non_edges)))]
                 delta.insert_edge(u, v)
                 reference[u].add(v)
                 reference[v].add(u)
+                pending += 1
             elif choice < 0.7 and edges:
                 u, v = edges[int(rng.integers(0, len(edges)))]
                 delta.delete_edge(u, v)
                 reference[u].discard(v)
                 reference[v].discard(u)
+                recently_deleted.append((u, v))
+                pending += 1
             elif choice < 0.85:
                 w = delta.add_vertex()
                 assert w == len(reference)
                 reference[w] = set()
                 alive.add(w)
+                pending += 1
             elif len(alive) > 1:
                 v = live[int(rng.integers(0, len(live)))]
-                delta.remove_vertex(v)
+                assert sorted(delta.remove_vertex(v)) == sorted(reference[v])
+                pending += len(reference[v]) + 1
                 for u in reference[v]:
                     reference[u].discard(v)
                 reference[v] = set()
                 alive.discard(v)
             if compact_every and step % compact_every == 0:
                 delta.compact()
-        self._assert_equal(delta, reference, alive)
+                pending = 0
+            assert delta.pending_delta_ops == pending
+            if step % 7 == 0:
+                self._assert_equal(delta, reference, alive, rng)
+        self._assert_equal(delta, reference, alive, rng)
         delta.compact()  # the rebuilt CSR must answer identically
         assert delta.pending_delta_ops == 0
-        self._assert_equal(delta, reference, alive)
+        self._assert_equal(delta, reference, alive, rng)
+
+    @given(seed=st.integers(0, 2**31 - 1), n=st.integers(2, 12),
+           compact_between=st.booleans())
+    @settings(max_examples=40)
+    def test_resurrected_base_edge_survives_compaction(
+        self, seed, n, compact_between
+    ):
+        """Delete a base edge, re-insert it, then delete it again across a
+        compaction: it never turns into a duplicate or a ghost."""
+        rng = np.random.default_rng(seed)
+        reference = {v: set(range(n)) - {v} for v in range(n)}  # K_n base
+        u_arr, v_arr = np.triu_indices(n, k=1)
+        delta = DeltaCSR(CSRAdjacency.from_edge_arrays(u_arr, v_arr, n))
+        u, v = sorted(int(x) for x in rng.choice(n, size=2, replace=False))
+        delta.delete_edge(u, v)
+        assert not delta.has_edge(u, v)
+        delta.insert_edge(u, v)  # resurrection
+        assert delta.has_edge(u, v) and delta.has_edge(v, u)
+        self._assert_equal(delta, reference, set(range(n)), rng)
+        if compact_between:
+            delta.compact()
+        delta.delete_edge(v, u)
+        reference[u].discard(v)
+        reference[v].discard(u)
+        self._assert_equal(delta, reference, set(range(n)), rng)
+        delta.compact()
+        self._assert_equal(delta, reference, set(range(n)), rng)
+        delta.insert_edge(u, v)  # a plain insert after the fold
+        reference[u].add(v)
+        reference[v].add(u)
+        self._assert_equal(delta, reference, set(range(n)), rng)
 
     @staticmethod
-    def _assert_equal(delta, reference, alive):
+    def _assert_equal(delta, reference, alive, rng):
         for v in reference:
             expected = sorted(reference[v])
             assert delta.neighbors(v).tolist() == expected, f"vertex {v}"
             assert delta.degrees[v] == len(expected)
         assert delta.n_edges == sum(len(s) for s in reference.values()) // 2
         edge_u, edge_v = delta.edge_arrays()
-        got = {(int(u), int(v)) for u, v in zip(edge_u, edge_v)}
+        assert (edge_u < edge_v).all()
+        pairs = list(zip(edge_u.tolist(), edge_v.tolist()))
+        assert len(set(pairs)) == len(pairs), "duplicate edge"
         want = {
             (u, v) for u in reference for v in reference[u] if u < v
         }
-        assert got == want
+        assert set(pairs) == want
         assert {v for v in reference if delta.is_alive(v)} == alive
+        # has_edge on random pairs, ids one past the end included
+        n = len(reference)
+        for u, v in rng.integers(-1, n + 1, size=(3 * n, 2)).tolist():
+            expected = 0 <= u < n and v in reference[u]
+            assert delta.has_edge(u, v) == expected, (u, v)
+        # gather agrees with neighbors, for any query order and repeats
+        verts = rng.integers(0, n, size=2 * n)
+        seg_ids, flat = delta.gather(verts)
+        for i, v in enumerate(verts.tolist()):
+            assert flat[seg_ids == i].tolist() == delta.neighbors(v).tolist()
+        built = delta.as_csr()
+        ref_csr = CSRAdjacency.from_adj_lists(
+            [sorted(reference[v]) for v in reference]
+        )
+        assert np.array_equal(built.indptr, ref_csr.indptr)
+        assert np.array_equal(built.indices, ref_csr.indices)
 
     def test_duplicate_insert_and_missing_delete_rejected(self):
         delta = DeltaCSR(CSRAdjacency.from_edge_arrays(
@@ -179,6 +248,74 @@ class TestDeltaCSR:
         delta.remove_vertex(2)
         with pytest.raises(ValueError):
             delta.insert_edge(0, 2)
+
+    @staticmethod
+    def _edited_delta():
+        """Base path 0-1-2-3 plus 1-5; then 2-3 deleted and resurrected,
+        non-base 0-4 inserted and vertex 5 removed."""
+        delta = DeltaCSR(CSRAdjacency.from_edge_arrays(
+            np.array([0, 1, 1, 2]), np.array([1, 2, 5, 3]), 6))
+        delta.delete_edge(2, 3)
+        delta.insert_edge(3, 2)
+        delta.insert_edge(0, 4)
+        delta.remove_vertex(5)
+        return delta
+
+    @pytest.mark.parametrize(
+        "edit,u,v",
+        [
+            ("insert_edge", 0, 1),  # duplicate of a base edge
+            ("insert_edge", 4, 0),  # duplicate of an inserted edge
+            ("insert_edge", 2, 3),  # duplicate of a resurrected base edge
+            ("delete_edge", 0, 2),  # never present
+            ("delete_edge", 1, 5),  # deleted with its endpoint
+            ("insert_edge", 3, 3),  # self-loop
+            ("delete_edge", 3, 3),
+            ("insert_edge", 0, 5),  # dead endpoint
+            ("insert_edge", 0, 6),  # out of range
+            ("insert_edge", -1, 0),
+            ("delete_edge", 0, 6),
+            ("delete_edge", -1, 0),
+            ("insert_edge", 0, 1 << 32),  # past the 32-bit code bound
+            ("delete_edge", 0, (1 << 32) | 2),  # packs like (1, 2)
+        ],
+    )
+    def test_rejected_edit_leaves_state_unchanged(self, edit, u, v):
+        delta = self._edited_delta()
+        before = (
+            delta.degrees.tolist(),
+            delta.n_edges,
+            delta.pending_delta_ops,
+            sorted(zip(*(a.tolist() for a in delta.edge_arrays()))),
+        )
+        with pytest.raises(ValueError):
+            getattr(delta, edit)(u, v)
+        after = (
+            delta.degrees.tolist(),
+            delta.n_edges,
+            delta.pending_delta_ops,
+            sorted(zip(*(a.tolist() for a in delta.edge_arrays()))),
+        )
+        assert after == before
+        assert delta.has_edge(1, 2) and delta.has_edge(2, 3)
+
+    def test_ids_past_the_code_bound_rejected(self, monkeypatch):
+        from repro.dynamic import delta as delta_module
+
+        # an indptr of 2**32 + 2 zeros, as a zero-stride view (no memory)
+        huge = CSRAdjacency(
+            indptr=np.broadcast_to(np.int64(0), (delta_module.MAX_VERTICES + 2,)),
+            indices=np.empty(0, dtype=np.int64),
+        )
+        with pytest.raises(ValueError, match="bound"):
+            DeltaCSR(huge)
+        delta = self._edited_delta()
+        monkeypatch.setattr(delta_module, "MAX_VERTICES", delta.n_vertices)
+        ops = delta.pending_delta_ops
+        with pytest.raises(ValueError, match="bound"):
+            delta.add_vertex()
+        assert delta.n_vertices == 6 and delta.pending_delta_ops == ops
+        assert delta.degrees.size == delta.alive_mask.size == 6
 
     def test_gather_matches_per_vertex_neighbors(self):
         g = small_cluster_graph(3, n=12, density=0.5)
@@ -250,7 +387,7 @@ def random_batches(rng, engine_graph, n_batches, ops_per_batch):
         batch = UpdateBatch()
         # emit in kind precedence so shadow state matches engine application
         live = shadow.alive_vertices()
-        edge_u, edge_v = shadow.delta.edge_arrays()
+        edge_u, edge_v = shadow.edge_arrays()
         if edge_u.size and rng.random() < 0.7:
             i = int(rng.integers(0, edge_u.size))
             batch.edge_delete(int(edge_u[i]), int(edge_v[i]))
@@ -270,10 +407,10 @@ def random_batches(rng, engine_graph, n_batches, ops_per_batch):
             if live.size < 2:
                 break
             u, v = rng.choice(live, size=2, replace=False)
-            if not shadow.delta.has_edge(int(u), int(v)):
+            if not shadow.has_edge(int(u), int(v)):
                 batch.edge_insert(int(u), int(v))
                 shadow.insert(int(u), int(v))
-        edge_u, edge_v = shadow.delta.edge_arrays()
+        edge_u, edge_v = shadow.edge_arrays()
         if edge_u.size and rng.random() < 0.4:
             i = int(rng.integers(0, edge_u.size))
             u, v = int(edge_u[i]), int(edge_v[i])
@@ -281,11 +418,11 @@ def random_batches(rng, engine_graph, n_batches, ops_per_batch):
             shadow.merge(u, v)
         splittable = [
             int(v) for v in shadow.alive_vertices()
-            if shadow.sizes[v] >= 2 and shadow.delta.neighbors(int(v)).size >= 1
+            if shadow.sizes[v] >= 2 and shadow.neighbors(int(v)).size >= 1
         ]
         if splittable and rng.random() < 0.4:
             u = splittable[int(rng.integers(0, len(splittable)))]
-            nbrs = shadow.delta.neighbors(u)
+            nbrs = shadow.neighbors(u)
             k = int(nbrs.size) // 2
             moved = [int(x) for x in rng.choice(nbrs, size=k, replace=False)]
             batch.cluster_split(u, moved, size=1)
