@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.aggregation.runtime import ClusterRuntime
 from repro.coloring.try_color import greedy_finish, palette_sampler, try_color_round
-from repro.coloring.types import PartialColoring
+from repro.coloring.types import UNCOLORED, PartialColoring
 from repro.params import AlgorithmParameters, scaled
 
 
@@ -53,17 +53,17 @@ def luby_coloring(
     if max_rounds is None:
         max_rounds = 8 * int(np.ceil(np.log2(max(runtime.n, 4)))) + 16
     sampler = palette_sampler(runtime, coloring)
-    remaining = list(range(graph.n_vertices))
+    remaining = np.arange(graph.n_vertices, dtype=np.int64)
     for _ in range(max_rounds):
-        if not remaining:
+        if remaining.size == 0:
             break
         if not congest_free_palettes:
             runtime.wide_message("luby_palette", coloring.num_colors)
         try_color_round(runtime, coloring, remaining, sampler, op="luby")
-        remaining = [v for v in remaining if not coloring.is_colored(v)]
-    fallback = len(remaining)
-    if remaining:
-        greedy_finish(runtime, coloring, remaining, op="luby_greedy")
+        remaining = remaining[coloring.colors[remaining] == UNCOLORED]
+    fallback = int(remaining.size)
+    if fallback:
+        greedy_finish(runtime, coloring, remaining.tolist(), op="luby_greedy")
     from repro.verify.checker import is_proper
 
     return BaselineResult(

@@ -71,15 +71,15 @@ def palette_sparsification_coloring(
             return None
         return live[int(rng.integers(0, len(live)))]
 
-    remaining = list(range(graph.n_vertices))
+    remaining = np.arange(graph.n_vertices, dtype=np.int64)
     for _ in range(max_rounds):
-        if not remaining:
+        if remaining.size == 0:
             break
         try_color_round(runtime, coloring, remaining, sampler, op="ps_trial")
-        remaining = [v for v in remaining if not coloring.is_colored(v)]
-    fallback = len(remaining)
-    if remaining:
-        greedy_finish(runtime, coloring, remaining, op="ps_greedy")
+        remaining = remaining[coloring.colors[remaining] == UNCOLORED]
+    fallback = int(remaining.size)
+    if fallback:
+        greedy_finish(runtime, coloring, remaining.tolist(), op="ps_greedy")
     from repro.verify.checker import is_proper
 
     return BaselineResult(

@@ -17,6 +17,7 @@ they are not needed on hot paths.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -264,9 +265,11 @@ class ClusterGraph:
         degrees = self.csr.degrees
         return int(degrees.max()) if degrees.size else 0
 
-    @property
+    @cached_property
     def dilation(self) -> int:
-        """``d``: maximum support-tree height over all clusters."""
+        """``d``: maximum support-tree height over all clusters.  Computed
+        once per graph: nothing mutates ``trees`` after construction, and a
+        ``dataclasses.replace`` copy is a new instance with its own cache."""
         return max((t.height for t in self.trees), default=1)
 
     def cluster_size(self, v: int) -> int:

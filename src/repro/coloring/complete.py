@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.aggregation.runtime import ClusterRuntime
 from repro.coloring.clique_palette import palette_view
 from repro.coloring.errors import StageFailure
@@ -116,7 +118,8 @@ def complete_noncabals(
             )
             for plan in plans
         }
-        proposals: dict[int, int] = {}
+        proposers: list[int] = []
+        proposed: list[int] = []
         for plan in plans:
             idx = plan.clique_index
             r_v = acd.reserved[idx]
@@ -131,17 +134,27 @@ def complete_noncabals(
                 for u in members
                 if coloring.get(u) != UNCOLORED and coloring.get(u) >= r_v
             )
+            # z_proxy draws a count fingerprint for each vertex between the
+            # palette draws, so this loop stays scalar to keep the RNG stream
             for v in plan.inliers:
                 if coloring.is_colored(v):
                     continue
                 z = z_proxy(runtime, coloring, acd, plan, v, gamma, in_clique)
                 if z >= threshold:
-                    proposals[v] = int(free[int(runtime.rng.integers(0, free.size))])
+                    proposers.append(v)
+                    rank = int(runtime.rng.integers(0, free.size))
+                    proposed.append(int(free[rank]))
         runtime.wide_message(
             op + "_z", 2 * params.fingerprint_trials(runtime.n, 0.25) + 16
         )
-        if proposals:
-            resolve_proposals(runtime, coloring, proposals, op=op + "_phase1")
+        if proposers:
+            resolve_proposals(
+                runtime,
+                coloring,
+                np.asarray(proposers, dtype=np.int64),
+                np.asarray(proposed, dtype=np.int64),
+                op=op + "_phase1",
+            )
 
     # ---- Phase II: MultiColorTrial on the untouched reserved prefix -------
     leftover_all: list[int] = []

@@ -28,7 +28,7 @@ import math
 import numpy as np
 
 from repro.aggregation.runtime import ClusterRuntime
-from repro.coloring.types import PartialColoring
+from repro.coloring.types import UNCOLORED, PartialColoring
 from repro.coloring.try_color import palette_sampler, try_color_round
 from repro.graphcore import batch_used_color_masks, csr_of, gather_neighborhoods
 
@@ -50,14 +50,15 @@ def shattering(
         loglog = math.log2(max(2.0, math.log2(max(runtime.n, 4))))
         rounds = max(4, int(math.ceil(2 * loglog)) + 2)
     sampler = palette_sampler(runtime, coloring)
-    remaining = [v for v in vertices if not coloring.is_colored(v)]
+    remaining = np.asarray(vertices, dtype=np.int64)
+    remaining = remaining[coloring.colors[remaining] == UNCOLORED]
     for _ in range(rounds):
-        if not remaining:
+        if remaining.size == 0:
             break
         runtime.wide_message(op + "_palette", coloring.num_colors)
         try_color_round(runtime, coloring, remaining, sampler, op=op)
-        remaining = [v for v in remaining if not coloring.is_colored(v)]
-    return remaining
+        remaining = remaining[coloring.colors[remaining] == UNCOLORED]
+    return remaining.tolist()
 
 
 def uncolored_components(graph, coloring: PartialColoring, vertices: list[int]) -> list[list[int]]:
@@ -101,22 +102,22 @@ def small_instance_coloring(
     """
     graph = runtime.graph
     csr = csr_of(graph)
-    pending = [v for comp in components for v in comp if not coloring.is_colored(v)]
+    pending = np.asarray([v for comp in components for v in comp], dtype=np.int64)
+    pending = pending[coloring.colors[pending] == UNCOLORED]
     if max_rounds is None:
         max_rounds = max((len(c) for c in components), default=0) + 1
     for _ in range(max_rounds):
-        if not pending:
+        if pending.size == 0:
             break
-        pending_arr = np.asarray(pending, dtype=np.int64)
         pending_mask = np.zeros(graph.n_vertices, dtype=bool)
-        pending_mask[pending_arr] = True
+        pending_mask[pending] = True
         # local minima: no smaller-ID uncolored neighbor (one CSR gather)
-        seg_ids, flat = gather_neighborhoods(csr, pending_arr)
-        smaller_active = pending_mask[flat] & (flat < pending_arr[seg_ids])
+        seg_ids, flat = gather_neighborhoods(csr, pending)
+        smaller_active = pending_mask[flat] & (flat < pending[seg_ids])
         has_smaller = (
-            np.bincount(seg_ids[smaller_active], minlength=pending_arr.size) > 0
+            np.bincount(seg_ids[smaller_active], minlength=pending.size) > 0
         )
-        minima = pending_arr[~has_smaller]
+        minima = pending[~has_smaller]
         # each minimum takes its smallest free color (round-start state,
         # exactly the deferred-assignment semantics of the loop this
         # replaces: minima are pairwise non-adjacent)
@@ -125,13 +126,11 @@ def small_instance_coloring(
         )
         has_free = free_masks.any(axis=1)
         first_free = np.argmax(free_masks, axis=1)
-        for v, ok, c in zip(minima, has_free, first_free):
-            if ok:
-                coloring.assign(int(v), int(c))
+        coloring.assign_many(minima[has_free], first_free[has_free])
         runtime.wide_message(op + "_palette", coloring.num_colors)
         runtime.h_rounds(op, count=1, bits=runtime.color_bits)
-        pending = [v for v in pending if not coloring.is_colored(v)]
-    return pending
+        pending = pending[coloring.colors[pending] == UNCOLORED]
+    return pending.tolist()
 
 
 def color_low_degree(

@@ -29,7 +29,7 @@ from repro.coloring.try_color import (
     try_color_until,
     uniform_range_sampler,
 )
-from repro.coloring.types import PartialColoring
+from repro.coloring.types import UNCOLORED, PartialColoring
 from repro.decomposition.acd import compute_acd
 from repro.decomposition.cabals import annotate_with_cabals
 from repro.params import AlgorithmParameters, scaled
@@ -50,20 +50,21 @@ def fallback_color(
     from the exact palette.  Ends with sequential greedy, which cannot fail
     with a ``Δ+1`` palette.
     """
-    remaining = [v for v in vertices if not coloring.is_colored(v)]
-    if not remaining:
+    remaining = np.asarray(vertices, dtype=np.int64)
+    remaining = remaining[coloring.colors[remaining] == UNCOLORED]
+    if remaining.size == 0:
         return
-    stats.record_fallback(stage, len(remaining))
+    stats.record_fallback(stage, remaining.size)
     sampler = palette_sampler(runtime, coloring)
     budget = 2 * int(math.ceil(math.log2(max(runtime.n, 4)))) + 8
     for _ in range(budget):
-        if not remaining:
+        if remaining.size == 0:
             break
         runtime.wide_message(stage + "_fallback_palette", coloring.num_colors)
         try_color_round(runtime, coloring, remaining, sampler, op=stage + "_fallback")
-        remaining = [v for v in remaining if not coloring.is_colored(v)]
-    if remaining:
-        greedy_finish(runtime, coloring, remaining, op=stage + "_greedy")
+        remaining = remaining[coloring.colors[remaining] == UNCOLORED]
+    if remaining.size:
+        greedy_finish(runtime, coloring, remaining.tolist(), op=stage + "_greedy")
 
 
 def _color_sparse(

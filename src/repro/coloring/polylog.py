@@ -21,6 +21,8 @@ reserved colors.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.aggregation.runtime import ClusterRuntime
 from repro.coloring.clique_palette import palette_view
 from repro.coloring.colorful_matching import colorful_matching
@@ -28,7 +30,12 @@ from repro.coloring.low_degree import small_instance_coloring, uncolored_compone
 from repro.coloring.outliers import inliers_cabal, inliers_noncabal
 from repro.coloring.slack import slack_generation
 from repro.coloring.stats import ColoringStats
-from repro.coloring.try_color import try_color_round, uniform_range_sampler
+from repro.coloring.try_color import (
+    BatchSampler,
+    palette_sampler,
+    try_color_round,
+    uniform_range_sampler,
+)
 from repro.coloring.types import PartialColoring, UNCOLORED
 from repro.decomposition.acd import AlmostCliqueDecomposition, compute_acd
 from repro.decomposition.cabals import annotate_with_cabals
@@ -52,39 +59,41 @@ def _finish_group(
 ) -> None:
     """The Algorithm 15 template applied to one vertex group."""
     rounds = _degree_reduction_rounds(runtime)
-    remaining = [v for v in vertices if not coloring.is_colored(v)]
+    remaining = np.asarray(vertices, dtype=np.int64)
+    remaining = remaining[coloring.colors[remaining] == UNCOLORED]
     # Step 1: degree reduction with the group's color space.
     for _ in range(rounds):
-        if not remaining:
+        if remaining.size == 0:
             return
         try_color_round(runtime, coloring, remaining, sampler, op=op + "_reduce")
-        remaining = [v for v in remaining if not coloring.is_colored(v)]
+        remaining = remaining[coloring.colors[remaining] == UNCOLORED]
     # Step 2: shattering with exact palettes (bitmaps are cheap here).
-    from repro.coloring.try_color import palette_sampler
-
     exact = palette_sampler(runtime, coloring)
     for _ in range(rounds):
-        if not remaining:
+        if remaining.size == 0:
             return
         runtime.wide_message(op + "_palette", coloring.num_colors)
         try_color_round(runtime, coloring, remaining, exact, op=op + "_shatter")
-        remaining = [v for v in remaining if not coloring.is_colored(v)]
+        remaining = remaining[coloring.colors[remaining] == UNCOLORED]
     # Step 3: finish the shattered components.
-    components = uncolored_components(runtime.graph, coloring, remaining)
+    components = uncolored_components(runtime.graph, coloring, remaining.tolist())
     small_instance_coloring(runtime, coloring, components, op=op + "_finish")
 
 
-def _clique_palette_sampler(runtime, coloring, members):
+def _clique_palette_sampler(runtime, coloring, members) -> BatchSampler:
     """Sample uniformly from ``L_φ(K)`` via Lemma 4.8 queries -- the inlier
     color space of Algorithm 14 (never the full per-vertex palette).
 
-    The distributed structure refreshes once per trial round (all samples of
-    a round see the same snapshot); the cache keys on the colored count,
-    which only moves between rounds.
+    The distributed structure refreshes at most once per trial round (all
+    samples of a round see the same snapshot); the cache keys on the
+    colored count, which only moves between rounds.  A round then draws
+    every sample with one ``rng.integers(0, |L_φ(K)|, size=k)`` call.
     """
     cache: dict = {"count": -1, "view": None}
 
-    def sample(_v: int):
+    def draw(vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        if vertices.size == 0:
+            return vertices, vertices
         count = coloring.colored_count()
         if count != cache["count"]:
             cache["count"] = count
@@ -93,10 +102,12 @@ def _clique_palette_sampler(runtime, coloring, members):
             )
         view = cache["view"]
         if view.size == 0:
-            return None
-        return int(view.free[int(runtime.rng.integers(0, view.size))])
+            return vertices[:0], vertices[:0]
+        return vertices, view.free[
+            runtime.rng.integers(0, view.size, size=vertices.size)
+        ]
 
-    return sample
+    return BatchSampler(draw)
 
 
 def color_polylog(

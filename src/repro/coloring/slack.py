@@ -15,6 +15,8 @@ after the ACD.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.aggregation.runtime import ClusterRuntime
 from repro.coloring.types import PartialColoring
 from repro.coloring.try_color import resolve_proposals
@@ -33,13 +35,14 @@ def slack_generation(
     eligible: list[int],
     *,
     op: str = "slack_generation",
-) -> list[int]:
+) -> np.ndarray:
     """Run Algorithm 18 over ``eligible`` (callers pass ``V \\ V_cabal``).
 
-    Returns the vertices it colored.  Postconditions (Proposition 4.5) are
-    statistical; the per-clique "at most 1/100 colored" property holds in
-    expectation with the paper's ``p_g`` and proportionally with the scaled
-    preset's (documented in :mod:`repro.params`).
+    Returns the vertices it colored (int64 array).  Postconditions
+    (Proposition 4.5) are statistical; the per-clique "at most 1/100
+    colored" property holds in expectation with the paper's ``p_g`` and
+    proportionally with the scaled preset's (documented in
+    :mod:`repro.params`).
     """
     params = runtime.params
     graph = runtime.graph
@@ -47,12 +50,21 @@ def slack_generation(
     num_colors = coloring.num_colors
     if floor >= num_colors:
         floor = max(0, num_colors - 1)
-    proposals: dict[int, int] = {}
+    # the activation coin and the color draw interleave per vertex, so
+    # this loop stays scalar to keep the RNG stream
+    proposers: list[int] = []
+    proposed: list[int] = []
     for v in eligible:
         if coloring.is_colored(v):
             continue
         if runtime.rng.random() < params.slack_activation:
-            proposals[v] = int(runtime.rng.integers(floor, num_colors))
+            proposers.append(v)
+            proposed.append(int(runtime.rng.integers(floor, num_colors)))
     return resolve_proposals(
-        runtime, coloring, proposals, op=op, symmetric=True
+        runtime,
+        coloring,
+        np.asarray(proposers, dtype=np.int64),
+        np.asarray(proposed, dtype=np.int64),
+        op=op,
+        symmetric=True,
     )

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.aggregation.runtime import ClusterRuntime
 from repro.coloring.types import CliquePaletteView, PartialColoring
 from repro.coloring.try_color import resolve_proposals
@@ -46,7 +48,8 @@ def synchronized_color_trial(
     Cost: ``O(1)`` rounds -- permutation-seed broadcast, local-id prefix
     sums (charged as one tree pass), and one global resolution round.
     """
-    proposals: dict[int, int] = {}
+    proposers: list[list[int]] = []
+    proposed: list[np.ndarray] = []
     all_participants: list[int] = []
     for plan in plans:
         free = plan.palette.free_above(plan.reserved_floor)
@@ -57,10 +60,16 @@ def synchronized_color_trial(
         members = members[:usable]
         all_participants.extend(plan.participants)
         perm = runtime.rng.permutation(int(free.size))[:usable]
-        for vertex, color_idx in zip(members, perm):
-            proposals[vertex] = int(free[int(color_idx)])
+        proposers.append(members)
+        proposed.append(free[perm])
     # permutation seed + local ids: one broadcast + one prefix-sum pass
     runtime.h_rounds(op + "_setup", count=2, bits=2 * runtime.id_bits)
-    if proposals:
-        resolve_proposals(runtime, coloring, proposals, op=op)
+    if proposers:
+        resolve_proposals(
+            runtime,
+            coloring,
+            np.concatenate(proposers),
+            np.concatenate(proposed),
+            op=op,
+        )
     return [v for v in all_participants if not coloring.is_colored(v)]

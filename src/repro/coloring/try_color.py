@@ -13,51 +13,72 @@ sequential completion used only by the fallback path (and counted as such).
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Callable, Iterable
 
 import numpy as np
 
 from repro.aggregation.runtime import ClusterRuntime
-from repro.coloring.types import PartialColoring
-from repro.graphcore import batch_conflict_mask, batch_used_color_masks, csr_of
+from repro.coloring.types import UNCOLORED, PartialColoring
+from repro.graphcore import (
+    batch_conflict_mask,
+    batch_used_color_masks,
+    csr_of,
+    draw_free_colors,
+)
 
-ColorSampler = Callable[[int], int | None]
+
+@dataclass(frozen=True)
+class BatchSampler:
+    """A sampler that draws a whole round's proposals at once.
+
+    ``draw(vertices)`` takes the round's uncolored vertices (int64 array)
+    and returns aligned ``(proposers, colors)`` int64 arrays, ``proposers``
+    a subsequence of ``vertices``.  It consumes the RNG exactly as one
+    scalar draw per proposer, in order, would.
+    """
+
+    draw: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
+
+
+#: ``sampler(v)`` draws from ``C(v)`` (``None``: no proposal), or a
+#: :class:`BatchSampler` drawing for a whole round.
+ColorSampler = Callable[[int], int | None] | BatchSampler
 
 
 def resolve_proposals(
     runtime: ClusterRuntime,
     coloring: PartialColoring,
-    proposals: dict[int, int],
+    vertices,
+    colors,
     *,
     op: str = "try_color",
     symmetric: bool = False,
-) -> list[int]:
-    """Resolve one round of simultaneous color proposals.
+) -> np.ndarray:
+    """Resolve one round of simultaneous color proposals: ``vertices[i]``
+    proposes ``colors[i]`` (aligned int64 arrays, each vertex at most once).
 
     ``symmetric=True`` uses SlackGeneration's rule (both endpoints of a
     same-color proposal drop); the default is Algorithm 17's smaller-ID-wins
-    rule.  Returns the vertices that adopted their proposal.
+    rule.  Returns the vertices that adopted their proposal, in proposal
+    order.
 
     Cost: 2 H-rounds (announce, learn outcome), ``O(log Δ)``-bit messages.
     """
-    graph = runtime.graph
-    adopted: list[int] = []
-    if proposals:
-        verts = np.fromiter(proposals.keys(), dtype=np.int64, count=len(proposals))
-        cands = np.fromiter(proposals.values(), dtype=np.int64, count=len(proposals))
-        proposal_arr = np.full(graph.n_vertices, -2, dtype=np.int64)
-        proposal_arr[verts] = cands
-        blocked = batch_conflict_mask(
-            csr_of(graph),
-            coloring.colors,
-            verts,
-            cands,
-            proposal_map=proposal_arr,
-            symmetric=symmetric,
-        )
-        adopted = [int(v) for v in verts[~blocked]]
-    for v in adopted:
-        coloring.assign(v, proposals[v])
+    verts = np.asarray(vertices, dtype=np.int64)
+    cands = np.asarray(colors, dtype=np.int64)
+    proposal_map = np.full(runtime.graph.n_vertices, -2, dtype=np.int64)
+    proposal_map[verts] = cands
+    blocked = batch_conflict_mask(
+        csr_of(runtime.graph),
+        coloring.colors,
+        verts,
+        cands,
+        proposal_map=proposal_map,
+        symmetric=symmetric,
+    )
+    adopted = verts[~blocked]
+    coloring.assign_many(adopted, cands[~blocked])
     runtime.h_rounds(op, count=2, bits=runtime.color_bits)
     return adopted
 
@@ -68,88 +89,61 @@ def try_color_round(
     vertices: Iterable[int],
     sampler: ColorSampler,
     *,
-    activation: float = 1.0,
     op: str = "try_color",
-) -> list[int]:
+) -> np.ndarray:
     """One TryColor round (Algorithm 17) over the uncolored members of
-    ``vertices``; ``sampler(v)`` draws from ``C(v)``.
+    ``vertices``; the sampler draws from ``C(v)``.  Returns the adopters.
     """
-    proposals: dict[int, int] = {}
-    sample_batch = getattr(sampler, "sample_batch", None)
-    if sample_batch is not None and activation >= 1.0:
-        # batch samplers draw per vertex in the same order as the loop
-        # below would, so the RNG stream (and hence the coloring) is
-        # bitwise-identical -- only palette discovery is batched.
-        proposals = sample_batch(
-            [v for v in vertices if not coloring.is_colored(v)]
-        )
+    verts = np.asarray(vertices, dtype=np.int64)
+    verts = verts[coloring.colors[verts] == UNCOLORED]
+    if isinstance(sampler, BatchSampler):
+        verts, cands = sampler.draw(verts)
     else:
-        for v in vertices:
-            if coloring.is_colored(v):
-                continue
-            if activation < 1.0 and runtime.rng.random() >= activation:
-                continue
-            c = sampler(v)
-            if c is not None:
-                proposals[v] = int(c)
-    if not proposals:
+        draws = [sampler(v) for v in verts.tolist()]
+        verts = verts[np.array([c is not None for c in draws], dtype=bool)]
+        cands = np.array([c for c in draws if c is not None], dtype=np.int64)
+    if verts.size == 0:
         runtime.h_rounds(op, count=1, bits=runtime.color_bits)
-        return []
-    return resolve_proposals(runtime, coloring, proposals, op=op)
+        return verts
+    return resolve_proposals(runtime, coloring, verts, cands, op=op)
 
 
 def uniform_range_sampler(
     runtime: ClusterRuntime, num_colors: int, floor: int = 0
-) -> ColorSampler:
-    """Sampler for ``C(v) = [q] \\ [floor]`` (uniform non-reserved color)."""
+) -> BatchSampler:
+    """Sampler for ``C(v) = [q] \\ [floor]`` (uniform non-reserved color):
+    one ``rng.integers(floor, q, size=k)`` call per round."""
 
-    def sample(_v: int) -> int | None:
+    def draw(vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if floor >= num_colors:
-            return None
-        return int(runtime.rng.integers(floor, num_colors))
+            return vertices[:0], vertices[:0]
+        return vertices, runtime.rng.integers(
+            floor, num_colors, size=vertices.size
+        )
 
-    return sample
+    return BatchSampler(draw)
 
 
 def palette_sampler(
     runtime: ClusterRuntime, coloring: PartialColoring
-) -> ColorSampler:
+) -> BatchSampler:
     """Sampler for ``C(v) = L_φ(v)`` -- only legitimate in the low-degree
     regime, where palettes fit in ``O(log n)``-bit bitmaps (Section 9.1);
     callers there charge the bitmap exchange.
 
-    The returned sampler also carries a ``sample_batch`` attribute:
-    :func:`try_color_round` uses it (at full activation) to discover every
-    palette in one batched used-color-mask evaluation instead of a
-    per-vertex CSR gather, then draws per vertex in the same order the
-    per-vertex path would -- same RNG stream, same proposals, just batched
-    palette discovery.
+    Each round discovers every palette in one batched used-color-mask
+    evaluation and draws with :func:`repro.graphcore.draw_free_colors`;
+    vertices whose palette is empty propose nothing.
     """
 
-    def sample(v: int) -> int | None:
-        free = coloring.palette_array(runtime.graph, v)
-        if not free.size:
-            return None
-        return int(free[int(runtime.rng.integers(0, free.size))])
-
-    def sample_batch(vertices: list[int]) -> dict[int, int]:
-        if not vertices:
-            return {}
-        verts = np.asarray(vertices, dtype=np.int64)
+    def draw(vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         used = batch_used_color_masks(
-            csr_of(runtime.graph), coloring.colors, verts, coloring.num_colors
+            csr_of(runtime.graph), coloring.colors, vertices, coloring.num_colors
         )
-        proposals: dict[int, int] = {}
-        for v, row in zip(vertices, used):
-            free = np.flatnonzero(~row)
-            if free.size:
-                proposals[int(v)] = int(
-                    free[int(runtime.rng.integers(0, free.size))]
-                )
-        return proposals
+        can, colors = draw_free_colors(used, runtime.rng)
+        return vertices[can], colors
 
-    sample.sample_batch = sample_batch
-    return sample
+    return BatchSampler(draw)
 
 
 def try_color_until(
@@ -159,21 +153,19 @@ def try_color_until(
     sampler: ColorSampler,
     *,
     max_rounds: int,
-    activation: float = 1.0,
     op: str = "try_color",
 ) -> list[int]:
     """Loop TryColor rounds until all of ``vertices`` are colored or the
     round budget runs out; returns the still-uncolored leftover.
     """
-    remaining = [v for v in vertices if not coloring.is_colored(v)]
+    remaining = np.asarray(vertices, dtype=np.int64)
+    remaining = remaining[coloring.colors[remaining] == UNCOLORED]
     for _ in range(max_rounds):
-        if not remaining:
+        if remaining.size == 0:
             break
-        try_color_round(
-            runtime, coloring, remaining, sampler, activation=activation, op=op
-        )
-        remaining = [v for v in remaining if not coloring.is_colored(v)]
-    return remaining
+        try_color_round(runtime, coloring, remaining, sampler, op=op)
+        remaining = remaining[coloring.colors[remaining] == UNCOLORED]
+    return remaining.tolist()
 
 
 def greedy_finish(

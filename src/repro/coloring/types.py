@@ -63,6 +63,32 @@ class PartialColoring:
             raise ValueError(f"vertex {v} already colored {self.colors[v]}")
         self.colors[v] = color
 
+    def assign_many(self, vertices, colors) -> None:
+        """Color each ``vertices[i]`` with ``colors[i]`` -- :meth:`assign`
+        over aligned int64 arrays.  Keeps every guard of :meth:`assign`,
+        plus one for a vertex listed twice, and checks them all before
+        any write: on ``ValueError`` the coloring is unchanged."""
+        verts = np.asarray(vertices, dtype=np.int64)
+        cols = np.asarray(colors, dtype=np.int64)
+        if verts.shape != cols.shape:
+            raise ValueError(
+                f"{verts.size} vertices but {cols.size} colors"
+            )
+        bad = (cols < 0) | (cols >= self.num_colors)
+        if bad.any():
+            raise ValueError(
+                f"color {cols[bad][0]} outside [0, {self.num_colors})"
+            )
+        held = self.colors[verts] != UNCOLORED
+        if held.any():
+            v = verts[held][0]
+            raise ValueError(f"vertex {v} already colored {self.colors[v]}")
+        ordered = np.sort(verts)
+        repeated = ordered[1:][ordered[1:] == ordered[:-1]]
+        if repeated.size:
+            raise ValueError(f"vertex {repeated[0]} listed twice")
+        self.colors[verts] = cols
+
     def recolor(self, v: int, color: int) -> None:
         """Replace the color of an already-colored vertex (the donation step
         of Section 7 is the only caller)."""

@@ -34,6 +34,7 @@ import numpy as np
 from repro.coloring.types import UNCOLORED
 from repro.graphcore import (
     conflict_mask_from_flat,
+    draw_free_colors,
     is_proper_edges,
     used_color_masks_from_flat,
 )
@@ -512,17 +513,9 @@ class DynamicColoring:
             used = used_color_masks_from_flat(
                 seg_ids, self.colors[flat], remaining.size, q
             )
-            free_counts = q - used.sum(axis=1)
+            can, drawn = draw_free_colors(used, self.rng)
             proposals = np.full(remaining.size, -2, dtype=np.int64)
-            can = free_counts > 0
-            if can.any():
-                ranks = np.zeros(remaining.size, dtype=np.int64)
-                ranks[can] = self.rng.integers(0, free_counts[can])
-                # the rank-th free color of each row, via cumulative count
-                free_cumsum = np.cumsum(~used, axis=1)
-                proposals[can] = (
-                    free_cumsum[can] > ranks[can, None]
-                ).argmax(axis=1)
+            proposals[can] = drawn
             proposal_map = np.full(self.n_vertices, -2, dtype=np.int64)
             proposal_map[remaining] = proposals
             blocked = conflict_mask_from_flat(

@@ -7,9 +7,11 @@ here run the coloring layer's hot paths -- conflict checks, used-color
 discovery, slack counting, properness checking -- over whole vertex sets at
 once instead of per-vertex Python loops.
 
-Kernels are pure functions of ``(csr, colors, vertices)``; they draw no
-randomness and charge no ledger costs, so swapping them in for the legacy
-per-vertex loops preserves RNG draw order, ledger accounting, and the exact
+Kernels are pure functions of ``(csr, colors, vertices)`` and charge no
+ledger costs; the one kernel that draws randomness,
+:func:`draw_free_colors`, consumes the generator exactly as the per-vertex
+loop it replaces.  Swapping them in for the legacy per-vertex loops
+therefore preserves RNG draw order, ledger accounting, and the exact
 colorings of pinned seeds (property-tested in ``tests/test_graphcore.py``).
 """
 
@@ -21,6 +23,7 @@ from repro.graphcore.kernels import (
     batch_slack_counts,
     batch_used_color_masks,
     conflict_mask_from_flat,
+    draw_free_colors,
     gather_neighborhoods,
     is_proper_edges,
     label_components,
@@ -38,6 +41,7 @@ __all__ = [
     "batch_slack_counts",
     "batch_used_color_masks",
     "conflict_mask_from_flat",
+    "draw_free_colors",
     "gather_neighborhoods",
     "is_proper_edges",
     "label_components",

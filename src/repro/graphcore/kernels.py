@@ -8,8 +8,10 @@ neighbor segments of the query vertices into one pair of aligned arrays
 (segment id, neighbor id) so every downstream question becomes a masked
 ``bincount``.
 
-Kernels are deterministic and side-effect free: no RNG, no ledger charges,
-no mutation of ``colors``.  They therefore change *nothing* about what the
+Kernels are deterministic and side-effect free: no ledger charges, no
+mutation of ``colors``, and no RNG -- except :func:`draw_free_colors`,
+which advances the generator it is handed exactly as the per-vertex loop
+it replaces did.  They therefore change *nothing* about what the
 simulated algorithms compute -- only how fast the simulation computes it.
 """
 
@@ -158,6 +160,32 @@ def batch_used_color_masks(
     verts = _as_vertex_array(vertices)
     seg_ids, flat_colors = batch_neighbor_colors(csr, colors, verts)
     return _used_mask_from_flat(seg_ids, flat_colors, verts.size, num_colors)
+
+
+def draw_free_colors(
+    used: np.ndarray, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Draw one uniform free color per row of a used-color mask.
+
+    ``used`` is a ``(k, q)`` boolean matrix as
+    :func:`batch_used_color_masks` builds it.  Returns ``(can, colors)``:
+    ``can`` (length ``k``) marks the rows with at least one free color, and
+    ``colors`` (length ``can.sum()``, int64) holds the color drawn for each
+    such row, in row order.  Rows without a free color draw nothing.
+
+    One ``rng.integers(0, free_counts[can])`` call draws every rank.  numpy
+    draws an array of upper bounds element by element with the scalar
+    bounded-integer algorithm, so the ranks and the generator's end state
+    equal a loop of scalar ``rng.integers(0, free_count)`` calls over the
+    rows that have a free color (pinned in ``tests/test_graphcore.py``).
+    The rank-th free color is the first column at which the running count
+    of free colors exceeds the rank.
+    """
+    free_counts = used.shape[1] - used.sum(axis=1)
+    can = free_counts > 0
+    ranks = rng.integers(0, free_counts[can])
+    colors = (np.cumsum(~used[can], axis=1) > ranks[:, None]).argmax(axis=1)
+    return can, colors.astype(np.int64, copy=False)
 
 
 def batch_slack_counts(

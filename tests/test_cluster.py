@@ -73,6 +73,19 @@ class TestClusterGraph:
         assert h.dilation == 1
         assert sorted(h.iter_h_edges()) == sorted(comm.iter_links())
 
+    def test_dilation_is_computed_once_per_graph(self, rng):
+        import dataclasses
+        import pickle
+
+        h = blowup(nx.cycle_graph(6), rng, cluster_size=9, topology="path")
+        assert h.dilation == max(t.height for t in h.trees) == 8
+        assert "dilation" in vars(h)  # cached on the instance
+        star = blowup(nx.cycle_graph(6), rng, cluster_size=9, topology="star")
+        copy = dataclasses.replace(h, trees=star.trees)
+        assert copy.dilation == 1 and h.dilation == 8
+        restored = pickle.loads(pickle.dumps(h))
+        assert vars(restored)["dilation"] == restored.dilation == 8
+
     def test_assignment_validation(self):
         comm = CommGraph(4, [(0, 1), (2, 3)])
         with pytest.raises(ValueError, match="not connected"):

@@ -90,6 +90,32 @@ class TestPartialColoring:
         c2.assign(0, 1)
         assert not c.is_colored(0)
 
+    def test_assign_many(self):
+        c = PartialColoring.empty(5, 4)
+        c.assign_many(np.array([3, 0]), np.array([2, 1]))
+        assert c.colors.tolist() == [1, UNCOLORED, UNCOLORED, 2, UNCOLORED]
+        c.assign_many(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
+        assert c.colored_count() == 2
+
+    @pytest.mark.parametrize(
+        "vertices,colors,match",
+        [
+            ([1, 2], [0, 4], "outside"),
+            ([1, 2], [-1, 0], "outside"),
+            ([1, 0], [0, 1], "already colored"),
+            ([1, 2, 1], [0, 1, 0], "listed twice"),
+            ([1, 2], [0], "colors"),
+        ],
+        ids=["above-q", "negative", "overwrite", "duplicate", "misaligned"],
+    )
+    def test_assign_many_rejects_before_writing(self, vertices, colors, match):
+        c = PartialColoring.empty(4, 4)
+        c.assign(0, 3)
+        before = c.colors.copy()
+        with pytest.raises(ValueError, match=match):
+            c.assign_many(np.array(vertices), np.array(colors))
+        assert np.array_equal(c.colors, before)
+
     @given(st.integers(0, 400))
     @settings(max_examples=30)
     def test_colored_count_matches_assignments(self, seed):

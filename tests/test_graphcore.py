@@ -20,6 +20,7 @@ from repro.graphcore import (
     batch_slack_counts,
     batch_used_color_masks,
     csr_of,
+    draw_free_colors,
     gather_neighborhoods,
     is_proper_edges,
     label_components,
@@ -340,3 +341,65 @@ class TestLabelKernels:
                             nxt.append(y)
                 frontier = nxt
         assert np.array_equal(labels, expected)
+
+
+class TestBlockDraws:
+    """numpy's bounded-integer draws: an array call consumes the generator
+    exactly as the scalar loop it replaces (the contract the TryColor
+    samplers and :func:`draw_free_colors` rest on)."""
+
+    def test_array_of_bounds_equals_scalar_loop(self):
+        for seed in range(25):
+            highs = np.random.default_rng(seed + 1000).integers(1, 40, size=60)
+            highs[::7] = 1  # an upper bound of 1 draws nothing either way
+            block, loop = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = block.integers(0, highs)
+            want = [int(loop.integers(0, int(h))) for h in highs]
+            assert got.tolist() == want
+            assert block.bit_generator.state == loop.bit_generator.state
+
+    def test_sized_call_equals_scalar_calls(self):
+        for seed in range(25):
+            lo, hi = seed % 5, seed % 5 + 1 + seed
+            k = 3 + seed
+            block, loop = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = block.integers(lo, hi, size=k)
+            want = [int(loop.integers(lo, hi)) for _ in range(k)]
+            assert got.tolist() == want
+            assert block.bit_generator.state == loop.bit_generator.state
+
+
+class TestDrawFreeColors:
+    @staticmethod
+    def _loop(used, rng):
+        """The per-row reference: ``flatnonzero`` then one scalar draw."""
+        can, colors = [], []
+        for row in used:
+            free = np.flatnonzero(~row)
+            can.append(bool(free.size))
+            if free.size:
+                colors.append(int(free[int(rng.integers(0, free.size))]))
+        return can, colors
+
+    def test_matches_the_per_row_loop(self):
+        for seed in range(30):
+            shape_rng = np.random.default_rng(seed + 500)
+            k, q = int(shape_rng.integers(0, 40)), int(shape_rng.integers(1, 30))
+            used = shape_rng.random((k, q)) < shape_rng.random()
+            used[::5] = True  # rows with no free color draw nothing
+            if k:
+                used[0] = False
+            block, loop = np.random.default_rng(seed), np.random.default_rng(seed)
+            can, colors = draw_free_colors(used, block)
+            want_can, want_colors = self._loop(used, loop)
+            assert can.tolist() == want_can
+            assert colors.dtype == np.int64
+            assert colors.tolist() == want_colors
+            assert block.bit_generator.state == loop.bit_generator.state
+
+    def test_no_free_color_draws_nothing(self):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        can, colors = draw_free_colors(np.ones((4, 3), dtype=bool), rng)
+        assert not can.any() and colors.size == 0
+        assert rng.bit_generator.state == state

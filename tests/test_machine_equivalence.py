@@ -137,7 +137,9 @@ class TestBatchedTryColorOnWire:
                 wire_adopted.append(v)
 
         runtime = make_runtime(h)
-        batched = resolve_proposals(runtime, coloring, dict(proposals))
+        batched = resolve_proposals(
+            runtime, coloring, list(proposals), list(proposals.values())
+        ).tolist()
         assert batched == wire_adopted
         for v in batched:
             assert int(coloring.colors[v]) == proposals[v]
@@ -180,9 +182,13 @@ class TestBatchedTryColorOnWire:
                 )
                 runtime = make_runtime(h)
                 got = resolve_proposals(
-                    runtime, coloring, dict(proposals), symmetric=symmetric
+                    runtime,
+                    coloring,
+                    list(proposals),
+                    list(proposals.values()),
+                    symmetric=symmetric,
                 )
-                assert got == legacy
+                assert got.tolist() == legacy
 
 
 class TestBandwidthRealism:

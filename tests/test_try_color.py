@@ -33,8 +33,8 @@ class TestResolveProposals:
         g = blowup(nx.path_graph(2), np.random.default_rng(0), cluster_size=1)
         runtime = make_runtime(g)
         coloring = PartialColoring.empty(2, 2)
-        adopted = resolve_proposals(runtime, coloring, {0: 1, 1: 1})
-        assert adopted == [0]
+        adopted = resolve_proposals(runtime, coloring, [0, 1], [1, 1])
+        assert adopted.tolist() == [0]
         assert coloring.get(0) == 1 and not coloring.is_colored(1)
 
     def test_symmetric_rule_drops_both(self):
@@ -42,29 +42,38 @@ class TestResolveProposals:
         runtime = make_runtime(g)
         coloring = PartialColoring.empty(2, 2)
         adopted = resolve_proposals(
-            runtime, coloring, {0: 1, 1: 1}, symmetric=True
+            runtime, coloring, [0, 1], [1, 1], symmetric=True
         )
-        assert adopted == []
+        assert adopted.tolist() == []
 
     def test_colored_neighbor_blocks(self):
         g = blowup(nx.path_graph(2), np.random.default_rng(0), cluster_size=1)
         runtime = make_runtime(g)
         coloring = PartialColoring.empty(2, 2)
         coloring.assign(0, 1)
-        assert resolve_proposals(runtime, coloring, {1: 1}) == []
-        assert resolve_proposals(runtime, coloring, {1: 0}) == [1]
+        assert resolve_proposals(runtime, coloring, [1], [1]).tolist() == []
+        assert resolve_proposals(runtime, coloring, [1], [0]).tolist() == [1]
 
     def test_non_conflicting_proposals_all_adopted(self):
         g = blowup(nx.path_graph(3), np.random.default_rng(0), cluster_size=1)
         runtime = make_runtime(g)
         coloring = PartialColoring.empty(3, 3)
-        adopted = resolve_proposals(runtime, coloring, {0: 0, 1: 1, 2: 2})
-        assert sorted(adopted) == [0, 1, 2]
+        adopted = resolve_proposals(runtime, coloring, [0, 1, 2], [0, 1, 2])
+        assert sorted(adopted.tolist()) == [0, 1, 2]
 
     def test_charges_rounds(self):
         runtime, coloring = _runtime_and_coloring()
         before = runtime.ledger.rounds_h
-        resolve_proposals(runtime, coloring, {0: 0})
+        resolve_proposals(runtime, coloring, [0], [0])
+        assert runtime.ledger.rounds_h == before + 2
+
+    def test_empty_proposals_charge_and_adopt_nothing(self):
+        runtime, coloring = _runtime_and_coloring()
+        before = runtime.ledger.rounds_h
+        empty = np.empty(0, dtype=np.int64)
+        adopted = resolve_proposals(runtime, coloring, empty, empty)
+        assert adopted.size == 0
+        assert coloring.colored_count() == 0
         assert runtime.ledger.rounds_h == before + 2
 
 
@@ -101,23 +110,12 @@ class TestTryColorLoop:
             if v not in leftover:
                 assert coloring.is_colored(v)
 
-    def test_activation_probability_throttles(self):
-        runtime, coloring = _runtime_and_coloring()
-        adopted = try_color_round(
-            runtime,
-            coloring,
-            range(coloring.n_vertices),
-            uniform_range_sampler(runtime, coloring.num_colors),
-            activation=0.0,
-        )
-        assert adopted == []
-
     def test_sampler_none_skips(self):
         runtime, coloring = _runtime_and_coloring()
         adopted = try_color_round(
             runtime, coloring, range(coloring.n_vertices), lambda v: None
         )
-        assert adopted == []
+        assert adopted.tolist() == []
 
 
 class TestGreedyFinish:
