@@ -33,28 +33,17 @@ class BuddyResult:
 
     ``yes_u``/``yes_v`` hold the YES edges as parallel int64 arrays with
     ``u < v`` in lexicographic order -- the form the vectorized ACD steps
-    consume; ``yes_edges`` is the same information as a set of pairs.
+    consume.
     """
 
-    yes_edges: set[tuple[int, int]]
+    yes_u: np.ndarray
+    yes_v: np.ndarray
     degree_estimates: np.ndarray
     neighborhood_rows: np.ndarray
     trials: int
-    yes_u: np.ndarray | None = None
-    yes_v: np.ndarray | None = None
 
     def yes_edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """YES edges as parallel ``(u, v)`` arrays (derived from the set
-        when the construction did not supply them, e.g. hand-built test
-        doubles)."""
-        if self.yes_u is None or self.yes_v is None:
-            pairs = sorted(self.yes_edges)
-            self.yes_u = np.fromiter(
-                (u for u, _ in pairs), dtype=np.int64, count=len(pairs)
-            )
-            self.yes_v = np.fromiter(
-                (v for _, v in pairs), dtype=np.int64, count=len(pairs)
-            )
+        """YES edges as parallel ``(u, v)`` arrays."""
         return self.yes_u, self.yes_v
 
 
@@ -90,7 +79,6 @@ def buddy_predicate(
     # incident edges: they cannot carry friendly edges (Lemma 5.8 first step).
     low_degree = degree_estimates < (1 - 2.0 * xi) * delta
 
-    yes_edges: set[tuple[int, int]] = set()
     yes_u = np.empty(0, dtype=np.int64)
     yes_v = np.empty(0, dtype=np.int64)
     edge_u, edge_v = csr_of(graph).edge_arrays()
@@ -108,14 +96,10 @@ def buddy_predicate(
         accept = intersections >= (1 - 1.5 * xi) * delta
         accept &= ~(low_degree[edge_u] | low_degree[edge_v])
         yes_u, yes_v = edge_u[accept], edge_v[accept]
-        yes_edges = {
-            (int(u), int(v)) for u, v in zip(yes_u, yes_v)
-        }
     return BuddyResult(
-        yes_edges=yes_edges,
+        yes_u=yes_u,
+        yes_v=yes_v,
         degree_estimates=degree_estimates,
         neighborhood_rows=rows,
         trials=trials,
-        yes_u=yes_u,
-        yes_v=yes_v,
     )

@@ -4,10 +4,12 @@ from repro.sketch.geometric import (
     DEFAULT_LAMBDA,
     EMPTY_MAX,
     argmax_with_uniqueness,
+    geometric_half_from_uniform,
     merge_maxima,
     non_unique_max_bound,
     prob_max_below,
     sample_geometric,
+    sample_geometric_half,
     sample_max_of_geometrics,
     sample_max_of_geometrics_batch,
 )
@@ -18,7 +20,6 @@ from repro.sketch.fingerprint import (
     direct_count_fingerprint,
     estimate_cardinality,
     failure_probability_bound,
-    neighborhood_maxima,
     trials_for,
 )
 from repro.sketch.encoding import (
@@ -40,17 +41,18 @@ __all__ = [
     "DEFAULT_LAMBDA",
     "EMPTY_MAX",
     "argmax_with_uniqueness",
+    "geometric_half_from_uniform",
     "merge_maxima",
     "non_unique_max_bound",
     "prob_max_below",
     "sample_geometric",
+    "sample_geometric_half",
     "sample_max_of_geometrics",
     "sample_max_of_geometrics_batch",
     "Fingerprint",
     "FingerprintTable",
     "batch_count_estimates",
     "direct_count_fingerprint",
-    "neighborhood_maxima",
     "estimate_cardinality",
     "failure_probability_bound",
     "trials_for",

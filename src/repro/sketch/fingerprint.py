@@ -27,7 +27,7 @@ from repro.sketch.geometric import (
     DEFAULT_LAMBDA,
     EMPTY_MAX,
     merge_maxima,
-    sample_geometric,
+    sample_geometric_half,
     sample_max_of_geometrics,
     sample_max_of_geometrics_batch,
 )
@@ -128,20 +128,15 @@ class FingerprintTable:
     underlying variables, so vertices draw their ``X`` rows once and
     neighborhood fingerprints are maxima over rows.
 
-    ``rows`` is an ``(n_vertices, trials)`` int16 matrix; geometric(1/2)
-    values exceed 32767 with probability ``< 2^-32767`` -- irrelevant.
+    ``rows`` is an ``(n_vertices, trials)`` int8 matrix drawn by
+    :func:`~repro.sketch.geometric.sample_geometric_half`: the same values
+    and RNG stream as ``rng.geometric(0.5) - 1``, each provably in
+    ``[0, 52]``.
     """
 
-    def __init__(
-        self,
-        n_vertices: int,
-        trials: int,
-        rng: np.random.Generator,
-        lam: float = DEFAULT_LAMBDA,
-    ):
+    def __init__(self, n_vertices: int, trials: int, rng: np.random.Generator):
         self.trials = trials
-        self.lam = lam
-        self.rows = sample_geometric(rng, (n_vertices, trials), lam).astype(np.int16)
+        self.rows = sample_geometric_half(rng, (n_vertices, trials))
 
     def set_fingerprint(self, vertices) -> Fingerprint:
         """Fingerprint of an arbitrary vertex set (max over their rows)."""
@@ -169,22 +164,6 @@ class FingerprintTable:
         return values, argmax_vertices, counts == 1
 
 
-def neighborhood_maxima(
-    rows: np.ndarray, edges_src: np.ndarray, edges_dst: np.ndarray, n_vertices: int
-) -> np.ndarray:
-    """All neighborhood fingerprints at once.
-
-    ``rows`` is the ``(n, t)`` per-vertex variable matrix; ``edges_src/dst``
-    list every directed edge.  Returns ``Y`` with
-    ``Y[v] = max over u in N(v) of rows[u]`` (``EMPTY_MAX`` where ``N(v)`` is
-    empty) -- one scatter-max pass instead of a per-vertex loop.
-    """
-    t = rows.shape[1]
-    out = np.full((n_vertices, t), EMPTY_MAX, dtype=rows.dtype)
-    np.maximum.at(out, edges_dst, rows[edges_src])
-    return out
-
-
 def direct_count_fingerprint(
     rng: np.random.Generator, d: int, trials: int, lam: float = DEFAULT_LAMBDA
 ) -> Fingerprint:
@@ -200,22 +179,42 @@ def batch_count_estimates(
     trials: int,
     lam: float = DEFAULT_LAMBDA,
 ) -> np.ndarray:
-    """Lemma 5.2 estimates for many anonymous set sizes in two matrix ops.
+    """Lemma 5.2 estimates for many anonymous set sizes.
 
     The batched replacement for a per-vertex loop of
-    ``direct_count_fingerprint(rng, d, trials).estimate()``: one
-    :func:`~repro.sketch.geometric.sample_max_of_geometrics_batch` draw (RNG
-    stream bitwise identical to the loop, rows with ``counts == 0`` drawing
-    nothing) followed by one fused order-statistics pass and the exact
-    final-math form (bitwise identical to per-row
-    :func:`estimate_cardinality`).
+    ``direct_count_fingerprint(rng, d, trials).estimate()``.  Rows are
+    processed in blocks of ``max(1, 2**16 // trials)``: each block is one
+    :func:`~repro.sketch.geometric.sample_max_of_geometrics_batch` draw and
+    one fused order-statistics pass, so no ``(len(counts), trials)`` matrix
+    is ever allocated.  The blocks consume the uniforms in the loop's
+    row-major order (rows with ``counts == 0`` draw nothing), and ``(K*, Z)``
+    are exact integers whatever the blocking (docs/ESTIMATORS.md, rule 1);
+    the exact final-math form then runs once over all rows, bitwise
+    identical to per-row :func:`estimate_cardinality`.
 
     Returns a float64 array aligned with ``counts``; zero-count rows
     estimate exactly 0.
     """
-    maxima = sample_max_of_geometrics_batch(rng, counts, trials, lam)
-    k_star, z = fused_topk_counts(maxima)
-    empty_rows = np.all(maxima == EMPTY_MAX, axis=1)
+    d = np.asarray(counts, dtype=np.int64).reshape(-1)
+    if d.size and int(d.min()) < 0:
+        raise ValueError("counts must be non-negative")
+    if trials <= 0:
+        raise ValueError("empty fingerprints have no estimate")
+    block = max(1, (1 << 16) // trials)
+    k_parts, z_parts = [], []
+    # one (possibly empty) block at least, so an empty ``counts`` needs no
+    # special case
+    for start in range(0, max(d.size, 1), block):
+        maxima = sample_max_of_geometrics_batch(
+            rng, d[start : start + block], trials, lam
+        )
+        k_star, z = fused_topk_counts(maxima)
+        k_parts.append(k_star)
+        z_parts.append(z)
     return estimates_from_counts(
-        k_star, z, trials, exact=True, empty_rows=empty_rows
+        np.concatenate(k_parts),
+        np.concatenate(z_parts),
+        trials,
+        exact=True,
+        empty_rows=d == 0,
     )

@@ -12,9 +12,12 @@ facts drive everything:
 * Lemma 5.4: conditioned on uniqueness, the argmax is uniform.
 
 Both sampling paths are provided: per-element variables (needed when the
-*identity* of the argmax matters, e.g. Algorithm 7) and direct sampling of
-the maximum from its CDF (statistically identical, ``O(1)`` per trial,
-used for pure counting).
+*identity* of the argmax matters, e.g. Algorithm 7 and the buddy
+predicate's shared rows) and direct sampling of the maximum from its CDF
+(statistically identical, ``O(1)`` per trial, used for pure counting).
+The per-element variables at ``lam = 1/2`` have an exact int8 kernel,
+:func:`sample_geometric_half`, that replays ``rng.geometric(0.5)`` bit for
+bit (docs/ESTIMATORS.md, "Fingerprint rows").
 """
 
 from __future__ import annotations
@@ -27,6 +30,10 @@ DEFAULT_LAMBDA = 0.5
 
 #: Sentinel for the maximum over an empty set (merge identity).
 EMPTY_MAX = -1
+
+#: Elements per uniform block of :func:`sample_geometric_half`: each float64
+#: temporary stays at 512 KiB whatever the output size.
+_HALF_DRAW_BLOCK = 1 << 16
 
 
 def sample_geometric(
@@ -41,6 +48,42 @@ def sample_geometric(
     if not 0.0 < lam < 1.0:
         raise ValueError("lam must be in (0, 1)")
     return rng.geometric(1.0 - lam, size=size).astype(np.int64) - 1
+
+
+def geometric_half_from_uniform(u: np.ndarray) -> np.ndarray:
+    """Map uniforms ``U`` in ``[0, 1)`` to geometric(1/2) values, as int8.
+
+    numpy's ``geometric(p)`` for ``p >= 1/3`` is a sequential search: it
+    takes one double ``U`` and returns the smallest ``X >= 1`` with
+    ``U <= 1 - 2^-X`` at ``p = 1/2`` (the partial sums are exact there).
+    With ``1 - U = m * 2^e`` and ``m`` in ``[1/2, 1)`` (``np.frexp``; the
+    subtraction is exact for a 53-bit ``U``), that ``X`` is ``1 - e``, except
+    at ``U = 0`` where the search stops at ``X = 1``.  The value is
+    ``X - 1 = max(-e, 0)``.  ``U <= 1 - 2^-53`` gives ``e >= -52``, so every
+    value lies in ``[0, 52]`` and int8 holds it exactly.
+    """
+    _, e = np.frexp(1.0 - u)
+    return np.maximum(-e, 0).astype(np.int8)
+
+
+def sample_geometric_half(
+    rng: np.random.Generator, size: int | tuple[int, ...]
+) -> np.ndarray:
+    """Geometric(1/2) variables on ``{0, 1, ...}`` as an int8 array.
+
+    Bitwise equal to ``rng.geometric(0.5, size) - 1``, and it leaves ``rng``
+    in the same state: ``rng.random`` consumes the same one double per
+    element, in the same row-major order, and
+    :func:`geometric_half_from_uniform` is the exact map numpy's search
+    applies to it.  The uniforms are drawn in blocks of 65,536 elements, so
+    no float64 array of the output's size is ever allocated.
+    """
+    out = np.empty(size, dtype=np.int8)
+    flat = out.reshape(-1)
+    for start in range(0, flat.size, _HALF_DRAW_BLOCK):
+        stop = min(start + _HALF_DRAW_BLOCK, flat.size)
+        flat[start:stop] = geometric_half_from_uniform(rng.random(stop - start))
+    return out
 
 
 def sample_max_of_geometrics(

@@ -200,7 +200,7 @@ class UnionPlanes:
         )
 
     def union_order_statistics(
-        self, left: np.ndarray, right: np.ndarray, *, chunk_rows: int = 1 << 18
+        self, left: np.ndarray, right: np.ndarray, *, chunk_rows: int = 1 << 16
     ) -> tuple[np.ndarray, np.ndarray]:
         """Raw ``(K*, Z)`` of ``max(rows[left], rows[right])`` per pair.
 
@@ -243,7 +243,7 @@ class UnionPlanes:
         return k_star, z
 
     def union_estimates(
-        self, left: np.ndarray, right: np.ndarray, *, chunk_rows: int = 1 << 18
+        self, left: np.ndarray, right: np.ndarray, *, chunk_rows: int = 1 << 16
     ) -> np.ndarray:
         """Cardinality estimates of ``N(left) ∪ N(right)`` per pair, from
         :meth:`union_order_statistics` -- no ``(pairs, trials)``

@@ -65,3 +65,16 @@ def make_runtime(graph, seed: int = 5) -> ClusterRuntime:
     return ClusterRuntime(
         graph=graph, params=scaled(), rng=np.random.default_rng(seed)
     )
+
+
+def neighborhood_maxima(
+    rows: np.ndarray, edges_src: np.ndarray, edges_dst: np.ndarray, n_vertices: int
+) -> np.ndarray:
+    """Oracle for ``graphcore.neighborhood_max_rows``: one ``np.maximum.at``
+    scatter over every directed edge, so ``Y[v] = max over u in N(v) of
+    rows[u]`` (``EMPTY_MAX`` where ``N(v)`` is empty)."""
+    from repro.sketch.geometric import EMPTY_MAX
+
+    out = np.full((n_vertices, rows.shape[1]), EMPTY_MAX, dtype=rows.dtype)
+    np.maximum.at(out, edges_dst, rows[edges_src])
+    return out

@@ -70,7 +70,10 @@ class TestBuddyPredicate:
             for v in members[i + 1 :]
             if g.are_adjacent(u, v)
         }
-        yes = {frozenset(e) for e in result.yes_edges}
+        yes = {
+            frozenset((int(u), int(v)))
+            for u, v in zip(result.yes_u, result.yes_v)
+        }
         # nearly all intra-clique edges detected, nearly nothing else
         recall = len(yes & planted) / len(planted)
         precision = len(yes & planted) / max(1, len(yes))

@@ -12,9 +12,9 @@ from repro.sketch import (
     estimates_from_counts,
     failure_probability_bound,
     fused_topk_counts,
-    neighborhood_maxima,
     trials_for,
 )
+from tests.conftest import neighborhood_maxima
 
 
 def batched_estimates(rows, *, exact=False):
@@ -189,6 +189,37 @@ class TestBatchSampling:
         rng2.bit_generator.state = state
         batch = batch_count_estimates(rng2, counts, 41)
         assert np.array_equal(loop, batch)
+
+    @pytest.mark.parametrize("trials", [1, 41, 1682, 70_000])
+    def test_blocked_count_estimates_equal_one_matrix(self, trials):
+        """Blocked ``batch_count_estimates`` equals the one-matrix path
+        (one draw, one fused pass, exact final math) bitwise, RNG end state
+        included; 70,000 trials force one-row blocks."""
+        from repro.sketch import (
+            batch_count_estimates,
+            sample_max_of_geometrics_batch,
+        )
+
+        block = max(1, (1 << 16) // trials)
+        counts = np.random.default_rng(trials).integers(1, 5000, 3 * block + 5)
+        counts[max(0, block - 2) : block + 2] = 0  # a zero run across an edge
+        counts[2 * block : 3 * block] = 0  # a whole block of zeros
+        counts[0] = counts[-1] = 0
+        for case in (counts, np.zeros(0, dtype=np.int64)):
+            ref_rng = np.random.default_rng(99)
+            maxima = sample_max_of_geometrics_batch(ref_rng, case, trials)
+            k_star, z = fused_topk_counts(maxima)
+            want = estimates_from_counts(
+                k_star,
+                z,
+                trials,
+                exact=True,
+                empty_rows=np.all(maxima == EMPTY_MAX, axis=1),
+            )
+            rng = np.random.default_rng(99)
+            got = batch_count_estimates(rng, case, trials)
+            assert np.array_equal(got, want)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     def test_negative_counts_rejected(self, rng):
         from repro.sketch import sample_max_of_geometrics_batch

@@ -6,10 +6,12 @@ import pytest
 from repro.sketch import (
     EMPTY_MAX,
     argmax_with_uniqueness,
+    geometric_half_from_uniform,
     merge_maxima,
     non_unique_max_bound,
     prob_max_below,
     sample_geometric,
+    sample_geometric_half,
     sample_max_of_geometrics,
 )
 
@@ -34,6 +36,74 @@ class TestGeometricSampling:
     def test_invalid_lambda(self, rng):
         with pytest.raises(ValueError):
             sample_geometric(rng, 4, lam=1.5)
+
+
+def geometric_search_half(u: float) -> int:
+    """Pure-Python port of numpy's ``random_geometric_search`` at
+    ``p = 1/2``, shifted to support ``{0, 1, ...}``."""
+    x, total, prod = 1, 0.5, 0.5
+    while u > total:
+        prod *= 0.5
+        total += prod
+        x += 1
+    return x - 1
+
+
+def same_state(a, b) -> bool:
+    """Bit-generator states equal (MT19937 keeps an array in its state)."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(same_state(a[k], b[k]) for k in a)
+    if isinstance(a, np.ndarray):
+        return np.array_equal(a, b)
+    return a == b
+
+
+class TestHalfGeometricKernel:
+    """The int8 kernel behind fingerprint rows must replay
+    ``rng.geometric(0.5) - 1`` bit for bit, RNG end state included."""
+
+    @pytest.mark.parametrize(
+        "bit_generator",
+        [np.random.PCG64, np.random.MT19937, np.random.Philox, np.random.SFC64],
+    )
+    @pytest.mark.parametrize("seed", range(20))
+    def test_replays_numpy_geometric(self, bit_generator, seed):
+        ours = np.random.Generator(bit_generator(seed))
+        ref = np.random.Generator(bit_generator(seed))
+        for size in (0, 1, 65_535, 65_536, 65_537, (5, 70_001)):
+            got = sample_geometric_half(ours, size)
+            want = ref.geometric(0.5, size) - 1
+            assert got.dtype == np.int8
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
+            assert same_state(ours.bit_generator.state, ref.bit_generator.state)
+
+    @pytest.mark.parametrize(
+        "u, value",
+        [
+            (0.0, 0),
+            (0.5, 0),
+            (np.nextafter(0.5, 1.0), 1),
+            (0.75, 1),
+            (1.0 - 2.0**-53, 52),  # the largest double below 1: int8 bound
+        ],
+    )
+    def test_uniform_map_matches_search(self, u, value):
+        assert geometric_search_half(u) == value
+        got = geometric_half_from_uniform(np.array([u]))
+        assert got.dtype == np.int8
+        assert int(got[0]) == value
+
+    def test_uniform_map_at_every_boundary(self):
+        """Both sides of each threshold ``1 - 2^-k`` the search compares."""
+        edges = 1.0 - 2.0 ** -np.arange(1, 54, dtype=np.float64)
+        u = np.concatenate(
+            [edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0)[:-1]]
+        )
+        u = u[u < 1.0]
+        got = geometric_half_from_uniform(u)
+        assert [int(x) for x in got] == [geometric_search_half(x) for x in u]
+        assert int(got.max()) == 52
 
 
 class TestMaxDistribution:

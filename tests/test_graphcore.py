@@ -28,9 +28,9 @@ from repro.graphcore import (
     violations_edges,
 )
 from repro.network import CommGraph
-from repro.sketch.fingerprint import neighborhood_maxima
 from repro.sketch.geometric import EMPTY_MAX
 from repro.verify.checker import is_proper, violations
+from tests.conftest import neighborhood_maxima
 
 
 def random_graph(seed: int, n: int, density: float) -> ClusterGraph:
@@ -245,19 +245,20 @@ class TestKernelAgreement:
 
     @given(
         trials=st.sampled_from([1, 7, 95, 96, 257]),
+        dtype=st.sampled_from([np.int8, np.int16]),
         **graph_params,
     )
     @settings(max_examples=40)
     def test_neighborhood_max_rows_vs_scatter_reference(
-        self, trials, seed, n, density
+        self, trials, dtype, seed, n, density
     ):
         """The per-vertex block reduction must equal the np.maximum.at
-        scatter (kept in repro.sketch.fingerprint as the reference), at
-        narrow widths and at the hundreds of trials the buddy predicate
-        runs."""
+        scatter (the oracle in tests/conftest.py), at narrow widths and at
+        the hundreds of trials the buddy predicate runs, on the int8 rows
+        the buddy predicate draws as well as on wider ones."""
         g = random_graph(seed, n, density)
         rng = np.random.default_rng(seed + 7)
-        rows = rng.integers(0, 100, size=(n, trials)).astype(np.int16)
+        rows = rng.integers(0, 100, size=(n, trials)).astype(dtype)
         eu, ev = g.h_edge_arrays()
         src = np.concatenate([eu, ev])
         dst = np.concatenate([ev, eu])
