@@ -32,12 +32,6 @@ Commands
     Run one workload on a sampled heterogeneous fabric
     (docs/NETWORK.md) and print the simulated-clock makespan with its
     critical stage and critical link.
-``history``
-    Append sweep artifacts to the per-commit history store and print the
-    wall-time trend report (report-only; never gates).
-``cells``
-    Per-cell wall-time table of sweep artifacts (the in-CLI spelling of
-    ``tools/print_cell_times.py``).
 ``fuzz``
     Cost-guided pathological-instance fuzzing (docs/FUZZING.md):
     ``run`` a time-boxed campaign (report-only), ``list`` the corpus,
@@ -488,56 +482,6 @@ def _cmd_netsim(args) -> int:
     return 0 if proper else 1
 
 
-def _cmd_history(args) -> int:
-    """Append artifacts to the history store and print the trend report."""
-    from repro.observe import (
-        append_entry,
-        entry_from_artifact,
-        list_suites,
-        load_history,
-        render_history,
-    )
-
-    suites = []
-    for name in args.append:
-        artifact = _read_artifact_or_exit(name)
-        entry = entry_from_artifact(artifact)
-        path = append_entry(entry, args.dir)
-        print(
-            f"appended {artifact.suite} @ {entry['commit']} "
-            f"({entry['total_wall_time_s']}s) -> {path}"
-        )
-        if artifact.suite not in suites:
-            suites.append(artifact.suite)
-    if args.suite:
-        suites = [args.suite]
-    elif not suites:
-        suites = list_suites(args.dir)
-        if not suites:
-            print("history store is empty (append with --append ARTIFACT)")
-            return 0
-    for suite in suites:
-        try:
-            entries = load_history(suite, args.dir)
-        except ValueError as exc:
-            raise SystemExit(f"repro: corrupt history for {suite!r}: {exc}")
-        print(render_history(
-            entries,
-            last_n=args.last,
-            threshold=args.threshold,
-            min_seconds=args.min_seconds,
-        ))
-    # report-only by contract: soft regressions never flip the exit code
-    return 0
-
-
-def _cmd_cells(args) -> int:
-    """Per-cell wall-time tables (folded tools/print_cell_times.py)."""
-    from repro.observe import cells
-
-    return cells.main(args.artifacts)
-
-
 def _read_artifact_or_exit(path: str):
     from repro.experiments import read_artifact
 
@@ -686,7 +630,10 @@ def _cmd_fuzz_run(args) -> int:
 def _cmd_fuzz_list(args) -> int:
     from repro.fuzz import load_entries
 
-    entries = load_entries(_fuzz_dirs(args))
+    try:
+        entries = load_entries(_fuzz_dirs(args))
+    except ValueError as exc:
+        raise SystemExit(f"repro: {exc}") from exc
     if args.json:
         print(json.dumps([e for _, e in entries], indent=2, sort_keys=True))
         return 0
@@ -701,17 +648,17 @@ def _cmd_fuzz_replay(args) -> int:
     from repro.fuzz import load_entries, replay_entry, resolve_entry
 
     directory = _fuzz_dirs(args)
-    if args.all:
-        targets = load_entries(directory)
-        if not targets:
-            raise SystemExit(f"repro: no corpus entries under {directory}")
-    elif args.entries:
-        try:
-            targets = [resolve_entry(ref, directory) for ref in args.entries]
-        except ValueError as exc:
-            raise SystemExit(f"repro: {exc}") from exc
-    else:
+    if not (args.all or args.entries):
         raise SystemExit("repro: fuzz replay needs entry ids or --all")
+    try:
+        if args.all:
+            targets = load_entries(directory)
+        else:
+            targets = [resolve_entry(ref, directory) for ref in args.entries]
+    except ValueError as exc:
+        raise SystemExit(f"repro: {exc}") from exc
+    if not targets:
+        raise SystemExit(f"repro: no corpus entries under {directory}")
     failures = 0
     for path, entry in targets:
         verdict = replay_entry(entry, timeout_s=args.timeout)
@@ -937,40 +884,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--json", action="store_true", help="machine-readable summary"
     )
     p_netsim.set_defaults(func=_cmd_netsim)
-
-    p_history = sub.add_parser(
-        "history", help="per-commit perf history: append + trend report"
-    )
-    p_history.add_argument(
-        "suite", nargs="?", default=None,
-        help="suite to report on (default: every suite touched or stored)",
-    )
-    p_history.add_argument(
-        "--append", action="append", default=[], metavar="ARTIFACT",
-        help="append a sweep artifact to the store first (repeatable)",
-    )
-    p_history.add_argument(
-        "--dir", default=None,
-        help="history store directory (default: benchmarks/history)",
-    )
-    p_history.add_argument(
-        "--last", type=int, default=10, help="entries per trend window"
-    )
-    p_history.add_argument(
-        "--threshold", type=float, default=0.25,
-        help="relative soft-regression threshold (fraction over baseline median)",
-    )
-    p_history.add_argument(
-        "--min-seconds", type=float, default=0.05,
-        help="absolute slowdown floor before flagging",
-    )
-    p_history.set_defaults(func=_cmd_history)
-
-    p_cells = sub.add_parser(
-        "cells", help="per-cell wall-time table of sweep artifacts"
-    )
-    p_cells.add_argument("artifacts", nargs="+")
-    p_cells.set_defaults(func=_cmd_cells)
 
     p_fuzz = sub.add_parser(
         "fuzz", help="cost-guided pathological-instance fuzzing"

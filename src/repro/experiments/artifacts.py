@@ -168,10 +168,14 @@ def write_artifact(
 
 
 def read_artifact(path: str | pathlib.Path) -> Artifact:
-    """Parse an artifact file, validating the schema version."""
+    """Parse an artifact file, validating the schema version and that
+    every line is a JSON object and every cell record is well formed."""
     path = pathlib.Path(path)
     header: dict[str, Any] | None = None
     records: list[dict[str, Any]] = []
+    # first bad cell line, reported after the header check so that a
+    # headerless file still says "no header"
+    malformed: int | None = None
     with open(path) as source:
         for lineno, line in enumerate(source, start=1):
             line = line.strip()
@@ -181,6 +185,8 @@ def read_artifact(path: str | pathlib.Path) -> Artifact:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}:{lineno}: not JSON ({exc})") from exc
+            if not isinstance(obj, dict):
+                raise ValueError(f"{path}:{lineno}: not a JSON object")
             kind = obj.get("kind")
             if kind == "header":
                 if obj.get("schema") != SCHEMA_NAME:
@@ -194,11 +200,22 @@ def read_artifact(path: str | pathlib.Path) -> Artifact:
                     )
                 header = obj
             elif kind == "cell":
+                if malformed is None and not (
+                    "key" in obj
+                    and "status" in obj
+                    and isinstance(obj.get("cell"), dict)
+                ):
+                    malformed = lineno
                 records.append(obj)
             # unknown kinds (e.g. legacy_record) are skipped, not fatal:
             # forward compatibility within a schema version.
     if header is None:
         raise ValueError(f"{path}: no header line (not a sweep artifact?)")
+    if malformed is not None:
+        raise ValueError(
+            f"{path}:{malformed}: cell record needs 'key', 'status' "
+            f"and a 'cell' object"
+        )
     return Artifact(header=header, records=records)
 
 

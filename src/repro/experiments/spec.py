@@ -807,10 +807,10 @@ _register(
 # ``cell`` field is a ready-to-run cell dict.  Loading here -- rather than
 # in repro.fuzz -- keeps the dependency one-way (fuzz imports experiments)
 # while making every promoted blow-up a first-class suite runnable through
-# sweep/compare/history like any grid suite.
+# sweep/compare like any grid suite.
 # ---------------------------------------------------------------------------
 
-#: Where promoted pathology entries live, next to benchmarks/history/.
+#: Where promoted pathology entries live (committed, unlike the corpus).
 PATHOLOGY_DIR = (
     pathlib.Path(__file__).resolve().parents[3] / "benchmarks" / "pathologies"
 )
@@ -832,8 +832,14 @@ def pathology_suite(
         return None
     cells: list[Cell] = []
     for path in sorted(directory.glob("*.json")):
-        entry = json.loads(path.read_text())
-        cells.append(Cell.from_dict({**entry["cell"], "suite": "pathology"}))
+        try:
+            entry = json.loads(path.read_text())
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: not JSON ({exc})") from exc
+        cell = entry.get("cell") if isinstance(entry, dict) else None
+        if not isinstance(cell, dict):
+            raise ValueError(f"{path}: no 'cell' object")
+        cells.append(Cell.from_dict({**cell, "suite": "pathology"}))
     if not cells:
         return None
     return ScenarioSpec(

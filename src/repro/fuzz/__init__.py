@@ -7,7 +7,7 @@ candidate through the ordinary ``run_cell`` path against a baseline
 corpus, finds are greedily minimized, and the corpus records every find
 as a fully reproducible JSON entry that can be promoted into the pinned
 ``pathology`` suite -- turning each discovered blow-up into a permanent
-regression test under sweep/compare/history.
+regression test under sweep/compare.
 """
 
 from repro.fuzz.corpus import (

@@ -12,7 +12,7 @@ directories share the format:
 - ``benchmarks/pathologies/`` (:data:`repro.experiments.spec.PATHOLOGY_DIR`)
   -- promoted entries, committed to the repo; the ``pathology`` suite
   loads its cells from here, so every promotion is a permanent
-  regression test runnable through sweep/compare/history.
+  regression test runnable through sweep/compare.
 
 Replay reruns an entry's cell and gates the coloring digest always, and
 the recorded score bitwise for deterministic objectives (wall-clock
@@ -102,9 +102,14 @@ def save_entry(
 
 def load_entry(path: str | pathlib.Path) -> dict[str, Any]:
     """Read one corpus entry, validating its schema stamp."""
-    entry = json.loads(pathlib.Path(path).read_text())
-    schema = entry.get("schema", {})
-    if schema.get("name") != SCHEMA_NAME:
+    try:
+        entry = json.loads(pathlib.Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: not JSON ({exc})") from exc
+    if not isinstance(entry, dict):
+        raise ValueError(f"{path}: not a JSON object")
+    schema = entry.get("schema")
+    if not isinstance(schema, dict) or schema.get("name") != SCHEMA_NAME:
         raise ValueError(f"{path}: not a {SCHEMA_NAME} entry")
     if schema.get("version") != SCHEMA_VERSION:
         raise ValueError(

@@ -1,4 +1,4 @@
-"""Observability: stage-level tracing and per-commit performance history.
+"""Observability: stage-level tracing and live metrics.
 
 Everything here *watches* the pipeline without perturbing it.  The
 contract that makes the subsystem trustworthy:
@@ -13,33 +13,12 @@ contract that makes the subsystem trustworthy:
 - live metrics (:mod:`repro.observe.metrics`) follow the same neutrality
   contract: a :class:`~repro.observe.metrics.MetricsRegistry` is fed
   *measured values* from finished batch reports, so an instrumented
-  service run is bitwise-identical to a bare one;
-- history reporting (:mod:`repro.observe.history`) is *report-only*: it
-  flags soft wall-time regressions across commits but never gates
-  (``repro compare`` on metrics is the gate).
+  service run is bitwise-identical to a bare one.
 
 See ``docs/OBSERVABILITY.md`` for the span taxonomy and how it maps onto
 the paper's stages.
 """
 
-from repro.observe.cells import cell_label, print_timings
-from repro.observe.history import (
-    DEFAULT_MIN_SECONDS,
-    DEFAULT_THRESHOLD,
-    HISTORY_DIR,
-    ServiceDrift,
-    Slowdown,
-    append_entry,
-    detect_service_drift,
-    detect_slowdowns,
-    entry_from_artifact,
-    history_path,
-    list_suites,
-    load_history,
-    render_history,
-    service_trend_rows,
-    trend_rows,
-)
 from repro.observe.metrics import (
     Counter,
     Gauge,
@@ -64,27 +43,10 @@ __all__ = [
     "SpanRecord",
     "stage_rows",
     "aggregate_stage_rows",
-    "cell_label",
-    "print_timings",
     "Counter",
     "Gauge",
     "LogHistogram",
     "MetricsRegistry",
     "WindowedSeries",
     "exact_percentiles",
-    "Slowdown",
-    "ServiceDrift",
-    "detect_service_drift",
-    "service_trend_rows",
-    "entry_from_artifact",
-    "append_entry",
-    "load_history",
-    "list_suites",
-    "history_path",
-    "detect_slowdowns",
-    "trend_rows",
-    "render_history",
-    "HISTORY_DIR",
-    "DEFAULT_THRESHOLD",
-    "DEFAULT_MIN_SECONDS",
 ]

@@ -1,5 +1,7 @@
 """The command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import GENERATORS, build_parser, main
@@ -124,43 +126,21 @@ class TestObservabilityCommands:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["trace", "nope"])
 
-    def test_history_append_and_report(self, tmp_path, capsys):
-        artifact = tmp_path / "smoke.jsonl"
-        code = main([
-            "sweep", "--suite", "smoke", "--quiet", "--out", str(artifact),
-        ])
-        assert code == 0
-        capsys.readouterr()
-        code = main([
-            "history", "--append", str(artifact), "--dir", str(tmp_path / "h"),
-        ])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "appended smoke" in out
-        assert "report-only, never gates" in out
-        # second append: a trend (and still exit 0 -- report-only contract)
-        code = main([
-            "history", "--append", str(artifact), "--dir", str(tmp_path / "h"),
-        ])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "2 history entries" in out
 
-    def test_history_empty_store(self, tmp_path, capsys):
-        code = main(["history", "--dir", str(tmp_path / "empty")])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "history store is empty" in out
+class TestMalformedArtifacts:
+    """``report`` and ``compare`` turn a malformed artifact into a
+    ``repro: cannot read artifact`` exit, never a traceback."""
 
-    def test_cells_prints_table(self, tmp_path, capsys):
-        artifact = tmp_path / "smoke.jsonl"
-        assert main(["sweep", "--suite", "smoke", "--quiet",
-                     "--out", str(artifact)]) == 0
-        capsys.readouterr()
-        code = main(["cells", str(artifact)])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "per-cell wall times" in out
+    @pytest.mark.parametrize(
+        "line", ["[1, 2]", '{"kind": "cell"}'], ids=["list", "bare_cell"]
+    )
+    @pytest.mark.parametrize("command", ["report", "compare"])
+    def test_clean_error(self, tmp_path, command, line):
+        from repro.experiments.artifacts import make_header
 
-    def test_cells_missing_artifact(self, tmp_path):
-        assert main(["cells", str(tmp_path / "nope.jsonl")]) == 2
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps(make_header("x", "h")) + "\n" + line + "\n")
+        args = [command, str(path)] + ([str(path)] if command == "compare" else [])
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert str(exc.value).startswith(f"repro: cannot read artifact {path}")

@@ -342,6 +342,23 @@ class TestArtifacts:
         with pytest.raises(ValueError, match="no header"):
             read_artifact(path)
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("[1, 2]", ":2: not a JSON object"),
+            ('{"kind": "cell"}', ":2: cell record needs"),
+            ('{"kind": "cell", "key": "k", "cell": [], "status": "ok"}',
+             ":2: cell record needs"),
+            ('{"kind": "cell", "key": "k", "cell": {}}', ":2: cell record needs"),
+        ],
+        ids=["list", "bare_cell", "cell_not_object", "no_status"],
+    )
+    def test_rejects_malformed_line(self, tmp_path, line, message):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps(make_header("x", "h")) + "\n" + line + "\n")
+        with pytest.raises(ValueError, match=f"bad.jsonl{message}"):
+            read_artifact(path)
+
     def test_csv_export(self, tmp_path):
         path, _ = self._sweep(tmp_path)
         out = to_csv(read_artifact(path), tmp_path / "cells.csv")

@@ -323,6 +323,35 @@ class TestCorpus:
             load_entry(bad)
 
 
+class TestCorruptEntries:
+    """A corrupt corpus file is a ``ValueError`` naming it, and
+    ``fuzz list``/``fuzz replay --all`` exit with a ``repro:`` message."""
+
+    CORRUPT = pytest.mark.parametrize(
+        "text", ["{not json", "[1]"], ids=["bad_json", "not_object"]
+    )
+
+    @CORRUPT
+    def test_load_entry_names_the_file(self, tmp_path, text):
+        bad = tmp_path / "x.json"
+        bad.write_text(text)
+        with pytest.raises(ValueError, match="x.json"):
+            load_entry(bad)
+
+    @CORRUPT
+    @pytest.mark.parametrize(
+        "command", [["list"], ["replay", "--all"]], ids=["list", "replay_all"]
+    )
+    def test_cli_exits_cleanly(self, tmp_path, text, command):
+        from repro.cli import main
+
+        (tmp_path / "x.json").write_text(text)
+        with pytest.raises(SystemExit) as exc:
+            main(["fuzz", *command, "--corpus", str(tmp_path)])
+        message = str(exc.value)
+        assert message.startswith("repro: ") and "x.json" in message
+
+
 class TestPromotion:
     def test_promote_sweep_compare_roundtrip(self, corpus_entry, tmp_path):
         """Corpus entry -> pathology cell -> sweep twice -> compare at

@@ -4,9 +4,8 @@ The load-bearing property is *bitwise invisibility*: enabling a tracer
 must not change a single color, ledger counter, or RNG draw.  The
 neutrality tests pin that on both the static pipeline (two regimes) and
 the stream engine.  The rest covers span accounting (nesting, ledger
-attribution, the stage-sum == ledger-total partition invariant), the
-ledger's max-window stack, and the history store's soft-regression
-detection.
+attribution, the stage-sum == ledger-total partition invariant) and the
+ledger's max-window stack.
 """
 
 import json
@@ -24,11 +23,6 @@ from repro.observe import (
     NullTracer,
     Tracer,
     aggregate_stage_rows,
-    append_entry,
-    detect_slowdowns,
-    entry_from_artifact,
-    load_history,
-    render_history,
     stage_rows,
 )
 from repro.workloads import GENERATORS, STREAMS
@@ -428,102 +422,3 @@ class TestHetNetNeutrality:
         for span in plain_tracer.spans:
             assert "makespan_ms" not in span.to_dict()
 
-
-def _history_entry(commit, cell_walls, suite="smoke"):
-    """Synthetic history entry: {label: wall_s}."""
-    return {
-        "kind": "history",
-        "schema": "repro.observe.history",
-        "schema_version": 1,
-        "suite": suite,
-        "spec_hash": "abc",
-        "commit": commit,
-        "created_utc": f"2026-01-01T00:00:0{commit[-1]}Z",
-        "total_wall_time_s": round(sum(cell_walls.values()), 4),
-        "cells": [
-            {"key": label, "label": label, "status": "ok", "wall_time_s": wall}
-            for label, wall in cell_walls.items()
-        ],
-    }
-
-
-class TestHistory:
-    def test_detects_injected_slowdown(self):
-        entries = [
-            _history_entry("c1", {"cell_a": 0.10, "cell_b": 0.50}),
-            _history_entry("c2", {"cell_a": 0.11, "cell_b": 1.20}),
-        ]
-        flags = detect_slowdowns(entries)
-        labels = {f.label for f in flags}
-        assert "cell_b" in labels  # +140%, over floor
-        assert "cell_a" not in labels  # +10%, under threshold and floor
-        (flag,) = [f for f in flags if f.label == "cell_b"]
-        assert flag.baseline_s == pytest.approx(0.50)
-        assert flag.latest_s == pytest.approx(1.20)
-        assert flag.relative == pytest.approx(1.4)
-
-    def test_median_baseline_shrugs_off_one_noisy_commit(self):
-        entries = [
-            _history_entry("c1", {"a": 0.10}),
-            _history_entry("c2", {"a": 5.00}),  # one noisy commit
-            _history_entry("c3", {"a": 0.10}),
-            _history_entry("c4", {"a": 0.11}),
-        ]
-        assert detect_slowdowns(entries) == []
-
-    def test_absolute_floor_suppresses_tiny_cells(self):
-        entries = [
-            _history_entry("c1", {"tiny": 0.001}),
-            _history_entry("c2", {"tiny": 0.010}),  # 10x but only +9ms
-        ]
-        assert detect_slowdowns(entries) == []
-
-    def test_single_entry_never_flags(self):
-        assert detect_slowdowns([_history_entry("c1", {"a": 1.0})]) == []
-
-    def test_append_load_roundtrip(self, tmp_path):
-        e1 = _history_entry("c1", {"a": 0.2})
-        e2 = _history_entry("c2", {"a": 0.3})
-        append_entry(e1, tmp_path)
-        append_entry(e2, tmp_path)
-        loaded = load_history("smoke", tmp_path)
-        assert loaded == [e1, e2]
-        assert load_history("nonexistent", tmp_path) == []
-
-    def test_load_rejects_foreign_schema(self, tmp_path):
-        path = tmp_path / "smoke.jsonl"
-        path.write_text('{"schema": "something.else"}\n')
-        with pytest.raises(ValueError):
-            load_history("smoke", tmp_path)
-
-    def test_render_report_flags_and_never_raises(self):
-        entries = [
-            _history_entry("c1", {"slow": 0.10}),
-            _history_entry("c2", {"slow": 0.40}),
-        ]
-        report = render_history(entries)
-        assert "SOFT REGRESSION slow" in report
-        assert "report-only" in report
-        assert render_history([]) == "no history entries"
-
-    def test_entry_from_artifact_includes_stage_breakdown(self):
-        from repro.experiments.artifacts import Artifact
-        from repro.experiments.runner import run_cell
-        from repro.experiments.spec import SUITES
-
-        cell = SUITES["smoke"].cells()[0]
-        record = run_cell(cell.to_dict(), 0, trace=True)
-        assert record["status"] == "ok"
-        artifact = Artifact(
-            header={"suite": "smoke", "spec_hash": "x", "git_rev": "deadbee",
-                    "created_utc": "2026-01-01T00:00:00Z"},
-            records=[record],
-        )
-        entry = entry_from_artifact(artifact)
-        assert entry["commit"] == "deadbee"
-        (cell_entry,) = entry["cells"]
-        assert cell_entry["wall_time_s"] == record["wall_time_s"]
-        stages = cell_entry["stages"]
-        assert sum(s["rounds_h"] for s in stages.values()) == (
-            record["metrics"]["rounds_h"]
-        )

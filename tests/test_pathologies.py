@@ -10,7 +10,7 @@ instances fails here before it can silently land.
 
 import pytest
 
-from repro.experiments.spec import PATHOLOGY_DIR, SUITES
+from repro.experiments.spec import PATHOLOGY_DIR, SUITES, pathology_suite
 from repro.fuzz import load_entries, replay_entry
 
 ENTRIES = [entry for _path, entry in load_entries(PATHOLOGY_DIR)]
@@ -52,3 +52,15 @@ class TestCommittedPathologies:
             f"{entry['metrics']['coloring_digest']}"
         )
         assert result["ok"]
+
+
+class TestCorruptPathologyEntries:
+    @pytest.mark.parametrize(
+        "text",
+        ["{not json", "[1]", '{"id": "x"}'],
+        ids=["bad_json", "not_object", "no_cell"],
+    )
+    def test_pathology_suite_names_the_file(self, tmp_path, text):
+        (tmp_path / "x.json").write_text(text)
+        with pytest.raises(ValueError, match="x.json"):
+            pathology_suite(tmp_path)

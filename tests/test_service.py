@@ -6,8 +6,7 @@ must be *bitwise-invisible* relative to pushing the same stream through
 ``run_stream`` bare: same colors, same per-op ledger, same RNG end
 state, same deterministic metrics.  The rest covers the virtual-clock
 queueing model, arrival-schedule generation, the SLO algebra, and the
-service fields' round trip through runner -> artifact -> compare ->
-history.
+service fields' round trip through runner -> artifact -> compare.
 """
 
 import numpy as np
@@ -346,53 +345,3 @@ class TestExperimentIntegration:
         assert any(
             d.metric == "violation_batches" for d in report.regressions
         )
-
-    def test_history_service_sub_dict_and_drift(self, artifact, tmp_path):
-        import copy
-
-        from repro.observe import (
-            append_entry,
-            detect_service_drift,
-            entry_from_artifact,
-            load_history,
-            render_history,
-            service_trend_rows,
-        )
-
-        entry = entry_from_artifact(artifact)
-        (cell,) = entry["cells"]
-        assert cell["service"]["repair_ms_p99"] > 0
-        assert cell["service"]["slo_pass"] is True
-        append_entry(entry, tmp_path)
-        regressed = copy.deepcopy(entry)
-        regressed["cells"][0]["service"]["repair_ms_p99"] *= 10.0
-        regressed["cells"][0]["service"]["updates_per_sec"] /= 10.0
-        append_entry(regressed, tmp_path)
-        entries = load_history("service_test", tmp_path)
-        rows = service_trend_rows(entries)
-        assert len(rows) == 1 and rows[0]["slo"] == "ok"
-        drifts = detect_service_drift(entries)
-        assert {d.metric for d in drifts} == {
-            "repair_ms_p99", "updates_per_sec"
-        }
-        assert all(d.relative > 0 for d in drifts)
-        text = render_history(entries)
-        assert "SERVICE DRIFT" in text
-        assert "service trend" in text
-
-    def test_pre_service_history_entries_still_render(self, artifact, tmp_path):
-        from repro.observe import (
-            append_entry,
-            entry_from_artifact,
-            load_history,
-            render_history,
-            service_trend_rows,
-        )
-
-        entry = entry_from_artifact(artifact)
-        for cell in entry["cells"]:  # simulate a version-1 pre-service entry
-            cell.pop("service", None)
-        append_entry(entry, tmp_path)
-        entries = load_history("service_test", tmp_path)
-        assert service_trend_rows(entries) == []
-        assert "service trend" not in render_history(entries)

@@ -1,4 +1,4 @@
-"""The repo's small CI tools keep working (docs lint, timing annotation)."""
+"""The repo's small CI tools keep working (docs lint, hetnet makespan gate)."""
 
 from __future__ import annotations
 
@@ -11,7 +11,6 @@ sys.path.insert(0, str(REPO / "tools"))
 
 import check_hetnet_makespan  # noqa: E402
 import lint_docstrings  # noqa: E402
-import print_cell_times  # noqa: E402
 
 
 class TestLintDocstrings:
@@ -37,54 +36,6 @@ class TestLintDocstrings:
 
     def test_covers_cluster_builders(self):
         assert "src/repro/cluster" in lint_docstrings.DEFAULT_TARGETS
-
-
-class TestPrintCellTimes:
-    def _artifact(self, tmp_path) -> Path:
-        path = tmp_path / "sweep.jsonl"
-        lines = [
-            {"kind": "header", "suite": "scale_smoke", "schema_version": 1},
-            {
-                "kind": "cell",
-                "status": "ok",
-                "wall_time_s": 1.25,
-                "cell": {
-                    "workload": "high_degree",
-                    "workload_kwargs": {"n_vertices": 600},
-                    "regime": "auto",
-                    "seed": 0,
-                },
-            },
-            {
-                "kind": "cell",
-                "status": "error",
-                "wall_time_s": None,
-                "cell": {"workload": "voronoi", "regime": "polylog", "seed": 3},
-            },
-        ]
-        path.write_text("\n".join(json.dumps(x) for x in lines) + "\n")
-        return path
-
-    def test_prints_slowest_first_with_total(self, tmp_path, capsys):
-        path = self._artifact(tmp_path)
-        assert print_cell_times.main([str(path)]) == 0
-        out = capsys.readouterr().out
-        assert "scale_smoke" in out
-        assert "1.25s" in out and "high_degree(n_vertices=600)" in out
-        assert "[error]" in out and "regime=polylog" in out
-
-    def test_missing_artifact_is_an_error(self, tmp_path):
-        assert print_cell_times.main([str(tmp_path / "nope.jsonl")]) == 2
-
-    def test_shim_reexports_observe_cells(self):
-        """The script is now a shim over repro.observe.cells; the CI
-        invocation and the `repro cells` command must share one
-        implementation."""
-        from repro.observe import cells
-
-        assert print_cell_times.main is cells.main
-        assert print_cell_times.print_timings is cells.print_timings
-        assert print_cell_times.cell_label is cells.cell_label
 
 
 class TestCheckHetnetMakespan:
