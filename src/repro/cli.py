@@ -16,8 +16,8 @@ Commands
     (optionally racing the recolor-from-scratch baseline).
 ``serve``
     Replay an open-loop update trace through the always-on coloring
-    service: periodic live dashboard, final latency percentiles, SLO
-    report (report-only unless ``--strict``).
+    service: final latency percentiles and the SLO report (report-only
+    unless ``--strict``).
 ``sweep``
     Run a named scenario suite in parallel, write a JSONL artifact
     (``--trace`` attaches span trees to traceable cells).
@@ -233,7 +233,6 @@ def _cmd_serve(args) -> int:
         ColoringService,
         DEFAULT_SLOS,
         parse_slo,
-        render_dashboard,
         render_slo_report,
         evaluate_slos,
     )
@@ -268,13 +267,8 @@ def _cmd_serve(args) -> int:
     service.start()
     print(f"bootstrap: {service.bootstrap_wall_time_s:.3f}s "
           f"({service.engine.num_colors} colors)")
-    while service.remaining:
-        entry = service.step()
-        if not args.quiet and args.refresh and (entry.batch_index + 1) % args.refresh == 0:
-            print(render_dashboard(service))
-    service.stop()
+    service.run()
     metrics = service.collect()
-    print(render_dashboard(service))
     print(
         f"final: proper={metrics['proper']} "
         f"violations={metrics['violation_batches']} "
@@ -765,10 +759,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="base offered load in updates/second",
     )
     p_serve.add_argument(
-        "--refresh", type=int, default=10, metavar="N",
-        help="print the live dashboard every N batches (0 disables)",
-    )
-    p_serve.add_argument(
         "--slo", action="append", default=[], metavar="METRIC<=BOUND",
         help="objective override, e.g. repair_ms_p99<=250 or "
         "updates_per_sec>=500 (repeatable; default: the built-in targets)",
@@ -778,9 +768,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="exit 1 when an SLO misses (default: report-only)",
     )
     p_serve.add_argument("--params", choices=["scaled", "paper"], default="scaled")
-    p_serve.add_argument(
-        "--quiet", action="store_true", help="final report only, no live dashboard"
-    )
     p_serve.set_defaults(func=_cmd_serve)
 
     p_list = sub.add_parser("workloads", help="list instance generators")

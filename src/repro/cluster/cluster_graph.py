@@ -99,17 +99,31 @@ class ClusterGraph:
         Raises
         ------
         ValueError
-            If the assignment is not a partition into connected clusters or
-            cluster ids are not dense in ``0..k-1``.
+            If the assignment is not a 1-D sequence of integers, is not a
+            partition into connected clusters, or cluster ids are not dense
+            in ``0..k-1``.
         """
         if len(assignment) != comm.n:
             raise ValueError(
                 f"assignment covers {len(assignment)} machines; G has {comm.n}"
             )
-        assign = np.asarray(assignment, dtype=np.int64)
+        assign = np.asarray(assignment)
+        # bools are not np.integer, so they fail here too
+        if assign.ndim != 1 or not np.issubdtype(assign.dtype, np.integer):
+            raise ValueError(
+                f"cluster ids must be a 1-D integer sequence, got dtype "
+                f"{assign.dtype} with shape {assign.shape}"
+            )
+        assign = assign.astype(np.int64, copy=False)
         if assign.min() < 0:
             raise ValueError("cluster ids must be non-negative")
         n_vertices = int(assign.max()) + 1
+        if n_vertices > comm.n:
+            # checked before bincount, which would allocate max() + 1 slots
+            raise ValueError(
+                f"cluster id {n_vertices - 1} with only {comm.n} machines "
+                "leaves an id unused (ids must be dense)"
+            )
         sizes = np.bincount(assign, minlength=n_vertices)
         if (sizes == 0).any():
             vertex = int(np.flatnonzero(sizes == 0)[0])

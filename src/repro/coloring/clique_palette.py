@@ -12,8 +12,6 @@ round charges of the lemma.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.aggregation.runtime import ClusterRuntime
 from repro.coloring.types import CliquePaletteView, PartialColoring
 
@@ -30,46 +28,3 @@ def palette_view(
     """
     runtime.h_rounds(op, count=2)
     return CliquePaletteView.build(coloring, members)
-
-
-def query_ith_free(
-    runtime: ClusterRuntime,
-    view: CliquePaletteView,
-    i: int,
-    *,
-    floor: int = 0,
-    op: str = "palette_query",
-) -> int | None:
-    """The ``i``-th color of ``L_φ(K) \\ [floor]`` or None if out of range
-    (Lemma 4.8 case 2; ``O(1)`` rounds).
-    """
-    runtime.h_rounds(op, count=1)
-    free = view.free_above(floor)
-    if i < 0 or i >= free.size:
-        return None
-    return int(free[i])
-
-
-def sample_free_colors(
-    runtime: ClusterRuntime,
-    view: CliquePaletteView,
-    how_many: int,
-    *,
-    floor: int = 0,
-    replace: bool = True,
-    op: str = "palette_sample",
-) -> np.ndarray:
-    """Uniform colors from ``L_φ(K) \\ [floor]`` via index queries.
-
-    Sampling an index is local randomness; resolving it to a color is one
-    query (all resolved in one batched round here, message width
-    ``O(how_many * log Δ)`` pipelined).
-    """
-    free = view.free_above(floor)
-    if free.size == 0:
-        return np.zeros(0, dtype=np.int64)
-    idx = runtime.rng.integers(0, free.size, size=how_many) if replace else (
-        runtime.rng.permutation(free.size)[: min(how_many, free.size)]
-    )
-    runtime.wide_message(op, bits=max(1, how_many) * runtime.color_bits)
-    return free[idx]

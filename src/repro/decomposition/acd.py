@@ -67,10 +67,6 @@ class AlmostCliqueDecomposition:
         """Number of almost-cliques."""
         return len(self.cliques)
 
-    def dense_vertices(self) -> list[int]:
-        """All vertices of ``V_dense``."""
-        return [v for members in self.cliques for v in members]
-
     def is_cabal_vertex(self, v: int) -> bool:
         """Whether ``v`` lies in a cabal."""
         idx = int(self.clique_of[v])
@@ -100,13 +96,6 @@ class AlmostCliqueDecomposition:
         members = self.cliques[idx]
         nbrs = graph.neighbor_set(v)
         return sum(1 for u in members if u != v and u not in nbrs)
-
-    def avg_anti_degree_true(self, graph, clique_index: int) -> float:
-        """Exact ``a_K`` (ground truth)."""
-        members = self.cliques[clique_index]
-        if not members:
-            return 0.0
-        return sum(self.anti_degree_true(graph, v) for v in members) / len(members)
 
 
 def compute_acd(

@@ -156,14 +156,6 @@ class DynamicColoring:
         :meth:`apply` call in a span (``stream.bootstrap``,
         ``stream.batch[batch=i]``).  Tracing reads snapshots only -- traced
         streams are bitwise-identical to untraced ones.
-    metrics:
-        Optional :class:`~repro.observe.metrics.MetricsRegistry`; when
-        bound, every applied batch feeds the live ``stream.*`` instruments
-        (repair-latency histogram, frontier sizes, recolor fractions,
-        escalation/violation counters, palette and liveness gauges).  The
-        registry is fed from the finished :class:`BatchReport` only --
-        values already measured -- so an instrumented run is
-        bitwise-identical to a bare one (same contract as ``tracer``).
     netmodel:
         Optional :class:`~repro.network.hetnet.HetNetModel` attached to
         the stream ledger and shared with every scratch-escalation
@@ -186,7 +178,6 @@ class DynamicColoring:
         rebuild_fraction: float = 0.25,
         verify_each_batch: bool = True,
         tracer=None,
-        metrics=None,
         netmodel=None,
     ):
         if mode not in ("repair", "scratch"):
@@ -194,7 +185,6 @@ class DynamicColoring:
         self.params = params or scaled()
         self.rng = rng if rng is not None else np.random.default_rng(seed)
         self.mode = mode
-        self.metrics = metrics
         self.netmodel = netmodel
         self.escalate_fraction = escalate_fraction
         self.verify_each_batch = verify_each_batch
@@ -362,35 +352,7 @@ class DynamicColoring:
         if report.compacted:
             span.counter("compactions", 1)
         self.reports.append(report)
-        if self.metrics is not None:
-            self._observe_batch(report)
         return report
-
-    def _observe_batch(self, report: BatchReport) -> None:
-        """Feed the bound registry from one finished report.
-
-        Reads the report and derived state only -- never the RNG, never
-        the ledger -- so instrumented streams stay bitwise-identical to
-        bare ones (asserted by ``tests/test_service.py``).
-        """
-        m = self.metrics
-        m.counter("stream.batches").inc()
-        m.counter("stream.updates").inc(sum(report.events.values()))
-        m.counter("stream.repaired").inc(report.repaired)
-        m.counter("stream.rounds_h").inc(report.rounds_h)
-        m.counter("stream.message_bits").inc(report.message_bits)
-        if report.escalated:
-            m.counter("stream.escalations").inc()
-        if not report.proper:
-            m.counter("stream.violations").inc()
-        m.histogram("stream.repair_ms").record(report.wall_time_s * 1000.0)
-        m.histogram("stream.frontier", min_value=1.0).record(report.dirty)
-        m.histogram("stream.recolor_fraction", min_value=1e-6).record(
-            report.recolor_fraction
-        )
-        m.gauge("stream.n_alive").set(self.n_alive)
-        m.gauge("stream.delta").set(self.max_degree)
-        m.gauge("stream.num_colors").set(self.num_colors)
 
     def run(self, batches) -> StreamResult:
         """Apply every batch of an iterable; returns the aggregate."""

@@ -13,10 +13,25 @@ report byte-identical deterministic metrics.
 from __future__ import annotations
 
 import time
-from typing import Any
+from typing import Any, Sequence
+
+import numpy as np
 
 from repro.dynamic.engine import DynamicColoring, StreamResult
 from repro.params import AlgorithmParameters
+
+
+def exact_percentiles(
+    values: Sequence[float], qs: Sequence[float] = (50, 95, 99)
+) -> dict[str, float]:
+    """Exact (linear-interpolation) percentiles of a small sample.
+
+    Raises on an empty sample (callers gate on having batches).
+    """
+    if len(values) == 0:
+        raise ValueError("exact_percentiles needs at least one sample")
+    arr = np.asarray(values, dtype=np.float64)
+    return {f"p{q:g}": float(np.percentile(arr, q)) for q in qs}
 
 
 def latency_fields(
@@ -25,15 +40,10 @@ def latency_fields(
     """Latency/throughput scalars from per-batch wall times.
 
     One source of truth for the percentile math: ``repro stream``,
-    stream sweep cells, and the service driver all call this, so the
-    ``repair_ms_p*`` a dashboard shows and the one an artifact records
-    can never disagree.  Percentiles are exact (numpy linear
-    interpolation via :func:`repro.observe.metrics.exact_percentiles`);
-    the bounded-error :class:`~repro.observe.metrics.LogHistogram` is
-    for live mergeable views only, never for artifact scalars.
+    stream sweep cells, and the service driver all call this, so every
+    artifact records the same ``repair_ms_p*``.  Percentiles are exact
+    (numpy linear interpolation via :func:`exact_percentiles`).
     """
-    from repro.observe.metrics import exact_percentiles
-
     fields: dict[str, Any] = {
         "batch_wall_times_s": [round(t, 6) for t in wall_times_s],
         "updates_per_sec": (
@@ -113,7 +123,6 @@ def run_stream(
     mode: str = "repair",
     verify_each_batch: bool = True,
     tracer=None,
-    metrics=None,
 ) -> tuple[DynamicColoring, StreamResult, dict[str, Any]]:
     """Bootstrap, absorb every batch, and summarize.
 
@@ -127,11 +136,8 @@ def run_stream(
     generation and the bootstrap coloring (identical for both modes).
     ``tracer`` (optional) is handed to the engine: the trace gains a
     ``stream.bootstrap`` span plus one ``stream.batch`` span per batch.
-    ``metrics`` (a :class:`~repro.observe.metrics.MetricsRegistry`,
-    optional) binds a live registry to the engine; it is fed from
-    finished batch reports only, so passing one cannot change any
-    reported value.  A workload carrying a sampled heterogeneous network
-    model (``workload.netmodel``, see :mod:`repro.network.hetnet`) has it
+    A workload carrying a sampled heterogeneous network model
+    (``workload.netmodel``, see :mod:`repro.network.hetnet`) has it
     attached to the engine automatically; the returned metrics then also
     carry ``makespan_ms`` and ``critical_link``.
     """
@@ -154,7 +160,6 @@ def run_stream(
         mode=engine_mode,
         verify_each_batch=verify_each_batch,
         tracer=tracer,
-        metrics=metrics,
         netmodel=getattr(workload, "netmodel", None),
     )
     bootstrap_s = time.perf_counter() - bootstrap_start

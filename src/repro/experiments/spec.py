@@ -72,10 +72,6 @@ class WorkloadSpec:
         """Build a spec from keyword arguments (stored sorted, hashable)."""
         return WorkloadSpec(name, tuple(sorted(kwargs.items())), instance_seed)
 
-    def kwargs_dict(self) -> dict[str, Any]:
-        """The generator kwargs as a plain dict."""
-        return dict(self.kwargs)
-
 
 @dataclass(frozen=True)
 class Cell:

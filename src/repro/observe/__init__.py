@@ -1,4 +1,4 @@
-"""Observability: stage-level tracing and live metrics.
+"""Observability: stage-level tracing.
 
 Everything here *watches* the pipeline without perturbing it.  The
 contract that makes the subsystem trustworthy:
@@ -9,24 +9,12 @@ contract that makes the subsystem trustworthy:
   enabled tracer is *bitwise-invisible* (same colorings, same per-op
   ledger, same RNG end state; tested in ``tests/test_observe.py``);
 - the default :data:`~repro.observe.tracer.NULL_TRACER` makes the whole
-  layer a single no-op method call when tracing is off;
-- live metrics (:mod:`repro.observe.metrics`) follow the same neutrality
-  contract: a :class:`~repro.observe.metrics.MetricsRegistry` is fed
-  *measured values* from finished batch reports, so an instrumented
-  service run is bitwise-identical to a bare one.
+  layer a single no-op method call when tracing is off.
 
 See ``docs/OBSERVABILITY.md`` for the span taxonomy and how it maps onto
 the paper's stages.
 """
 
-from repro.observe.metrics import (
-    Counter,
-    Gauge,
-    LogHistogram,
-    MetricsRegistry,
-    WindowedSeries,
-    exact_percentiles,
-)
 from repro.observe.tracer import (
     NULL_TRACER,
     NullTracer,
@@ -43,10 +31,4 @@ __all__ = [
     "SpanRecord",
     "stage_rows",
     "aggregate_stage_rows",
-    "Counter",
-    "Gauge",
-    "LogHistogram",
-    "MetricsRegistry",
-    "WindowedSeries",
-    "exact_percentiles",
 ]

@@ -9,7 +9,6 @@ the collected metrics.  See docs/SERVICE.md.
 from repro.serve.driver import (
     ColoringService,
     ServiceEntry,
-    render_dashboard,
     run_service,
 )
 from repro.serve.slo import (
@@ -31,7 +30,6 @@ __all__ = [
     "ServiceEntry",
     "evaluate_slos",
     "parse_slo",
-    "render_dashboard",
     "render_slo_report",
     "run_service",
 ]

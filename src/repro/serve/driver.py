@@ -20,11 +20,11 @@ the service-only fields (queue/latency percentiles, sustained trace-clock
 throughput, the SLO verdict).  :func:`run_service` wraps the whole
 lifecycle for the sweep runner and ``repro serve``.
 
-Like the tracer and the metrics registry, the driver obeys the
-observe-layer neutrality contract: it feeds instruments from finished
-batch reports and the virtual clock only, so a served stream produces
-bitwise-identical colorings, ledger, and RNG end state to the same
-workload pushed through :func:`~repro.dynamic.harness.run_stream`.
+Like the tracer, the driver obeys the observe-layer neutrality
+contract: it reads finished batch reports and the virtual clock only,
+so a served stream produces bitwise-identical colorings, ledger, and
+RNG end state to the same workload pushed through
+:func:`~repro.dynamic.harness.run_stream`.
 """
 
 from __future__ import annotations
@@ -33,13 +33,16 @@ from dataclasses import dataclass
 from typing import Any, Iterable
 
 from repro.dynamic.engine import BatchReport, DynamicColoring, StreamResult
-from repro.dynamic.harness import latency_fields, summarize_stream
-from repro.observe.metrics import MetricsRegistry, exact_percentiles
+from repro.dynamic.harness import (
+    exact_percentiles,
+    latency_fields,
+    summarize_stream,
+)
 from repro.observe.tracer import NULL_TRACER
 from repro.params import AlgorithmParameters
 from repro.serve.slo import DEFAULT_SLOS, SLOTarget, evaluate_slos
 
-__all__ = ["ColoringService", "ServiceEntry", "render_dashboard", "run_service"]
+__all__ = ["ColoringService", "ServiceEntry", "run_service"]
 
 
 @dataclass(frozen=True)
@@ -78,9 +81,7 @@ class ColoringService:
     Parameters mirror :func:`repro.dynamic.harness.run_stream` (same
     engine underneath); ``slos`` is the tuple of
     :class:`~repro.serve.slo.SLOTarget` objectives :meth:`collect`
-    evaluates, and ``metrics`` an optional shared
-    :class:`~repro.observe.metrics.MetricsRegistry` (the service creates
-    a private one when omitted).
+    evaluates.
     """
 
     def __init__(
@@ -92,7 +93,6 @@ class ColoringService:
         mode: str = "repair",
         verify_each_batch: bool = True,
         tracer=None,
-        metrics: MetricsRegistry | None = None,
         slos: Iterable[SLOTarget] = DEFAULT_SLOS,
     ) -> None:
         batches = getattr(workload, "batches", None)
@@ -107,7 +107,6 @@ class ColoringService:
         self.mode = mode
         self.verify_each_batch = verify_each_batch
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.slos = tuple(slos)
         arrivals = getattr(workload, "arrivals", None)
         self.arrivals: list[float] = (
@@ -162,7 +161,6 @@ class ColoringService:
             mode=engine_mode,
             verify_each_batch=self.verify_each_batch,
             tracer=self.tracer,
-            metrics=self.metrics,
             netmodel=getattr(self.workload, "netmodel", None),
         )
         self.bootstrap_wall_time_s = time.perf_counter() - bootstrap_start
@@ -192,23 +190,10 @@ class ColoringService:
             escalated=report.escalated,
             proper=report.proper,
         )
-        self._observe_entry(entry)
         self.entries.append(entry)
         self._clock_s = entry.completion_s
         self._next_batch += 1
         return entry
-
-    def _observe_entry(self, entry: ServiceEntry) -> None:
-        """Feed the service-level instruments (queueing, latency, and the
-        over-trace-time series) from one finished entry."""
-        m = self.metrics
-        m.histogram("service.queue_ms").record(entry.queue_s * 1000.0)
-        m.histogram("service.latency_ms").record(entry.latency_s * 1000.0)
-        m.gauge("service.clock_s").set(entry.completion_s)
-        m.windowed("service.updates").record(entry.completion_s, entry.updates)
-        m.windowed("service.proper").record(
-            entry.completion_s, 1.0 if entry.proper else 0.0
-        )
 
     def run(self) -> list[ServiceEntry]:
         """Serve the whole trace: start if needed, step to exhaustion, stop."""
@@ -224,11 +209,6 @@ class ColoringService:
         self._running = False
 
     # ---- views ---------------------------------------------------------------
-
-    def recent_entries(self, duration_s: float = 30.0) -> list[ServiceEntry]:
-        """Entries completed within the last ``duration_s`` trace seconds."""
-        cutoff = self._clock_s - duration_s
-        return [e for e in self.entries if e.completion_s >= cutoff]
 
     def result(self) -> StreamResult:
         """The engine's stream aggregate (empty before :meth:`start`)."""
@@ -292,56 +272,6 @@ class ColoringService:
         return metrics
 
 
-def render_dashboard(service: ColoringService, window_s: float = 30.0) -> str:
-    """The periodic live view ``repro serve`` prints: registry-backed
-    totals, bounded-error latency percentiles from the streaming
-    histograms, and the recent-window throughput.
-
-    Reads the registry and the entry log only -- rendering mid-trace
-    cannot perturb the stream (neutrality contract)."""
-    from repro.metrics import format_table
-
-    m = service.metrics
-    served = len(service.entries)
-    total = len(service.workload.batches)
-    counters = {k: v.value for k, v in sorted(m.counters.items())}
-    lines = [
-        f"service: {served}/{total} batches @ trace t={service._clock_s:.2f}s",
-        "  "
-        + "  ".join(f"{k.removeprefix('stream.')}={v:g}" for k, v in counters.items()),
-    ]
-    rows = []
-    for name in ("stream.repair_ms", "service.queue_ms", "service.latency_ms"):
-        hist = m.histograms.get(name)
-        if hist is None or not hist.count:
-            continue
-        pcts = hist.percentiles()
-        rows.append(
-            {
-                "histogram": name,
-                "count": hist.count,
-                "p50": round(pcts["p50"], 3),
-                "p95": round(pcts["p95"], 3),
-                "p99": round(pcts["p99"], 3),
-                "max": round(hist.max, 3),
-            }
-        )
-    if rows:
-        lines.append(format_table(rows))
-    recent = service.recent_entries(window_s)
-    if recent:
-        span_s = max(
-            recent[-1].completion_s - min(e.arrival_s for e in recent), 1e-9
-        )
-        updates = sum(e.updates for e in recent)
-        lines.append(
-            f"  last {window_s:g}s: {updates} updates "
-            f"({updates / span_s:.1f}/s), "
-            f"{sum(1 for e in recent if not e.proper)} violations"
-        )
-    return "\n".join(lines)
-
-
 def run_service(
     workload,
     *,
@@ -350,7 +280,6 @@ def run_service(
     mode: str = "repair",
     verify_each_batch: bool = True,
     tracer=None,
-    metrics: MetricsRegistry | None = None,
     slos: Iterable[SLOTarget] = DEFAULT_SLOS,
 ) -> tuple[ColoringService, dict[str, Any]]:
     """Serve the whole trace and collect: the service analogue of
@@ -363,7 +292,6 @@ def run_service(
         mode=mode,
         verify_each_batch=verify_each_batch,
         tracer=tracer,
-        metrics=metrics,
         slos=slos,
     )
     service.run()

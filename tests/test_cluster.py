@@ -95,6 +95,21 @@ class TestClusterGraph:
         with pytest.raises(ValueError, match="covers"):
             ClusterGraph.from_assignment(CommGraph(2, [(0, 1)]), [0])
 
+    @pytest.mark.parametrize(
+        "assignment, match",
+        [
+            ([0, 0.9, 1, 1.5], "integer"),
+            (["0", "0", "1", "1"], "integer"),
+            ([False, False, True, True], "integer"),
+            ([0, 0, 1, 2**40], "dense"),
+        ],
+        ids=["float", "string", "bool", "out_of_range"],
+    )
+    def test_malformed_assignment_rejected(self, assignment, match):
+        comm = CommGraph(4, [(0, 1), (1, 2), (2, 3)])
+        with pytest.raises(ValueError, match=match):
+            ClusterGraph.from_assignment(comm, assignment)
+
     def test_intra_cluster_links_not_h_edges(self):
         comm = CommGraph(4, [(0, 1), (1, 2), (2, 3)])
         h = ClusterGraph.from_assignment(comm, [0, 0, 1, 1])

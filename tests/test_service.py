@@ -1,7 +1,7 @@
 """Tests for the always-on coloring service (repro.serve).
 
 The load-bearing property mirrors the tracer's: serving a workload
-through the open-loop driver -- registry bound, arrivals attached --
+through the open-loop driver -- tracer bound, arrivals attached --
 must be *bitwise-invisible* relative to pushing the same stream through
 ``run_stream`` bare: same colors, same per-op ledger, same RNG end
 state, same deterministic metrics.  The rest covers the virtual-clock
@@ -11,17 +11,17 @@ service fields' round trip through runner -> artifact -> compare.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.dynamic.harness import run_stream
-from repro.observe import MetricsRegistry, Tracer
-from repro.observe.metrics import exact_percentiles
+from repro.dynamic.harness import exact_percentiles, run_stream
+from repro.observe import Tracer
 from repro.serve import (
     ColoringService,
     DEFAULT_SLOS,
     SLOTarget,
     evaluate_slos,
     parse_slo,
-    render_dashboard,
     render_slo_report,
     run_service,
 )
@@ -129,15 +129,6 @@ class TestServiceLifecycle:
         with pytest.raises(RuntimeError, match="nothing to collect"):
             service.collect()
 
-    def test_recent_entries_window(self):
-        service = ColoringService(small_workload(profile="constant", rate=50.0))
-        service.run()
-        horizon = service.entries[-1].completion_s
-        recent = service.recent_entries(duration_s=1.0)
-        assert recent
-        assert all(e.completion_s >= horizon - 1.0 for e in recent)
-        assert service.recent_entries(duration_s=1e9) == service.entries
-
 
 class TestVirtualClock:
     def test_backtoback_arrivals_queue_behind_service(self):
@@ -184,7 +175,7 @@ class TestBitwiseInvisibility:
         shaped = small_workload(profile="spiky", seed=7)
         tracer = Tracer()
         service, service_metrics = run_service(
-            shaped, seed=seed, tracer=tracer, metrics=MetricsRegistry()
+            shaped, seed=seed, tracer=tracer
         )
 
         assert (engine.colors == service.engine.colors).all()
@@ -209,28 +200,6 @@ class TestBitwiseInvisibility:
         }
         assert det(metrics) == det(service_metrics)
 
-    def test_instrumented_run_stream_matches_bare(self):
-        seed = 4
-        bare_engine, _, bare_metrics = run_stream(
-            small_workload(seed=9), seed=seed
-        )
-        registry = MetricsRegistry()
-        inst_engine, _, inst_metrics = run_stream(
-            small_workload(seed=9), seed=seed, metrics=registry
-        )
-        assert (bare_engine.colors == inst_engine.colors).all()
-        assert (
-            bare_engine.rng.bit_generator.state
-            == inst_engine.rng.bit_generator.state
-        )
-        # the registry actually saw the stream
-        assert registry.counter("stream.batches").value == len(
-            inst_engine.reports
-        )
-        assert registry.histograms["stream.repair_ms"].count == len(
-            inst_engine.reports
-        )
-
     def test_percentiles_share_one_source_of_truth(self):
         _, result, metrics = run_stream(small_workload(), seed=0)
         walls_ms = [t * 1000.0 for t in metrics["batch_wall_times_s"]]
@@ -242,6 +211,28 @@ class TestBitwiseInvisibility:
         assert metrics["repair_ms_p50"] == pytest.approx(
             pcts["p50"], abs=1e-3
         )
+
+
+class TestExactPercentiles:
+    @given(
+        st.lists(
+            st.floats(min_value=1e-3, max_value=1e6, allow_nan=False),
+            min_size=1,
+            max_size=400,
+        )
+    )
+    @settings(max_examples=100)
+    def test_matches_numpy(self, values):
+        pcts = exact_percentiles(values)
+        for q in (50, 95, 99):
+            assert pcts[f"p{q}"] == float(np.percentile(values, q))
+
+    def test_empty_raises(self):
+        with pytest.raises(ValueError):
+            exact_percentiles([])
+
+    def test_single_sample(self):
+        assert exact_percentiles([7.0]) == {"p50": 7.0, "p95": 7.0, "p99": 7.0}
 
 
 class TestSLO:
@@ -280,14 +271,6 @@ class TestSLO:
         assert metrics["slo_pass"] is True
         assert metrics["slo_failed"] == 0
         assert metrics["slo"]["targets"][0]["ok"] is True
-
-    def test_dashboard_renders_midtrace(self):
-        service = ColoringService(small_workload(profile="diurnal"))
-        service.start()
-        service.step()
-        text = render_dashboard(service)
-        assert "1/6 batches" in text
-        assert "stream.repair_ms" in text
 
 
 class TestExperimentIntegration:
