@@ -17,5 +17,5 @@ setup(
     package_dir={"": "src"},
     packages=find_packages("src"),
     python_requires=">=3.11",
-    install_requires=["numpy>=2.0", "networkx"],
+    install_requires=["numpy>=2.0"],
 )

@@ -15,13 +15,15 @@ module provides all three:
 
 from __future__ import annotations
 
-from typing import Literal
+from typing import TYPE_CHECKING, Literal
 
-import networkx as nx
 import numpy as np
 
 from repro.cluster.cluster_graph import ClusterGraph
 from repro.network.commgraph import CommGraph, networkx_edge_array
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 ClusterTopology = Literal["path", "star", "clique", "tree", "bridge"]
 
@@ -201,7 +203,7 @@ def blowup(
         raise ValueError("cluster_size must be >= 1")
     if link_multiplicity < 1:
         raise ValueError("link_multiplicity must be >= 1")
-    if isinstance(conflict_graph, nx.Graph):
+    if hasattr(conflict_graph, "adj"):  # a networkx graph, without importing it
         n_vertices, edge_arr = networkx_edge_array(conflict_graph, ordering="sorted")
     else:
         n_vertices, edge_arr = conflict_graph

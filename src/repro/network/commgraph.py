@@ -12,12 +12,14 @@ one vectorized pass -- construction used to be the wall-clock floor of every
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
-import networkx as nx
 import numpy as np
 
 from repro.graphcore.csr import CSRAdjacency, sorted_unique
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 class CommGraph:
@@ -134,7 +136,9 @@ class CommGraph:
         return cls(*networkx_edge_array(graph))
 
     def to_networkx(self) -> nx.Graph:
-        """Export to networkx (used by reference checks and generators)."""
+        """Export to networkx (used by reference checks)."""
+        import networkx as nx
+
         graph = nx.Graph()
         graph.add_nodes_from(range(self.n))
         graph.add_edges_from(self.iter_links())
@@ -173,8 +177,7 @@ def networkx_edge_array(
     graph's ``edges()`` order.  The relabelled copy is never built: it has
     the same node order and, per node, the same later neighbors in the
     same order, so its ``edges()`` is ``graph.edges()`` mapped through the
-    numbering.  Nodes already iterating as ``0..n-1`` (every generator in
-    :mod:`repro.workloads` builds these) skip the mapping too.
+    numbering.  Nodes already iterating as ``0..n-1`` skip the mapping too.
     """
     if ordering not in ("default", "sorted"):
         raise ValueError(f"unknown node ordering {ordering!r}")

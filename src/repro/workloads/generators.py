@@ -17,9 +17,11 @@ The families mirror the paper's narrative:
 
 from __future__ import annotations
 
+import random
+from collections import defaultdict
 from dataclasses import dataclass, field
+from itertools import chain
 
-import networkx as nx
 import numpy as np
 
 from repro.cluster.builders import ClusterTopology, blowup, contraction_clusters, voronoi_clusters
@@ -57,37 +59,71 @@ class Workload:
         return self.graph.max_degree
 
 
+def _conflict_edges(n: int, chunks: list) -> tuple[int, np.ndarray]:
+    """``(n, edges)`` of a graph on nodes ``0..n-1`` whose edges were
+    inserted as ``chunks`` (int64 ``(k, 2)`` arrays or pair lists, in
+    insertion order), in the order networkx's ``edges()`` lists them.
+
+    ``edges()`` walks the nodes in order and, per node, its later
+    neighbors in the order each edge was first inserted.  So: normalize
+    to ``(lo, hi)``, keep each pair's first insertion, then sort stably
+    by ``lo`` (ARCHITECTURE.md "Block draws").
+    """
+    arr = np.concatenate(
+        [np.asarray(c, dtype=np.int64).reshape(-1, 2) for c in chunks]
+        or [np.empty((0, 2), dtype=np.int64)]
+    )
+    lo = np.minimum(arr[:, 0], arr[:, 1])
+    hi = np.maximum(arr[:, 0], arr[:, 1])
+    _, first = np.unique(lo * n + hi, return_index=True)
+    first.sort()
+    lo, hi = lo[first], hi[first]
+    order = np.argsort(lo, kind="stable")
+    return n, np.stack([lo[order], hi[order]], axis=1)
+
+
 def _planted_almost_clique(
-    h: nx.Graph,
-    members: list[int],
+    start: int,
+    size: int,
     rng: np.random.Generator,
     anti_degree: int,
-) -> None:
-    """Add a clique on ``members`` minus a random sprinkling of anti-edges
-    giving each vertex anti-degree about ``anti_degree``.
+) -> np.ndarray:
+    """Edges of a clique on ``start..start+size-1`` minus a random
+    sprinkling of anti-edges giving each vertex anti-degree about
+    ``anti_degree``, in insertion order.
+
+    Each attempt draws one pair ``rng.integers(0, size, size=2)``; the
+    whole attempt cap is drawn as one block, then the rng is rewound and
+    exactly the pairs the budget loop used are redrawn, so its end state
+    is the per-attempt loop's (ARCHITECTURE.md "Block draws").
     """
-    size = len(members)
-    h.add_edges_from(
-        (members[i], members[j]) for i in range(size) for j in range(i + 1, size)
-    )
-    if anti_degree <= 0:
-        return
+    i, j = np.triu_indices(size, 1)
     target_anti_edges = (anti_degree * size) // 2
-    removed = 0
-    budget = {v: anti_degree for v in members}
-    attempts = 0
-    while removed < target_anti_edges and attempts < 20 * target_anti_edges:
-        attempts += 1
-        i, j = rng.integers(0, size, size=2)
-        u, v = members[int(i)], members[int(j)]
-        if u == v or not h.has_edge(u, v):
-            continue
-        if budget[u] <= 0 or budget[v] <= 0:
-            continue
-        h.remove_edge(u, v)
-        budget[u] -= 1
-        budget[v] -= 1
-        removed += 1
+    removed: set[int] = set()
+    if target_anti_edges > 0:
+        cap = 20 * target_anti_edges
+        state = rng.bit_generator.state
+        draws = rng.integers(0, size, size=2 * cap).tolist()
+        budget = [anti_degree] * size
+        attempts = 0
+        while len(removed) < target_anti_edges and attempts < cap:
+            a, b = draws[2 * attempts], draws[2 * attempts + 1]
+            attempts += 1
+            code = a * size + b if a < b else b * size + a
+            if a == b or code in removed:
+                continue
+            if budget[a] <= 0 or budget[b] <= 0:
+                continue
+            removed.add(code)
+            budget[a] -= 1
+            budget[b] -= 1
+        if attempts < cap:
+            rng.bit_generator.state = state
+            rng.integers(0, size, size=2 * attempts)
+    if removed:
+        keep = ~np.isin(i * size + j, np.fromiter(removed, dtype=np.int64))
+        i, j = i[keep], j[keep]
+    return start + np.stack([i, j], axis=1)
 
 
 @validated("planted_acd")
@@ -113,32 +149,30 @@ def planted_acd_instance(
     enough to be interesting, sparse enough to have Omega(eps^2 Delta)
     sparsity.
     """
-    h = nx.Graph()
+    chunks: list = []
     cliques: list[list[int]] = []
     next_id = 0
     for _ in range(n_cliques):
-        members = list(range(next_id, next_id + clique_size))
+        chunks.append(_planted_almost_clique(next_id, clique_size, rng, anti_degree))
+        cliques.append(list(range(next_id, next_id + clique_size)))
         next_id += clique_size
-        h.add_nodes_from(members)
-        _planted_almost_clique(h, members, rng, anti_degree)
-        cliques.append(members)
     sparse = list(range(next_id, next_id + n_sparse))
-    h.add_nodes_from(sparse)
     if n_sparse > 1:
         p = min(1.0, sparse_degree_fraction * clique_size / max(1, n_sparse - 1))
         # one draw per pair in (i, j) order: a block draw, bitwise the
         # scalar loop (ARCHITECTURE.md "Block draws")
         i, j = np.triu_indices(n_sparse, 1)
         keep = rng.random(i.size) < p
-        h.add_edges_from(zip((next_id + i[keep]).tolist(), (next_id + j[keep]).tolist()))
+        chunks.append(next_id + np.stack([i[keep], j[keep]], axis=1))
     if sparse:
-        for members in cliques:
-            for v in members:
-                targets = rng.choice(sparse, size=min(external_degree, n_sparse), replace=False)
-                for t in targets:
-                    h.add_edge(v, int(t))
+        k = min(external_degree, n_sparse)
+        targets = [rng.choice(n_sparse, size=k, replace=False) for _ in range(next_id)]
+        chunks.append(np.stack([
+            np.repeat(np.arange(next_id), k),
+            next_id + np.concatenate(targets),
+        ], axis=1))
     graph = blowup(
-        h,
+        _conflict_edges(next_id + n_sparse, chunks),
         rng,
         cluster_size=cluster_size,
         topology=topology,
@@ -174,25 +208,25 @@ def cabal_instance(
     Consecutive cabals are joined by ``inter_cabal_links`` single edges, so
     external degrees are O(1) and every clique classifies as a cabal.
     """
-    h = nx.Graph()
+    chunks: list = []
     cliques: list[list[int]] = []
     next_id = 0
     for _ in range(n_cabals):
-        members = list(range(next_id, next_id + clique_size))
+        chunks.append(_planted_almost_clique(next_id, clique_size, rng, anti_degree))
+        cliques.append(list(range(next_id, next_id + clique_size)))
         next_id += clique_size
-        h.add_nodes_from(members)
-        _planted_almost_clique(h, members, rng, anti_degree)
-        cliques.append(members)
-    for i in range(n_cabals):
-        a, b = cliques[i], cliques[(i + 1) % n_cabals]
-        if n_cabals == 1:
-            break
-        for _ in range(inter_cabal_links):
-            u = a[int(rng.integers(0, len(a)))]
-            v = b[int(rng.integers(0, len(b)))]
-            if u != v:
-                h.add_edge(u, v)
-    graph = blowup(h, rng, cluster_size=cluster_size, topology=topology)
+    links = []
+    if n_cabals > 1:
+        for i in range(n_cabals):
+            a, b = cliques[i], cliques[(i + 1) % n_cabals]
+            for _ in range(inter_cabal_links):
+                u = a[int(rng.integers(0, len(a)))]
+                v = b[int(rng.integers(0, len(b)))]
+                links.append((u, v))
+    chunks.append(links)
+    graph = blowup(
+        _conflict_edges(next_id, chunks), rng, cluster_size=cluster_size, topology=topology
+    )
     return Workload(
         name="cabal",
         graph=graph,
@@ -322,17 +356,13 @@ def bridge_pathology(
     different external neighbors, forcing palette information through one
     ``O(log n)``-bit link.
     """
-    h = nx.Graph()
     center = 0
     externals = list(range(1, 2 * external_per_side + 1))
-    h.add_nodes_from([center] + externals)
-    for v in externals:
-        h.add_edge(center, v)
+    spokes = [(center, v) for v in externals]
     # externals form a sparse ring so the instance is connected and colorable
-    for i in range(len(externals)):
-        h.add_edge(externals[i], externals[(i + 1) % len(externals)])
+    ring = [(externals[i], externals[(i + 1) % len(externals)]) for i in range(len(externals))]
     graph = blowup(
-        h,
+        _conflict_edges(len(externals) + 1, [spokes, ring]),
         rng,
         cluster_size=max(2, half_size),
         topology="bridge",
@@ -374,6 +404,61 @@ def high_degree_instance(
     )
 
 
+def _random_regular_edges(d: int, n: int, seed: int) -> np.ndarray:
+    """The edge set of ``networkx.random_regular_graph(d, n, seed=seed)``
+    as an int64 ``(m, 2)`` array of ``(lo, hi)`` rows in the set's
+    iteration order, for ``0 < d < n`` and even ``n * d``.
+
+    This is networkx's stub pairing (Steger--Wormald) verbatim on
+    ``random.Random(seed)``: the same shuffles build the same Python set,
+    so :func:`_conflict_edges` turns it into the graph's ``edges()``.
+    """
+    shuffler = random.Random(seed)
+
+    def suitable(edges, potential_edges):
+        if not potential_edges:
+            return True
+        for s1 in potential_edges:
+            for s2 in potential_edges:
+                if s1 == s2:
+                    break
+                if s1 > s2:
+                    s1, s2 = s2, s1
+                if (s1, s2) not in edges:
+                    return True
+        return False
+
+    def try_creation():
+        edges = set()
+        stubs = list(range(n)) * d
+        while stubs:
+            potential_edges = defaultdict(lambda: 0)
+            shuffler.shuffle(stubs)
+            stubiter = iter(stubs)
+            for s1, s2 in zip(stubiter, stubiter):
+                if s1 > s2:
+                    s1, s2 = s2, s1
+                if s1 != s2 and ((s1, s2) not in edges):
+                    edges.add((s1, s2))
+                else:
+                    potential_edges[s1] += 1
+                    potential_edges[s2] += 1
+            if not suitable(edges, potential_edges):
+                return None
+            stubs = [
+                node
+                for node, potential in potential_edges.items()
+                for _ in range(potential)
+            ]
+        return edges
+
+    edges = try_creation()
+    while edges is None:
+        edges = try_creation()
+    flat = np.fromiter(chain.from_iterable(edges), dtype=np.int64, count=2 * len(edges))
+    return flat.reshape(-1, 2)
+
+
 @validated("low_degree")
 def low_degree_instance(
     rng: np.random.Generator,
@@ -388,8 +473,15 @@ def low_degree_instance(
     d = max(2, target_degree)
     if (n_vertices * d) % 2 == 1:
         n_vertices += 1
-    g = nx.random_regular_graph(d, n_vertices, seed=int(rng.integers(0, 2**31)))
-    graph = blowup(g, rng, cluster_size=cluster_size, topology=topology)
+    if d >= n_vertices:
+        raise ValueError(
+            f"low_degree needs target_degree < n_vertices, got target_degree={d} "
+            f"and n_vertices={n_vertices}"
+        )
+    edges = _random_regular_edges(d, n_vertices, int(rng.integers(0, 2**31)))
+    graph = blowup(
+        _conflict_edges(n_vertices, [edges]), rng, cluster_size=cluster_size, topology=topology
+    )
     return Workload(
         name="low_degree",
         graph=graph,

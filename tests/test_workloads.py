@@ -250,6 +250,20 @@ class TestParamValidation:
                 if spec.high is not None:
                     assert hi <= spec.high, f"{name}.{pname}"
 
+    def test_low_degree_degree_not_below_n_rejected_before_any_draw(self):
+        """``target_degree`` and ``n_vertices`` pass their bounds one by
+        one; together (after the parity bump) they cannot make a regular
+        graph, and the generator says so before touching the rng."""
+        from repro.workloads import GENERATORS
+
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError, match="target_degree=8 and n_vertices=5"):
+            GENERATORS["low_degree"](rng, n_vertices=5, target_degree=8)
+        with pytest.raises(ValueError, match="target_degree=6 and n_vertices=6"):
+            GENERATORS["low_degree"](rng, n_vertices=6, target_degree=6)
+        assert rng.bit_generator.state == before
+
     def test_clamp_params_output_validates(self):
         from repro.workloads.specs import clamp_params, validate_params
 
@@ -507,40 +521,277 @@ class TestGnpPorts:
         assert truncate_skips(quotients, draws, lp, 5).max() == 5
 
 
-class TestNoNetworkx:
-    """The edge-array path never touches networkx."""
+def _nx_almost_clique(h, members, rng, anti_degree, hit_cap):
+    """The networkx ``_planted_almost_clique`` the edge-array port
+    replaced; appends to ``hit_cap`` whether the attempt cap was reached."""
+    size = len(members)
+    h.add_edges_from(
+        (members[i], members[j]) for i in range(size) for j in range(i + 1, size)
+    )
+    if anti_degree <= 0:
+        return
+    target_anti_edges = (anti_degree * size) // 2
+    removed = 0
+    budget = {v: anti_degree for v in members}
+    attempts = 0
+    while removed < target_anti_edges and attempts < 20 * target_anti_edges:
+        attempts += 1
+        i, j = rng.integers(0, size, size=2)
+        u, v = members[int(i)], members[int(j)]
+        if u == v or not h.has_edge(u, v):
+            continue
+        if budget[u] <= 0 or budget[v] <= 0:
+            continue
+        h.remove_edge(u, v)
+        budget[u] -= 1
+        budget[v] -= 1
+        removed += 1
+    hit_cap.append(attempts == 20 * target_anti_edges)
 
-    @pytest.fixture
-    def no_networkx(self, monkeypatch):
-        import networkx as nx
 
-        def forbidden(*args, **kwargs):
-            raise AssertionError("networkx called on the edge-array path")
+def _nx_planted_acd(rng, hit_cap, *, n_cliques=4, clique_size=50, anti_degree=1,
+                    external_degree=2, n_sparse=60, sparse_degree_fraction=0.5,
+                    **_blowup):
+    import networkx as nx
 
-        for name in (
-            "fast_gnp_random_graph",
-            "gnp_random_graph",
-            "erdos_renyi_graph",
-            "connected_components",
-            "convert_node_labels_to_integers",
-        ):
-            monkeypatch.setattr(nx, name, forbidden)
+    h = nx.Graph()
+    cliques = []
+    next_id = 0
+    for _ in range(n_cliques):
+        members = list(range(next_id, next_id + clique_size))
+        next_id += clique_size
+        h.add_nodes_from(members)
+        _nx_almost_clique(h, members, rng, anti_degree, hit_cap)
+        cliques.append(members)
+    sparse = list(range(next_id, next_id + n_sparse))
+    h.add_nodes_from(sparse)
+    if n_sparse > 1:
+        p = min(1.0, sparse_degree_fraction * clique_size / max(1, n_sparse - 1))
+        i, j = np.triu_indices(n_sparse, 1)
+        keep = rng.random(i.size) < p
+        h.add_edges_from(zip((next_id + i[keep]).tolist(), (next_id + j[keep]).tolist()))
+    if sparse:
+        for members in cliques:
+            for v in members:
+                targets = rng.choice(sparse, size=min(external_degree, n_sparse), replace=False)
+                for t in targets:
+                    h.add_edge(v, int(t))
+    return h
+
+
+def _nx_cabal(rng, hit_cap, *, n_cabals=3, clique_size=60, anti_degree=2,
+              inter_cabal_links=2, **_blowup):
+    import networkx as nx
+
+    h = nx.Graph()
+    cliques = []
+    next_id = 0
+    for _ in range(n_cabals):
+        members = list(range(next_id, next_id + clique_size))
+        next_id += clique_size
+        h.add_nodes_from(members)
+        _nx_almost_clique(h, members, rng, anti_degree, hit_cap)
+        cliques.append(members)
+    for i in range(n_cabals):
+        a, b = cliques[i], cliques[(i + 1) % n_cabals]
+        if n_cabals == 1:
+            break
+        for _ in range(inter_cabal_links):
+            u = a[int(rng.integers(0, len(a)))]
+            v = b[int(rng.integers(0, len(b)))]
+            if u != v:
+                h.add_edge(u, v)
+    return h
+
+
+def _nx_bridge(rng, hit_cap, *, half_size=20, external_per_side=10):
+    import networkx as nx
+
+    h = nx.Graph()
+    center = 0
+    externals = list(range(1, 2 * external_per_side + 1))
+    h.add_nodes_from([center] + externals)
+    for v in externals:
+        h.add_edge(center, v)
+    for i in range(len(externals)):
+        h.add_edge(externals[i], externals[(i + 1) % len(externals)])
+    return h
+
+
+def _nx_low_degree(rng, hit_cap, *, n_vertices=500, target_degree=8, **_blowup):
+    import networkx as nx
+
+    d = max(2, target_degree)
+    if (n_vertices * d) % 2 == 1:
+        n_vertices += 1
+    return nx.random_regular_graph(d, n_vertices, seed=int(rng.integers(0, 2**31)))
+
+
+_NX_REFERENCES = {
+    "planted_acd": _nx_planted_acd,
+    "cabal": _nx_cabal,
+    "bridge": _nx_bridge,
+    "low_degree": _nx_low_degree,
+}
+
+#: ``(id, generator, kwargs, seeds)``; the ``hd_cliques`` and ``ld_regular``
+#: rows are perfbench's workload shapes.
+GENERATOR_PORT_CASES = [
+    ("planted_acd", "planted_acd", {}, (0, 7)),
+    ("planted_acd-no-sparse", "planted_acd", dict(n_sparse=0), (0, 7)),
+    ("planted_acd-one-sparse", "planted_acd", dict(n_sparse=1), (0, 7)),
+    ("planted_acd-no-anti", "planted_acd", dict(anti_degree=0), (0,)),
+    ("planted_acd-anti40", "planted_acd", dict(clique_size=60, anti_degree=40), (0,)),
+    ("planted_acd-pairs", "planted_acd", dict(clique_size=2, anti_degree=3), (0, 7)),
+    ("planted_acd-tree", "planted_acd",
+     dict(n_cliques=2, clique_size=20, n_sparse=30, topology="tree"), (0,)),
+    ("hd_cliques", "planted_acd",
+     dict(n_cliques=8, clique_size=250, anti_degree=5, external_degree=30,
+          n_sparse=1000, sparse_degree_fraction=0.6, cluster_size=3, topology="path"),
+     (1,)),
+    ("cabal", "cabal", {}, (0, 7)),
+    ("cabal-one", "cabal", dict(n_cabals=1), (0,)),
+    ("cabal-two", "cabal", dict(n_cabals=2, clique_size=10, inter_cabal_links=20), (0, 7)),
+    ("cabal-anti40", "cabal", dict(clique_size=50, anti_degree=40), (0,)),
+    ("bridge", "bridge", {}, (0,)),
+    ("bridge-one-per-side", "bridge", dict(external_per_side=1), (0,)),
+    ("low_degree", "low_degree", {}, (0, 7)),
+    ("low_degree-odd", "low_degree", dict(n_vertices=201, target_degree=5), (0, 7)),
+    ("low_degree-bump", "low_degree", dict(n_vertices=5, target_degree=3), (0, 7)),
+    ("ld_regular", "low_degree",
+     dict(n_vertices=30000, target_degree=8, cluster_size=3, topology="path"), (1,)),
+]
+
+
+class TestGeneratorPorts:
+    """The edge-array generators against the networkx constructions they
+    replaced: the conflict edges handed to ``blowup`` equal the networkx
+    graph's ``edges()`` element by element, and the rng is in the same
+    state when ``blowup`` starts drawing."""
+
+    @staticmethod
+    def _handed_to_blowup(monkeypatch, name, kwargs, seed):
+        from repro.workloads import GENERATORS, generators
+
+        seen = {}
+        original = generators.blowup
+
+        def capture(conflict_graph, rng, **blowup_kwargs):
+            n, edges = conflict_graph
+            seen.update(n=n, edges=edges, state=rng.bit_generator.state)
+            return original(conflict_graph, rng, **blowup_kwargs)
+
+        monkeypatch.setattr(generators, "blowup", capture)
+        GENERATORS[name](np.random.default_rng(seed), **kwargs)
+        return seen
 
     @pytest.mark.parametrize(
-        "name,kwargs",
-        [
-            ("high_degree", dict(n_vertices=150)),
-            ("high_degree", dict(n_vertices=300, avg_degree=12)),
-            ("congest", dict(n=200, avg_degree=1.5)),
-            ("contraction", dict(n=200)),
-            ("voronoi", dict(n=200, n_clusters=30)),
-            ("sliding_window", dict(n_vertices=200, batches=3)),
-        ],
-        ids=["high_degree-fraction", "high_degree-avg", "congest", "contraction",
-             "voronoi", "sliding_window"],
+        "name,kwargs,seeds",
+        [case[1:] for case in GENERATOR_PORT_CASES],
+        ids=[case[0] for case in GENERATOR_PORT_CASES],
     )
-    def test_builds_without_networkx(self, no_networkx, name, kwargs):
-        from repro.workloads import GENERATORS
+    def test_conflict_edges_match_networkx(self, monkeypatch, name, kwargs, seeds):
+        for seed in seeds:
+            seen = self._handed_to_blowup(monkeypatch, name, kwargs, seed)
+            rng = np.random.default_rng(seed)
+            h = _NX_REFERENCES[name](rng, [], **kwargs)
+            assert seen["n"] == h.number_of_nodes()
+            assert seen["edges"].dtype == np.int64
+            assert seen["edges"].tolist() == _nx_edges(h)
+            assert seen["state"] == rng.bit_generator.state
 
-        workload = GENERATORS[name](np.random.default_rng(0), **kwargs)
-        assert workload.graph.n_vertices > 0
+    def test_cases_cover_both_ends_of_the_attempt_loop(self):
+        """The default case has a clique that stops on its removal target
+        before the attempt cap (the rewound block draw); the anti-degree-40
+        case runs every clique into the cap."""
+        stopped, capped = [], []
+        _nx_planted_acd(np.random.default_rng(0), stopped)
+        _nx_planted_acd(np.random.default_rng(0), capped, clique_size=60, anti_degree=40)
+        assert False in stopped
+        assert all(capped)
+
+
+#: One small build per ``GENERATORS`` / ``STREAMS`` entry.
+NO_NETWORKX_CASES = [
+    ("planted_acd", "planted_acd", dict(n_cliques=2, clique_size=20, n_sparse=20)),
+    ("cabal", "cabal", dict(n_cabals=2, clique_size=20)),
+    ("high_degree-fraction", "high_degree", dict(n_vertices=150)),
+    ("high_degree-avg", "high_degree", dict(n_vertices=300, avg_degree=12)),
+    ("congest", "congest", dict(n=200, avg_degree=1.5)),
+    ("contraction", "contraction", dict(n=200)),
+    ("voronoi", "voronoi", dict(n=200, n_clusters=30)),
+    ("bridge", "bridge", dict(external_per_side=3)),
+    ("low_degree", "low_degree", dict(n_vertices=60)),
+    ("figure1", "figure1", {}),
+    ("sliding_window", "sliding_window", dict(n_vertices=200, batches=3)),
+    ("hotspot_churn", "hotspot_churn", dict(n_vertices=100, batches=3)),
+    ("cluster_churn", "cluster_churn", dict(n_vertices=60, batches=3)),
+]
+
+_BUILD_WITHOUT_NETWORKX = """
+import json, sys
+sys.modules["networkx"] = None  # any import of it now raises ImportError
+import numpy as np
+import repro.cli  # noqa: F401
+from repro.workloads import GENERATORS, STREAMS
+
+makers = {**GENERATORS, **STREAMS}
+built = {}
+for case_id, name, kwargs in json.loads(sys.argv[1]):
+    try:
+        workload = makers[name](np.random.default_rng(0), **kwargs)
+        built[case_id] = workload.graph.n_vertices
+    except Exception as exc:
+        built[case_id] = repr(exc)
+print(json.dumps(built))
+"""
+
+
+def _run_fresh(*args: str):
+    """Run ``python *args`` in a fresh interpreter that imports repro
+    from this checkout; returns the completed process."""
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": src, "PATH": "/usr/bin:/bin"},
+    )
+
+
+class TestNoNetworkx:
+    """The runtime never imports networkx: every generator and stream
+    builds in an interpreter where importing it fails."""
+
+    @pytest.fixture(scope="class")
+    def built_without_networkx(self):
+        import json
+
+        proc = _run_fresh("-c", _BUILD_WITHOUT_NETWORKX, json.dumps(NO_NETWORKX_CASES))
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout)
+
+    def test_cases_cover_every_generator_and_stream(self):
+        from repro.workloads import GENERATORS, STREAMS
+
+        covered = {name for _, name, _ in NO_NETWORKX_CASES}
+        assert covered == set(GENERATORS) | set(STREAMS)
+
+    @pytest.mark.parametrize(
+        "case_id", [case[0] for case in NO_NETWORKX_CASES]
+    )
+    def test_builds_without_networkx(self, built_without_networkx, case_id):
+        result = built_without_networkx[case_id]
+        assert isinstance(result, int) and result > 0, result
+
+    def test_import_does_not_load_networkx(self):
+        proc = _run_fresh(
+            "-c",
+            "import sys, repro, repro.cli; "
+            "assert 'networkx' not in sys.modules, 'networkx imported'",
+        )
+        assert proc.returncode == 0, proc.stderr
