@@ -273,9 +273,12 @@ class ClusterGraph:
         i = int(np.searchsorted(nbrs, v))
         return i < nbrs.size and int(nbrs[i]) == v
 
-    @property
+    @cached_property
     def max_degree(self) -> int:
-        """``Delta``, the maximum degree of ``H``."""
+        """``Delta``, the maximum degree of ``H``.  Computed once per graph,
+        as :attr:`dilation` is: nothing mutates ``csr`` after
+        ``__post_init__``, and a ``dataclasses.replace`` copy is a new
+        instance with its own cache."""
         degrees = self.csr.degrees
         return int(degrees.max()) if degrees.size else 0
 

@@ -16,6 +16,7 @@ and Theorem 1.2 yields a ``Delta^2 + 1``-coloring of ``G^2``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -72,10 +73,12 @@ class VirtualGraph:
         """Degree of ``v`` in the conflict graph."""
         return len(self.adj[v])
 
-    @property
+    @cached_property
     def max_degree(self) -> int:
-        """Maximum conflict-graph degree."""
-        return max((len(a) for a in self.adj), default=0)
+        """Maximum conflict-graph degree, computed once per graph (nothing
+        mutates ``adj`` after ``__post_init__``)."""
+        degrees = self.csr.degrees
+        return int(degrees.max()) if degrees.size else 0
 
     def are_adjacent(self, u: int, v: int) -> bool:
         """Whether ``u`` and ``v`` conflict."""

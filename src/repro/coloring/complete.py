@@ -17,6 +17,7 @@ left finishes with MCT on the untouched reserved prefix (Phase II).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -27,7 +28,9 @@ from repro.coloring.multicolor_trial import multicolor_trial
 from repro.coloring.try_color import resolve_proposals
 from repro.coloring.types import PartialColoring, UNCOLORED
 from repro.decomposition.acd import AlmostCliqueDecomposition
-from repro.sketch.fingerprint import direct_count_fingerprint
+from repro.graphcore import csr_of, gather_neighborhoods
+from repro.sketch.fingerprint import count_estimate, direct_count_fingerprint
+from repro.sketch.streaming import threshold_index
 
 PHASE_ONE_ITERATIONS = 3
 
@@ -41,6 +44,30 @@ class CliqueFinishPlan:
     matching_size: int
 
 
+def _z_tilde(
+    delta: int,
+    r_v: int,
+    clique_size: int,
+    in_clique: int,
+    est_external: float,
+    gamma: float,
+    e_avg: float,
+    matching_size: int,
+    e_tilde_v: float,
+) -> float:
+    """Equation (14)'s ``z̃_v`` from its parts, in the one float association
+    (left to right) both :func:`z_proxy` and Phase I evaluate."""
+    x_v = clique_size - (delta + 1) + e_tilde_v
+    return (
+        (delta + 1 - r_v)
+        - in_clique
+        - est_external
+        + gamma * e_avg
+        + matching_size / 2.0
+        + x_v
+    )
+
+
 def z_proxy(
     runtime: ClusterRuntime,
     coloring: PartialColoring,
@@ -48,26 +75,26 @@ def z_proxy(
     plan: CliqueFinishPlan,
     v: int,
     gamma: float,
-    in_clique: int | None = None,
 ) -> float:
     """Compute ``z̃_v`` (Equation (14) with ``40 a_K`` replaced by its
     algorithm-visible surrogate ``M_K/2``, exactly as the Phase I gate uses
     it).  The in-clique count is exact (one tree aggregation shared by the
-    whole clique; pass it via ``in_clique`` to avoid recomputation) while
-    the external count carries fingerprint noise (Claim 8.3).
+    whole clique) while the external count carries fingerprint noise
+    (Claim 8.3).
+
+    The per-vertex scalar reference: Phase I computes the same value, with
+    the same draws, from one CSR gather per iteration.
     """
     graph = runtime.graph
     idx = plan.clique_index
     members = acd.cliques[idx]
     member_set = set(members)
     r_v = acd.reserved[idx]
-    delta = graph.max_degree
-    if in_clique is None:
-        in_clique = sum(
-            1
-            for u in members
-            if coloring.get(u) != UNCOLORED and coloring.get(u) >= r_v
-        )
+    in_clique = sum(
+        1
+        for u in members
+        if coloring.get(u) != UNCOLORED and coloring.get(u) >= r_v
+    )
     true_external = sum(
         1
         for u in graph.neighbors(v)
@@ -79,16 +106,78 @@ def z_proxy(
     est_external = direct_count_fingerprint(
         runtime.rng, true_external, trials
     ).estimate()
-    e_avg = acd.e_tilde_clique[idx]
-    x_v = len(members) - (delta + 1) + acd.e_tilde[v]
-    return (
-        (delta + 1 - r_v)
-        - in_clique
-        - est_external
-        + gamma * e_avg
-        + plan.matching_size / 2.0
-        + x_v
+    return _z_tilde(
+        graph.max_degree,
+        r_v,
+        len(members),
+        in_clique,
+        est_external,
+        gamma,
+        acd.e_tilde_clique[idx],
+        plan.matching_size,
+        acd.e_tilde[v],
     )
+
+
+def _phase_one_z(
+    runtime: ClusterRuntime,
+    coloring: PartialColoring,
+    acd: AlmostCliqueDecomposition,
+    plans: list[CliqueFinishPlan],
+    gamma: float,
+) -> Iterator[tuple[CliqueFinishPlan, int, float]]:
+    """Yield ``(plan, v, z̃_v)`` for every uncolored inlier of ``plans``, in
+    plan and inlier order: :func:`z_proxy`'s values and draws, bit for bit.
+
+    The coloring must stay frozen while the generator runs, as it does in
+    a Phase I iteration (adoption waits for ``resolve_proposals``).  So the
+    in-clique counts and every inlier's external count (neighbors outside
+    its clique colored ``>= r_v``) come from one CSR gather up front.  Only
+    the fingerprint draw stays per vertex, and it happens when the
+    generator advances to that vertex: a consumer that draws between items
+    (Phase I's palette rank) keeps the scalar loop's RNG stream.
+    """
+    graph = runtime.graph
+    colors = coloring.colors
+    delta = graph.max_degree
+    trials = runtime.params.fingerprint_trials(runtime.n, 0.25)
+    q = threshold_index(trials)
+    waiting = []
+    for plan in plans:
+        inliers = np.asarray(plan.inliers, dtype=np.int64)
+        waiting.append(inliers[colors[inliers] == UNCOLORED])
+    sizes = [vertices.size for vertices in waiting]
+    owner = np.repeat(
+        np.array([plan.clique_index for plan in plans], dtype=np.int64), sizes
+    )
+    floor = np.repeat(
+        np.array([acd.reserved[plan.clique_index] for plan in plans], dtype=np.int64),
+        sizes,
+    )
+    pending = np.concatenate([np.zeros(0, dtype=np.int64), *waiting])
+    seg_ids, flat = gather_neighborhoods(csr_of(graph), pending)
+    outside = (acd.clique_of[flat] != owner[seg_ids]) & (
+        colors[flat] >= floor[seg_ids]
+    )
+    external = iter(np.bincount(seg_ids[outside], minlength=pending.size).tolist())
+    for plan, vertices in zip(plans, waiting):
+        idx = plan.clique_index
+        members = acd.cliques[idx]
+        r_v = acd.reserved[idx]
+        in_clique = int((colors[members] >= r_v).sum())
+        for v in vertices.tolist():
+            est_external = count_estimate(runtime.rng, next(external), trials, q)
+            yield plan, v, _z_tilde(
+                delta,
+                r_v,
+                len(members),
+                in_clique,
+                est_external,
+                gamma,
+                acd.e_tilde_clique[idx],
+                plan.matching_size,
+                acd.e_tilde[v],
+            )
 
 
 def complete_noncabals(
@@ -108,7 +197,6 @@ def complete_noncabals(
     params = runtime.params
     if gamma is None:
         gamma = params.mct_slack_coeff
-    graph = runtime.graph
 
     # ---- Phase I: non-reserved clique-palette trials, gated by z~_v -------
     for _ in range(PHASE_ONE_ITERATIONS):
@@ -118,32 +206,18 @@ def complete_noncabals(
             )
             for plan in plans
         }
+        free = {
+            idx: view.free_above(acd.reserved[idx]) for idx, view in views.items()
+        }
+        gated = [plan for plan in plans if free[plan.clique_index].size]
         proposers: list[int] = []
         proposed: list[int] = []
-        for plan in plans:
+        for plan, v, z in _phase_one_z(runtime, coloring, acd, gated, gamma):
             idx = plan.clique_index
-            r_v = acd.reserved[idx]
-            free = views[idx].free_above(r_v)
-            if free.size == 0:
-                continue
-            e_avg = acd.e_tilde_clique[idx]
-            threshold = 0.25 * gamma * max(e_avg, 1.0)
-            members = acd.cliques[idx]
-            in_clique = sum(
-                1
-                for u in members
-                if coloring.get(u) != UNCOLORED and coloring.get(u) >= r_v
-            )
-            # z_proxy draws a count fingerprint for each vertex between the
-            # palette draws, so this loop stays scalar to keep the RNG stream
-            for v in plan.inliers:
-                if coloring.is_colored(v):
-                    continue
-                z = z_proxy(runtime, coloring, acd, plan, v, gamma, in_clique)
-                if z >= threshold:
-                    proposers.append(v)
-                    rank = int(runtime.rng.integers(0, free.size))
-                    proposed.append(int(free[rank]))
+            if z >= 0.25 * gamma * max(acd.e_tilde_clique[idx], 1.0):
+                proposers.append(v)
+                rank = int(runtime.rng.integers(0, free[idx].size))
+                proposed.append(int(free[idx][rank]))
         runtime.wide_message(
             op + "_z", 2 * params.fingerprint_trials(runtime.n, 0.25) + 16
         )

@@ -185,7 +185,9 @@ def color_cluster_graph(
         # ---- Algorithm 3 ----------------------------------------------------
         before = ledger.snapshot()
         with tracer.span("acd") as span:
-            acd = annotate_with_cabals(runtime, compute_acd(runtime))
+            acd = compute_acd(runtime)
+            with tracer.span("acd.cabals"):
+                annotate_with_cabals(runtime, acd)
             span.counter("cliques", acd.num_cliques)
             span.counter("sparse_vertices", len(acd.sparse))
             span.counter("repaired_components", acd.repaired_components)

@@ -20,11 +20,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.aggregation.bfs import bfs_forest
 from repro.aggregation.runtime import ClusterRuntime
 from repro.decomposition.buddy import buddy_predicate
 from repro.decomposition.sparsity import is_valid_almost_clique
-from repro.graphcore import label_components
+from repro.graphcore import bfs_depth, csr_of, label_components
 from repro.sketch.fingerprint import batch_count_estimates
 
 
@@ -150,13 +149,17 @@ def compute_acd(
             components = [
                 part.tolist() for part in np.split(grouped, boundaries[1:])
             ]
-        if components:
             # Leader election + id dissemination: O(1)-round BFS on the
-            # vertex-disjoint components (Lemma 3.2).
-            bfs_forest(
-                runtime,
-                [(comp[0], comp) for comp in components],
-                op=op + "_leaders",
+            # vertex-disjoint components from their smallest ids (Lemma 3.2),
+            # charged as bfs_forest charges it.  Only the depth is used, so
+            # one lockstep BFS over the CSR replaces building the trees.
+            deepest = bfs_depth(
+                csr_of(graph), comp_labels, grouped[boundaries]
+            )
+            runtime.h_rounds(
+                op + "_leaders",
+                count=max(1, deepest),
+                bits=2 * runtime.id_bits + 8,
             )
         span.counter("components", len(components))
 

@@ -22,6 +22,7 @@ from repro.graphcore.kernels import (
     batch_neighbor_colors,
     batch_slack_counts,
     batch_used_color_masks,
+    bfs_depth,
     conflict_mask_from_flat,
     draw_free_colors,
     gather_neighborhoods,
@@ -40,6 +41,7 @@ __all__ = [
     "batch_neighbor_colors",
     "batch_slack_counts",
     "batch_used_color_masks",
+    "bfs_depth",
     "conflict_mask_from_flat",
     "draw_free_colors",
     "gather_neighborhoods",

@@ -292,6 +292,33 @@ def label_components(
     return labels
 
 
+def bfs_depth(csr: CSRAdjacency, labels: np.ndarray, sources) -> int:
+    """Depth of a level-synchronous BFS from every ``sources[i]`` at once,
+    each confined to the vertices that share its label.
+
+    ``labels`` is an n-sized int array whose equal values mark
+    vertex-disjoint parts (``-1`` outside all of them); ``sources`` holds
+    one vertex per part.  A frontier vertex's neighbor joins the next
+    frontier iff it is unvisited and carries the same label.  The result is
+    the number of non-empty expansions: the largest BFS-tree height over
+    the parts, the quantity Lemma 3.2's parallel BFS is charged for
+    (``repro.aggregation.bfs.bfs_forest`` builds the trees themselves).
+    Members a part's BFS cannot reach are never visited.
+    """
+    frontier = _as_vertex_array(sources)
+    visited = np.zeros(csr.n_vertices, dtype=bool)
+    visited[frontier] = True
+    depth = 0
+    while True:
+        seg_ids, flat = gather_neighborhoods(csr, frontier)
+        keep = ~visited[flat] & (labels[flat] == labels[frontier][seg_ids])
+        frontier = np.unique(flat[keep])
+        if frontier.size == 0:
+            return depth
+        visited[frontier] = True
+        depth += 1
+
+
 def neighborhood_max_rows(
     csr: CSRAdjacency, rows: np.ndarray, *, empty_value: int
 ) -> np.ndarray:

@@ -29,7 +29,6 @@ from repro.sketch.geometric import (
     merge_maxima,
     sample_geometric_half,
     sample_max_of_geometrics,
-    sample_max_of_geometrics_batch,
 )
 from repro.sketch.streaming import (
     estimates_from_counts,
@@ -71,7 +70,14 @@ def estimate_cardinality(maxima: np.ndarray) -> float:
             break
     if k_star is None:  # unreachable: k = max+1 has Z = t
         raise AssertionError("threshold never reached")
-    z_eff = min(float(z_kstar), t - 0.5)
+    return _estimate_from_order_statistics(k_star, z_kstar, t)
+
+
+def _estimate_from_order_statistics(k_star: int, z: int, t: int) -> float:
+    """Lemma 5.2's ``d_hat`` from integer ``(K*, Z)``: the scalar
+    ``math.log`` form with the boundary clamps of
+    :func:`estimate_cardinality`."""
+    z_eff = min(float(z), t - 0.5)
     z_eff = max(z_eff, 0.5)
     k_star = max(k_star, 1)
     return math.log(z_eff / t) / math.log(1.0 - 2.0 ** (-k_star))
@@ -173,24 +179,48 @@ def direct_count_fingerprint(
     return Fingerprint(sample_max_of_geometrics(rng, d, trials, lam))
 
 
+def count_estimate(
+    rng: np.random.Generator, d: int, trials: int, q: int | None = None
+) -> float:
+    """``direct_count_fingerprint(rng, d, trials).estimate()`` without
+    the fingerprint's sort-and-search: the same draws (none when
+    ``d == 0``) and the same float, bit for bit.
+
+    The maxima come from the count blocks' in-place chain on one row.
+    They are non-negative integers, so ``Z_k`` is the cumulative count of
+    ``bincount(maxima)`` below ``k``; ``K* - 1`` is the first value whose
+    cumulative count reaches ``q`` (``threshold_index(trials)`` when not
+    given), and ``Z`` is that count.
+    """
+    if d == 0:
+        return 0.0
+    if q is None:
+        q = threshold_index(trials)
+    maxima = np.empty(trials, dtype=np.int16)
+    _count_block_maxima(rng.random(trials), float(d), maxima)
+    below = np.cumsum(np.bincount(maxima))
+    value = int(np.searchsorted(below, q))
+    return _estimate_from_order_statistics(value + 1, int(below[value]), trials)
+
+
 def batch_count_estimates(
-    rng: np.random.Generator,
-    counts: np.ndarray,
-    trials: int,
-    lam: float = DEFAULT_LAMBDA,
+    rng: np.random.Generator, counts: np.ndarray, trials: int
 ) -> np.ndarray:
     """Lemma 5.2 estimates for many anonymous set sizes.
 
     The batched replacement for a per-vertex loop of
     ``direct_count_fingerprint(rng, d, trials).estimate()``.  Rows are
-    processed in blocks of ``max(1, 2**16 // trials)``: each block is one
-    :func:`~repro.sketch.geometric.sample_max_of_geometrics_batch` draw and
-    one fused order-statistics pass, so no ``(len(counts), trials)`` matrix
-    is ever allocated.  The blocks consume the uniforms in the loop's
-    row-major order (rows with ``counts == 0`` draw nothing), and ``(K*, Z)``
-    are exact integers whatever the blocking (docs/ESTIMATORS.md, rule 1);
-    the exact final-math form then runs once over all rows, bitwise
-    identical to per-row :func:`estimate_cardinality`.
+    processed in blocks of ``max(1, 2**16 // trials)``.  Each block draws
+    the uniforms of its positive-count rows into one reused float64 buffer
+    (``rng.random(out=...)``), inverts them in place into one reused int16
+    buffer (:func:`_count_block_maxima`) and reduces those with one fused
+    order-statistics pass, so no ``(len(counts), trials)`` matrix and no
+    per-block float64 temporary is allocated.  The blocks consume the
+    uniforms in the loop's row-major order (rows with ``counts == 0`` draw
+    nothing), the maxima are the reference's values, and ``(K*, Z)`` are
+    exact integers whatever the blocking (docs/ESTIMATORS.md, rule 1); the
+    exact final-math form then runs once over all rows, bitwise identical
+    to per-row :func:`estimate_cardinality`.
 
     Returns a float64 array aligned with ``counts``; zero-count rows
     estimate exactly 0.
@@ -201,20 +231,46 @@ def batch_count_estimates(
     if trials <= 0:
         raise ValueError("empty fingerprints have no estimate")
     block = max(1, (1 << 16) // trials)
-    k_parts, z_parts = [], []
-    # one (possibly empty) block at least, so an empty ``counts`` needs no
-    # special case
-    for start in range(0, max(d.size, 1), block):
-        maxima = sample_max_of_geometrics_batch(
-            rng, d[start : start + block], trials, lam
-        )
-        k_star, z = fused_topk_counts(maxima)
-        k_parts.append(k_star)
-        z_parts.append(z)
+    divisors = d.astype(np.float64)
+    size = min(block, d.size) * trials
+    uniforms = np.empty(size)
+    maxima = np.empty(size, dtype=np.int16)
+    # zero-count rows keep the all-EMPTY_MAX statistics (K* = 0, Z = t)
+    k_star = np.zeros(d.size, dtype=np.int64)
+    z = np.full(d.size, trials, dtype=np.int64)
+    for start in range(0, d.size, block):
+        rows = start + np.flatnonzero(d[start : start + block])
+        if rows.size == 0:
+            continue
+        u = uniforms[: rows.size * trials].reshape(rows.size, trials)
+        rng.random(out=u)
+        y = maxima[: u.size].reshape(u.shape)
+        _count_block_maxima(u, divisors[rows, None], y)
+        k_star[rows], z[rows] = fused_topk_counts(y)
     return estimates_from_counts(
-        np.concatenate(k_parts),
-        np.concatenate(z_parts),
-        trials,
-        exact=True,
-        empty_rows=d == 0,
+        k_star, z, trials, exact=True, empty_rows=d == 0
     )
+
+
+def _count_block_maxima(
+    u: np.ndarray, divisors: np.ndarray, out: np.ndarray
+) -> None:
+    """Turn a block of uniforms into maxima of geometric(1/2) variables:
+    :func:`~repro.sketch.geometric.sample_max_of_geometrics_batch`'s ufunc
+    chain, run in place in ``u`` (float64, overwritten) for set sizes
+    ``divisors`` (float64, broadcast against ``u``), with the integer
+    maxima written to ``out`` (int16 holds them: the ``1e-300`` clamp
+    bounds them by ``ceil(log2(1e300)) - 1 = 996``)."""
+    np.clip(u, 1e-300, 1.0, out=u)
+    np.log(u, out=u)
+    np.divide(u, divisors, out=u)
+    np.expm1(u, out=u)
+    np.negative(u, out=u)
+    np.clip(u, 1e-300, 1.0, out=u)
+    np.log(u, out=u)
+    np.divide(u, math.log(DEFAULT_LAMBDA), out=u)
+    np.ceil(u, out=u)
+    # the reference's max(ceil - 1, 0), as max(ceil, 1) - 1 on floats
+    np.maximum(u, 1.0, out=u)
+    np.copyto(out, u, casting="unsafe")
+    np.subtract(out, 1, out=out)

@@ -86,6 +86,15 @@ class TestClusterGraph:
         restored = pickle.loads(pickle.dumps(h))
         assert vars(restored)["dilation"] == restored.dilation == 8
 
+    def test_max_degree_is_computed_once_per_graph(self):
+        import dataclasses
+
+        h = ClusterGraph.identity(CommGraph(4, [(0, 1), (1, 2), (2, 3), (3, 0)]))
+        assert h.max_degree == 2
+        assert vars(h)["max_degree"] == 2  # cached on the instance
+        star = dataclasses.replace(h, _adj=[[1, 2, 3], [0], [0], [0]])
+        assert star.max_degree == 3 and h.max_degree == 2
+
     def test_assignment_validation(self):
         comm = CommGraph(4, [(0, 1), (2, 3)])
         with pytest.raises(ValueError, match="not connected"):
@@ -284,6 +293,15 @@ class TestVirtualGraph:
         for u, v in square.edges():
             assert vg.are_adjacent(u, v)
         assert vg.max_degree == max(dict(square.degree()).values())
+
+    def test_max_degree_is_computed_once_per_graph(self):
+        import dataclasses
+
+        vg = distance2_virtual_graph(CommGraph(4, [(0, 1), (1, 2), (2, 3)]))
+        assert vg.max_degree == 3
+        assert vars(vg)["max_degree"] == 3  # cached on the instance
+        path = dataclasses.replace(vg, adj=[[1], [0, 2], [1, 3], [2]])
+        assert path.max_degree == 2 and vg.max_degree == 3
 
     def test_distance2_congestion_dilation(self):
         comm = CommGraph(4, [(0, 1), (1, 2), (2, 3)])

@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.coloring.complete import CliqueFinishPlan, complete_noncabals, z_proxy
+from repro.coloring.complete import (
+    CliqueFinishPlan,
+    _phase_one_z,
+    complete_noncabals,
+    z_proxy,
+)
 from repro.coloring.noncabal import color_noncabals
 from repro.coloring.slack import reserved_zone, slack_generation
 from repro.coloring.types import PartialColoring
@@ -77,6 +82,65 @@ class TestZProxy:
             coloring.assign(u, r_v + i)
         z_after = z_proxy(runtime, coloring, acd, plan, v, gamma)
         assert z_after < z_before
+
+
+class TestPhaseOneBatch:
+    """Phase I's batched z̃ (one CSR gather per iteration, per-vertex draws)
+    against the scalar :func:`z_proxy` reference."""
+
+    def test_batched_z_equals_z_proxy_on_a_frozen_coloring(self):
+        w, runtime, acd, coloring = _noncabal_setup(seed=5)
+        g = w.graph
+        slack_generation(runtime, coloring, list(range(coloring.n_vertices)))
+        # an inlier none of whose outside neighbors is colored: it has
+        # true_external = 0, so its fingerprint draws nothing
+        v0 = acd.cliques[0][0]
+        quiet = {v0} | {u for u in g.neighbors(v0) if acd.clique_of[u] != 0}
+        for u in quiet:
+            coloring.uncolor(u)
+        # reserved colors held inside and outside the cliques, which z~
+        # must not count (except where r_v = 0)
+        for u in range(0, coloring.n_vertices, 4):
+            if u not in quiet:
+                coloring.uncolor(u)
+                coloring.assign(u, 0)
+        acd.reserved[-1] = 0  # a clique whose every color counts
+        plans = [
+            CliqueFinishPlan(clique_index=i, inliers=m, matching_size=i)
+            for i, m in enumerate(acd.cliques)
+        ]
+        gamma = runtime.params.mct_slack_coeff
+        external = {
+            v: sum(
+                1
+                for u in g.neighbors(v)
+                if acd.clique_of[u] != plan.clique_index
+                and coloring.get(u) >= acd.reserved[plan.clique_index]
+            )
+            for plan in plans
+            for v in plan.inliers
+        }
+        assert external[v0] == 0 and max(external.values()) > 0
+        rng = runtime.rng
+        start = rng.bit_generator.state
+
+        batched, states = [], []
+        for plan, v, z in _phase_one_z(runtime, coloring, acd, plans, gamma):
+            batched.append((plan.clique_index, v, z))
+            states.append(rng.bit_generator.state)
+        assert batched[0][1] == v0 and states[0] == start  # d = 0 drew nothing
+        batched_end = rng.bit_generator.state
+
+        rng.bit_generator.state = start
+        scalar = [
+            (plan.clique_index, v, z_proxy(runtime, coloring, acd, plan, v, gamma))
+            for plan in plans
+            for v in plan.inliers
+            if not coloring.is_colored(v)
+        ]
+        assert len(scalar) > len(plans)
+        assert batched == scalar  # z compared with ==: bit for bit
+        assert rng.bit_generator.state == batched_end
 
 
 class TestCompleteStage:

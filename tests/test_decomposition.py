@@ -191,6 +191,51 @@ class TestGroundTruthHelpers:
         assert acd.anti_degree_true(g, v) == len(mset - nbrs) - 1
 
 
+class TestLeaderBfsDepth:
+    """ComputeACD charges its leader BFS from ``graphcore.bfs_depth``; the
+    depth must be the tallest tree ``bfs_forest`` would build."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_depth_equals_tallest_bfs_forest_tree(self, seed):
+        from repro.aggregation.bfs import bfs_forest
+        from repro.graphcore import bfs_depth
+
+        rng = np.random.default_rng(seed)
+        w = planted_acd_instance(rng, n_cliques=2, clique_size=20, n_sparse=40)
+        g = w.graph
+        n = g.n_vertices
+        order = rng.permutation(n)
+        # disjoint parts of sizes 1..12 over most of the vertices
+        cuts = np.cumsum(rng.integers(1, 13, size=n))
+        cuts = cuts[cuts < n - 5]
+        parts = [part.tolist() for part in np.split(order[: cuts[-1]], cuts[:-1])]
+        # from the vertices left over: two non-adjacent ones, a part whose
+        # H-induced subgraph cannot reach all of its members, and a singleton
+        rest = order[cuts[-1] :].tolist()
+        far = next(
+            [a, b] for a in rest for b in rest if a < b and not g.are_adjacent(a, b)
+        )
+        parts += [far, [next(v for v in rest if v not in far)]]
+        labels = np.full(n, -1, dtype=np.int64)
+        for i, part in enumerate(parts):
+            labels[part] = i
+        sources = [int(rng.choice(part)) for part in parts]
+
+        runtime = make_runtime(g)
+        trees = bfs_forest(runtime, list(zip(sources, parts)))
+        assert len(trees[-2].parent) == 1  # the far pair stays unreached
+        depth = bfs_depth(g.csr, labels, sources)
+        assert depth == max(tree.height for tree in trees)
+        assert runtime.ledger.rounds_h == max(1, depth)
+
+    def test_no_sources_has_depth_zero(self, planted_workload):
+        from repro.graphcore import bfs_depth
+
+        g = planted_workload.graph
+        labels = np.full(g.n_vertices, -1, dtype=np.int64)
+        assert bfs_depth(g.csr, labels, []) == 0
+
+
 class TestPinnedBitwiseDecomposition:
     """The PR-4 vectorization (batched fingerprints, label-propagation
     components, gather-based external degrees) promised *bitwise* identical

@@ -221,6 +221,62 @@ class TestBatchSampling:
             assert np.array_equal(got, want)
             assert rng.bit_generator.state == ref_rng.bit_generator.state
 
+    @pytest.mark.parametrize("trials", [41, 4096, 70_000])
+    def test_buffered_blocks_replay_the_per_row_loop(self, trials):
+        """The buffered count blocks equal a per-row
+        ``direct_count_fingerprint(...).estimate()`` loop bitwise, RNG end
+        state included: zero-count rows inside a block, an all-zero block,
+        ``trials > 2**16`` (one-row blocks) and a ``trials`` that does not
+        divide ``2**16`` (41; 4096 does).
+        """
+        from repro.sketch import batch_count_estimates
+
+        block = max(1, (1 << 16) // trials)
+        counts = np.random.default_rng(trials).integers(1, 5000, 2 * block + 3)
+        counts[block // 2] = counts[-1] = 0  # zero rows inside blocks
+        counts[block : 2 * block] = 0  # an all-zero block
+        rng = np.random.default_rng(7)
+        loop = [direct_count_fingerprint(rng, int(d), trials).estimate() for d in counts]
+        buffered_rng = np.random.default_rng(7)
+        buffered = batch_count_estimates(buffered_rng, counts, trials)
+        assert np.array_equal(buffered, np.array(loop))
+        assert buffered_rng.bit_generator.state == rng.bit_generator.state
+
+    def test_in_place_inversion_matches_the_reference_at_the_edges(self):
+        """The count blocks' in-place chain maps uniforms to the maxima the
+        reference computes, at the clamps too: ``U = 0`` and subnormal
+        ``U`` (tail exactly 1, so the raw value is -1 and clamps to 0), the
+        largest ``U`` below 1, and huge set sizes."""
+        from repro.sketch import sample_max_of_geometrics_batch
+        from repro.sketch.fingerprint import _count_block_maxima
+
+        edges = np.array(
+            [0.0, 5e-324, 1e-300, 5e-17, 0.25, 0.5, np.nextafter(1.0, 0.0)]
+        )
+        counts = np.array([1, 2, 7, 10**6, 2**40])
+        u = np.tile(edges, (counts.size, 1))
+
+        class Replay:
+            def random(self, shape):
+                return u.copy()
+
+        want = sample_max_of_geometrics_batch(Replay(), counts, edges.size)
+        got = np.empty(u.shape, dtype=np.int16)
+        _count_block_maxima(u.copy(), counts.astype(np.float64)[:, None], got)
+        assert np.array_equal(got, want)
+        assert want[0, 0] == 0 and want.max() > 50
+
+    @pytest.mark.parametrize("trials", [1, 8, 421, 4096])
+    def test_count_estimate_equals_the_fingerprint_estimate(self, trials):
+        from repro.sketch.fingerprint import count_estimate
+
+        for d in (0, 1, 2, 37, 10**6):
+            ref = np.random.default_rng(d)
+            got = np.random.default_rng(d)
+            want = direct_count_fingerprint(ref, d, trials).estimate()
+            assert count_estimate(got, d, trials) == want
+            assert got.bit_generator.state == ref.bit_generator.state
+
     def test_negative_counts_rejected(self, rng):
         from repro.sketch import sample_max_of_geometrics_batch
 

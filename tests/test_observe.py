@@ -251,7 +251,12 @@ class TestTracerNeutrality:
 
     @pytest.mark.parametrize(
         "workload,regime",
-        [("high_degree", "auto"), ("low_degree", "auto"), ("congest", "polylog")],
+        [
+            ("high_degree", "auto"),
+            ("low_degree", "auto"),
+            ("congest", "polylog"),
+            ("planted_acd", "auto"),
+        ],
     )
     def test_static_pipeline_bitwise_identical(self, workload, regime):
         graph = GENERATORS[workload](np.random.default_rng(7)).graph
@@ -311,6 +316,27 @@ class TestTracerNeutrality:
         for stage, rounds in result.stats.stage_rounds.items():
             assert by_name[stage]["rounds_h"] == rounds
 
+    def test_acd_subspans_include_cabals_and_partition_the_acd_span(self):
+        """On a run whose ACD finds cliques, cabal annotation has its own
+        ``acd.cabals`` span beside the ComputeACD sub-phases, and the
+        sub-spans together carry every round and bit of the ``acd`` span."""
+        graph = GENERATORS["planted_acd"](np.random.default_rng(7)).graph
+        tracer = Tracer()
+        color_cluster_graph(graph, rng=np.random.default_rng(1234), tracer=tracer)
+        (acd,) = [s for s in tracer.spans if s.name == "acd"]
+        assert acd.counters["cliques"] > 0
+        assert [c.name for c in acd.children] == [
+            "acd.buddy",
+            "acd.count",
+            "acd.components",
+            "acd.repair",
+            "acd.cabals",
+        ]
+        cabals = acd.children[-1]
+        assert cabals.rounds_h > 0 and cabals.message_bits > 0
+        assert sum(c.rounds_h for c in acd.children) == acd.rounds_h
+        assert sum(c.message_bits for c in acd.children) == acd.message_bits
+
     def test_traced_stream_batches_match_ledger(self):
         workload = STREAMS["cluster_churn"](np.random.default_rng(2))
         tracer = Tracer()
@@ -341,7 +367,12 @@ class TestHetNetNeutrality:
 
     @pytest.mark.parametrize(
         "workload,regime",
-        [("high_degree", "auto"), ("low_degree", "auto"), ("congest", "polylog")],
+        [
+            ("high_degree", "auto"),
+            ("low_degree", "auto"),
+            ("congest", "polylog"),
+            ("planted_acd", "auto"),
+        ],
     )
     def test_static_pipeline_bitwise_identical(self, workload, regime):
         from repro.network import HetNetModel, HetNetSpec
