@@ -30,7 +30,6 @@ from repro.coloring.types import PartialColoring, UNCOLORED
 from repro.decomposition.acd import AlmostCliqueDecomposition
 from repro.graphcore import csr_of, gather_neighborhoods
 from repro.sketch.fingerprint import count_estimate, direct_count_fingerprint
-from repro.sketch.streaming import threshold_index
 
 PHASE_ONE_ITERATIONS = 3
 
@@ -141,7 +140,6 @@ def _phase_one_z(
     colors = coloring.colors
     delta = graph.max_degree
     trials = runtime.params.fingerprint_trials(runtime.n, 0.25)
-    q = threshold_index(trials)
     waiting = []
     for plan in plans:
         inliers = np.asarray(plan.inliers, dtype=np.int64)
@@ -166,7 +164,7 @@ def _phase_one_z(
         r_v = acd.reserved[idx]
         in_clique = int((colors[members] >= r_v).sum())
         for v in vertices.tolist():
-            est_external = count_estimate(runtime.rng, next(external), trials, q)
+            est_external = count_estimate(runtime.rng, next(external), trials)
             yield plan, v, _z_tilde(
                 delta,
                 r_v,

@@ -179,28 +179,21 @@ def direct_count_fingerprint(
     return Fingerprint(sample_max_of_geometrics(rng, d, trials, lam))
 
 
-def count_estimate(
-    rng: np.random.Generator, d: int, trials: int, q: int | None = None
-) -> float:
+def count_estimate(rng: np.random.Generator, d: int, trials: int) -> float:
     """``direct_count_fingerprint(rng, d, trials).estimate()`` without
     the fingerprint's sort-and-search: the same draws (none when
     ``d == 0``) and the same float, bit for bit.
 
-    The maxima come from the count blocks' in-place chain on one row.
-    They are non-negative integers, so ``Z_k`` is the cumulative count of
-    ``bincount(maxima)`` below ``k``; ``K* - 1`` is the first value whose
-    cumulative count reaches ``q`` (``threshold_index(trials)`` when not
-    given), and ``Z`` is that count.
+    The one-row case of :func:`batch_count_estimates`: the count blocks'
+    in-place chain on one row, ``(K*, Z)`` from :func:`fused_topk_counts`,
+    then the exact scalar form of :func:`estimate_cardinality`.
     """
     if d == 0:
         return 0.0
-    if q is None:
-        q = threshold_index(trials)
-    maxima = np.empty(trials, dtype=np.int16)
-    _count_block_maxima(rng.random(trials), float(d), maxima)
-    below = np.cumsum(np.bincount(maxima))
-    value = int(np.searchsorted(below, q))
-    return _estimate_from_order_statistics(value + 1, int(below[value]), trials)
+    maxima = np.empty((1, trials), dtype=np.int16)
+    _count_block_maxima(rng.random(trials), float(d), maxima[0])
+    k_star, z = fused_topk_counts(maxima)
+    return _estimate_from_order_statistics(int(k_star[0]), int(z[0]), trials)
 
 
 def batch_count_estimates(
