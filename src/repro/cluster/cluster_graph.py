@@ -8,27 +8,27 @@ The same pair of clusters may be joined by many links (Figure 1): this is
 what makes degree computation and palette discovery non-trivial in the
 model, so :class:`ClusterGraph` keeps the full multiset of realizing links.
 
-The adjacency backbone is CSR (``indptr``/``indices`` int64 arrays) built
-once at construction; the list/dict views (``adj``, ``links``,
-``neighbor_set``) are thin accessors over it, materialized lazily where
-they are not needed on hot paths.
+The adjacency is the CSR (``indptr``/``indices`` int64 arrays) laid out
+once at construction; the read interface over it is
+:class:`~repro.graphcore.csr.CSRConflictGraph`, and the ``links`` dict is
+derived on first use only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from repro.graphcore.csr import CSRAdjacency, sorted_unique
+from repro.graphcore.csr import CSRAdjacency, CSRConflictGraph, sorted_unique
 from repro.network.commgraph import CommGraph
 from repro.cluster.support_tree import SupportTree, build_forest
 
 
 @dataclass
-class ClusterGraph:
+class ClusterGraph(CSRConflictGraph):
     """The conflict graph ``H`` over network ``G``.
 
     Construct via :meth:`from_assignment` (validates Definition 3.1) or
@@ -46,47 +46,16 @@ class ClusterGraph:
     trees:
         Support tree per cluster (leader = tree root).
     csr:
-        CSR adjacency backbone -- the structure the batched coloring
-        kernels (:mod:`repro.graphcore`) run on.  Passed directly by
-        ``from_assignment`` (which lays it out vectorized) or derived in
-        ``__post_init__`` from ``_adj`` when a test builds the dataclass
-        by hand.  A real init field, so it survives ``dataclasses.replace``
-        and unpickling in pool workers.
-    adj:
-        ``adj[v]``: the sorted list of H-neighbors of ``v``.  A *lazy
-        property* over the CSR: materializing ``n`` Python lists used to
-        box ``2m`` ints at construction (~0.4 s at 1.6M edges) that the
-        vectorized hot paths never look at.
-    links:
-        ``links[(u, v)]`` with ``u < v`` lists the G-links realizing H-edge
-        ``{u, v}`` (lazy property; diagnostics and the dedup machinery use
-        it, the coloring hot paths never do).
+        H-adjacency, the graph's only adjacency state: the read interface
+        (:class:`~repro.graphcore.csr.CSRConflictGraph`) and the batched
+        coloring kernels (:mod:`repro.graphcore`) run on it.
     """
 
     comm: CommGraph
     assignment: list[int]
     clusters: list[list[int]]
     trees: list[SupportTree]
-    #: hand-construction path (tests): neighbor lists to lay the CSR from
-    #: when ``csr`` is not supplied.  Access through the ``adj`` property.
-    #: compare=False: a lazily-materialized cache must not affect equality.
-    _adj: list[list[int]] | None = field(default=None, repr=False, compare=False)
-    _links: dict[tuple[int, int], list[tuple[int, int]]] | None = field(
-        default=None, repr=False
-    )
-    _neighbor_sets: list[frozenset[int]] = field(default_factory=list, repr=False)
-    csr: CSRAdjacency | None = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if self._adj is not None:
-            # neighbor lists are the source of truth when present: rebuild
-            # the CSR from them so dataclasses.replace(h, _adj=...) can
-            # never pair new lists with a stale carried-over backbone
-            self.csr = CSRAdjacency.from_adj_lists(self._adj)
-        elif self.csr is None:
-            raise ValueError(
-                "ClusterGraph needs a csr backbone or _adj neighbor lists"
-            )
+    csr: CSRAdjacency = field(repr=False, compare=False)
 
     # ---- construction --------------------------------------------------------
 
@@ -136,108 +105,56 @@ class ClusterGraph:
 
         trees = build_forest(comm, assign, clusters)
 
-        # H-adjacency: map every G-link to its cluster pair, drop
-        # intra-cluster links, dedupe pairs, and lay both directions out as
-        # CSR in one pass.
-        mu, mv = comm.link_arrays()
-        cu, cv = assign[mu], assign[mv]
-        inter = cu != cv
-        mu, mv, cu, cv = mu[inter], mv[inter], cu[inter], cv[inter]
-        swap = cu > cv
-        a = np.where(swap, cv, cu)
-        b = np.where(swap, cu, cv)
-        pair_codes = a * n_vertices + b
-        uniq_codes = sorted_unique(pair_codes)
-        ua, ub = uniq_codes // n_vertices, uniq_codes % n_vertices
-        csr = CSRAdjacency.from_edge_arrays(ua, ub, n_vertices)
-
-        graph = cls(
+        # H-adjacency: dedupe the cluster pairs of the inter-cluster links
+        # and lay both directions out as CSR in one pass.
+        _, _, cu, cv = _cross_links(comm, assign)
+        uniq_codes = sorted_unique(
+            np.minimum(cu, cv) * n_vertices + np.maximum(cu, cv)
+        )
+        csr = CSRAdjacency.from_edge_arrays(
+            uniq_codes // n_vertices, uniq_codes % n_vertices, n_vertices
+        )
+        return cls(
             comm=comm,
             assignment=[int(x) for x in assignment],
             clusters=clusters,
             trees=trees,
             csr=csr,
         )
-        # raw material for the lazy `links` view: realizing G-links keyed by
-        # H-edge code, kept as arrays until someone asks for the dict
-        graph._link_raw = (pair_codes, mu, mv, cu)
-        return graph
 
     @classmethod
     def identity(cls, comm: CommGraph) -> "ClusterGraph":
         """The CONGEST special case: every machine is its own cluster."""
         return cls.from_assignment(comm, list(range(comm.n)))
 
-    # ---- lazy list/dict views ------------------------------------------------
-
-    @property
-    def adj(self) -> list[list[int]]:
-        """``adj[v]``: sorted H-neighbor list of ``v``, materialized from
-        the CSR on first access (the vectorized paths never need it)."""
-        if self._adj is None:
-            self._adj = [
-                part.tolist()
-                for part in np.split(self.csr.indices, self.csr.indptr[1:-1])
-            ]
-        return self._adj
-
-    @property
-    def links(self) -> dict[tuple[int, int], list[tuple[int, int]]]:
-        """``links[(u, v)]`` with ``u < v``: the G-links realizing H-edge
-        ``{u, v}``, oriented as ``(machine in V(u), machine in V(v))``.
-
-        Materialized on first access (diagnostics/dedup only; hot paths use
-        :attr:`csr`).
-        """
-        if self._links is None:
-            links: dict[tuple[int, int], list[tuple[int, int]]] = {}
-            raw = getattr(self, "_link_raw", None)
-            if raw is not None:
-                pair_codes, mu, mv, cu = raw
-                n_vertices = self.n_vertices
-                grouping = np.argsort(pair_codes, kind="stable")
-                for idx in grouping.tolist():
-                    code = int(pair_codes[idx])
-                    key = (code // n_vertices, code % n_vertices)
-                    link = (int(mu[idx]), int(mv[idx]))
-                    if int(cu[idx]) != key[0]:
-                        link = (link[1], link[0])
-                    links.setdefault(key, []).append(link)
-                self._link_raw = None  # free the raw arrays once materialized
-            else:  # constructed directly (tests); derive from the network
-                assign = self.assignment
-                for gu, gv in self.comm.iter_links():
-                    cu_, cv_ = assign[gu], assign[gv]
-                    if cu_ == cv_:
-                        continue
-                    key = (cu_, cv_) if cu_ < cv_ else (cv_, cu_)
-                    link = (gu, gv) if cu_ < cv_ else (gv, gu)
-                    links.setdefault(key, []).append(link)
-            self._links = links
-        return self._links
-
-    def _neighbor_set_list(self) -> list[frozenset[int]]:
-        if not self._neighbor_sets:
-            self._neighbor_sets = [frozenset(a) for a in self.adj]
-        return self._neighbor_sets
-
     # ---- structure -----------------------------------------------------------
 
-    @property
-    def n_vertices(self) -> int:
-        """Number of H-nodes (clusters)."""
-        return len(self.clusters)
+    @cached_property
+    def links(self) -> dict[tuple[int, int], list[tuple[int, int]]]:
+        """``links[(u, v)]`` with ``u < v``: the G-links realizing H-edge
+        ``{u, v}``, oriented as ``(machine in V(u), machine in V(v))``, in
+        :meth:`CommGraph.link_arrays` order; keys in lexicographic order.
+
+        Derived on first access (diagnostics/dedup only; hot paths use
+        :attr:`csr`).
+        """
+        mu, mv, cu, cv = _cross_links(self.comm, np.asarray(self.assignment))
+        forward = cu < cv
+        a, b = np.where(forward, cu, cv), np.where(forward, cv, cu)
+        x, y = np.where(forward, mu, mv), np.where(forward, mv, mu)
+        order = np.argsort(a * self.n_vertices + b, kind="stable")
+        links: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        for key_u, key_v, gu, gv in zip(
+            a[order].tolist(), b[order].tolist(),
+            x[order].tolist(), y[order].tolist(),
+        ):
+            links.setdefault((key_u, key_v), []).append((gu, gv))
+        return links
 
     @property
     def n_machines(self) -> int:
         """Number of machines in ``G`` (the ``n`` of the theorems)."""
         return self.comm.n
-
-    def degree(self, v: int) -> int:
-        """True degree of ``v`` in ``H`` (links to the same cluster counted
-        once -- the quantity that is *hard* to compute in the model).
-        """
-        return int(self.csr.indptr[v + 1] - self.csr.indptr[v])
 
     def link_count(self, v: int) -> int:
         """Number of inter-cluster links incident to ``v`` -- the easy
@@ -248,39 +165,6 @@ class ClusterGraph:
             key = (u, v) if u < v else (v, u)
             total += len(self.links[key])
         return total
-
-    def neighbors(self, v: int) -> list[int]:
-        """H-neighbors of ``v`` (sorted list; served from the materialized
-        ``adj`` view when one exists, else a per-call CSR slice)."""
-        if self._adj is not None:
-            return self._adj[v]
-        return self.csr.neighbors(v).tolist()
-
-    def neighbor_set(self, v: int) -> frozenset[int]:
-        """H-neighbors of ``v`` as a frozenset (for intersection tests)."""
-        return self._neighbor_set_list()[v]
-
-    def are_adjacent(self, u: int, v: int) -> bool:
-        """Whether ``{u, v}`` is an H-edge.
-
-        O(1) set membership when the frozenset views are already
-        materialized; otherwise a binary search on the CSR (building all
-        the sets costs O(m) and would dwarf a few probes).
-        """
-        if self._neighbor_sets:
-            return v in self._neighbor_sets[u]
-        nbrs = self.csr.neighbors(u)
-        i = int(np.searchsorted(nbrs, v))
-        return i < nbrs.size and int(nbrs[i]) == v
-
-    @cached_property
-    def max_degree(self) -> int:
-        """``Delta``, the maximum degree of ``H``.  Computed once per graph,
-        as :attr:`dilation` is: nothing mutates ``csr`` after
-        ``__post_init__``, and a ``dataclasses.replace`` copy is a new
-        instance with its own cache."""
-        degrees = self.csr.degrees
-        return int(degrees.max()) if degrees.size else 0
 
     @cached_property
     def dilation(self) -> int:
@@ -297,35 +181,20 @@ class ClusterGraph:
         """Leader machine of cluster ``v`` (support-tree root)."""
         return self.trees[v].root
 
-    def iter_h_edges(self) -> Iterable[tuple[int, int]]:
-        """All H-edges ``(u, v)`` with ``u < v`` (lexicographic)."""
-        edge_u, edge_v = self.csr.edge_arrays()
-        return zip(edge_u.tolist(), edge_v.tolist())
-
-    def h_edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """All H-edges as ``(u, v)`` int64 arrays with ``u < v`` (the
-        vectorized properness checker's input)."""
-        return self.csr.edge_arrays()
-
-    @property
-    def n_h_edges(self) -> int:
-        """Number of edges of ``H``."""
-        return self.csr.n_directed_edges // 2
-
-    def anti_neighbors_within(self, v: int, vertex_set: Iterable[int]) -> list[int]:
-        """Vertices of ``vertex_set`` that are NOT adjacent to ``v`` (and are
-        not ``v``) -- anti-neighbors in the sense of Section 4.1.
-        """
-        nbrs = self.neighbor_set(v)
-        return [u for u in vertex_set if u != v and u not in nbrs]
-
-    def neighbor_array(self, v: int) -> np.ndarray:
-        """H-neighbors of ``v`` as an int64 array -- a zero-copy slice of
-        the CSR backbone (hot path for the coloring conflict checks)."""
-        return self.csr.neighbors(v)
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"ClusterGraph(vertices={self.n_vertices}, machines={self.n_machines}, "
             f"Delta={self.max_degree}, dilation={self.dilation})"
         )
+
+
+def _cross_links(
+    comm: CommGraph, assign: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The G-links joining two clusters, in :meth:`CommGraph.link_arrays`
+    order, as ``(mu, mv, cu, cv)`` int64 arrays: link ``mu``--``mv`` joins
+    cluster ``cu = assign[mu]`` to ``cv = assign[mv] != cu``."""
+    mu, mv = comm.link_arrays()
+    cu, cv = assign[mu], assign[mv]
+    inter = cu != cv
+    return mu[inter], mv[inter], cu[inter], cv[inter]

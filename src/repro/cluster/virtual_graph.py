@@ -16,98 +16,38 @@ and Theorem 1.2 yields a ``Delta^2 + 1``-coloring of ``G^2``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Sequence
 
 import numpy as np
 
-from repro.graphcore.csr import CSRAdjacency
+from repro.graphcore import CSRAdjacency, CSRConflictGraph, gather_neighborhoods
 from repro.network.commgraph import CommGraph
 
 
 @dataclass
-class VirtualGraph:
+class VirtualGraph(CSRConflictGraph):
     """A conflict graph whose vertices are (possibly overlapping) supports.
 
-    Exposes the same read interface as
-    :class:`repro.cluster.cluster_graph.ClusterGraph` so the coloring
-    pipeline can run on either; the extra :attr:`congestion` multiplies round
-    costs in the ledger.
+    Shares the read interface of
+    :class:`repro.cluster.cluster_graph.ClusterGraph`
+    (:class:`~repro.graphcore.csr.CSRConflictGraph`) so the coloring
+    pipeline can run on either; the extra :attr:`congestion` multiplies
+    round costs in the ledger.
     """
 
     comm: CommGraph
     supports: list[list[int]]
-    adj: list[list[int]]
+    csr: CSRAdjacency = field(repr=False, compare=False)
     congestion: int
     dilation: int
-    _neighbor_sets: list[frozenset[int]] = field(default_factory=list, repr=False)
-
-    def __post_init__(self) -> None:
-        if not self._neighbor_sets:
-            self._neighbor_sets = [frozenset(a) for a in self.adj]
-        # CSR backbone for the batched kernels; rebuilt on replace/unpickle
-        # rather than lazily cached (see ClusterGraph.csr).
-        self.csr = CSRAdjacency.from_adj_lists(self.adj)
-
-    # -- ClusterGraph-compatible interface ------------------------------------
-
-    @property
-    def n_vertices(self) -> int:
-        """Number of virtual nodes."""
-        return len(self.supports)
 
     @property
     def n_machines(self) -> int:
         """Number of machines of ``G`` (the ``n`` of w.h.p. bounds)."""
         return self.comm.n
 
-    def neighbors(self, v: int) -> list[int]:
-        """Conflict-graph neighbors of ``v``."""
-        return self.adj[v]
-
-    def neighbor_set(self, v: int) -> frozenset[int]:
-        """Conflict-graph neighbors of ``v`` as a frozenset."""
-        return self._neighbor_sets[v]
-
-    def degree(self, v: int) -> int:
-        """Degree of ``v`` in the conflict graph."""
-        return len(self.adj[v])
-
-    @cached_property
-    def max_degree(self) -> int:
-        """Maximum conflict-graph degree, computed once per graph (nothing
-        mutates ``adj`` after ``__post_init__``)."""
-        degrees = self.csr.degrees
-        return int(degrees.max()) if degrees.size else 0
-
-    def are_adjacent(self, u: int, v: int) -> bool:
-        """Whether ``u`` and ``v`` conflict."""
-        return v in self._neighbor_sets[u]
-
-    def anti_neighbors_within(self, v: int, vertex_set) -> list[int]:
-        """Non-neighbors of ``v`` within ``vertex_set``."""
-        nbrs = self._neighbor_sets[v]
-        return [u for u in vertex_set if u != v and u not in nbrs]
-
     def cluster_size(self, v: int) -> int:
         """Support size of ``v``."""
         return len(self.supports[v])
-
-    def iter_h_edges(self):
-        """All conflict edges ``(u, v)`` with ``u < v``."""
-        for u in range(self.n_vertices):
-            for v in self.adj[u]:
-                if u < v:
-                    yield (u, v)
-
-    def neighbor_array(self, v: int) -> np.ndarray:
-        """Conflict-graph neighbors of ``v`` as an int64 array -- a
-        zero-copy slice of the CSR backbone."""
-        return self.csr.neighbors(v)
-
-    def h_edge_arrays(self) -> "tuple[np.ndarray, np.ndarray]":
-        """All conflict edges as ``(u, v)`` int64 arrays with ``u < v``."""
-        return self.csr.edge_arrays()
 
 
 def distance2_virtual_graph(comm: CommGraph) -> VirtualGraph:
@@ -119,21 +59,19 @@ def distance2_virtual_graph(comm: CommGraph) -> VirtualGraph:
     """
     n = comm.n
     supports = [[v, *comm.neighbors(v)] for v in range(n)]
-    adj_sets: list[set[int]] = [set() for _ in range(n)]
-    for v in range(n):
-        for u in comm.neighbors(v):
-            adj_sets[v].add(u)
-            for w in comm.neighbors(u):
-                if w != v:
-                    adj_sets[v].add(w)
-    adj = [sorted(s) for s in adj_sets]
+    # every directed link v -> u, then every two-hop walk v -> u -> w
+    src = np.repeat(np.arange(n, dtype=np.int64), comm.csr.degrees)
+    hop, far = gather_neighborhoods(comm.csr, comm.csr.indices)
+    far_src = src[hop]
+    keep = far_src != far
+    csr = CSRAdjacency.from_edge_arrays(
+        np.concatenate([src, far_src[keep]]),
+        np.concatenate([comm.csr.indices, far[keep]]),
+        n,
+        dedupe=True,
+    )
     return VirtualGraph(
-        comm=comm,
-        supports=supports,
-        adj=adj,
-        congestion=2,
-        dilation=2,
-        _neighbor_sets=[frozenset(s) for s in adj_sets],
+        comm=comm, supports=supports, csr=csr, congestion=2, dilation=2
     )
 
 

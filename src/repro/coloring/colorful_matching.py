@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.aggregation.runtime import ClusterRuntime
 from repro.coloring.types import UNCOLORED, PartialColoring
-from repro.graphcore import batch_conflict_mask, csr_of
+from repro.graphcore import batch_conflict_mask
 
 
 def colorful_matching(
@@ -54,7 +54,7 @@ def colorful_matching(
     if reserved_floor >= num_colors:
         return matching_size
 
-    csr = csr_of(graph)
+    csr = graph.csr
     for _ in range(rounds):
         # Every uncolored clique member flips a coin and samples a uniform
         # non-reserved color; same-colored anti-edge pairs commit together.

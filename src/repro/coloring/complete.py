@@ -28,7 +28,7 @@ from repro.coloring.multicolor_trial import multicolor_trial
 from repro.coloring.try_color import resolve_proposals
 from repro.coloring.types import PartialColoring, UNCOLORED
 from repro.decomposition.acd import AlmostCliqueDecomposition
-from repro.graphcore import csr_of, gather_neighborhoods
+from repro.graphcore import gather_neighborhoods
 from repro.sketch.fingerprint import count_estimate, direct_count_fingerprint
 
 PHASE_ONE_ITERATIONS = 3
@@ -153,7 +153,7 @@ def _phase_one_z(
         sizes,
     )
     pending = np.concatenate([np.zeros(0, dtype=np.int64), *waiting])
-    seg_ids, flat = gather_neighborhoods(csr_of(graph), pending)
+    seg_ids, flat = gather_neighborhoods(graph.csr, pending)
     outside = (acd.clique_of[flat] != owner[seg_ids]) & (
         colors[flat] >= floor[seg_ids]
     )

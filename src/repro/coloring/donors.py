@@ -34,7 +34,7 @@ from repro.aggregation.runtime import ClusterRuntime
 from repro.coloring.clique_palette import palette_view
 from repro.coloring.errors import StageFailure
 from repro.coloring.types import CliquePaletteView, PartialColoring, UNCOLORED
-from repro.graphcore import batch_conflict_mask, batch_label_mismatch_counts, csr_of
+from repro.graphcore import batch_conflict_mask, batch_label_mismatch_counts
 from repro.sketch.fingerprint import batch_count_estimates
 
 
@@ -113,7 +113,7 @@ def find_candidate_donors(
     """
     graph = runtime.graph
     params = runtime.params
-    csr = csr_of(graph)
+    csr = graph.csr
     n_v = graph.n_vertices
     put_aside_owner = np.full(n_v, -1, dtype=np.int64)
     for plan in plans:
@@ -207,7 +207,7 @@ def find_safe_donors(
         picks = runtime.rng.integers(0, view.size, size=len(donors_q))
         colors_drawn = view.free[picks]
         blocked = batch_conflict_mask(
-            csr_of(graph), coloring.colors, donors_q, colors_drawn
+            graph.csr, coloring.colors, donors_q, colors_drawn
         )
         blocks = coloring.colors[np.asarray(donors_q, dtype=np.int64)] // block
         for v, c, j, is_blocked in zip(
@@ -266,7 +266,7 @@ def donate_colors(
     because all of ``S_i`` holds colors from block ``j_i`` (offsets only).
     """
     graph = runtime.graph
-    csr = csr_of(graph)
+    csr = graph.csr
     k = runtime.params.donation_samples(runtime.n)
     leftover: list[int] = []
     for u, assignment in zip(plan.put_aside, assignments):

@@ -30,7 +30,7 @@ import numpy as np
 from repro.aggregation.runtime import ClusterRuntime
 from repro.coloring.types import UNCOLORED, PartialColoring
 from repro.coloring.try_color import palette_sampler, try_color_round
-from repro.graphcore import batch_used_color_masks, csr_of, gather_neighborhoods
+from repro.graphcore import batch_used_color_masks, gather_neighborhoods
 
 
 def shattering(
@@ -101,7 +101,7 @@ def small_instance_coloring(
     minima, of which each component has at least one).
     """
     graph = runtime.graph
-    csr = csr_of(graph)
+    csr = graph.csr
     pending = np.asarray([v for comp in components for v in comp], dtype=np.int64)
     pending = pending[coloring.colors[pending] == UNCOLORED]
     if max_rounds is None:

@@ -18,7 +18,7 @@ from typing import Callable
 from repro.aggregation.runtime import ClusterRuntime
 from repro.coloring.errors import StageFailure
 from repro.coloring.types import PartialColoring
-from repro.graphcore import batch_used_color_masks, csr_of
+from repro.graphcore import batch_used_color_masks
 from repro.params import log_star
 from repro.sketch.representative import RepresentativeFamily
 
@@ -99,7 +99,7 @@ def multicolor_trial(
             blocked_vertices: list[int] = []
             active = list(trial_sets)
             used_masks = batch_used_color_masks(
-                csr_of(graph), coloring.colors, active, coloring.num_colors
+                graph.csr, coloring.colors, active, coloring.num_colors
             )
             for row, (v, trial) in zip(used_masks, trial_sets.items()):
                 choice = None
@@ -129,7 +129,7 @@ def multicolor_trial(
             # snapshot used-colors once (post pass-1): colors taken *during*
             # pass 2 are exactly the chosen_now entries, checked by adjacency.
             pass2_masks = batch_used_color_masks(
-                csr_of(graph), coloring.colors, contenders, coloring.num_colors
+                graph.csr, coloring.colors, contenders, coloring.num_colors
             )
             for row, v in zip(pass2_masks, contenders):
                 if coloring.is_colored(v):

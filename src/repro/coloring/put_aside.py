@@ -22,7 +22,7 @@ import numpy as np
 from repro.aggregation.runtime import ClusterRuntime
 from repro.coloring.errors import StageFailure
 from repro.coloring.types import UNCOLORED, PartialColoring
-from repro.graphcore import batch_label_mismatch_counts, csr_of
+from repro.graphcore import batch_label_mismatch_counts
 
 
 def compute_put_aside(
@@ -68,7 +68,7 @@ def compute_put_aside(
     flat = [v for chosen in candidates.values() for v in chosen]
     clash = (
         batch_label_mismatch_counts(
-            csr_of(graph), owner, flat, ignore_label=-1
+            graph.csr, owner, flat, ignore_label=-1
         )
         > 0
     )

@@ -23,7 +23,6 @@ from repro.coloring.types import UNCOLORED, PartialColoring
 from repro.graphcore import (
     batch_conflict_mask,
     batch_used_color_masks,
-    csr_of,
     draw_free_colors,
 )
 
@@ -70,7 +69,7 @@ def resolve_proposals(
     proposal_map = np.full(runtime.graph.n_vertices, -2, dtype=np.int64)
     proposal_map[verts] = cands
     blocked = batch_conflict_mask(
-        csr_of(runtime.graph),
+        runtime.graph.csr,
         coloring.colors,
         verts,
         cands,
@@ -138,7 +137,7 @@ def palette_sampler(
 
     def draw(vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         used = batch_used_color_masks(
-            csr_of(runtime.graph), coloring.colors, vertices, coloring.num_colors
+            runtime.graph.csr, coloring.colors, vertices, coloring.num_colors
         )
         can, colors = draw_free_colors(used, runtime.rng)
         return vertices[can], colors

@@ -143,14 +143,14 @@ class PartialColoring:
     ) -> np.ndarray:
         """``s_φ(v)`` for a whole vertex array at once (batched form of
         :meth:`slack`, one CSR gather instead of per-vertex loops)."""
-        from repro.graphcore import batch_slack_counts, csr_of
+        from repro.graphcore import batch_slack_counts
 
         active_mask = None
         if among is not None:
             active_mask = np.zeros(self.n_vertices, dtype=bool)
             active_mask[list(among)] = True
         return batch_slack_counts(
-            csr_of(graph),
+            graph.csr,
             self.colors,
             vertices,
             self.num_colors,

@@ -23,7 +23,7 @@ import numpy as np
 from repro.aggregation.runtime import ClusterRuntime
 from repro.decomposition.buddy import buddy_predicate
 from repro.decomposition.sparsity import is_valid_almost_clique
-from repro.graphcore import bfs_depth, csr_of, label_components
+from repro.graphcore import bfs_depth, label_components
 from repro.sketch.fingerprint import batch_count_estimates
 
 
@@ -154,7 +154,7 @@ def compute_acd(
             # charged as bfs_forest charges it.  Only the depth is used, so
             # one lockstep BFS over the CSR replaces building the trees.
             deepest = bfs_depth(
-                csr_of(graph), comp_labels, grouped[boundaries]
+                graph.csr, comp_labels, grouped[boundaries]
             )
             runtime.h_rounds(
                 op + "_leaders",

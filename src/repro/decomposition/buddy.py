@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.aggregation.runtime import ClusterRuntime
-from repro.graphcore import csr_of, neighborhood_max_rows
+from repro.graphcore import neighborhood_max_rows
 from repro.sketch.fingerprint import FingerprintTable
 from repro.sketch.geometric import EMPTY_MAX
 from repro.sketch.streaming import UnionPlanes
@@ -62,7 +62,7 @@ def buddy_predicate(
 
     table = FingerprintTable(n_v, trials, runtime.rng)
     rows = neighborhood_max_rows(
-        csr_of(graph), table.rows, empty_value=EMPTY_MAX
+        graph.csr, table.rows, empty_value=EMPTY_MAX
     )
 
     # One fused order-statistics pass serves both the degree estimates and
@@ -81,7 +81,7 @@ def buddy_predicate(
 
     yes_u = np.empty(0, dtype=np.int64)
     yes_v = np.empty(0, dtype=np.int64)
-    edge_u, edge_v = csr_of(graph).edge_arrays()
+    edge_u, edge_v = graph.csr.edge_arrays()
     if edge_u.size:
         # |N(u) ∩ N(v)| = deg(u) + deg(v) - |N(u) ∪ N(v)|, every term
         # estimated by a fingerprint; accept when the intersection clears the

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from repro.aggregation.runtime import ClusterRuntime
 from repro.decomposition.acd import AlmostCliqueDecomposition
-from repro.graphcore import batch_label_mismatch_counts, csr_of
+from repro.graphcore import batch_label_mismatch_counts
 from repro.sketch.fingerprint import batch_count_estimates
 
 
@@ -51,7 +51,7 @@ def annotate_with_cabals(
     e_tilde: dict[int, float] = {}
     if dense:
         true_external = batch_label_mismatch_counts(
-            csr_of(graph), acd.clique_of, dense
+            graph.csr, acd.clique_of, dense
         )
         estimates = batch_count_estimates(runtime.rng, true_external, trials)
         e_tilde = {v: float(e) for v, e in zip(dense, estimates)}

@@ -3,11 +3,12 @@
 The streaming engine maintains adjacency in a :class:`~repro.dynamic.delta.DeltaCSR`
 plus per-cluster metadata (machine counts, support-tree height estimates).
 When the full one-shot pipeline must run -- the recolor-from-scratch baseline
-and the engine's own escalation path -- it needs a graph exposing the
-read interface of :class:`~repro.cluster.cluster_graph.ClusterGraph`.
-:class:`FrozenConflictGraph` is that adapter: an immutable snapshot built on
-a plain CSR, exactly like :class:`~repro.cluster.virtual_graph.VirtualGraph`
-duck-types the same interface for Appendix A.
+and the engine's own escalation path -- it needs a conflict graph.
+:class:`FrozenConflictGraph` is that snapshot: a plain CSR plus cluster
+sizes, reading its adjacency through the same
+:class:`~repro.graphcore.csr.CSRConflictGraph` interface as
+:class:`~repro.cluster.cluster_graph.ClusterGraph` and
+:class:`~repro.cluster.virtual_graph.VirtualGraph`.
 
 Removed vertices appear as isolated (edge-free) ids so the stable-id
 contract of the stream survives the snapshot; isolated vertices cannot
@@ -16,15 +17,15 @@ constrain anything and cost the pipeline nothing interesting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.graphcore.csr import CSRAdjacency
+from repro.graphcore.csr import CSRAdjacency, CSRConflictGraph
 
 
 @dataclass
-class FrozenConflictGraph:
+class FrozenConflictGraph(CSRConflictGraph):
     """An immutable conflict graph defined directly by a CSR backbone.
 
     Attributes
@@ -40,77 +41,15 @@ class FrozenConflictGraph:
     csr: CSRAdjacency
     cluster_sizes: np.ndarray
     dilation: int
-    _neighbor_sets: dict[int, frozenset[int]] = field(
-        default_factory=dict, repr=False
-    )
-
-    # -- ClusterGraph-compatible read interface -------------------------------
-
-    @property
-    def n_vertices(self) -> int:
-        """Number of allocated vertex ids (dead ids included, isolated)."""
-        return self.csr.n_vertices
 
     @property
     def n_machines(self) -> int:
         """Total machines across live clusters (the ``n`` of w.h.p. bounds)."""
         return int(self.cluster_sizes.sum())
 
-    @property
-    def max_degree(self) -> int:
-        """``Delta`` of the snapshot (0 for an edgeless graph)."""
-        degrees = self.csr.degrees
-        return int(degrees.max()) if degrees.size else 0
-
-    def degree(self, v: int) -> int:
-        """H-degree of ``v`` (0 for dead ids)."""
-        return int(self.csr.indptr[v + 1] - self.csr.indptr[v])
-
-    def neighbors(self, v: int) -> list[int]:
-        """Sorted H-neighbor list of ``v`` (fresh per call)."""
-        return self.csr.neighbors(v).tolist()
-
-    def neighbor_array(self, v: int) -> np.ndarray:
-        """H-neighbors of ``v`` as a zero-copy CSR slice (kernel input)."""
-        return self.csr.neighbors(v)
-
-    def neighbor_set(self, v: int) -> frozenset[int]:
-        """H-neighbors of ``v`` as a frozenset, cached per vertex."""
-        cached = self._neighbor_sets.get(v)
-        if cached is None:
-            cached = frozenset(self.csr.neighbors(v).tolist())
-            self._neighbor_sets[v] = cached
-        return cached
-
-    def are_adjacent(self, u: int, v: int) -> bool:
-        """Whether ``{u, v}`` is an H-edge (binary search on the CSR)."""
-        nbrs = self.csr.neighbors(u)
-        i = int(np.searchsorted(nbrs, v))
-        return i < nbrs.size and int(nbrs[i]) == v
-
-    def anti_neighbors_within(self, v: int, vertex_set) -> list[int]:
-        """Vertices of ``vertex_set`` not adjacent to ``v`` (Section 4.1)."""
-        nbrs = self.neighbor_set(v)
-        return [u for u in vertex_set if u != v and u not in nbrs]
-
     def cluster_size(self, v: int) -> int:
         """Machines in cluster ``v`` at snapshot time (0 for dead ids)."""
         return int(self.cluster_sizes[v])
-
-    def iter_h_edges(self):
-        """All H-edges ``(u, v)`` with ``u < v`` (lexicographic)."""
-        edge_u, edge_v = self.csr.edge_arrays()
-        return zip(edge_u.tolist(), edge_v.tolist())
-
-    def h_edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Undirected edge list as ``(u, v)`` arrays with ``u < v`` (the
-        vectorized properness checker's input)."""
-        return self.csr.edge_arrays()
-
-    @property
-    def n_h_edges(self) -> int:
-        """Number of H-edges in the snapshot."""
-        return self.csr.n_directed_edges // 2
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

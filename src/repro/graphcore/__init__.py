@@ -1,8 +1,10 @@
 """Vectorized CSR graph core.
 
-The conflict graphs (:class:`~repro.cluster.cluster_graph.ClusterGraph`,
-:class:`~repro.cluster.virtual_graph.VirtualGraph`) build a compressed
-sparse row (CSR) adjacency once at construction; the batched numpy kernels
+Every conflict graph (:class:`~repro.cluster.cluster_graph.ClusterGraph`,
+:class:`~repro.cluster.virtual_graph.VirtualGraph`,
+:class:`~repro.dynamic.view.FrozenConflictGraph`) holds a compressed sparse
+row (CSR) adjacency and reads it through :class:`CSRConflictGraph`; the
+batched numpy kernels
 here run the coloring layer's hot paths -- conflict checks, used-color
 discovery, slack counting, properness checking -- over whole vertex sets at
 once instead of per-vertex Python loops.
@@ -15,7 +17,7 @@ therefore preserves RNG draw order, ledger accounting, and the exact
 colorings of pinned seeds (property-tested in ``tests/test_graphcore.py``).
 """
 
-from repro.graphcore.csr import CSRAdjacency, csr_of
+from repro.graphcore.csr import CSRAdjacency, CSRConflictGraph
 from repro.graphcore.kernels import (
     batch_conflict_mask,
     batch_label_mismatch_counts,
@@ -35,7 +37,7 @@ from repro.graphcore.kernels import (
 
 __all__ = [
     "CSRAdjacency",
-    "csr_of",
+    "CSRConflictGraph",
     "batch_conflict_mask",
     "batch_label_mismatch_counts",
     "batch_neighbor_colors",

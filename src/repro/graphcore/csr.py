@@ -2,15 +2,17 @@
 
 The layout is the classic ``indptr``/``indices`` pair (both int64):
 ``indices[indptr[v]:indptr[v+1]]`` is the sorted neighbor list of ``v``.
-Both conflict-graph classes build one at construction; the batched kernels
-in :mod:`repro.graphcore.kernels` consume it.
+Every conflict graph holds one as its only adjacency state and answers the
+pipeline's adjacency questions through :class:`CSRConflictGraph`; the
+batched kernels in :mod:`repro.graphcore.kernels` consume it directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -42,8 +44,9 @@ class CSRAdjacency:
 
     indptr: np.ndarray
     indices: np.ndarray
+    #: init=False: a dataclasses.replace copy starts without the cache
     _edge_arrays: tuple[np.ndarray, np.ndarray] | None = field(
-        default=None, repr=False, compare=False
+        default=None, init=False, repr=False, compare=False
     )
 
     @classmethod
@@ -131,16 +134,91 @@ class CSRAdjacency:
         return self._edge_arrays
 
 
-def csr_of(graph) -> CSRAdjacency:
-    """The graph's CSR backbone, or an ad-hoc one for duck-typed stand-ins.
+class CSRConflictGraph:
+    """The conflict-graph read interface, written once over ``self.csr``.
 
-    Real conflict graphs expose ``.csr`` (built in ``__post_init__``); test
-    doubles that only implement ``neighbors()`` get a throwaway build so
-    every kernel call site can stay branch-free.
+    :class:`~repro.cluster.cluster_graph.ClusterGraph`,
+    :class:`~repro.cluster.virtual_graph.VirtualGraph` and
+    :class:`~repro.dynamic.view.FrozenConflictGraph` inherit it and keep
+    only their own metadata; their ``csr`` dataclass field is their only
+    adjacency state.  Everything derived from it (``adj``, ``max_degree``,
+    the neighbor sets) is a ``cached_property`` in the instance dict, never
+    an init field, so a ``dataclasses.replace`` copy starts without it.
     """
-    csr = getattr(graph, "csr", None)
-    if csr is not None:
-        return csr
-    return CSRAdjacency.from_adj_lists(
-        [graph.neighbors(v) for v in range(graph.n_vertices)]
-    )
+
+    csr: CSRAdjacency
+
+    @property
+    def n_vertices(self) -> int:
+        """Number of vertices."""
+        return self.csr.n_vertices
+
+    def degree(self, v: int) -> int:
+        """Degree of ``v`` (links to the same cluster counted once -- the
+        quantity that is *hard* to compute in the model)."""
+        return int(self.csr.indptr[v + 1] - self.csr.indptr[v])
+
+    def neighbors(self, v: int) -> list[int]:
+        """Sorted neighbor list of ``v`` (fresh per call)."""
+        return self.csr.neighbors(v).tolist()
+
+    def neighbor_array(self, v: int) -> np.ndarray:
+        """Neighbors of ``v`` as an int64 array -- a zero-copy slice of the
+        CSR (hot path for the coloring conflict checks)."""
+        return self.csr.neighbors(v)
+
+    @cached_property
+    def _neighbor_set_cache(self) -> dict[int, frozenset[int]]:
+        return {}
+
+    def neighbor_set(self, v: int) -> frozenset[int]:
+        """Neighbors of ``v`` as a frozenset, built on first request per
+        vertex (for intersection tests)."""
+        cached = self._neighbor_set_cache.get(v)
+        if cached is None:
+            cached = frozenset(self.csr.neighbors(v).tolist())
+            self._neighbor_set_cache[v] = cached
+        return cached
+
+    def are_adjacent(self, u: int, v: int) -> bool:
+        """Whether ``{u, v}`` is an edge (binary search on the CSR)."""
+        nbrs = self.csr.neighbors(u)
+        i = int(np.searchsorted(nbrs, v))
+        return i < nbrs.size and int(nbrs[i]) == v
+
+    def anti_neighbors_within(self, v: int, vertex_set: Iterable[int]) -> list[int]:
+        """Vertices of ``vertex_set`` that are NOT adjacent to ``v`` (and are
+        not ``v``) -- anti-neighbors in the sense of Section 4.1."""
+        nbrs = self.neighbor_set(v)
+        return [u for u in vertex_set if u != v and u not in nbrs]
+
+    @cached_property
+    def max_degree(self) -> int:
+        """``Delta``, the maximum degree (0 for an edgeless graph),
+        computed once per graph: nothing mutates ``csr``."""
+        degrees = self.csr.degrees
+        return int(degrees.max()) if degrees.size else 0
+
+    def iter_h_edges(self) -> Iterable[tuple[int, int]]:
+        """All edges ``(u, v)`` with ``u < v`` (lexicographic)."""
+        edge_u, edge_v = self.csr.edge_arrays()
+        return zip(edge_u.tolist(), edge_v.tolist())
+
+    def h_edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """All edges as ``(u, v)`` int64 arrays with ``u < v`` (the
+        vectorized properness checker's input)."""
+        return self.csr.edge_arrays()
+
+    @property
+    def n_h_edges(self) -> int:
+        """Number of edges."""
+        return self.csr.n_directed_edges // 2
+
+    @cached_property
+    def adj(self) -> list[list[int]]:
+        """``adj[v]``: sorted neighbor list of ``v``, materialized from the
+        CSR on first access (diagnostics and tests; no hot path reads it)."""
+        return [
+            part.tolist()
+            for part in np.split(self.csr.indices, self.csr.indptr[1:-1])
+        ]

@@ -10,53 +10,22 @@ from __future__ import annotations
 
 import numpy as np
 
-# Kept in sync with repro.coloring.types.UNCOLORED; duplicated here (it is a
-# one-line protocol constant) to keep the verification layer import-light and
-# free of cycles with the coloring package.
-UNCOLORED = -1
+from repro.graphcore import is_proper_edges, violations_edges
 
 
 def is_proper(graph, colors: np.ndarray, *, allow_partial: bool = False) -> bool:
     """Whether ``colors`` is a proper (partial) coloring of the conflict
     graph: endpoints of every edge differ (``⊥`` clashes with nothing).
-
-    Conflict graphs with a CSR backbone (``h_edge_arrays``) are checked in
-    one vectorized pass; duck-typed graphs fall back to the edge loop.
-    """
-    edge_arrays = getattr(graph, "h_edge_arrays", None)
-    if edge_arrays is not None:
-        from repro.graphcore import is_proper_edges
-
-        edge_u, edge_v = edge_arrays()
-        return is_proper_edges(
-            edge_u, edge_v, colors, allow_partial=allow_partial
-        )
-    for u, v in graph.iter_h_edges():
-        cu, cv = int(colors[u]), int(colors[v])
-        if cu == UNCOLORED or cv == UNCOLORED:
-            if not allow_partial:
-                return False
-            continue
-        if cu == cv:
-            return False
-    return True
+    One vectorized pass over the graph's ``h_edge_arrays``."""
+    edge_u, edge_v = graph.h_edge_arrays()
+    return is_proper_edges(edge_u, edge_v, colors, allow_partial=allow_partial)
 
 
 def violations(graph, colors: np.ndarray) -> list[tuple[int, int]]:
     """All monochromatic edges (diagnostics for failed runs), in
     ``(u, v)``, ``u < v``, lexicographic order."""
-    edge_arrays = getattr(graph, "h_edge_arrays", None)
-    if edge_arrays is not None:
-        from repro.graphcore import violations_edges
-
-        edge_u, edge_v = edge_arrays()
-        return violations_edges(edge_u, edge_v, colors)
-    bad = []
-    for u, v in graph.iter_h_edges():
-        cu, cv = int(colors[u]), int(colors[v])
-        if cu != UNCOLORED and cu == cv:
-            bad.append((u, v))
-    return bad
+    edge_u, edge_v = graph.h_edge_arrays()
+    return violations_edges(edge_u, edge_v, colors)
 
 
 def check_delta_plus_one(graph, coloring) -> None:

@@ -1,5 +1,8 @@
 """Cluster graphs (Definition 3.1), support trees, builders, virtual graphs."""
 
+import dataclasses
+import pickle
+
 import networkx as nx
 import numpy as np
 import pytest
@@ -7,12 +10,15 @@ import pytest
 from repro.cluster import (
     ClusterGraph,
     SupportTree,
+    VirtualGraph,
     blowup,
     contraction_clusters,
     distance2_virtual_graph,
     power_graph_degree_bound,
     voronoi_clusters,
 )
+from repro.dynamic.view import FrozenConflictGraph
+from repro.graphcore import CSRAdjacency
 from repro.network import CommGraph
 from repro.workloads import figure1_example
 
@@ -92,7 +98,9 @@ class TestClusterGraph:
         h = ClusterGraph.identity(CommGraph(4, [(0, 1), (1, 2), (2, 3), (3, 0)]))
         assert h.max_degree == 2
         assert vars(h)["max_degree"] == 2  # cached on the instance
-        star = dataclasses.replace(h, _adj=[[1, 2, 3], [0], [0], [0]])
+        star = dataclasses.replace(
+            h, csr=CSRAdjacency.from_adj_lists([[1, 2, 3], [0], [0], [0]])
+        )
         assert star.max_degree == 3 and h.max_degree == 2
 
     def test_assignment_validation(self):
@@ -160,14 +168,14 @@ class TestClusterGraph:
         then construction boxes no per-edge Python ints."""
         comm = CommGraph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
         h = ClusterGraph.identity(comm)
-        assert h._adj is None  # nothing materialized at construction
+        assert "adj" not in vars(h)  # nothing materialized at construction
         assert h.degree(1) == 2  # degree served straight from the CSR
         assert h.neighbors(1) == [0, 2]  # per-call CSR slice
-        assert h._adj is None
+        assert "adj" not in vars(h)
         view = h.adj
         assert view[1] == [0, 2]
-        assert h._adj is view  # cached after first access
-        assert h.neighbors(1) is view[1]  # served from the cache now
+        assert vars(h)["adj"] is view  # cached after first access
+        assert h.neighbors(1) == view[1]
 
 
 class TestBuilders:
@@ -290,8 +298,9 @@ class TestVirtualGraph:
         comm = CommGraph.from_networkx(g)
         vg = distance2_virtual_graph(comm)
         square = nx.power(nx.convert_node_labels_to_integers(g), 2)
-        for u, v in square.edges():
-            assert vg.are_adjacent(u, v)
+        for v in square:
+            assert vg.neighbors(v) == sorted(square[v])
+            assert all(type(u) is int for u in vg.neighbor_set(v))
         assert vg.max_degree == max(dict(square.degree()).values())
 
     def test_max_degree_is_computed_once_per_graph(self):
@@ -300,7 +309,9 @@ class TestVirtualGraph:
         vg = distance2_virtual_graph(CommGraph(4, [(0, 1), (1, 2), (2, 3)]))
         assert vg.max_degree == 3
         assert vars(vg)["max_degree"] == 3  # cached on the instance
-        path = dataclasses.replace(vg, adj=[[1], [0, 2], [1, 3], [2]])
+        path = dataclasses.replace(
+            vg, csr=CSRAdjacency.from_adj_lists([[1], [0, 2], [1, 3], [2]])
+        )
         assert path.max_degree == 2 and vg.max_degree == 3
 
     def test_distance2_congestion_dilation(self):
@@ -357,3 +368,126 @@ class TestBuildForest:
                 np.array([0, 0, 0, 1], dtype=np.int64),
                 [[0, 1, 2], [3]],
             )
+
+
+CYCLE = [(0, 1), (1, 2), (2, 3), (3, 0)]
+STAR = [(0, 1), (0, 2), (0, 3)]
+
+
+def _csr(edges):
+    u, v = np.array(edges, dtype=np.int64).T
+    return CSRAdjacency.from_edge_arrays(u, v, 4)
+
+
+def _cluster_graph(csr):
+    return dataclasses.replace(ClusterGraph.identity(CommGraph(4, CYCLE)), csr=csr)
+
+
+def _virtual_graph(csr):
+    comm = CommGraph(4, CYCLE)
+    supports = [[v, *comm.neighbors(v).tolist()] for v in range(4)]
+    return VirtualGraph(comm=comm, supports=supports, csr=csr, congestion=2, dilation=2)
+
+
+def _frozen_graph(csr):
+    return FrozenConflictGraph(csr=csr, cluster_sizes=np.ones(4, dtype=np.int64), dilation=1)
+
+
+BUILDERS = [_cluster_graph, _virtual_graph, _frozen_graph]
+BUILDER_IDS = ["ClusterGraph", "VirtualGraph", "FrozenConflictGraph"]
+
+
+class TestConflictGraphInterface:
+    """The three conflict-graph classes read adjacency only through
+    ``csr``; nothing derived from it may outlive a ``dataclasses.replace``
+    onto a new CSR or a pickle round trip."""
+
+    @staticmethod
+    def oracle(edges):
+        nbrs = {v: set() for v in range(4)}
+        for a, b in edges:
+            nbrs[a].add(b)
+            nbrs[b].add(a)
+        return nbrs
+
+    def assert_reads_match(self, graph, edges):
+        nbrs = self.oracle(edges)
+        for v in range(4):
+            assert graph.neighbors(v) == sorted(nbrs[v])
+            assert graph.neighbor_set(v) == nbrs[v]
+            for u in range(4):
+                assert graph.are_adjacent(v, u) == (u in nbrs[v])
+            expected_anti = [u for u in range(4) if u != v and u not in nbrs[v]]
+            assert graph.anti_neighbors_within(v, range(4)) == expected_anti
+        assert graph.max_degree == max(len(s) for s in nbrs.values())
+
+    @pytest.mark.parametrize("build", BUILDERS, ids=BUILDER_IDS)
+    def test_replace_and_pickle_drop_derived_views(self, build):
+        graph = build(_csr(CYCLE))
+        self.assert_reads_match(graph, CYCLE)  # fills every cache
+        star = dataclasses.replace(graph, csr=_csr(STAR))
+        self.assert_reads_match(star, STAR)
+        self.assert_reads_match(graph, CYCLE)
+        self.assert_reads_match(pickle.loads(pickle.dumps(star)), STAR)
+        self.assert_reads_match(pickle.loads(pickle.dumps(graph)), CYCLE)
+
+    @pytest.mark.parametrize("build", BUILDERS, ids=BUILDER_IDS)
+    def test_whole_interface_matches_oracle(self, build):
+        for edges in (CYCLE, STAR):
+            graph = build(_csr(edges))
+            nbrs = self.oracle(edges)
+            lex = sorted((min(a, b), max(a, b)) for a, b in edges)
+            for v in range(4):
+                assert graph.degree(v) == len(nbrs[v])
+                assert graph.neighbor_array(v).tolist() == sorted(nbrs[v])
+                assert graph.adj[v] == sorted(nbrs[v])
+            assert graph.n_vertices == 4
+            assert list(graph.iter_h_edges()) == lex
+            assert [a.tolist() for a in graph.h_edge_arrays()] == [list(e) for e in zip(*lex)]
+            assert graph.n_h_edges == len(lex)
+
+    def test_csr_edge_arrays_follow_replace(self):
+        csr = _csr(CYCLE)
+        assert [a.tolist() for a in csr.edge_arrays()] == [[0, 0, 1, 2], [1, 3, 2, 3]]
+        star = _csr(STAR)
+        replaced = dataclasses.replace(csr, indptr=star.indptr, indices=star.indices)
+        assert [a.tolist() for a in replaced.edge_arrays()] == [[0, 0, 0], [1, 2, 3]]
+        revived = pickle.loads(pickle.dumps(replaced))
+        assert [a.tolist() for a in revived.edge_arrays()] == [[0, 0, 0], [1, 2, 3]]
+
+    def test_no_private_init_fields(self):
+        """A cache held as an init field is carried over by
+        ``dataclasses.replace`` and answers for the old adjacency."""
+        for cls in (ClusterGraph, VirtualGraph, FrozenConflictGraph, CSRAdjacency):
+            private = [
+                f.name for f in dataclasses.fields(cls)
+                if f.init and f.name.startswith("_")
+            ]
+            assert private == [], (cls.__name__, private)
+
+    @staticmethod
+    def brute_force_links(graph):
+        links = {}
+        for gu, gv in graph.comm.iter_links():
+            cu, cv = graph.assignment[gu], graph.assignment[gv]
+            if cu == cv:
+                continue
+            key = (min(cu, cv), max(cu, cv))
+            links.setdefault(key, []).append((gu, gv) if cu < cv else (gv, gu))
+        return sorted(links.items())
+
+    def test_links_match_brute_force(self):
+        graphs = [figure1_example().graph]
+        for seed, topology in enumerate(("path", "star", "clique", "tree")):
+            graphs.append(
+                blowup(nx.petersen_graph(), np.random.default_rng(seed),
+                       cluster_size=4, topology=topology, link_multiplicity=3)
+            )
+        for graph in graphs:
+            expected = self.brute_force_links(graph)
+            assert any(len(realizers) > 1 for _, realizers in expected)
+            assert list(graph.links.items()) == expected
+            for key, realizers in expected:
+                for x, y in realizers:
+                    assert graph.assignment[x] == key[0]
+                    assert graph.assignment[y] == key[1]

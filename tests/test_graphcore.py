@@ -19,7 +19,6 @@ from repro.graphcore import (
     batch_neighbor_colors,
     batch_slack_counts,
     batch_used_color_masks,
-    csr_of,
     draw_free_colors,
     gather_neighborhoods,
     is_proper_edges,
@@ -100,16 +99,6 @@ class TestCSRStructure:
 
         codes = np.asarray(values, dtype=np.int64)
         assert sorted_unique(codes).tolist() == np.unique(codes).tolist()
-
-    def test_csr_of_duck_typed_graph(self):
-        class Stub:
-            n_vertices = 3
-
-            def neighbors(self, v):
-                return {0: [1], 1: [0, 2], 2: [1]}[v]
-
-        csr = csr_of(Stub())
-        assert csr.neighbors(1).tolist() == [0, 2]
 
     @given(**graph_params)
     @settings(max_examples=30)
