@@ -59,16 +59,23 @@ def buddy_predicate(
     n_v = graph.n_vertices
     delta = graph.max_degree
     trials = runtime.params.fingerprint_trials(runtime.n, max(xi / 2.0, 1e-3))
+    tracer = runtime.tracer
+    # sub-span names are the op in the tracer's dotted form: compute_acd's
+    # "acd_buddy" op runs inside its "acd.buddy" span
+    span = op.replace("_", ".")
 
-    table = FingerprintTable(n_v, trials, runtime.rng)
-    rows = neighborhood_max_rows(
-        graph.csr, table.rows, empty_value=EMPTY_MAX
-    )
+    with tracer.span(span + ".draw"):
+        table = FingerprintTable(n_v, trials, runtime.rng)
+    with tracer.span(span + ".maxima"):
+        rows = neighborhood_max_rows(
+            graph.csr, table.rows, empty_value=EMPTY_MAX
+        )
 
-    # One fused order-statistics pass serves both the degree estimates and
-    # the union probes: the planes index caches per-row (K*, Z).
-    planes = UnionPlanes(rows)
-    degree_estimates = planes.row_estimates()
+    # One pass over the threshold planes serves both the degree estimates
+    # and the union probes: the planes index caches per-row (K*, Z).
+    with tracer.span(span + ".planes"):
+        planes = UnionPlanes(rows)
+        degree_estimates = planes.row_estimates()
     # Charge: fingerprint convergecast + broadcast (pipelined wide messages).
     bits = 2 * trials + 16
     runtime.wide_message(op + "_degree", bits)
@@ -82,20 +89,25 @@ def buddy_predicate(
     yes_u = np.empty(0, dtype=np.int64)
     yes_v = np.empty(0, dtype=np.int64)
     edge_u, edge_v = graph.csr.edge_arrays()
-    if edge_u.size:
-        # |N(u) ∩ N(v)| = deg(u) + deg(v) - |N(u) ∪ N(v)|, every term
-        # estimated by a fingerprint; accept when the intersection clears the
-        # midpoint between the YES ((1-xi)Delta) and NO ((1-2xi)Delta) cases.
-        # The union term runs on the packed bit-plane index: per-edge union
-        # order statistics from ANDed plane popcounts, so nothing of size
-        # (edges x trials) is ever materialized (see docs/ESTIMATORS.md).
-        union_estimates = planes.union_estimates(edge_u, edge_v)
-        intersections = (
-            degree_estimates[edge_u] + degree_estimates[edge_v] - union_estimates
-        )
-        accept = intersections >= (1 - 1.5 * xi) * delta
-        accept &= ~(low_degree[edge_u] | low_degree[edge_v])
-        yes_u, yes_v = edge_u[accept], edge_v[accept]
+    with tracer.span(span + ".probes") as probes:
+        probes.counter("pairs", int(edge_u.size))
+        if edge_u.size:
+            # |N(u) ∩ N(v)| = deg(u) + deg(v) - |N(u) ∪ N(v)|, every term
+            # estimated by a fingerprint; accept when the intersection clears
+            # the midpoint between the YES ((1-xi)Delta) and NO ((1-2xi)Delta)
+            # cases.  The union term runs on the packed bit-plane index:
+            # per-edge union order statistics from ANDed plane popcounts, so
+            # nothing of size (edges x trials) is ever materialized (see
+            # docs/ESTIMATORS.md).
+            union_estimates = planes.union_estimates(edge_u, edge_v)
+            intersections = (
+                degree_estimates[edge_u]
+                + degree_estimates[edge_v]
+                - union_estimates
+            )
+            accept = intersections >= (1 - 1.5 * xi) * delta
+            accept &= ~(low_degree[edge_u] | low_degree[edge_v])
+            yes_u, yes_v = edge_u[accept], edge_v[accept]
     return BuddyResult(
         yes_u=yes_u,
         yes_v=yes_v,

@@ -24,8 +24,10 @@ accumulated.  Everything in this module exploits that invariance:
   the ``(edges, trials)`` union matrix: ``max(a_i, b_i) < k`` iff
   ``a_i < k`` and ``b_i < k``, so ``Z_k`` of a union is a popcount of ANDed
   per-vertex threshold bitmasks.  An escalating probe starts each edge at
-  its provable lower bound ``K* >= max(K*_u, K*_v)`` and almost always
-  terminates in one round.
+  its provable lower bound ``K* >= max(K*_u, K*_v)`` and ends in one or two
+  rounds; a matching upper bound limits the index to the planes a probe
+  can reach, and the rows' own ``(K*, Z)`` are read off those planes'
+  popcounts.
 
 The estimator contract -- which variants agree bit-for-bit, and where the
 sanctioned one-ulp divergence lives -- is documented in
@@ -67,6 +69,7 @@ def fused_topk_counts(
     Returns int64 arrays, unclamped: callers apply the ``K* >= 1`` /
     ``Z in [0.5, t - 0.5]`` clamps of the Lemma 5.2 boundary handling.
     Rows that are entirely ``EMPTY_MAX`` come out as ``K* = 0, Z = t``.
+    A rank ``q`` outside ``[1, t]`` raises ``ValueError``.
     """
     if maxima.ndim != 2:
         raise ValueError("expected a (rows, trials) matrix")
@@ -75,6 +78,8 @@ def fused_topk_counts(
         raise ValueError("empty fingerprints have no estimate")
     if q is None:
         q = threshold_index(t)
+    if not 1 <= q <= t:
+        raise ValueError(f"threshold rank q={q} outside [1, {t}]")
     part = np.partition(maxima, q - 1, axis=1)
     pivot = part[:, q - 1]
     k_star = pivot.astype(np.int64) + 1
@@ -144,25 +149,48 @@ def _popcount_rows(words: np.ndarray) -> np.ndarray:
     return np.bitwise_count(words).sum(axis=1, dtype=np.int64)
 
 
+def _and_popcounts(
+    planes: np.ndarray, left: np.ndarray, right: np.ndarray
+) -> np.ndarray:
+    """Per-pair popcount of ``planes[left] & planes[right]``: two row
+    gathers, ANDed in place."""
+    both = planes.take(left, axis=0)
+    np.bitwise_and(both, planes.take(right, axis=0), out=both)
+    return _popcount_rows(both)
+
+
 class UnionPlanes:
     """Packed threshold bit-planes answering pairwise union-cardinality
     queries without materializing union fingerprints (Lemma 5.8 fused).
 
     Built from a ``(rows, trials)`` matrix of per-row maxima (typically the
-    neighborhood fingerprints of every vertex).  Plane ``k`` stores, packed
-    64 trials per word, the bits ``Y^r_i < k``; since
+    neighborhood fingerprints of every vertex).  Plane ``k`` of a row
+    stores, packed 64 trials per word, the bits ``Y^r_i < k``; since
     ``max(a, b) < k  iff  a < k and b < k``, the union's ``Z_k`` is the
     popcount of two ANDed plane rows.  ``K*`` of the union is found by an
-    escalating probe from the per-edge lower bound
-    ``max(K*_left, K*_right)`` (unions only shrink ``Z_k``, so ``K*`` never
-    decreases under merging) -- one popcount round for almost every edge,
-    bounded by the global value range.
+    escalating probe from the per-pair lower bound ``max(K*_a, K*_b)``
+    (unions only shrink ``Z_k``, so ``K*`` never decreases under merging)
+    -- one or two popcount rounds for almost every pair.
 
-    Memory: ``O(rows * planes * trials / 64)`` words for the planes plus
-    ``O(chunk)`` probe temporaries -- nothing scales with the number of
-    queried pairs.  The order statistics are exactly the integers
-    :func:`fused_topk_counts` yields on the materialized union matrix, and
-    the estimates use the ``log1p`` form of :func:`estimates_from_counts`.
+    The probe also has an upper bound.  Let ``U_r`` be the row's
+    ``ceil((t + q) / 2)``-th smallest value plus one.  By inclusion-exclusion
+    ``Z_k(a ∪ b) >= Z_k(a) + Z_k(b) - t``, which at ``k = max(U_a, U_b)`` is
+    at least ``q``; so a union's ``K*`` is at most ``max(U_a, U_b)``.  Only
+    the planes ``k`` in ``[min_r K*_r, max_r U_r]`` are ever probed, and
+    only those are kept.  The build walks the levels upward from the
+    smallest value plus one, packs ``rows < k`` once per level, and reads
+    every row's ``Z_k`` off that plane's popcount: the first level with
+    ``Z_k >= q`` gives ``(K*, Z)`` and the first with
+    ``Z_k >= ceil((t + q) / 2)`` gives ``U``.  No partition of the value
+    matrix is needed.
+
+    Memory: one ``(rows * planes, ceil(trials / 64))`` uint64 array, row
+    ``v * planes + (k - min K*)`` holding plane ``k`` of row ``v``, plus
+    ``O(chunk * trials / 64)`` probe temporaries -- nothing scales with the
+    number of queried pairs.  The order statistics are exactly the integers
+    :func:`fused_topk_counts` yields on the rows and on the materialized
+    union matrix, and the estimates use the ``log1p`` form of
+    :func:`estimates_from_counts`.
     """
 
     def __init__(self, rows: np.ndarray):
@@ -173,23 +201,42 @@ class UnionPlanes:
             raise ValueError("empty fingerprints have no estimate")
         self.trials = int(t)
         self.q = threshold_index(t)
-        self.row_k, self.row_z = fused_topk_counts(rows, self.q)
         self.empty_rows = np.all(rows == EMPTY_MAX, axis=1)
-        # plane k covers threshold k_lo + k; K* of any union lies in
-        # [min row K*, global max value + 1] and Z at the top plane is t,
-        # so the probe always terminates inside the plane range.
+        self.row_k = np.zeros(n, dtype=np.int64)
+        self.row_z = np.zeros(n, dtype=np.int64)
+        #: Per row, the ``ceil((t + q) / 2)``-th smallest value plus one:
+        #: no union with this row has a larger ``K*`` than ``max(U, U')``.
+        self.row_u = np.zeros(n, dtype=np.int64)
+        cap = (t + self.q + 1) // 2
+        words = (t + 63) // 64
+        # trials padded to whole words; the padding bits stay False
+        below = np.zeros((n, words * 64), dtype=bool)
+        no_k = np.ones(n, dtype=bool)
+        no_u = np.ones(n, dtype=bool)
+        levels: list[np.ndarray] = []
+        first = int(rows.min()) + 1 if n else 0  # Z_k = 0 below this level
+        k = first
+        while no_u.any():
+            np.less(rows, k, out=below[:, :t])
+            plane = np.packbits(below, axis=1).view(np.uint64)
+            levels.append(plane)
+            z_k = _popcount_rows(plane)
+            hit = no_k & (z_k >= self.q)
+            self.row_k[hit] = k
+            self.row_z[hit] = z_k[hit]
+            no_k &= ~hit
+            capped = no_u & (z_k >= cap)
+            self.row_u[capped] = k
+            no_u &= ~capped
+            k += 1
+        # no probe reads a plane below the smallest row K*
         self._k_lo = int(self.row_k.min()) if n else 0
-        k_hi = (int(rows.max()) + 1) if n else 0
-        self._n_planes = max(1, k_hi - self._k_lo + 1)
-        self._words = (t + 63) // 64
-        planes = np.zeros((n, self._n_planes, self._words * 8), dtype=np.uint8)
-        packed_width = (t + 7) // 8
-        for k in range(self._n_planes):
-            planes[:, k, :packed_width] = np.packbits(
-                rows < (self._k_lo + k), axis=1
-            )
-        self._planes = planes.view(np.uint64).reshape(
-            n, self._n_planes, self._words
+        kept = levels[self._k_lo - first :]
+        self._n_planes = len(kept)
+        self._planes = (
+            np.stack(kept, axis=1).reshape(n * len(kept), words)
+            if kept
+            else np.zeros((0, words), dtype=np.uint64)
         )
 
     def row_estimates(self) -> np.ndarray:
@@ -200,50 +247,64 @@ class UnionPlanes:
         )
 
     def union_order_statistics(
-        self, left: np.ndarray, right: np.ndarray, *, chunk_rows: int = 1 << 16
+        self, left: np.ndarray, right: np.ndarray, *, chunk_rows: int = 1 << 13
     ) -> tuple[np.ndarray, np.ndarray]:
         """Raw ``(K*, Z)`` of ``max(rows[left], rows[right])`` per pair.
 
         Identical integers to :func:`fused_topk_counts` on the materialized
-        union matrix; pairs are processed in chunks of ``chunk_rows`` so the
-        working set stays ``O(chunk * trials / 64)`` words.
+        union matrix.  Pairs are processed in chunks of ``chunk_rows``; each
+        probe round gathers one plane row per side with ``take``, ANDs them
+        in place and popcounts, so the working set stays
+        ``O(chunk * trials / 64)`` words.  Misaligned pair arrays, ids
+        outside ``[0, rows)`` and a non-positive ``chunk_rows`` raise
+        ``ValueError``.
         """
         left = np.asarray(left, dtype=np.int64).reshape(-1)
         right = np.asarray(right, dtype=np.int64).reshape(-1)
         if left.shape != right.shape:
             raise ValueError("left/right pair arrays must align")
+        if chunk_rows < 1:
+            raise ValueError("chunk_rows must be positive")
         m = left.size
+        n = self.row_k.size
+        if m and (
+            min(left.min(), right.min()) < 0 or max(left.max(), right.max()) >= n
+        ):
+            raise ValueError(f"pair ids must lie in [0, {n})")
         k_star = np.empty(m, dtype=np.int64)
         z = np.empty(m, dtype=np.int64)
-        planes, q = self._planes, self.q
+        planes, n_planes, q = self._planes, self._n_planes, self.q
         for start in range(0, m, chunk_rows):
             cl = left[start : start + chunk_rows]
             cr = right[start : start + chunk_rows]
-            kcur = np.maximum(self.row_k[cl], self.row_k[cr]) - self._k_lo
-            todo = np.arange(cl.size)
-            ck = np.empty(cl.size, dtype=np.int64)
-            cz = np.empty(cl.size, dtype=np.int64)
-            while todo.size:
-                sel_k = kcur[todo]
-                counts = _popcount_rows(
-                    planes[cl[todo], sel_k] & planes[cr[todo], sel_k]
-                )
-                done = counts >= q
-                hit = todo[done]
-                ck[hit] = sel_k[done] + self._k_lo
-                cz[hit] = counts[done]
-                todo = todo[~done]
-                kcur[todo] += 1
-                if todo.size and int(kcur[todo].max()) >= self._n_planes:
+            # level = k - min K*; the flat plane row of (v, k) is
+            # v * planes + level
+            level = np.maximum(self.row_k[cl], self.row_k[cr]) - self._k_lo
+            at_l = cl * n_planes + level
+            at_r = cr * n_planes + level
+            counts = _and_popcounts(planes, at_l, at_r)
+            # escalate the pairs whose union fell short of q, one plane up
+            short = np.flatnonzero(counts < q)
+            at_l, at_r, up = at_l[short], at_r[short], level[short]
+            while short.size:
+                at_l += 1
+                at_r += 1
+                up += 1
+                if int(up.max()) >= n_planes:
                     raise AssertionError(
                         "union probe escaped the plane range"
-                    )  # unreachable: the top plane counts every trial
-            k_star[start : start + cl.size] = ck
-            z[start : start + cl.size] = cz
+                    )  # unreachable: a union's K* is at most max(U_a, U_b)
+                got = _and_popcounts(planes, at_l, at_r)
+                counts[short] = got
+                level[short] = up
+                rest = np.flatnonzero(got < q)
+                short, at_l, at_r, up = short[rest], at_l[rest], at_r[rest], up[rest]
+            k_star[start : start + cl.size] = level + self._k_lo
+            z[start : start + cl.size] = counts
         return k_star, z
 
     def union_estimates(
-        self, left: np.ndarray, right: np.ndarray, *, chunk_rows: int = 1 << 16
+        self, left: np.ndarray, right: np.ndarray, *, chunk_rows: int = 1 << 13
     ) -> np.ndarray:
         """Cardinality estimates of ``N(left) ∪ N(right)`` per pair, from
         :meth:`union_order_statistics` -- no ``(pairs, trials)``
@@ -255,4 +316,3 @@ class UnionPlanes:
         right = np.asarray(right, dtype=np.int64).reshape(-1)
         empty = self.empty_rows[left] & self.empty_rows[right]
         return estimates_from_counts(k_star, z, self.trials, empty_rows=empty)
-

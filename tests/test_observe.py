@@ -319,7 +319,8 @@ class TestTracerNeutrality:
     def test_acd_subspans_include_cabals_and_partition_the_acd_span(self):
         """On a run whose ACD finds cliques, cabal annotation has its own
         ``acd.cabals`` span beside the ComputeACD sub-phases, and the
-        sub-spans together carry every round and bit of the ``acd`` span."""
+        sub-spans together carry every round and bit of the ``acd`` span.
+        The buddy predicate's four steps nest inside ``acd.buddy``."""
         graph = GENERATORS["planted_acd"](np.random.default_rng(7)).graph
         tracer = Tracer()
         color_cluster_graph(graph, rng=np.random.default_rng(1234), tracer=tracer)
@@ -336,6 +337,15 @@ class TestTracerNeutrality:
         assert cabals.rounds_h > 0 and cabals.message_bits > 0
         assert sum(c.rounds_h for c in acd.children) == acd.rounds_h
         assert sum(c.message_bits for c in acd.children) == acd.message_bits
+        # the buddy predicate's steps nest inside acd.buddy
+        buddy = acd.children[0]
+        assert [c.name for c in buddy.children] == [
+            "acd.buddy.draw",
+            "acd.buddy.maxima",
+            "acd.buddy.planes",
+            "acd.buddy.probes",
+        ]
+        assert sum(c.wall_time_s for c in buddy.children) <= buddy.wall_time_s
 
     def test_traced_stream_batches_match_ledger(self):
         workload = STREAMS["cluster_churn"](np.random.default_rng(2))

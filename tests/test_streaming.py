@@ -70,6 +70,33 @@ def maxima_matrices(draw):
     return mat
 
 
+@st.composite
+def mixed_rows(draw):
+    """Matrices whose rows mix every shape the plane walk must handle:
+    all-empty rows, partly-empty rows and rows offset far above zero (so
+    the walk starts well past the first thresholds)."""
+    rows = draw(st.integers(1, 10))
+    trials = draw(st.integers(1, 70))
+    seed = draw(st.integers(0, 2**31 - 1))
+    rng = np.random.default_rng(seed)
+    mat = (rng.geometric(0.5, size=(rows, trials)) - 1).astype(np.int16)
+    kinds = draw(st.lists(st.sampled_from("epo."), min_size=rows, max_size=rows))
+    for r, kind in enumerate(kinds):
+        if kind == "e":
+            mat[r] = EMPTY_MAX
+        elif kind == "p":
+            mat[r, rng.random(trials) < 0.5] = EMPTY_MAX
+        elif kind == "o":
+            mat[r] += int(rng.integers(5, 40))
+    return mat
+
+
+def reference_cap(maxima: np.ndarray, q: int):
+    """``U``: the ``ceil((t + q) / 2)``-th smallest value plus one, by sort."""
+    t = maxima.shape[1]
+    return np.sort(maxima, axis=1)[:, (t + q + 1) // 2 - 1].astype(np.int64) + 1
+
+
 class TestFusedTopK:
     @given(maxima_matrices())
     @settings(max_examples=150)
@@ -139,6 +166,38 @@ class TestUnionPlanes:
         planes = UnionPlanes(mat)
         assert np.array_equal(planes.row_estimates(), reference_estimates(mat))
 
+    @given(mixed_rows())
+    @settings(max_examples=100)
+    def test_row_statistics_read_off_the_planes(self, mat):
+        """The level walk's popcounts give the rows' own ``(K*, Z)`` and
+        ``U`` exactly, on all-empty, partly-empty and offset rows alike."""
+        planes = UnionPlanes(mat)
+        k_ref, z_ref = reference_topk(mat, planes.q)
+        assert np.array_equal(planes.row_k, k_ref)
+        assert np.array_equal(planes.row_z, z_ref)
+        assert np.array_equal(planes.row_u, reference_cap(mat, planes.q))
+        assert np.array_equal(
+            planes.empty_rows, np.all(mat == EMPTY_MAX, axis=1)
+        )
+
+    @given(mixed_rows(), st.integers(0, 2**31 - 1))
+    @settings(max_examples=100)
+    def test_plane_range_bounds_every_union(self, mat, seed):
+        """Every union's ``K*`` lies in ``[max(K*_a, K*_b), max(U_a, U_b)]``,
+        and the index holds exactly the planes ``[min K*, max U]``."""
+        planes = UnionPlanes(mat)
+        rows = mat.shape[0]
+        left, right = np.divmod(np.arange(rows * rows), rows)
+        k, z = planes.union_order_statistics(left, right)
+        k_ref, z_ref = reference_topk(np.maximum(mat[left], mat[right]), planes.q)
+        assert np.array_equal(k, k_ref) and np.array_equal(z, z_ref)
+        assert np.all(k >= np.maximum(planes.row_k[left], planes.row_k[right]))
+        assert np.all(k <= np.maximum(planes.row_u[left], planes.row_u[right]))
+        first, last = planes.row_k.min(), planes.row_u.max()
+        words = (mat.shape[1] + 63) // 64
+        assert planes._k_lo == first
+        assert planes._planes.shape == (rows * (last - first + 1), words)
+
     def test_chunking_invariant(self):
         rng = np.random.default_rng(3)
         mat = (rng.geometric(0.5, size=(40, 64)) - 1).astype(np.int16)
@@ -146,8 +205,9 @@ class TestUnionPlanes:
         right = rng.integers(0, 40, 500)
         planes = UnionPlanes(mat)
         whole = planes.union_estimates(left, right)
-        tiny = planes.union_estimates(left, right, chunk_rows=7)
-        assert np.array_equal(whole, tiny)
+        for chunk in (1, 7):
+            tiny = planes.union_estimates(left, right, chunk_rows=chunk)
+            assert np.array_equal(whole, tiny)
 
     def test_empty_pair_array(self):
         mat = np.full((3, 8), EMPTY_MAX, dtype=np.int16)
@@ -172,6 +232,8 @@ _ROWS = np.zeros((3, 8), dtype=np.int16)
     [
         pytest.param(lambda: fused_topk_counts(_ROWS[0]), id="topk-1d"),
         pytest.param(lambda: fused_topk_counts(_ROWS[:, :0]), id="topk-t0"),
+        pytest.param(lambda: fused_topk_counts(_ROWS, 0), id="topk-q0"),
+        pytest.param(lambda: fused_topk_counts(_ROWS, 9), id="topk-q-above-t"),
         pytest.param(
             lambda: estimates_from_counts(np.ones(2), np.ones(2), 0),
             id="counts-trials0",
@@ -187,6 +249,20 @@ _ROWS = np.zeros((3, 8), dtype=np.int16)
                 np.array([0, 1]), np.array([2])
             ),
             id="union-misaligned",
+        ),
+        pytest.param(
+            lambda: UnionPlanes(_ROWS).union_order_statistics([-1], [0]),
+            id="union-negative-id",
+        ),
+        pytest.param(
+            lambda: UnionPlanes(_ROWS).union_order_statistics([0], [3]),
+            id="union-id-past-rows",
+        ),
+        pytest.param(
+            lambda: UnionPlanes(_ROWS).union_order_statistics(
+                [0], [1], chunk_rows=-1
+            ),
+            id="union-chunk-negative",
         ),
     ],
 )
