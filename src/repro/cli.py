@@ -332,8 +332,9 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_trace(args) -> int:
-    """Run one workload under an enabled tracer; print the stage table."""
-    from repro.observe import Tracer, aggregate_stage_rows, stage_rows
+    """Run one workload under an enabled tracer; print the nested stage
+    table."""
+    from repro.observe import Tracer, stage_tree
 
     maker = GENERATORS[args.workload]
     w = maker(np.random.default_rng(args.instance_seed))
@@ -363,8 +364,14 @@ def _cmd_trace(args) -> int:
     if args.json:
         print(json.dumps(tracer.to_dict(), indent=2))
         return 0 if proper else 1
-    rows = aggregate_stage_rows(stage_rows(tracer))
-    rows.sort(key=lambda r: r["wall_s"], reverse=True)
+    rows = stage_tree(tracer)
+
+    def nested(level: list[dict], depth: int = 0):
+        # each level by wall time, a row's sub-spans indented beneath it
+        for r in sorted(level, key=lambda r: r["wall_s"], reverse=True):
+            yield depth, r
+            yield from nested(r["children"], depth + 1)
+
     print(f"workload: {w.name}  ({w.notes})")
     print(
         f"machines={w.graph.n_machines} vertices={w.graph.n_vertices} "
@@ -373,7 +380,7 @@ def _cmd_trace(args) -> int:
     print(format_table(
         [
             {
-                "stage": r["stage"],
+                "stage": "  " * depth + r["stage"],
                 "spans": r["spans"],
                 "wall_s": f"{r['wall_s']:.4f}",
                 "rounds_h": r["rounds_h"],
@@ -381,9 +388,10 @@ def _cmd_trace(args) -> int:
                 "bits": r["bits"],
                 "max_bits": r["max_bits"],
             }
-            for r in rows
+            for depth, r in nested(rows)
         ]
     ))
+    # the top-level spans partition the run; nested rows are parts of them
     sum_rounds = sum(r["rounds_h"] for r in rows if charged(r))
     sum_bits = sum(r["bits"] for r in rows if charged(r))
     matches = sum_rounds == ledger_rounds and sum_bits == ledger_bits

@@ -19,15 +19,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.aggregation.runtime import ClusterRuntime
-from repro.graphcore import neighborhood_max_rows
 from repro.sketch.fingerprint import FingerprintTable
-from repro.sketch.geometric import EMPTY_MAX
-from repro.sketch.streaming import UnionPlanes
+from repro.sketch.streaming import UnionPlanes, neighborhood_planes
 
 
 @dataclass
 class BuddyResult:
-    """Per-edge YES/NO answers plus the intermediate sketches (reused by the
+    """Per-edge YES/NO answers plus the degree estimates (reused by the
     ACD construction so the same randomness serves both phases, as in the
     paper's single pass).
 
@@ -39,7 +37,6 @@ class BuddyResult:
     yes_u: np.ndarray
     yes_v: np.ndarray
     degree_estimates: np.ndarray
-    neighborhood_rows: np.ndarray
     trials: int
 
     def yes_edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
@@ -66,15 +63,15 @@ def buddy_predicate(
 
     with tracer.span(span + ".draw"):
         table = FingerprintTable(n_v, trials, runtime.rng)
+    # The neighborhood maxima exist only as their threshold planes
+    # [M_v < k], ORed from the neighbors' own planes over the few levels
+    # the probes read; their popcounts give the per-row (K*, Z) that serve
+    # both the degree estimates and the union probes.
     with tracer.span(span + ".maxima"):
-        rows = neighborhood_max_rows(
-            graph.csr, table.rows, empty_value=EMPTY_MAX
-        )
-
-    # One pass over the threshold planes serves both the degree estimates
-    # and the union probes: the planes index caches per-row (K*, Z).
+        stack, first = neighborhood_planes(graph.csr, table.rows)
     with tracer.span(span + ".planes"):
-        planes = UnionPlanes(rows)
+        planes = UnionPlanes(stack, first, trials, graph.csr.degrees == 0)
+        del stack  # UnionPlanes holds only the kept levels
         degree_estimates = planes.row_estimates()
     # Charge: fingerprint convergecast + broadcast (pipelined wide messages).
     bits = 2 * trials + 16
@@ -112,6 +109,5 @@ def buddy_predicate(
         yes_u=yes_u,
         yes_v=yes_v,
         degree_estimates=degree_estimates,
-        neighborhood_rows=rows,
         trials=trials,
     )

@@ -30,7 +30,6 @@ from repro.graphcore.kernels import (
     gather_neighborhoods,
     is_proper_edges,
     label_components,
-    neighborhood_max_rows,
     used_color_masks_from_flat,
     violations_edges,
 )
@@ -49,7 +48,6 @@ __all__ = [
     "gather_neighborhoods",
     "is_proper_edges",
     "label_components",
-    "neighborhood_max_rows",
     "used_color_masks_from_flat",
     "violations_edges",
 ]

@@ -319,27 +319,6 @@ def bfs_depth(csr: CSRAdjacency, labels: np.ndarray, sources) -> int:
         depth += 1
 
 
-def neighborhood_max_rows(
-    csr: CSRAdjacency, rows: np.ndarray, *, empty_value: int
-) -> np.ndarray:
-    """``out[v] = max over u in N(v) of rows[u]`` for every vertex at once.
-
-    The fingerprint workhorse (Lemma 5.8 / buddy predicate).  Each vertex
-    reduces its contiguous ``(degree, t)`` neighbor block with
-    ``gather.max(axis=0)``, numpy's SIMD maximum, written straight into its
-    output row, so the full ``(2m, trials)`` gather is never materialized.
-    Vertices with empty neighborhoods get ``empty_value`` rows.
-    """
-    n = csr.n_vertices
-    out = np.full((n, rows.shape[1]), empty_value, dtype=rows.dtype)
-    indptr, indices = csr.indptr, csr.indices
-    for v in range(n):
-        start, stop = indptr[v], indptr[v + 1]
-        if stop > start:
-            rows[indices[start:stop]].max(axis=0, out=out[v])
-    return out
-
-
 def is_proper_edges(
     edge_u: np.ndarray,
     edge_v: np.ndarray,

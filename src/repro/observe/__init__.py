@@ -22,6 +22,7 @@ from repro.observe.tracer import (
     Tracer,
     aggregate_stage_rows,
     stage_rows,
+    stage_tree,
 )
 
 __all__ = [
@@ -30,5 +31,6 @@ __all__ = [
     "NULL_TRACER",
     "SpanRecord",
     "stage_rows",
+    "stage_tree",
     "aggregate_stage_rows",
 ]

@@ -38,6 +38,7 @@ __all__ = [
     "Tracer",
     "aggregate_stage_rows",
     "stage_rows",
+    "stage_tree",
 ]
 
 
@@ -276,23 +277,18 @@ NULL_TRACER = NullTracer()
 # ---- table views ------------------------------------------------------------
 
 
-def stage_rows(
-    trace: Tracer | dict[str, Any] | None,
-) -> list[dict[str, Any]]:
-    """Flatten a trace's *top-level* spans into table-ready stage rows.
-
-    Accepts a live :class:`Tracer` or a serialized ``to_dict()`` tree (the
-    artifact ``trace`` section).  One row per top-level span, in execution
-    order: ``stage`` (name plus any tags), ``wall_s``, ``rounds_h``,
-    ``rounds_g``, ``bits``, ``max_bits``.  Top-level spans partition the
-    run, so summing any column reproduces the run's ledger totals -- the
-    invariant ``repro trace`` prints and tests assert.
-    """
+def _top_spans(trace: Tracer | dict[str, Any] | None) -> list[dict[str, Any]]:
+    """The serialized top-level spans of a live tracer or a ``to_dict()``
+    tree."""
     if trace is None:
         return []
-    spans = trace.to_dict()["spans"] if isinstance(trace, Tracer) else (
-        trace.get("spans", [])
-    )
+    if isinstance(trace, Tracer):
+        return trace.to_dict()["spans"]
+    return trace.get("spans", [])
+
+
+def _span_rows(spans: list[dict[str, Any]]) -> list[dict[str, Any]]:
+    """One table row per serialized span, in the given order."""
     rows = []
     for span in spans:
         tags = span.get("tags", {})
@@ -310,6 +306,44 @@ def stage_rows(
                 "makespan_ms": float(span.get("makespan_ms", 0.0)),
             }
         )
+    return rows
+
+
+def stage_rows(
+    trace: Tracer | dict[str, Any] | None,
+) -> list[dict[str, Any]]:
+    """Flatten a trace's *top-level* spans into table-ready stage rows.
+
+    Accepts a live :class:`Tracer` or a serialized ``to_dict()`` tree (the
+    artifact ``trace`` section).  One row per top-level span, in execution
+    order: ``stage`` (name plus any tags), ``wall_s``, ``rounds_h``,
+    ``rounds_g``, ``bits``, ``max_bits``.  Top-level spans partition the
+    run, so summing any column reproduces the run's ledger totals -- the
+    invariant ``repro trace`` prints and tests assert.
+    """
+    return _span_rows(_top_spans(trace))
+
+
+def stage_tree(trace: Tracer | dict[str, Any] | None) -> list[dict[str, Any]]:
+    """:func:`aggregate_stage_rows` at every depth of a trace.
+
+    One merged row per top-level span name, as :func:`aggregate_stage_rows`
+    gives for :func:`stage_rows`, each carrying a ``children`` list: the
+    merged rows of the child spans of every span it merged, built the
+    same way down the tree (so the three ``sparse_mct.pass`` spans under
+    ``sparse`` become one row).  Only the top level partitions the run; a
+    child row is a part of its parent's.
+    """
+    return _merge_tree(_top_spans(trace))
+
+
+def _merge_tree(spans: list[dict[str, Any]]) -> list[dict[str, Any]]:
+    rows = aggregate_stage_rows(_span_rows(spans))
+    children: dict[str, list[dict[str, Any]]] = {}
+    for span in spans:
+        children.setdefault(span["name"], []).extend(span.get("children", []))
+    for row in rows:
+        row["children"] = _merge_tree(children[row["stage"]])
     return rows
 
 

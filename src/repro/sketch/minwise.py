@@ -30,6 +30,17 @@ def _mix(x: int) -> int:
     return x ^ (x >> 31)
 
 
+def mix64(x: np.ndarray) -> np.ndarray:
+    """:func:`_mix` over a uint64 array: numpy's uint64 multiplies wrap mod
+    ``2^64`` exactly as the masked Python ints do, so every element equals
+    the scalar finalizer's value."""
+    x = np.asarray(x, dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+        x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return x ^ (x >> np.uint64(31))
+
+
 @dataclass(frozen=True)
 class MinwiseHash:
     """One function of the family, identified by a seed.
@@ -45,11 +56,9 @@ class MinwiseHash:
         return _mix(x ^ _mix(self.seed))
 
     def values(self, xs: np.ndarray) -> np.ndarray:
-        """Vectorized hashing of an int array."""
-        out = np.empty(len(xs), dtype=np.uint64)
-        for i, x in enumerate(xs):
-            out[i] = self.value(int(x))
-        return out
+        """Vectorized hashing of an int array (elementwise :meth:`value`)."""
+        xs = np.asarray(xs, dtype=np.int64).astype(np.uint64)
+        return mix64(xs ^ np.uint64(_mix(self.seed)))
 
     def argmin(self, xs) -> int:
         """The element of ``xs`` with smallest hash (ties by value order --

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.sketch.minwise import _mix
+from repro.sketch.minwise import mix64
 
 
 @dataclass(frozen=True)
@@ -40,8 +40,13 @@ class RepresentativeSet:
         if not universe:
             return []
         k = min(self.size, len(universe))
-        ranked = sorted(universe, key=lambda c: _mix(c * 0x9E3779B97F4A7C15 ^ self.index))
-        return ranked[:k]
+        # rank by mix((c * phi mod 2^64) ^ index); the stable sort keeps a
+        # tie in universe order
+        codes = np.asarray(universe, dtype=np.int64).astype(np.uint64)
+        with np.errstate(over="ignore"):
+            codes *= np.uint64(0x9E3779B97F4A7C15)
+        order = np.argsort(mix64(codes ^ np.uint64(self.index)), kind="stable")
+        return [universe[i] for i in order[:k].tolist()]
 
 
 @dataclass(frozen=True)

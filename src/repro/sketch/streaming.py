@@ -28,6 +28,10 @@ accumulated.  Everything in this module exploits that invariance:
   rounds; a matching upper bound limits the index to the planes a probe
   can reach, and the rows' own ``(K*, Z)`` are read off those planes'
   popcounts.
+* :func:`neighborhood_planes` builds those planes for every vertex's
+  neighborhood maximum without the maxima themselves: ``[M_v >= k]`` is the
+  OR of the neighbors' own planes ``[row_u >= k]``, over the few levels
+  Lemma 5.2 predicts from the degrees.
 
 The estimator contract -- which variants agree bit-for-bit, and where the
 sanctioned one-ulp divergence lives -- is documented in
@@ -37,10 +41,12 @@ sanctioned one-ulp divergence lives -- is documented in
 from __future__ import annotations
 
 import math
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.sketch.geometric import EMPTY_MAX
+if TYPE_CHECKING:
+    from repro.graphcore import CSRAdjacency
 
 _THRESHOLD_NUM = 27
 _THRESHOLD_DEN = 40
@@ -159,30 +165,136 @@ def _and_popcounts(
     return _popcount_rows(both)
 
 
+def _first_level(degree: int, fraction: float, top: int) -> int:
+    """Smallest ``k`` in ``[1, top]`` with ``(1 - 2^-k)^degree >= fraction``
+    (``top`` when none is): the level at which the expected ``Z_k / t`` of
+    a ``degree``-element neighborhood first reaches ``fraction``
+    (Lemma 5.2's ``P[max < k]``)."""
+    target = math.log(fraction)
+    k = 1
+    while k < top and degree * math.log1p(-(2.0 ** -k)) < target:
+        k += 1
+    return min(k, top)
+
+
+def _or_levels(
+    rows: np.ndarray, indptr: np.ndarray, indices: np.ndarray, levels, mask
+) -> np.ndarray:
+    """Packed planes ``[M_v < k]`` of every vertex for each ``k`` in
+    ``levels``, ``M_v`` the neighborhood maximum of ``rows``.
+
+    Each vertex's own planes ``[row_u >= k]`` are packed one level at a
+    time through one reused bool buffer and stacked in one row; a
+    per-vertex ``bitwise_or.reduce`` over the neighbor block gives
+    ``[M_v >= k]`` for all levels at once, and the complement within the
+    ``t`` trial bits (``mask``) is ``[M_v < k]``.  Isolated vertices OR
+    nothing, so their planes come out all ones: the empty set's maximum is
+    below every level.
+    """
+    n, t = rows.shape
+    words = mask.size
+    own = np.empty((n, len(levels), words), dtype=np.uint64)
+    # trials padded to whole words; the padding bits stay False
+    buf = np.zeros((n, words * 64), dtype=bool)
+    for j, k in enumerate(levels):
+        np.greater_equal(rows, k, out=buf[:, :t])
+        own[:, j] = np.packbits(buf, axis=1).view(np.uint64)
+    flat = own.reshape(n, -1)
+    out = np.zeros_like(own)
+    flat_out = out.reshape(n, -1)
+    bounds = indptr.tolist()
+    for v in range(n):
+        start, stop = bounds[v], bounds[v + 1]
+        if stop > start:
+            np.bitwise_or.reduce(
+                flat[indices[start:stop]], axis=0, out=flat_out[v]
+            )
+    np.bitwise_not(out, out=out)
+    out &= mask
+    return out
+
+
+def neighborhood_planes(
+    csr: CSRAdjacency, rows: np.ndarray
+) -> tuple[np.ndarray, int]:
+    """Packed threshold planes ``[M_v < k]`` of every vertex's neighborhood
+    maximum ``M_v = max over u in N(v) of rows[u]``, over a level range
+    that brackets every row's ``K*`` and ``U`` -- the input of
+    :class:`UnionPlanes`.
+
+    ``[M_v >= k]`` is the OR over ``u in N(v)`` of ``[row_u >= k]``: the
+    threshold form of the max-convergecast (Lemmas 5.2/5.8), so the
+    ``(n, t)`` matrix of maxima is never built.  The range starts where
+    Lemma 5.2 expects it: one below the smallest ``k`` with
+    ``(1 - 2^-k)^d_min >= q/t`` and up to the smallest ``k`` with
+    ``(1 - 2^-k)^d_max >= cap/t`` (``cap = ceil((t + q) / 2)``, degrees of
+    the non-isolated vertices).  It then extends downward, one OR pass per
+    level, while a non-isolated row holds ``q`` bits at its lowest level,
+    and upward while a row holds fewer than ``cap`` at its top, so the
+    start only affects speed.  Returns ``(planes, first)``: a
+    ``(rows, levels, ceil(t / 64))`` uint64 array whose plane ``j`` is
+    level ``first + j``.  ``rows`` holds values ``>= EMPTY_MAX``.
+    """
+    n, t = rows.shape
+    words = (t + 63) // 64
+    mask = np.packbits(np.arange(words * 64) < t).view(np.uint64)
+    degree = csr.degrees
+    live = degree > 0
+    if not live.any():
+        return np.zeros((n, 0, words), dtype=np.uint64), 0
+    q = threshold_index(t)
+    cap = (t + q + 1) // 2
+    # every neighborhood maximum is below this level, so Z reaches t there
+    top = int(rows.max()) + 1
+    lo = max(_first_level(int(degree[live].min()), q / t, top) - 1, 0)
+    hi = _first_level(int(degree.max()), cap / t, top)
+
+    def at(levels):
+        return _or_levels(rows, csr.indptr, csr.indices, levels, mask)
+
+    planes = at(range(lo, hi + 1))
+    while lo > 0 and (_popcount_rows(planes[live, 0]) >= q).any():
+        lo -= 1
+        planes = np.concatenate([at([lo]), planes], axis=1)
+    while (_popcount_rows(planes[:, -1]) < cap).any():
+        hi += 1
+        planes = np.concatenate([planes, at([hi])], axis=1)
+    return planes, lo
+
+
 class UnionPlanes:
     """Packed threshold bit-planes answering pairwise union-cardinality
     queries without materializing union fingerprints (Lemma 5.8 fused).
 
-    Built from a ``(rows, trials)`` matrix of per-row maxima (typically the
-    neighborhood fingerprints of every vertex).  Plane ``k`` of a row
-    stores, packed 64 trials per word, the bits ``Y^r_i < k``; since
-    ``max(a, b) < k  iff  a < k and b < k``, the union's ``Z_k`` is the
-    popcount of two ANDed plane rows.  ``K*`` of the union is found by an
-    escalating probe from the per-pair lower bound ``max(K*_a, K*_b)``
-    (unions only shrink ``Z_k``, so ``K*`` never decreases under merging)
-    -- one or two popcount rounds for almost every pair.
+    Built from packed planes of per-row maxima (typically the neighborhood
+    fingerprints of every vertex, from :func:`neighborhood_planes`).
+    Plane ``k`` of a row stores, 64 trials per word, the bits
+    ``Y^r_i < k``; since ``max(a, b) < k  iff  a < k and b < k``, the
+    union's ``Z_k`` is the popcount of two ANDed plane rows.  ``K*`` of
+    the union is found by an escalating probe from the per-pair lower bound
+    ``max(K*_a, K*_b)`` (unions only shrink ``Z_k``, so ``K*`` never
+    decreases under merging) -- one or two popcount rounds for almost
+    every pair.
 
     The probe also has an upper bound.  Let ``U_r`` be the row's
     ``ceil((t + q) / 2)``-th smallest value plus one.  By inclusion-exclusion
     ``Z_k(a ∪ b) >= Z_k(a) + Z_k(b) - t``, which at ``k = max(U_a, U_b)`` is
-    at least ``q``; so a union's ``K*`` is at most ``max(U_a, U_b)``.  Only
-    the planes ``k`` in ``[min_r K*_r, max_r U_r]`` are ever probed, and
-    only those are kept.  The build walks the levels upward from the
-    smallest value plus one, packs ``rows < k`` once per level, and reads
-    every row's ``Z_k`` off that plane's popcount: the first level with
+    at least ``q``; so a union's ``K*`` is at most ``max(U_a, U_b)``.  Each
+    row's ``Z_k`` is its plane's popcount: the first level with
     ``Z_k >= q`` gives ``(K*, Z)`` and the first with
-    ``Z_k >= ceil((t + q) / 2)`` gives ``U``.  No partition of the value
-    matrix is needed.
+    ``Z_k >= ceil((t + q) / 2)`` gives ``U``.  Only the planes ``k`` in
+    ``[min K*, max U]`` (over the non-empty rows) are ever probed, and only
+    those are kept.  Empty rows -- all of whose planes are all ones -- get
+    ``K* = U = 0``, ``Z = t``, and a pair of them is answered without a
+    probe.
+
+    ``planes`` is a ``(rows, levels, ceil(trials / 64))`` uint64 array,
+    plane ``j`` holding level ``first + j`` with the padding bits clear;
+    ``empty_rows`` marks the rows whose set is empty.  Unless ``first`` is
+    0, every non-empty row must hold fewer than ``q`` bits at the first
+    plane, and every row at least ``ceil((t + q) / 2)`` at the last, or
+    ``ValueError`` is raised: the planes must bracket every ``K*`` and
+    ``U``.
 
     Memory: one ``(rows * planes, ceil(trials / 64))`` uint64 array, row
     ``v * planes + (k - min K*)`` holding plane ``k`` of row ``v``, plus
@@ -193,51 +305,50 @@ class UnionPlanes:
     :func:`estimates_from_counts`.
     """
 
-    def __init__(self, rows: np.ndarray):
-        if rows.ndim != 2:
-            raise ValueError("expected a (rows, trials) matrix")
-        n, t = rows.shape
-        if t == 0:
+    def __init__(
+        self, planes: np.ndarray, first: int, trials: int, empty_rows: np.ndarray
+    ):
+        if planes.ndim != 3:
+            raise ValueError("expected a (rows, levels, words) plane array")
+        n, levels, words = planes.shape
+        if trials < 1:
             raise ValueError("empty fingerprints have no estimate")
-        self.trials = int(t)
+        if words != (trials + 63) // 64:
+            raise ValueError(f"{trials} trials do not pack into {words} words")
+        t = self.trials = int(trials)
         self.q = threshold_index(t)
-        self.empty_rows = np.all(rows == EMPTY_MAX, axis=1)
+        cap = (t + self.q + 1) // 2
+        self.empty_rows = np.asarray(empty_rows, dtype=bool).reshape(-1)
+        if self.empty_rows.size != n:
+            raise ValueError("empty_rows must flag every row")
+        live = ~self.empty_rows
+        z = np.bitwise_count(planes).sum(axis=2, dtype=np.int64)  # (n, levels)
+        if live.any() and (
+            levels == 0
+            or (first > 0 and (z[live, 0] >= self.q).any())
+            or (z[live, -1] < cap).any()
+        ):
+            raise ValueError("the planes must bracket every row's K* and U")
         self.row_k = np.zeros(n, dtype=np.int64)
-        self.row_z = np.zeros(n, dtype=np.int64)
+        self.row_z = np.full(n, t, dtype=np.int64)
         #: Per row, the ``ceil((t + q) / 2)``-th smallest value plus one:
         #: no union with this row has a larger ``K*`` than ``max(U, U')``.
         self.row_u = np.zeros(n, dtype=np.int64)
-        cap = (t + self.q + 1) // 2
-        words = (t + 63) // 64
-        # trials padded to whole words; the padding bits stay False
-        below = np.zeros((n, words * 64), dtype=bool)
-        no_k = np.ones(n, dtype=bool)
-        no_u = np.ones(n, dtype=bool)
-        levels: list[np.ndarray] = []
-        first = int(rows.min()) + 1 if n else 0  # Z_k = 0 below this level
-        k = first
-        while no_u.any():
-            np.less(rows, k, out=below[:, :t])
-            plane = np.packbits(below, axis=1).view(np.uint64)
-            levels.append(plane)
-            z_k = _popcount_rows(plane)
-            hit = no_k & (z_k >= self.q)
-            self.row_k[hit] = k
-            self.row_z[hit] = z_k[hit]
-            no_k &= ~hit
-            capped = no_u & (z_k >= cap)
-            self.row_u[capped] = k
-            no_u &= ~capped
-            k += 1
-        # no probe reads a plane below the smallest row K*
-        self._k_lo = int(self.row_k.min()) if n else 0
-        kept = levels[self._k_lo - first :]
-        self._n_planes = len(kept)
-        self._planes = (
-            np.stack(kept, axis=1).reshape(n * len(kept), words)
-            if kept
-            else np.zeros((0, words), dtype=np.uint64)
-        )
+        self._k_lo = self._n_planes = 0
+        self._planes = np.zeros((0, words), dtype=np.uint64)
+        if not live.any():
+            return
+        z = z[live]
+        at_k = np.argmax(z >= self.q, axis=1)
+        self.row_k[live] = first + at_k
+        self.row_z[live] = z[np.arange(z.shape[0]), at_k]
+        self.row_u[live] = first + np.argmax(z >= cap, axis=1)
+        # no probe reads a plane below the smallest non-empty row's K*
+        self._k_lo = int(self.row_k[live].min())
+        k_hi = int(self.row_u.max())
+        self._n_planes = k_hi - self._k_lo + 1
+        kept = planes[:, self._k_lo - first : k_hi - first + 1]
+        self._planes = np.ascontiguousarray(kept).reshape(n * self._n_planes, words)
 
     def row_estimates(self) -> np.ndarray:
         """Lemma 5.2 estimates of the rows themselves (no union), from the
@@ -252,7 +363,8 @@ class UnionPlanes:
         """Raw ``(K*, Z)`` of ``max(rows[left], rows[right])`` per pair.
 
         Identical integers to :func:`fused_topk_counts` on the materialized
-        union matrix.  Pairs are processed in chunks of ``chunk_rows``; each
+        union matrix; a pair of empty rows gives ``K* = 0, Z = t`` without
+        a probe.  Pairs are processed in chunks of ``chunk_rows``; each
         probe round gathers one plane row per side with ``take``, ANDs them
         in place and popcounts, so the working set stays
         ``O(chunk * trials / 64)`` words.  Misaligned pair arrays, ids
@@ -271,6 +383,16 @@ class UnionPlanes:
             min(left.min(), right.min()) < 0 or max(left.max(), right.max()) >= n
         ):
             raise ValueError(f"pair ids must lie in [0, {n})")
+        both_empty = self.empty_rows[left] & self.empty_rows[right]
+        if both_empty.any():
+            # the union of two empty sets: K* = 0, Z = t, nothing to probe
+            k_star = np.zeros(m, dtype=np.int64)
+            z = np.full(m, self.trials, dtype=np.int64)
+            rest = np.flatnonzero(~both_empty)
+            k_star[rest], z[rest] = self.union_order_statistics(
+                left[rest], right[rest], chunk_rows=chunk_rows
+            )
+            return k_star, z
         k_star = np.empty(m, dtype=np.int64)
         z = np.empty(m, dtype=np.int64)
         planes, n_planes, q = self._planes, self._n_planes, self.q

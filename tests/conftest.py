@@ -70,11 +70,39 @@ def make_runtime(graph, seed: int = 5) -> ClusterRuntime:
 def neighborhood_maxima(
     rows: np.ndarray, edges_src: np.ndarray, edges_dst: np.ndarray, n_vertices: int
 ) -> np.ndarray:
-    """Oracle for ``graphcore.neighborhood_max_rows``: one ``np.maximum.at``
-    scatter over every directed edge, so ``Y[v] = max over u in N(v) of
-    rows[u]`` (``EMPTY_MAX`` where ``N(v)`` is empty)."""
+    """Oracle for the buddy predicate's neighborhood maxima: one
+    ``np.maximum.at`` scatter over every directed edge, so ``Y[v] = max
+    over u in N(v) of rows[u]`` (``EMPTY_MAX`` where ``N(v)`` is empty)."""
     from repro.sketch.geometric import EMPTY_MAX
 
     out = np.full((n_vertices, rows.shape[1]), EMPTY_MAX, dtype=rows.dtype)
     np.maximum.at(out, edges_dst, rows[edges_src])
     return out
+
+
+def packed_planes(maxima: np.ndarray, first: int, last: int) -> np.ndarray:
+    """Oracle threshold planes: the bits ``maxima < k`` for every ``k`` in
+    ``[first, last]``, packed 64 trials per word (padding bits clear) into
+    the ``(rows, levels, words)`` uint64 layout ``UnionPlanes`` reads."""
+    n, t = maxima.shape
+    words = (t + 63) // 64
+    bits = np.zeros((n, last - first + 1, words * 64), dtype=bool)
+    levels = np.arange(first, last + 1)
+    bits[:, :, :t] = maxima[:, None, :] < levels[None, :, None]
+    return np.packbits(bits, axis=2).view(np.uint64)
+
+
+def union_planes(maxima: np.ndarray):
+    """``UnionPlanes`` of a maxima matrix, through :func:`packed_planes`
+    over every level from the smallest value (no row holds a bit there)
+    to the largest plus one (every row holds ``t``)."""
+    from repro.sketch import EMPTY_MAX, UnionPlanes
+
+    first = max(int(maxima.min()), 0)
+    last = int(maxima.max()) + 1
+    return UnionPlanes(
+        packed_planes(maxima, first, last),
+        first,
+        maxima.shape[1],
+        np.all(maxima == EMPTY_MAX, axis=1),
+    )

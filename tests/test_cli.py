@@ -135,6 +135,24 @@ class TestObservabilityCommands:
         assert "stream.batch" in out and "stream.bootstrap" in out
         assert "(match)" in out
 
+    def test_trace_table_nests_sub_spans(self, capsys):
+        """The table indents ``acd.*`` under ``acd`` and ``acd.buddy.*``
+        under ``acd.buddy``; the totals line still sums the top-level rows
+        alone and matches the ledger."""
+        code = main(["trace", "high_degree"])
+        out = capsys.readouterr().out
+        assert code == 0
+        lines = out.splitlines()
+        rule = next(i for i, x in enumerate(lines) if x.startswith("---"))
+        body = lines[rule + 1 : -1]
+        depth = {x.split()[0]: (len(x) - len(x.lstrip())) // 2 for x in body}
+        assert depth["acd"] == 0
+        assert depth["acd.buddy"] == 1
+        assert depth["acd.buddy.maxima"] == 2
+        top_rounds = sum(int(x.split()[3]) for x in body if not x.startswith(" "))
+        assert f"stage sums: rounds_h={top_rounds} " in lines[-1]
+        assert lines[-1].endswith("(match)")
+
     def test_trace_json_dumps_span_tree(self, capsys):
         import json
 

@@ -23,13 +23,10 @@ from repro.graphcore import (
     gather_neighborhoods,
     is_proper_edges,
     label_components,
-    neighborhood_max_rows,
     violations_edges,
 )
 from repro.network import CommGraph
-from repro.sketch.geometric import EMPTY_MAX
 from repro.verify.checker import is_proper, violations
-from tests.conftest import neighborhood_maxima
 
 
 def random_graph(seed: int, n: int, density: float) -> ClusterGraph:
@@ -231,29 +228,6 @@ class TestKernelAgreement:
         eu, ev = g.h_edge_arrays()
         assert is_proper_edges(eu, ev, colors) == reference(False)
         assert set(violations_edges(eu, ev, colors)) == expected_bad
-
-    @given(
-        trials=st.sampled_from([1, 7, 95, 96, 257]),
-        dtype=st.sampled_from([np.int8, np.int16]),
-        **graph_params,
-    )
-    @settings(max_examples=40)
-    def test_neighborhood_max_rows_vs_scatter_reference(
-        self, trials, dtype, seed, n, density
-    ):
-        """The per-vertex block reduction must equal the np.maximum.at
-        scatter (the oracle in tests/conftest.py), at narrow widths and at
-        the hundreds of trials the buddy predicate runs, on the int8 rows
-        the buddy predicate draws as well as on wider ones."""
-        g = random_graph(seed, n, density)
-        rng = np.random.default_rng(seed + 7)
-        rows = rng.integers(0, 100, size=(n, trials)).astype(dtype)
-        eu, ev = g.h_edge_arrays()
-        src = np.concatenate([eu, ev])
-        dst = np.concatenate([ev, eu])
-        expected = neighborhood_maxima(rows, src, dst, n)
-        got = neighborhood_max_rows(g.csr, rows, empty_value=EMPTY_MAX)
-        assert np.array_equal(got, expected)
 
 
 class TestCSRFromAdjLists:

@@ -2,8 +2,53 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.sketch import MinwiseHash, RepresentativeFamily, sample_minwise
+from repro.sketch.minwise import _mix, mix64
+
+#: the largest index a multicolor-trial family draws from: n^2 at n = 10^6
+_TOP_INDEX = RepresentativeFamily.for_multicolor_trial(0.1, 10**6).family_size - 1
+
+
+class TestMix64:
+    """The SplitMix64 array kernel against the scalar finalizer (the
+    oracle), and both of its callers against their scalar forms."""
+
+    @given(st.lists(st.integers(0, 2**64 - 1), max_size=40))
+    @example([0, 2**63 - 1, 2**64 - 1, _TOP_INDEX])
+    @settings(max_examples=100)
+    def test_kernel_equals_scalar_oracle(self, xs):
+        got = mix64(np.array(xs, dtype=np.uint64))
+        assert got.dtype == np.uint64
+        assert got.tolist() == [_mix(x) for x in xs]
+
+    @given(
+        st.integers(0, 2**63 - 2),
+        st.lists(st.integers(-(2**63), 2**63 - 1), max_size=30),
+    )
+    @example(0, [0, 2**63 - 1, -1, _TOP_INDEX])
+    def test_minwise_values_equal_value(self, seed, xs):
+        h = MinwiseHash(seed)
+        got = h.values(np.array(xs, dtype=np.int64))
+        assert got.tolist() == [h.value(x) for x in xs]
+
+    @given(
+        st.integers(0, _TOP_INDEX),
+        st.lists(st.integers(0, 5000), max_size=60),
+        st.integers(1, 70),
+    )
+    @example(_TOP_INDEX, [0, 1, 1, 2], 3)
+    @example(0, [2**63 - 1, 0, 7], 2)
+    def test_materialize_equals_sorted_key_oracle(self, index, universe, size):
+        from repro.sketch import RepresentativeSet
+
+        ranked = sorted(
+            universe, key=lambda c: _mix(c * 0x9E3779B97F4A7C15 ^ index)
+        )
+        member = RepresentativeSet(index=index, size=size)
+        assert member.materialize(universe) == ranked[:size]
 
 
 class TestMinwise:

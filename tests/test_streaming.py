@@ -22,6 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.graphcore import CSRAdjacency
 from repro.sketch import (
     EMPTY_MAX,
     UnionPlanes,
@@ -30,6 +31,9 @@ from repro.sketch import (
     fused_topk_counts,
     threshold_index,
 )
+from repro.sketch import streaming
+from repro.sketch.streaming import neighborhood_planes
+from tests.conftest import neighborhood_maxima, packed_planes, union_planes
 
 
 def reference_topk(maxima: np.ndarray, q: int):
@@ -147,7 +151,7 @@ class TestUnionPlanes:
         right = rng.integers(0, rows, m).astype(np.int64)
         union = np.maximum(mat[left], mat[right])
 
-        planes = UnionPlanes(mat)
+        planes = union_planes(mat)
         k, z = planes.union_order_statistics(left, right)
         k_ref, z_ref = reference_topk(union, planes.q)
         assert np.array_equal(k, k_ref)
@@ -163,7 +167,7 @@ class TestUnionPlanes:
     @given(maxima_matrices())
     @settings(max_examples=60)
     def test_row_estimates_bitwise(self, mat):
-        planes = UnionPlanes(mat)
+        planes = union_planes(mat)
         assert np.array_equal(planes.row_estimates(), reference_estimates(mat))
 
     @given(mixed_rows())
@@ -171,7 +175,7 @@ class TestUnionPlanes:
     def test_row_statistics_read_off_the_planes(self, mat):
         """The level walk's popcounts give the rows' own ``(K*, Z)`` and
         ``U`` exactly, on all-empty, partly-empty and offset rows alike."""
-        planes = UnionPlanes(mat)
+        planes = union_planes(mat)
         k_ref, z_ref = reference_topk(mat, planes.q)
         assert np.array_equal(planes.row_k, k_ref)
         assert np.array_equal(planes.row_z, z_ref)
@@ -185,7 +189,7 @@ class TestUnionPlanes:
     def test_plane_range_bounds_every_union(self, mat, seed):
         """Every union's ``K*`` lies in ``[max(K*_a, K*_b), max(U_a, U_b)]``,
         and the index holds exactly the planes ``[min K*, max U]``."""
-        planes = UnionPlanes(mat)
+        planes = union_planes(mat)
         rows = mat.shape[0]
         left, right = np.divmod(np.arange(rows * rows), rows)
         k, z = planes.union_order_statistics(left, right)
@@ -193,8 +197,14 @@ class TestUnionPlanes:
         assert np.array_equal(k, k_ref) and np.array_equal(z, z_ref)
         assert np.all(k >= np.maximum(planes.row_k[left], planes.row_k[right]))
         assert np.all(k <= np.maximum(planes.row_u[left], planes.row_u[right]))
-        first, last = planes.row_k.min(), planes.row_u.max()
         words = (mat.shape[1] + 63) // 64
+        live = ~planes.empty_rows
+        if not live.any():  # nothing to probe: no planes kept
+            assert planes._planes.shape == (0, words)
+            return
+        # empty rows (K* = 0) never lower the range: a pair of them is not
+        # probed, and any other pair starts at its non-empty row's K*
+        first, last = planes.row_k[live].min(), planes.row_u.max()
         assert planes._k_lo == first
         assert planes._planes.shape == (rows * (last - first + 1), words)
 
@@ -203,7 +213,7 @@ class TestUnionPlanes:
         mat = (rng.geometric(0.5, size=(40, 64)) - 1).astype(np.int16)
         left = rng.integers(0, 40, 500)
         right = rng.integers(0, 40, 500)
-        planes = UnionPlanes(mat)
+        planes = union_planes(mat)
         whole = planes.union_estimates(left, right)
         for chunk in (1, 7):
             tiny = planes.union_estimates(left, right, chunk_rows=chunk)
@@ -211,7 +221,7 @@ class TestUnionPlanes:
 
     def test_empty_pair_array(self):
         mat = np.full((3, 8), EMPTY_MAX, dtype=np.int16)
-        planes = UnionPlanes(mat)
+        planes = union_planes(mat)
         out = planes.union_estimates(
             np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
         )
@@ -219,12 +229,141 @@ class TestUnionPlanes:
 
     def test_all_empty_rows_estimate_zero(self):
         mat = np.full((4, 16), EMPTY_MAX, dtype=np.int16)
-        planes = UnionPlanes(mat)
+        planes = union_planes(mat)
         out = planes.union_estimates(np.array([0, 1]), np.array([2, 3]))
         assert np.array_equal(out, np.zeros(2))
 
 
+def star_and_clique(leaves: int, clique: int, isolated: int):
+    """A star (center 0) whose center is joined to the first vertex of a
+    clique, followed by ``isolated`` vertices: degree 1 at the leaves and
+    the largest degree at the center, as CSR."""
+    eu = [0] * leaves
+    ev = list(range(1, leaves + 1))
+    members = range(leaves + 1, leaves + 1 + clique)
+    eu += [a for a in members for b in members if a < b] + [0]
+    ev += [b for a in members for b in members if a < b] + [leaves + 1]
+    n = leaves + 1 + clique + isolated
+    return CSRAdjacency.from_edge_arrays(np.array(eu), np.array(ev), n)
+
+
+@st.composite
+def plane_graphs(draw):
+    """A graph and per-vertex rows for the plane builder: G(n, p) or a star
+    joined to a clique, with isolated vertices appended, and rows that are
+    geometric, all zero or offset far up vertex by vertex -- so Lemma
+    5.2's predicted level range can be wrong in either direction."""
+    seed = draw(st.integers(0, 2**31 - 1))
+    rng = np.random.default_rng(seed)
+    isolated = draw(st.integers(0, 3))
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 14))
+        eu, ev = np.triu_indices(n, 1)
+        keep = rng.random(eu.size) < draw(st.floats(0.0, 1.0))
+        csr = CSRAdjacency.from_edge_arrays(eu[keep], ev[keep], n + isolated)
+    else:
+        csr = star_and_clique(
+            draw(st.integers(1, 8)), draw(st.integers(2, 8)), isolated
+        )
+    n = csr.n_vertices
+    trials = draw(st.integers(1, 90))
+    rows = (rng.geometric(0.5, size=(n, trials)) - 1).astype(np.int8)
+    kinds = draw(st.lists(st.sampled_from("gzo"), min_size=n, max_size=n))
+    for v, kind in enumerate(kinds):
+        if kind == "z":
+            rows[v] = 0
+        elif kind == "o":
+            rows[v] += int(rng.integers(5, 40))
+    return csr, rows
+
+
+def maxima_of(csr: CSRAdjacency, rows: np.ndarray) -> np.ndarray:
+    """Neighborhood maxima by the ``np.maximum.at`` oracle."""
+    eu, ev = csr.edge_arrays()
+    src, dst = np.concatenate([eu, ev]), np.concatenate([ev, eu])
+    return neighborhood_maxima(rows, src, dst, csr.n_vertices)
+
+
+class TestNeighborhoodPlanes:
+    @given(plane_graphs())
+    @settings(max_examples=150)
+    def test_planes_match_the_packed_maxima(self, case):
+        """The OR-plane build equals the packed planes of the scattered
+        maxima on every level it returns, and so on the kept range
+        ``[min K*, max U]``; the row and union ``(K*, Z, U)`` read off them
+        equal the sort-based reference."""
+        csr, rows = case
+        n, t = rows.shape
+        maxima = maxima_of(csr, rows)
+        stack, first = neighborhood_planes(csr, rows)
+        assert np.array_equal(
+            stack, packed_planes(maxima, first, first + stack.shape[1] - 1)
+        )
+        planes = UnionPlanes(stack, first, t, csr.degrees == 0)
+        k_ref, z_ref = reference_topk(maxima, planes.q)
+        assert np.array_equal(planes.row_k, k_ref)
+        assert np.array_equal(planes.row_z, z_ref)
+        assert np.array_equal(planes.row_u, reference_cap(maxima, planes.q))
+        left, right = np.divmod(np.arange(n * n), n)
+        k, z = planes.union_order_statistics(left, right)
+        k_ref, z_ref = reference_topk(
+            np.maximum(maxima[left], maxima[right]), planes.q
+        )
+        assert np.array_equal(k, k_ref) and np.array_equal(z, z_ref)
+        live = csr.degrees > 0
+        if live.any():
+            lo, hi = int(planes.row_k[live].min()), int(planes.row_u.max())
+            assert planes._k_lo == lo
+            kept = planes._planes.reshape(n, hi - lo + 1, -1)
+            assert np.array_equal(kept, packed_planes(maxima, lo, hi))
+        else:
+            assert stack.shape[1] == 0
+
+    def test_walk_extends_past_a_wrong_prediction(self, monkeypatch):
+        """Leaves of degree 1 start the range low and the center's degree
+        ends it low; zero rows in the clique put ``K*`` below the start and
+        an offset center row puts the leaves' ``U`` far above the end, so
+        the walk must add levels on both sides."""
+        csr = star_and_clique(6, 5, 2)
+        rng = np.random.default_rng(11)
+        rows = (rng.geometric(0.5, size=(csr.n_vertices, 64)) - 1).astype(np.int8)
+        rows[7:12] = 0
+        rows[0] += 40
+        calls = []
+        real = streaming._or_levels
+
+        def spy(rows, indptr, indices, levels, mask):
+            calls.append(list(levels))
+            return real(rows, indptr, indices, levels, mask)
+
+        monkeypatch.setattr(streaming, "_or_levels", spy)
+        stack, first = neighborhood_planes(csr, rows)
+        predicted, extra = calls[0], calls[1:]
+        assert any(max(c) < min(predicted) for c in extra)
+        assert any(min(c) > max(predicted) for c in extra)
+        maxima = maxima_of(csr, rows)
+        last = first + stack.shape[1] - 1
+        assert np.array_equal(stack, packed_planes(maxima, first, last))
+        planes = UnionPlanes(stack, first, 64, csr.degrees == 0)
+        assert np.array_equal(
+            planes.row_k, reference_topk(maxima, planes.q)[0]
+        )
+
+    def test_no_edges_builds_no_planes(self):
+        csr = CSRAdjacency.from_edge_arrays(np.empty(0), np.empty(0), 4)
+        rows = np.zeros((4, 10), dtype=np.int8)
+        stack, first = neighborhood_planes(csr, rows)
+        assert stack.shape == (4, 0, 1)
+        planes = UnionPlanes(stack, first, 10, csr.degrees == 0)
+        assert np.array_equal(planes.row_estimates(), np.zeros(4))
+        k, z = planes.union_order_statistics([0, 1], [2, 3])
+        assert k.tolist() == [0, 0] and z.tolist() == [10, 10]
+
+
 _ROWS = np.zeros((3, 8), dtype=np.int16)
+# levels 0 and 1 of _ROWS: no bit below 0, all eight below 1
+_PLANES = packed_planes(_ROWS, 0, 1)
+_NONE_EMPTY = np.zeros(3, dtype=bool)
 
 
 @pytest.mark.parametrize(
@@ -242,24 +381,49 @@ _ROWS = np.zeros((3, 8), dtype=np.int16)
             lambda: estimates_from_counts(np.ones(2), np.ones(2), -3),
             id="counts-trials-negative",
         ),
-        pytest.param(lambda: UnionPlanes(_ROWS[0]), id="planes-1d"),
-        pytest.param(lambda: UnionPlanes(_ROWS[:, :0]), id="planes-t0"),
         pytest.param(
-            lambda: UnionPlanes(_ROWS).union_estimates(
+            lambda: UnionPlanes(_PLANES[:, 0], 0, 8, _NONE_EMPTY), id="planes-1d"
+        ),
+        pytest.param(
+            lambda: UnionPlanes(_PLANES[:, :, :0], 0, 0, _NONE_EMPTY),
+            id="planes-t0",
+        ),
+        pytest.param(
+            lambda: UnionPlanes(_PLANES, 0, 65, _NONE_EMPTY),
+            id="planes-words-mismatch",
+        ),
+        pytest.param(
+            lambda: UnionPlanes(_PLANES, 0, 8, _NONE_EMPTY[:2]),
+            id="planes-empty-flags-short",
+        ),
+        pytest.param(
+            lambda: UnionPlanes(_PLANES[:, 1:], 1, 8, _NONE_EMPTY),
+            id="planes-start-above-k-star",
+        ),
+        pytest.param(
+            lambda: UnionPlanes(_PLANES[:, :1], 0, 8, _NONE_EMPTY),
+            id="planes-end-below-u",
+        ),
+        pytest.param(
+            lambda: UnionPlanes(_PLANES[:, :0], 0, 8, _NONE_EMPTY),
+            id="planes-no-levels",
+        ),
+        pytest.param(
+            lambda: union_planes(_ROWS).union_estimates(
                 np.array([0, 1]), np.array([2])
             ),
             id="union-misaligned",
         ),
         pytest.param(
-            lambda: UnionPlanes(_ROWS).union_order_statistics([-1], [0]),
+            lambda: union_planes(_ROWS).union_order_statistics([-1], [0]),
             id="union-negative-id",
         ),
         pytest.param(
-            lambda: UnionPlanes(_ROWS).union_order_statistics([0], [3]),
+            lambda: union_planes(_ROWS).union_order_statistics([0], [3]),
             id="union-id-past-rows",
         ),
         pytest.param(
-            lambda: UnionPlanes(_ROWS).union_order_statistics(
+            lambda: union_planes(_ROWS).union_order_statistics(
                 [0], [1], chunk_rows=-1
             ),
             id="union-chunk-negative",
@@ -277,14 +441,19 @@ class TestPinnedBuddyDigest:
 
     The digest was captured from the pre-fusion implementation (per-chunk
     ``np.maximum`` union matrices + ``batch_estimate``); the bit-plane
-    rewire must reproduce the YES edges, the degree estimates, the shared
-    fingerprint rows, and the post-call RNG position exactly.
+    rewire must reproduce the YES edges, the degree estimates, the
+    neighborhood maxima of the shared fingerprint rows, and the post-call
+    RNG position exactly.  The predicate never forms the maxima, so the
+    test replays the rows' draw and scatters them with the conftest
+    oracle, and checks that the predicate's OR-ed planes are those
+    maxima's packed planes.
     """
 
     PINNED = "186268d810ecc765dc7f92e7d39be81b"
 
-    def test_dense_cell_digest(self):
-        from repro.decomposition import buddy_predicate
+    def test_dense_cell_digest(self, monkeypatch):
+        from repro.decomposition import buddy
+        from repro.sketch import FingerprintTable
         from repro.workloads import high_degree_instance
         from tests.conftest import make_runtime
 
@@ -295,16 +464,28 @@ class TestPinnedBuddyDigest:
             cluster_size=1,
         )
         runtime = make_runtime(w.graph, seed=7)
-        result = buddy_predicate(runtime, xi=0.25)
+        built = []
+        monkeypatch.setattr(
+            buddy,
+            "neighborhood_planes",
+            lambda *a: built.append(neighborhood_planes(*a)) or built[-1],
+        )
+        result = buddy.buddy_predicate(runtime, xi=0.25)
+        # the neighborhood maxima, by the oracle over a replay of the draw
+        replay = make_runtime(w.graph, seed=7)
+        table = FingerprintTable(w.graph.n_vertices, result.trials, replay.rng)
+        maxima = maxima_of(w.graph.csr, table.rows)
         yes_u, yes_v = result.yes_edge_arrays()
         digest = hashlib.sha256()
         digest.update(np.ascontiguousarray(yes_u).tobytes())
         digest.update(np.ascontiguousarray(yes_v).tobytes())
         digest.update(np.ascontiguousarray(result.degree_estimates).tobytes())
-        digest.update(
-            np.ascontiguousarray(result.neighborhood_rows, dtype=np.int64).tobytes()
-        )
+        digest.update(np.ascontiguousarray(maxima, dtype=np.int64).tobytes())
         digest.update(np.int64(result.trials).tobytes())
         digest.update(np.float64(runtime.rng.random()).tobytes())
         assert digest.hexdigest()[:32] == self.PINNED
         assert yes_u.size > 0  # the pin covers a non-trivial cell
+        # the predicate's planes are the packed oracle maxima
+        (stack, first), = built
+        last = first + stack.shape[1] - 1
+        assert np.array_equal(stack, packed_planes(maxima, first, last))
