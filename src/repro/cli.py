@@ -14,10 +14,6 @@ Commands
 ``stream``
     Drive a churn workload through the streaming update engine
     (optionally racing the recolor-from-scratch baseline).
-``serve``
-    Replay an open-loop update trace through the always-on coloring
-    service: final latency percentiles and the SLO report (report-only
-    unless ``--strict``).
 ``sweep``
     Run a named scenario suite in parallel, write a JSONL artifact
     (``--trace`` attaches span trees to traceable cells).
@@ -225,76 +221,6 @@ def _cmd_stream(args) -> int:
             f"scratch {scratch['stream_wall_time_s']:.3f}s)"
         )
     return 0 if all(m["proper"] for m in summaries.values()) else 1
-
-
-def _cmd_serve(args) -> int:
-    """Run the always-on coloring service over a replayed trace."""
-    from repro.serve import (
-        ColoringService,
-        DEFAULT_SLOS,
-        parse_slo,
-        render_slo_report,
-        evaluate_slos,
-    )
-
-    maker = GENERATORS[args.workload]
-    kwargs: dict = {
-        "batches": args.batches,
-        "arrival_profile": args.profile,
-        "arrival_rate": args.rate,
-    }
-    if args.vertices is not None:
-        kwargs["n_vertices"] = args.vertices
-    w = maker(np.random.default_rng(args.instance_seed), **kwargs)
-    try:
-        slos = (
-            tuple(parse_slo(s) for s in args.slo) if args.slo else DEFAULT_SLOS
-        )
-    except ValueError as exc:
-        raise SystemExit(f"repro: {exc}") from exc
-    params = paper() if args.params == "paper" else scaled()
-    service = ColoringService(
-        w,
-        params=params,
-        seed=args.seed,
-        slos=slos,
-    )
-    print(f"workload: {w.name}  ({w.notes})")
-    print(
-        f"trace: {len(w.batches)} batches, {w.total_updates} updates, "
-        f"profile={args.profile} rate={args.rate:g}/s"
-    )
-    service.start()
-    print(f"bootstrap: {service.bootstrap_wall_time_s:.3f}s "
-          f"({service.engine.num_colors} colors)")
-    service.run()
-    metrics = service.collect()
-    print(
-        f"final: proper={metrics['proper']} "
-        f"violations={metrics['violation_batches']} "
-        f"escalations={metrics['escalations']} "
-        f"recolor_fraction mean={metrics['recolor_fraction_mean']:.4f}"
-    )
-    print(
-        f"repair latency (exact): p50={metrics['repair_ms_p50']:.3f}ms "
-        f"p95={metrics['repair_ms_p95']:.3f}ms p99={metrics['repair_ms_p99']:.3f}ms"
-    )
-    print(
-        f"end-to-end latency: p50={metrics['latency_ms_p50']:.3f}ms "
-        f"p99={metrics['latency_ms_p99']:.3f}ms  "
-        f"queueing p99={metrics['queue_ms_p99']:.3f}ms"
-    )
-    print(
-        f"sustained throughput: {metrics['updates_per_sec']:.1f} updates/s "
-        f"over {metrics['trace_duration_s']:.2f} trace-seconds"
-    )
-    report = evaluate_slos(metrics, slos)
-    print(render_slo_report(report))
-    if metrics["violation_batches"]:
-        return 1
-    if args.strict and not report.passed:
-        return 1
-    return 0
 
 
 # ---- experiment orchestration (repro.experiments) ---------------------------
@@ -741,42 +667,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--quiet", action="store_true", help="summary only, no per-batch table"
     )
     p_stream.set_defaults(func=_cmd_stream)
-
-    p_serve = sub.add_parser(
-        "serve",
-        help="replay an open-loop trace through the always-on coloring service",
-    )
-    p_serve.add_argument(
-        "--workload", choices=sorted(STREAMS), default="sliding_window"
-    )
-    p_serve.add_argument("--instance-seed", type=int, default=0)
-    p_serve.add_argument("--seed", type=int, default=0)
-    p_serve.add_argument(
-        "--vertices", type=int, default=None,
-        help="initial graph size (default: the generator's own)",
-    )
-    p_serve.add_argument(
-        "--batches", type=int, default=50, help="trace length in update batches"
-    )
-    p_serve.add_argument(
-        "--profile", choices=["constant", "diurnal", "spiky"], default="diurnal",
-        help="arrival-rate shape of the open-loop trace",
-    )
-    p_serve.add_argument(
-        "--rate", type=float, default=1000.0,
-        help="base offered load in updates/second",
-    )
-    p_serve.add_argument(
-        "--slo", action="append", default=[], metavar="METRIC<=BOUND",
-        help="objective override, e.g. repair_ms_p99<=250 or "
-        "updates_per_sec>=500 (repeatable; default: the built-in targets)",
-    )
-    p_serve.add_argument(
-        "--strict", action="store_true",
-        help="exit 1 when an SLO misses (default: report-only)",
-    )
-    p_serve.add_argument("--params", choices=["scaled", "paper"], default="scaled")
-    p_serve.set_defaults(func=_cmd_serve)
 
     p_list = sub.add_parser("workloads", help="list instance generators")
     p_list.add_argument(

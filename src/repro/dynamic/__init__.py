@@ -24,7 +24,7 @@ from repro.dynamic.engine import (
     RepairError,
     StreamResult,
 )
-from repro.dynamic.harness import latency_fields, run_stream, summarize_stream
+from repro.dynamic.harness import run_stream
 from repro.dynamic.updates import KINDS, Update, UpdateBatch
 from repro.dynamic.view import FrozenConflictGraph
 
@@ -38,7 +38,5 @@ __all__ = [
     "StreamResult",
     "Update",
     "UpdateBatch",
-    "latency_fields",
     "run_stream",
-    "summarize_stream",
 ]

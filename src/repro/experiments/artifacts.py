@@ -65,26 +65,13 @@ METRIC_FIELDS = (
     "stream_wall_time_s",
     "vertices_final",
     "delta_final",
-    # latency/throughput extras every stream and service cell carries; see
-    # repro.dynamic.harness.latency_fields
+    # latency/throughput extras every stream cell carries; see
+    # repro.dynamic.harness.run_stream
     "violation_batches",
     "repair_ms_p50",
     "repair_ms_p95",
     "repair_ms_p99",
     "updates_per_sec",
-    # service-cell extras (blank for plain stream cells); see
-    # repro.serve.driver.ColoringService.collect
-    "arrival_profile",
-    "arrival_rate",
-    "queue_ms_p50",
-    "queue_ms_p95",
-    "queue_ms_p99",
-    "latency_ms_p50",
-    "latency_ms_p95",
-    "latency_ms_p99",
-    "trace_duration_s",
-    "slo_pass",
-    "slo_failed",
 )
 
 
@@ -268,7 +255,7 @@ def to_csv(artifact: Artifact, path: str | pathlib.Path) -> pathlib.Path:
 
 # ---- aggregation -----------------------------------------------------------
 
-#: Metrics summarized by :func:`summarize`.  The stream/service extras
+#: Metrics summarized by :func:`summarize`.  The stream extras
 #: appear blank for one-shot cells (their records never carry those
 #: metrics).
 SUMMARY_METRICS = (

@@ -26,7 +26,7 @@ DEFAULT_TOLERANCES: dict[str, float] = {
     "rounds_g": 0.05,
     "total_message_bits": 0.05,
     "colors_used": 0.0,
-    # deterministic service/stream correctness: a batch that ends improper
+    # deterministic stream correctness: a batch that ends improper
     # is a hard regression regardless of machine speed
     "violation_batches": 0.0,
     # simulated-clock makespan (hetnet cells only; the metric is absent --
@@ -137,12 +137,10 @@ GATEABLE_METRICS = frozenset(
         "recolor_fraction_mean",
         "recolor_fraction_max",
         "escalations",
-        # service cells (repro.serve): properness-over-the-trace is
-        # deterministic and therefore gateable; latency percentiles and
-        # updates/sec are wall-derived and deliberately NOT listed here --
-        # they are SLO material, not compare gates
+        # properness over the whole stream is deterministic and therefore
+        # gateable; latency percentiles and updates/sec are wall-derived
+        # and deliberately NOT listed here
         "violation_batches",
-        "slo_failed",
         # hetnet cells (repro.network.hetnet): simulated time, deterministic
         # given the seeds like every other simulated quantity
         "makespan_ms",

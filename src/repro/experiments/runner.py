@@ -39,13 +39,7 @@ from repro.baselines import (
 import repro.coloring.polylog  # noqa: F401  (lazily imported by the pipeline)
 from repro.dynamic import run_stream
 from repro.experiments import artifacts
-from repro.experiments.spec import (
-    Cell,
-    ScenarioSpec,
-    SERVICE_ALGORITHMS,
-    STREAM_ALGORITHMS,
-)
-from repro.serve import run_service
+from repro.experiments.spec import Cell, ScenarioSpec, STREAM_ALGORITHMS
 from repro.observe.tracer import Tracer
 from repro.experiments.pool import (
     WatchdogTimeout,
@@ -93,12 +87,9 @@ def _params(cell: Cell):
     raise ValueError(f"unknown params preset {cell.params!r}")
 
 
-#: Algorithms that accept a tracer (the paper pipeline, the stream engine,
-#: and the service driver); baselines stay untraced -- they have no ledger
-#: stages to span.
-TRACEABLE_ALGORITHMS = (
-    {"paper"} | set(STREAM_ALGORITHMS) | set(SERVICE_ALGORITHMS)
-)
+#: Algorithms that accept a tracer (the paper pipeline and the stream
+#: engine); baselines stay untraced -- they have no ledger stages to span.
+TRACEABLE_ALGORITHMS = {"paper"} | set(STREAM_ALGORITHMS)
 
 
 def _execute(cell: Cell, tracer: Tracer | None = None) -> dict[str, Any]:
@@ -118,20 +109,7 @@ def _execute(cell: Cell, tracer: Tracer | None = None) -> dict[str, Any]:
         "bandwidth_cap_bits": params.bandwidth_bits(graph.n_machines),
         "num_colors": graph.max_degree + 1,
     }
-    if cell.algorithm in SERVICE_ALGORITHMS:
-        _service, service_metrics = run_service(
-            workload,
-            params=params,
-            seed=cell.seed,
-            tracer=tracer,
-        )
-        metrics.update(service_metrics)
-        if _service.engine is not None:
-            engine = _service.engine
-            metrics["coloring_digest"] = coloring_digest(
-                engine.colors[engine.delta.alive_mask]
-            )
-    elif cell.algorithm in STREAM_ALGORITHMS:
+    if cell.algorithm in STREAM_ALGORITHMS:
         _engine, _result, stream_metrics = run_stream(
             workload,
             params=params,

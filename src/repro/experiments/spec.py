@@ -24,10 +24,7 @@ from typing import Any, Iterator
 #: Algorithm 3; ``luby``/``palette_sparsification``/``local_gather`` are the
 #: Experiment E13 comparators; ``dynamic`` and ``recolor_scratch`` consume a
 #: stream workload's update batches through the streaming engine
-#: (incremental repair vs. full recolor every batch); ``service`` replays
-#: the stream open-loop through the always-on service driver
-#: (:mod:`repro.serve`), adding queueing/latency percentiles and an SLO
-#: verdict to the deterministic stream metrics.
+#: (incremental repair vs. full recolor every batch).
 ALGORITHMS = (
     "paper",
     "luby",
@@ -35,7 +32,6 @@ ALGORITHMS = (
     "local_gather",
     "dynamic",
     "recolor_scratch",
-    "service",
 )
 
 #: The one-shot comparators of Experiment E13 (static workloads only).
@@ -43,9 +39,6 @@ ONE_SHOT_ALGORITHMS = ("paper", "luby", "palette_sparsification", "local_gather"
 
 #: The streaming-engine pair every stream suite sweeps.
 STREAM_ALGORITHMS = ("dynamic", "recolor_scratch")
-
-#: Algorithms dispatched through the open-loop service driver.
-SERVICE_ALGORITHMS = ("service",)
 
 
 def _canonical(obj: Any) -> str:
@@ -162,6 +155,16 @@ class ScenarioSpec:
     #: product describes them.  When non-empty, the grid axes above are
     #: ignored and :meth:`cells` returns exactly these.
     fixed_cells: tuple[Cell, ...] = ()
+
+    def __post_init__(self) -> None:
+        names = set(self.algorithms) | {c.algorithm for c in self.fixed_cells}
+        unknown = sorted(names - set(ALGORITHMS))
+        if unknown:
+            raise ValueError(
+                f"scenario {self.name!r}: unknown algorithm(s) "
+                f"{', '.join(map(repr, unknown))}; choose from "
+                f"{', '.join(ALGORITHMS)}"
+            )
 
     def cells(self) -> list[Cell]:
         """Expand the grid, in deterministic order."""
@@ -611,89 +614,6 @@ _register(
             ),
         ),
         algorithms=STREAM_ALGORITHMS,
-        seeds=(0,),
-        cell_timeout_s=300.0,
-    )
-)
-
-_register(
-    ScenarioSpec(
-        name="service",
-        description=(
-            "Always-on coloring service under open-loop traffic: 20k-vertex "
-            "200-batch diurnal turnover, spiky hotspot skew, constant-rate "
-            "merge/split churn (headline metrics: repair-latency percentiles, "
-            "sustained updates/sec, SLO verdict)"
-        ),
-        workloads=(
-            WorkloadSpec.of(
-                "sliding_window",
-                n_vertices=20_000,
-                avg_degree=8.0,
-                cluster_size=1,
-                batches=200,
-                churn_fraction=0.002,
-                arrival_profile="diurnal",
-                arrival_rate=2000.0,
-            ),
-            WorkloadSpec.of(
-                "hotspot_churn",
-                n_vertices=5_000,
-                avg_degree=10.0,
-                cluster_size=1,
-                batches=60,
-                arrival_profile="spiky",
-                arrival_rate=1000.0,
-            ),
-            WorkloadSpec.of(
-                "cluster_churn",
-                n_vertices=2_000,
-                avg_degree=8.0,
-                cluster_size=4,
-                batches=40,
-                arrival_profile="constant",
-                arrival_rate=500.0,
-            ),
-        ),
-        algorithms=SERVICE_ALGORITHMS,
-        seeds=(0,),
-        instance_seeds=(0,),
-        cell_timeout_s=1800.0,
-    )
-)
-
-_register(
-    ScenarioSpec(
-        name="service_smoke",
-        description="CI-fast miniature of the service suite (same traffic shapes)",
-        workloads=(
-            WorkloadSpec.of(
-                "sliding_window",
-                n_vertices=500,
-                avg_degree=8.0,
-                batches=12,
-                arrival_profile="diurnal",
-                arrival_rate=1000.0,
-            ),
-            WorkloadSpec.of(
-                "hotspot_churn",
-                n_vertices=300,
-                avg_degree=10.0,
-                batches=8,
-                arrival_profile="spiky",
-                arrival_rate=500.0,
-            ),
-            WorkloadSpec.of(
-                "cluster_churn",
-                n_vertices=150,
-                avg_degree=8.0,
-                cluster_size=4,
-                batches=6,
-                arrival_profile="constant",
-                arrival_rate=300.0,
-            ),
-        ),
-        algorithms=SERVICE_ALGORITHMS,
         seeds=(0,),
         cell_timeout_s=300.0,
     )

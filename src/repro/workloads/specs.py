@@ -40,11 +40,6 @@ __all__ = [
 #: module stays import-light).
 TOPOLOGIES = ("path", "star", "clique", "tree", "bridge")
 
-#: Arrival profiles plus "no schedule" (mirrors
-#: ``repro.workloads.streams.ARRIVAL_PROFILES``).
-ARRIVAL_CHOICES = (None, "constant", "diurnal", "spiky")
-
-
 @dataclass(frozen=True)
 class ParamSpec:
     """One generator parameter: type, validity bounds, and mutation box.
@@ -125,17 +120,6 @@ def _topology(default: str = "star") -> ParamSpec:
     return ParamSpec(
         kind="choice", default=default, choices=TOPOLOGIES, fuzz=True
     )
-
-
-def _arrival_specs() -> dict[str, ParamSpec]:
-    """The open-loop arrival knobs shared by every stream generator
-    (service material; excluded from the fuzz search space)."""
-    return {
-        "arrival_profile": ParamSpec(
-            kind="choice", default=None, choices=ARRIVAL_CHOICES, allow_none=True
-        ),
-        "arrival_rate": ParamSpec(kind="float", default=1000.0, low=1e-9),
-    }
 
 
 #: The heterogeneous-fabric knobs shared by *every* generator (handled
@@ -348,7 +332,6 @@ PARAM_SPECS: dict[str, dict[str, ParamSpec]] = {
             kind="float", default=0.05, low=0.0, high=1.0,
             fuzz=True, fuzz_low=0.01, fuzz_high=0.5, role="structure",
         ),
-        **_arrival_specs(),
         **_net_specs(),
     },
     "hotspot_churn": {
@@ -389,7 +372,6 @@ PARAM_SPECS: dict[str, dict[str, ParamSpec]] = {
             kind="int", default=2, low=0, high=1024,
             fuzz=True, fuzz_low=0, fuzz_high=12, role="structure",
         ),
-        **_arrival_specs(),
         **_net_specs(),
     },
     "cluster_churn": {
@@ -423,7 +405,6 @@ PARAM_SPECS: dict[str, dict[str, ParamSpec]] = {
             kind="int", default=None, low=0, high=1_000_000, allow_none=True,
             fuzz=True, fuzz_low=2, fuzz_high=200, role="structure",
         ),
-        **_arrival_specs(),
         **_net_specs(),
     },
 }

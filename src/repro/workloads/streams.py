@@ -34,20 +34,9 @@ from repro.workloads.specs import validated
 
 @dataclass
 class StreamWorkload(Workload):
-    """A churn instance: initial graph + the update batches to absorb.
-
-    ``arrivals`` (optional) turns the batch list into an *open-loop trace*:
-    ``arrivals[i]`` is the offset in seconds, from trace start, at which
-    batch ``i`` arrives at the service -- generated by
-    :func:`arrival_offsets` when the generator was asked for an
-    ``arrival_profile``.  Workloads without arrivals replay back-to-back
-    (every batch arrives at t=0, so queueing delay is not meaningful).
-    """
+    """A churn instance: initial graph + the update batches to absorb."""
 
     batches: list[UpdateBatch] = field(default_factory=list)
-    arrivals: list[float] | None = None
-    arrival_profile: str | None = None
-    arrival_rate: float | None = None
 
     @property
     def total_updates(self) -> int:
@@ -193,77 +182,6 @@ class _Shadow:
         return w
 
 
-#: Arrival-rate shapes :func:`arrival_offsets` understands.  ``constant``
-#: offers a flat rate; ``diurnal`` modulates it sinusoidally over the trace
-#: (one full day of traffic compressed into the batch sequence); ``spiky``
-#: overlays random short bursts at a multiple of the base rate.
-ARRIVAL_PROFILES = ("constant", "diurnal", "spiky")
-
-
-def arrival_offsets(
-    rng: np.random.Generator,
-    batch_updates: list[int],
-    *,
-    profile: str = "constant",
-    updates_per_sec: float = 1000.0,
-    diurnal_amplitude: float = 0.6,
-    spike_fraction: float = 0.1,
-    spike_factor: float = 8.0,
-) -> list[float]:
-    """Open-loop arrival timestamps for a batch sequence.
-
-    Batch ``i`` (carrying ``batch_updates[i]`` structural events) arrives
-    once its events have accumulated at the momentary offered rate: the
-    inter-arrival gap is ``batch_updates[i] / rate_i``, where ``rate_i`` is
-    the base ``updates_per_sec`` shaped by ``profile``.  Offsets are
-    nondecreasing by construction and deterministic given the rng (only
-    the ``spiky`` profile draws -- burst placement).
-    """
-    if profile not in ARRIVAL_PROFILES:
-        raise ValueError(
-            f"unknown arrival profile {profile!r}; choose from "
-            f"{', '.join(ARRIVAL_PROFILES)}"
-        )
-    if updates_per_sec <= 0:
-        raise ValueError(f"updates_per_sec must be > 0, got {updates_per_sec}")
-    n = len(batch_updates)
-    rates = np.full(n, float(updates_per_sec))
-    if n and profile == "diurnal":
-        phase = 2.0 * np.pi * np.arange(n) / n
-        rates *= 1.0 + diurnal_amplitude * np.sin(phase)
-        rates = np.maximum(rates, 1e-9)
-    elif n and profile == "spiky":
-        bursts = rng.random(n) < spike_fraction
-        rates[bursts] *= spike_factor
-    gaps = np.asarray(batch_updates, dtype=np.float64) / rates
-    return np.cumsum(gaps).tolist()
-
-
-def _with_arrivals(
-    workload: StreamWorkload,
-    rng: np.random.Generator,
-    arrival_profile: str | None,
-    arrival_rate: float,
-) -> StreamWorkload:
-    """Attach an arrival schedule when a profile was requested.
-
-    Runs *after* batch generation, so workloads generated without a
-    profile are bit-for-bit what they were before arrivals existed (no
-    extra rng draws on that path).
-    """
-    if arrival_profile is None:
-        return workload
-    workload.arrivals = arrival_offsets(
-        rng,
-        [len(b) for b in workload.batches],
-        profile=arrival_profile,
-        updates_per_sec=arrival_rate,
-    )
-    workload.arrival_profile = arrival_profile
-    workload.arrival_rate = float(arrival_rate)
-    return workload
-
-
 def _initial_graph(
     rng: np.random.Generator,
     n_vertices: int,
@@ -302,17 +220,13 @@ def sliding_window_stream(
     topology: ClusterTopology = "star",
     batches: int = 8,
     churn_fraction: float = 0.05,
-    arrival_profile: str | None = None,
-    arrival_rate: float = 1000.0,
 ) -> StreamWorkload:
     """Sliding-window edge turnover: each batch retires the
     ``churn_fraction`` oldest edges and admits as many fresh random ones.
 
     The live edge count (and hence the degree profile) stays roughly
     stationary, so this isolates pure *turnover* cost -- the acceptance
-    scenario of the dynamic subsystem.  ``arrival_profile`` /
-    ``arrival_rate`` (optional) attach an open-loop arrival schedule for
-    the service driver (see :func:`arrival_offsets`).
+    scenario of the dynamic subsystem.
     """
     graph = _initial_graph(rng, n_vertices, avg_degree, cluster_size, topology)
     shadow = _Shadow(graph)
@@ -337,19 +251,14 @@ def sliding_window_stream(
             shadow.insert(*pair)
             window.append(pair)
         out.append(batch)
-    return _with_arrivals(
-        StreamWorkload(
-            name="sliding_window",
-            graph=graph,
-            notes=(
-                f"{batches} batches x {churn} edge turnover on "
-                f"G(n={n_vertices}, d~{avg_degree:g})"
-            ),
-            batches=out,
+    return StreamWorkload(
+        name="sliding_window",
+        graph=graph,
+        notes=(
+            f"{batches} batches x {churn} edge turnover on "
+            f"G(n={n_vertices}, d~{avg_degree:g})"
         ),
-        rng,
-        arrival_profile,
-        arrival_rate,
+        batches=out,
     )
 
 
@@ -366,16 +275,12 @@ def hotspot_churn_stream(
     churn_edges: int | None = None,
     arrivals: int = 4,
     departures: int = 2,
-    arrival_profile: str | None = None,
-    arrival_rate: float = 1000.0,
 ) -> StreamWorkload:
     """Skewed churn: edge turnover concentrated on a small hotspot, new
     clusters arriving wired into the hotspot, old ones departing elsewhere.
 
     Hotspot degrees drift upward, exercising palette *growth*; departures
     exercise shrinkage and the palette-retightening path.
-    ``arrival_profile`` / ``arrival_rate`` (optional) attach an open-loop
-    arrival schedule for the service driver.
     """
     graph = _initial_graph(rng, n_vertices, avg_degree, cluster_size, topology)
     shadow = _Shadow(graph)
@@ -430,19 +335,14 @@ def hotspot_churn_stream(
                 batch.edge_insert(*pair)
                 shadow.insert(*pair)
         out.append(batch)
-    return _with_arrivals(
-        StreamWorkload(
-            name="hotspot_churn",
-            graph=graph,
-            notes=(
-                f"{batches} batches, {hot_count}-vertex hotspot, "
-                f"{churn} edge churn + {arrivals} arrivals/{departures} departures"
-            ),
-            batches=out,
+    return StreamWorkload(
+        name="hotspot_churn",
+        graph=graph,
+        notes=(
+            f"{batches} batches, {hot_count}-vertex hotspot, "
+            f"{churn} edge churn + {arrivals} arrivals/{departures} departures"
         ),
-        rng,
-        arrival_profile,
-        arrival_rate,
+        batches=out,
     )
 
 
@@ -458,14 +358,10 @@ def cluster_churn_stream(
     merges_per_batch: int = 3,
     splits_per_batch: int = 3,
     churn_edges: int | None = None,
-    arrival_profile: str | None = None,
-    arrival_rate: float = 1000.0,
 ) -> StreamWorkload:
     """Merge/split traces: clusters coalesce and fission while background
     edge churn keeps the conflict frontier moving -- the shape contraction
-    and decomposition algorithms impose on their cluster graphs.
-    ``arrival_profile`` / ``arrival_rate`` (optional) attach an open-loop
-    arrival schedule for the service driver."""
+    and decomposition algorithms impose on their cluster graphs."""
     if cluster_size < 2:
         raise ValueError("cluster_churn_stream needs cluster_size >= 2 to split")
     graph = _initial_graph(rng, n_vertices, avg_degree, cluster_size, topology)
@@ -523,19 +419,14 @@ def cluster_churn_stream(
             batch.cluster_split(u, moved, size=size)
             shadow.split(u, moved, size)
         out.append(batch)
-    return _with_arrivals(
-        StreamWorkload(
-            name="cluster_churn",
-            graph=graph,
-            notes=(
-                f"{batches} batches, {merges_per_batch} merges + "
-                f"{splits_per_batch} splits each, {churn} edge churn"
-            ),
-            batches=out,
+    return StreamWorkload(
+        name="cluster_churn",
+        graph=graph,
+        notes=(
+            f"{batches} batches, {merges_per_batch} merges + "
+            f"{splits_per_batch} splits each, {churn} edge churn"
         ),
-        rng,
-        arrival_profile,
-        arrival_rate,
+        batches=out,
     )
 
 

@@ -99,27 +99,6 @@ class TestStreamCommand:
             assert name in out
 
 
-class TestServeCommand:
-    SMALL = ["serve", "--vertices", "200", "--batches", "4"]
-
-    def test_met_slo_passes(self, capsys):
-        code = main(self.SMALL + ["--slo", "violation_batches<=0"])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "SLO: all objectives met" in out
-
-    def test_missed_slo_fails_only_when_strict(self, capsys):
-        unreachable = ["--slo", "updates_per_sec>=1e12"]
-        assert main(self.SMALL + unreachable + ["--strict"]) == 1
-        assert main(self.SMALL + unreachable) == 0
-        assert "MISSED" in capsys.readouterr().out
-
-    def test_malformed_slo_exits(self):
-        with pytest.raises(SystemExit) as exc:
-            main(self.SMALL + ["--slo", "nonsense"])
-        assert str(exc.value.code).startswith("repro: SLO spec")
-
-
 class TestObservabilityCommands:
     def test_trace_static_workload(self, capsys):
         code = main(["trace", "figure1"])

@@ -27,6 +27,7 @@ from repro.dynamic import (
     UpdateBatch,
     run_stream,
 )
+from repro.dynamic.harness import exact_percentiles
 from repro.graphcore import CSRAdjacency, is_proper_edges
 from repro.network.ledger import BandwidthLedger
 from repro.verify.checker import is_proper
@@ -766,3 +767,42 @@ class TestHarness:
                                   batches=1)
         with pytest.raises(ValueError, match="unknown mode"):
             run_stream(w, seed=0, mode="scratch ")
+
+    def test_percentiles_share_one_source_of_truth(self):
+        from repro.workloads import sliding_window_stream
+
+        w = sliding_window_stream(
+            np.random.default_rng(3), n_vertices=150, batches=6
+        )
+        _, result, metrics = run_stream(w, seed=0)
+        walls_ms = [t * 1000.0 for t in metrics["batch_wall_times_s"]]
+        assert len(walls_ms) == metrics["batches"]
+        pcts = exact_percentiles(walls_ms)
+        assert metrics["repair_ms_p99"] == pytest.approx(
+            pcts["p99"], abs=1e-3
+        )
+        assert metrics["repair_ms_p50"] == pytest.approx(
+            pcts["p50"], abs=1e-3
+        )
+
+
+class TestExactPercentiles:
+    @given(
+        st.lists(
+            st.floats(min_value=1e-3, max_value=1e6, allow_nan=False),
+            min_size=1,
+            max_size=400,
+        )
+    )
+    @settings(max_examples=100)
+    def test_matches_numpy(self, values):
+        pcts = exact_percentiles(values)
+        for q in (50, 95, 99):
+            assert pcts[f"p{q}"] == float(np.percentile(values, q))
+
+    def test_empty_raises(self):
+        with pytest.raises(ValueError):
+            exact_percentiles([])
+
+    def test_single_sample(self):
+        assert exact_percentiles([7.0]) == {"p50": 7.0, "p95": 7.0, "p99": 7.0}

@@ -55,6 +55,19 @@ class TestSpec:
         assert len(cells) == 2 * 2 * 3
         assert len({c.key() for c in cells}) == len(cells)
 
+    @pytest.mark.parametrize("algorithm", ["service", "dynamc"])
+    def test_unknown_algorithm_rejected_at_build(self, algorithm):
+        # a stale or typo'd name fails when the spec is built, not after
+        # every cell's workload has already been generated
+        with pytest.raises(ValueError, match="unknown algorithm"):
+            ScenarioSpec(
+                name="t",
+                workloads=(
+                    WorkloadSpec.of("sliding_window", n_vertices=60, batches=2),
+                ),
+                algorithms=(algorithm,),
+            )
+
     def test_expansion_is_deterministic(self):
         assert [c.key() for c in TINY.cells()] == [c.key() for c in TINY.cells()]
         assert TINY.spec_hash() == TINY.spec_hash()
@@ -620,7 +633,8 @@ class TestStreamCells:
         assert record["status"] == "error"
         assert "no update stream" in record["error"]
 
-    def test_stream_metrics_survive_artifact_roundtrip(self, tmp_path):
+    @pytest.fixture(scope="class")
+    def stream_artifact(self, tmp_path_factory):
         cell = Cell(
             suite="t", workload="cluster_churn",
             workload_kwargs=(("batches", 2), ("n_vertices", 60)),
@@ -628,9 +642,14 @@ class TestStreamCells:
             seed=0, instance_seed=0,
         )
         record = run_cell(cell.to_dict(), timeout_s=60)
-        path = tmp_path / "stream.jsonl"
+        path = tmp_path_factory.mktemp("stream") / "stream.jsonl"
         write_artifact(path, make_header("t", "abc"), [record])
-        artifact = read_artifact(path)
+        return read_artifact(path)
+
+    def test_stream_metrics_survive_artifact_roundtrip(
+        self, stream_artifact, tmp_path
+    ):
+        artifact = stream_artifact
         assert artifact.records[0]["metrics"]["batches"] == 2
         rows = summarize(artifact)
         assert rows[0]["recolor_fraction_mean_mean"] != ""
@@ -638,6 +657,19 @@ class TestStreamCells:
         header = csv_path.read_text().splitlines()[0]
         assert "recolor_fraction_mean" in header
         assert "stream_wall_time_s" in header
+
+    def test_compare_gates_violation_batches(self, stream_artifact):
+        import copy
+
+        same = compare_artifacts(stream_artifact, stream_artifact)
+        assert same.exit_code == 0
+        broken = copy.deepcopy(stream_artifact)
+        broken.records[0]["metrics"]["violation_batches"] = 2
+        report = compare_artifacts(stream_artifact, broken)
+        assert report.exit_code == 1
+        assert any(
+            d.metric == "violation_batches" for d in report.regressions
+        )
 
 
 # ---- pool machinery (repro.experiments.pool) --------------------------------

@@ -33,7 +33,6 @@ DEFAULT_TARGETS = (
     "src/repro/sketch",
     "src/repro/decomposition",
     "src/repro/observe",
-    "src/repro/serve",
     "src/repro/experiments",
     "src/repro/network",
     "src/repro/fuzz",
