@@ -14,8 +14,10 @@ with ``u < v`` is packed into the int64 code ``(u << 32) | v``:
   edge list (the cached ``base.edge_arrays()``).  That list is row-major
   with sorted rows, so its codes are sorted and one ``searchsorted`` finds
   an edge's index;
-* **inserted non-base edges** are one insertion-ordered collection of codes,
-  turned into an int64 array at most once between mutations.
+* **inserted non-base edges** are one sorted, unique int64 array that
+  holds each edge's code in both orientations, ``(u << 32) | v`` and
+  ``(v << 32) | u``.  Membership is one binary search, and a vertex's
+  inserted neighbors are one contiguous run of codes.
 
 A base edge that is deleted and re-inserted is *resurrected* (its dead bit
 cleared), never duplicated into the inserted codes, so the two halves stay
@@ -23,6 +25,14 @@ disjoint.  Queries mask a base row by looking its slots' codes up in the
 same sorted list.  The base codes and the dead mask are built lazily, at
 most once per compaction, so constructing a :class:`DeltaCSR` costs no
 O(m) work.
+
+:meth:`DeltaCSR.insert_edge` and :meth:`DeltaCSR.delete_edge` take one pair
+or whole arrays of pairs.  A call is checked in full before it writes
+anything: with array operations when it is long, pair by pair when it is
+short (below the fixed cost of the array check).  An invalid call raises
+the error that applying its pairs one at a time would raise first, and
+leaves the structure untouched; a valid one writes, with array operations,
+the state that loop would.
 
 Vertex ids are stable across the lifetime of the structure: removing a vertex
 leaves a dead (edge-free) id behind rather than renumbering, so stream events
@@ -43,6 +53,49 @@ _LOW = (1 << _SHIFT) - 1
 
 #: Exclusive bound on vertex ids (and so on the vertex count).
 MAX_VERTICES = 1 << _SHIFT
+
+#: Edit calls of at most this many pairs are checked pair by pair: below
+#: it, the array check's fixed cost in numpy calls exceeds the loop's.
+_PAIRWISE_MAX = 16
+
+
+def _endpoints(u, v) -> tuple[np.ndarray, np.ndarray]:
+    """``u`` and ``v`` as flat int64 arrays of equal length (a scalar
+    broadcasts against an array)."""
+    us = np.asarray(u, dtype=np.int64).reshape(-1)
+    vs = np.asarray(v, dtype=np.int64).reshape(-1)
+    if us.size != vs.size:
+        us, vs = np.broadcast_arrays(us, vs)
+    return us, vs
+
+
+def _search(
+    sorted_codes: np.ndarray, codes: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(pos, hit)``: where each of ``codes`` sorts into ``sorted_codes``,
+    and whether it is there."""
+    pos = sorted_codes.searchsorted(codes)
+    if not sorted_codes.size:
+        return pos, np.zeros(codes.size, dtype=bool)
+    return pos, sorted_codes.take(pos, mode="clip") == codes
+
+
+def _both_ways(codes: np.ndarray) -> np.ndarray:
+    """``codes`` and their mirror images ``(v << 32) | u``, sorted."""
+    mirrored = ((codes & _LOW) << _SHIFT) | (codes >> _SHIFT)
+    return np.sort(np.concatenate([codes, mirrored]))
+
+
+def _merged(sorted_codes: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """``sorted_codes`` with the sorted ``codes``, none of them present,
+    merged in."""
+    at = sorted_codes.searchsorted(codes) + np.arange(codes.size)
+    out = np.empty(sorted_codes.size + codes.size, dtype=np.int64)
+    keep = np.ones(out.size, dtype=bool)
+    keep[at] = False
+    out[keep] = sorted_codes
+    out[at] = codes
+    return out
 
 
 def _ranges(starts: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -95,8 +148,7 @@ class DeltaCSR:
         self._base = base
         self._base_codes: np.ndarray | None = None
         self._dead: np.ndarray | None = None  # allocated with _base_codes
-        self._inserted: dict[int, None] = {}  # codes, in insertion order
-        self._inserted_arrays: tuple[np.ndarray, ...] | None = None
+        self._inserted = np.empty(0, dtype=np.int64)  # both orientations
         self._delta_ops = 0
 
     # ---- size and liveness ---------------------------------------------------
@@ -156,32 +208,6 @@ class DeltaCSR:
             self._dead = np.zeros(base_u.size, dtype=bool)
         return self._base_codes
 
-    def _inserted_codes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(codes, src, dst)``: the inserted codes in insertion order, and
-        both orientations of every inserted edge sorted by ``(src, dst)``."""
-        if self._inserted_arrays is None:
-            codes = np.fromiter(
-                self._inserted, dtype=np.int64, count=len(self._inserted)
-            )
-            mirrored = ((codes & _LOW) << _SHIFT) | (codes >> _SHIFT)
-            directed = np.sort(np.concatenate([codes, mirrored]))
-            self._inserted_arrays = (
-                codes, directed >> _SHIFT, directed & _LOW
-            )
-        return self._inserted_arrays
-
-    def _base_edge(self, code: int) -> int:
-        """Index of ``code`` in the base edge list, or -1 when absent."""
-        codes = self._codes()
-        i = int(codes.searchsorted(code))
-        return i if i < codes.size and int(codes[i]) == code else -1
-
-    def _code(self, u: int, v: int) -> int | None:
-        """The code of ``{u, v}``, or ``None`` when an id is out of range."""
-        if not (0 <= u < self._n and 0 <= v < self._n):
-            return None
-        return (u << _SHIFT) | v if u < v else (v << _SHIFT) | u
-
     # ---- mutation ------------------------------------------------------------
 
     def _check_alive(self, v: int) -> None:
@@ -190,51 +216,109 @@ class DeltaCSR:
 
     def has_edge(self, u: int, v: int) -> bool:
         """Whether ``{u, v}`` is a current edge (base + overlay)."""
-        code = self._code(u, v)
-        if code is None:
+        u, v = int(u), int(v)
+        if not (0 <= u < self._n and 0 <= v < self._n):
             return False
-        if code in self._inserted:
+        code = (min(u, v) << _SHIFT) | max(u, v)
+        inserted = self._inserted
+        j = int(inserted.searchsorted(code))
+        if j < inserted.size and int(inserted[j]) == code:
             return True
-        i = self._base_edge(code)
-        return i >= 0 and not self._dead[i]
+        base = self._codes()
+        i = int(base.searchsorted(code))
+        return i < base.size and int(base[i]) == code and not self._dead[i]
 
-    def insert_edge(self, u: int, v: int) -> None:
-        """Add undirected edge ``{u, v}``; raises if present or degenerate."""
-        self._check_alive(u)
-        self._check_alive(v)
-        if u == v:
-            raise ValueError(f"self-loop on vertex {u}")
-        code = self._code(u, v)
-        if code in self._inserted:
-            raise ValueError(f"edge ({u},{v}) already present")
-        i = self._base_edge(code)
-        if i >= 0:  # resurrect a base edge: undo its deletion
-            if not self._dead[i]:
-                raise ValueError(f"edge ({u},{v}) already present")
-            self._dead[i] = False
-        else:
-            self._inserted[code] = None
-            self._inserted_arrays = None
-        self._degrees[u] += 1
-        self._degrees[v] += 1
-        self._n_edges += 1
-        self._delta_ops += 1
+    def _plan(
+        self, insert: bool, us: np.ndarray, vs: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(base, overlay)`` of a valid edit call: the base-list indices
+        of its pairs that are base edges, and the codes of the others in
+        both orientations, sorted.  Raises the ``ValueError`` that applying
+        the pairs one at a time (as inserts, or as deletes) would raise
+        first."""
+        lo, hi = np.minimum(us, vs), np.maximum(us, vs)
+        codes = (lo << _SHIFT) | hi  # garbage where an id is out of range
+        pos, in_base = _search(self._codes(), codes)
+        in_overlay = _search(self._inserted, codes)[1]
+        if us.size > _PAIRWISE_MAX and lo.min() >= 0 and hi.max() < self._n:
+            base = pos[in_base]
+            if insert:
+                valid = (
+                    self._alive[lo].all()
+                    and self._alive[hi].all()
+                    and (lo < hi).all()
+                    and not in_overlay.any()
+                    and self._dead[base].all()
+                )
+            else:
+                valid = (in_base | in_overlay).all() and not self._dead[base].any()
+            ranked = np.sort(codes)
+            if valid and not (ranked[1:] == ranked[:-1]).any():
+                return base, _both_ways(codes[~in_base])
+        # short or invalid calls: the same checks, pair by pair, in order
+        n, alive, dead = self._n, self._alive, self._dead
+        base_list: list[int] = []
+        overlay: list[int] = []  # both orientations
+        seen: set[int] = set()
+        for a, b, code, i, hit, held in zip(
+            us.tolist(),
+            vs.tolist(),
+            codes.tolist(),
+            pos.tolist(),
+            in_base.tolist(),
+            in_overlay.tolist(),
+        ):
+            known = 0 <= a < n and 0 <= b < n
+            if insert:
+                for x in (a, b):
+                    if not (0 <= x < n and alive[x]):
+                        raise ValueError(f"vertex {x} is not alive")
+                if a == b:
+                    raise ValueError(f"self-loop on vertex {a}")
+            live = known and (held or (hit and not dead[i]))
+            if code in seen or live == insert:
+                state = "already present" if insert else "not present"
+                raise ValueError(f"edge ({a},{b}) {state}")
+            seen.add(code)
+            if hit:
+                base_list.append(i)
+            else:
+                overlay += (code, (max(a, b) << _SHIFT) | min(a, b))
+        return (
+            np.array(base_list, dtype=np.int64),
+            np.array(sorted(overlay), dtype=np.int64),
+        )
 
-    def delete_edge(self, u: int, v: int) -> None:
-        """Remove undirected edge ``{u, v}``; raises if absent."""
-        code = self._code(u, v)
-        if code in self._inserted:  # overlay-only edge: cancel it
-            del self._inserted[code]
-            self._inserted_arrays = None
-        else:
-            i = -1 if code is None else self._base_edge(code)
-            if i < 0 or self._dead[i]:
-                raise ValueError(f"edge ({u},{v}) not present")
-            self._dead[i] = True
-        self._degrees[u] -= 1
-        self._degrees[v] -= 1
-        self._n_edges -= 1
-        self._delta_ops += 1
+    def _count_edits(self, us: np.ndarray, vs: np.ndarray, sign: int) -> None:
+        """Book ``us.size`` edge edits: degrees, edge count and overlay ops."""
+        np.add.at(self._degrees, np.concatenate([us, vs]), sign)
+        self._n_edges += sign * us.size
+        self._delta_ops += us.size
+
+    def insert_edge(self, u, v) -> None:
+        """Add the undirected edges ``{u[i], v[i]}`` (scalars or int arrays).
+
+        Raises, before any write, if an endpoint is not alive, a pair is a
+        self-loop, or an edge is already present or repeated in the call.
+        """
+        us, vs = _endpoints(u, v)
+        revived, fresh = self._plan(True, us, vs)
+        self._dead[revived] = False  # resurrect: undo their deletion
+        if fresh.size:
+            self._inserted = _merged(self._inserted, fresh)
+        self._count_edits(us, vs, 1)
+
+    def delete_edge(self, u, v) -> None:
+        """Remove the undirected edges ``{u[i], v[i]}`` (scalars or int
+        arrays); raises, before any write, if one is absent or repeated."""
+        us, vs = _endpoints(u, v)
+        killed, gone = self._plan(False, us, vs)
+        self._dead[killed] = True
+        if gone.size:  # overlay-only edges: cancel them
+            keep = np.ones(self._inserted.size, dtype=bool)
+            keep[self._inserted.searchsorted(gone)] = False
+            self._inserted = self._inserted[keep]
+        self._count_edits(us, vs, -1)
 
     def add_vertex(self) -> int:
         """Allocate a fresh isolated vertex; returns its id."""
@@ -247,13 +331,12 @@ class DeltaCSR:
         self._delta_ops += 1
         return v
 
-    def remove_vertex(self, v: int) -> list[int]:
-        """Delete all of ``v``'s edges and mark it dead; returns the
+    def remove_vertex(self, v: int) -> np.ndarray:
+        """Delete all of ``v``'s edges and mark it dead; returns the sorted
         neighbors it was detached from (the repair frontier)."""
         self._check_alive(v)
-        detached = [int(u) for u in self.neighbors(v)]
-        for u in detached:
-            self.delete_edge(v, u)
+        detached = self.neighbors(v)
+        self.delete_edge(v, detached)
         self._alive[v] = False
         self._delta_ops += 1
         return detached
@@ -261,8 +344,27 @@ class DeltaCSR:
     # ---- queries -------------------------------------------------------------
 
     def neighbors(self, v: int) -> np.ndarray:
-        """Current sorted neighbor array of ``v`` (dead vertices: empty)."""
-        return self.gather(np.array([v], dtype=np.int64))[1]
+        """Current sorted neighbor array of ``v`` (dead vertices: empty);
+        :meth:`gather` of one vertex, read off its base row and its run of
+        inserted codes directly."""
+        v = int(v)
+        if not (0 <= v < self._n and self._alive[v]):
+            return np.empty(0, dtype=np.int64)
+        row = np.empty(0, dtype=np.int64)
+        if v < self._base.n_vertices:
+            indptr = self._base.indptr
+            row = self._base.indices[indptr[v] : indptr[v + 1]]
+            if self._dead is None:
+                row = row.copy()
+            else:
+                codes = np.where(row < v, (row << _SHIFT) | v, (v << _SHIFT) | row)
+                row = row[~self._dead[self._base_codes.searchsorted(codes)]]
+        inserted = self._inserted
+        lo = int(inserted.searchsorted(v << _SHIFT))
+        hi = int(inserted.searchsorted((v + 1) << _SHIFT))
+        if hi > lo:
+            row = np.sort(np.concatenate([row, inserted[lo:hi] & _LOW]))
+        return row
 
     def gather(self, vertices) -> tuple[np.ndarray, np.ndarray]:
         """Flattened neighborhoods of ``vertices`` -- the delta-aware
@@ -285,15 +387,16 @@ class DeltaCSR:
             codes = (np.minimum(owners, flat) << _SHIFT) | np.maximum(owners, flat)
             keep = ~self._dead[self._codes().searchsorted(codes)]
             seg_ids, flat = seg_ids[keep], flat[keep]
-        if not self._inserted:
+        inserted = self._inserted
+        if not inserted.size:
             return seg_ids, flat
-        # plus the incident inserted edges, merged into sorted segments
-        _, src, dst = self._inserted_codes()
-        lo = src.searchsorted(verts, side="left")
-        hi = src.searchsorted(verts, side="right")
+        # plus the incident inserted edges (a vertex's codes are one run),
+        # merged into sorted segments
+        lo = inserted.searchsorted(verts << _SHIFT)
+        hi = inserted.searchsorted((verts + 1) << _SHIFT)
         ins_seg, ins_pos = _ranges(lo, np.where(live, hi - lo, 0))
         seg_ids = np.concatenate([seg_ids, ins_seg])
-        flat = np.concatenate([flat, dst[ins_pos]])
+        flat = np.concatenate([flat, inserted[ins_pos] & _LOW])
         order = np.lexsort((flat, seg_ids))
         return seg_ids[order], flat[order]
 
@@ -305,12 +408,14 @@ class DeltaCSR:
         if self._dead is not None:
             keep = ~self._dead
             base_u, base_v = base_u[keep], base_v[keep]
-        if not self._inserted:
+        inserted = self._inserted
+        if not inserted.size:
             return base_u, base_v
-        codes = self._inserted_codes()[0]
+        src, dst = inserted >> _SHIFT, inserted & _LOW
+        upper = src < dst
         return (
-            np.concatenate([base_u, codes >> _SHIFT]),
-            np.concatenate([base_v, codes & _LOW]),
+            np.concatenate([base_u, src[upper]]),
+            np.concatenate([base_v, dst[upper]]),
         )
 
     # ---- compaction ----------------------------------------------------------

@@ -3,11 +3,13 @@
 :class:`DynamicColoring` holds a conflict graph (as a delta-buffered CSR
 plus cluster metadata) and a proper coloring, and absorbs
 :class:`~repro.dynamic.updates.UpdateBatch` objects one at a time.  Each
-batch is applied structurally, then only the *conflict frontier* -- vertices
-whose color became invalid (monochromatic new edge, palette-bound violation,
-merge collision) or who have no color yet (arrivals, split halves) -- is
-repaired with the same batched TryColor machinery the one-shot pipeline
-runs on (:mod:`repro.graphcore` kernels over the delta-aware gathers).
+batch is applied structurally, kind by kind (its edge deletions and its
+edge insertions are one array call each on the delta-buffered CSR), then
+only the *conflict frontier* -- vertices whose color became invalid
+(monochromatic new edge, palette-bound violation, merge collision) or who
+have no color yet (arrivals, split halves) -- is repaired with the same
+batched TryColor machinery the one-shot pipeline runs on
+(:mod:`repro.graphcore` kernels over the delta-aware gathers).
 
 This mirrors the decentralized-repair reading of the paper's model: a
 vertex reacts to conflicts it can observe locally, with every palette probe
@@ -28,6 +30,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 import numpy as np
 
@@ -44,6 +47,14 @@ from repro.dynamic.view import FrozenConflictGraph
 from repro.network.ledger import BandwidthLedger
 from repro.observe.tracer import NULL_TRACER
 from repro.params import AlgorithmParameters, log2ceil, scaled
+
+
+def _endpoints(updates: list[Update]) -> tuple[np.ndarray, np.ndarray]:
+    """The ``u`` and ``v`` of edge updates as two int64 arrays."""
+    return tuple(
+        np.fromiter(map(attrgetter(end), updates), np.int64, len(updates))
+        for end in ("u", "v")
+    )
 
 
 class RepairError(RuntimeError):
@@ -127,6 +138,14 @@ class StreamResult:
 class DynamicColoring:
     """A proper coloring maintained under a stream of update batches.
 
+    :meth:`apply` ingests a batch in :data:`~repro.dynamic.updates.KINDS`
+    order.  The ``edge_delete`` run and the ``edge_insert`` run each go to
+    :class:`~repro.dynamic.delta.DeltaCSR` as one array call, which checks
+    every pair before it writes any: a bad edge update raises with its
+    whole run unwritten (the kinds before it stay applied).  Vertex and
+    cluster updates apply one at a time, each as at most two array calls.
+    A new edge whose endpoints share a color dirties its larger endpoint.
+
     Parameters
     ----------
     graph:
@@ -154,7 +173,9 @@ class DynamicColoring:
         Optional :class:`~repro.observe.tracer.Tracer`; the engine binds
         its stream ledger to it and wraps the bootstrap coloring plus every
         :meth:`apply` call in a span (``stream.bootstrap``,
-        ``stream.batch[batch=i]``).  Tracing reads snapshots only -- traced
+        ``stream.batch[batch=i]``); a batch span holds one child span per
+        step, ``stream.ingest``, ``stream.repair``, ``stream.compact`` and
+        ``stream.verify``.  Tracing reads snapshots only -- traced
         streams are bitwise-identical to untraced ones.
     netmodel:
         Optional :class:`~repro.network.hetnet.HetNetModel` attached to
@@ -294,38 +315,38 @@ class DynamicColoring:
     def _apply_in_span(self, batch: UpdateBatch, span) -> BatchReport:
         start = time.perf_counter()
         before = self.ledger.snapshot()
-        dirty: set[int] = set()
-        for update in batch.in_application_order():
-            self._apply_update(update, dirty)
-        # repairs run on the post-update network: charge them at the
-        # dilation the batch's merges/splits/arrivals produced
-        self.ledger.dilation = self.dilation
-        dirty |= self._retighten_palette()
-        dirty = {v for v in dirty if self.delta.is_alive(v)}
-        for v in dirty:
-            self.colors[v] = UNCOLORED
+        with self.tracer.span("stream.ingest"):
+            dirty = self._ingest(batch)
+        with self.tracer.span("stream.repair"):
+            # repairs run on the post-update network: charge them at the
+            # dilation the batch's merges/splits/arrivals produced
+            self.ledger.dilation = self.dilation
+            dirty |= self._retighten_palette()
+            dirty = {v for v in dirty if self.delta.is_alive(v)}
+            for v in dirty:
+                self.colors[v] = UNCOLORED
 
-        escalated = False
-        repair_rounds = 0
-        greedy_count = 0
-        if self.mode == "scratch":
-            self._recolor_scratch(op="stream_scratch")
-            repaired = self.n_alive  # the baseline recolors everything
-        elif dirty and len(dirty) > self.escalate_fraction * max(1, self.n_alive):
-            self._recolor_scratch(op="stream_escalation")
-            repaired = self.n_alive
-            escalated = True
-        else:
-            repaired, repair_rounds, greedy_count, escalated = self._repair(
-                sorted(dirty)
-            )
+            escalated = False
+            repair_rounds = 0
+            greedy_count = 0
+            if self.mode == "scratch":
+                self._recolor_scratch(op="stream_scratch")
+                repaired = self.n_alive  # the baseline recolors everything
+            elif dirty and len(dirty) > self.escalate_fraction * max(1, self.n_alive):
+                self._recolor_scratch(op="stream_escalation")
+                repaired = self.n_alive
+                escalated = True
+            else:
+                repaired, repair_rounds, greedy_count, escalated = self._repair(
+                    sorted(dirty)
+                )
 
-        compacted = self.delta.maybe_compact()
-        proper = True
-        if self.verify_each_batch:
+        with self.tracer.span("stream.compact"):
+            compacted = self.delta.maybe_compact()
+        with self.tracer.span("stream.verify"):
             # report a miss instead of raising: sweep cells and the CLI
             # surface proper=False the same graceful way static cells do
-            proper = self._check_proper() is None
+            proper = not self.verify_each_batch or self._check_proper() is None
         after = self.ledger.snapshot()
         diff = before.diff(after)
         report = BatchReport(
@@ -362,26 +383,37 @@ class DynamicColoring:
 
     # ---- structural updates --------------------------------------------------
 
-    def _apply_update(self, update: Update, dirty: set[int]) -> None:
-        kind = update.kind
-        if kind == "edge_delete":
-            self.delta.delete_edge(update.u, update.v)
-        elif kind == "edge_insert":
-            self.delta.insert_edge(update.u, update.v)
-            cu, cv = self.colors[update.u], self.colors[update.v]
-            if cu == cv and cu != UNCOLORED:
+    def _ingest(self, batch: UpdateBatch) -> set[int]:
+        """Apply a batch's updates kind by kind, each edge run as one array
+        call; returns the vertices they left dirty."""
+        dirty: set[int] = set()
+        for kind, updates in batch.by_kind().items():
+            if kind == "edge_delete":
+                self.delta.delete_edge(*_endpoints(updates))
+            elif kind == "edge_insert":
+                us, vs = _endpoints(updates)
+                self.delta.insert_edge(us, vs)
+                cu = self.colors[us]
+                clash = (cu == self.colors[vs]) & (cu != UNCOLORED)
                 # local conflict resolution: the larger id backs off (the
                 # mirror image of TryColor's smaller-ID-wins rule)
-                dirty.add(max(update.u, update.v))
-        elif kind == "vertex_remove":
+                dirty.update(np.maximum(us, vs)[clash].tolist())
+            else:
+                for update in updates:
+                    self._apply_update(update, dirty)
+        return dirty
+
+    def _apply_update(self, update: Update, dirty: set[int]) -> None:
+        """Apply one vertex or cluster update."""
+        kind = update.kind
+        if kind == "vertex_remove":
             self.delta.remove_vertex(update.u)
             self.colors[update.u] = 0  # dead ids are edge-free; value is moot
             self.cluster_sizes[update.u] = 0
             self.tree_heights[update.u] = 0
         elif kind == "vertex_add":
             w = self._allocate_vertex(update.size)
-            for x in update.edges:
-                self.delta.insert_edge(w, int(x))
+            self.delta.insert_edge(w, update.edges)
             dirty.add(w)
         elif kind == "cluster_merge":
             self._merge(update.u, update.v, dirty)
@@ -405,9 +437,14 @@ class DynamicColoring:
         the merged machine set stays connected through a realizing link)."""
         if not self.delta.has_edge(u, v):
             raise ValueError(f"cannot merge non-adjacent clusters {u} and {v}")
-        for x in self.delta.remove_vertex(v):
-            if x != u and not self.delta.has_edge(u, x):
-                self.delta.insert_edge(u, x)
+        detached = self.delta.remove_vertex(v)
+        kept = self.delta.neighbors(u)
+        known = set(kept.tolist())
+        fresh = np.array(
+            [x for x in detached.tolist() if x != u and x not in known],
+            dtype=np.int64,
+        )
+        self.delta.insert_edge(u, fresh)
         self.colors[v] = 0
         self.cluster_sizes[u] += self.cluster_sizes[v]
         self.cluster_sizes[v] = 0
@@ -416,7 +453,7 @@ class DynamicColoring:
         self.tree_heights[v] = 0
         cu = self.colors[u]
         if cu != UNCOLORED and bool(
-            (self.colors[self.delta.neighbors(u)] == cu).any()
+            (self.colors[np.concatenate([kept, fresh])] == cu).any()
         ):
             dirty.add(u)
 
@@ -434,11 +471,8 @@ class DynamicColoring:
         w = self._allocate_vertex(size)
         self.tree_heights[w] = self.tree_heights[u]  # conservative carry-over
         self.cluster_sizes[u] -= size
-        for x in moved:
-            x = int(x)
-            self.delta.delete_edge(u, x)
-            self.delta.insert_edge(w, x)
-        self.delta.insert_edge(u, w)
+        self.delta.delete_edge(u, moved)
+        self.delta.insert_edge(w, np.append(moved, u))  # plus the u-w link
         dirty.add(w)
 
     def _retighten_palette(self) -> set[int]:

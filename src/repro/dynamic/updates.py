@@ -14,9 +14,7 @@ generators mirror that rule so batches can reference vertices they create.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
-from operator import attrgetter
 from typing import Iterable
 
 #: Update kinds, in application order within a batch (removals before
@@ -69,15 +67,21 @@ class UpdateBatch:
     def __len__(self) -> int:
         return len(self.updates)
 
+    def by_kind(self) -> dict[str, list[Update]]:
+        """The updates grouped by kind in :data:`KINDS` order, each group
+        in batch order; kinds absent from the batch are left out."""
+        groups: dict[str, list[Update]] = {kind: [] for kind in KINDS}
+        for update in self.updates:
+            groups[update.kind].append(update)
+        return {kind: group for kind, group in groups.items() if group}
+
     def counts(self) -> dict[str, int]:
         """Events per kind (stable key order, zero-free)."""
-        tally = Counter(map(attrgetter("kind"), self.updates))
-        return {kind: tally[kind] for kind in KINDS if tally[kind]}
+        return {kind: len(group) for kind, group in self.by_kind().items()}
 
     def in_application_order(self) -> list[Update]:
-        """Updates sorted by kind precedence (stable within a kind)."""
-        rank = {kind: i for i, kind in enumerate(KINDS)}
-        return sorted(self.updates, key=lambda up: rank[up.kind])
+        """Updates in kind precedence (stable within a kind)."""
+        return [up for group in self.by_kind().values() for up in group]
 
     # -- convenience constructors ---------------------------------------------
 

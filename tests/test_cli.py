@@ -112,6 +112,8 @@ class TestObservabilityCommands:
         out = capsys.readouterr().out
         assert code == 0
         assert "stream.batch" in out and "stream.bootstrap" in out
+        for step in ("ingest", "repair", "compact", "verify"):
+            assert f"  stream.{step}" in out  # nested under stream.batch
         assert "(match)" in out
 
     def test_trace_table_nests_sub_spans(self, capsys):

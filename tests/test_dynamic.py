@@ -95,6 +95,16 @@ def edit_scripts(draw):
     return seed, n, density, n_edits, compact_every
 
 
+@st.composite
+def array_scripts(draw):
+    seed = draw(st.integers(0, 2**31 - 1))
+    n = draw(st.integers(2, 14))
+    density = draw(st.floats(0.0, 0.9))
+    n_calls = draw(st.integers(1, 12))
+    compact_every = draw(st.integers(0, 3))
+    return seed, n, density, n_calls, compact_every
+
+
 class TestDeltaCSR:
     @given(edit_scripts())
     @settings(max_examples=60)
@@ -281,24 +291,105 @@ class TestDeltaCSR:
             ("delete_edge", 0, (1 << 32) | 2),  # packs like (1, 2)
         ],
     )
-    def test_rejected_edit_leaves_state_unchanged(self, edit, u, v):
+    def test_rejected_edit_leaves_state_unchanged(self, edit, u, v, monkeypatch):
+        """The bad edit alone, and as the last pair of a 3-pair call whose
+        first two pairs are valid (checked pair by pair, and by array
+        operations): each raises the same error and writes nothing."""
+        from repro.dynamic import delta as delta_module
+
         delta = self._edited_delta()
-        before = (
-            delta.degrees.tolist(),
-            delta.n_edges,
-            delta.pending_delta_ops,
-            sorted(zip(*(a.tolist() for a in delta.edge_arrays()))),
-        )
-        with pytest.raises(ValueError):
+
+        def state():
+            return (
+                delta.degrees.tolist(),
+                delta.n_edges,
+                delta.pending_delta_ops,
+                sorted(zip(*(a.tolist() for a in delta.edge_arrays()))),
+            )
+
+        before = state()
+        with pytest.raises(ValueError) as scalar_error:
             getattr(delta, edit)(u, v)
-        after = (
-            delta.degrees.tolist(),
-            delta.n_edges,
-            delta.pending_delta_ops,
-            sorted(zip(*(a.tolist() for a in delta.edge_arrays()))),
-        )
-        assert after == before
+        assert state() == before
+        # valid prefixes: fresh non-edges, or a base and an inserted edge
+        prefix = [(1, 3), (2, 4)] if edit == "insert_edge" else [(0, 1), (4, 0)]
+        us, vs = (np.array(ends, dtype=np.int64) for ends in zip(*prefix, (u, v)))
+        for pairwise_max in (delta_module._PAIRWISE_MAX, 0):
+            monkeypatch.setattr(delta_module, "_PAIRWISE_MAX", pairwise_max)
+            with pytest.raises(ValueError) as array_error:
+                getattr(delta, edit)(us, vs)
+            assert str(array_error.value) == str(scalar_error.value)
+            assert state() == before
         assert delta.has_edge(1, 2) and delta.has_edge(2, 3)
+
+    @given(array_scripts())
+    @settings(max_examples=60)
+    def test_array_call_matches_scalar_calls(self, script):
+        """One array call leaves the state that its pairs applied one
+        scalar call at a time leave.  Inserts favor recently deleted pairs,
+        so base edges are resurrected and pairs deleted in one call are
+        re-inserted in a later one; a call that repeats a pair is rejected
+        whole."""
+        seed, n, density, n_calls, compact_every = script
+        rng = np.random.default_rng(seed)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        edges = {p for p in pairs if rng.random() < density}
+        arr = np.asarray(sorted(edges), dtype=np.int64).reshape(-1, 2)
+        base = CSRAdjacency.from_edge_arrays(arr[:, 0], arr[:, 1], n)
+        batched, scalar = DeltaCSR(base), DeltaCSR(base)
+        deleted: set[tuple[int, int]] = set()
+        for step in range(n_calls):
+            non_edges = [p for p in pairs if p not in edges]
+            if edges and (rng.random() < 0.5 or not non_edges):
+                edit, pool = "delete_edge", sorted(edges)
+            else:
+                revivable = sorted(deleted - edges)
+                favored = revivable and rng.random() < 0.6
+                edit, pool = "insert_edge", revivable if favored else non_edges
+            picks = rng.choice(
+                len(pool), size=int(rng.integers(1, len(pool) + 1)), replace=False
+            )
+            call = [
+                pool[i][::-1] if rng.random() < 0.5 else pool[i]
+                for i in picks.tolist()
+            ]
+            if rng.random() < 0.2:  # a repeated pair, in either orientation
+                again = call[int(rng.integers(0, len(call)))][::-1]
+                bad = call + [again]
+                with pytest.raises(ValueError):
+                    getattr(batched, edit)(*np.array(bad, dtype=np.int64).T)
+                self._assert_same(batched, scalar)
+            getattr(batched, edit)(*np.array(call, dtype=np.int64).T)
+            for u, v in call:
+                getattr(scalar, edit)(u, v)
+            touched = {(min(u, v), max(u, v)) for u, v in call}
+            if edit == "delete_edge":
+                edges -= touched
+                deleted |= touched
+            else:
+                edges |= touched
+            if compact_every and step % compact_every == 0:
+                batched.compact()
+                scalar.compact()
+            self._assert_same(batched, scalar)
+            edge_u, edge_v = batched.edge_arrays()
+            assert set(zip(edge_u.tolist(), edge_v.tolist())) == edges
+
+    @staticmethod
+    def _assert_same(a, b):
+        for v in range(a.n_vertices):
+            assert a.neighbors(v).tolist() == b.neighbors(v).tolist(), v
+        assert a.degrees.tolist() == b.degrees.tolist()
+        assert a.n_edges == b.n_edges
+        assert a.pending_delta_ops == b.pending_delta_ops
+
+        def edge_set(delta):
+            return set(zip(*(x.tolist() for x in delta.edge_arrays())))
+
+        assert edge_set(a) == edge_set(b)
+        csr_a, csr_b = a.as_csr(), b.as_csr()
+        assert np.array_equal(csr_a.indptr, csr_b.indptr)
+        assert np.array_equal(csr_a.indices, csr_b.indices)
 
     def test_ids_past_the_code_bound_rejected(self, monkeypatch):
         from repro.dynamic import delta as delta_module
@@ -495,6 +586,46 @@ class TestUpdateSemantics:
         report = engine.apply(UpdateBatch().edge_insert(u, v))
         assert report.proper
         assert engine.colors[u] == c[u]  # smaller id kept its color
+
+    def test_monochromatic_inserts_dirty_their_larger_endpoints(self):
+        graph = small_cluster_graph(8, n=24, density=0.2)
+        engine = DynamicColoring(graph, seed=0)
+        colors, n = engine.colors, engine.n_vertices
+        non_edges = [
+            (u, v)
+            for u in range(n)
+            for v in range(u + 1, n)
+            if not engine.delta.has_edge(u, v)
+        ]
+        same = [(u, v) for u, v in non_edges if colors[u] == colors[v]][:4]
+        other = [(u, v) for u, v in non_edges if colors[u] != colors[v]][:3]
+        assert len(same) >= 3 and other
+        batch = UpdateBatch()
+        for u, v in other + same:
+            batch.edge_insert(v, u)  # larger id first: orientation is moot
+        assert engine._ingest(batch) == {v for _, v in same}
+
+    def test_rejected_insert_run_writes_none_of_its_edges(self):
+        graph = small_cluster_graph(9, n=12, density=0.3)
+        engine = DynamicColoring(graph, seed=0)
+        delta = engine.delta
+        n = engine.n_vertices
+        fresh = [
+            (u, v)
+            for u in range(n)
+            for v in range(u + 1, n)
+            if not delta.has_edge(u, v)
+        ][:2]
+        live = tuple(int(x) for x in next(zip(*delta.edge_arrays())))
+        degrees, n_edges = delta.degrees.copy(), delta.n_edges
+        batch = UpdateBatch()
+        for u, v in fresh + [live]:
+            batch.edge_insert(u, v)
+        with pytest.raises(ValueError, match="already present"):
+            engine.apply(batch)
+        assert not any(delta.has_edge(u, v) for u, v in fresh)
+        assert np.array_equal(delta.degrees, degrees)
+        assert delta.n_edges == n_edges
 
     def test_merge_requires_adjacency(self):
         graph = small_cluster_graph(1, n=8, density=0.3)

@@ -195,6 +195,30 @@ class TestSpanAccounting:
             outer.__exit__(None, None, None)  # LIFO violated
         inner.__exit__(None, None, None)
 
+    def test_stream_batch_spans_nest_the_write_path(self):
+        """Every ``stream.batch`` span holds the write path's four steps,
+        in order, and they carry all of the batch's ledger charges."""
+        workload = STREAMS["cluster_churn"](np.random.default_rng(2))
+        tracer = Tracer()
+        engine, _result, _metrics = run_stream(workload, seed=1, tracer=tracer)
+        batches = [s for s in tracer.spans if s.name == "stream.batch"]
+        assert len(batches) == len(engine.reports)
+        for batch in batches:
+            assert [c.name for c in batch.children] == [
+                "stream.ingest",
+                "stream.repair",
+                "stream.compact",
+                "stream.verify",
+            ]
+            assert sum(c.rounds_h for c in batch.children) == batch.rounds_h
+            assert (
+                sum(c.message_bits for c in batch.children) == batch.message_bits
+            )
+            assert (
+                sum(c.wall_time_s for c in batch.children)
+                <= batch.wall_time_s + 1e-9
+            )
+
 
 class TestMaxWindow:
     def test_window_is_local_not_global(self):
