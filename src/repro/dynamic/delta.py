@@ -34,6 +34,13 @@ the error that applying its pairs one at a time would raise first, and
 leaves the structure untouched; a valid one writes, with array operations,
 the state that loop would.
 
+Every pair an :meth:`DeltaCSR.insert_edge` call accepts, resurrections
+included, is also appended to an *insert record*: its endpoint arrays, in
+call order.  :meth:`DeltaCSR.drain_inserts` hands the record over and
+clears it.  The stream engine drains it once per batch, so its per-batch
+properness check can look at the edges that are new since the last check
+instead of every edge (compaction leaves the record alone).
+
 Vertex ids are stable across the lifetime of the structure: removing a vertex
 leaves a dead (edge-free) id behind rather than renumbering, so stream events
 can keep referring to the ids they were generated against.  Ids must fit in
@@ -61,11 +68,15 @@ _PAIRWISE_MAX = 16
 
 def _endpoints(u, v) -> tuple[np.ndarray, np.ndarray]:
     """``u`` and ``v`` as flat int64 arrays of equal length (a scalar
-    broadcasts against an array)."""
+    broadcasts against an array; other lengths that differ raise)."""
     us = np.asarray(u, dtype=np.int64).reshape(-1)
     vs = np.asarray(v, dtype=np.int64).reshape(-1)
-    if us.size != vs.size:
-        us, vs = np.broadcast_arrays(us, vs)
+    if us.size == 1 and vs.size != 1:
+        us = us.repeat(vs.size)  # far cheaper than np.broadcast_arrays
+    elif vs.size == 1 and us.size != 1:
+        vs = vs.repeat(us.size)
+    elif us.size != vs.size:
+        raise ValueError(f"{us.size} endpoints cannot pair with {vs.size}")
     return us, vs
 
 
@@ -112,11 +123,11 @@ def _ranges(starts: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndar
 class DeltaCSR:
     """A mutable undirected adjacency: CSR base + array edit overlay.
 
-    The overlay layout, the lazily built arrays and the 32-bit id bound are
-    described in the module docstring.  :meth:`edge_arrays` returns the
-    surviving base edges followed by the inserted ones; that order is
-    unspecified and may change between versions, so callers must not
-    depend on it.
+    The overlay layout, the lazily built arrays, the insert record and the
+    32-bit id bound are described in the module docstring.
+    :meth:`edge_arrays` returns the surviving base edges followed by the
+    inserted ones; that order is unspecified and may change between
+    versions, so callers must not depend on it.
 
     Parameters
     ----------
@@ -141,6 +152,7 @@ class DeltaCSR:
         self._degrees = base.degrees.astype(np.int64)
         self._n_edges = base.n_directed_edges // 2
         self._rebuilds = 0
+        self._insert_log: list[tuple[np.ndarray, np.ndarray]] = []
         self._set_base(base)
 
     def _set_base(self, base: CSRAdjacency) -> None:
@@ -214,19 +226,20 @@ class DeltaCSR:
         if not (0 <= v < self._n) or not self._alive[v]:
             raise ValueError(f"vertex {v} is not alive")
 
-    def has_edge(self, u: int, v: int) -> bool:
-        """Whether ``{u, v}`` is a current edge (base + overlay)."""
-        u, v = int(u), int(v)
-        if not (0 <= u < self._n and 0 <= v < self._n):
-            return False
-        code = (min(u, v) << _SHIFT) | max(u, v)
-        inserted = self._inserted
-        j = int(inserted.searchsorted(code))
-        if j < inserted.size and int(inserted[j]) == code:
-            return True
-        base = self._codes()
-        i = int(base.searchsorted(code))
-        return i < base.size and int(base[i]) == code and not self._dead[i]
+    def has_edge(self, u, v):
+        """Whether ``{u[i], v[i]}`` is a current edge (base + overlay): a
+        bool for two integers, a bool array for int arrays."""
+        us, vs = _endpoints(u, v)
+        lo, hi = np.minimum(us, vs), np.maximum(us, vs)
+        # a negative id makes a negative code, which matches nothing
+        codes = (lo << _SHIFT) | hi
+        pos, hit = _search(self._codes(), codes)
+        hit[hit] = ~self._dead[pos[hit]]
+        hit |= _search(self._inserted, codes)[1]  # the halves are disjoint
+        hit &= hi < self._n
+        if isinstance(u, (int, np.integer)) and isinstance(v, (int, np.integer)):
+            return bool(hit[0])
+        return hit
 
     def _plan(
         self, insert: bool, us: np.ndarray, vs: np.ndarray
@@ -307,6 +320,19 @@ class DeltaCSR:
         if fresh.size:
             self._inserted = _merged(self._inserted, fresh)
         self._count_edits(us, vs, 1)
+        # copies: ``us``/``vs`` may be the caller's arrays, free to change
+        self._insert_log.append((us.copy(), vs.copy()))
+
+    def drain_inserts(self) -> tuple[np.ndarray, np.ndarray]:
+        """The insert record: the ``(u, v)`` endpoint arrays of every pair
+        :meth:`insert_edge` accepted since the last drain, in call order
+        (a pair deleted since is still listed).  Clears the record."""
+        log, self._insert_log = self._insert_log, []
+        if not log:
+            empty = np.empty(0, dtype=np.int64)
+            return empty, empty
+        us, vs = zip(*log)
+        return np.concatenate(us), np.concatenate(vs)
 
     def delete_edge(self, u, v) -> None:
         """Remove the undirected edges ``{u[i], v[i]}`` (scalars or int
@@ -320,15 +346,19 @@ class DeltaCSR:
             self._inserted = self._inserted[keep]
         self._count_edits(us, vs, -1)
 
-    def add_vertex(self) -> int:
-        """Allocate a fresh isolated vertex; returns its id."""
+    def add_vertex(self, count: int = 1) -> int:
+        """Allocate ``count`` fresh isolated vertices with sequential ids,
+        growing each array once; returns the first id."""
         v = self._n
-        if v >= MAX_VERTICES:
-            raise ValueError(f"vertex id {v} exceeds the {MAX_VERTICES}-id bound")
-        self._n += 1
-        self._alive = np.append(self._alive, True)
-        self._degrees = np.append(self._degrees, 0)
-        self._delta_ops += 1
+        last = v + count - 1
+        if last >= MAX_VERTICES:
+            raise ValueError(f"vertex id {last} exceeds the {MAX_VERTICES}-id bound")
+        self._n += count
+        self._alive = np.concatenate([self._alive, np.ones(count, dtype=bool)])
+        self._degrees = np.concatenate(
+            [self._degrees, np.zeros(count, dtype=np.int64)]
+        )
+        self._delta_ops += count
         return v
 
     def remove_vertex(self, v: int) -> np.ndarray:

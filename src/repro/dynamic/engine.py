@@ -23,6 +23,12 @@ The palette bound is maintained *tightly*: after every batch the palette is
 ``Delta + 1`` for the current maximum degree, so shrinking the graph shrinks
 the palette (recoloring the now-out-of-range vertices) and growing it grows
 the palette -- the invariant the dynamic tests assert batch by batch.
+
+After every batch an exact properness check runs.  It reads only what can
+have turned monochromatic since the last check that passed: the edges
+inserted since then and the edges of vertices whose color changed -- the
+check primitive of the decentralized model, where a vertex learns only
+whether a neighbor shares its color.
 """
 
 from __future__ import annotations
@@ -47,6 +53,12 @@ from repro.dynamic.view import FrozenConflictGraph
 from repro.network.ledger import BandwidthLedger
 from repro.observe.tracer import NULL_TRACER
 from repro.params import AlgorithmParameters, log2ceil, scaled
+
+
+#: Below this many edges the per-batch check scans every edge: there the
+#: full scan costs less than the incremental check's fixed cost in numpy
+#: calls (the delta-aware gather above all).
+_INCREMENTAL_MIN_EDGES = 8192
 
 
 def _endpoints(updates: list[Update]) -> tuple[np.ndarray, np.ndarray]:
@@ -143,7 +155,9 @@ class DynamicColoring:
     :class:`~repro.dynamic.delta.DeltaCSR` as one array call, which checks
     every pair before it writes any: a bad edge update raises with its
     whole run unwritten (the kinds before it stay applied).  Vertex and
-    cluster updates apply one at a time, each as at most two array calls.
+    cluster updates apply one at a time, each as at most two array calls;
+    a run of arrivals or of splits first allocates all its new ids, with
+    one growth per array.
     A new edge whose endpoints share a color dirties its larger endpoint.
 
     Parameters
@@ -167,8 +181,18 @@ class DynamicColoring:
     rebuild_fraction:
         Delta-buffer compaction threshold (see :class:`DeltaCSR`).
     verify_each_batch:
-        Run the vectorized properness checker after every batch and raise
-        :class:`RepairError` on a miss (ground truth, not charged).
+        Check properness after every batch (ground truth, not charged) and
+        report a miss as ``BatchReport.proper = False``.  The check is
+        exact but incremental: it reads only the edges inserted since the
+        last coloring that passed it and the edges of vertices whose color
+        differs from that coloring (see :meth:`_check_proper`).  It scans
+        every edge instead when no such coloring exists (right after a
+        miss), on batches that compact, escalate or run in
+        ``mode="scratch"``, and on graphs of fewer than
+        ``_INCREMENTAL_MIN_EDGES`` (8192) edges, where the scan is the
+        cheaper of the two.  :meth:`run` re-checks its final state with
+        the full scan and raises :class:`RepairError` on a violation the
+        last report missed.
     tracer:
         Optional :class:`~repro.observe.tracer.Tracer`; the engine binds
         its stream ledger to it and wraps the bootstrap coloring plus every
@@ -253,6 +277,8 @@ class DynamicColoring:
                 f"graph has {graph.n_vertices}"
             )
         self._assert_proper("bootstrap")
+        # the last coloring that passed the check (None: scan every edge)
+        self._verified = self.colors.copy()
         self.reports: list[BatchReport] = []
 
     # ---- derived state -------------------------------------------------------
@@ -316,7 +342,7 @@ class DynamicColoring:
         start = time.perf_counter()
         before = self.ledger.snapshot()
         with self.tracer.span("stream.ingest"):
-            dirty = self._ingest(batch)
+            dirty, groups = self._ingest(batch)
         with self.tracer.span("stream.repair"):
             # repairs run on the post-update network: charge them at the
             # dilation the batch's merges/splits/arrivals produced
@@ -346,12 +372,14 @@ class DynamicColoring:
         with self.tracer.span("stream.verify"):
             # report a miss instead of raising: sweep cells and the CLI
             # surface proper=False the same graceful way static cells do
-            proper = not self.verify_each_batch or self._check_proper() is None
+            proper = self._verify_batch(
+                full=compacted or escalated or self.mode == "scratch"
+            )
         after = self.ledger.snapshot()
         diff = before.diff(after)
         report = BatchReport(
             batch_index=len(self.reports),
-            events=batch.counts(),
+            events={kind: len(group) for kind, group in groups.items()},
             dirty=len(dirty),
             repaired=repaired,
             recolor_fraction=repaired / max(1, self.n_alive),
@@ -376,61 +404,90 @@ class DynamicColoring:
         return report
 
     def run(self, batches) -> StreamResult:
-        """Apply every batch of an iterable; returns the aggregate."""
+        """Apply every batch of an iterable; returns the aggregate.
+
+        With ``verify_each_batch`` on, the final state is re-checked by the
+        full edge scan: a violation that the last batch's report missed
+        raises :class:`RepairError`.
+        """
         for batch in batches:
             self.apply(batch)
+        if self.verify_each_batch and self.reports and self.reports[-1].proper:
+            self._assert_proper("stream end, missed by the last batch check")
         return self.result()
 
     # ---- structural updates --------------------------------------------------
 
-    def _ingest(self, batch: UpdateBatch) -> set[int]:
+    def _ingest(
+        self, batch: UpdateBatch
+    ) -> tuple[set[int], dict[str, list[Update]]]:
         """Apply a batch's updates kind by kind, each edge run as one array
-        call; returns the vertices they left dirty."""
+        call; returns the vertices they left dirty and the batch's
+        :meth:`~repro.dynamic.updates.UpdateBatch.by_kind` groups."""
         dirty: set[int] = set()
-        for kind, updates in batch.by_kind().items():
+        groups = batch.by_kind()
+        for kind, updates in groups.items():
             if kind == "edge_delete":
                 self.delta.delete_edge(*_endpoints(updates))
             elif kind == "edge_insert":
                 us, vs = _endpoints(updates)
                 self.delta.insert_edge(us, vs)
-                cu = self.colors[us]
-                clash = (cu == self.colors[vs]) & (cu != UNCOLORED)
-                # local conflict resolution: the larger id backs off (the
-                # mirror image of TryColor's smaller-ID-wins rule)
-                dirty.update(np.maximum(us, vs)[clash].tolist())
-            else:
+                dirty.update(self._insert_clashes(us, vs))
+            elif kind == "vertex_remove":
                 for update in updates:
-                    self._apply_update(update, dirty)
-        return dirty
+                    self.delta.remove_vertex(update.u)
+                    # dead ids are edge-free; their color value is moot
+                    self.colors[update.u] = 0
+                    self.cluster_sizes[update.u] = 0
+                    self.tree_heights[update.u] = 0
+            elif kind == "vertex_add":
+                self._arrive(updates, dirty)
+            elif kind == "cluster_merge":
+                for update in updates:
+                    self._merge(update.u, update.v, dirty)
+            else:  # cluster_split: the run's new halves take sequential ids
+                first = self._allocate_vertices(len(updates))
+                for w, update in enumerate(updates, first):
+                    self._split(update.u, update.edges, update.size, w, dirty)
+        return dirty, groups
 
-    def _apply_update(self, update: Update, dirty: set[int]) -> None:
-        """Apply one vertex or cluster update."""
-        kind = update.kind
-        if kind == "vertex_remove":
-            self.delta.remove_vertex(update.u)
-            self.colors[update.u] = 0  # dead ids are edge-free; value is moot
-            self.cluster_sizes[update.u] = 0
-            self.tree_heights[update.u] = 0
-        elif kind == "vertex_add":
-            w = self._allocate_vertex(update.size)
-            self.delta.insert_edge(w, update.edges)
-            dirty.add(w)
-        elif kind == "cluster_merge":
-            self._merge(update.u, update.v, dirty)
-        elif kind == "cluster_split":
-            self._split(update.u, update.edges, update.size, dirty)
-        else:  # pragma: no cover - Update.__post_init__ rejects unknown kinds
-            raise ValueError(f"unknown update kind {kind!r}")
+    def _insert_clashes(self, us: np.ndarray, vs: np.ndarray) -> list[int]:
+        """The vertices that the new edges ``{us[i], vs[i]}`` dirty: where
+        both endpoints hold one color, the larger id backs off (local
+        conflict resolution, the mirror image of TryColor's smaller-ID-wins
+        rule)."""
+        cu = self.colors[us]
+        clash = (cu == self.colors[vs]) & (cu != UNCOLORED)
+        return np.maximum(us, vs)[clash].tolist()
 
-    def _allocate_vertex(self, size: int) -> int:
-        w = self.delta.add_vertex()
-        size = max(1, int(size))
-        self.cluster_sizes = np.append(self.cluster_sizes, size)
+    def _allocate_vertices(self, count: int) -> int:
+        """Allocate ``count`` sequential uncolored ids with one growth per
+        array; returns the first.  Their cluster sizes and tree heights
+        start at 0 for the caller to set."""
+        first = self.delta.add_vertex(count)
+        zeros = np.zeros(count, dtype=np.int64)
+        self.cluster_sizes = np.concatenate([self.cluster_sizes, zeros])
+        self.tree_heights = np.concatenate([self.tree_heights, zeros])
+        self.colors = np.concatenate(
+            [self.colors, np.full(count, UNCOLORED, dtype=np.int64)]
+        )
+        return first
+
+    def _arrive(self, updates: list[Update], dirty: set[int]) -> None:
+        """Apply a run of ``vertex_add`` updates: allocate its ids, then
+        wire each arrival to its neighbors in batch order."""
+        first = self._allocate_vertices(len(updates))
+        sizes = np.maximum([update.size for update in updates], 1)
+        self.cluster_sizes[first:] = sizes
         # arrivals wire their machines as a star: height 1 for singletons
         # and pairs, 2 otherwise (leader + leaves)
-        self.tree_heights = np.append(self.tree_heights, 1 if size <= 2 else 2)
-        self.colors = np.append(self.colors, UNCOLORED)
-        return w
+        self.tree_heights[first:] = np.where(sizes <= 2, 1, 2)
+        for w, update in enumerate(updates, first):
+            late = max(update.edges, default=w)
+            if late > w:  # a later arrival of this run has not arrived yet
+                raise ValueError(f"vertex {late} is not alive")
+            self.delta.insert_edge(w, update.edges)
+            dirty.add(w)
 
     def _merge(self, u: int, v: int, dirty: set[int]) -> None:
         """``u`` absorbs ``v``; they must be H-adjacent (Definition 3.1:
@@ -458,17 +515,18 @@ class DynamicColoring:
             dirty.add(u)
 
     def _split(
-        self, u: int, moved: tuple[int, ...], size: int, dirty: set[int]
+        self, u: int, moved: tuple[int, ...], size: int, w: int, dirty: set[int]
     ) -> None:
         """``u`` sheds ``size`` machines and the neighbors in ``moved`` into
-        a fresh cluster; the halves stay linked by a new H-edge."""
+        the fresh cluster ``w``, allocated with its run; the halves stay
+        linked by a new H-edge."""
         if int(self.cluster_sizes[u]) < 2:
             raise ValueError(
                 f"cluster {u} has {int(self.cluster_sizes[u])} machine(s); "
                 "splitting needs at least 2"
             )
         size = max(1, min(int(size), int(self.cluster_sizes[u]) - 1))
-        w = self._allocate_vertex(size)
+        self.cluster_sizes[w] = size
         self.tree_heights[w] = self.tree_heights[u]  # conservative carry-over
         self.cluster_sizes[u] -= size
         self.delta.delete_edge(u, moved)
@@ -575,20 +633,62 @@ class DynamicColoring:
 
     # ---- verification --------------------------------------------------------
 
-    def _check_proper(self) -> str | None:
+    def _verify_batch(self, *, full: bool) -> bool:
+        """The per-batch check behind ``verify_each_batch``: incremental
+        against the last verified coloring unless ``full``, there is none
+        or the graph is small.  Drains the insert record either way, so the
+        record never holds more than one batch's inserts.  Returns whether
+        the batch is proper (True when verification is off)."""
+        inserted = self.delta.drain_inserts()
+        verified, self._verified = self._verified, None
+        if not self.verify_each_batch:
+            return True
+        if full or verified is None or self.delta.n_edges < _INCREMENTAL_MIN_EDGES:
+            problem = self._check_proper()
+        else:
+            problem = self._check_proper((verified, *inserted))
+        if problem is not None:
+            return False
+        self._verified = self.colors.copy()
+        return True
+
+    def _check_proper(self, since=None) -> str | None:
         """Ground-truth check: every live vertex colored inside the palette
         and no monochromatic edge.  Returns a diagnosis string on a miss,
-        ``None`` when the invariants hold."""
+        ``None`` when the invariants hold.
+
+        Without ``since`` it scans every edge.  ``since = (verified, u, v)``
+        names a coloring that passed this check and the endpoints of every
+        edge inserted since (the drained insert record).  An edge that is
+        monochromatic now and was not then is one of those inserts, or it
+        touches a vertex whose color differs from ``verified`` (ids past
+        ``verified.size`` are new, so all their edges are inserts).  The
+        check reads only those edges and reports exactly what the full
+        scan would.  The palette part is O(n) either way.
+        """
         alive = self.delta.alive_mask
-        live_colors = self.colors[alive]
+        colors = self.colors
+        live_colors = colors[alive]
         if live_colors.size and (
             (live_colors < 0).any() or (live_colors >= self.num_colors).any()
         ):
             return f"colors outside palette [0, {self.num_colors})"
-        edge_u, edge_v = self.delta.edge_arrays()
-        if not is_proper_edges(edge_u, edge_v, self.colors):
-            return "monochromatic edge survived repair"
-        return None
+        if since is None:
+            edge_u, edge_v = self.delta.edge_arrays()
+            proper = is_proper_edges(edge_u, edge_v, colors)
+        else:
+            verified, ins_u, ins_v = since
+            # an inserted pair counts only if it is still an edge: a split,
+            # merge or departure may have removed it again
+            same = colors[ins_u] == colors[ins_v]
+            proper = not (
+                same.any() and self.delta.has_edge(ins_u[same], ins_v[same]).any()
+            )
+            changed = np.flatnonzero(colors[: verified.size] != verified)
+            if proper and changed.size:
+                seg_ids, flat = self.delta.gather(changed)
+                proper = not (colors[changed][seg_ids] == colors[flat]).any()
+        return None if proper else "monochromatic edge survived repair"
 
     def _assert_proper(self, context: str) -> None:
         """Raise :class:`RepairError` on an invariant miss (the bootstrap

@@ -23,6 +23,7 @@ from repro.dynamic import (
     DeltaCSR,
     DynamicColoring,
     FrozenConflictGraph,
+    RepairError,
     Update,
     UpdateBatch,
     run_stream,
@@ -418,6 +419,48 @@ class TestDeltaCSR:
         for i, v in enumerate(verts):
             assert flat[seg_ids == i].tolist() == delta.neighbors(int(v)).tolist()
 
+    def test_has_edge_takes_arrays(self):
+        """The array form answers each pair as the scalar form does, out
+        of range and packing-aliased ids included."""
+        delta = self._edited_delta()
+        ids = [-1, 0, 1, 2, 3, 4, 5, 6, (1 << 32) | 2]
+        us, vs = (np.array(a, dtype=np.int64) for a in zip(*(
+            (u, v) for u in ids for v in ids
+        )))
+        got = delta.has_edge(us, vs)
+        assert got.dtype == bool and got.shape == us.shape
+        expected = {(0, 1), (1, 2), (2, 3), (0, 4)}
+        for u, v, hit in zip(us.tolist(), vs.tolist(), got.tolist()):
+            assert hit == ((min(u, v), max(u, v)) in expected), (u, v)
+            assert delta.has_edge(u, v) is hit
+        assert delta.has_edge(1, [0, 2, 3]).tolist() == [True, True, False]
+        with pytest.raises(ValueError, match="cannot pair"):
+            delta.has_edge([0, 1], [2, 3, 4])
+
+    def test_insert_record_lists_accepted_pairs_until_drained(self):
+        delta = self._edited_delta()
+        # the fixture's inserts: a resurrection, then a non-base edge
+        us, vs = delta.drain_inserts()
+        assert list(zip(us.tolist(), vs.tolist())) == [(3, 2), (0, 4)]
+        assert delta.drain_inserts()[0].size == 0
+        with pytest.raises(ValueError):
+            delta.insert_edge([1, 0], [3, 1])  # rejected calls record nothing
+        delta.insert_edge(1, [3, 4])
+        delta.delete_edge(1, 4)  # a later delete leaves the record alone
+        delta.compact()  # and so does compaction
+        us, vs = delta.drain_inserts()
+        assert us.tolist() == [1, 1] and vs.tolist() == [3, 4]
+
+    def test_add_vertex_allocates_a_run(self):
+        delta = self._edited_delta()
+        ops = delta.pending_delta_ops
+        assert delta.add_vertex(3) == 6
+        assert delta.add_vertex() == 9
+        assert delta.n_vertices == 10 and delta.pending_delta_ops == ops + 4
+        assert delta.alive_mask[6:].all() and not delta.degrees[6:].any()
+        delta.insert_edge(9, [6, 8])
+        assert delta.neighbors(9).tolist() == [6, 8]
+
     def test_periodic_rebuild_triggers(self):
         delta = DeltaCSR(
             CSRAdjacency.from_edge_arrays(np.array([0]), np.array([1]), 40),
@@ -603,7 +646,9 @@ class TestUpdateSemantics:
         batch = UpdateBatch()
         for u, v in other + same:
             batch.edge_insert(v, u)  # larger id first: orientation is moot
-        assert engine._ingest(batch) == {v for _, v in same}
+        dirty, groups = engine._ingest(batch)
+        assert dirty == {v for _, v in same}
+        assert list(groups) == ["edge_insert"]
 
     def test_rejected_insert_run_writes_none_of_its_edges(self):
         graph = small_cluster_graph(9, n=12, density=0.3)
@@ -697,6 +742,19 @@ class TestUpdateSemantics:
         assert report.proper
         assert 0 <= engine.colors[w] < engine.num_colors
         assert engine.delta.neighbors(w).tolist() == [0, 1, 2]
+
+    def test_arrival_wired_to_a_later_arrival_rejected(self):
+        graph = small_cluster_graph(4, n=8, density=0.5)
+        engine = DynamicColoring(graph, seed=0)
+        n = engine.n_vertices
+        batch = UpdateBatch().vertex_add(edges=[0]).vertex_add(edges=[n + 2])
+        with pytest.raises(ValueError, match=f"vertex {n + 2} is not alive"):
+            engine.apply(batch)
+        # an earlier arrival of the same run is a valid neighbor
+        engine = DynamicColoring(graph, seed=0)
+        report = engine.apply(UpdateBatch().vertex_add([0]).vertex_add([n]))
+        assert report.proper and engine.delta.has_edge(n, n + 1)
+        assert engine.colors.size == engine.cluster_sizes.size == n + 2
 
     def test_escalation_path_recolors_everything(self):
         graph = small_cluster_graph(5, n=10, density=0.5)
@@ -840,6 +898,321 @@ class TestPinnedStreamRuns:
         if kwargs:
             assert compactions >= 3
         assert got == expected
+
+
+# ---------------------------------------------------------------------------
+# The per-batch check: the incremental verdict equals the full scan's
+# ---------------------------------------------------------------------------
+
+
+def _full_verdict(engine) -> bool:
+    """The full check, computed outside the engine: every live vertex in
+    the palette and no monochromatic edge of ``edge_arrays``."""
+    live = engine.colors[engine.delta.alive_mask]
+    if live.size and (live.min() < 0 or live.max() >= engine.num_colors):
+        return False
+    edge_u, edge_v = engine.delta.edge_arrays()
+    return is_proper_edges(edge_u, edge_v, engine.colors)
+
+
+def _spy_checks(monkeypatch, engine) -> list[str]:
+    """Record each check the engine runs, ``"full"`` or ``"incremental"``."""
+    kinds: list[str] = []
+    check = engine._check_proper
+
+    def spy(since=None):
+        kinds.append("full" if since is None else "incremental")
+        return check(since)
+
+    monkeypatch.setattr(engine, "_check_proper", spy)
+    return kinds
+
+
+def _restore(engine) -> None:
+    """Recolor the larger endpoint of each monochromatic edge with its
+    smallest free palette color, outside the engine."""
+    colors = engine.colors
+    while True:
+        edge_u, edge_v = engine.delta.edge_arrays()
+        bad = np.flatnonzero(colors[edge_u] == colors[edge_v])
+        if not bad.size:
+            return
+        v = int(max(edge_u[bad[0]], edge_v[bad[0]]))
+        taken = set(colors[engine.delta.neighbors(v)].tolist())
+        colors[v] = next(c for c in range(engine.num_colors) if c not in taken)
+
+
+def _touched(batch: UpdateBatch) -> set[int]:
+    """Every vertex id a batch's updates name."""
+    ids: set[int] = set()
+    for update in batch.updates:
+        ids.update((update.u, update.v, *update.edges))
+    return ids
+
+
+def _hidden_insert(engine, batch, rng) -> tuple[int, int] | None:
+    """Insert, behind the engine's back, an edge between two live
+    same-colored non-adjacent vertices that ``batch`` does not name."""
+    live = np.flatnonzero(engine.delta.alive_mask)
+    free = [int(v) for v in live if int(v) not in _touched(batch)]
+    for _ in range(200):
+        u, v = rng.choice(free, size=2, replace=False).tolist()
+        if engine.colors[u] == engine.colors[v] and not engine.delta.has_edge(u, v):
+            engine.delta.insert_edge(u, v)
+            return u, v
+    return None
+
+
+def _recolor_to_neighbor(engine, batch, rng) -> None:
+    """Overwrite a live vertex's color with a neighbor's."""
+    live = np.flatnonzero(engine.delta.degrees > 0)
+    v = int(live[rng.integers(0, live.size)])
+    nbrs = engine.delta.neighbors(v)
+    engine.colors[v] = engine.colors[int(nbrs[rng.integers(0, nbrs.size)])]
+
+
+class TestIncrementalCheck:
+    """The per-batch check reads only new edges and recolored vertices,
+    yet must report exactly what a full ``edge_arrays`` scan reports.
+
+    The default streams are below the size where the engine starts to check
+    incrementally, so these tests lower that bound to 0.
+    """
+
+    STREAM_NAMES = ["sliding_window", "hotspot_churn", "cluster_churn"]
+
+    @pytest.fixture(autouse=True)
+    def incremental_at_every_size(self, monkeypatch):
+        from repro.dynamic import engine as engine_module
+
+        monkeypatch.setattr(engine_module, "_INCREMENTAL_MIN_EDGES", 0)
+
+    def test_small_graphs_scan_in_full(self, monkeypatch):
+        from repro.dynamic import engine as engine_module
+        from repro.workloads import STREAMS
+
+        monkeypatch.undo()
+        bound = engine_module._INCREMENTAL_MIN_EDGES
+        for n_vertices in (300, 2500):
+            w = STREAMS["sliding_window"](
+                np.random.default_rng(0), n_vertices=n_vertices, batches=4
+            )
+            engine = DynamicColoring(w.graph, seed=7)
+            kinds = _spy_checks(monkeypatch, engine)
+            for batch in w.batches:
+                report = engine.apply(batch)
+                assert report.proper and _full_verdict(engine)
+                small = engine.delta.n_edges < bound  # as the check saw it
+                expected = "full" if small or report.compacted else "incremental"
+                assert kinds[-1] == expected
+            assert (n_vertices == 300) == (set(kinds) == {"full"})
+
+    def test_every_stream_is_covered(self):
+        from repro.workloads import STREAMS
+
+        assert sorted(STREAMS) == sorted(self.STREAM_NAMES)
+
+    @pytest.mark.parametrize("mode", ["repair", "scratch"])
+    @pytest.mark.parametrize("name", STREAM_NAMES)
+    @pytest.mark.parametrize(
+        "corruption", [None, "recolor", "hidden_insert", "no_clash_dirtying"]
+    )
+    def test_verdict_matches_full_scan(self, monkeypatch, name, mode, corruption):
+        from repro.workloads import STREAMS
+
+        misses = 0
+        for seed in (0, 1, 2):
+            w = STREAMS[name](np.random.default_rng(seed))
+            engine = DynamicColoring(w.graph, seed=seed, mode=mode)
+            kinds = _spy_checks(monkeypatch, engine)
+            clashes = engine._insert_clashes
+            rng = np.random.default_rng(100 + seed)
+            for i, batch in enumerate(w.batches):
+                corrupt = corruption is not None and i % 2 == 1
+                hidden = None
+                if corrupt and corruption == "recolor":
+                    _recolor_to_neighbor(engine, batch, rng)
+                elif corrupt and corruption == "hidden_insert":
+                    hidden = _hidden_insert(engine, batch, rng)
+                elif corrupt:  # a monochromatic insert survives repair
+                    monkeypatch.setattr(
+                        engine, "_insert_clashes", lambda us, vs: []
+                    )
+                report = engine.apply(batch)
+                assert report.proper == _full_verdict(engine), (seed, i)
+                assert report.events == batch.counts()
+                misses += not report.proper
+                # undo the corruption so later batches check incrementally
+                monkeypatch.setattr(engine, "_insert_clashes", clashes)
+                if hidden is not None:
+                    engine.delta.delete_edge(*hidden)
+                _restore(engine)
+            # the full scan runs exactly on scratch, compacting and
+            # escalating batches, and right after a miss
+            after_miss = [False] + [not r.proper for r in engine.reports[:-1]]
+            assert kinds == [
+                "full"
+                if mode == "scratch" or r.compacted or r.escalated or missed
+                else "incremental"
+                for r, missed in zip(engine.reports, after_miss)
+            ]
+        if corruption is None:
+            assert misses == 0
+        elif mode == "repair":
+            # the corruption is visible: the differential test is not vacuous
+            assert misses > 0
+
+    def _engine(self, seed=3, **kwargs):
+        return DynamicColoring(small_cluster_graph(seed, n=14, density=0.35),
+                               seed=seed, **kwargs)
+
+    def _same_colored_non_edge(self, engine, exclude=()):
+        n = engine.n_vertices
+        return next(
+            (u, v)
+            for u in range(n)
+            for v in range(u + 1, n)
+            if u not in exclude and v not in exclude
+            and engine.colors[u] == engine.colors[v]
+            and engine.delta.is_alive(u) and engine.delta.is_alive(v)
+            and not engine.delta.has_edge(u, v)
+        )
+
+    def test_pair_split_away_in_the_same_batch_is_not_reported(self, monkeypatch):
+        graph = blowup(nx.path_graph(8), np.random.default_rng(0), cluster_size=3)
+        engine = DynamicColoring(graph, seed=0)
+        kinds = _spy_checks(monkeypatch, engine)
+        u, x = self._same_colored_non_edge(engine)
+        # no vertex backs off, so {u, x} is monochromatic when the split
+        # moves x to the new half and removes it again
+        monkeypatch.setattr(engine, "_insert_clashes", lambda us, vs: [])
+        batch = UpdateBatch().edge_insert(u, x).cluster_split(u, [x], size=1)
+        report = engine.apply(batch)
+        assert engine.colors[u] == engine.colors[x]
+        assert not engine.delta.has_edge(u, x)
+        assert report.proper and _full_verdict(engine)
+        assert kinds == ["incremental"]
+
+    def test_pair_merged_away_in_the_same_batch_is_not_reported(self, monkeypatch):
+        engine = self._engine()
+        kinds = _spy_checks(monkeypatch, engine)
+        monkeypatch.setattr(engine, "_insert_clashes", lambda us, vs: [])
+        isolated = np.flatnonzero(engine.delta.degrees == 0).tolist()
+        u, x = self._same_colored_non_edge(engine, exclude=isolated)
+        y = int(engine.delta.neighbors(x)[0])  # not u: {u, x} is no edge yet
+        report = engine.apply(UpdateBatch().edge_insert(u, x).cluster_merge(y, x))
+        assert not engine.delta.is_alive(x)
+        assert report.proper == _full_verdict(engine)
+        assert kinds == ["incremental"]
+
+    def test_departed_hidden_insert_is_not_reported(self, monkeypatch):
+        engine = self._engine()
+        kinds = _spy_checks(monkeypatch, engine)
+        u, v = self._same_colored_non_edge(engine)
+        engine.delta.insert_edge(u, v)
+        report = engine.apply(UpdateBatch().vertex_remove(u))
+        assert report.proper and _full_verdict(engine)
+        assert kinds == ["incremental"]
+
+    def test_hidden_insert_is_reported_then_rechecked_in_full(self, monkeypatch):
+        engine = self._engine()
+        kinds = _spy_checks(monkeypatch, engine)
+        u, v = self._same_colored_non_edge(engine)
+        engine.delta.insert_edge(u, v)
+        assert not engine.apply(UpdateBatch()).proper
+        engine.delta.delete_edge(u, v)
+        assert engine.apply(UpdateBatch()).proper
+        assert engine.apply(UpdateBatch()).proper
+        # a miss leaves no verified coloring: the next batch scans in full
+        assert kinds == ["incremental", "full", "incremental"]
+
+    def test_first_check_after_unverified_batches_scans_in_full(
+        self, monkeypatch
+    ):
+        engine = self._engine()
+        kinds = _spy_checks(monkeypatch, engine)
+        engine.verify_each_batch = False
+        u, v = self._same_colored_non_edge(engine)
+        engine.delta.insert_edge(u, v)  # drained unchecked with the batch
+        assert engine.apply(UpdateBatch()).proper
+        engine.verify_each_batch = True
+        assert not engine.apply(UpdateBatch()).proper
+        assert kinds == ["full"]
+
+    def test_escalating_batch_checks_in_full(self, monkeypatch):
+        engine = self._engine(escalate_fraction=0.0)
+        kinds = _spy_checks(monkeypatch, engine)
+        u, v = self._same_colored_non_edge(engine)
+        report = engine.apply(UpdateBatch().edge_insert(u, v))
+        assert report.escalated and report.proper
+        assert kinds == ["full"]
+
+    def test_compacting_batches_check_in_full(self, monkeypatch):
+        from repro.workloads import STREAMS
+
+        w = STREAMS["sliding_window"](
+            np.random.default_rng(0), batches=16, churn_fraction=0.1
+        )
+        engine = DynamicColoring(w.graph, seed=7)
+        kinds = _spy_checks(monkeypatch, engine)
+        reports = [engine.apply(batch) for batch in w.batches]
+        assert sum(r.compacted for r in reports) >= 3
+        assert kinds == [
+            "full" if r.compacted else "incremental" for r in reports
+        ]
+
+    def test_run_raises_on_a_violation_the_last_report_missed(self, monkeypatch):
+        engine = self._engine()
+        check = engine._check_proper
+        # an incremental check that sees nothing
+        monkeypatch.setattr(
+            engine, "_check_proper",
+            lambda since=None: None if since is not None else check(),
+        )
+        u, v = self._same_colored_non_edge(engine)
+
+        def batches():
+            yield UpdateBatch()
+            engine.delta.insert_edge(u, v)
+            yield UpdateBatch()
+
+        with pytest.raises(RepairError, match="stream end"):
+            engine.run(batches())
+        assert engine.reports[-1].proper
+
+    def test_run_accepts_a_reported_miss(self):
+        engine = self._engine()
+        u, v = self._same_colored_non_edge(engine)
+        engine.delta.insert_edge(u, v)
+        result = engine.run([UpdateBatch()])
+        assert not result.all_proper
+
+    def test_insert_record_drained_each_batch_when_unverified(self, monkeypatch):
+        from repro.workloads import STREAMS
+
+        w = STREAMS["cluster_churn"](np.random.default_rng(1))
+        engine = DynamicColoring(w.graph, seed=7, verify_each_batch=False)
+        delta = engine.delta
+        accepted, drained = [0], []
+        insert, drain = delta.insert_edge, delta.drain_inserts
+
+        def counting_insert(u, v):
+            insert(u, v)
+            accepted[0] += np.broadcast(np.asarray(u), np.asarray(v)).size
+
+        def recording_drain():
+            pair = drain()
+            drained.append(pair[0].size)
+            return pair
+
+        monkeypatch.setattr(delta, "insert_edge", counting_insert)
+        monkeypatch.setattr(delta, "drain_inserts", recording_drain)
+        for batch in w.batches:
+            accepted[0] = 0
+            engine.apply(batch)
+            assert drained[-1] == accepted[0] > 0
+            assert drain()[0].size == 0  # nothing left behind
+        assert len(drained) == len(w.batches)
 
 
 # ---------------------------------------------------------------------------
