@@ -60,7 +60,7 @@ def voronoi_clusters(
         frontier = uniq[np.argsort(first_idx, kind="stable")]
     if (assignment < 0).any():
         raise ValueError("communication graph is not connected")
-    return ClusterGraph.from_assignment(comm, assignment.tolist())
+    return ClusterGraph.from_assignment(comm, assignment)
 
 
 def contraction_clusters(
@@ -93,14 +93,14 @@ def contraction_clusters(
         if ru != rv:
             parent[ru] = rv
             merges += 1
-    root_to_id: dict[int, int] = {}
-    assignment = []
-    for machine in range(comm.n):
-        root = find(machine)
-        if root not in root_to_id:
-            root_to_id[root] = len(root_to_id)
-        assignment.append(root_to_id[root])
-    return ClusterGraph.from_assignment(comm, assignment)
+    roots = np.fromiter(
+        (find(machine) for machine in range(comm.n)), dtype=np.int64, count=comm.n
+    )
+    # number the trees in order of their first machine
+    _, first, inverse = np.unique(roots, return_index=True, return_inverse=True)
+    rank = np.empty_like(first)
+    rank[np.argsort(first)] = np.arange(first.size)
+    return ClusterGraph.from_assignment(comm, rank[inverse])
 
 
 def _internal_links(
@@ -234,5 +234,5 @@ def blowup(
     ).reshape(-1, 2)
 
     comm = CommGraph(int(sizes.sum()), np.concatenate([internal, inter]))
-    assignment = np.repeat(np.arange(n_vertices, dtype=np.int64), sizes).tolist()
+    assignment = np.repeat(np.arange(n_vertices, dtype=np.int64), sizes)
     return ClusterGraph.from_assignment(comm, assignment)

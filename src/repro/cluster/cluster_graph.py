@@ -24,7 +24,7 @@ import numpy as np
 
 from repro.graphcore.csr import CSRAdjacency, CSRConflictGraph, sorted_unique
 from repro.network.commgraph import CommGraph
-from repro.cluster.support_tree import SupportTree, build_forest
+from repro.cluster.support_tree import SupportForest, build_forest
 
 
 @dataclass
@@ -39,12 +39,10 @@ class ClusterGraph(CSRConflictGraph):
     comm:
         The underlying communication network ``G``.
     assignment:
-        ``assignment[machine] -> vertex`` cluster identifiers, dense in
-        ``0..n_vertices-1``.
-    clusters:
-        ``clusters[v]`` is the sorted machine list of cluster ``v``.
-    trees:
-        Support tree per cluster (leader = tree root).
+        Read-only int64 array, ``assignment[machine] -> vertex`` cluster
+        identifiers, dense in ``0..n_vertices-1``.
+    forest:
+        Every cluster's members and support tree (leader = tree root).
     csr:
         H-adjacency, the graph's only adjacency state: the read interface
         (:class:`~repro.graphcore.csr.CSRConflictGraph`) and the batched
@@ -52,18 +50,20 @@ class ClusterGraph(CSRConflictGraph):
     """
 
     comm: CommGraph
-    assignment: list[int]
-    clusters: list[list[int]]
-    trees: list[SupportTree]
+    assignment: np.ndarray = field(repr=False, compare=False)
+    forest: SupportForest = field(repr=False, compare=False)
     csr: CSRAdjacency = field(repr=False, compare=False)
 
     # ---- construction --------------------------------------------------------
 
     @classmethod
     def from_assignment(
-        cls, comm: CommGraph, assignment: Sequence[int]
+        cls, comm: CommGraph, assignment: Sequence[int] | np.ndarray
     ) -> "ClusterGraph":
         """Build ``H`` from a machine-to-cluster assignment (vectorized).
+
+        ``assignment`` is a sequence or an array of integer ids; the graph
+        keeps its own read-only int64 copy.
 
         Raises
         ------
@@ -72,18 +72,19 @@ class ClusterGraph(CSRConflictGraph):
             partition into connected clusters, or cluster ids are not dense
             in ``0..k-1``.
         """
-        if len(assignment) != comm.n:
-            raise ValueError(
-                f"assignment covers {len(assignment)} machines; G has {comm.n}"
-            )
         assign = np.asarray(assignment)
+        if assign.ndim == 1 and assign.size != comm.n:
+            raise ValueError(
+                f"assignment covers {assign.size} machines; G has {comm.n}"
+            )
         # bools are not np.integer, so they fail here too
         if assign.ndim != 1 or not np.issubdtype(assign.dtype, np.integer):
             raise ValueError(
                 f"cluster ids must be a 1-D integer sequence, got dtype "
                 f"{assign.dtype} with shape {assign.shape}"
             )
-        assign = assign.astype(np.int64, copy=False)
+        assign = assign.astype(np.int64, copy=True)
+        assign.flags.writeable = False
         if assign.min() < 0:
             raise ValueError("cluster ids must be non-negative")
         n_vertices = int(assign.max()) + 1
@@ -97,35 +98,33 @@ class ClusterGraph(CSRConflictGraph):
         if (sizes == 0).any():
             vertex = int(np.flatnonzero(sizes == 0)[0])
             raise ValueError(f"cluster id {vertex} is unused (ids must be dense)")
-        member_order = np.argsort(assign, kind="stable")
-        clusters = [
-            part.tolist()
-            for part in np.split(member_order, np.cumsum(sizes)[:-1])
-        ]
 
-        trees = build_forest(comm, assign, clusters)
+        forest = build_forest(comm, assign)
 
         # H-adjacency: dedupe the cluster pairs of the inter-cluster links
-        # and lay both directions out as CSR in one pass.
-        _, _, cu, cv = _cross_links(comm, assign)
-        uniq_codes = sorted_unique(
-            np.minimum(cu, cv) * n_vertices + np.maximum(cu, cv)
-        )
-        csr = CSRAdjacency.from_edge_arrays(
-            uniq_codes // n_vertices, uniq_codes % n_vertices, n_vertices
-        )
-        return cls(
-            comm=comm,
-            assignment=[int(x) for x in assignment],
-            clusters=clusters,
-            trees=trees,
-            csr=csr,
-        )
+        # and lay both directions out as CSR.  Each temporary is dropped as
+        # soon as it is spent, so the peak stays near three link-length
+        # arrays.
+        mu, mv = comm.link_arrays()
+        lo, hi = assign[mu], assign[mv]
+        inter = lo != hi
+        lo = lo[inter]
+        hi = hi[inter]
+        del inter
+        codes = np.minimum(lo, hi)
+        np.maximum(lo, hi, out=hi)
+        del lo
+        codes *= n_vertices
+        codes += hi
+        del hi
+        codes = sorted_unique(codes)
+        csr = CSRAdjacency.from_edge_codes(codes, n_vertices)
+        return cls(comm=comm, assignment=assign, forest=forest, csr=csr)
 
     @classmethod
     def identity(cls, comm: CommGraph) -> "ClusterGraph":
         """The CONGEST special case: every machine is its own cluster."""
-        return cls.from_assignment(comm, list(range(comm.n)))
+        return cls.from_assignment(comm, np.arange(comm.n, dtype=np.int64))
 
     # ---- structure -----------------------------------------------------------
 
@@ -138,7 +137,7 @@ class ClusterGraph(CSRConflictGraph):
         Derived on first access (diagnostics/dedup only; hot paths use
         :attr:`csr`).
         """
-        mu, mv, cu, cv = _cross_links(self.comm, np.asarray(self.assignment))
+        mu, mv, cu, cv = _cross_links(self.comm, self.assignment)
         forward = cu < cv
         a, b = np.where(forward, cu, cv), np.where(forward, cv, cu)
         x, y = np.where(forward, mu, mv), np.where(forward, mv, mu)
@@ -168,18 +167,26 @@ class ClusterGraph(CSRConflictGraph):
 
     @cached_property
     def dilation(self) -> int:
-        """``d``: maximum support-tree height over all clusters.  Computed
-        once per graph: nothing mutates ``trees`` after construction, and a
+        """``d``: the maximum support-tree *height* over all clusters, at
+        least 1 (each tree's height is already clamped to 1).  Computed
+        once per graph: the forest is read-only, and a
         ``dataclasses.replace`` copy is a new instance with its own cache."""
-        return max((t.height for t in self.trees), default=1)
+        return int(self.forest.height.max(initial=1))
 
     def cluster_size(self, v: int) -> int:
         """Number of machines in cluster ``v``."""
-        return len(self.clusters[v])
+        offsets = self.forest.offsets
+        return int(offsets[v + 1] - offsets[v])
+
+    def members(self, v: int) -> np.ndarray:
+        """Machines of cluster ``v``, ascending (a read-only int64 slice of
+        the forest, no copy)."""
+        offsets = self.forest.offsets
+        return self.forest.members[offsets[v] : offsets[v + 1]]
 
     def leader(self, v: int) -> int:
         """Leader machine of cluster ``v`` (support-tree root)."""
-        return self.trees[v].root
+        return int(self.forest.root[v])
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

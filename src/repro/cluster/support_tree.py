@@ -2,8 +2,15 @@
 
 Each cluster elects a leader and computes a BFS tree of ``G`` restricted to
 its machines.  The *dilation* ``d`` of a cluster graph is the maximum
-diameter of a support tree; all round costs on ``G`` scale linearly with it
-(Theorems 1.1/1.2 state the ``d`` factor explicitly).
+*height* of a support tree, at least 1 (a singleton cluster still costs a
+round): one broadcast or convergecast over ``T(v)`` costs its height in
+rounds on ``G``, and all round costs scale linearly with ``d`` (Theorems
+1.1/1.2 state the ``d`` factor explicitly).  A tree's diameter is at most
+twice its height, so this is the paper's ``d`` up to a factor 2.
+
+:func:`build_forest` builds every cluster's tree at once and returns them
+as one :class:`SupportForest` of flat arrays.  :class:`SupportTree` is the
+per-cluster sequential build it must reproduce, kept as the oracle.
 """
 
 from __future__ import annotations
@@ -13,12 +20,16 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.graphcore.csr import CSRAdjacency
 from repro.network.commgraph import CommGraph
 
 
 @dataclass(frozen=True)
 class SupportTree:
-    """A rooted spanning tree of one cluster.
+    """A rooted spanning tree of one cluster, built sequentially.
+
+    The reference for :func:`build_forest` (which must match it tree for
+    tree); the pipeline itself reads the :class:`SupportForest`.
 
     Attributes
     ----------
@@ -125,20 +136,56 @@ class SupportTree:
         return order
 
 
-def build_forest(
-    comm: CommGraph, assignment: np.ndarray, clusters: Sequence[Sequence[int]]
-) -> list[SupportTree]:
+@dataclass(frozen=True, eq=False)
+class SupportForest:
+    """The support trees of every cluster of a partition, as flat arrays.
+
+    Cluster ``v`` owns the slice ``offsets[v]:offsets[v + 1]`` of both
+    ``members`` and ``order``.  All arrays are int64 and read-only.
+
+    Attributes
+    ----------
+    offsets:
+        ``(k + 1,)`` slice bounds per cluster; ``np.diff(offsets)`` are the
+        cluster sizes.
+    members:
+        ``(n,)`` machines grouped by cluster, ascending within each one.
+    order:
+        ``(n,)`` machines grouped by cluster, in each tree's BFS discovery
+        order (the root first, parents before their children).
+    root:
+        ``(k,)`` leader machine per cluster (its smallest machine).
+    height:
+        ``(k,)`` tree height per cluster, at least 1: one broadcast or
+        convergecast over the tree costs ``height`` rounds on ``G``.
+    parent:
+        ``(n,)`` parent machine per machine, ``-1`` at a root.
+    depth:
+        ``(n,)`` hops from each machine to its cluster's root.
+    """
+
+    offsets: np.ndarray
+    members: np.ndarray
+    order: np.ndarray
+    root: np.ndarray
+    height: np.ndarray
+    parent: np.ndarray
+    depth: np.ndarray
+
+
+def build_forest(comm: CommGraph, assignment: np.ndarray) -> SupportForest:
     """BFS support trees for *every* cluster of a partition at once.
 
     The vectorized counterpart of calling :meth:`SupportTree.build_bfs`
-    per cluster: one multi-source frontier BFS over the machine CSR,
-    restricted to intra-cluster links (clusters are vertex-disjoint, so
-    all of them advance in the same frontier).  Per level, ties between
+    per cluster, rooted at each cluster's smallest machine (the
+    deterministic leader election): one multi-source frontier BFS over the
+    CSR of the intra-cluster links alone (clusters are vertex-disjoint, so
+    all of them advance in the same frontier, and no level gathers the
+    inter-cluster links it would discard).  Per level, ties between
     several frontier machines reaching the same target resolve to the
     first writer in (frontier-order, neighbor-order) -- exactly the order
-    the sequential BFS assigned parents in -- so every tree (roots,
-    parents, depths, and the dict insertion order of ``parent`` /
-    ``depth_of``) is identical to the per-cluster build.
+    the sequential BFS assigned parents in -- so every root, parent,
+    depth, height and discovery order equals the per-cluster build's.
 
     Parameters
     ----------
@@ -146,86 +193,65 @@ def build_forest(
         The communication network ``G``.
     assignment:
         int64 array mapping machine -> cluster id (dense in ``0..k-1``).
-    clusters:
-        ``clusters[v]``: sorted machine list of cluster ``v`` (the roots
-        are the per-cluster minima, the deterministic leader election).
 
     Raises
     ------
     ValueError
-        If some cluster is not connected in ``G`` (Definition 3.1); the
-        offending cluster is the smallest-id one, as in the per-cluster
-        loop.
+        If some cluster is empty, or is not connected in ``G``
+        (Definition 3.1); the offending cluster is the smallest-id one, as
+        in the per-cluster loop.
     """
     from repro.graphcore import gather_neighborhoods
 
-    n = comm.n
-    n_clusters = len(clusters)
-    if any(not members for members in clusters):
+    n_clusters = int(assignment.max()) + 1 if assignment.size else 0
+    sizes = np.bincount(assignment, minlength=n_clusters)
+    if (sizes == 0).any():
         raise ValueError("cluster must contain at least one machine")
-    roots = np.fromiter(
-        (members[0] for members in clusters), dtype=np.int64, count=n_clusters
-    )
-    csr = comm.csr
-    parent = np.full(n, -1, dtype=np.int64)
-    depth = np.full(n, -1, dtype=np.int64)
+    offsets = np.zeros(n_clusters + 1, dtype=np.int64)
+    np.cumsum(sizes, out=offsets[1:])
+    members = np.argsort(assignment, kind="stable")
+    roots = members[offsets[:-1]]
+
+    mu, mv = comm.link_arrays()
+    intra = assignment[mu] == assignment[mv]
+    # each machine's intra-cluster neighbors, ascending as in comm.csr
+    links = CSRAdjacency.from_edge_arrays(mu[intra], mv[intra], comm.n)
+    parent = np.full(comm.n, -1, dtype=np.int64)
+    depth = np.full(comm.n, -1, dtype=np.int64)
     depth[roots] = 0
     levels: list[np.ndarray] = [roots]
     frontier = roots
+    level = 0
     while frontier.size:
-        seg_ids, flat = gather_neighborhoods(csr, frontier)
-        sources = frontier[seg_ids]
-        candidate = (assignment[flat] == assignment[sources]) & (depth[flat] < 0)
-        targets = flat[candidate]
-        owners = sources[candidate]
-        uniq, first_idx = np.unique(targets, return_index=True)
-        parent[uniq] = owners[first_idx]
-        depth[uniq] = depth[frontier[0]] + 1 if uniq.size else 0
+        level += 1
+        seg_ids, flat = gather_neighborhoods(links, frontier)
+        fresh = depth[flat] < 0
+        uniq, first_idx = np.unique(flat[fresh], return_index=True)
+        parent[uniq] = frontier[seg_ids[fresh][first_idx]]
+        depth[uniq] = level
         frontier = uniq[np.argsort(first_idx, kind="stable")]
-        if frontier.size:
-            levels.append(frontier)
+        levels.append(frontier)
 
-    if (depth < 0).any():
-        unreachable = np.flatnonzero(depth < 0)
+    unreachable = np.flatnonzero(depth < 0)
+    if unreachable.size:
         bad_cluster = int(assignment[unreachable].min())
-        missing = sorted(
-            int(m) for m in unreachable[assignment[unreachable] == bad_cluster]
-        )[:5]
+        missing = unreachable[assignment[unreachable] == bad_cluster][:5]
         raise ValueError(
             f"cluster {bad_cluster} is not connected in G; "
-            f"unreachable machines include {missing}"
+            f"unreachable machines include {missing.tolist()}"
         )
 
-    # Group the global discovery order by cluster (stable, so each
-    # cluster's subsequence keeps its own BFS order), then cut it into
-    # per-cluster slices.
+    # Group the global discovery order by cluster; the stable sort keeps
+    # each cluster's subsequence in its own BFS order.  Depths never
+    # decrease along a BFS order, so a tree's height is the depth of the
+    # last machine it discovered.
     discovery = np.concatenate(levels)
-    by_cluster = discovery[
-        np.argsort(assignment[discovery], kind="stable")
-    ]
-    sizes = np.fromiter(
-        (len(members) for members in clusters), dtype=np.int64, count=n_clusters
+    order = discovery[np.argsort(assignment[discovery], kind="stable")]
+    height = np.maximum(depth[order[offsets[1:] - 1]], 1)
+    forest = SupportForest(
+        offsets=offsets, members=members, order=order, root=roots,
+        height=height, parent=parent, depth=depth,
     )
-    offsets = np.zeros(n_clusters + 1, dtype=np.int64)
-    np.cumsum(sizes, out=offsets[1:])
-    parent_of = parent[by_cluster]
-    depth_of_all = depth[by_cluster]
-    heights = np.zeros(n_clusters, dtype=np.int64)
-    np.maximum.at(heights, assignment[discovery], depth[discovery])
-
-    trees: list[SupportTree] = []
-    for cid in range(n_clusters):
-        lo, hi = int(offsets[cid]), int(offsets[cid + 1])
-        machines = by_cluster[lo:hi].tolist()
-        pars = parent_of[lo:hi].tolist()
-        pars[0] = None  # the root (discovered first) has no parent
-        trees.append(
-            SupportTree(
-                cluster_id=cid,
-                root=machines[0],
-                parent=dict(zip(machines, pars)),
-                depth_of=dict(zip(machines, depth_of_all[lo:hi].tolist())),
-                height=max(1, int(heights[cid])),
-            )
-        )
-    return trees
+    for arr in (offsets, members, order, roots, height, parent, depth):
+        arr.flags.writeable = False
+    return forest

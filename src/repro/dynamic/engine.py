@@ -238,13 +238,8 @@ class DynamicColoring:
         # Delta, dilation at bootstrap); live topology is self.delta
         self.graph = graph
         self.delta = DeltaCSR(graph.csr, rebuild_fraction=rebuild_fraction)
-        self.cluster_sizes = np.asarray(
-            [graph.cluster_size(v) for v in range(graph.n_vertices)],
-            dtype=np.int64,
-        )
-        self.tree_heights = np.asarray(
-            [t.height for t in graph.trees], dtype=np.int64
-        )
+        self.cluster_sizes = np.diff(graph.forest.offsets)
+        self.tree_heights = graph.forest.height.copy()
         self.ledger = BandwidthLedger(
             bandwidth_bits=self.params.bandwidth_bits(max(2, graph.n_machines)),
             dilation=max(1, graph.dilation),

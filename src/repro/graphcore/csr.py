@@ -61,11 +61,11 @@ class CSRAdjacency:
         """Build from an undirected edge list given as parallel arrays.
 
         Each edge appears once, in either orientation; both directions are
-        laid out (mirror, lexsort, bincount/cumsum) in one vectorized pass.
-        This is the single home of the CSR-layout block that used to be
-        repeated in ``CommGraph.__init__`` and
-        ``ClusterGraph.from_assignment``, and it is what the dynamic
-        subsystem's delta-buffer compaction rebuilds through.
+        written as ``src * n + dst`` codes into one buffer, which one
+        in-place sort turns into ``indices``.  The dynamic subsystem's
+        delta-buffer compaction rebuilds through this;
+        :meth:`from_edge_codes` is the same layout for callers that already
+        hold edge codes (``CommGraph``, ``ClusterGraph.from_assignment``).
 
         ``dedupe=True`` collapses duplicate edges (and accepts both
         orientations of the same pair) before laying out; the default trusts
@@ -77,17 +77,47 @@ class CSRAdjacency:
             raise ValueError(
                 f"edge arrays differ in length ({eu.size} vs {ev.size})"
             )
-        if dedupe and eu.size:
+        if dedupe:
             lo = np.minimum(eu, ev)
             hi = np.maximum(eu, ev)
-            codes = sorted_unique(lo * n_vertices + hi)
-            eu, ev = codes // n_vertices, codes % n_vertices
-        src = np.concatenate([eu, ev])
-        dst = np.concatenate([ev, eu])
-        indptr = np.zeros(n_vertices + 1, dtype=np.int64)
-        np.cumsum(np.bincount(src, minlength=n_vertices), out=indptr[1:])
-        # (src, dst) order by one sort of src * n + dst codes, not a lexsort
-        return cls(indptr=indptr, indices=np.sort(src * n_vertices + dst) % n_vertices)
+            return cls.from_edge_codes(sorted_unique(lo * n_vertices + hi), n_vertices)
+        codes = np.empty(2 * eu.size, dtype=np.int64)
+        head, tail = codes[: eu.size], codes[eu.size :]
+        np.multiply(eu, n_vertices, out=head)
+        head += ev
+        np.multiply(ev, n_vertices, out=tail)
+        tail += eu
+        return cls._from_directed_codes(codes, n_vertices)
+
+    @classmethod
+    def from_edge_codes(cls, codes: np.ndarray, n_vertices: int) -> "CSRAdjacency":
+        """Build from undirected edges given as int64 codes ``u * n + v``,
+        each edge once (in either orientation).
+
+        The leanest entry point: both directions go into one buffer that
+        is sorted in place and becomes ``indices``, so the build allocates
+        little beyond its output.
+        """
+        directed = np.empty(2 * codes.size, dtype=np.int64)
+        head, tail = directed[: codes.size], directed[codes.size :]
+        np.floor_divide(codes, n_vertices, out=head)  # head is scratch here
+        np.remainder(codes, n_vertices, out=tail)
+        tail *= n_vertices
+        tail += head
+        head[:] = codes
+        return cls._from_directed_codes(directed, n_vertices)
+
+    @classmethod
+    def _from_directed_codes(cls, codes: np.ndarray, n_vertices: int) -> "CSRAdjacency":
+        """Lay out CSR from a scratch buffer of directed ``src * n + dst``
+        codes, consumed in place: one sort orders it by (src, dst)."""
+        codes.sort()
+        # row v starts at the first code >= v * n
+        indptr = np.searchsorted(
+            codes, np.arange(n_vertices + 1, dtype=np.int64) * n_vertices
+        )
+        np.remainder(codes, n_vertices, out=codes)
+        return cls(indptr=indptr, indices=codes)
 
     @classmethod
     def from_adj_lists(cls, adj: Sequence[Sequence[int]]) -> "CSRAdjacency":

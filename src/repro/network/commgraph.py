@@ -68,7 +68,7 @@ class CommGraph:
             self._link_v = np.empty(0, dtype=np.int64)
             self._link_codes = np.empty(0, dtype=np.int64)
         self._m = int(self._link_u.size)
-        self._csr = CSRAdjacency.from_edge_arrays(self._link_u, self._link_v, n)
+        self._csr = CSRAdjacency.from_edge_codes(self._link_codes, n)
         self._indptr = self._csr.indptr
         self._indices = self._csr.indices
 
@@ -121,6 +121,20 @@ class CommGraph:
         if i >= self._m or int(self._link_codes[i]) != code:
             raise KeyError(f"machines {u} and {v} share no link")
         return i
+
+    def link_indices(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """:meth:`link_index` of every pair ``(u[i], v[i])`` at once, as an
+        int64 array.  Raises ``KeyError`` naming the first pair that shares
+        no link."""
+        lo, hi = np.minimum(u, v), np.maximum(u, v)
+        codes = lo * self.n + hi
+        idx = np.searchsorted(self._link_codes, codes)
+        found = idx < self._m
+        found[found] = self._link_codes[idx[found]] == codes[found]
+        if not found.all():
+            i = int(np.flatnonzero(~found)[0])
+            raise KeyError(f"machines {int(u[i])} and {int(v[i])} share no link")
+        return idx
 
     def iter_links(self) -> Iterator[tuple[int, int]]:
         """All links, each once, as ``(u, v)`` with ``u < v`` (sorted)."""

@@ -247,23 +247,28 @@ class HetNetModel:
         inv_bw = 1.0 / np.asarray(
             _mbps_to_bits_per_ms(bandwidth_mbps), dtype=np.float64
         )
-        line_a: list[float] = []
-        line_b: list[float] = []
-        names: list[str] = []
-        # support-tree root paths: prefix sums down each tree (parents come
-        # before children in BFS insertion order, so one pass suffices)
-        for cluster, tree in enumerate(graph.trees):
-            path_a: dict[int, float] = {tree.root: 0.0}
-            path_b: dict[int, float] = {tree.root: 0.0}
-            for machine, parent in tree.parent.items():
-                if parent is None:
-                    continue
-                idx = comm.link_index(machine, parent)
-                path_a[machine] = path_a[parent] + float(latency_ms[idx])
-                path_b[machine] = path_b[parent] + float(inv_bw[idx])
-                line_a.append(path_a[machine])
-                line_b.append(path_b[machine])
-                names.append(f"tree[{cluster}] root->{machine}")
+        # support-tree root paths: prefix sums down each tree, one depth
+        # level at a time (a parent is one level above its children); the
+        # lines follow the trees' BFS discovery order, roots skipped
+        forest = graph.forest
+        nodes = forest.order[forest.depth[forest.order] > 0]
+        parents = forest.parent[nodes]
+        depths = forest.depth[nodes]
+        idx = comm.link_indices(nodes, parents)
+        path_a = np.zeros(comm.n, dtype=np.float64)
+        path_b = np.zeros(comm.n, dtype=np.float64)
+        for level in range(1, int(depths.max(initial=0)) + 1):
+            at = depths == level
+            path_a[nodes[at]] = path_a[parents[at]] + latency_ms[idx[at]]
+            path_b[nodes[at]] = path_b[parents[at]] + inv_bw[idx[at]]
+        line_a = path_a[nodes].tolist()
+        line_b = path_b[nodes].tolist()
+        names = [
+            f"tree[{cluster}] root->{machine}"
+            for cluster, machine in zip(
+                graph.assignment[nodes].tolist(), nodes.tolist()
+            )
+        ]
         # H-edge designated links: the first realizing G-link, the one the
         # inter-cluster computation step of every H-round pays
         for (u, v), realizers in sorted(graph.links.items()):

@@ -64,7 +64,7 @@ class _Shadow:
     def __init__(self, graph):
         self.base = graph.csr
         self.alive_mask = np.ones(graph.n_vertices, dtype=bool)
-        self.sizes = [graph.cluster_size(v) for v in range(graph.n_vertices)]
+        self.sizes = np.diff(graph.forest.offsets).tolist()
         # _deleted only holds base edges, _inserted only non-base edges
         self._inserted: dict[int, set[int]] = {}
         self._deleted: dict[int, set[int]] = {}

@@ -84,10 +84,10 @@ class TestClusterGraph:
         import pickle
 
         h = blowup(nx.cycle_graph(6), rng, cluster_size=9, topology="path")
-        assert h.dilation == max(t.height for t in h.trees) == 8
+        assert h.dilation == int(h.forest.height.max()) == 8
         assert "dilation" in vars(h)  # cached on the instance
         star = blowup(nx.cycle_graph(6), rng, cluster_size=9, topology="star")
-        copy = dataclasses.replace(h, trees=star.trees)
+        copy = dataclasses.replace(h, forest=star.forest)
         assert copy.dilation == 1 and h.dilation == 8
         restored = pickle.loads(pickle.dumps(h))
         assert vars(restored)["dilation"] == restored.dilation == 8
@@ -126,6 +126,47 @@ class TestClusterGraph:
         comm = CommGraph(4, [(0, 1), (1, 2), (2, 3)])
         with pytest.raises(ValueError, match=match):
             ClusterGraph.from_assignment(comm, assignment)
+
+    @pytest.mark.parametrize(
+        "assignment, match",
+        [
+            ([False, True, True, True], "integer"),
+            ([[0, 0], [1, 1]], "1-D"),
+            ([0, 0, -1, 1], "non-negative"),
+            ([0, 0, 2, 2], "cluster id 1 is unused"),
+            ([0, 0, 1], "covers 3 machines"),
+            ([0, 1, 0, 1], "cluster 0 is not connected"),
+        ],
+        ids=["bool", "2d", "negative", "unused_id", "wrong_length", "disconnected"],
+    )
+    def test_invalid_input_rejected_alike_as_list_and_array(self, assignment, match):
+        comm = CommGraph(4, [(0, 1), (1, 2), (2, 3)])
+        messages = []
+        for given in (assignment, np.asarray(assignment)):
+            with pytest.raises(ValueError, match=match) as info:
+                ClusterGraph.from_assignment(comm, given)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+
+    def test_list_and_array_build_identical_arrays(self, rng):
+        h = blowup(nx.cycle_graph(12), rng, cluster_size=5, topology="tree",
+                   link_multiplicity=2, size_jitter=0.6)
+        as_array = np.array(h.assignment, dtype=np.int64)
+        from_list = ClusterGraph.from_assignment(h.comm, h.assignment.tolist())
+        from_array = ClusterGraph.from_assignment(h.comm, as_array)
+        for g in (from_list, from_array):
+            got = [g.csr.indptr, g.csr.indices, g.assignment]
+            got += [getattr(g.forest, f.name) for f in dataclasses.fields(g.forest)]
+            want = [h.csr.indptr, h.csr.indices, h.assignment]
+            want += [getattr(h.forest, f.name) for f in dataclasses.fields(h.forest)]
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype == np.int64
+                assert a.tobytes() == b.tobytes()
+        # the graph keeps its own read-only copy of the caller's array
+        as_array[:] = 0
+        assert from_array.assignment.tobytes() == h.assignment.tobytes()
+        assert not from_array.assignment.flags.writeable
+        assert not from_array.forest.parent.flags.writeable
 
     def test_intra_cluster_links_not_h_edges(self):
         comm = CommGraph(4, [(0, 1), (1, 2), (2, 3)])
@@ -330,44 +371,115 @@ class TestVirtualGraph:
         assert power_graph_degree_bound(comm) == 4  # middle vertex sees all
 
 
+def _random_voronoi(trial: int) -> ClusterGraph:
+    """A random connected network cut into a random number of Voronoi
+    regions."""
+    rng = np.random.default_rng(trial)
+    n = int(rng.integers(5, 150))
+    edges = [(i, int(rng.integers(0, i))) for i in range(1, n)]
+    extra = rng.integers(0, n, size=(2 * n, 2))
+    edges += [(int(a), int(b)) for a, b in extra if a != b]
+    k = int(rng.integers(1, n + 1))
+    return voronoi_clusters(CommGraph(n, edges), k, np.random.default_rng(trial + 100))
+
+
+def _forest_instances() -> dict:
+    """Builders of cluster graphs whose forests are checked against the
+    sequential oracle besides the random Voronoi partitions: every
+    generator at its small default size, and ``blowup`` over the cluster
+    shapes and knobs."""
+    from repro.fuzz.loop import DEFAULT_BASES
+    from repro.workloads import GENERATORS
+
+    cases = {
+        name: lambda name=name: GENERATORS[name](
+            np.random.default_rng(1), **DEFAULT_BASES.get(name, {})
+        ).graph
+        for name in sorted(GENERATORS)
+    }
+    target = nx.gnp_random_graph(25, 0.2, seed=2)
+    for topology in ("star", "path", "bridge"):
+        cases[f"blowup_{topology}"] = lambda topology=topology: blowup(
+            target, np.random.default_rng(3), cluster_size=7, topology=topology
+        )
+    cases["blowup_jitter"] = lambda: blowup(
+        target, np.random.default_rng(4), cluster_size=6, topology="tree",
+        size_jitter=0.8,
+    )
+    cases["blowup_multiplicity"] = lambda: blowup(
+        target, np.random.default_rng(5), cluster_size=4, topology="path",
+        link_multiplicity=3,
+    )
+    return cases
+
+
+FOREST_INSTANCES = _forest_instances()
+
+
 class TestBuildForest:
     """The vectorized all-clusters BFS must reproduce the per-cluster
-    sequential build exactly: roots, parents, depths, heights, and even
-    the dict insertion (discovery) order."""
+    sequential build exactly: roots, parents, depths, heights, and the
+    discovery order."""
+
+    @staticmethod
+    def _assert_matches_sequential(graph):
+        forest = graph.forest
+        assert forest.offsets.size - 1 == forest.root.size == graph.n_vertices
+        assert forest.members.size == forest.order.size == graph.n_machines
+        heights = []
+        for cid in range(graph.n_vertices):
+            members = graph.members(cid).tolist()
+            ref = SupportTree.build_bfs(graph.comm, members, cluster_id=cid)
+            order = forest.order[forest.offsets[cid] : forest.offsets[cid + 1]]
+            assert members == sorted(ref.parent)
+            assert graph.leader(cid) == forest.root[cid] == ref.root
+            assert order.tolist() == list(ref.parent)  # discovery order
+            parents = [p if p >= 0 else None for p in forest.parent[order].tolist()]
+            assert dict(zip(order.tolist(), parents)) == ref.parent
+            assert dict(zip(order.tolist(), forest.depth[order].tolist())) == ref.depth_of
+            assert forest.height[cid] == ref.height
+            heights.append(ref.height)
+            assert graph.cluster_size(cid) == len(members)
+        assert graph.dilation == max(heights)
 
     @pytest.mark.parametrize("trial", range(12))
     def test_matches_sequential_build(self, trial):
-        from repro.cluster import build_forest
+        self._assert_matches_sequential(_random_voronoi(trial))
 
-        rng = np.random.default_rng(trial)
-        n = int(rng.integers(5, 150))
-        edges = [(i, int(rng.integers(0, i))) for i in range(1, n)]
-        extra = rng.integers(0, n, size=(2 * n, 2))
-        edges += [(int(a), int(b)) for a, b in extra if a != b]
-        comm = CommGraph(n, edges)
-        k = int(rng.integers(1, n + 1))
-        cg = voronoi_clusters(comm, k, np.random.default_rng(trial + 100))
-        assign = np.asarray(cg.assignment, dtype=np.int64)
-        forest = build_forest(comm, assign, cg.clusters)
-        for cid, members in enumerate(cg.clusters):
-            ref = SupportTree.build_bfs(comm, members, cluster_id=cid)
-            got = forest[cid]
-            assert got.root == ref.root
-            assert got.parent == ref.parent
-            assert list(got.parent) == list(ref.parent)  # discovery order
-            assert got.depth_of == ref.depth_of
-            assert got.height == ref.height
+    @pytest.mark.parametrize("case", sorted(FOREST_INSTANCES))
+    def test_generated_instances_match_sequential_build(self, case):
+        self._assert_matches_sequential(FOREST_INSTANCES[case]())
 
     def test_disconnected_cluster_reported_like_sequential(self):
         from repro.cluster import build_forest
 
         comm = CommGraph(4, [(0, 1), (2, 3)])
-        with pytest.raises(ValueError, match="cluster 0 is not connected"):
-            build_forest(
-                comm,
-                np.array([0, 0, 0, 1], dtype=np.int64),
-                [[0, 1, 2], [3]],
-            )
+        with pytest.raises(
+            ValueError,
+            match=r"^cluster 0 is not connected in G; unreachable machines include \[2\]$",
+        ):
+            build_forest(comm, np.array([0, 0, 0, 1], dtype=np.int64))
+
+    def test_disconnected_message_names_smallest_cluster_and_five_machines(self):
+        from repro.cluster import build_forest
+
+        # cluster 0 is whole; clusters 1 and 2 are both split, and the
+        # strays of cluster 2 have the smaller machine ids
+        comm = CommGraph(20, [(0, 1), (2, 3), (11, 12), (15, 16)])
+        assign = np.array([0, 0] + [2] * 9 + [1] * 9, dtype=np.int64)
+        with pytest.raises(ValueError) as info:
+            build_forest(comm, assign)
+        sequential = []
+        for cid in range(3):
+            members = np.flatnonzero(assign == cid).tolist()
+            try:
+                SupportTree.build_bfs(comm, members, cluster_id=cid)
+            except ValueError as exc:
+                sequential.append(str(exc))
+        assert str(info.value) == sequential[0] == (
+            "cluster 1 is not connected in G; "
+            "unreachable machines include [13, 14, 15, 16, 17]"
+        )
 
 
 CYCLE = [(0, 1), (1, 2), (2, 3), (3, 0)]

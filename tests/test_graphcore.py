@@ -90,6 +90,22 @@ class TestCSRStructure:
         assert csr.indices.tolist() == dst[np.lexsort((dst, src))].tolist()
         assert csr.indptr.tolist() == [0] + np.cumsum(np.bincount(src, minlength=n)).tolist()
 
+    @given(**graph_params)
+    @settings(max_examples=60)
+    def test_from_edge_codes_matches_from_edge_arrays(self, seed, n, density):
+        rng = np.random.default_rng(seed)
+        pairs = rng.integers(0, n, size=(int(density * 3 * n), 2))
+        pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+        lo, hi = np.unique(np.sort(pairs, axis=1), axis=0).T
+        flip = rng.random(lo.size) < 0.5  # each edge once, either orientation
+        codes = np.where(flip, hi * n + lo, lo * n + hi)
+        given = codes.copy()
+        csr = CSRAdjacency.from_edge_codes(given, n)
+        ref = CSRAdjacency.from_edge_arrays(codes // n, codes % n, n)
+        assert csr.indptr.tolist() == ref.indptr.tolist()
+        assert csr.indices.tolist() == ref.indices.tolist()
+        assert given.tolist() == codes.tolist()  # the input is not consumed
+
     @given(st.lists(st.integers(-(2**40), 2**40), max_size=60))
     def test_sorted_unique_matches_np_unique(self, values):
         from repro.graphcore.csr import sorted_unique

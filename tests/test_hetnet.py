@@ -264,7 +264,7 @@ class TestGeneratorKnobs:
             np.array(plain.graph.comm.link_arrays()),
             np.array(knobbed.graph.comm.link_arrays()),
         )
-        assert plain.graph.clusters == knobbed.graph.clusters
+        assert np.array_equal(plain.graph.assignment, knobbed.graph.assignment)
 
     def test_partial_knobs_fill_defaults(self):
         w = GENERATORS["congest"](np.random.default_rng(3), n=40, net_skew=5.0)

@@ -42,6 +42,15 @@ class TestCommGraph:
         assert not g.has_link(0, 4)
         assert not g.has_link(2, 3)
 
+    def test_link_indices_match_link_index(self):
+        g = CommGraph(6, [(0, 1), (1, 3), (3, 4), (2, 5), (0, 5)])
+        u = np.array([3, 0, 5, 4, 1])
+        v = np.array([1, 5, 2, 3, 0])
+        expected = [g.link_index(a, b) for a, b in zip(u.tolist(), v.tolist())]
+        assert g.link_indices(u, v).tolist() == expected
+        with pytest.raises(KeyError, match="machines 2 and 3 share no link"):
+            g.link_indices(np.array([0, 2]), np.array([1, 3]))
+
     def test_iter_links_canonical(self):
         g = CommGraph(4, [(3, 1), (0, 2)])
         links = sorted(g.iter_links())
