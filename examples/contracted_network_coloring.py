@@ -50,5 +50,5 @@ print(f"{'Luby/Johansson trials':28s} {luby.rounds_h:8d} "
 print(f"{'palette sparsification':28s} {sparsified.rounds_h:8d} "
       f"{sparsified.total_message_bits:10d} {str(sparsified.proper):>6s}")
 print("\n(at this modest Delta the baselines' palette bitmaps still fit in "
-      "a few messages; benchmarks/bench_e13_baselines.py sweeps Delta to "
+      "a few messages; `repro sweep --suite e13_baselines` sweeps Delta to "
       "show the crossover the theory predicts)")

@@ -3,9 +3,9 @@ step-by-step walkthrough of the vectorized pipeline.
 
 Colors dense cluster graphs of growing size and prints how the round count
 behaves relative to log n, log* n, and the dilation d.  This is a script-
-sized version of benchmarks E1/E12; expect a minute of runtime.  Each step
-below names the vectorized machinery it exercises — docs/ARCHITECTURE.md
-has the full map.
+sized version of the e1_rounds_high_degree and e12_dilation suites; expect
+a minute of runtime.  Each step below names the vectorized machinery it
+exercises — docs/ARCHITECTURE.md has the full map.
 
 Run:  python examples/scaling_study.py
 """
@@ -16,7 +16,7 @@ import time
 import numpy as np
 
 from repro import color_cluster_graph, log_star
-from repro.metrics import format_table
+from repro.experiments.artifacts import format_table
 from repro.workloads import high_degree_instance
 
 rows = []
@@ -76,7 +76,7 @@ print(format_table(rows))
 print(
     "\nReading: rounds_h stays near-flat while n quadruples -- the log* n"
     "\nshape (absolute constants are the scaled preset's, not the paper's)."
-    "\nDilation enters G-rounds only; see benchmarks/bench_e12_dilation.py."
+    "\nDilation enters G-rounds only; see `repro sweep --suite e12_dilation`."
     "\nFor the 50k-machine version of this table run:"
     "\n    python -m repro sweep --suite scale --jobs 4"
 )

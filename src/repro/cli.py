@@ -16,9 +16,11 @@ Commands
     (optionally racing the recolor-from-scratch baseline).
 ``sweep``
     Run a named scenario suite in parallel, write a JSONL artifact
-    (``--trace`` attaches span trees to traceable cells).
+    (``--trace`` attaches span trees to traceable cells), print the
+    suite's claim verdicts; exit 1 on a failed cell or a missed claim.
 ``report``
-    Summarize a sweep artifact (mean/p50/p95 per cell group, CSV export).
+    Summarize a sweep artifact (mean/p50/p95 per cell group, CSV export)
+    and re-check its suite's claims when the spec hash matches.
 ``compare``
     Gate one sweep artifact against a baseline; exit 1 on regression.
 ``trace``
@@ -44,7 +46,7 @@ import sys
 import numpy as np
 
 from repro import color_cluster_graph
-from repro.metrics import format_table
+from repro.experiments.artifacts import format_table
 from repro.params import paper, scaled
 from repro.workloads import GENERATORS, STREAMS
 
@@ -254,7 +256,15 @@ def _cmd_sweep(args) -> int:
     for record in failed:
         print(f"  {record['status']}: {record['cell']['workload']} -- "
               f"{error_summary(record['error'])}")
-    return 1 if failed else 0
+    claims_hold = _print_verdicts(spec.check_claims(records))
+    return 1 if failed or not claims_hold else 0
+
+
+def _print_verdicts(verdicts: list[tuple[bool, str]]) -> bool:
+    """Print one line per claim verdict; True iff every claim held."""
+    for _held, line in verdicts:
+        print(line)
+    return all(held for held, _line in verdicts)
 
 
 def _cmd_trace(args) -> int:
@@ -420,7 +430,7 @@ def _read_artifact_or_exit(path: str):
 
 
 def _cmd_report(args) -> int:
-    from repro.experiments import summarize, to_csv
+    from repro.experiments import SUITES, summarize, to_csv
 
     artifact = _read_artifact_or_exit(args.artifact)
     header = artifact.header
@@ -446,7 +456,18 @@ def _cmd_report(args) -> int:
     if args.csv:
         path = to_csv(artifact, args.csv)
         print(f"csv: {path}")
-    return 0
+    spec = SUITES.get(artifact.suite)
+    if spec is None or not spec.claims:
+        return 0
+    spec_hash = spec.spec_hash()
+    if spec_hash != artifact.spec_hash:
+        # an artifact of an older grid is never judged against newer claims
+        print(
+            f"claims not checked: spec_hash {artifact.spec_hash} is not the "
+            f"registered {spec.name} suite's {spec_hash}"
+        )
+        return 0
+    return 0 if _print_verdicts(spec.check_claims(artifact.records)) else 1
 
 
 def _cmd_compare(args) -> int:

@@ -106,35 +106,6 @@ class SupportTree:
         order -- the root first)."""
         return list(self.parent.keys())
 
-    def children(self) -> dict[int, list[int]]:
-        """Child lists per machine, in sorted (ordered-tree) order.
-
-        The ordering makes the tree an *ordered tree* in the sense of
-        Lemma 3.3, inducing a total order on its vertices.
-        """
-        kids: dict[int, list[int]] = {m: [] for m in self.parent}
-        for machine, par in self.parent.items():
-            if par is not None:
-                kids[par].append(machine)
-        for lst in kids.values():
-            lst.sort()
-        return kids
-
-    def dfs_order(self) -> list[int]:
-        """Vertices in the total order induced by the ordered tree
-        (preorder: ancestors before descendants, children in sorted order).
-        """
-        kids = self.children()
-        order: list[int] = []
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            order.append(node)
-            # push children reversed so the smallest is visited first
-            for child in reversed(kids[node]):
-                stack.append(child)
-        return order
-
 
 @dataclass(frozen=True, eq=False)
 class SupportForest:

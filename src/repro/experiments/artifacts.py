@@ -11,9 +11,7 @@ An artifact file is one header line followed by one line per cell result:
 
 The header pins the schema version and the provenance (spec hash + git
 revision) so :mod:`repro.experiments.compare` can refuse to gate on
-incomparable files.  Legacy :class:`~repro.metrics.records.ExperimentRecord`
-output is bridged through :func:`append_legacy_record` so the historical
-``bench_e*`` scripts produce machine-readable records during the migration.
+incomparable files.
 """
 
 from __future__ import annotations
@@ -30,7 +28,7 @@ from typing import Any, Iterable, Sequence
 SCHEMA_VERSION = 1
 SCHEMA_NAME = "repro.experiments"
 
-#: Default directory for sweep artifacts (shared with the legacy benchmarks).
+#: Default directory for sweep artifacts.
 RESULTS_DIR = pathlib.Path(__file__).resolve().parents[3] / "benchmarks" / "results"
 
 #: Metrics carried by every successful pipeline cell.  Baseline algorithms
@@ -194,8 +192,8 @@ def read_artifact(path: str | pathlib.Path) -> Artifact:
                 ):
                     malformed = lineno
                 records.append(obj)
-            # unknown kinds (e.g. legacy_record) are skipped, not fatal:
-            # forward compatibility within a schema version.
+            # unknown kinds are skipped, not fatal: forward compatibility
+            # within a schema version.
     if header is None:
         raise ValueError(f"{path}: no header line (not a sweep artifact?)")
     if malformed is not None:
@@ -287,7 +285,7 @@ def summarize(
 ) -> list[dict[str, Any]]:
     """Aggregate ok-cells into mean/p50/p95 rows per cell group.
 
-    Returns table-ready dict rows (see :func:`repro.metrics.format_table`);
+    Returns table-ready dict rows (see :func:`format_table`);
     failed cells are counted per group but excluded from the statistics.
     """
     groups: dict[tuple, dict[str, Any]] = {}
@@ -341,36 +339,26 @@ def _group_value(cell: dict[str, Any], field_name: str) -> str:
     return str(cell.get(field_name, "?"))
 
 
-# ---- legacy bridge ---------------------------------------------------------
-
-LEGACY_JSONL = "records.jsonl"
-
-
-def append_legacy_record(
-    record: "Any", results_dir: str | pathlib.Path | None = None
-) -> pathlib.Path:
-    """Append one ``ExperimentRecord`` as a JSON line next to ``records.txt``.
-
-    This is the transition path for the historical ``bench_e*`` scripts:
-    their free-form tables become machine-readable without changing their
-    interface.  The line carries the same schema version stamp as sweep
-    artifacts so downstream tooling can parse both.
-    """
-    directory = pathlib.Path(results_dir) if results_dir else RESULTS_DIR
-    directory.mkdir(parents=True, exist_ok=True)
-    path = directory / LEGACY_JSONL
-    line = {
-        "kind": "legacy_record",
-        "schema": SCHEMA_NAME,
-        "schema_version": SCHEMA_VERSION,
-        "git_rev": git_rev(),
-        "created_utc": _utcnow(),
-        "experiment": record.experiment,
-        "claim": record.claim,
-        "params_preset": record.params_preset,
-        "rows": record.rows,
-        "notes": record.notes,
+def format_table(rows: list[dict[str, Any]]) -> str:
+    """Fixed-width text table from a list of homogeneous dicts."""
+    if not rows:
+        return "(no rows)"
+    headers = list(rows[0].keys())
+    rendered = [
+        {h: _fmt(row.get(h)) for h in headers} for row in rows
+    ]
+    widths = {
+        h: max(len(h), max(len(r[h]) for r in rendered)) for h in headers
     }
-    with open(path, "a") as sink:
-        sink.write(json.dumps(line, sort_keys=True, default=str) + "\n")
-    return path
+    head = "  ".join(h.ljust(widths[h]) for h in headers)
+    sep = "  ".join("-" * widths[h] for h in headers)
+    body = [
+        "  ".join(r[h].ljust(widths[h]) for h in headers) for r in rendered
+    ]
+    return "\n".join([head, sep, *body])
+
+
+def _fmt(value: Any) -> str:
+    if isinstance(value, float):
+        return f"{value:.3g}"
+    return str(value)

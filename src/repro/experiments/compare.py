@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.experiments.artifacts import Artifact
+from repro.experiments.artifacts import Artifact, format_table
 
 #: Relative headroom allowed per metric (candidate <= baseline * (1 + tol)).
 #: Wall time is reported but never gated -- it measures the machine, not the
@@ -228,8 +228,6 @@ def _label(record: dict[str, Any]) -> str:
 
 def render_report(report: ComparisonReport) -> str:
     """Human-readable comparison text (the ``repro compare`` output)."""
-    from repro.metrics import format_table
-
     lines = [
         f"baseline rev {report.baseline_rev} vs candidate rev "
         f"{report.candidate_rev}: {report.compared_cells} cells aligned"

@@ -2,7 +2,7 @@
 
 Expands a :class:`~repro.experiments.spec.ScenarioSpec` into cells and runs
 them either serially in-process (``jobs <= 1``: no pool overhead, exact
-tracebacks -- what the benchmark wrappers use) or scattered across the
+tracebacks) or scattered across the
 process pool of :mod:`repro.experiments.pool`.  Each cell is
 independent and deterministic given its seeds, so parallel execution
 cannot change any measured number.

@@ -3,9 +3,13 @@
 A :class:`ScenarioSpec` names a grid of cells -- workload x params-preset x
 regime x algorithm x seed -- and expands it deterministically.  The paper's
 claims are sweep-shaped (rounds and bandwidth vs. Delta, dilation, regime,
-and seed), so every experiment in ``benchmarks/`` corresponds to a named
-built-in suite here, plus cross-regime and dilation-stress suites that no
-single ``bench_e*`` script covered.
+and seed), so each experiment E1-E15 has a named built-in suite here,
+next to cross-regime and dilation-stress suites.  A suite may
+carry :class:`Claim` s: named predicates over its ``ok`` records, each
+citing the theorem or lemma it checks.  ``repro sweep`` and
+``repro report`` print one verdict per claim and exit 1 on a miss.  The
+lemma-level claims, which call one estimator or one stage rather than a
+whole cell, are tests in ``tests/test_paper_claims.py``.
 
 Cells carry everything a worker process needs to reproduce one run, and a
 stable string key so artifact files from different commits can be aligned
@@ -17,8 +21,8 @@ from __future__ import annotations
 import hashlib
 import json
 import pathlib
-from dataclasses import dataclass, field
-from typing import Any, Iterator
+from dataclasses import dataclass
+from typing import Any, Callable, Iterator
 
 #: Algorithms a cell may dispatch to.  ``paper`` is the full pipeline of
 #: Algorithm 3; ``luby``/``palette_sparsification``/``local_gather`` are the
@@ -136,6 +140,30 @@ class Cell:
 
 
 @dataclass(frozen=True)
+class Claim:
+    """One paper claim a suite's records must satisfy.
+
+    ``holds`` receives the suite's ``status == "ok"`` cell records (each
+    with its ``cell`` and ``metrics`` dicts) and returns whether the claim
+    holds on them.
+    """
+
+    name: str
+    cites: str
+    holds: Callable[[list[dict[str, Any]]], bool]
+
+    def verdict(self, records: list[dict[str, Any]]) -> tuple[bool, str]:
+        """``(held, line)`` for the ok records; a predicate that raises
+        (say, on a missing cell) is a miss, with the error in the line."""
+        try:
+            held, why = bool(self.holds(records)), ""
+        except (KeyError, ValueError, ZeroDivisionError) as exc:
+            held, why = False, f" [{type(exc).__name__}: {exc}]"
+        word = "held" if held else "MISSED"
+        return held, f"claim {word}: {self.name} ({self.cites}){why}"
+
+
+@dataclass(frozen=True)
 class ScenarioSpec:
     """A named grid of cells: the cross product of every axis below."""
 
@@ -155,6 +183,9 @@ class ScenarioSpec:
     #: product describes them.  When non-empty, the grid axes above are
     #: ignored and :meth:`cells` returns exactly these.
     fixed_cells: tuple[Cell, ...] = ()
+    #: Paper claims checked over the ok records (not part of the grid, so
+    #: they leave :meth:`spec_hash` alone).
+    claims: tuple[Claim, ...] = ()
 
     def __post_init__(self) -> None:
         names = set(self.algorithms) | {c.algorithm for c in self.fixed_cells}
@@ -209,18 +240,95 @@ class ScenarioSpec:
             "spec_hash": self.spec_hash(),
         }
 
+    def check_claims(self, records: list[dict[str, Any]]) -> list[tuple[bool, str]]:
+        """Each claim's ``(held, line)`` over the ``status == "ok"`` records."""
+        ok = [r for r in records if r.get("status") == "ok"]
+        return [claim.verdict(ok) for claim in self.claims]
+
 
 def _sizes(name: str, sizes: tuple[int, ...], **common: Any) -> tuple[WorkloadSpec, ...]:
     return tuple(WorkloadSpec.of(name, n_vertices=s, **common) for s in sizes)
 
 
 # ---------------------------------------------------------------------------
+# Claim predicates over a suite's ok records.
+# ---------------------------------------------------------------------------
+
+
+def _all_proper(records: list[dict[str, Any]]) -> bool:
+    return bool(records) and all(r["metrics"]["proper"] for r in records)
+
+
+def _ends(
+    records: list[dict[str, Any]], metric: str, algorithm: str = "paper"
+) -> tuple[Any, Any]:
+    """``metric`` of ``algorithm``'s cells at the smallest and the largest
+    ``n_vertices``."""
+    by_n = {
+        r["cell"]["workload_kwargs"]["n_vertices"]: r["metrics"][metric]
+        for r in records
+        if r["cell"]["algorithm"] == algorithm
+    }
+    return by_n[min(by_n)], by_n[max(by_n)]
+
+
+def _proper_claim(cites: str) -> Claim:
+    return Claim("every cell proper", cites, _all_proper)
+
+
+def _rounds_flat_in_n(records: list[dict[str, Any]]) -> bool:
+    # 8x growth in n (and Delta) moves a log* round count by well under 40%
+    smallest, largest = _ends(records, "rounds_h")
+    return largest < 1.4 * smallest
+
+
+def _proper_on_low_degree_path(records: list[dict[str, Any]]) -> bool:
+    return _all_proper(records) and all(
+        r["metrics"]["regime_effective"] == "low_degree" for r in records
+    )
+
+
+def _rounds_polyloglog_in_n(records: list[dict[str, Any]]) -> bool:
+    # 16x growth in n barely moves a polyloglog round count
+    smallest, largest = _ends(records, "rounds_h")
+    return largest <= smallest + 12
+
+
+def _messages_fit_cap(records: list[dict[str, Any]]) -> bool:
+    return bool(records) and all(
+        r["metrics"]["max_message_bits"] <= r["metrics"]["bandwidth_cap_bits"]
+        for r in records
+    )
+
+
+def _g_over_h_tracks_dilation(records: list[dict[str, Any]]) -> bool:
+    # rounds_g / rounds_h grows like d: from the smallest to the largest
+    # dilation it grows within [0.5, 1.5]x the dilation's own growth
+    ratio = {
+        r["metrics"]["dilation"]: r["metrics"]["rounds_g"] / max(1, r["metrics"]["rounds_h"])
+        for r in records
+    }
+    lo, hi = min(ratio), max(ratio)
+    growth, expected = ratio[hi] / ratio[lo], hi / lo
+    return 0.5 * expected <= growth <= 1.5 * expected
+
+
+def _paper_flat_in_delta(records: list[dict[str, Any]]) -> bool:
+    smallest, largest = _ends(records, "rounds_h")
+    return largest < 1.3 * smallest
+
+
+def _luby_grows_with_delta(records: list[dict[str, Any]]) -> bool:
+    smallest, largest = _ends(records, "rounds_h", algorithm="luby")
+    return largest > 2.0 * smallest
+
+
+# ---------------------------------------------------------------------------
 # Built-in suites.
 #
-# One suite per benchmarks/bench_e*.py experiment (same workload families and
-# grids, so the orchestrated sweep measures the scenario each experiment
-# stresses), plus cross-cutting suites the scripts never had: ``smoke``
-# (CI-fast), ``cross_regime`` and ``dilation_stress``, and ``full``.
+# One suite per experiment E1-E15 (the six whose claims are sweep-shaped
+# carry them), plus cross-cutting suites: ``smoke`` (CI-fast),
+# ``cross_regime`` and ``dilation_stress``, and ``full``.
 # ---------------------------------------------------------------------------
 
 SUITES: dict[str, ScenarioSpec] = {}
@@ -260,6 +368,14 @@ _register(
         seeds=(9,),
         instance_seeds=(5,),
         cell_timeout_s=300.0,
+        claims=(
+            _proper_claim("Theorem 1.2"),
+            Claim(
+                "rounds_h at the largest n < 1.4x the smallest",
+                "Theorem 1.2",
+                _rounds_flat_in_n,
+            ),
+        ),
     )
 )
 
@@ -277,6 +393,18 @@ _register(
         seeds=(4,),
         instance_seeds=(6,),
         cell_timeout_s=300.0,
+        claims=(
+            Claim(
+                "every cell proper, on the low-degree path",
+                "Theorem 1.1",
+                _proper_on_low_degree_path,
+            ),
+            Claim(
+                "rounds_h at the largest n <= the smallest's + 12",
+                "Theorem 1.1",
+                _rounds_polyloglog_in_n,
+            ),
+        ),
     )
 )
 
@@ -390,6 +518,14 @@ _register(
         ),
         seeds=(6,),
         instance_seeds=(53,),
+        claims=(
+            _proper_claim("Section 3.2"),
+            Claim(
+                "max_message_bits <= bandwidth_cap_bits in every cell",
+                "Section 3.2",
+                _messages_fit_cap,
+            ),
+        ),
     )
 )
 
@@ -410,6 +546,14 @@ _register(
         seeds=(12,),
         instance_seeds=(3,),
         cell_timeout_s=300.0,
+        claims=(
+            _proper_claim("Theorems 1.1/1.2"),
+            Claim(
+                "rounds_g / rounds_h grows within [0.5, 1.5]x the dilation",
+                "Theorems 1.1/1.2, the d factor",
+                _g_over_h_tracks_dilation,
+            ),
+        ),
     )
 )
 
@@ -424,6 +568,19 @@ _register(
         seeds=(3,),
         instance_seeds=(61,),
         cell_timeout_s=300.0,
+        claims=(
+            _proper_claim("Section 1.3"),
+            Claim(
+                "paper rounds_h at the largest n < 1.3x the smallest",
+                "Section 1.3, Theorem 1.2",
+                _paper_flat_in_delta,
+            ),
+            Claim(
+                "luby rounds_h at the largest n > 2.0x the smallest",
+                "Section 1.3, [Joh99]",
+                _luby_grows_with_delta,
+            ),
+        ),
     )
 )
 
@@ -444,12 +601,13 @@ _register(
         name="e15_cross_regime",
         description="All three pipelines forced on the same instances",
         workloads=(
-            # the historical bench drew these two specific instances
+            # E15 has always measured these two specific instances
             WorkloadSpec.of("planted_acd", instance_seed=81),
             WorkloadSpec.of("cabal", instance_seed=82),
         ),
         regimes=("low_degree", "polylog", "high_degree"),
         seeds=(7,),
+        claims=(_proper_claim("Sections 4, 9.1 and 9.2"),),
     )
 )
 

@@ -49,14 +49,6 @@ class TestSupportTree:
         assert tree.root == 2
         assert tree.depth_of[0] == 2
 
-    def test_dfs_order_is_preorder(self):
-        g = CommGraph(4, [(0, 1), (0, 2), (2, 3)])
-        tree = SupportTree.build_bfs(g, [0, 1, 2, 3], cluster_id=0)
-        order = tree.dfs_order()
-        assert order[0] == 0
-        assert order.index(2) < order.index(3)  # ancestors first
-        assert sorted(order) == [0, 1, 2, 3]
-
 
 class TestClusterGraph:
     def test_figure1_semantics(self):

@@ -1,6 +1,9 @@
 """The experiment orchestration subsystem: specs, runner, artifacts, gating."""
 
+import dataclasses
 import json
+import pathlib
+import re
 import signal
 import time
 
@@ -10,6 +13,7 @@ import pytest
 from repro.experiments import (
     SUITES,
     Cell,
+    Claim,
     ScenarioSpec,
     WorkloadSpec,
     compare_artifacts,
@@ -94,7 +98,7 @@ class TestSpec:
             assert cells, name
             assert len({c.key() for c in cells}) == len(cells), name
 
-    def test_builtin_suites_cover_every_bench_experiment(self):
+    def test_builtin_suites_cover_every_paper_experiment(self):
         for i in range(1, 16):
             assert any(s.startswith(f"e{i}_") for s in SUITES), f"e{i} uncovered"
 
@@ -115,7 +119,7 @@ class TestSpec:
         assert seeds == {("figure1", 82), ("congest", 0), ("congest", 1)}
 
     def test_e15_suite_pins_historical_instances(self):
-        # bench_e15 always measured planted_acd drawn with seed 81 and cabal
+        # E15 has always measured planted_acd drawn with seed 81 and cabal
         # drawn with seed 82; the suite must keep those exact instances
         seeds = {
             (c.workload, c.instance_seed)
@@ -568,6 +572,89 @@ class TestCliIntegration:
 
         with pytest.raises(SystemExit):
             build_parser().parse_args(["sweep", "--suite", "nope"])
+
+
+def _claim_spec(*claims, seeds=(0,)):
+    return ScenarioSpec(
+        name="tiny_claims",
+        workloads=(WorkloadSpec.of("figure1"),),
+        seeds=seeds,
+        claims=claims,
+    )
+
+
+HELD = Claim("every cell proper", "Theorem 9.9", lambda rs: all(
+    r["metrics"]["proper"] for r in rs
+))
+MISSED = Claim("rounds_h below one", "Lemma 0.1", lambda rs: all(
+    r["metrics"]["rounds_h"] < 1 for r in rs
+))
+
+
+class TestClaims:
+    def _sweep_and_report(self, monkeypatch, tmp_path, spec):
+        from repro.cli import main
+
+        monkeypatch.setitem(SUITES, spec.name, spec)
+        artifact = tmp_path / "claims.jsonl"
+        sweep_code = main(
+            ["sweep", "--suite", spec.name, "--quiet", "--out", str(artifact)]
+        )
+        report_code = main(["report", str(artifact)])
+        return sweep_code, report_code
+
+    def test_missed_claim_fails_sweep_and_report(self, monkeypatch, tmp_path, capsys):
+        codes = self._sweep_and_report(monkeypatch, tmp_path, _claim_spec(HELD, MISSED))
+        assert codes == (1, 1)
+        out = capsys.readouterr().out
+        missed = "claim MISSED: rounds_h below one (Lemma 0.1)"
+        held = "claim held: every cell proper (Theorem 9.9)"
+        assert out.count(missed) == 2  # once from sweep, once from report
+        assert out.count(held) == 2
+
+    def test_held_claims_exit_zero(self, monkeypatch, tmp_path, capsys):
+        codes = self._sweep_and_report(monkeypatch, tmp_path, _claim_spec(HELD))
+        assert codes == (0, 0)
+        assert "MISSED" not in capsys.readouterr().out
+
+    def test_report_skips_claims_of_another_grid(self, monkeypatch, tmp_path, capsys):
+        from repro.cli import main
+
+        older = _claim_spec(seeds=(0, 1))
+        path, _ = run_sweep(older, jobs=1, timeout_s=0, out_path=tmp_path / "old.jsonl")
+        monkeypatch.setitem(SUITES, "tiny_claims", _claim_spec(MISSED))
+        assert main(["report", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "claims not checked" in out
+        assert "MISSED" not in out
+
+    def test_raising_predicate_is_a_miss(self):
+        held, line = SUITES["e1_rounds_high_degree"].claims[1].verdict([])
+        assert not held
+        assert "MISSED" in line and "ValueError" in line
+
+    def test_e1_bound_is_strict(self):
+        def records(small, large):
+            return [
+                {"cell": {"algorithm": "paper", "workload_kwargs": {"n_vertices": n}},
+                 "metrics": {"rounds_h": r}}
+                for n, r in ((150, small), (1200, large))
+            ]
+
+        claim = SUITES["e1_rounds_high_degree"].claims[1]
+        assert claim.verdict(records(100, 139))[0]
+        assert not claim.verdict(records(100, 140))[0]
+
+    def test_claims_leave_the_spec_hash_alone(self):
+        for spec in SUITES.values():
+            assert dataclasses.replace(spec, claims=()).spec_hash() == spec.spec_hash()
+
+    def test_every_claim_suite_runs_in_ci(self):
+        ci = (pathlib.Path(__file__).parents[1] / ".github/workflows/ci.yml").read_text()
+        claimed = [name for name, spec in SUITES.items() if spec.claims]
+        assert claimed
+        for name in claimed:
+            assert re.search(rf"\b{name}\b", ci), f"{name} has claims but no CI sweep"
 
 
 class TestWorkloadRegistry:

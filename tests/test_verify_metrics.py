@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.coloring.types import PartialColoring
-from repro.metrics import ExperimentRecord, format_table
+from repro.experiments.artifacts import format_table
 from repro.verify import (
     check_acd,
     check_colorful_matching,
@@ -114,15 +114,3 @@ class TestMetrics:
 
     def test_empty_table(self):
         assert format_table([]) == "(no rows)"
-
-    def test_record_to_text(self):
-        rec = ExperimentRecord(
-            experiment="X", claim="Y", params_preset="scaled"
-        )
-        rec.add_row(k=1.23456)
-        rec.notes.append("hello")
-        text = rec.to_text()
-        assert "== X ==" in text
-        assert "claim: Y" in text
-        assert "1.23" in text
-        assert "note: hello" in text
