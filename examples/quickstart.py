@@ -14,8 +14,7 @@ import numpy as np
 
 from repro import color_cluster_graph, scaled
 from repro.cluster import blowup
-from repro.verify import check_delta_plus_one
-from repro.coloring.types import PartialColoring
+from repro.verify import violations
 
 rng = np.random.default_rng(7)
 
@@ -46,7 +45,10 @@ if result.stats.fallbacks:
 else:
     print("fallbacks taken: none (every w.h.p. stage met its postcondition)")
 
-# 4. Independent verification (raises on any defect).
-coloring = PartialColoring(num_colors=result.num_colors, colors=result.colors)
-check_delta_plus_one(graph, coloring)
+# 4. Independent verification.  `result.proper` already covers the edges,
+#    the Delta+1 palette and the per-link bit budget; recheck the edges and
+#    the palette here from the colors alone.
+assert result.num_colors == graph.max_degree + 1
+assert not violations(graph, result.colors), "monochromatic edge"
+assert 0 <= result.colors.min() and result.colors.max() < result.num_colors
 print("\nverified: total, proper, and within Delta+1 colors.")

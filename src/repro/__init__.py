@@ -11,7 +11,8 @@ Public API highlights
 * :mod:`repro.sketch` -- fingerprinting (Section 5).
 * :mod:`repro.baselines` -- greedy, Luby-style, and palette-sparsification
   comparators.
-* :mod:`repro.verify` -- proper-coloring and model-compliance checkers.
+* :mod:`repro.verify` -- proper-coloring checkers and the palette and
+  link-budget check behind every run's ``proper`` flag.
 """
 
 from repro.params import AlgorithmParameters, DEFAULT, log_star, paper, scaled

@@ -64,13 +64,4 @@ def local_gather_coloring(
         if charge_palettes:
             runtime.wide_message("local_gather_palette", num_colors)
         runtime.h_rounds("local_gather", count=1, bits=runtime.color_bits)
-    from repro.verify.checker import is_proper
-
-    return BaselineResult(
-        name="local_gather",
-        colors=coloring.colors,
-        rounds_h=runtime.ledger.rounds_h,
-        rounds_g=runtime.ledger.rounds_g,
-        total_message_bits=runtime.ledger.total_message_bits,
-        proper=is_proper(graph, coloring.colors),
-    )
+    return BaselineResult.of("local_gather", graph, runtime, coloring)

@@ -21,6 +21,7 @@ from repro.aggregation.runtime import ClusterRuntime
 from repro.coloring.try_color import greedy_finish, palette_sampler, try_color_round
 from repro.coloring.types import UNCOLORED, PartialColoring
 from repro.params import AlgorithmParameters, scaled
+from repro.verify.checker import invariant_problem, is_proper
 
 
 @dataclass
@@ -35,6 +36,31 @@ class BaselineResult:
     total_message_bits: int
     proper: bool
     fallback_vertices: int = 0
+
+    @classmethod
+    def of(
+        cls,
+        name: str,
+        graph,
+        runtime: ClusterRuntime,
+        coloring: PartialColoring,
+        fallback_vertices: int = 0,
+    ) -> "BaselineResult":
+        """The result of a finished run, checked like the pipeline's:
+        ``proper`` holds when no edge is monochromatic, every vertex has a
+        color of the palette and no message exceeded the link budget."""
+        ledger = runtime.ledger
+        return cls(
+            name=name,
+            colors=coloring.colors,
+            rounds_h=ledger.rounds_h,
+            rounds_g=ledger.rounds_g,
+            total_message_bits=ledger.total_message_bits,
+            proper=is_proper(graph, coloring.colors)
+            and invariant_problem(coloring.colors, coloring.num_colors, ledger)
+            is None,
+            fallback_vertices=fallback_vertices,
+        )
 
 
 def luby_coloring(
@@ -64,14 +90,5 @@ def luby_coloring(
     fallback = int(remaining.size)
     if fallback:
         greedy_finish(runtime, coloring, remaining.tolist(), op="luby_greedy")
-    from repro.verify.checker import is_proper
-
-    return BaselineResult(
-        name="luby_congest" if congest_free_palettes else "luby_cluster",
-        colors=coloring.colors,
-        rounds_h=runtime.ledger.rounds_h,
-        rounds_g=runtime.ledger.rounds_g,
-        total_message_bits=runtime.ledger.total_message_bits,
-        proper=is_proper(graph, coloring.colors),
-        fallback_vertices=fallback,
-    )
+    name = "luby_congest" if congest_free_palettes else "luby_cluster"
+    return BaselineResult.of(name, graph, runtime, coloring, fallback)

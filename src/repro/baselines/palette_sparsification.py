@@ -80,14 +80,6 @@ def palette_sparsification_coloring(
     fallback = int(remaining.size)
     if fallback:
         greedy_finish(runtime, coloring, remaining.tolist(), op="ps_greedy")
-    from repro.verify.checker import is_proper
-
-    return BaselineResult(
-        name="palette_sparsification",
-        colors=coloring.colors,
-        rounds_h=runtime.ledger.rounds_h,
-        rounds_g=runtime.ledger.rounds_g,
-        total_message_bits=runtime.ledger.total_message_bits,
-        proper=is_proper(graph, coloring.colors),
-        fallback_vertices=fallback,
+    return BaselineResult.of(
+        "palette_sparsification", graph, runtime, coloring, fallback
     )

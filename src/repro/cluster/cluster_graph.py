@@ -128,25 +128,35 @@ class ClusterGraph(CSRConflictGraph):
 
     # ---- structure -----------------------------------------------------------
 
-    @cached_property
-    def links(self) -> dict[tuple[int, int], list[tuple[int, int]]]:
-        """``links[(u, v)]`` with ``u < v``: the G-links realizing H-edge
-        ``{u, v}``, oriented as ``(machine in V(u), machine in V(v))``, in
-        :meth:`CommGraph.link_arrays` order; keys in lexicographic order.
-
-        Derived on first access (diagnostics/dedup only; hot paths use
-        :attr:`csr`).
-        """
-        mu, mv, cu, cv = _cross_links(self.comm, self.assignment)
+    def realizing_links(
+        self,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Every G-link joining two clusters as int64 arrays ``(u, v, gu,
+        gv)``: link ``gu``--``gv`` realizes H-edge ``{u, v}``, ``u < v``,
+        with ``gu`` in ``V(u)``.  Sorted by ``(u, v)``; the links of one
+        H-edge keep their :meth:`CommGraph.link_arrays` order."""
+        mu, mv = self.comm.link_arrays()
+        cu, cv = self.assignment[mu], self.assignment[mv]
+        inter = cu != cv
+        mu, mv, cu, cv = mu[inter], mv[inter], cu[inter], cv[inter]
         forward = cu < cv
         a, b = np.where(forward, cu, cv), np.where(forward, cv, cu)
         x, y = np.where(forward, mu, mv), np.where(forward, mv, mu)
         order = np.argsort(a * self.n_vertices + b, kind="stable")
+        return a[order], b[order], x[order], y[order]
+
+    @cached_property
+    def links(self) -> dict[tuple[int, int], list[tuple[int, int]]]:
+        """``links[(u, v)]`` with ``u < v``: the G-links realizing H-edge
+        ``{u, v}`` as :meth:`realizing_links` orders them; keys in
+        lexicographic order.
+
+        Derived on first access (diagnostics/dedup only; hot paths use
+        :attr:`csr`).
+        """
+        columns = (a.tolist() for a in self.realizing_links())
         links: dict[tuple[int, int], list[tuple[int, int]]] = {}
-        for key_u, key_v, gu, gv in zip(
-            a[order].tolist(), b[order].tolist(),
-            x[order].tolist(), y[order].tolist(),
-        ):
+        for key_u, key_v, gu, gv in zip(*columns):
             links.setdefault((key_u, key_v), []).append((gu, gv))
         return links
 
@@ -194,14 +204,3 @@ class ClusterGraph(CSRConflictGraph):
             f"Delta={self.max_degree}, dilation={self.dilation})"
         )
 
-
-def _cross_links(
-    comm: CommGraph, assign: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The G-links joining two clusters, in :meth:`CommGraph.link_arrays`
-    order, as ``(mu, mv, cu, cv)`` int64 arrays: link ``mu``--``mv`` joins
-    cluster ``cu = assign[mu]`` to ``cv = assign[mv] != cu``."""
-    mu, mv = comm.link_arrays()
-    cu, cv = assign[mu], assign[mv]
-    inter = cu != cv
-    return mu[inter], mv[inter], cu[inter], cv[inter]

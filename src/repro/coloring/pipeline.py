@@ -33,7 +33,7 @@ from repro.coloring.types import UNCOLORED, PartialColoring
 from repro.decomposition.acd import compute_acd
 from repro.decomposition.cabals import annotate_with_cabals
 from repro.params import AlgorithmParameters, scaled
-from repro.verify.checker import is_proper
+from repro.verify.checker import invariant_problem, is_proper
 
 
 def fallback_color(
@@ -118,7 +118,10 @@ def color_cluster_graph(
         ``"auto"`` (threshold on ``Δ_low``), ``"high_degree"``, or
         ``"low_degree"``.
     verify:
-        Check properness before returning (ground-truth validation).
+        Check the result before returning (ground-truth validation):
+        ``proper`` holds when no edge is monochromatic, every vertex has a
+        color of the ``Δ+1`` palette and no message exceeded the link
+        budget.  A miss is reported as ``proper=False``, not raised.
     tracer:
         Optional :class:`~repro.observe.tracer.Tracer`.  Each pipeline
         stage runs inside a top-level span (named exactly like its
@@ -237,7 +240,10 @@ def color_cluster_graph(
             fallback_color(runtime, coloring, leftover, stats, "pipeline")
         stats.record_stage("pipeline_fallback", before, ledger)
 
-    proper = is_proper(graph, coloring.colors) if verify else True
+    proper = not verify or (
+        is_proper(graph, coloring.colors)
+        and invariant_problem(coloring.colors, num_colors, ledger) is None
+    )
     return ColoringResult(
         colors=coloring.colors,
         num_colors=num_colors,

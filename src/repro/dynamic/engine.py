@@ -24,11 +24,13 @@ The palette bound is maintained *tightly*: after every batch the palette is
 the palette (recoloring the now-out-of-range vertices) and growing it grows
 the palette -- the invariant the dynamic tests assert batch by batch.
 
-After every batch an exact properness check runs.  It reads only what can
-have turned monochromatic since the last check that passed: the edges
-inserted since then and the edges of vertices whose color changed -- the
-check primitive of the decentralized model, where a vertex learns only
-whether a neighbor shares its color.
+After every batch an exact check runs: every live color inside the
+palette, the stream ledger within its link budget, and no monochromatic
+edge.  The edge part reads only what can have turned monochromatic since
+the last check that passed: the edges inserted since then and the edges
+of vertices whose color changed -- the check primitive of the
+decentralized model, where a vertex learns only whether a neighbor shares
+its color.
 """
 
 from __future__ import annotations
@@ -53,6 +55,7 @@ from repro.dynamic.view import FrozenConflictGraph
 from repro.network.ledger import BandwidthLedger
 from repro.observe.tracer import NULL_TRACER
 from repro.params import AlgorithmParameters, log2ceil, scaled
+from repro.verify.checker import invariant_problem
 
 
 #: Below this many edges the per-batch check scans every edge: there the
@@ -89,7 +92,7 @@ class BatchReport:
     rounds_h: int  #: ledger H-rounds charged by this batch
     message_bits: int  #: ledger payload bits charged by this batch
     wall_time_s: float
-    proper: bool  #: checker-verified (True when verification is off)
+    proper: bool  #: edges, palette and link budget checker-verified
     num_colors: int  #: palette bound after the batch (Delta + 1)
 
 
@@ -180,19 +183,6 @@ class DynamicColoring:
         concedes to a scratch recolor.
     rebuild_fraction:
         Delta-buffer compaction threshold (see :class:`DeltaCSR`).
-    verify_each_batch:
-        Check properness after every batch (ground truth, not charged) and
-        report a miss as ``BatchReport.proper = False``.  The check is
-        exact but incremental: it reads only the edges inserted since the
-        last coloring that passed it and the edges of vertices whose color
-        differs from that coloring (see :meth:`_check_proper`).  It scans
-        every edge instead when no such coloring exists (right after a
-        miss), on batches that compact, escalate or run in
-        ``mode="scratch"``, and on graphs of fewer than
-        ``_INCREMENTAL_MIN_EDGES`` (8192) edges, where the scan is the
-        cheaper of the two.  :meth:`run` re-checks its final state with
-        the full scan and raises :class:`RepairError` on a violation the
-        last report missed.
     tracer:
         Optional :class:`~repro.observe.tracer.Tracer`; the engine binds
         its stream ledger to it and wraps the bootstrap coloring plus every
@@ -221,7 +211,6 @@ class DynamicColoring:
         mode: str = "repair",
         escalate_fraction: float = 0.5,
         rebuild_fraction: float = 0.25,
-        verify_each_batch: bool = True,
         tracer=None,
         netmodel=None,
     ):
@@ -232,7 +221,6 @@ class DynamicColoring:
         self.mode = mode
         self.netmodel = netmodel
         self.escalate_fraction = escalate_fraction
-        self.verify_each_batch = verify_each_batch
         self.tracer = tracer if tracer is not None else NULL_TRACER
         # initial graph, kept for reporting static cell fields (sizes,
         # Delta, dilation at bootstrap); live topology is self.delta
@@ -340,8 +328,15 @@ class DynamicColoring:
             dirty, groups = self._ingest(batch)
         with self.tracer.span("stream.repair"):
             # repairs run on the post-update network: charge them at the
-            # dilation the batch's merges/splits/arrivals produced
+            # dilation the batch's merges/splits/arrivals produced, and at
+            # the link budget of the largest network seen so far -- a
+            # scratch sub-run sizes its own cap from the live machines, and
+            # the ledger keeps one all-time widest message to check
             self.ledger.dilation = self.dilation
+            self.ledger.bandwidth_bits = max(
+                self.ledger.bandwidth_bits,
+                self.params.bandwidth_bits(max(2, self.n_machines)),
+            )
             dirty |= self._retighten_palette()
             dirty = {v for v in dirty if self.delta.is_alive(v)}
             for v in dirty:
@@ -401,13 +396,12 @@ class DynamicColoring:
     def run(self, batches) -> StreamResult:
         """Apply every batch of an iterable; returns the aggregate.
 
-        With ``verify_each_batch`` on, the final state is re-checked by the
-        full edge scan: a violation that the last batch's report missed
-        raises :class:`RepairError`.
+        The final state is re-checked by the full edge scan: a violation
+        that the last batch's report missed raises :class:`RepairError`.
         """
         for batch in batches:
             self.apply(batch)
-        if self.verify_each_batch and self.reports and self.reports[-1].proper:
+        if self.reports and self.reports[-1].proper:
             self._assert_proper("stream end, missed by the last batch check")
         return self.result()
 
@@ -629,15 +623,18 @@ class DynamicColoring:
     # ---- verification --------------------------------------------------------
 
     def _verify_batch(self, *, full: bool) -> bool:
-        """The per-batch check behind ``verify_each_batch``: incremental
-        against the last verified coloring unless ``full``, there is none
-        or the graph is small.  Drains the insert record either way, so the
-        record never holds more than one batch's inserts.  Returns whether
-        the batch is proper (True when verification is off)."""
+        """The per-batch check (ground truth, not charged), whose miss is
+        reported as ``BatchReport.proper = False``.  It is exact but
+        incremental against the last coloring that passed it; it scans
+        every edge instead when ``full`` (batches that compact, escalate or
+        run in ``mode="scratch"``), when no such coloring exists (right
+        after a miss), and on graphs of fewer than
+        ``_INCREMENTAL_MIN_EDGES`` (8192) edges, where the scan is the
+        cheaper of the two.  Drains the insert record, so the record never
+        holds more than one batch's inserts.  Returns whether the batch is
+        proper."""
         inserted = self.delta.drain_inserts()
         verified, self._verified = self._verified, None
-        if not self.verify_each_batch:
-            return True
         if full or verified is None or self.delta.n_edges < _INCREMENTAL_MIN_EDGES:
             problem = self._check_proper()
         else:
@@ -648,9 +645,11 @@ class DynamicColoring:
         return True
 
     def _check_proper(self, since=None) -> str | None:
-        """Ground-truth check: every live vertex colored inside the palette
-        and no monochromatic edge.  Returns a diagnosis string on a miss,
-        ``None`` when the invariants hold.
+        """Ground-truth check: the run invariants of
+        :func:`~repro.verify.checker.invariant_problem` (every live vertex
+        colored inside the palette, the stream ledger within its link
+        budget) and no monochromatic edge.  Returns a diagnosis string on a
+        miss, ``None`` when all hold.
 
         Without ``since`` it scans every edge.  ``since = (verified, u, v)``
         names a coloring that passed this check and the endpoints of every
@@ -659,15 +658,14 @@ class DynamicColoring:
         touches a vertex whose color differs from ``verified`` (ids past
         ``verified.size`` are new, so all their edges are inserts).  The
         check reads only those edges and reports exactly what the full
-        scan would.  The palette part is O(n) either way.
+        scan would.  The invariants part is O(n) either way.
         """
-        alive = self.delta.alive_mask
         colors = self.colors
-        live_colors = colors[alive]
-        if live_colors.size and (
-            (live_colors < 0).any() or (live_colors >= self.num_colors).any()
-        ):
-            return f"colors outside palette [0, {self.num_colors})"
+        problem = invariant_problem(
+            colors, self.num_colors, self.ledger, self.delta.alive_mask
+        )
+        if problem is not None:
+            return problem
         if since is None:
             edge_u, edge_v = self.delta.edge_arrays()
             proper = is_proper_edges(edge_u, edge_v, colors)

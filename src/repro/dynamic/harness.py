@@ -36,7 +36,6 @@ def run_stream(
     params: AlgorithmParameters | None = None,
     seed: int = 0,
     mode: str = "repair",
-    verify_each_batch: bool = True,
     tracer=None,
 ) -> tuple[DynamicColoring, StreamResult, dict[str, Any]]:
     """Bootstrap, absorb every batch, and summarize.
@@ -45,7 +44,10 @@ def run_stream(
     cell fields (sizes, Delta, dilation of the *initial* graph) plus the
     stream-specific ones, including ``batch_wall_times_s`` (every batch's
     measured repair wall time) and the exact ``repair_ms_p50/p95/p99``
-    derived from them.  ``wall_time_s`` inside the metrics covers only
+    derived from them.  ``metrics["proper"]`` holds when every batch
+    passed the engine's check: no monochromatic edge, every live color in
+    the palette, the ledger within its link budget.
+    ``wall_time_s`` inside the metrics covers only
     the batch loop (``stream_wall_time_s``); the sweep runner separately
     records whole-cell wall time, which additionally includes workload
     generation and the bootstrap coloring (identical for both modes).
@@ -73,7 +75,6 @@ def run_stream(
         params=params,
         seed=seed,
         mode=engine_mode,
-        verify_each_batch=verify_each_batch,
         tracer=tracer,
         netmodel=getattr(workload, "netmodel", None),
     )

@@ -435,16 +435,6 @@ _register(
 
 _register(
     ScenarioSpec(
-        name="e5_unique_maximum",
-        description="Synchronized color trial stress: dense cabals",
-        workloads=(WorkloadSpec.of("cabal", n_cabals=3, clique_size=60),),
-        seeds=(0, 1, 2),
-        instance_seeds=(29,),
-    )
-)
-
-_register(
-    ScenarioSpec(
         name="e6_acd_quality",
         description="Algorithm 4 on planted ACDs across instance draws",
         workloads=(WorkloadSpec.of("planted_acd"),),
@@ -581,18 +571,6 @@ _register(
                 _luby_grows_with_delta,
             ),
         ),
-    )
-)
-
-_register(
-    ScenarioSpec(
-        name="e14_distance2",
-        description="Distance-2 flavored stress: contraction clusters",
-        workloads=tuple(
-            WorkloadSpec.of("contraction", n=n, fraction=0.5) for n in (300, 600)
-        ),
-        seeds=(0, 1),
-        instance_seeds=(71,),
     )
 )
 

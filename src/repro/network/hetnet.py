@@ -271,12 +271,17 @@ class HetNetModel:
         ]
         # H-edge designated links: the first realizing G-link, the one the
         # inter-cluster computation step of every H-round pays
-        for (u, v), realizers in sorted(graph.links.items()):
-            gu, gv = realizers[0]
-            idx = comm.link_index(gu, gv)
-            line_a.append(float(latency_ms[idx]))
-            line_b.append(float(inv_bw[idx]))
-            names.append(f"link[{u}-{v}] via {gu}-{gv}")
+        u, v, gu, gv = graph.realizing_links()
+        first = np.ones(u.size, dtype=bool)
+        first[1:] = (u[1:] != u[:-1]) | (v[1:] != v[:-1])
+        u, v, gu, gv = (col[first] for col in (u, v, gu, gv))
+        idx = comm.link_indices(gu, gv)
+        line_a += latency_ms[idx].tolist()
+        line_b += inv_bw[idx].tolist()
+        names += [
+            f"link[{a}-{b}] via {x}-{y}"
+            for a, b, x, y in zip(u.tolist(), v.tolist(), gu.tolist(), gv.tolist())
+        ]
         if not names:  # single isolated cluster of one machine: no links
             line_a, line_b, names = [0.0], [0.0], ["(no links)"]
         if machine_type is None:

@@ -103,8 +103,8 @@ class BandwidthLedger:
         and accounts the time onto the critical element.  The model is
         strictly read-only toward the execution: no RNG draws, no extra
         charges, no control-flow changes -- attaching one is bitwise
-        invisible to every pre-existing counter (the hetnet neutrality
-        tests pin this, same contract as the tracer).
+        invisible to every pre-existing counter (the golden table of
+        seeded runs pins this, same contract as the tracer).
     """
 
     bandwidth_bits: int
@@ -310,14 +310,6 @@ class BandwidthLedger:
             num_operations=self.num_operations,
             makespan_ms=self.makespan_ms,
         )
-
-    def assert_compliant(self) -> None:
-        """Verify no recorded message exceeded the cap (Experiment E11)."""
-        if self.max_message_bits > self.bandwidth_bits:
-            raise ModelViolation(
-                f"recorded a {self.max_message_bits}-bit message; "
-                f"cap is {self.bandwidth_bits}"
-            )
 
     def summary(self) -> dict[str, int]:
         """Headline counters as a plain dict (for experiment records).

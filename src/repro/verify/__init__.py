@@ -1,22 +1,19 @@
 """Ground-truth validation of colorings, decompositions and model compliance."""
 
-from repro.verify.audit import AuditReport, audit_run
 from repro.verify.checker import (
     check_acd,
     check_colorful_matching,
-    check_delta_plus_one,
     check_put_aside,
+    invariant_problem,
     is_proper,
     violations,
 )
 
 __all__ = [
-    "AuditReport",
-    "audit_run",
     "check_acd",
     "check_colorful_matching",
-    "check_delta_plus_one",
     "check_put_aside",
+    "invariant_problem",
     "is_proper",
     "violations",
 ]

@@ -28,16 +28,24 @@ def violations(graph, colors: np.ndarray) -> list[tuple[int, int]]:
     return violations_edges(edge_u, edge_v, colors)
 
 
-def check_delta_plus_one(graph, coloring) -> None:
-    """Assert a total, proper (Δ+1)-coloring; raises AssertionError with a
-    diagnosis otherwise."""
-    assert coloring.num_colors == graph.max_degree + 1, (
-        f"palette has {coloring.num_colors} colors; Δ+1 = {graph.max_degree + 1}"
-    )
-    uncolored = coloring.uncolored_vertices()
-    assert not uncolored, f"{len(uncolored)} vertices uncolored, e.g. {uncolored[:5]}"
-    bad = violations(graph, coloring.colors)
-    assert not bad, f"{len(bad)} monochromatic edges, e.g. {bad[:5]}"
+def invariant_problem(
+    colors: np.ndarray, num_colors: int, ledger, alive: np.ndarray | None = None
+) -> str | None:
+    """The run invariants beyond edge properness (:func:`is_proper`): every
+    live vertex holds a color of the palette ``[0, num_colors)``, and no
+    recorded message was wider than the link budget of Section 3.2
+    (``ledger.max_message_bits <= ledger.bandwidth_bits``).  ``alive``
+    masks the live vertices (default: all).  Returns a diagnosis on a miss,
+    ``None`` when both hold."""
+    live = colors if alive is None else colors[alive]
+    if live.size and (live.min() < 0 or live.max() >= num_colors):
+        return f"colors outside palette [0, {num_colors})"
+    if ledger.max_message_bits > ledger.bandwidth_bits:
+        return (
+            f"recorded a {ledger.max_message_bits}-bit message; "
+            f"cap is {ledger.bandwidth_bits}"
+        )
+    return None
 
 
 def check_acd(graph, acd, eps: float) -> list[str]:

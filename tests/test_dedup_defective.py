@@ -121,33 +121,3 @@ class TestDefectiveColoring:
         colors = weighted_defective_coloring(runtime, q=8, delta_rel=1.0 / 8)
         # relative defect <= 1/8 of 7 incident edges means 0 edges
         assert max_relative_defect(g, colors) == 0.0
-
-
-class TestAudit:
-    def test_clean_run_passes(self, rng):
-        from repro import color_cluster_graph
-        from repro.params import scaled
-        from repro.verify.audit import audit_run
-        from repro.workloads import planted_acd_instance
-
-        w = planted_acd_instance(np.random.default_rng(9))
-        result = color_cluster_graph(w.graph, seed=4)
-        report = audit_run(
-            w.graph, result,
-            bandwidth_cap=scaled().bandwidth_bits(w.graph.n_machines),
-        )
-        assert report.ok
-        assert report.problems == []
-
-    def test_defects_reported(self, rng):
-        from repro import color_cluster_graph
-        from repro.verify.audit import audit_run
-        from repro.workloads import figure1_example
-
-        w = figure1_example()
-        result = color_cluster_graph(w.graph, seed=1)
-        result.colors[0] = result.colors[1] = 0  # sabotage
-        report = audit_run(w.graph, result)
-        assert not report.ok
-        assert report.monochromatic_edges >= 1
-        assert any("monochromatic" in p for p in report.problems)

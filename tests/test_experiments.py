@@ -99,8 +99,12 @@ class TestSpec:
             assert len({c.key() for c in cells}) == len(cells), name
 
     def test_builtin_suites_cover_every_paper_experiment(self):
+        # each of E1-E15 has a suite or a lemma-level test_e{i}_* claim
+        claims = (pathlib.Path(__file__).parent / "test_paper_claims.py").read_text()
         for i in range(1, 16):
-            assert any(s.startswith(f"e{i}_") for s in SUITES), f"e{i} uncovered"
+            assert any(s.startswith(f"e{i}_") for s in SUITES) or (
+                f"def test_e{i}_" in claims
+            ), f"e{i} uncovered"
 
     def test_baseline_suite_has_algorithm_axis(self):
         algos = {c.algorithm for c in SUITES["e13_baselines"].cells()}

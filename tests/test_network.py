@@ -115,11 +115,6 @@ class TestLedger:
         assert ledger.per_op_rounds["x"] == 3
         assert ledger.per_op_rounds["y"] == 1
 
-    def test_compliance_assertion(self):
-        ledger = BandwidthLedger(bandwidth_bits=32)
-        ledger.charge("ok", 30)
-        ledger.assert_compliant()
-
     def test_negative_cost_rejected(self):
         ledger = BandwidthLedger(bandwidth_bits=32)
         with pytest.raises(ValueError):
@@ -165,7 +160,6 @@ class TestLedger:
         assert ledger.per_op_rounds["wide"] == 9
         assert ledger.per_op_bits["wide"] == 70 * 3
         assert ledger.max_message_bits == 32
-        ledger.assert_compliant()
 
     def test_zero_round_charge_accounts_payload_once(self):
         ledger = BandwidthLedger(bandwidth_bits=32)

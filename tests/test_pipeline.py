@@ -1,7 +1,5 @@
 """End-to-end integration: the pipeline on every workload family."""
 
-import hashlib
-
 import numpy as np
 import pytest
 
@@ -11,7 +9,6 @@ from repro.network import CommGraph
 from repro.params import scaled
 from repro.verify import is_proper
 from repro.workloads import (
-    GENERATORS,
     bridge_pathology,
     cabal_instance,
     congest_instance,
@@ -62,118 +59,6 @@ class TestAllFamilies:
         a = color_cluster_graph(w.graph, seed=1)
         b = color_cluster_graph(w.graph, seed=2)
         assert (a.colors != b.colors).any()
-
-
-#: Pinned colorings (sha256 of the colors buffer, first 16 hex chars) of
-#: seed-0 runs on the seed-0 instance of each generator.
-PINNED_DIGESTS = {
-    "figure1": "7b0a91667ad8d58a",
-    "low_degree": "04d969a44989e875",  # shattering regime
-    "high_degree": "1f757a107a73fad2",  # Algorithm 3 regime
-}
-
-
-class TestPinnedDigests:
-    @pytest.mark.parametrize("workload", sorted(PINNED_DIGESTS))
-    def test_serial_digest(self, workload):
-        w = GENERATORS[workload](np.random.default_rng(0))
-        result = color_cluster_graph(w.graph, seed=0)
-        digest = hashlib.sha256(
-            np.ascontiguousarray(result.colors).tobytes()
-        ).hexdigest()[:16]
-        assert digest == PINNED_DIGESTS[workload]
-        assert result.proper
-
-
-def _run_digest(runner: str, family: str, kwargs: dict, regime: str) -> str:
-    """sha256 over what a seeded run decides: the colors, the ledger
-    summary (baselines: their round and bit counters) and the rng's end
-    state.  Baselines seed their own generator, so the test captures it."""
-    import json
-
-    from repro.baselines import luby_coloring, palette_sparsification_coloring
-
-    w = GENERATORS[family](np.random.default_rng(0), **kwargs)
-    if runner == "pipeline":
-        rng = np.random.default_rng(3)
-        result = color_cluster_graph(w.graph, rng=rng, regime=regime)
-        assert result.proper
-        ledger = result.ledger_summary
-    else:
-        baseline = {
-            "luby": luby_coloring,
-            "palette_sparsification": palette_sparsification_coloring,
-        }[runner]
-        made = []
-        real_default_rng = np.random.default_rng
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(
-                np.random,
-                "default_rng",
-                lambda seed=None: made.append(real_default_rng(seed)) or made[-1],
-            )
-            result = baseline(w.graph, seed=3)
-        assert result.proper
-        (rng,) = made
-        ledger = [result.rounds_h, result.rounds_g, result.total_message_bits,
-                  result.fallback_vertices]
-    payload = json.dumps(
-        {
-            "colors": hashlib.sha256(
-                np.ascontiguousarray(result.colors, dtype=np.int64).tobytes()
-            ).hexdigest(),
-            "ledger": ledger,
-            "rng": rng.bit_generator.state,
-        },
-        sort_keys=True,
-        default=int,
-    )
-    return hashlib.sha256(payload.encode()).hexdigest()
-
-
-#: (runner, generator, generator kwargs, regime, sha256) of seeded runs on
-#: each generator's seed-0 instance, captured before TryColor proposals
-#: moved to arrays.  Every TryColor sampler and proposal site runs in some
-#: row: exact palettes (``low_degree``, ``luby``), uniform ranges (the
-#: high-degree and ``polylog`` rows), the clique palette (``polylog``),
-#: plain callables (``palette_sparsification``), slack generation, the
-#: synchronized trial (``cabal``) and Algorithm 11's Phase I (``NONCABAL``).
-NONCABAL = {"external_degree": 12, "n_sparse": 120}
-PINNED_RUNS = [
-    ("pipeline", "low_degree", {}, "auto",
-     "ecb865fd3fa006e29073a5ec14aaaefbca15b866a7aa9482c392d96783bf4739"),
-    ("pipeline", "high_degree", {}, "auto",
-     "931f773bb5244cbfdb5c99ecb28233bc27f786be0cf3680a4b7ca96bdfd36f90"),
-    ("pipeline", "cabal", {}, "auto",
-     "2ad09a9816f75acff4a16789ee810d974db8452289f464eb51d2b96e0b8a560d"),
-    ("pipeline", "planted_acd", NONCABAL, "auto",
-     "2a845a1d23218deb079e272218da63a128bc0230150acccedaf695506db43eb4"),
-    ("pipeline", "planted_acd", {}, "low_degree",
-     "1c6cf99e9c3d79c58f6375148310fefe2eabc90a37c5566d974b295ee839f815"),
-    ("pipeline", "planted_acd", {}, "polylog",
-     "9bd7efe6946b49fc6db633341e8f7e0e2bdfcc1cf4cd6b095c5d299397e8cda6"),
-    ("pipeline", "planted_acd", NONCABAL, "polylog",
-     "b915ad1a53c76e7f0e04827a856c06a5c0f011366354339417bfd843e0671236"),
-    ("luby", "planted_acd", {}, "",
-     "a39ba162cb8eaa283e61e5fcaa4155f2a839b1086138e7ca831e3bb08a354d83"),
-    ("palette_sparsification", "planted_acd", {}, "",
-     "3cc5d3b35e6b2f11587a461af330b3ee6c5982e69258a4c9965051f2fd2e8173"),
-]
-
-
-class TestPinnedRuns:
-    """Colorings, ledgers and rng end states stay bitwise identical."""
-
-    @pytest.mark.parametrize(
-        "runner,family,kwargs,regime,expected",
-        PINNED_RUNS,
-        ids=[
-            f"{r}-{f}" + ("-noncabal" if kw else "") + (f"-{g}" if g else "")
-            for r, f, kw, g, _ in PINNED_RUNS
-        ],
-    )
-    def test_run_digest(self, runner, family, kwargs, regime, expected):
-        assert _run_digest(runner, family, kwargs, regime) == expected
 
 
 class TestRegimeDispatch:

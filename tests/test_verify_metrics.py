@@ -3,13 +3,15 @@
 import numpy as np
 import pytest
 
+from repro import color_cluster_graph
 from repro.coloring.types import PartialColoring
 from repro.experiments.artifacts import format_table
+from repro.network.ledger import BandwidthLedger
 from repro.verify import (
     check_acd,
     check_colorful_matching,
-    check_delta_plus_one,
     check_put_aside,
+    invariant_problem,
     is_proper,
     violations,
 )
@@ -29,17 +31,110 @@ class TestProperChecker:
         assert is_proper(g, colors, allow_partial=True)
         assert not is_proper(g, colors)  # total required by default
 
-    def test_check_delta_plus_one_catches_uncolored(self, figure1_workload):
-        g = figure1_workload.graph
-        c = PartialColoring.empty(g.n_vertices, g.max_degree + 1)
-        with pytest.raises(AssertionError, match="uncolored"):
-            check_delta_plus_one(g, c)
 
-    def test_check_delta_plus_one_catches_wrong_palette(self, figure1_workload):
-        g = figure1_workload.graph
-        c = PartialColoring.empty(g.n_vertices, g.max_degree + 5)
-        with pytest.raises(AssertionError, match="palette"):
-            check_delta_plus_one(g, c)
+class TestRunInvariants:
+    """``proper`` on the pipeline, baseline and engine paths also covers
+    the palette and the link budget, not only the edges."""
+
+    @pytest.mark.parametrize(
+        "colors,alive,problem",
+        [
+            ([0, 1, 2, 0], None, None),
+            ([0, -1, 2, 0], None, "outside palette"),
+            ([0, 1, 2, 3], None, "outside palette"),
+            ([0, 1, 7, 0], None, "outside palette"),
+            ([0, 1, 3, -1], [True, True, False, False], None),
+        ],
+        ids=["in-palette", "uncolored", "num-colors", "wider-palette", "dead-ids"],
+    )
+    def test_palette(self, colors, alive, problem):
+        ledger = BandwidthLedger(bandwidth_bits=32)
+        ledger.charge("ok", 30)
+        alive = None if alive is None else np.array(alive)
+        got = invariant_problem(np.array(colors), 3, ledger, alive)
+        if problem is None:
+            assert got is None
+        else:
+            assert problem in got
+
+    def test_a_ledger_that_absorbs_a_wider_summary_is_flagged(self):
+        ledger = BandwidthLedger(bandwidth_bits=32)
+        ledger.charge("ok", 30)
+        colors = np.zeros(2, dtype=np.int64)
+        assert invariant_problem(colors, 1, ledger) is None
+        ledger.absorb(WIDE_SUMMARY, op="sub_run")
+        assert "40-bit message; cap is 32" in invariant_problem(colors, 1, ledger)
+
+    def test_pipeline_reports_a_palette_hole(self, monkeypatch):
+        import repro.coloring.pipeline as pipeline
+
+        graph = planted_acd_instance(np.random.default_rng(9)).graph
+        assert color_cluster_graph(graph, seed=4).proper
+        stage = pipeline.color_low_degree
+
+        def leave_a_hole(runtime, coloring):
+            info = stage(runtime, coloring)
+            coloring.colors[0] = coloring.num_colors  # no neighbor has it
+            return info
+
+        monkeypatch.setattr(pipeline, "color_low_degree", leave_a_hole)
+        result = color_cluster_graph(graph, seed=4, regime="low_degree")
+        assert is_proper(graph, result.colors)
+        assert not result.proper
+
+    def test_baseline_reports_a_palette_hole(self, monkeypatch):
+        import repro.baselines.luby as luby
+
+        graph = planted_acd_instance(np.random.default_rng(9)).graph
+        assert luby.luby_coloring(graph, seed=4).proper
+        trial = luby.try_color_round
+
+        def leave_a_hole(runtime, coloring, *args, **kwargs):
+            trial(runtime, coloring, *args, **kwargs)
+            if (coloring.colors >= 0).all():  # the last round
+                coloring.colors[0] = coloring.num_colors
+
+        monkeypatch.setattr(luby, "try_color_round", leave_a_hole)
+        result = luby.luby_coloring(graph, seed=4)
+        assert is_proper(graph, result.colors)
+        assert not result.proper
+
+    def test_engine_batch_reports_a_palette_hole(self, monkeypatch):
+        from repro.dynamic import DynamicColoring, UpdateBatch
+
+        graph = planted_acd_instance(np.random.default_rng(9)).graph
+        engine = DynamicColoring(graph, seed=4)
+        assert engine.apply(UpdateBatch()).proper
+        repair = engine._repair
+
+        def leave_a_hole(dirty):
+            out = repair(dirty)
+            engine.colors[0] = engine.num_colors
+            return out
+
+        monkeypatch.setattr(engine, "_repair", leave_a_hole)
+        assert not engine.apply(UpdateBatch()).proper
+
+    def test_engine_batch_reports_a_ledger_over_its_cap(self):
+        from repro.dynamic import DynamicColoring, UpdateBatch
+
+        graph = planted_acd_instance(np.random.default_rng(9)).graph
+        engine = DynamicColoring(graph, seed=4)
+        cap = engine.ledger.bandwidth_bits
+        engine.ledger.absorb(
+            {**WIDE_SUMMARY, "max_message_bits": cap + 8}, op="sub_run"
+        )
+        assert not engine.apply(UpdateBatch()).proper
+
+
+#: The headline counters of a sub-run whose widest message was 40 bits.
+WIDE_SUMMARY = {
+    "rounds_h": 1,
+    "rounds_g": 1,
+    "total_message_bits": 40,
+    "max_message_bits": 40,
+    "num_operations": 1,
+}
 
 
 class TestAcdChecker:

@@ -1,22 +1,20 @@
 #!/usr/bin/env python
-"""Docstring-presence lint for the public kernel and engine APIs.
+"""Docstring-presence lint for the public API of the ``repro`` package.
 
 The architecture contract (docs/ARCHITECTURE.md) promises that every
-public symbol of ``repro.graphcore`` (the batched kernels every hot path
-runs on), ``repro.dynamic`` (the streaming engine API), ``repro.sketch``
-(the fingerprint estimators and their documented contract,
-docs/ESTIMATORS.md), ``repro.decomposition`` (the ACD pipeline those
-estimators drive), and ``repro.network`` (the ledger plus the
-simulated-time heterogeneous fabric model, docs/NETWORK.md) documents its
-arguments, shapes, and invariants.  This
-lint enforces the *presence* half of that promise statically: every public
-module, class, function, and method in those packages must carry a
-docstring.
+public symbol documents its arguments, shapes, and invariants -- the
+batched kernels (``repro.graphcore``), the streaming engine
+(``repro.dynamic``), the fingerprint estimators (``repro.sketch``,
+docs/ESTIMATORS.md), the ledger and fabric model (``repro.network``,
+docs/NETWORK.md), the checkers (``repro.verify``) and every other
+package.  This lint enforces the *presence* half of that promise
+statically: every public module, class, function, and method under
+``src/repro`` must carry a docstring.
 
 Run from the repo root (CI's docs job does):
 
-    python tools/lint_docstrings.py            # lint the default packages
-    python tools/lint_docstrings.py src/repro  # or any explicit targets
+    python tools/lint_docstrings.py                  # lint src/repro
+    python tools/lint_docstrings.py src/repro/dynamic  # or explicit targets
 
 Exit code 0 iff no public symbol is missing a docstring.
 """
@@ -27,18 +25,7 @@ import ast
 import sys
 from pathlib import Path
 
-DEFAULT_TARGETS = (
-    "src/repro/graphcore",
-    "src/repro/dynamic",
-    "src/repro/sketch",
-    "src/repro/decomposition",
-    "src/repro/observe",
-    "src/repro/experiments",
-    "src/repro/network",
-    "src/repro/fuzz",
-    "src/repro/workloads",
-    "src/repro/cluster",
-)
+DEFAULT_TARGETS = ("src/repro",)
 
 FunctionNode = (ast.FunctionDef, ast.AsyncFunctionDef)
 
