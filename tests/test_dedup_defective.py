@@ -85,6 +85,20 @@ class TestBinarySearchFreeColor:
         assert probes <= 2 * binary_search_round_budget(60)
 
 
+class TestAudit:
+    def test_defects_reported(self, rng):
+        """A sabotaged pipeline run is caught by the end-of-run checker."""
+        from repro import color_cluster_graph
+        from repro.verify import is_proper, violations
+
+        w = figure1_example()
+        result = color_cluster_graph(w.graph, seed=1)
+        assert is_proper(w.graph, result.colors)
+        result.colors[0] = result.colors[1] = 0  # sabotage
+        assert not is_proper(w.graph, result.colors)
+        assert (0, 1) in violations(w.graph, result.colors)
+
+
 class TestDefectiveColoring:
     def test_meets_relative_defect(self, rng):
         g = blowup(nx.random_regular_graph(8, 40, seed=3), rng, cluster_size=1)
