@@ -9,7 +9,8 @@ only the conflict frontier instead of recoloring from scratch.
   (array overlay: a dead mask over the base edges plus packed int64 codes
   of the inserted ones) with periodic rebuild through
   ``CSRAdjacency.from_edge_arrays``;
-* :class:`~repro.dynamic.updates.UpdateBatch` -- the update vocabulary;
+* :class:`~repro.dynamic.updates.UpdateBatch` -- the update vocabulary,
+  one batch held as numpy columns in kind precedence;
 * :class:`~repro.dynamic.engine.DynamicColoring` -- the engine: batched
   TryColor repair on the dirty set, ledger-charged, escalating to the
   one-shot pipeline when repair would touch too much of the graph;
@@ -25,7 +26,7 @@ from repro.dynamic.engine import (
     StreamResult,
 )
 from repro.dynamic.harness import run_stream
-from repro.dynamic.updates import KINDS, Update, UpdateBatch
+from repro.dynamic.updates import KINDS, UpdateBatch
 from repro.dynamic.view import FrozenConflictGraph
 
 __all__ = [
@@ -36,7 +37,6 @@ __all__ = [
     "KINDS",
     "RepairError",
     "StreamResult",
-    "Update",
     "UpdateBatch",
     "run_stream",
 ]

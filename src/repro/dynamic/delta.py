@@ -149,6 +149,7 @@ class DeltaCSR:
         self._rebuild_fraction = rebuild_fraction
         self._n = base.n_vertices
         self._alive = np.ones(self._n, dtype=bool)
+        self._n_alive = self._n
         self._degrees = base.degrees.astype(np.int64)
         self._n_edges = base.n_directed_edges // 2
         self._rebuilds = 0
@@ -177,8 +178,8 @@ class DeltaCSR:
 
     @property
     def n_alive(self) -> int:
-        """Number of live vertices."""
-        return int(self._alive.sum())
+        """Number of live vertices (a counter, not a scan of the mask)."""
+        return self._n_alive
 
     @property
     def alive_mask(self) -> np.ndarray:
@@ -348,12 +349,16 @@ class DeltaCSR:
 
     def add_vertex(self, count: int = 1) -> int:
         """Allocate ``count`` fresh isolated vertices with sequential ids,
-        growing each array once; returns the first id."""
+        growing each array once; returns the first id.  Raises, before any
+        write, if ``count < 1`` or an id would pass :data:`MAX_VERTICES`."""
+        if count < 1:
+            raise ValueError(f"cannot add {count} vertices; the count must be >= 1")
         v = self._n
         last = v + count - 1
         if last >= MAX_VERTICES:
             raise ValueError(f"vertex id {last} exceeds the {MAX_VERTICES}-id bound")
         self._n += count
+        self._n_alive += count
         self._alive = np.concatenate([self._alive, np.ones(count, dtype=bool)])
         self._degrees = np.concatenate(
             [self._degrees, np.zeros(count, dtype=np.int64)]
@@ -368,6 +373,7 @@ class DeltaCSR:
         detached = self.neighbors(v)
         self.delete_edge(v, detached)
         self._alive[v] = False
+        self._n_alive -= 1
         self._delta_ops += 1
         return detached
 

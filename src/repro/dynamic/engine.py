@@ -38,7 +38,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from operator import attrgetter
 
 import numpy as np
 
@@ -50,7 +49,7 @@ from repro.graphcore import (
     used_color_masks_from_flat,
 )
 from repro.dynamic.delta import DeltaCSR
-from repro.dynamic.updates import Update, UpdateBatch
+from repro.dynamic.updates import UpdateBatch
 from repro.dynamic.view import FrozenConflictGraph
 from repro.network.ledger import BandwidthLedger
 from repro.observe.tracer import NULL_TRACER
@@ -62,14 +61,6 @@ from repro.verify.checker import invariant_problem
 #: full scan costs less than the incremental check's fixed cost in numpy
 #: calls (the delta-aware gather above all).
 _INCREMENTAL_MIN_EDGES = 8192
-
-
-def _endpoints(updates: list[Update]) -> tuple[np.ndarray, np.ndarray]:
-    """The ``u`` and ``v`` of edge updates as two int64 arrays."""
-    return tuple(
-        np.fromiter(map(attrgetter(end), updates), np.int64, len(updates))
-        for end in ("u", "v")
-    )
 
 
 class RepairError(RuntimeError):
@@ -154,14 +145,18 @@ class DynamicColoring:
     """A proper coloring maintained under a stream of update batches.
 
     :meth:`apply` ingests a batch in :data:`~repro.dynamic.updates.KINDS`
-    order.  The ``edge_delete`` run and the ``edge_insert`` run each go to
-    :class:`~repro.dynamic.delta.DeltaCSR` as one array call, which checks
-    every pair before it writes any: a bad edge update raises with its
-    whole run unwritten (the kinds before it stay applied).  Vertex and
-    cluster updates apply one at a time, each as at most two array calls;
-    a run of arrivals or of splits first allocates all its new ids, with
-    one growth per array.
-    A new edge whose endpoints share a color dirties its larger endpoint.
+    order, reading each kind's run as one slice of the batch's columns.
+    The ``edge_delete`` run and the ``edge_insert`` run hand their ``u``
+    and ``v`` slices to :class:`~repro.dynamic.delta.DeltaCSR` as one
+    array call each, which checks every pair before it writes any: a bad
+    edge update raises with its whole run unwritten (the kinds before it
+    stay applied).  Vertex and cluster updates apply one at a time, each
+    as at most two array calls; a run of arrivals or of splits first
+    allocates all its new ids, with one growth per array.  A new edge
+    whose endpoints share a color dirties its larger endpoint.  The
+    per-batch bookkeeping reads no O(n) scan: ``n_alive`` is a counter,
+    and ``n_machines`` and ``dilation`` read the size and height arrays
+    whole, since a departure or a merge zeroes both at the dead id.
 
     Parameters
     ----------
@@ -279,7 +274,7 @@ class DynamicColoring:
     @property
     def n_machines(self) -> int:
         """Machines across live clusters (drives bandwidth-bit sizing)."""
-        return int(self.cluster_sizes[self.delta.alive_mask].sum())
+        return int(self.cluster_sizes.sum())
 
     @property
     def max_degree(self) -> int:
@@ -291,10 +286,7 @@ class DynamicColoring:
     def dilation(self) -> int:
         """Max support-tree height over live clusters (estimated after
         merge/split; see ROADMAP)."""
-        alive = self.delta.alive_mask
-        if not alive.any():
-            return 1
-        return max(1, int(self.tree_heights[alive].max()))
+        return max(1, int(self.tree_heights.max(initial=0)))
 
     @property
     def color_bits(self) -> int:
@@ -325,7 +317,7 @@ class DynamicColoring:
         start = time.perf_counter()
         before = self.ledger.snapshot()
         with self.tracer.span("stream.ingest"):
-            dirty, groups = self._ingest(batch)
+            dirty, events = self._ingest(batch)
         with self.tracer.span("stream.repair"):
             # repairs run on the post-update network: charge them at the
             # dilation the batch's merges/splits/arrivals produced, and at
@@ -369,7 +361,7 @@ class DynamicColoring:
         diff = before.diff(after)
         report = BatchReport(
             batch_index=len(self.reports),
-            events={kind: len(group) for kind, group in groups.items()},
+            events=events,
             dirty=len(dirty),
             repaired=repaired,
             recolor_fraction=repaired / max(1, self.n_alive),
@@ -407,38 +399,41 @@ class DynamicColoring:
 
     # ---- structural updates --------------------------------------------------
 
-    def _ingest(
-        self, batch: UpdateBatch
-    ) -> tuple[set[int], dict[str, list[Update]]]:
-        """Apply a batch's updates kind by kind, each edge run as one array
-        call; returns the vertices they left dirty and the batch's
-        :meth:`~repro.dynamic.updates.UpdateBatch.by_kind` groups."""
+    def _ingest(self, batch: UpdateBatch) -> tuple[set[int], dict[str, int]]:
+        """Apply a batch's updates run by run (each kind's rows are one
+        slice of its columns), each edge run as one array call; returns
+        the vertices they left dirty and the batch's
+        :meth:`~repro.dynamic.updates.UpdateBatch.counts` (the report's
+        ``events``)."""
         dirty: set[int] = set()
-        groups = batch.by_kind()
-        for kind, updates in groups.items():
+        runs = batch.by_kind()
+        for kind, rows in runs.items():
+            us, vs = batch.u[rows], batch.v[rows]
             if kind == "edge_delete":
-                self.delta.delete_edge(*_endpoints(updates))
+                self.delta.delete_edge(us, vs)
             elif kind == "edge_insert":
-                us, vs = _endpoints(updates)
                 self.delta.insert_edge(us, vs)
                 dirty.update(self._insert_clashes(us, vs))
             elif kind == "vertex_remove":
-                for update in updates:
-                    self.delta.remove_vertex(update.u)
+                for u in us.tolist():
+                    self.delta.remove_vertex(u)
                     # dead ids are edge-free; their color value is moot
-                    self.colors[update.u] = 0
-                    self.cluster_sizes[update.u] = 0
-                    self.tree_heights[update.u] = 0
+                    self.colors[u] = 0
+                    self.cluster_sizes[u] = 0
+                    self.tree_heights[u] = 0
             elif kind == "vertex_add":
-                self._arrive(updates, dirty)
+                self._arrive(batch, rows, dirty)
             elif kind == "cluster_merge":
-                for update in updates:
-                    self._merge(update.u, update.v, dirty)
+                for u, v in zip(us.tolist(), vs.tolist()):
+                    self._merge(u, v, dirty)
             else:  # cluster_split: the run's new halves take sequential ids
-                first = self._allocate_vertices(len(updates))
-                for w, update in enumerate(updates, first):
-                    self._split(update.u, update.edges, update.size, w, dirty)
-        return dirty, groups
+                first = self._allocate_vertices(rows.stop - rows.start)
+                splits = zip(
+                    range(rows.start, rows.stop), us.tolist(), batch.size[rows].tolist()
+                )
+                for w, (i, u, size) in enumerate(splits, first):
+                    self._split(u, batch.payload(i), size, w, dirty)
+        return dirty, {kind: rows.stop - rows.start for kind, rows in runs.items()}
 
     def _insert_clashes(self, us: np.ndarray, vs: np.ndarray) -> list[int]:
         """The vertices that the new edges ``{us[i], vs[i]}`` dirty: where
@@ -462,20 +457,21 @@ class DynamicColoring:
         )
         return first
 
-    def _arrive(self, updates: list[Update], dirty: set[int]) -> None:
-        """Apply a run of ``vertex_add`` updates: allocate its ids, then
-        wire each arrival to its neighbors in batch order."""
-        first = self._allocate_vertices(len(updates))
-        sizes = np.maximum([update.size for update in updates], 1)
+    def _arrive(self, batch: UpdateBatch, rows: slice, dirty: set[int]) -> None:
+        """Apply the run ``rows`` of ``vertex_add`` updates: allocate its
+        ids, then wire each arrival to its neighbors in batch order."""
+        first = self._allocate_vertices(rows.stop - rows.start)
+        sizes = np.maximum(batch.size[rows], 1)
         self.cluster_sizes[first:] = sizes
         # arrivals wire their machines as a star: height 1 for singletons
         # and pairs, 2 otherwise (leader + leaves)
         self.tree_heights[first:] = np.where(sizes <= 2, 1, 2)
-        for w, update in enumerate(updates, first):
-            late = max(update.edges, default=w)
-            if late > w:  # a later arrival of this run has not arrived yet
-                raise ValueError(f"vertex {late} is not alive")
-            self.delta.insert_edge(w, update.edges)
+        for w, i in enumerate(range(rows.start, rows.stop), first):
+            edges = batch.payload(i)
+            if edges.size and edges.max() > w:
+                # a later arrival of this run has not arrived yet
+                raise ValueError(f"vertex {int(edges.max())} is not alive")
+            self.delta.insert_edge(w, edges)
             dirty.add(w)
 
     def _merge(self, u: int, v: int, dirty: set[int]) -> None:
@@ -504,7 +500,7 @@ class DynamicColoring:
             dirty.add(u)
 
     def _split(
-        self, u: int, moved: tuple[int, ...], size: int, w: int, dirty: set[int]
+        self, u: int, moved: np.ndarray, size: int, w: int, dirty: set[int]
     ) -> None:
         """``u`` sheds ``size`` machines and the neighbors in ``moved`` into
         the fresh cluster ``w``, allocated with its run; the halves stay

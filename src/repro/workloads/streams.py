@@ -18,6 +18,13 @@ Generators validate their own events against a *shadow* of the engine's
 structural state (``_Shadow``, a base CSR plus per-vertex edit sets), so
 every emitted batch is applicable by construction; the engine re-validates
 on application and raises on any drift.
+
+Each generator writes a batch as columns, one run per update kind in
+:data:`~repro.dynamic.updates.KINDS` order
+(:meth:`~repro.dynamic.updates.UpdateBatch.from_runs`): slices of numpy
+edge arrays where it has them, short per-batch lists otherwise.  No
+per-update Python object outlives the batch it belongs to, so a stream of
+hundreds of thousands of updates costs a few dozen bytes per update.
 """
 
 from __future__ import annotations
@@ -231,26 +238,35 @@ def sliding_window_stream(
     graph = _initial_graph(rng, n_vertices, avg_degree, cluster_size, topology)
     shadow = _Shadow(graph)
     edge_u, edge_v = graph.h_edge_arrays()
-    window: list[tuple[int, int]] = list(
-        zip(edge_u.tolist(), edge_v.tolist())
-    )
-    churn = max(1, int(churn_fraction * len(window)))
+    churn = max(1, int(churn_fraction * edge_u.size))
+    # the window is a FIFO over one edge table: the initial edges, then
+    # every admitted edge in admission order; it holds rows head:tail
+    window_u = np.empty(edge_u.size + batches * churn, dtype=np.int64)
+    window_v = np.empty_like(window_u)
+    window_u[: edge_u.size], window_v[: edge_u.size] = edge_u, edge_v
+    head, tail = 0, edge_u.size
     verts = shadow.alive_vertices()
     out: list[UpdateBatch] = []
     for _ in range(batches):
-        batch = UpdateBatch()
-        retired, window = window[:churn], window[churn:]
-        for u, v in retired:
-            batch.edge_delete(u, v)
+        retired = slice(head, min(head + churn, tail))
+        head = retired.stop
+        for u, v in zip(window_u[retired].tolist(), window_v[retired].tolist()):
             shadow.delete(u, v)
+        start = tail
         for _ in range(churn):
             pair = _sample_new_edge(rng, shadow, verts, verts)
             if pair is None:
                 continue
-            batch.edge_insert(*pair)
             shadow.insert(*pair)
-            window.append(pair)
-        out.append(batch)
+            window_u[tail], window_v[tail] = pair
+            tail += 1
+        admitted = slice(start, tail)
+        out.append(
+            UpdateBatch.from_runs(
+                edge_delete={"u": window_u[retired], "v": window_v[retired]},
+                edge_insert={"u": window_u[admitted], "v": window_v[admitted]},
+            )
+        )
     return StreamWorkload(
         name="sliding_window",
         graph=graph,
@@ -293,7 +309,6 @@ def hotspot_churn_stream(
     )
     out: list[UpdateBatch] = []
     for _ in range(batches):
-        batch = UpdateBatch()
         # retire random hotspot-incident edges (any edge when none left)
         edge_u, edge_v = shadow.edge_arrays()
         touches_hot = (edge_u < hot_count) | (edge_v < hot_count)
@@ -302,19 +317,20 @@ def hotspot_churn_stream(
             pool = np.arange(edge_u.size)
         take = min(churn, pool.size)
         picked = rng.choice(pool, size=take, replace=False)
-        for i in picked:
-            u, v = int(edge_u[i]), int(edge_v[i])
-            batch.edge_delete(u, v)
+        deleted = {"u": edge_u[picked], "v": edge_v[picked]}
+        for u, v in zip(deleted["u"].tolist(), deleted["v"].tolist()):
             shadow.delete(u, v)
         # departures: non-hotspot veterans leave wholesale
+        departed: dict[str, list] = {"u": []}
         candidates = shadow.alive_vertices()
         candidates = candidates[candidates >= hot_count]
         for _ in range(min(departures, max(0, candidates.size - 1))):
             v = int(candidates[rng.integers(0, candidates.size)])
-            batch.vertex_remove(v)
+            departed["u"].append(v)
             shadow.remove(v)
             candidates = candidates[candidates != v]
         # arrivals: new clusters wired into the hotspot
+        arrived: dict[str, list] = {"size": [], "edges": []}
         for _ in range(arrivals):
             alive_hot = hotspot[shadow.alive_mask[hotspot]]
             if alive_hot.size == 0:
@@ -322,9 +338,11 @@ def hotspot_churn_stream(
             k = min(3, alive_hot.size)
             targets = [int(t) for t in rng.choice(alive_hot, size=k, replace=False)]
             size = int(rng.integers(1, 4))
-            batch.vertex_add(edges=targets, size=size)
+            arrived["size"].append(size)
+            arrived["edges"].append(targets)
             shadow.add(targets, size=size)
         # fresh hotspot-incident edges
+        inserted: dict[str, list] = {"u": [], "v": []}
         verts = shadow.alive_vertices()
         alive_hot = hotspot[shadow.alive_mask[hotspot]]
         if alive_hot.size:
@@ -332,9 +350,17 @@ def hotspot_churn_stream(
                 pair = _sample_new_edge(rng, shadow, alive_hot, verts)
                 if pair is None:
                     continue
-                batch.edge_insert(*pair)
+                inserted["u"].append(pair[0])
+                inserted["v"].append(pair[1])
                 shadow.insert(*pair)
-        out.append(batch)
+        out.append(
+            UpdateBatch.from_runs(
+                edge_delete=deleted,
+                vertex_remove=departed,
+                vertex_add=arrived,
+                edge_insert=inserted,
+            )
+        )
     return StreamWorkload(
         name="hotspot_churn",
         graph=graph,
@@ -373,32 +399,35 @@ def cluster_churn_stream(
     )
     out: list[UpdateBatch] = []
     for _ in range(batches):
-        batch = UpdateBatch()
         # background edge churn first (matches the batch application order)
         edge_u, edge_v = shadow.edge_arrays()
         take = min(churn, edge_u.size)
         picked = rng.choice(edge_u.size, size=take, replace=False)
-        for i in picked:
-            u, v = int(edge_u[i]), int(edge_v[i])
-            batch.edge_delete(u, v)
+        deleted = {"u": edge_u[picked], "v": edge_v[picked]}
+        for u, v in zip(deleted["u"].tolist(), deleted["v"].tolist()):
             shadow.delete(u, v)
+        inserted: dict[str, list] = {"u": [], "v": []}
         verts = shadow.alive_vertices()
         for _ in range(churn):
             pair = _sample_new_edge(rng, shadow, verts, verts)
             if pair is None:
                 continue
-            batch.edge_insert(*pair)
+            inserted["u"].append(pair[0])
+            inserted["v"].append(pair[1])
             shadow.insert(*pair)
         # merges: adjacent alive pairs coalesce
+        merged: dict[str, list] = {"u": [], "v": []}
         for _ in range(merges_per_batch):
             edge_u, edge_v = shadow.edge_arrays()
             if edge_u.size == 0:
                 break
             i = int(rng.integers(0, edge_u.size))
             u, v = int(edge_u[i]), int(edge_v[i])
-            batch.cluster_merge(u, v)
+            merged["u"].append(u)
+            merged["v"].append(v)
             shadow.merge(u, v)
         # splits: big-enough clusters shed half their neighbors
+        split: dict[str, list] = {"u": [], "size": [], "edges": []}
         for _ in range(splits_per_batch):
             candidates = [
                 int(v)
@@ -416,9 +445,18 @@ def cluster_churn_stream(
                 else []
             )
             size = max(1, shadow.sizes[u] // 2)
-            batch.cluster_split(u, moved, size=size)
+            split["u"].append(u)
+            split["size"].append(size)
+            split["edges"].append(moved)
             shadow.split(u, moved, size)
-        out.append(batch)
+        out.append(
+            UpdateBatch.from_runs(
+                edge_delete=deleted,
+                edge_insert=inserted,
+                cluster_merge=merged,
+                cluster_split=split,
+            )
+        )
     return StreamWorkload(
         name="cluster_churn",
         graph=graph,

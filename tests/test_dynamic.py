@@ -24,11 +24,11 @@ from repro.dynamic import (
     DynamicColoring,
     FrozenConflictGraph,
     RepairError,
-    Update,
     UpdateBatch,
     run_stream,
 )
 from repro.dynamic.harness import exact_percentiles
+from repro.dynamic.updates import KINDS
 from repro.graphcore import CSRAdjacency, is_proper_edges
 from repro.network.ledger import BandwidthLedger
 from repro.verify.checker import is_proper
@@ -231,6 +231,7 @@ class TestDeltaCSR:
         }
         assert set(pairs) == want
         assert {v for v in reference if delta.is_alive(v)} == alive
+        assert delta.n_alive == len(alive) == int(delta.alive_mask.sum())
         # has_edge on random pairs, ids one past the end included
         n = len(reference)
         for u, v in rng.integers(-1, n + 1, size=(3 * n, 2)).tolist():
@@ -461,6 +462,17 @@ class TestDeltaCSR:
         delta.insert_edge(9, [6, 8])
         assert delta.neighbors(9).tolist() == [6, 8]
 
+    @pytest.mark.parametrize("count", [-2, 0])
+    def test_add_vertex_rejects_a_count_below_one_unchanged(self, count):
+        delta = DeltaCSR(CSRAdjacency.from_edge_arrays([0], [1], 3))
+        with pytest.raises(ValueError, match=f"cannot add {count} vertices"):
+            delta.add_vertex(count)
+        assert delta.n_vertices == delta.n_alive == 3
+        assert delta.alive_mask.size == delta.degrees.size == 3
+        assert delta.neighbors(1).tolist() == [0]
+        assert delta.pending_delta_ops == 0
+        assert delta.add_vertex() == 3
+
     def test_periodic_rebuild_triggers(self):
         delta = DeltaCSR(
             CSRAdjacency.from_edge_arrays(np.array([0]), np.array([1]), 40),
@@ -484,26 +496,105 @@ class TestDeltaCSR:
 
 
 class TestUpdates:
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            Update("rewire", u=0, v=1)
+    """The columnar batch: rows in kind precedence, payloads through one
+    ``(offsets, edges)`` pair, per-kind runs as slices."""
 
-    def test_application_order_is_kind_precedence(self):
-        batch = (
+    def _shuffled(self):
+        """A hand-built batch whose constructors run in no kind order."""
+        return (
             UpdateBatch()
-            .cluster_split(0, [1])
+            .cluster_split(0, [1, 2], size=2)
             .edge_insert(0, 1)
+            .vertex_add([], size=3)
             .vertex_remove(2)
             .edge_delete(3, 4)
+            .cluster_split(5, [])
+            .vertex_add([6, 7])
+            .edge_insert(8, 9)
+            .cluster_merge(10, 11)
+            .edge_delete(12, 13)
         )
-        kinds = [up.kind for up in batch.in_application_order()]
-        assert kinds == [
-            "edge_delete", "vertex_remove", "edge_insert", "cluster_split",
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError, match="unknown update kind"):
+            UpdateBatch.from_runs(rewire={"u": [0], "v": [1]})
+        with pytest.raises(ValueError, match="unknown edge_insert column"):
+            UpdateBatch.from_runs(edge_insert={"u": [0], "w": [1]})
+        with pytest.raises(ValueError, match="differ in length"):
+            UpdateBatch.from_runs(edge_insert={"u": [0, 2], "v": [1]})
+
+    def test_rows_freeze_in_kind_precedence_stable_within_a_kind(self):
+        batch = self._shuffled()
+        assert [KINDS[k] for k in batch.kind.tolist()] == [
+            "edge_delete", "edge_delete", "vertex_remove", "vertex_add",
+            "vertex_add", "edge_insert", "edge_insert", "cluster_merge",
+            "cluster_split", "cluster_split",
         ]
+        assert batch.u.tolist() == [3, 12, 2, -1, -1, 0, 8, 10, 0, 5]
+        assert batch.v.tolist() == [4, 13, -1, -1, -1, 1, 9, 11, -1, -1]
+        assert batch.size.tolist() == [1, 1, 1, 3, 1, 1, 1, 1, 2, 1]
+        # a row queued after a read lands behind its kind's earlier rows
+        batch.edge_delete(14, 15)
+        assert batch.u[:3].tolist() == [3, 12, 14] and len(batch) == 11
+
+    def test_payloads_round_trip_through_offsets(self):
+        batch = self._shuffled()
+        payloads = [batch.payload(i).tolist() for i in range(len(batch))]
+        assert payloads == [[], [], [], [], [6, 7], [], [], [], [1, 2], []]
+        assert batch.offsets.tolist() == [0, 0, 0, 0, 0, 2, 2, 2, 2, 4, 4]
+        assert batch.edges.tolist() == [6, 7, 1, 2]
+        # the same runs given as columns build the same batch
+        again = UpdateBatch.from_runs(
+            cluster_split={"u": [0, 5], "size": [2, 1], "edges": [[1, 2], []]},
+            vertex_add={"size": [3, 1], "edges": [[], [6, 7]]},
+            edge_delete={"u": [3, 12], "v": [4, 13]},
+            vertex_remove={"u": [2]},
+            edge_insert={"u": [0, 8], "v": [1, 9]},
+            cluster_merge={"u": [10], "v": [11]},
+        )
+        for name, column in batch.columns().items():
+            assert np.array_equal(again.columns()[name], column), name
+
+    def test_counts_equal_the_run_lengths(self):
+        batch = self._shuffled()
+        runs = batch.by_kind()
+        assert list(runs) == [kind for kind in KINDS]
         assert batch.counts() == {
-            "edge_delete": 1, "vertex_remove": 1,
-            "edge_insert": 1, "cluster_split": 1,
+            kind: rows.stop - rows.start for kind, rows in runs.items()
+        } == {
+            "edge_delete": 2, "vertex_remove": 1, "vertex_add": 2,
+            "edge_insert": 2, "cluster_merge": 1, "cluster_split": 2,
         }
+        for kind, rows in runs.items():
+            assert (batch.kind[rows] == KINDS.index(kind)).all()
+        partial = UpdateBatch().edge_insert(0, 1).vertex_remove(2)
+        assert list(partial.by_kind()) == ["vertex_remove", "edge_insert"]
+
+    def test_empty_batch(self):
+        for batch in (UpdateBatch(), UpdateBatch.from_runs(edge_insert={})):
+            assert len(batch) == 0
+            assert batch.counts() == {} and batch.by_kind() == {}
+            assert batch.offsets.tolist() == [0] and batch.edges.size == 0
+            engine = DynamicColoring(small_cluster_graph(2), seed=0)
+            report = engine.apply(batch)
+            assert report.proper and report.events == {} and report.dirty == 0
+
+    def test_generated_batches_hold_only_small_typed_columns(self):
+        import gc
+
+        from repro.dynamic.updates import COLUMNS
+        from repro.workloads import STREAMS
+
+        w = STREAMS["sliding_window"](np.random.default_rng(0))
+        for batch in w.batches:
+            held = [x for x in gc.get_referents(batch) if x is not type(batch)]
+            # the column tuple and the (empty) queue of constructor rows
+            queued, columns = sorted(held, key=lambda x: type(x).__name__)
+            assert queued == [] and type(columns) is tuple
+            assert all(type(col) is np.ndarray for col in columns)
+            dtypes = [np.dtype(dtype) for dtype in COLUMNS.values()]
+            assert [col.dtype for col in columns] == dtypes
+            assert sum(col.nbytes for col in columns) <= 40 * len(batch) + 64
 
 
 # ---------------------------------------------------------------------------
@@ -805,6 +896,28 @@ class TestRepairVsScratch:
             < scratch_metrics["repaired_vertices"]
         )
 
+    @pytest.mark.parametrize("mode", ["repair", "scratch"])
+    @pytest.mark.parametrize("name", ["sliding_window", "hotspot_churn",
+                                      "cluster_churn"])
+    def test_dead_ids_hold_no_machines_and_no_height(self, name, mode):
+        """``n_machines`` and ``dilation`` read the whole arrays, and
+        ``n_alive`` is a counter: after every batch each dead id holds size
+        0 and height 0, and the counter equals the mask's count."""
+        from repro.workloads import STREAMS
+
+        w = STREAMS[name](np.random.default_rng(3))
+        engine = DynamicColoring(w.graph, seed=1, mode=mode)
+        for batch in w.batches:
+            engine.apply(batch)
+            alive = engine.delta.alive_mask
+            assert engine.n_alive == int(alive.sum())
+            assert not engine.cluster_sizes[~alive].any()
+            assert not engine.tree_heights[~alive].any()
+            assert engine.n_machines == int(engine.cluster_sizes[alive].sum())
+            assert engine.dilation == max(1, int(engine.tree_heights[alive].max()))
+        # departures and merges leave dead ids behind
+        assert (name == "sliding_window") == engine.delta.alive_mask.all()
+
     def test_scratch_snapshot_runs_full_pipeline(self):
         w_graph = small_cluster_graph(6, n=12, density=0.4)
         engine = DynamicColoring(w_graph, seed=0)
@@ -858,10 +971,7 @@ def _restore(engine) -> None:
 
 def _touched(batch: UpdateBatch) -> set[int]:
     """Every vertex id a batch's updates name."""
-    ids: set[int] = set()
-    for update in batch.updates:
-        ids.update((update.u, update.v, *update.edges))
-    return ids
+    return {*batch.u.tolist(), *batch.v.tolist(), *batch.edges.tolist()}
 
 
 def _hidden_insert(engine, batch, rng) -> tuple[int, int] | None:

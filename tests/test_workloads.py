@@ -159,7 +159,12 @@ class TestStreamGenerators:
         a = STREAMS[name](np.random.default_rng(5))
         b = STREAMS[name](np.random.default_rng(5))
         assert sorted(a.graph.iter_h_edges()) == sorted(b.graph.iter_h_edges())
-        assert [ba.updates for ba in a.batches] == [bb.updates for bb in b.batches]
+        assert len(a.batches) == len(b.batches)
+        for ba, bb in zip(a.batches, b.batches):
+            ca, cb = ba.columns(), bb.columns()
+            for name in ca:
+                assert ca[name].dtype == cb[name].dtype
+                assert np.array_equal(ca[name], cb[name]), name
 
     @pytest.mark.parametrize("name", ["sliding_window", "hotspot_churn",
                                       "cluster_churn"])
@@ -279,6 +284,8 @@ def _instance_digest(workload, rng) -> str:
     one draw from the rng it left behind (its end state)."""
     import hashlib
 
+    from repro.dynamic.updates import KINDS
+
     graph = workload.graph
     h = hashlib.sha256()
     for arr in (
@@ -292,9 +299,13 @@ def _instance_digest(workload, rng) -> str:
         h.update(str(a.shape).encode())
         h.update(a.tobytes())
     for batch in getattr(workload, "batches", ()):
+        cols = {name: col.tolist() for name, col in batch.columns().items()}
+        offsets, edges = cols["offsets"], cols["edges"]
         h.update(repr([
-            (up.kind, int(up.u), int(up.v), tuple(int(x) for x in up.edges), int(up.size))
-            for up in batch.updates
+            (KINDS[kind], u, v, tuple(edges[offsets[i]:offsets[i + 1]]), size)
+            for i, (kind, u, v, size) in enumerate(
+                zip(cols["kind"], cols["u"], cols["v"], cols["size"])
+            )
         ]).encode())
     h.update(np.float64(rng.random()).tobytes())
     return h.hexdigest()
