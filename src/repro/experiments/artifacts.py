@@ -114,10 +114,6 @@ class Artifact:
         """Cell records indexed by their alignment key (last write wins)."""
         return {r["key"]: r for r in self.records}
 
-    def ok_records(self) -> list[dict[str, Any]]:
-        """Only the cell records that completed with ``status == "ok"``."""
-        return [r for r in self.records if r.get("status") == "ok"]
-
 
 def make_header(
     suite: str, spec_hash: str, extra: dict[str, Any] | None = None

@@ -21,8 +21,10 @@ from __future__ import annotations
 import hashlib
 import json
 import pathlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Iterator
+
+from repro.workloads.specs import NET_PARAM_NAMES
 
 #: Algorithms a cell may dispatch to.  ``paper`` is the full pipeline of
 #: Algorithm 3; ``luby``/``palette_sparsification``/``local_gather`` are the
@@ -756,15 +758,15 @@ _register(
 )
 
 # ---------------------------------------------------------------------------
-# The hetnet suites: simulated-time makespan on heterogeneous fabrics.
+# The hetnet suite: simulated-time makespan on heterogeneous fabrics.
 #
 # Each workload is swept across the bandwidth-skew x slow-fill grid of
-# docs/NETWORK.md via the generator-level ``net_*`` knobs.  The knobs are
-# bitwise-invisible to the algorithm (same colorings, rounds, and bits in
-# every grid column; only ``makespan_ms`` moves), which is exactly what
-# ``tools/check_hetnet_makespan.py`` gates in CI.  These are fixed-cell
-# suites because they mix one-shot and stream algorithms per workload --
-# no single grid cross-product describes them.
+# docs/NETWORK.md via the generator-level ``net_*`` knobs.  The suite's
+# two claims are the fabric model's contract: the knobs are invisible to
+# the algorithm (same colorings, rounds, and bits in every grid column)
+# and only ``makespan_ms`` moves, upward with the skew.  It is a
+# fixed-cell suite because it mixes one-shot and stream algorithms per
+# workload -- no single grid cross-product describes it.
 # ---------------------------------------------------------------------------
 
 #: The hetnet sweep grid: slow/standard bandwidth ratio x slow-machine fill.
@@ -798,28 +800,44 @@ def _hetnet_cells(
     return tuple(cells)
 
 
-_register(
-    ScenarioSpec(
-        name="hetnet_smoke",
-        description=(
-            "CI-fast heterogeneous-fabric sweep: bandwidth skew "
-            "{1,10,100} x slow fill {1%,10%} on one static and one "
-            "stream workload (headline metric: makespan_ms)"
-        ),
-        fixed_cells=_hetnet_cells(
-            "hetnet_smoke",
-            (
-                ("congest", {"n": 80}, "paper"),
-                (
-                    "sliding_window",
-                    {"n_vertices": 200, "avg_degree": 6.0, "batches": 4},
-                    "dynamic",
-                ),
-            ),
-        ),
-        cell_timeout_s=120.0,
+def _net_groups(records: list[dict[str, Any]]) -> list[list[dict[str, Any]]]:
+    """The records grouped by cell with the net knobs stripped: every
+    member of a group ran the same algorithm on the same instance."""
+    groups: dict[str, list[dict[str, Any]]] = {}
+    for r in records:
+        cell = Cell.from_dict(r["cell"])
+        knobs = tuple(
+            kv for kv in cell.workload_kwargs if kv[0] not in NET_PARAM_NAMES
+        )
+        key = replace(cell, workload_kwargs=knobs).key()
+        groups.setdefault(key, []).append(r)
+    return list(groups.values())
+
+
+def _net_invisible(records: list[dict[str, Any]]) -> bool:
+    pinned = ("coloring_digest", "rounds_h", "total_message_bits")
+    groups = _net_groups(records)
+    return bool(groups) and all(
+        len({tuple(r["metrics"][m] for m in pinned) for r in group}) == 1
+        for group in groups
     )
-)
+
+
+def _makespan_sees_skew(records: list[dict[str, Any]]) -> bool:
+    # at the top fill of each group, the top-skew cell outlasts skew 1
+    def rises(group: list[dict[str, Any]]) -> bool:
+        makespan = {
+            (r["cell"]["workload_kwargs"]["net_skew"],
+             r["cell"]["workload_kwargs"]["net_fill"]): r["metrics"]["makespan_ms"]
+            for r in group
+        }
+        top_skew = max(skew for skew, _ in makespan)
+        top_fill = max(fill for _, fill in makespan)
+        return makespan[top_skew, top_fill] > makespan[1.0, top_fill]
+
+    groups = _net_groups(records)
+    return bool(groups) and all(rises(group) for group in groups)
+
 
 _register(
     ScenarioSpec(
@@ -847,6 +865,19 @@ _register(
             ),
         ),
         cell_timeout_s=600.0,
+        claims=(
+            Claim(
+                "coloring_digest, rounds_h and total_message_bits equal "
+                "across net knobs",
+                "Section 3.2, docs/NETWORK.md",
+                _net_invisible,
+            ),
+            Claim(
+                "makespan_ms at the top skew > at skew 1, at the top fill",
+                "Section 3.2, docs/NETWORK.md",
+                _makespan_sees_skew,
+            ),
+        ),
     )
 )
 

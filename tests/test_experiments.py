@@ -621,6 +621,16 @@ class TestClaims:
         assert codes == (0, 0)
         assert "MISSED" not in capsys.readouterr().out
 
+    def test_failed_cell_fails_sweep(self, monkeypatch, tmp_path, capsys):
+        # a stream algorithm on a static workload errors in its cell
+        spec = dataclasses.replace(
+            _claim_spec(HELD),
+            workloads=(WorkloadSpec.of("congest", n=30),),
+            algorithms=("dynamic",),
+        )
+        assert self._sweep_and_report(monkeypatch, tmp_path, spec)[0] == 1
+        assert "  error: congest -- " in capsys.readouterr().out
+
     def test_report_skips_claims_of_another_grid(self, monkeypatch, tmp_path, capsys):
         from repro.cli import main
 
@@ -655,10 +665,85 @@ class TestClaims:
 
     def test_every_claim_suite_runs_in_ci(self):
         ci = (pathlib.Path(__file__).parents[1] / ".github/workflows/ci.yml").read_text()
-        claimed = [name for name, spec in SUITES.items() if spec.claims]
+        swept = set(re.findall(r"--suite\s+(\w+)", ci))
+        for names in re.findall(r"for suite in (.*?); do", ci, re.S):
+            swept.update(names.replace("\\", " ").split())
+        claimed = {name for name, spec in SUITES.items() if spec.claims}
         assert claimed
-        for name in claimed:
-            assert re.search(rf"\b{name}\b", ci), f"{name} has claims but no CI sweep"
+        assert claimed <= swept, f"claims but no CI sweep: {sorted(claimed - swept)}"
+
+    # the hetnet suite's claims: net knobs never move the algorithm, and
+    # a skewed fabric shows on the simulated clock
+
+    def _hetnet_verdicts(self, records):
+        return SUITES["hetnet"].check_claims(records)
+
+    def test_hetnet_claims_hold_on_a_clean_grid(self):
+        verdicts = self._hetnet_verdicts(_hetnet_grid())
+        assert [held for held, _ in verdicts] == [True, True]
+
+    def test_perturbed_digest_misses_invisibility(self):
+        records = _hetnet_grid()
+        records[-1]["metrics"]["coloring_digest"] = "different"
+        (held, line), (sensitive, _) = self._hetnet_verdicts(records)
+        assert not held and line.startswith("claim MISSED: coloring_digest")
+        assert sensitive
+
+    def test_net_knobs_do_not_split_a_group(self):
+        # two instances may differ; cells that differ only in net knobs may not
+        records = _hetnet_grid(n=40, digest="a") + _hetnet_grid(n=80, digest="b")
+        assert self._hetnet_verdicts(records)[0][0]
+        records[0]["metrics"]["rounds_h"] += 1
+        held, line = self._hetnet_verdicts(records)[0]
+        assert not held and "claim MISSED" in line
+
+    def test_flat_makespan_misses_sensitivity(self):
+        records = _hetnet_grid(makespan=lambda skew, fill: 42.0)
+        (invisible, _), (held, line) = self._hetnet_verdicts(records)
+        assert invisible
+        assert not held and line.startswith("claim MISSED: makespan_ms")
+
+    def test_grid_without_skew_one_is_a_miss(self):
+        records = [r for r in _hetnet_grid()
+                   if r["cell"]["workload_kwargs"]["net_skew"] != 1.0]
+        held, line = self._hetnet_verdicts(records)[1]
+        assert not held and "claim MISSED" in line and "KeyError" in line
+
+    def test_missing_makespan_is_a_miss(self):
+        records = _hetnet_grid()
+        del records[0]["metrics"]["makespan_ms"]
+        held, line = self._hetnet_verdicts(records)[1]
+        assert not held and "claim MISSED" in line and "KeyError" in line
+
+    def test_no_records_miss_both_hetnet_claims(self):
+        verdicts = self._hetnet_verdicts([])
+        assert [held for held, _ in verdicts] == [False, False]
+        assert all("claim MISSED" in line for _, line in verdicts)
+
+
+def _hetnet_grid(*, n=40, digest="d0", makespan=lambda skew, fill: skew * fill):
+    """Ok records of one instance across the hetnet skew x fill grid."""
+    from repro.experiments.spec import HETNET_FILLS, HETNET_SKEWS
+
+    return [
+        {
+            "status": "ok",
+            "cell": Cell(
+                suite="hetnet", workload="congest",
+                workload_kwargs=(("n", n), ("net_fill", fill), ("net_skew", skew)),
+                params="scaled", regime="auto", algorithm="paper",
+                seed=0, instance_seed=0,
+            ).to_dict(),
+            "metrics": {
+                "coloring_digest": digest,
+                "rounds_h": 10,
+                "total_message_bits": 500,
+                "makespan_ms": makespan(skew, fill),
+            },
+        }
+        for skew in HETNET_SKEWS
+        for fill in HETNET_FILLS
+    ]
 
 
 class TestWorkloadRegistry:

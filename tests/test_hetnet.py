@@ -312,20 +312,19 @@ class TestSuitesAndRunner:
     def test_hetnet_suites_cover_the_grid(self):
         from repro.experiments.spec import HETNET_FILLS, HETNET_SKEWS, SUITES
 
-        for name, n_members in (("hetnet_smoke", 2), ("hetnet", 4)):
-            cells = SUITES[name].cells()
-            assert len(cells) == n_members * len(HETNET_SKEWS) * len(HETNET_FILLS)
-            for cell in cells:
-                kwargs = dict(cell.workload_kwargs)
-                assert kwargs["net_skew"] in HETNET_SKEWS
-                assert kwargs["net_fill"] in HETNET_FILLS
+        cells = SUITES["hetnet"].cells()
+        assert len(cells) == 4 * len(HETNET_SKEWS) * len(HETNET_FILLS)
+        for cell in cells:
+            kwargs = dict(cell.workload_kwargs)
+            assert kwargs["net_skew"] in HETNET_SKEWS
+            assert kwargs["net_fill"] in HETNET_FILLS
 
     def test_run_cell_reports_makespan_and_critical_link(self):
         from repro.experiments.runner import run_cell
         from repro.experiments.spec import SUITES
 
         cell = next(
-            c for c in SUITES["hetnet_smoke"].cells()
+            c for c in SUITES["hetnet"].cells()
             if c.workload == "congest"
             and dict(c.workload_kwargs)["net_skew"] == 100.0
         )
