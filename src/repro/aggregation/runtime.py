@@ -17,7 +17,7 @@ faithful per-machine execution for the core primitives.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,8 +39,6 @@ class ClusterRuntime:
         Algorithm constants (presets in :mod:`repro.params`).
     rng:
         The single source of randomness for the execution.
-    ledger:
-        Optional pre-built ledger (a fresh one is created otherwise).
     tracer:
         Optional :class:`~repro.observe.tracer.Tracer`; defaults to the
         no-op :data:`~repro.observe.tracer.NULL_TRACER`.  The runtime binds
@@ -57,18 +55,18 @@ class ClusterRuntime:
     graph: object
     params: AlgorithmParameters
     rng: np.random.Generator
-    ledger: BandwidthLedger | None = None
     tracer: object = None
     netmodel: object = None
+    #: A fresh ledger sized from the graph (built in ``__post_init__``).
+    ledger: BandwidthLedger = field(init=False)
 
     def __post_init__(self) -> None:
         n = self.graph.n_machines
         congestion = getattr(self.graph, "congestion", 1)
-        if self.ledger is None:
-            self.ledger = BandwidthLedger(
-                bandwidth_bits=self.params.bandwidth_bits(n),
-                dilation=max(1, self.graph.dilation) * max(1, congestion),
-            )
+        self.ledger = BandwidthLedger(
+            bandwidth_bits=self.params.bandwidth_bits(n),
+            dilation=max(1, self.graph.dilation) * max(1, congestion),
+        )
         if self.netmodel is not None:
             self.ledger.attach_netmodel(self.netmodel)
         if self.tracer is None:
@@ -103,22 +101,8 @@ class ClusterRuntime:
         for _ in range(count):
             self.ledger.charge(op, width, rounds_h=1, pipelined=True)
 
-    def broadcast(self, op: str, bits: int | None = None) -> None:
-        """One leader-to-cluster broadcast in every support tree."""
-        width = self.id_bits if bits is None else bits
-        self.ledger.charge(op, width, rounds_h=1, pipelined=True)
-
-    def aggregate(self, op: str, bits: int | None = None) -> None:
-        """One cluster-to-leader convergecast in every support tree."""
-        width = self.id_bits if bits is None else bits
-        self.ledger.charge(op, width, rounds_h=1, pipelined=True)
-
     def wide_message(self, op: str, bits: int, depth: int | None = None) -> None:
         """A deliberately long message, pipelined in cap-sized pieces
         (the accounting of e.g. Lemma 5.7's fingerprint aggregation).
         """
         self.ledger.charge(op, bits, rounds_h=1, depth=depth, pipelined=True)
-
-    def local(self, op: str) -> None:
-        """Zero-round local computation marker."""
-        self.ledger.charge_local(op)

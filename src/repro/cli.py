@@ -122,17 +122,24 @@ def _cmd_baselines(args) -> int:
     print(format_table(rows))
     print(f"greedy would use {greedy_color_count(w.graph)} colors "
           f"(budget {w.graph.max_degree + 1})")
-    return 0
+    return 0 if all(row["proper"] for row in rows) else 1
 
 
 def _cmd_sketch(args) -> int:
     from repro.sketch import direct_count_fingerprint, failure_probability_bound
 
     rng = np.random.default_rng(args.seed)
-    fp = direct_count_fingerprint(rng, args.d, args.t)
-    estimate = fp.estimate()
+    try:
+        fp = direct_count_fingerprint(rng, args.d, args.t)
+        estimate = fp.estimate()
+    except ValueError as exc:
+        raise SystemExit(f"repro: {exc}") from exc
     print(f"hidden count d = {args.d}, trials t = {args.t}")
-    print(f"estimate d_hat = {estimate:.1f}  (error {estimate / args.d - 1:+.1%})")
+    if args.d:
+        print(f"estimate d_hat = {estimate:.1f}  "
+              f"(error {estimate / args.d - 1:+.1%})")
+    else:  # the empty set: no relative error to report
+        print(f"estimate d_hat = {estimate:.1f}")
     print(f"encoded size: {fp.encoded_bits()} bits "
           f"({fp.encoded_bits() / args.t:.2f} bits/trial; Lemma 5.6)")
     print(f"Lemma 5.2 bound at xi=0.5: "
@@ -345,11 +352,14 @@ def _cmd_netsim(args) -> int:
     from repro.observe import Tracer, aggregate_stage_rows, stage_rows
 
     maker = GENERATORS[args.workload]
-    w = maker(
-        np.random.default_rng(args.instance_seed),
-        net_skew=args.skew,
-        net_fill=args.fill,
-    )
+    try:
+        w = maker(
+            np.random.default_rng(args.instance_seed),
+            net_skew=args.skew,
+            net_fill=args.fill,
+        )
+    except ValueError as exc:
+        raise SystemExit(f"repro: {exc}") from exc
     model = w.netmodel
     params = paper() if args.params == "paper" else scaled()
     tracer = Tracer()

@@ -2,10 +2,10 @@
 
 A :class:`DeltaCSR` holds an immutable :class:`~repro.graphcore.csr.CSRAdjacency`
 *base* plus an overlay of edits.  Queries merge base and overlay on the fly;
-when the overlay grows past ``rebuild_fraction`` of the base, :meth:`compact`
-folds everything into a fresh base via :meth:`CSRAdjacency.from_edge_arrays`
--- the classic periodic-rebuild scheme, so a long stream of small batches
-never degrades query cost.
+when the overlay grows past :data:`_REBUILD_FRACTION` of the base,
+:meth:`compact` folds everything into a fresh base via
+:meth:`CSRAdjacency.from_edge_arrays` -- the classic periodic-rebuild
+scheme, so a long stream of small batches never degrades query cost.
 
 The overlay is arrays, not per-vertex sets.  An undirected edge ``{u, v}``
 with ``u < v`` is packed into the int64 code ``(u << 32) | v``:
@@ -64,6 +64,11 @@ MAX_VERTICES = 1 << _SHIFT
 #: Edit calls of at most this many pairs are checked pair by pair: below
 #: it, the array check's fixed cost in numpy calls exceeds the loop's.
 _PAIRWISE_MAX = 16
+
+#: Compact when overlay edits exceed this fraction of the base's
+#: directed-edge count (plus a small absolute floor, so tiny graphs do not
+#: rebuild on every edit).
+_REBUILD_FRACTION = 0.25
 
 
 def _endpoints(u, v) -> tuple[np.ndarray, np.ndarray]:
@@ -133,20 +138,13 @@ class DeltaCSR:
     ----------
     base:
         The starting adjacency (vertices ``0..base.n_vertices-1`` alive).
-    rebuild_fraction:
-        Compact when overlay edits exceed this fraction of the base's
-        directed-edge count (plus a small absolute floor, so tiny graphs
-        do not rebuild on every edit).
     """
 
-    def __init__(self, base: CSRAdjacency, *, rebuild_fraction: float = 0.25):
-        if rebuild_fraction <= 0:
-            raise ValueError("rebuild_fraction must be positive")
+    def __init__(self, base: CSRAdjacency):
         if base.n_vertices > MAX_VERTICES:
             raise ValueError(
                 f"{base.n_vertices} vertices exceed the {MAX_VERTICES}-id bound"
             )
-        self._rebuild_fraction = rebuild_fraction
         self._n = base.n_vertices
         self._alive = np.ones(self._n, dtype=bool)
         self._n_alive = self._n
@@ -458,7 +456,7 @@ class DeltaCSR:
 
     def should_compact(self) -> bool:
         """Whether the overlay has outgrown the rebuild budget."""
-        budget = max(64, int(self._rebuild_fraction * max(1, 2 * self._n_edges)))
+        budget = max(64, int(_REBUILD_FRACTION * max(1, 2 * self._n_edges)))
         return self._delta_ops > budget
 
     def compact(self) -> CSRAdjacency:

@@ -15,7 +15,7 @@ This mirrors the decentralized-repair reading of the paper's model: a
 vertex reacts to conflicts it can observe locally, with every palette probe
 and proposal round charged to a :class:`~repro.network.ledger.BandwidthLedger`
 exactly as the static stages charge theirs.  When repair would touch more
-than ``escalate_fraction`` of the graph (or sequential completion gets
+than :data:`_ESCALATE_FRACTION` of the graph (or sequential completion gets
 stuck), the engine concedes and recolors from scratch through
 :func:`repro.color_cluster_graph` -- recorded, never silent.
 
@@ -61,6 +61,10 @@ from repro.verify.checker import invariant_problem
 #: full scan costs less than the incremental check's fixed cost in numpy
 #: calls (the delta-aware gather above all).
 _INCREMENTAL_MIN_EDGES = 8192
+
+#: Frontier size (as a fraction of live vertices) beyond which repair
+#: concedes to a scratch recolor.
+_ESCALATE_FRACTION = 0.5
 
 
 class RepairError(RuntimeError):
@@ -164,20 +168,15 @@ class DynamicColoring:
         The initial :class:`~repro.cluster.cluster_graph.ClusterGraph`.
     params:
         Constants preset (default :func:`repro.params.scaled`).
-    seed / rng:
-        Randomness for the bootstrap coloring and all repair rounds.
-    colors:
-        Optional starting coloring (must be proper with ``Delta + 1``
-        colors); when omitted the one-shot pipeline bootstraps one.
+    seed:
+        Seeds the randomness of the bootstrap coloring (the one-shot
+        pipeline) and of all repair rounds.
     mode:
         ``"repair"`` (incremental frontier repair, the engine proper) or
         ``"scratch"`` (apply updates structurally, then recolor everything
         each batch -- the baseline the experiments compare against).
-    escalate_fraction:
-        Frontier size (as a fraction of live vertices) beyond which repair
-        concedes to a scratch recolor.
-    rebuild_fraction:
-        Delta-buffer compaction threshold (see :class:`DeltaCSR`).
+        Repair concedes to a scratch recolor when the frontier exceeds
+        :data:`_ESCALATE_FRACTION` of the live vertices.
     tracer:
         Optional :class:`~repro.observe.tracer.Tracer`; the engine binds
         its stream ledger to it and wraps the bootstrap coloring plus every
@@ -201,26 +200,21 @@ class DynamicColoring:
         *,
         params: AlgorithmParameters | None = None,
         seed: int = 0,
-        rng: np.random.Generator | None = None,
-        colors: np.ndarray | None = None,
         mode: str = "repair",
-        escalate_fraction: float = 0.5,
-        rebuild_fraction: float = 0.25,
         tracer=None,
         netmodel=None,
     ):
         if mode not in ("repair", "scratch"):
             raise ValueError(f"unknown mode {mode!r}")
         self.params = params or scaled()
-        self.rng = rng if rng is not None else np.random.default_rng(seed)
+        self.rng = np.random.default_rng(seed)
         self.mode = mode
         self.netmodel = netmodel
-        self.escalate_fraction = escalate_fraction
         self.tracer = tracer if tracer is not None else NULL_TRACER
         # initial graph, kept for reporting static cell fields (sizes,
         # Delta, dilation at bootstrap); live topology is self.delta
         self.graph = graph
-        self.delta = DeltaCSR(graph.csr, rebuild_fraction=rebuild_fraction)
+        self.delta = DeltaCSR(graph.csr)
         self.cluster_sizes = np.diff(graph.forest.offsets)
         self.tree_heights = graph.forest.height.copy()
         self.ledger = BandwidthLedger(
@@ -234,26 +228,19 @@ class DynamicColoring:
             self.ledger.attach_netmodel(netmodel)
         self.tracer.bind_ledger(self.ledger)
         self.num_colors = self.delta.max_degree + 1
-        if colors is None:
-            from repro import color_cluster_graph
+        from repro import color_cluster_graph
 
-            # the bootstrap runs on its own runtime ledger (its cost is
-            # reported as bootstrap_wall_time_s, not stream rounds), so the
-            # span captures wall time and zero stream-ledger charges
-            with self.tracer.span("stream.bootstrap"):
-                bootstrap = color_cluster_graph(
-                    graph,
-                    params=self.params,
-                    rng=self.rng,
-                    verify=True,
-                )
-            colors = bootstrap.colors
-        self.colors = np.asarray(colors, dtype=np.int64).copy()
-        if self.colors.size != graph.n_vertices:
-            raise ValueError(
-                f"colors covers {self.colors.size} vertices; "
-                f"graph has {graph.n_vertices}"
+        # the bootstrap runs on its own runtime ledger (its cost is
+        # reported as bootstrap_wall_time_s, not stream rounds), so the
+        # span captures wall time and zero stream-ledger charges
+        with self.tracer.span("stream.bootstrap"):
+            bootstrap = color_cluster_graph(
+                graph,
+                params=self.params,
+                rng=self.rng,
+                verify=True,
             )
+        self.colors = bootstrap.colors.astype(np.int64)
         self._assert_proper("bootstrap")
         # the last coloring that passed the check (None: scan every edge)
         self._verified = self.colors.copy()
@@ -340,7 +327,7 @@ class DynamicColoring:
             if self.mode == "scratch":
                 self._recolor_scratch(op="stream_scratch")
                 repaired = self.n_alive  # the baseline recolors everything
-            elif dirty and len(dirty) > self.escalate_fraction * max(1, self.n_alive):
+            elif dirty and len(dirty) > _ESCALATE_FRACTION * max(1, self.n_alive):
                 self._recolor_scratch(op="stream_escalation")
                 repaired = self.n_alive
                 escalated = True

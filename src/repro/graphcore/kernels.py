@@ -144,10 +144,6 @@ def used_color_masks_from_flat(
     return mask
 
 
-#: Backwards-compatible private alias (pre-dynamic-subsystem name).
-_used_mask_from_flat = used_color_masks_from_flat
-
-
 def batch_used_color_masks(
     csr: CSRAdjacency, colors: np.ndarray, vertices, num_colors: int
 ) -> np.ndarray:
@@ -159,7 +155,7 @@ def batch_used_color_masks(
     """
     verts = _as_vertex_array(vertices)
     seg_ids, flat_colors = batch_neighbor_colors(csr, colors, verts)
-    return _used_mask_from_flat(seg_ids, flat_colors, verts.size, num_colors)
+    return used_color_masks_from_flat(seg_ids, flat_colors, verts.size, num_colors)
 
 
 def draw_free_colors(
@@ -206,7 +202,9 @@ def batch_slack_counts(
     verts = _as_vertex_array(vertices)
     seg_ids, flat = gather_neighborhoods(csr, verts)
     flat_colors = colors[flat]
-    used_mask = _used_mask_from_flat(seg_ids, flat_colors, verts.size, num_colors)
+    used_mask = used_color_masks_from_flat(
+        seg_ids, flat_colors, verts.size, num_colors
+    )
     free_counts = num_colors - used_mask.sum(axis=1)
     uncolored = flat_colors == UNCOLORED
     if active_mask is not None:

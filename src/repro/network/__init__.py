@@ -2,7 +2,7 @@
 and the heterogeneous simulated-time layer (:mod:`repro.network.hetnet`)."""
 
 from repro.network.commgraph import CommGraph
-from repro.network.hetnet import HetNetModel, HetNetSpec, MachineType
+from repro.network.hetnet import HetNetModel, HetNetSpec
 from repro.network.ledger import BandwidthLedger, LedgerSnapshot, ModelViolation
 from repro.network.machine_sim import MachineSimulator, Message
 
@@ -12,7 +12,6 @@ __all__ = [
     "HetNetModel",
     "HetNetSpec",
     "LedgerSnapshot",
-    "MachineType",
     "ModelViolation",
     "MachineSimulator",
     "Message",

@@ -8,9 +8,11 @@ Helix-style simulators: node-type percentages plus link statistics with a
 ``fill_with_slow_link`` fraction).  This module adds that layer *on the
 side* of the ledger:
 
-* :class:`HetNetSpec` -- the distribution knobs (bandwidth skew, slow-link
-  fill fraction, base bandwidth/latency), carried by a workload when its
-  generator was asked for ``net_skew`` / ``net_fill``;
+* :class:`HetNetSpec` -- the distribution knobs (bandwidth skew and
+  slow-link fill fraction, over the standard link of
+  :data:`BASE_BANDWIDTH_MBPS` / :data:`BASE_LATENCY_MS`), carried by a
+  workload's sampled model when its generator was asked for
+  ``net_skew`` / ``net_fill``;
 * :class:`HetNetModel` -- a concrete sampled fabric: a machine type per
   node and a bandwidth/latency per G-link, drawn deterministically from a
   generator spawned off the workload RNG (spawning consumes no draws, so
@@ -45,31 +47,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = [
+    "BASE_BANDWIDTH_MBPS",
+    "BASE_LATENCY_MS",
     "HetNetModel",
     "HetNetSpec",
-    "MACHINE_TYPES",
-    "MachineType",
 ]
 
+#: Capacity of a ``standard`` link, in Mbit/s.
+BASE_BANDWIDTH_MBPS = 100.0
 
-@dataclass(frozen=True)
-class MachineType:
-    """One machine class: a name plus the link statistics its links get.
-
-    ``bandwidth_mbps`` is the per-link capacity in Mbit/s;
-    ``latency_ms`` the per-hop propagation delay.  A link inherits the
-    *slower* of its two endpoints' types (a fast NIC cannot outrun a slow
-    peer).
-    """
-
-    name: str
-    bandwidth_mbps: float
-    latency_ms: float
-
-
-#: The two built-in machine classes of the default fabric.  ``slow`` is a
-#: placeholder scaled by :attr:`HetNetSpec.skew` at sampling time.
-MACHINE_TYPES = ("standard", "slow")
+#: Per-hop propagation delay of a ``standard`` link, in ms.
+BASE_LATENCY_MS = 0.1
 
 
 @dataclass(frozen=True)
@@ -85,54 +73,20 @@ class HetNetSpec:
     fill:
         Fraction of machines typed ``slow`` (the ``fill_with_slow_link``
         idiom: a link is slow when either endpoint is).
-    base_bandwidth_mbps / base_latency_ms:
-        Statistics of a ``standard`` link.  A ``slow`` link divides the
-        bandwidth by ``skew`` and multiplies the latency by
-        ``latency_skew`` (default: ``skew``).
-    jitter:
-        Log-normal sigma applied per link to both bandwidth and latency
-        (``0.0`` = none), modelling within-type variance.
+
+    A ``standard`` link has :data:`BASE_BANDWIDTH_MBPS` and
+    :data:`BASE_LATENCY_MS`; a ``slow`` link divides that bandwidth by
+    ``skew`` and multiplies that latency by ``skew``.
     """
 
     skew: float = 1.0
     fill: float = 0.1
-    base_bandwidth_mbps: float = 100.0
-    base_latency_ms: float = 0.1
-    latency_skew: float | None = None
-    jitter: float = 0.0
 
     def __post_init__(self) -> None:
         if self.skew < 1.0:
             raise ValueError(f"skew must be >= 1, got {self.skew:g}")
         if not 0.0 <= self.fill <= 1.0:
             raise ValueError(f"fill must be in [0, 1], got {self.fill:g}")
-        if self.base_bandwidth_mbps <= 0 or self.base_latency_ms < 0:
-            raise ValueError("base bandwidth must be positive, latency >= 0")
-
-    def machine_types(self) -> tuple[MachineType, MachineType]:
-        """The concrete ``(standard, slow)`` pair this spec describes."""
-        lat_skew = self.latency_skew if self.latency_skew is not None else self.skew
-        return (
-            MachineType("standard", self.base_bandwidth_mbps, self.base_latency_ms),
-            MachineType(
-                "slow",
-                self.base_bandwidth_mbps / self.skew,
-                self.base_latency_ms * lat_skew,
-            ),
-        )
-
-    def to_dict(self) -> dict[str, float]:
-        """JSON-ready form (artifact/CLI headers)."""
-        return {
-            "skew": self.skew,
-            "fill": self.fill,
-            "base_bandwidth_mbps": self.base_bandwidth_mbps,
-            "base_latency_ms": self.base_latency_ms,
-            "latency_skew": (
-                self.latency_skew if self.latency_skew is not None else self.skew
-            ),
-            "jitter": self.jitter,
-        }
 
 
 def _mbps_to_bits_per_ms(mbps: np.ndarray | float) -> np.ndarray | float:
@@ -199,20 +153,15 @@ class HetNetModel:
         yields identical arrays (pinned by the determinism tests).
         """
         comm = graph.comm
-        standard, slow = spec.machine_types()
         machine_type = (rng.random(comm.n) < spec.fill).astype(np.int8)
         link_u, link_v = comm.link_arrays()
         link_slow = (machine_type[link_u] | machine_type[link_v]).astype(bool)
         bandwidth = np.where(
-            link_slow, slow.bandwidth_mbps, standard.bandwidth_mbps
+            link_slow, BASE_BANDWIDTH_MBPS / spec.skew, BASE_BANDWIDTH_MBPS
         ).astype(np.float64)
         latency = np.where(
-            link_slow, slow.latency_ms, standard.latency_ms
+            link_slow, BASE_LATENCY_MS * spec.skew, BASE_LATENCY_MS
         ).astype(np.float64)
-        if spec.jitter > 0:
-            m = link_u.size
-            bandwidth = bandwidth * np.exp(rng.normal(0.0, spec.jitter, m))
-            latency = latency * np.exp(rng.normal(0.0, spec.jitter, m))
         return cls.from_links(
             graph, bandwidth, latency, machine_type=machine_type, spec=spec
         )

@@ -11,16 +11,14 @@ the multiplicative ``d`` inside big-Oh; we track both:
 * ``rounds_g`` -- underlying network rounds, showing the ``d`` dependency
   (Experiment E12).
 
-A message wider than the bandwidth cap is either a hard
-:class:`ModelViolation` (``strict=True``) or is *pipelined*: it is split into
-cap-sized pieces, costing extra ``G``-rounds, which is exactly how the
-paper's proofs account for long messages (e.g. Lemma 5.7's ``O(xi^-2)``
-aggregation).
+A message wider than the bandwidth cap is a hard :class:`ModelViolation`
+unless its charge declares it *pipelined*: then it is split into cap-sized
+pieces, costing extra ``G``-rounds, which is exactly how the paper's proofs
+account for long messages (e.g. Lemma 5.7's ``O(xi^-2)`` aggregation).
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -28,16 +26,6 @@ from dataclasses import dataclass, field
 
 class ModelViolation(RuntimeError):
     """Raised when an operation breaks the communication model."""
-
-
-class _MaxWindowValue:
-    """Result holder yielded by :meth:`BandwidthLedger.max_window`;
-    ``value`` is the window-local maximum, filled on context exit."""
-
-    __slots__ = ("value",)
-
-    def __init__(self) -> None:
-        self.value = 0
 
 
 @dataclass
@@ -68,9 +56,8 @@ class LedgerSnapshot:
         window's end) unchanged.  Callers needing the true within-window
         maximum must bracket the window with
         :meth:`BandwidthLedger.push_max_window` /
-        :meth:`BandwidthLedger.pop_max_window` (or the
-        :meth:`BandwidthLedger.max_window` context manager), which is what
-        tracer spans do.
+        :meth:`BandwidthLedger.pop_max_window`, which is what tracer spans
+        do.
         """
         return LedgerSnapshot(
             rounds_h=later.rounds_h - self.rounds_h,
@@ -86,6 +73,9 @@ class LedgerSnapshot:
 class BandwidthLedger:
     """Accumulates the communication cost of a distributed execution.
 
+    A new ledger starts at zero: the counters and ``netmodel`` are not
+    constructor arguments.
+
     Parameters
     ----------
     bandwidth_bits:
@@ -93,32 +83,28 @@ class BandwidthLedger:
     dilation:
         Default support-tree diameter ``d`` used to convert H-rounds into
         G-rounds when an operation does not override it.
-    strict:
-        If True, an unpipelined message wider than ``bandwidth_bits`` raises
-        :class:`ModelViolation` instead of being silently split.
-    netmodel:
-        Optional :class:`~repro.network.hetnet.HetNetModel`.  When
-        attached, every charge additionally advances the simulated clock
-        (``makespan_ms``) by ``effective_rounds x envelope(capped width)``
-        and accounts the time onto the critical element.  The model is
-        strictly read-only toward the execution: no RNG draws, no extra
-        charges, no control-flow changes -- attaching one is bitwise
-        invisible to every pre-existing counter (the golden table of
-        seeded runs pins this, same contract as the tracer).
+
+    A :class:`~repro.network.hetnet.HetNetModel` attached with
+    :meth:`attach_netmodel` makes every charge additionally advance the
+    simulated clock (``makespan_ms``) by ``effective_rounds x
+    envelope(capped width)`` and account the time onto the critical
+    element.  The model is strictly read-only toward the execution: no RNG
+    draws, no extra charges, no control-flow changes -- attaching one is
+    bitwise invisible to every pre-existing counter (the golden table of
+    seeded runs pins this, same contract as the tracer).
     """
 
     bandwidth_bits: int
     dilation: int = 1
-    strict: bool = True
-    rounds_h: int = 0
-    rounds_g: int = 0
-    total_message_bits: int = 0
-    max_message_bits: int = 0
-    num_operations: int = 0
-    per_op_rounds: Counter = field(default_factory=Counter)
-    per_op_bits: Counter = field(default_factory=Counter)
-    netmodel: object | None = None
-    makespan_ms: float = 0.0
+    rounds_h: int = field(default=0, init=False)
+    rounds_g: int = field(default=0, init=False)
+    total_message_bits: int = field(default=0, init=False)
+    max_message_bits: int = field(default=0, init=False)
+    num_operations: int = field(default=0, init=False)
+    per_op_rounds: Counter = field(default_factory=Counter, init=False)
+    per_op_bits: Counter = field(default_factory=Counter, init=False)
+    netmodel: object | None = field(default=None, init=False)
+    makespan_ms: float = field(default=0.0, init=False)
     #: Open max-window frames (innermost last); see :meth:`push_max_window`.
     _window_maxes: list = field(default_factory=list, init=False, repr=False)
 
@@ -182,14 +168,12 @@ class BandwidthLedger:
             raise ValueError("negative cost")
         pieces = max(1, math.ceil(message_bits / self.bandwidth_bits))
         if pieces > 1 and not pipelined:
-            if self.strict:
-                raise ModelViolation(
-                    f"operation {op!r} sends {message_bits} bits on one link in "
-                    f"one round; cap is {self.bandwidth_bits}. Declare "
-                    f"pipelined=True or shrink the message."
-                )
-            pipelined = True
-        effective_rounds_h = rounds_h * (pieces if pipelined else 1)
+            raise ModelViolation(
+                f"operation {op!r} sends {message_bits} bits on one link in "
+                f"one round; cap is {self.bandwidth_bits}. Declare "
+                f"pipelined=True or shrink the message."
+            )
+        effective_rounds_h = rounds_h * pieces
         d = self.dilation if depth is None else max(1, depth)
         bits_charged = message_bits * max(1, rounds_h)
         self.rounds_h += effective_rounds_h
@@ -237,11 +221,6 @@ class BandwidthLedger:
         self.per_op_rounds[op] += rounds_h
         self.per_op_bits[op] += bits
 
-    def charge_local(self, op: str) -> None:
-        """Record a zero-round bookkeeping operation (local computation)."""
-        self.num_operations += 1
-        self.per_op_rounds[op] += 0
-
     def attach_netmodel(self, model) -> None:
         """Attach a :class:`~repro.network.hetnet.HetNetModel`.
 
@@ -280,23 +259,6 @@ class BandwidthLedger:
         if self._window_maxes and window_max > self._window_maxes[-1]:
             self._window_maxes[-1] = window_max
         return window_max
-
-    @contextlib.contextmanager
-    def max_window(self):
-        """Context-manager form of the max-window stack: yields a one-slot
-        holder whose ``value`` is filled with the window maximum on exit.
-
-        >>> with ledger.max_window() as w:
-        ...     ledger.charge("op", 12)
-        >>> w.value
-        12
-        """
-        holder = _MaxWindowValue()
-        self.push_max_window()
-        try:
-            yield holder
-        finally:
-            holder.value = self.pop_max_window()
 
     # ---- inspection ----------------------------------------------------------
 

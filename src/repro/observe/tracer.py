@@ -154,21 +154,17 @@ class _ActiveSpan:
 class Tracer:
     """Collects a tree of :class:`SpanRecord` windows for one execution.
 
-    Parameters
-    ----------
-    ledger:
-        Optional :class:`~repro.network.ledger.BandwidthLedger` whose
-        counters spans attribute.  The executing runtime normally binds its
-        own ledger via :meth:`bind_ledger` before any span opens.
+    Spans attribute the counters of the
+    :class:`~repro.network.ledger.BandwidthLedger` bound with
+    :meth:`bind_ledger`; the executing runtime binds its own ledger before
+    any span opens.  Until then spans record wall time only.
 
     The tracer is single-threaded by design (like the runtimes it traces):
     spans close in LIFO order, enforced with a ``RuntimeError`` on misuse.
     """
 
-    enabled: bool = True
-
-    def __init__(self, ledger=None) -> None:
-        self.ledger = ledger
+    def __init__(self) -> None:
+        self.ledger = None
         self.root = SpanRecord(name="trace")
         self._stack: list[SpanRecord] = [self.root]
 
@@ -208,10 +204,6 @@ class Tracer:
                 f"(innermost is {self._stack[-1].name!r})"
             )
         self._stack.pop()
-
-    def counter(self, name: str, value: float = 1) -> None:
-        """Accumulate ``value`` onto the innermost open span (or the root)."""
-        self._stack[-1].counter(name, value)
 
     # ---- views ---------------------------------------------------------------
 
@@ -253,21 +245,12 @@ class NullTracer:
     singleton :data:`NULL_TRACER` rather than constructing new instances.
     """
 
-    enabled: bool = False
-
     def bind_ledger(self, ledger) -> None:
         """No-op."""
 
     def span(self, name: str, **tags: Any) -> _NullSpan:
         """Return the shared no-op span."""
         return _NULL_SPAN
-
-    def counter(self, name: str, value: float = 1) -> None:
-        """No-op."""
-
-    def to_dict(self) -> None:
-        """A null tracer has no trace (``None``, not an empty tree)."""
-        return None
 
 
 #: Module-level no-op singleton every runtime defaults to.

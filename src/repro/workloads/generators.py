@@ -35,13 +35,12 @@ from repro.workloads.specs import PARAM_SPECS, validated  # noqa: F401  (re-expo
 class Workload:
     """A test instance: the graph, its provenance, and planted truth.
 
-    ``hetnet`` / ``netmodel`` are only populated when the generator was
-    called with the ``net_*`` knobs (see
-    :func:`repro.workloads.specs.validated`): the
-    :class:`~repro.network.hetnet.HetNetSpec` that was requested and the
+    ``netmodel`` is only populated when the generator was called with the
+    ``net_*`` knobs (see :func:`repro.workloads.specs.validated`): the
     :class:`~repro.network.hetnet.HetNetModel` sampled over this
-    workload's communication graph.  Both stay ``None`` on the default
-    homogeneous fabric.
+    workload's communication graph, whose ``spec`` is the requested
+    :class:`~repro.network.hetnet.HetNetSpec`.  It stays ``None`` on the
+    default homogeneous fabric.
     """
 
     name: str
@@ -50,7 +49,6 @@ class Workload:
     planted_sparse: list[int] = field(default_factory=list)
     expected_regime: str = "auto"  # "high_degree" | "low_degree" | "auto"
     notes: str = ""
-    hetnet: object = None
     netmodel: object = None
 
     @property

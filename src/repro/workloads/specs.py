@@ -354,9 +354,10 @@ PARAM_SPECS: dict[str, dict[str, ParamSpec]] = {
         ),
         "hotspot_fraction": ParamSpec(
             # fuzz box reaches 0.9: with the old 0.3 ceiling no in-box
-            # parameter set could dirty > escalate_fraction of the graph,
-            # so the "escalations" fuzz objective could never fire
-            # (tests/test_fuzz.py pins an in-box escalating cell)
+            # parameter set could dirty more than the engine's
+            # _ESCALATE_FRACTION of the graph, so the "escalations" fuzz
+            # objective could never fire (tests/test_fuzz.py pins an
+            # in-box escalating cell)
             kind="float", default=0.05, low=0.0, high=1.0,
             fuzz=True, fuzz_low=0.01, fuzz_high=0.9, role="structure",
         ),
@@ -479,7 +480,8 @@ def validated(name: str):
     workload's communication graph from a ``SeedSequence`` child spawned
     off the workload RNG (spawning consumes no bit-stream draws, so the
     graph itself is bit-identical with the knobs on or off) and attached
-    as ``workload.hetnet`` / ``workload.netmodel``.
+    as ``workload.netmodel`` (its ``spec`` is the requested
+    :class:`~repro.network.hetnet.HetNetSpec`).
     """
     import functools
 
@@ -500,7 +502,6 @@ def validated(name: str):
                     else 0.1,
                 )
                 source = rng if rng is not None else np.random.default_rng(0)
-                workload.hetnet = spec
                 workload.netmodel = HetNetModel.sample(
                     workload.graph, spec, source.spawn(1)[0]
                 )

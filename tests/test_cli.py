@@ -44,6 +44,28 @@ class TestCommands:
         assert "this paper" in out
         assert "luby" in out
 
+    def test_baselines_exit_one_on_an_improper_baseline(self, capsys, monkeypatch):
+        import dataclasses
+
+        import repro.baselines
+
+        real = repro.baselines.luby_coloring
+
+        def improper(graph, seed=0):
+            return dataclasses.replace(real(graph, seed=seed), proper=False)
+
+        monkeypatch.setattr(repro.baselines, "luby_coloring", improper)
+        code = main(["baselines", "--workload", "figure1"])
+        assert code == 1
+        assert "False" in capsys.readouterr().out
+
+    def test_sketch_empty_set_skips_relative_error(self, capsys):
+        code = main(["sketch", "--d", "0", "--t", "64"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "d_hat" in out
+        assert "error" not in out
+
     def test_sketch_demo(self, capsys):
         code = main(["sketch", "--d", "500", "--t", "1024"])
         out = capsys.readouterr().out
@@ -164,3 +186,25 @@ class TestMalformedArtifacts:
         with pytest.raises(SystemExit) as exc:
             main(args)
         assert str(exc.value).startswith(f"repro: cannot read artifact {path}")
+
+
+class TestBadArguments:
+    """Out-of-range arguments exit with one ``repro: ...`` line, never a
+    traceback."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["netsim", "figure1", "--skew", "0.5"], "net_skew"),
+            (["netsim", "figure1", "--fill", "1.5"], "net_fill"),
+            (["sketch", "--t", "0"], "empty fingerprint"),
+            (["sketch", "--d", "-3"], "d must be non-negative"),
+        ],
+        ids=["skew", "fill", "trials", "count"],
+    )
+    def test_clean_error(self, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        text = str(exc.value)
+        assert text.startswith("repro: ") and message in text
+        assert "\n" not in text

@@ -473,10 +473,12 @@ class TestDeltaCSR:
         assert delta.pending_delta_ops == 0
         assert delta.add_vertex() == 3
 
-    def test_periodic_rebuild_triggers(self):
+    def test_periodic_rebuild_triggers(self, monkeypatch):
+        from repro.dynamic import delta as delta_module
+
+        monkeypatch.setattr(delta_module, "_REBUILD_FRACTION", 0.01)
         delta = DeltaCSR(
-            CSRAdjacency.from_edge_arrays(np.array([0]), np.array([1]), 40),
-            rebuild_fraction=0.01,
+            CSRAdjacency.from_edge_arrays(np.array([0]), np.array([1]), 40)
         )
         rng = np.random.default_rng(0)
         added = 0
@@ -847,9 +849,12 @@ class TestUpdateSemantics:
         assert report.proper and engine.delta.has_edge(n, n + 1)
         assert engine.colors.size == engine.cluster_sizes.size == n + 2
 
-    def test_escalation_path_recolors_everything(self):
+    def test_escalation_path_recolors_everything(self, monkeypatch):
+        from repro.dynamic import engine as engine_module
+
+        monkeypatch.setattr(engine_module, "_ESCALATE_FRACTION", 0.0)
         graph = small_cluster_graph(5, n=10, density=0.5)
-        engine = DynamicColoring(graph, seed=0, escalate_fraction=0.0)
+        engine = DynamicColoring(graph, seed=0)
         # force at least one dirty vertex via a conflicting insertion
         u = 0
         v = next(
@@ -1086,9 +1091,9 @@ class TestIncrementalCheck:
             # the corruption is visible: the differential test is not vacuous
             assert misses > 0
 
-    def _engine(self, seed=3, **kwargs):
+    def _engine(self, seed=3):
         return DynamicColoring(small_cluster_graph(seed, n=14, density=0.35),
-                               seed=seed, **kwargs)
+                               seed=seed)
 
     def _same_colored_non_edge(self, engine, exclude=()):
         n = engine.n_vertices
@@ -1151,7 +1156,10 @@ class TestIncrementalCheck:
         assert kinds == ["incremental", "full", "incremental"]
 
     def test_escalating_batch_checks_in_full(self, monkeypatch):
-        engine = self._engine(escalate_fraction=0.0)
+        from repro.dynamic import engine as engine_module
+
+        monkeypatch.setattr(engine_module, "_ESCALATE_FRACTION", 0.0)
+        engine = self._engine()
         kinds = _spy_checks(monkeypatch, engine)
         u, v = self._same_colored_non_edge(engine)
         report = engine.apply(UpdateBatch().edge_insert(u, v))

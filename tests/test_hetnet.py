@@ -27,6 +27,7 @@ from hypothesis import strategies as st
 from repro import color_cluster_graph
 from repro.dynamic.harness import run_stream
 from repro.network import HetNetModel, HetNetSpec
+from repro.network.hetnet import BASE_BANDWIDTH_MBPS, BASE_LATENCY_MS
 from repro.network.ledger import BandwidthLedger
 from repro.workloads import GENERATORS, PARAM_SPECS, STREAMS
 from repro.workloads.specs import NET_PARAM_NAMES
@@ -47,8 +48,8 @@ TREE_GRAPH = GENERATORS["low_degree"](
 ).graph
 
 
-def sample_model(graph=GRAPH, *, skew=10.0, fill=0.2, seed=5, **kw):
-    spec = HetNetSpec(skew=skew, fill=fill, **kw)
+def sample_model(graph=GRAPH, *, skew=10.0, fill=0.2, seed=5):
+    spec = HetNetSpec(skew=skew, fill=fill)
     return HetNetModel.sample(graph, spec, np.random.default_rng(seed))
 
 
@@ -62,24 +63,6 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="fill"):
             HetNetSpec(fill=fill)
 
-    def test_nonpositive_bandwidth_rejected(self):
-        with pytest.raises(ValueError):
-            HetNetSpec(base_bandwidth_mbps=0.0)
-
-    def test_machine_types_apply_skew(self):
-        standard, slow = HetNetSpec(skew=10.0, base_bandwidth_mbps=100.0).machine_types()
-        assert standard.bandwidth_mbps == 100.0
-        assert slow.bandwidth_mbps == pytest.approx(10.0)
-        # latency_skew defaults to the bandwidth skew
-        assert slow.latency_ms == pytest.approx(standard.latency_ms * 10.0)
-
-    def test_to_dict_resolves_latency_skew(self):
-        d = HetNetSpec(skew=4.0).to_dict()
-        assert d["latency_skew"] == 4.0
-        assert set(d) == {
-            "skew", "fill", "base_bandwidth_mbps", "base_latency_ms",
-            "latency_skew", "jitter",
-        }
 
 
 class TestSampling:
@@ -94,12 +77,16 @@ class TestSampling:
     def test_fill_zero_is_all_standard(self):
         model = sample_model(fill=0.0)
         assert model.n_slow_machines == 0
-        assert np.all(model.link_bandwidth_mbps == 100.0)
+        assert np.all(model.link_bandwidth_mbps == BASE_BANDWIDTH_MBPS)
+        assert np.all(model.link_latency_ms == BASE_LATENCY_MS)
 
     def test_fill_one_is_all_slow(self):
         model = sample_model(fill=1.0, skew=8.0)
         assert model.n_slow_machines == GRAPH.comm.n
-        assert np.allclose(model.link_bandwidth_mbps, 100.0 / 8.0)
+        # a slow link divides the standard bandwidth by the skew and
+        # multiplies the standard latency by it
+        assert np.all(model.link_bandwidth_mbps == BASE_BANDWIDTH_MBPS / 8.0)
+        assert np.all(model.link_latency_ms == BASE_LATENCY_MS * 8.0)
 
     def test_link_slow_iff_either_endpoint_slow(self):
         model = sample_model(fill=0.3, skew=10.0)
@@ -126,9 +113,8 @@ class TestSimulatedClock:
     def test_uniform_fabric_degenerates_to_rounds(self):
         # skew 1: every link identical, so makespan == rounds x constant
         model = sample_model(skew=1.0, fill=0.5)
-        spec = model.spec
         per_round = model.round_time_ms(32)
-        expected = spec.base_latency_ms + 32 / (spec.base_bandwidth_mbps * 1e3)
+        expected = BASE_LATENCY_MS + 32 / (BASE_BANDWIDTH_MBPS * 1e3)
         assert per_round == pytest.approx(expected)
         assert model.account(32, 7) == pytest.approx(7 * per_round)
 
@@ -255,10 +241,9 @@ class TestGeneratorKnobs:
         knobbed = GENERATORS["congest"](
             np.random.default_rng(3), n=40, net_skew=10.0, net_fill=0.2
         )
-        assert plain.netmodel is None and plain.hetnet is None
+        assert plain.netmodel is None
         assert isinstance(knobbed.netmodel, HetNetModel)
-        assert knobbed.hetnet.skew == 10.0
-        assert knobbed.hetnet.fill == 0.2
+        assert knobbed.netmodel.spec == HetNetSpec(skew=10.0, fill=0.2)
         # the fabric RNG is spawned, not drawn: identical sampled graph
         assert np.array_equal(
             np.array(plain.graph.comm.link_arrays()),
@@ -268,9 +253,9 @@ class TestGeneratorKnobs:
 
     def test_partial_knobs_fill_defaults(self):
         w = GENERATORS["congest"](np.random.default_rng(3), n=40, net_skew=5.0)
-        assert w.hetnet.skew == 5.0 and w.hetnet.fill == 0.1
+        assert w.netmodel.spec == HetNetSpec(skew=5.0, fill=0.1)
         w = GENERATORS["congest"](np.random.default_rng(3), n=40, net_fill=0.3)
-        assert w.hetnet.skew == 1.0 and w.hetnet.fill == 0.3
+        assert w.netmodel.spec == HetNetSpec(skew=1.0, fill=0.3)
 
     def test_stream_workload_reports_makespan(self):
         kw = dict(n_vertices=120, avg_degree=5.0, batches=3)
