@@ -63,6 +63,19 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="fill"):
             HetNetSpec(fill=fill)
 
+    def test_machine_types_apply_skew(self):
+        # a standard machine's links keep the base link; a link touching a
+        # slow machine divides the bandwidth by the skew and multiplies the
+        # latency by it
+        model = sample_model(fill=0.3, skew=10.0)
+        link_u, link_v = GRAPH.comm.link_arrays()
+        slow = (model.machine_type[link_u] | model.machine_type[link_v]).astype(bool)
+        assert slow.any() and not slow.all()
+        assert np.all(model.link_bandwidth_mbps[~slow] == BASE_BANDWIDTH_MBPS)
+        assert np.all(model.link_latency_ms[~slow] == BASE_LATENCY_MS)
+        assert np.all(model.link_bandwidth_mbps[slow] == BASE_BANDWIDTH_MBPS / 10.0)
+        assert np.all(model.link_latency_ms[slow] == BASE_LATENCY_MS * 10.0)
+
 
 
 class TestSampling:

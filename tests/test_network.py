@@ -155,9 +155,10 @@ class TestLedger:
         assert narrow.rounds_h == 2
         assert sum(wide.per_op_bits.values()) == wide.total_message_bits
 
-    def test_pipelined_oversized_accounting(self):
-        # a pipelined wide message: rounds are effective, bits are payload,
-        # and the recorded widest message stays within the cap
+    def test_non_strict_oversized_accounting(self):
+        # an oversized message let through (declared pipelined): rounds are
+        # effective, bits are payload, and the recorded widest message
+        # stays within the cap
         ledger = BandwidthLedger(bandwidth_bits=32, dilation=2)
         charged = ledger.charge("wide", 70, rounds_h=3, pipelined=True)
         assert charged == 9  # ceil(70/32) = 3 pieces per H-round unit
