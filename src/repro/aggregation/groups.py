@@ -16,6 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.aggregation.runtime import ClusterRuntime
+from repro.graphcore import neighbor_counts_within
 
 
 @dataclass(frozen=True)
@@ -72,17 +73,11 @@ def random_groups(
 
     well_connected = True
     if verify:
-        graph = runtime.graph
-        for group in groups:
-            if not group:
+        csr = runtime.graph.csr
+        for g, group in enumerate(groups):
+            # a member in the group counts itself as adjacent
+            inside = neighbor_counts_within(csr, members, group) + (picks == g)
+            if not group or (inside * 2 <= len(group)).any():
                 well_connected = False
-                break
-            gset = set(group)
-            for v in members:
-                inside = len(gset & graph.neighbor_set(v)) + (1 if v in gset else 0)
-                if inside * 2 <= len(group):
-                    well_connected = False
-                    break
-            if not well_connected:
                 break
     return RandomGroups(groups=groups, group_of=group_of, well_connected=well_connected)

@@ -330,6 +330,7 @@ def _cmd_trace(args) -> int:
                 "rounds_g": r["rounds_g"],
                 "bits": r["bits"],
                 "max_bits": r["max_bits"],
+                "peak_rss_mb": f"{r['peak_rss_mb']:.1f}",
             }
             for depth, r in nested(rows)
         ]
@@ -647,6 +648,16 @@ def _cmd_fuzz_promote(args) -> int:
     return 0
 
 
+def _seed(text: str) -> int:
+    """argparse type of every seed: a non-negative integer (numpy's
+    generators reject a negative one)."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"must be a non-negative integer, got {text!r}"
+        )
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The ``repro`` argument parser (exposed for tests)."""
     parser = argparse.ArgumentParser(
@@ -659,8 +670,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--workload", choices=sorted(GENERATORS), default="planted_acd"
         )
-        p.add_argument("--instance-seed", type=int, default=0)
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--instance-seed", type=_seed, default=0)
+        p.add_argument("--seed", type=_seed, default=0)
 
     p_color = sub.add_parser("color", help="run the coloring pipeline")
     add_workload_args(p_color)
@@ -678,7 +689,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sketch = sub.add_parser("sketch", help="fingerprint estimator demo")
     p_sketch.add_argument("--d", type=int, default=1000)
     p_sketch.add_argument("--t", type=int, default=800)
-    p_sketch.add_argument("--seed", type=int, default=0)
+    p_sketch.add_argument("--seed", type=_seed, default=0)
     p_sketch.set_defaults(func=_cmd_sketch)
 
     p_stream = sub.add_parser(
@@ -687,8 +698,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_stream.add_argument(
         "--workload", choices=sorted(STREAMS), default="sliding_window"
     )
-    p_stream.add_argument("--instance-seed", type=int, default=0)
-    p_stream.add_argument("--seed", type=int, default=0)
+    p_stream.add_argument("--instance-seed", type=_seed, default=0)
+    p_stream.add_argument("--seed", type=_seed, default=0)
     p_stream.add_argument(
         "--mode", choices=["repair", "scratch", "both"], default="repair",
         help="incremental repair, recolor-from-scratch, or race both",
@@ -756,8 +767,8 @@ def build_parser() -> argparse.ArgumentParser:
         "trace", help="run one workload under a tracer, print the stage table"
     )
     p_trace.add_argument("workload", choices=sorted(GENERATORS))
-    p_trace.add_argument("--instance-seed", type=int, default=0)
-    p_trace.add_argument("--seed", type=int, default=0)
+    p_trace.add_argument("--instance-seed", type=_seed, default=0)
+    p_trace.add_argument("--seed", type=_seed, default=0)
     p_trace.add_argument(
         "--regime", choices=["auto", "high_degree", "polylog", "low_degree"],
         default="auto", help="static pipeline regime (ignored for streams)",
@@ -777,8 +788,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="simulate a workload on a heterogeneous fabric, print the makespan",
     )
     p_netsim.add_argument("workload", choices=sorted(GENERATORS))
-    p_netsim.add_argument("--instance-seed", type=int, default=0)
-    p_netsim.add_argument("--seed", type=int, default=0)
+    p_netsim.add_argument("--instance-seed", type=_seed, default=0)
+    p_netsim.add_argument("--seed", type=_seed, default=0)
     p_netsim.add_argument(
         "--skew", type=float, default=10.0,
         help="slow/standard bandwidth ratio (>= 1; 1 = homogeneous speeds)",
@@ -824,7 +835,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--generators", default=None, metavar="G1,G2",
         help="comma-separated generator subset (default: all fuzzable)",
     )
-    p_frun.add_argument("--seed", type=int, default=0, help="root seed")
+    p_frun.add_argument("--seed", type=_seed, default=0, help="root seed")
     p_frun.add_argument(
         "--budget", type=float, default=None, metavar="SECONDS",
         help="wall-clock budget; iteration k is deterministic in the root "

@@ -223,16 +223,21 @@ def blowup(
     # ranges, so a pick is start + offset.  The (edges, multiplicity, 2)
     # draw matrix consumes the rng in exactly the order the per-edge loop
     # did (C-order: edge, copy, endpoint), keeping pinned instances
-    # bitwise identical.
+    # bitwise identical.  Internal and inter-cluster links share one
+    # buffer, and each link-length temporary is dropped once spent.
     highs = np.stack(
         [sizes[edge_arr[:, 0]], sizes[edge_arr[:, 1]]], axis=1
     )[:, None, :].repeat(link_multiplicity, axis=1)
     offsets = rng.integers(0, highs) if edge_arr.size else highs
-    inter = (
-        np.stack([starts[edge_arr[:, 0]], starts[edge_arr[:, 1]]], axis=1)[:, None, :]
-        + offsets
-    ).reshape(-1, 2)
+    del highs
+    links = np.empty((internal.shape[0] + offsets.size // 2, 2), dtype=np.int64)
+    links[: internal.shape[0]] = internal
+    inter = links[internal.shape[0] :].reshape(offsets.shape)
+    del internal
+    np.add(offsets, starts[edge_arr][:, None, :], out=inter)
+    del offsets, inter
 
-    comm = CommGraph(int(sizes.sum()), np.concatenate([internal, inter]))
+    comm = CommGraph(int(sizes.sum()), links)
+    del links
     assignment = np.repeat(np.arange(n_vertices, dtype=np.int64), sizes)
     return ClusterGraph.from_assignment(comm, assignment)

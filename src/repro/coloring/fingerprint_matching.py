@@ -28,6 +28,7 @@ import numpy as np
 from repro.aggregation.groups import random_groups
 from repro.aggregation.runtime import ClusterRuntime
 from repro.coloring.types import PartialColoring
+from repro.graphcore import adjacency_mask
 from repro.sketch.fingerprint import FingerprintTable
 from repro.sketch.minwise import MinwiseHash, sample_minwise
 
@@ -89,6 +90,8 @@ def fingerprint_matching(
     # anti-neighbor set A_i = K \ (N(u_i) ∪ {u_i}) -- exactly the vertices
     # whose neighborhood maximum differs from the clique maximum.
     member_set = set(member_arr)
+    # anti-neighbors are listed in the member set's iteration order
+    member_order = np.fromiter(member_set, dtype=np.int64, count=len(member_set))
     used_as_max: set[int] = set()
     eligible: list[tuple[int, int, list[int]]] = []  # (trial, u_i, A_i)
     for i in range(k):
@@ -97,7 +100,8 @@ def fingerprint_matching(
         u_i = member_arr[int(argmax_local[i])]
         if u_i in used_as_max:
             continue
-        anti = graph.anti_neighbors_within(u_i, member_set)
+        outside = ~adjacency_mask(graph.csr, u_i, member_order)
+        anti = member_order[outside & (member_order != u_i)].tolist()
         if not anti:
             continue
         used_as_max.add(u_i)

@@ -11,15 +11,18 @@ proposal rounds (Israeli-Itai style) -- same model, measured rounds.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.aggregation.runtime import ClusterRuntime
+from repro.graphcore import adjacency_mask
 
 
 def eligible_relays(graph, members: list[int], pair: tuple[int, int]) -> list[int]:
     """Vertices of ``K`` adjacent to both endpoints of an anti-edge."""
     u, w = pair
-    nu = graph.neighbor_set(u)
-    nw = graph.neighbor_set(w)
-    return [x for x in members if x != u and x != w and x in nu and x in nw]
+    arr = np.asarray(members, dtype=np.int64)
+    both = adjacency_mask(graph.csr, u, arr) & adjacency_mask(graph.csr, w, arr)
+    return arr[both].tolist()
 
 
 def find_relays(

@@ -23,7 +23,7 @@ import numpy as np
 from repro.aggregation.runtime import ClusterRuntime
 from repro.decomposition.buddy import buddy_predicate
 from repro.decomposition.sparsity import is_valid_almost_clique
-from repro.graphcore import bfs_depth, label_components
+from repro.graphcore import adjacency_mask, bfs_depth, label_components
 from repro.sketch.fingerprint import batch_count_estimates
 
 
@@ -92,9 +92,9 @@ class AlmostCliqueDecomposition:
         idx = int(self.clique_of[v])
         if idx < 0:
             return 0
-        members = self.cliques[idx]
-        nbrs = graph.neighbor_set(v)
-        return sum(1 for u in members if u != v and u not in nbrs)
+        members = np.asarray(self.cliques[idx], dtype=np.int64)
+        outside = ~adjacency_mask(graph.csr, v, members)
+        return int(np.count_nonzero(outside & (members != v)))
 
 
 def compute_acd(

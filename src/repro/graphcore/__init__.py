@@ -19,6 +19,7 @@ colorings of pinned seeds (property-tested in ``tests/test_graphcore.py``).
 
 from repro.graphcore.csr import CSRAdjacency, CSRConflictGraph
 from repro.graphcore.kernels import (
+    adjacency_mask,
     batch_conflict_mask,
     batch_label_mismatch_counts,
     batch_neighbor_colors,
@@ -28,8 +29,10 @@ from repro.graphcore.kernels import (
     conflict_mask_from_flat,
     draw_free_colors,
     gather_neighborhoods,
+    in_sorted,
     is_proper_edges,
     label_components,
+    neighbor_counts_within,
     used_color_masks_from_flat,
     violations_edges,
 )
@@ -37,6 +40,7 @@ from repro.graphcore.kernels import (
 __all__ = [
     "CSRAdjacency",
     "CSRConflictGraph",
+    "adjacency_mask",
     "batch_conflict_mask",
     "batch_label_mismatch_counts",
     "batch_neighbor_colors",
@@ -46,8 +50,10 @@ __all__ = [
     "conflict_mask_from_flat",
     "draw_free_colors",
     "gather_neighborhoods",
+    "in_sorted",
     "is_proper_edges",
     "label_components",
+    "neighbor_counts_within",
     "used_color_masks_from_flat",
     "violations_edges",
 ]

@@ -171,9 +171,12 @@ class CSRConflictGraph:
     :class:`~repro.cluster.virtual_graph.VirtualGraph` and
     :class:`~repro.dynamic.view.FrozenConflictGraph` inherit it and keep
     only their own metadata; their ``csr`` dataclass field is their only
-    adjacency state.  Everything derived from it (``adj``, ``max_degree``,
-    the neighbor sets) is a ``cached_property`` in the instance dict, never
-    an init field, so a ``dataclasses.replace`` copy starts without it.
+    adjacency state.  Everything derived from it (``adj``, ``max_degree``)
+    is a ``cached_property`` in the instance dict, never an init field, so
+    a ``dataclasses.replace`` copy starts without it.  Set questions (who
+    of a vertex set is adjacent to ``v``) go to the batched kernels in
+    :mod:`repro.graphcore.kernels` over ``csr``; no per-vertex container is
+    kept.
     """
 
     csr: CSRAdjacency
@@ -197,30 +200,11 @@ class CSRConflictGraph:
         CSR (hot path for the coloring conflict checks)."""
         return self.csr.neighbors(v)
 
-    @cached_property
-    def _neighbor_set_cache(self) -> dict[int, frozenset[int]]:
-        return {}
-
-    def neighbor_set(self, v: int) -> frozenset[int]:
-        """Neighbors of ``v`` as a frozenset, built on first request per
-        vertex (for intersection tests)."""
-        cached = self._neighbor_set_cache.get(v)
-        if cached is None:
-            cached = frozenset(self.csr.neighbors(v).tolist())
-            self._neighbor_set_cache[v] = cached
-        return cached
-
     def are_adjacent(self, u: int, v: int) -> bool:
         """Whether ``{u, v}`` is an edge (binary search on the CSR)."""
         nbrs = self.csr.neighbors(u)
         i = int(np.searchsorted(nbrs, v))
         return i < nbrs.size and int(nbrs[i]) == v
-
-    def anti_neighbors_within(self, v: int, vertex_set: Iterable[int]) -> list[int]:
-        """Vertices of ``vertex_set`` that are NOT adjacent to ``v`` (and are
-        not ``v``) -- anti-neighbors in the sense of Section 4.1."""
-        nbrs = self.neighbor_set(v)
-        return [u for u in vertex_set if u != v and u not in nbrs]
 
     @cached_property
     def max_degree(self) -> int:

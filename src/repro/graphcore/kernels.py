@@ -57,6 +57,33 @@ def gather_neighborhoods(
     return seg_ids, csr.indices[positions]
 
 
+def in_sorted(pool: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Membership of each of ``values`` in the sorted array ``pool``, as a
+    boolean array shaped like ``values`` (one binary search each)."""
+    if pool.size == 0:
+        return np.zeros(values.shape, dtype=bool)
+    pos = np.searchsorted(pool, values)
+    np.minimum(pos, pool.size - 1, out=pos)
+    return pool[pos] == values
+
+
+def adjacency_mask(csr: CSRAdjacency, v: int, candidates) -> np.ndarray:
+    """Whether each of ``candidates`` is a neighbor of ``v``: a boolean
+    array aligned with ``candidates``, by binary search on ``v``'s sorted
+    CSR row (``v`` itself is never its own neighbor)."""
+    return in_sorted(csr.neighbors(v), _as_vertex_array(candidates))
+
+
+def neighbor_counts_within(csr: CSRAdjacency, vertices, members) -> np.ndarray:
+    """``|N(v) ∩ members|`` for every query vertex ``v``: one gather of the
+    query rows, a binary search of each neighbor in the sorted members,
+    and a ``bincount``.  Returns an int64 array aligned with ``vertices``."""
+    verts = _as_vertex_array(vertices)
+    seg_ids, flat = gather_neighborhoods(csr, verts)
+    inside = in_sorted(np.sort(_as_vertex_array(members)), flat)
+    return np.bincount(seg_ids[inside], minlength=verts.size)
+
+
 def batch_neighbor_colors(
     csr: CSRAdjacency, colors: np.ndarray, vertices
 ) -> tuple[np.ndarray, np.ndarray]:

@@ -53,13 +53,14 @@ class CommGraph:
                 raise ValueError(
                     f"self-loop on machine {int(arr[loops][0, 0])}"
                 )
-            bad = (arr < 0) | (arr >= n)
-            if bad.any():
-                u, v = arr[bad.any(axis=1)][0]
+            if arr.min() < 0 or arr.max() >= n:
+                u, v = arr[((arr < 0) | (arr >= n)).any(axis=1)][0]
                 raise ValueError(f"link ({int(u)},{int(v)}) out of range for n={n}")
-            lo = np.minimum(arr[:, 0], arr[:, 1])
-            hi = np.maximum(arr[:, 0], arr[:, 1])
-            codes = sorted_unique(lo * n + hi)
+            # codes lo * n + hi, built in one buffer
+            codes = np.minimum(arr[:, 0], arr[:, 1])
+            codes *= n
+            codes += np.maximum(arr[:, 0], arr[:, 1])
+            codes = sorted_unique(codes)
             self._link_u = codes // n
             self._link_v = codes % n
             self._link_codes = codes

@@ -83,7 +83,8 @@ class HetNetSpec:
     fill: float = 0.1
 
     def __post_init__(self) -> None:
-        if self.skew < 1.0:
+        # written so that NaN fails each test
+        if not self.skew >= 1.0:
             raise ValueError(f"skew must be >= 1, got {self.skew:g}")
         if not 0.0 <= self.fill <= 1.0:
             raise ValueError(f"fill must be in [0, 1], got {self.fill:g}")

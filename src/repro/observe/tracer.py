@@ -8,7 +8,9 @@ A :class:`Tracer` attributes those totals: each :meth:`Tracer.span` opens a
 named window that records wall time, the ledger counters accumulated inside
 it (``rounds_h`` / ``rounds_g`` / payload bits, plus the true
 *window-local* maximum message width via the ledger's max-window stack),
-and free-form counters (frontier sizes, escalations, rows processed).
+and free-form counters (frontier sizes, escalations, rows processed).  Each
+span also notes the process's resident-set high-water mark at its exit, so
+a trace shows which stage raised the peak memory.
 Spans nest: a stage span contains its per-pass spans, and a child's
 counters are a sub-interval of its parent's.
 
@@ -27,6 +29,7 @@ one attribute lookup and one method call.
 
 from __future__ import annotations
 
+import resource
 import time
 from dataclasses import dataclass, field
 from typing import Any, Iterator
@@ -51,7 +54,10 @@ class SpanRecord:
     tracer has no bound ledger); ``max_message_bits`` is the true
     *window-local* maximum capped message width (see
     :meth:`repro.network.ledger.BandwidthLedger.push_max_window`), not the
-    ledger's global running maximum.
+    ledger's global running maximum.  ``peak_rss_mb`` is the process's
+    resident-set high-water mark (``getrusage`` ``ru_maxrss``) when the
+    span last exited: the first span whose value exceeds the one closed
+    before it is where the peak grew.
     """
 
     name: str
@@ -66,6 +72,7 @@ class SpanRecord:
     #: carries a heterogeneous network model (:mod:`repro.network.hetnet`);
     #: stays 0.0 -- and is omitted from the serialized span -- otherwise.
     makespan_ms: float = 0.0
+    peak_rss_mb: float = 0.0
     counters: dict[str, float] = field(default_factory=dict)
     children: list["SpanRecord"] = field(default_factory=list)
 
@@ -89,6 +96,7 @@ class SpanRecord:
             "message_bits": self.message_bits,
             "max_message_bits": self.max_message_bits,
             "num_operations": self.num_operations,
+            "peak_rss_mb": round(self.peak_rss_mb, 1),
         }
         if self.makespan_ms:
             out["makespan_ms"] = round(self.makespan_ms, 6)
@@ -147,6 +155,10 @@ class _ActiveSpan:
             window_max = ledger.pop_max_window()
             if window_max > self.record.max_message_bits:
                 self.record.max_message_bits = window_max
+        # ru_maxrss is in KiB on Linux
+        self.record.peak_rss_mb = (
+            resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+        )
         self._tracer._pop(self.record)
         return False
 
@@ -287,6 +299,7 @@ def _span_rows(spans: list[dict[str, Any]]) -> list[dict[str, Any]]:
                 "bits": int(span.get("message_bits", 0)),
                 "max_bits": int(span.get("max_message_bits", 0)),
                 "makespan_ms": float(span.get("makespan_ms", 0.0)),
+                "peak_rss_mb": float(span.get("peak_rss_mb", 0.0)),
             }
         )
     return rows
@@ -300,9 +313,10 @@ def stage_rows(
     Accepts a live :class:`Tracer` or a serialized ``to_dict()`` tree (the
     artifact ``trace`` section).  One row per top-level span, in execution
     order: ``stage`` (name plus any tags), ``wall_s``, ``rounds_h``,
-    ``rounds_g``, ``bits``, ``max_bits``.  Top-level spans partition the
-    run, so summing any column reproduces the run's ledger totals -- the
-    invariant ``repro trace`` prints and tests assert.
+    ``rounds_g``, ``bits``, ``max_bits``, ``makespan_ms``, ``peak_rss_mb``.
+    Top-level spans partition the run, so summing a ledger column
+    reproduces the run's ledger totals -- the invariant ``repro trace``
+    prints and tests assert.
     """
     return _span_rows(_top_spans(trace))
 
@@ -334,14 +348,16 @@ def aggregate_stage_rows(rows: list[dict[str, Any]]) -> list[dict[str, Any]]:
     """Merge stage rows that share a span *name* (tags stripped), summing
     every column -- e.g. the per-batch ``stream.batch[batch=i]`` rows of a
     stream trace collapse into one ``stream.batch`` row.  ``max_bits``
-    merges by maximum (it is a width, not a payload)."""
+    merges by maximum (it is a width, not a payload), and so does
+    ``peak_rss_mb`` (a high-water mark)."""
     merged: dict[str, dict[str, Any]] = {}
     for row in rows:
         name = row["stage"].split("[", 1)[0]
         bucket = merged.setdefault(
             name,
             {"stage": name, "wall_s": 0.0, "rounds_h": 0, "rounds_g": 0,
-             "bits": 0, "max_bits": 0, "makespan_ms": 0.0, "spans": 0},
+             "bits": 0, "max_bits": 0, "makespan_ms": 0.0,
+             "peak_rss_mb": 0.0, "spans": 0},
         )
         bucket["wall_s"] += row["wall_s"]
         bucket["rounds_h"] += row["rounds_h"]
@@ -349,5 +365,6 @@ def aggregate_stage_rows(rows: list[dict[str, Any]]) -> list[dict[str, Any]]:
         bucket["bits"] += row["bits"]
         bucket["max_bits"] = max(bucket["max_bits"], row["max_bits"])
         bucket["makespan_ms"] += row.get("makespan_ms", 0.0)
+        bucket["peak_rss_mb"] = max(bucket["peak_rss_mb"], row.get("peak_rss_mb", 0.0))
         bucket["spans"] += 1
     return list(merged.values())

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.graphcore import is_proper_edges, violations_edges
+from repro.graphcore import is_proper_edges, neighbor_counts_within, violations_edges
 
 
 def is_proper(graph, colors: np.ndarray, *, allow_partial: bool = False) -> bool:
@@ -61,14 +61,14 @@ def check_acd(graph, acd, eps: float) -> list[str]:
         seen |= mset
         if len(members) > (1 + eps) * delta:
             problems.append(f"clique {i} has {len(members)} > (1+eps)Δ members")
-        for v in members:
-            inside = len(graph.neighbor_set(v) & mset)
-            if inside < (1 - eps) * len(members):
-                problems.append(
-                    f"vertex {v} in clique {i}: {inside} internal neighbors "
-                    f"< (1-eps)|K| = {(1 - eps) * len(members):.1f}"
-                )
-                break
+        inside = neighbor_counts_within(graph.csr, members, members)
+        short = np.flatnonzero(inside < (1 - eps) * len(members))
+        if short.size:
+            j = int(short[0])
+            problems.append(
+                f"vertex {members[j]} in clique {i}: {int(inside[j])} internal "
+                f"neighbors < (1-eps)|K| = {(1 - eps) * len(members):.1f}"
+            )
     overlap = seen & set(acd.sparse)
     if overlap:
         problems.append(f"{len(overlap)} vertices both sparse and dense")

@@ -162,6 +162,7 @@ def planted_acd_instance(
         i, j = np.triu_indices(n_sparse, 1)
         keep = rng.random(i.size) < p
         chunks.append(next_id + np.stack([i[keep], j[keep]], axis=1))
+        del i, j, keep  # O(n_sparse^2) pair arrays
     if sparse:
         k = min(external_degree, n_sparse)
         targets = [rng.choice(n_sparse, size=k, replace=False) for _ in range(next_id)]
@@ -169,8 +170,10 @@ def planted_acd_instance(
             np.repeat(np.arange(next_id), k),
             next_id + np.concatenate(targets),
         ], axis=1))
+    h = _conflict_edges(next_id + n_sparse, chunks)
+    del chunks  # the inserted edges, spent before the blow-up
     graph = blowup(
-        _conflict_edges(next_id + n_sparse, chunks),
+        h,
         rng,
         cluster_size=cluster_size,
         topology=topology,

@@ -21,6 +21,7 @@ evaluate this").
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 from typing import Any
@@ -92,9 +93,13 @@ class ParamSpec:
                     f"parameter {name!r} must be an integer, got {value!r}"
                 )
         elif self.kind == "float":
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            if (
+                isinstance(value, bool)
+                or not isinstance(value, numbers.Real)
+                or not math.isfinite(value)
+            ):
                 raise ValueError(
-                    f"parameter {name!r} must be a number, got {value!r}"
+                    f"parameter {name!r} must be a finite number, got {value!r}"
                 )
         else:  # pragma: no cover - registry construction error
             raise ValueError(f"parameter {name!r} has unknown kind {self.kind!r}")

@@ -126,7 +126,7 @@ class TestObservabilityCommands:
         code = main(["trace", "figure1"])
         out = capsys.readouterr().out
         assert code == 0
-        assert "stage" in out and "rounds_h" in out
+        assert "stage" in out and "rounds_h" in out and "peak_rss_mb" in out
         assert "(match)" in out  # span sums reproduce the ledger totals
 
     def test_trace_stream_workload(self, capsys):
@@ -199,8 +199,10 @@ class TestBadArguments:
             (["netsim", "figure1", "--fill", "1.5"], "net_fill"),
             (["sketch", "--t", "0"], "empty fingerprint"),
             (["sketch", "--d", "-3"], "d must be non-negative"),
+            (["netsim", "figure1", "--skew", "nan"], "net_skew"),
+            (["netsim", "figure1", "--fill", "nan"], "net_fill"),
         ],
-        ids=["skew", "fill", "trials", "count"],
+        ids=["skew", "fill", "trials", "count", "skew_nan", "fill_nan"],
     )
     def test_clean_error(self, argv, message):
         with pytest.raises(SystemExit) as exc:
@@ -208,3 +210,30 @@ class TestBadArguments:
         text = str(exc.value)
         assert text.startswith("repro: ") and message in text
         assert "\n" not in text
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["color", "--workload", "figure1", "--seed", "-1"],
+            ["color", "--workload", "figure1", "--instance-seed", "-1"],
+            ["baselines", "--workload", "figure1", "--seed", "-2"],
+            ["sketch", "--seed", "-1"],
+            ["stream", "--instance-seed", "-1"],
+            ["stream", "--seed", "-1"],
+            ["trace", "figure1", "--instance-seed", "-1"],
+            ["trace", "figure1", "--seed", "-1"],
+            ["netsim", "figure1", "--instance-seed", "-1"],
+            ["netsim", "figure1", "--seed", "-1"],
+            ["fuzz", "run", "--seed", "-1"],
+            ["color", "--workload", "figure1", "--seed", "x"],
+        ],
+    )
+    def test_bad_seed_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1].endswith(
+            f"must be a non-negative integer, got {argv[-1]!r}"
+        )
+        assert "Traceback" not in "\n".join(err)

@@ -41,6 +41,35 @@ class TestSparsity:
         for v in range(h.n_vertices):
             assert vec[v] == pytest.approx(sparsity(h, v), abs=1e-6)
 
+    @pytest.mark.parametrize("chunk", [1, 37, 1 << 20])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_sparsity_and_friendly_edges_match_set_oracle(
+        self, rng, seed, chunk, monkeypatch
+    ):
+        import importlib
+
+        # the package re-exports a function named ``sparsity``
+        sparsity_module = importlib.import_module("repro.decomposition.sparsity")
+        # small chunks split the common-neighbor gather into many passes
+        monkeypatch.setattr(sparsity_module, "_GATHER_CHUNK", chunk)
+        h = blowup(nx.gnp_random_graph(40, 0.4, seed=seed), rng, cluster_size=1)
+        delta = h.max_degree
+        nbrs = [set(h.neighbors(v)) for v in range(h.n_vertices)]
+        vec = all_sparsities(h)
+        for v in range(h.n_vertices):
+            common = sum(len(nbrs[u] & nbrs[v]) for u in nbrs[v])
+            expected = (delta * (delta - 1) / 2.0 - common / 2.0) / delta
+            assert sparsity(h, v) == expected
+            assert vec[v] == expected
+        xi = 0.7
+        expected_friendly = {
+            (u, v)
+            for u, v in h.iter_h_edges()
+            if len(nbrs[u] & nbrs[v]) >= (1 - xi) * delta
+        }
+        assert 0 < len(expected_friendly) < h.n_h_edges
+        assert friendly_edges(h, xi) == expected_friendly
+
 
 class TestValidity:
     def test_planted_clique_is_valid(self, planted_workload):
@@ -84,7 +113,7 @@ class TestBuddyPredicate:
         g = planted_workload.graph
         exact = friendly_edges(g, xi=0.25)
         for u, v in exact:
-            common = len(g.neighbor_set(u) & g.neighbor_set(v))
+            common = len(set(g.neighbors(u)) & set(g.neighbors(v)))
             assert common >= (1 - 0.25) * g.max_degree
 
 
@@ -186,7 +215,7 @@ class TestGroundTruthHelpers:
         members = acd.cliques[0]
         mset = set(members)
         v = members[0]
-        nbrs = g.neighbor_set(v)
+        nbrs = set(g.neighbors(v))
         assert acd.external_degree_true(g, v) == len(nbrs - mset)
         assert acd.anti_degree_true(g, v) == len(mset - nbrs) - 1
 

@@ -14,6 +14,7 @@ from repro.cluster import ClusterGraph
 from repro.coloring.types import UNCOLORED, PartialColoring
 from repro.graphcore import (
     CSRAdjacency,
+    adjacency_mask,
     batch_conflict_mask,
     batch_label_mismatch_counts,
     batch_neighbor_colors,
@@ -21,8 +22,10 @@ from repro.graphcore import (
     batch_used_color_masks,
     draw_free_colors,
     gather_neighborhoods,
+    in_sorted,
     is_proper_edges,
     label_components,
+    neighbor_counts_within,
     violations_edges,
 )
 from repro.network import CommGraph
@@ -244,6 +247,32 @@ class TestKernelAgreement:
         eu, ev = g.h_edge_arrays()
         assert is_proper_edges(eu, ev, colors) == reference(False)
         assert set(violations_edges(eu, ev, colors)) == expected_bad
+
+
+class TestSetKernels:
+    """The per-vertex set questions, answered from the CSR, vs Python sets
+    built from ``neighbors``."""
+
+    @given(**graph_params, pick=st.integers(0, 2**31 - 1))
+    @settings(max_examples=60)
+    def test_adjacency_mask_and_counts_match_sets(self, seed, n, density, pick):
+        g = random_graph(seed, n, density)
+        rng = np.random.default_rng(pick)
+        members = rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False)
+        members = members.tolist()  # unsorted, as cliques and groups come
+        nbrs = [set(g.neighbors(v)) for v in range(n)]
+        for v in range(n):
+            assert adjacency_mask(g.csr, v, members).tolist() == [
+                u in nbrs[v] for u in members
+            ]
+        counts = neighbor_counts_within(g.csr, range(n), members)
+        assert counts.tolist() == [len(nbrs[v] & set(members)) for v in range(n)]
+
+    @given(st.lists(st.integers(-50, 50)), st.lists(st.integers(-60, 60)))
+    def test_in_sorted(self, pool, values):
+        hits = in_sorted(np.sort(np.asarray(pool, dtype=np.int64)),
+                         np.asarray(values, dtype=np.int64))
+        assert hits.tolist() == [x in set(pool) for x in values]
 
 
 class TestCSRFromAdjLists:

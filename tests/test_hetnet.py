@@ -58,7 +58,11 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="skew"):
             HetNetSpec(skew=0.5)
 
-    @pytest.mark.parametrize("fill", [-0.1, 1.5])
+    def test_nan_skew_rejected(self):
+        with pytest.raises(ValueError, match="skew"):
+            HetNetSpec(skew=float("nan"))
+
+    @pytest.mark.parametrize("fill", [-0.1, 1.5, float("nan")])
     def test_fill_out_of_range_rejected(self, fill):
         with pytest.raises(ValueError, match="fill"):
             HetNetSpec(fill=fill)

@@ -122,6 +122,29 @@ class TestTracerBasics:
         assert merged["spans"] == 2
         assert merged["rounds_h"] == 5 and merged["bits"] == 30
         assert merged["max_bits"] == 9  # width merges by max, not sum
+        assert merged["peak_rss_mb"] == 0.0  # rows without the field
+
+    def test_spans_record_the_rss_high_water_mark(self):
+        import resource
+
+        tracer = Tracer()
+        color_cluster_graph(
+            GENERATORS["planted_acd"](np.random.default_rng(0)).graph,
+            seed=0, tracer=tracer,
+        )
+        now = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+        for top in tracer.spans:
+            for span in top.walk():
+                assert 0.0 < span.peak_rss_mb <= now
+                # a span exits after its children: its mark is no lower
+                for child in span.children:
+                    assert child.peak_rss_mb <= span.peak_rss_mb
+        marks = [s.peak_rss_mb for s in tracer.spans]
+        assert marks == sorted(marks)  # top-level spans close in order
+        rows = aggregate_stage_rows(stage_rows(tracer.to_dict()))
+        assert max(r["peak_rss_mb"] for r in rows) == pytest.approx(
+            marks[-1], abs=0.05
+        )
 
 
 class TestSpanAccounting:

@@ -75,7 +75,7 @@ class TestPlantedAcd:
             for members in w.planted_cliques:
                 mset = set(members)
                 for v in members:
-                    total += len(g.neighbor_set(v) - mset)
+                    total += len(set(g.neighbors(v)) - mset)
                     count += 1
             return total / count
         assert avg_external(high) > avg_external(low) + 5
@@ -98,7 +98,7 @@ class TestCabalInstance:
         g = w.graph
         for members in w.planted_cliques:
             mset = set(members)
-            externals = [len(g.neighbor_set(v) - mset) for v in members]
+            externals = [len(set(g.neighbors(v)) - mset) for v in members]
             assert np.mean(externals) < 1.0
 
     def test_single_cabal(self):
@@ -214,6 +214,23 @@ class TestParamValidation:
             GENERATORS["congest"](np.random.default_rng(0), n=200.5)
         with pytest.raises(ValueError, match="must be an integer"):
             GENERATORS["congest"](np.random.default_rng(0), n=True)
+
+    @pytest.mark.parametrize(
+        "generator, param",
+        [
+            ("hotspot_churn", "hotspot_fraction"),
+            ("congest", "net_fill"),
+            ("congest", "net_skew"),
+            ("congest", "p"),
+        ],
+    )
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_float_rejected(self, generator, param, value):
+        from repro.workloads import GENERATORS, STREAMS
+
+        maker = {**GENERATORS, **STREAMS}[generator]
+        with pytest.raises(ValueError, match=f"'{param}' must be a finite number"):
+            maker(np.random.default_rng(0), **{param: value})
 
     def test_bad_choice_rejected(self):
         from repro.workloads import GENERATORS
