@@ -34,7 +34,9 @@ graph = contraction_clusters(comm, contraction_fraction=0.5, rng=rng)
 print(f"network: {comm.n} machines, {comm.num_links} links")
 print(f"after contraction: {graph.n_vertices} clusters, Delta = {graph.max_degree}, "
       f"dilation = {graph.dilation}")
-multi = sum(1 for links in graph.links.values() if len(links) > 1)
+h_u, h_v, _, _ = graph.realizing_links()  # one row per link, by H-edge
+_, realizers = np.unique(h_u * graph.n_vertices + h_v, return_counts=True)
+multi = int((realizers > 1).sum())
 print(f"cluster pairs joined by multiple links: {multi} "
       f"(the degree-overcounting hazard of Section 1.1)")
 

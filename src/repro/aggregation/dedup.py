@@ -22,6 +22,8 @@ with their costs charged honestly.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.aggregation.runtime import ClusterRuntime
 from repro.coloring.types import PartialColoring, UNCOLORED
 from repro.params import log2ceil
@@ -30,15 +32,21 @@ from repro.params import log2ceil
 def dedup_elected_links(graph, v: int) -> dict[int, tuple[int, int]]:
     """For each H-neighbor ``u`` of ``v``: the single elected link
     ``(machine_u, machine_v)`` representing the edge ``{u, v}`` (the
-    smallest link, a deterministic intra-cluster election)."""
+    smallest ``(gu, gv)`` of :meth:`~repro.cluster.ClusterGraph.realizing_links`,
+    a deterministic intra-cluster election)."""
+    a, b, gu, gv = graph.realizing_links()
+    mine = (a == v) | (b == v)
+    a, b, gu, gv = a[mine], b[mine], gu[mine], gv[mine]
+    u = np.where(a == v, b, a)
+    # by neighbor, then (gu, gv): each neighbor's run starts at its elected link
+    order = np.lexsort((gv, gu, u))
+    u, gu, gv = u[order], gu[order], gv[order]
+    first = np.ones(u.size, dtype=bool)
+    first[1:] = u[1:] != u[:-1]
     elected: dict[int, tuple[int, int]] = {}
-    for u in graph.neighbors(v):
-        key = (u, v) if u < v else (v, u)
-        links = graph.links[key]
-        chosen = min(links)
-        # orient the link as (machine in V(u), machine in V(v))
-        mu, mv = chosen if u < v else (chosen[1], chosen[0])
-        elected[u] = (mu, mv) if graph.assignment[mu] == u else (mv, mu)
+    for w, x, y in zip(u[first].tolist(), gu[first].tolist(), gv[first].tolist()):
+        # orient the link as (machine in V(w), machine in V(v))
+        elected[w] = (x, y) if w < v else (y, x)
     return elected
 
 

@@ -82,7 +82,7 @@ def contraction_clusters(
             x = parent[x]
         return x
 
-    links = list(comm.iter_links())
+    links = list(zip(*(a.tolist() for a in comm.link_arrays())))
     rng.shuffle(links)
     target_merges = int(contraction_fraction * comm.n)
     merges = 0

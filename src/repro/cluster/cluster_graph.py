@@ -6,12 +6,13 @@ and an edge between two nodes iff some ``G``-link joins their clusters.
 
 The same pair of clusters may be joined by many links (Figure 1): this is
 what makes degree computation and palette discovery non-trivial in the
-model, so :class:`ClusterGraph` keeps the full multiset of realizing links.
+model, so :class:`ClusterGraph` keeps ``G`` and reads every realizing link
+off it.
 
 The adjacency is the CSR (``indptr``/``indices`` int64 arrays) laid out
 once at construction; the read interface over it is
-:class:`~repro.graphcore.csr.CSRConflictGraph`, and the ``links`` dict is
-derived on first use only.
+:class:`~repro.graphcore.csr.CSRConflictGraph`.  The realizing links are
+read off ``G``'s CSR as arrays (:meth:`ClusterGraph.realizing_links`).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.graphcore.csr import CSRAdjacency, CSRConflictGraph, sorted_unique
+from repro.graphcore.csr import CSRAdjacency, CSRConflictGraph
 from repro.network.commgraph import CommGraph
 from repro.cluster.support_tree import SupportForest, build_forest
 
@@ -101,24 +102,14 @@ class ClusterGraph(CSRConflictGraph):
 
         forest = build_forest(comm, assign)
 
-        # H-adjacency: dedupe the cluster pairs of the inter-cluster links
-        # and lay both directions out as CSR.  Each temporary is dropped as
-        # soon as it is spent, so the peak stays near three link-length
-        # arrays.
+        # H-adjacency: the cluster pairs of the inter-cluster links, deduped
+        # and laid out as CSR; the full-length temporaries are dropped first
         mu, mv = comm.link_arrays()
         lo, hi = assign[mu], assign[mv]
         inter = lo != hi
-        lo = lo[inter]
-        hi = hi[inter]
+        lo, hi = lo[inter], hi[inter]
         del inter
-        codes = np.minimum(lo, hi)
-        np.maximum(lo, hi, out=hi)
-        del lo
-        codes *= n_vertices
-        codes += hi
-        del hi
-        codes = sorted_unique(codes)
-        csr = CSRAdjacency.from_edge_codes(codes, n_vertices)
+        csr = CSRAdjacency.from_edge_arrays(lo, hi, n_vertices, dedupe=True)
         return cls(comm=comm, assignment=assign, forest=forest, csr=csr)
 
     @classmethod
@@ -145,21 +136,6 @@ class ClusterGraph(CSRConflictGraph):
         order = np.argsort(a * self.n_vertices + b, kind="stable")
         return a[order], b[order], x[order], y[order]
 
-    @cached_property
-    def links(self) -> dict[tuple[int, int], list[tuple[int, int]]]:
-        """``links[(u, v)]`` with ``u < v``: the G-links realizing H-edge
-        ``{u, v}`` as :meth:`realizing_links` orders them; keys in
-        lexicographic order.
-
-        Derived on first access (diagnostics/dedup only; hot paths use
-        :attr:`csr`).
-        """
-        columns = (a.tolist() for a in self.realizing_links())
-        links: dict[tuple[int, int], list[tuple[int, int]]] = {}
-        for key_u, key_v, gu, gv in zip(*columns):
-            links.setdefault((key_u, key_v), []).append((gu, gv))
-        return links
-
     @property
     def n_machines(self) -> int:
         """Number of machines in ``G`` (the ``n`` of the theorems)."""
@@ -169,11 +145,8 @@ class ClusterGraph(CSRConflictGraph):
         """Number of inter-cluster links incident to ``v`` -- the easy
         aggregate that can grossly overestimate :meth:`degree` (Section 1.1).
         """
-        total = 0
-        for u in self.neighbors(v):
-            key = (u, v) if u < v else (v, u)
-            total += len(self.links[key])
-        return total
+        u, w, _, _ = self.realizing_links()
+        return int(np.count_nonzero((u == v) | (w == v)))
 
     @cached_property
     def dilation(self) -> int:

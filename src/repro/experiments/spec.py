@@ -328,9 +328,11 @@ def _luby_grows_with_delta(records: list[dict[str, Any]]) -> bool:
 # ---------------------------------------------------------------------------
 # Built-in suites.
 #
-# One suite per experiment E1-E15 (the six whose claims are sweep-shaped
-# carry them), plus cross-cutting suites: ``smoke`` (CI-fast),
-# ``cross_regime`` and ``dilation_stress``, and ``full``.
+# One suite per experiment whose claim is sweep-shaped (E1, E2, E11, E12,
+# E13, E15); the lemma-level experiments E3-E10 and E14 are tier-1 tests
+# (``tests/test_paper_claims.py``).  Plus cross-cutting suites: ``smoke``
+# (CI-fast), ``cross_regime``, ``dilation_stress``, ``scale``, ``stream``,
+# ``hetnet``, ``pathology`` and ``full``.
 # ---------------------------------------------------------------------------
 
 SUITES: dict[str, ScenarioSpec] = {}
@@ -407,92 +409,6 @@ _register(
                 _rounds_polyloglog_in_n,
             ),
         ),
-    )
-)
-
-_register(
-    ScenarioSpec(
-        name="e3_fingerprint_stress",
-        description="Lemma 5.2/5.7 machinery under the high-degree pipeline",
-        workloads=(
-            WorkloadSpec.of("congest", n=300),
-            WorkloadSpec.of("planted_acd"),
-        ),
-        regimes=("high_degree",),
-        seeds=(0, 1, 2),
-        instance_seeds=(17,),
-    )
-)
-
-_register(
-    ScenarioSpec(
-        name="e4_encoding_scaling",
-        description="Lemma 5.6 encoding cost as n grows (congest identity clusters)",
-        workloads=tuple(WorkloadSpec.of("congest", n=n) for n in (150, 300, 600)),
-        regimes=("high_degree",),
-        seeds=(0, 1),
-        instance_seeds=(23,),
-    )
-)
-
-_register(
-    ScenarioSpec(
-        name="e6_acd_quality",
-        description="Algorithm 4 on planted ACDs across instance draws",
-        workloads=(WorkloadSpec.of("planted_acd"),),
-        seeds=(0,),
-        instance_seeds=(31, 32, 33),
-    )
-)
-
-_register(
-    ScenarioSpec(
-        name="e7_cabal_matching",
-        description="Prop 4.15 colorful matching: cabals with growing anti-degree",
-        workloads=tuple(
-            WorkloadSpec.of(
-                "cabal", n_cabals=2, clique_size=160, anti_degree=a, cluster_size=1
-            )
-            for a in (1, 2, 4)
-        ),
-        seeds=(41,),
-        cell_timeout_s=300.0,
-    )
-)
-
-_register(
-    ScenarioSpec(
-        name="e8_put_aside",
-        description="Section 4 put-aside machinery on cabal-heavy instances",
-        workloads=tuple(
-            WorkloadSpec.of("cabal", n_cabals=2, clique_size=s) for s in (60, 120)
-        ),
-        seeds=(0, 1),
-        instance_seeds=(31,),
-    )
-)
-
-_register(
-    ScenarioSpec(
-        name="e9_slack_generation",
-        description="Algorithm 18 slack: planted ACDs across clique sizes",
-        workloads=tuple(
-            WorkloadSpec.of("planted_acd", clique_size=s) for s in (30, 50, 80)
-        ),
-        seeds=(0,),
-        instance_seeds=(41,),
-    )
-)
-
-_register(
-    ScenarioSpec(
-        name="e10_sct",
-        description="Support-tree communication: bridge pathology and Voronoi clusters",
-        workloads=(
-            WorkloadSpec.of("bridge"),
-            WorkloadSpec.of("voronoi", n=400, n_clusters=100),
-        ),
-        seeds=(0, 1),
     )
 )
 

@@ -18,16 +18,17 @@ import numpy as np
 
 
 def sorted_unique(codes: np.ndarray) -> np.ndarray:
-    """``np.unique(codes)`` for a 1-D int64 array, by sort and adjacent
-    compare.  numpy 2's hash-based ``unique`` is an order of magnitude
-    slower on the ~10^5-10^6 edge codes instance construction dedupes."""
-    ordered = np.sort(codes)
-    if ordered.size:
-        keep = np.empty(ordered.size, dtype=bool)
+    """``np.unique(codes)`` for a 1-D int64 array, by an in-place sort (the
+    caller's scratch ``codes`` ends sorted) and adjacent compare.  numpy 2's
+    hash-based ``unique`` is an order of magnitude slower on the ~10^5-10^6
+    edge codes instance construction dedupes."""
+    codes.sort()
+    if codes.size:
+        keep = np.empty(codes.size, dtype=bool)
         keep[0] = True
-        np.not_equal(ordered[1:], ordered[:-1], out=keep[1:])
-        ordered = ordered[keep]
-    return ordered
+        np.not_equal(codes[1:], codes[:-1], out=keep[1:])
+        codes = codes[keep]
+    return codes
 
 
 @dataclass
@@ -63,13 +64,12 @@ class CSRAdjacency:
         Each edge appears once, in either orientation; both directions are
         written as ``src * n + dst`` codes into one buffer, which one
         in-place sort turns into ``indices``.  The dynamic subsystem's
-        delta-buffer compaction rebuilds through this;
-        :meth:`from_edge_codes` is the same layout for callers that already
-        hold edge codes (``CommGraph``, ``ClusterGraph.from_assignment``).
+        delta-buffer compaction rebuilds through this.
 
         ``dedupe=True`` collapses duplicate edges (and accepts both
-        orientations of the same pair) before laying out; the default trusts
-        the caller to pass a duplicate-free list.
+        orientations of the same pair) before laying out: the one dedupe
+        build, behind ``CommGraph`` and ``ClusterGraph.from_assignment``.
+        The default trusts the caller to pass a duplicate-free list.
         """
         eu = np.asarray(edge_u, dtype=np.int64).reshape(-1)
         ev = np.asarray(edge_v, dtype=np.int64).reshape(-1)
@@ -78,9 +78,12 @@ class CSRAdjacency:
                 f"edge arrays differ in length ({eu.size} vs {ev.size})"
             )
         if dedupe:
-            lo = np.minimum(eu, ev)
-            hi = np.maximum(eu, ev)
-            return cls.from_edge_codes(sorted_unique(lo * n_vertices + hi), n_vertices)
+            # codes lo * n + hi, built in one buffer
+            codes = np.minimum(eu, ev)
+            codes *= n_vertices
+            codes += np.maximum(eu, ev)
+            codes = sorted_unique(codes)
+            return cls.from_edge_codes(codes, n_vertices)
         codes = np.empty(2 * eu.size, dtype=np.int64)
         head, tail = codes[: eu.size], codes[eu.size :]
         np.multiply(eu, n_vertices, out=head)
@@ -151,6 +154,12 @@ class CSRAdjacency:
         """Neighbor array of ``v`` -- a zero-copy slice of ``indices``."""
         return self.indices[self.indptr[v] : self.indptr[v + 1]]
 
+    def has_edge(self, u: int, v: int) -> bool:
+        """Whether ``{u, v}`` is an edge (binary search on ``u``'s row)."""
+        nbrs = self.neighbors(u)
+        i = int(np.searchsorted(nbrs, v))
+        return i < nbrs.size and int(nbrs[i]) == v
+
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Undirected edge list as ``(u, v)`` arrays with ``u < v``
         (derived once from the CSR and cached; the vectorized properness
@@ -202,9 +211,7 @@ class CSRConflictGraph:
 
     def are_adjacent(self, u: int, v: int) -> bool:
         """Whether ``{u, v}`` is an edge (binary search on the CSR)."""
-        nbrs = self.csr.neighbors(u)
-        i = int(np.searchsorted(nbrs, v))
-        return i < nbrs.size and int(nbrs[i]) == v
+        return self.csr.has_edge(u, v)
 
     @cached_property
     def max_degree(self) -> int:

@@ -5,18 +5,17 @@ is deliberately minimal and immutable-after-construction: algorithms never
 mutate the network, they only send messages over it (accounted for by
 :mod:`repro.network.ledger`).
 
-Adjacency is stored as CSR (``indptr``/``indices`` int64 arrays) built in
-one vectorized pass -- construction used to be the wall-clock floor of every
-50k-machine scale instance.
+The links are stored once, as CSR (``indptr``/``indices`` int64 arrays)
+built in one vectorized dedupe pass; every link query reads that CSR.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
-from repro.graphcore.csr import CSRAdjacency, sorted_unique
+from repro.graphcore.csr import CSRAdjacency
 
 if TYPE_CHECKING:
     import networkx as nx
@@ -30,23 +29,29 @@ class CommGraph:
     n:
         Number of machines.
     edges:
-        Iterable of ``(u, v)`` links.  Self-loops are rejected; duplicate
-        links are collapsed.
+        Iterable or integer array of ``(u, v)`` links.  Self-loops and
+        non-integer ids are rejected; duplicate links are collapsed.
+
+    Attributes
+    ----------
+    csr:
+        The machine-level CSR, the network's only link store.  Every link
+        query reads it, and machine-level batch work (e.g. the vectorized
+        Voronoi BFS) runs through the :mod:`repro.graphcore` kernels on it.
     """
 
-    __slots__ = (
-        "n", "_indptr", "_indices", "_link_u", "_link_v", "_link_codes",
-        "_m", "_csr",
-    )
+    __slots__ = ("n", "csr")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n <= 0:
             raise ValueError(f"need at least one machine, got n={n}")
         self.n = n
-        if isinstance(edges, np.ndarray):
-            arr = edges.astype(np.int64, copy=False).reshape(-1, 2)
-        else:
-            arr = np.asarray(list(edges), dtype=np.int64).reshape(-1, 2)
+        if not isinstance(edges, np.ndarray):
+            edges = np.asarray(list(edges))
+        # bools are not np.integer, so they fail here too
+        if edges.size and not np.issubdtype(edges.dtype, np.integer):
+            raise ValueError(f"machine ids must be integers, got dtype {edges.dtype}")
+        arr = edges.astype(np.int64, copy=False).reshape(-1, 2)
         if arr.size:
             loops = arr[:, 0] == arr[:, 1]
             if loops.any():
@@ -56,91 +61,59 @@ class CommGraph:
             if arr.min() < 0 or arr.max() >= n:
                 u, v = arr[((arr < 0) | (arr >= n)).any(axis=1)][0]
                 raise ValueError(f"link ({int(u)},{int(v)}) out of range for n={n}")
-            # codes lo * n + hi, built in one buffer
-            codes = np.minimum(arr[:, 0], arr[:, 1])
-            codes *= n
-            codes += np.maximum(arr[:, 0], arr[:, 1])
-            codes = sorted_unique(codes)
-            self._link_u = codes // n
-            self._link_v = codes % n
-            self._link_codes = codes
-        else:
-            self._link_u = np.empty(0, dtype=np.int64)
-            self._link_v = np.empty(0, dtype=np.int64)
-            self._link_codes = np.empty(0, dtype=np.int64)
-        self._m = int(self._link_u.size)
-        self._csr = CSRAdjacency.from_edge_codes(self._link_codes, n)
-        self._indptr = self._csr.indptr
-        self._indices = self._csr.indices
+        self.csr = CSRAdjacency.from_edge_arrays(arr[:, 0], arr[:, 1], n, dedupe=True)
 
     # ---- basic accessors ---------------------------------------------------
 
     @property
     def num_links(self) -> int:
         """Number of undirected links."""
-        return self._m
-
-    @property
-    def csr(self) -> CSRAdjacency:
-        """The machine-level CSR backbone (same arrays the accessors slice);
-        lets machine-level batch work -- e.g. the vectorized Voronoi BFS --
-        run through the :mod:`repro.graphcore` kernels."""
-        return self._csr
+        return self.csr.n_directed_edges // 2
 
     def neighbors(self, machine: int) -> Sequence[int]:
         """Machines adjacent to ``machine`` (sorted; zero-copy CSR slice)."""
-        return self._indices[self._indptr[machine] : self._indptr[machine + 1]]
+        return self.csr.neighbors(machine)
 
     def degree(self, machine: int) -> int:
         """Number of links incident to ``machine``."""
-        return int(self._indptr[machine + 1] - self._indptr[machine])
+        return int(self.csr.indptr[machine + 1] - self.csr.indptr[machine])
 
     def has_link(self, u: int, v: int) -> bool:
         """Whether machines ``u`` and ``v`` share a link."""
-        a = self.neighbors(u)
-        b = self.neighbors(v)
-        src, tgt = (a, v) if a.size <= b.size else (b, u)
-        i = int(np.searchsorted(src, tgt))
-        return i < src.size and int(src[i]) == tgt
+        return self.csr.has_edge(u, v)
 
     def link_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """All links as parallel ``(u, v)`` int64 arrays with ``u < v``,
-        lexicographically sorted (the vectorized construction input of
-        :meth:`ClusterGraph.from_assignment`)."""
-        return self._link_u, self._link_v
-
-    def link_index(self, u: int, v: int) -> int:
-        """Position of link ``{u, v}`` in the :meth:`link_arrays` order.
-
-        The canonical index for per-link attribute arrays (the
+        lexicographically sorted: the CSR's cached
+        :meth:`~repro.graphcore.csr.CSRAdjacency.edge_arrays`.  Their order
+        is the canonical index of per-link attribute arrays (the
         heterogeneous network model keys its bandwidth/latency samples by
-        it).  Raises ``KeyError`` when the machines share no link.
-        """
-        lo, hi = (u, v) if u < v else (v, u)
-        code = lo * self.n + hi
-        i = int(np.searchsorted(self._link_codes, code))
-        if i >= self._m or int(self._link_codes[i]) != code:
-            raise KeyError(f"machines {u} and {v} share no link")
-        return i
+        it)."""
+        return self.csr.edge_arrays()
 
     def link_indices(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """:meth:`link_index` of every pair ``(u[i], v[i])`` at once, as an
-        int64 array.  Raises ``KeyError`` naming the first pair that shares
-        no link."""
+        """Position of every link ``{u[i], v[i]}`` in the :meth:`link_arrays`
+        order, as an int64 array.  Raises ``KeyError`` naming the first pair
+        with a machine id outside ``0..n-1``, else the first pair that
+        shares no link."""
         lo, hi = np.minimum(u, v), np.maximum(u, v)
+        outside = (lo < 0) | (hi >= self.n)
+        if outside.any():
+            i = int(np.flatnonzero(outside)[0])
+            raise KeyError(
+                f"machines {int(u[i])} and {int(v[i])}: id outside 0..{self.n - 1}"
+            )
+        link_u, link_v = self.link_arrays()
+        link_codes = link_u * self.n
+        link_codes += link_v
         codes = lo * self.n + hi
-        idx = np.searchsorted(self._link_codes, codes)
-        found = idx < self._m
-        found[found] = self._link_codes[idx[found]] == codes[found]
+        idx = np.searchsorted(link_codes, codes)
+        found = idx < link_codes.size
+        found[found] = link_codes[idx[found]] == codes[found]
         if not found.all():
             i = int(np.flatnonzero(~found)[0])
             raise KeyError(f"machines {int(u[i])} and {int(v[i])} share no link")
         return idx
-
-    def iter_links(self) -> Iterator[tuple[int, int]]:
-        """All links, each once, as ``(u, v)`` with ``u < v`` (sorted)."""
-        for u, v in zip(self._link_u.tolist(), self._link_v.tolist()):
-            yield (u, v)
 
     # ---- interop ------------------------------------------------------------
 
@@ -156,7 +129,7 @@ class CommGraph:
 
         graph = nx.Graph()
         graph.add_nodes_from(range(self.n))
-        graph.add_edges_from(self.iter_links())
+        graph.add_edges_from(zip(*(a.tolist() for a in self.link_arrays())))
         return graph
 
     def is_connected_subset(self, machines: Sequence[int]) -> bool:
@@ -178,7 +151,7 @@ class CommGraph:
         return len(seen) == len(member)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"CommGraph(n={self.n}, links={self._m})"
+        return f"CommGraph(n={self.n}, links={self.num_links})"
 
 
 def networkx_edge_array(

@@ -80,11 +80,7 @@ class _Shadow:
         return np.flatnonzero(self.alive_mask)
 
     def _base_has(self, u: int, v: int) -> bool:
-        if u >= self.base.n_vertices:
-            return False
-        nbrs = self.base.neighbors(u)
-        i = int(np.searchsorted(nbrs, v))
-        return i < nbrs.size and int(nbrs[i]) == v
+        return u < self.base.n_vertices and self.base.has_edge(u, v)
 
     def has_edge(self, u: int, v: int) -> bool:
         if v in self._inserted.get(u, ()):

@@ -1,5 +1,6 @@
-"""Memory regressions: what a graph keeps after a coloring, and how far
-instance construction overshoots what it keeps."""
+"""Memory regressions: what a graph keeps after a coloring, what a network
+keeps besides its CSR, and how far instance construction overshoots what
+it keeps."""
 
 import gc
 import tracemalloc
@@ -17,8 +18,10 @@ MID_PLANTED = dict(
     n_sparse=400, sparse_degree_fraction=0.6, cluster_size=3, topology="path",
 )
 
-#: Traced peak / retained bytes of the build: 1.46-1.53 over seeds 0-3,
-#: 2.89-3.18 while construction kept its link-length temporaries alive.
+#: Traced peak / retained bytes of the build: 1.82 over seeds 0-3 (1.53
+#: while ``CommGraph`` kept three link arrays beside its CSR, which raised
+#: what is retained, not the peak), 2.89-3.18 while construction kept its
+#: link-length temporaries alive.
 MAX_PEAK_OVER_RETAINED = 2.0
 
 
@@ -45,3 +48,26 @@ def test_construction_peak_stays_near_what_the_graph_keeps():
         tracemalloc.stop()
     assert workload.graph.n_h_edges > 20_000
     assert peak / retained <= MAX_PEAK_OVER_RETAINED, (peak, retained)
+
+
+def test_comm_graph_keeps_only_its_csr():
+    """After its links are read once, a network holds its CSR and the one
+    cached ``u < v`` pair derived from it, and no other link array."""
+    from repro.network import CommGraph
+
+    comm = planted_acd_instance(np.random.default_rng(1), **MID_PLANTED).graph.comm
+    links = np.stack(comm.link_arrays(), axis=1)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        built = CommGraph(comm.n, links)
+        pair = built.link_arrays()
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert built.link_arrays() is pair
+    assert all(a is b for a, b in zip(pair, built.csr.edge_arrays()))
+    assert all(np.array_equal(a, b) for a, b in zip(pair, comm.link_arrays()))
+    kept = built.csr.indptr.nbytes + built.csr.indices.nbytes
+    kept += 2 * built.num_links * 8
+    assert retained <= kept + 64 * 1024, (retained, kept)

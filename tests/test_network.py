@@ -42,19 +42,52 @@ class TestCommGraph:
         assert not g.has_link(0, 4)
         assert not g.has_link(2, 3)
 
+    @pytest.mark.parametrize(
+        "edges, dtype",
+        [
+            ([(0.5, 1.7)], "float64"),
+            (np.array([[0.5, 1.7]]), "float64"),
+            (np.array([[True, False]]), "bool"),
+            ([], None),
+            (np.empty((0, 2)), None),
+        ],
+        ids=["float-list", "float-array", "bool-array", "empty-list", "empty-float-array"],
+    )
+    def test_non_integer_links_rejected(self, edges, dtype):
+        if dtype is None:  # no link: nothing to truncate, whatever the dtype
+            assert CommGraph(3, edges).num_links == 0
+            return
+        with pytest.raises(ValueError, match=f"integers, got dtype {dtype}"):
+            CommGraph(3, edges)
+
     def test_link_indices_match_link_index(self):
         g = CommGraph(6, [(0, 1), (1, 3), (3, 4), (2, 5), (0, 5)])
+        link_u, link_v = (a.tolist() for a in g.link_arrays())
+
+        def link_index(a, b):  # brute force over the link_arrays order
+            lo, hi = min(a, b), max(a, b)
+            return next(
+                i for i, pair in enumerate(zip(link_u, link_v)) if pair == (lo, hi)
+            )
+
         u = np.array([3, 0, 5, 4, 1])
         v = np.array([1, 5, 2, 3, 0])
-        expected = [g.link_index(a, b) for a, b in zip(u.tolist(), v.tolist())]
+        expected = [link_index(a, b) for a, b in zip(u.tolist(), v.tolist())]
         assert g.link_indices(u, v).tolist() == expected
         with pytest.raises(KeyError, match="machines 2 and 3 share no link"):
             g.link_indices(np.array([0, 2]), np.array([1, 3]))
+        # 0 * 4 + 6 == 1 * 4 + 2: an out-of-range id must not alias link (1, 2)
+        path = CommGraph(4, [(0, 1), (1, 2), (2, 3)])
+        for u, v, named in (
+            ([0], [6], "0 and 6"), ([1, 6], [2, 0], "6 and 0"), ([-1, 1], [2, 2], "-1 and 2"),
+        ):
+            with pytest.raises(KeyError, match=f"machines {named}: id outside 0..3"):
+                path.link_indices(np.array(u), np.array(v))
 
     def test_iter_links_canonical(self):
         g = CommGraph(4, [(3, 1), (0, 2)])
-        links = sorted(g.iter_links())
-        assert links == [(0, 2), (1, 3)]
+        link_u, link_v = g.link_arrays()
+        assert list(zip(link_u.tolist(), link_v.tolist())) == [(0, 2), (1, 3)]
 
     def test_connected_subset(self):
         g = CommGraph(5, [(0, 1), (1, 2), (3, 4)])

@@ -309,8 +309,7 @@ def _instance_digest(workload, rng) -> str:
         graph.csr.indptr,
         graph.csr.indices,
         np.asarray(graph.assignment, dtype=np.int64),
-        graph.comm._link_u,
-        graph.comm._link_v,
+        *graph.comm.link_arrays(),
     ):
         a = np.ascontiguousarray(arr, dtype=np.int64)
         h.update(str(a.shape).encode())
