@@ -21,20 +21,21 @@ import numpy as np
 
 from repro.aggregation.runtime import ClusterRuntime
 from repro.baselines.luby import BaselineResult
-from repro.coloring.try_color import greedy_finish, try_color_round
+from repro.coloring.try_color import BatchSampler, greedy_finish, try_color_round
 from repro.coloring.types import PartialColoring, UNCOLORED
+from repro.graphcore import batch_used_color_masks, draw_free_colors
 from repro.params import AlgorithmParameters, scaled
 
 
 def sparsified_lists(
     rng: np.random.Generator, n_vertices: int, num_colors: int, list_size: int
-) -> list[np.ndarray]:
+) -> np.ndarray:
     """Sample each vertex's ``O(log^2 n)`` color list (the theorem's only
-    random object)."""
-    lists = []
+    random object): row ``v`` of the returned ``(n_vertices, size)`` array."""
     size = min(list_size, num_colors)
-    for _ in range(n_vertices):
-        lists.append(rng.choice(num_colors, size=size, replace=False))
+    lists = np.empty((n_vertices, size), dtype=np.int64)
+    for v in range(n_vertices):
+        lists[v] = rng.choice(num_colors, size=size, replace=False)
     return lists
 
 
@@ -61,15 +62,17 @@ def palette_sparsification_coloring(
     if max_rounds is None:
         max_rounds = int(np.ceil(log_n * log_n)) + 16
 
-    def sampler(v: int) -> int | None:
-        # sample within the list, skipping colors known-taken by neighbors
-        lst = lists[v]
-        ncols = coloring.colors[graph.neighbor_array(v)]
-        used = set(int(c) for c in ncols if c != UNCOLORED)
-        live = [int(c) for c in lst if int(c) not in used]
-        if not live:
-            return None
-        return live[int(rng.integers(0, len(live)))]
+    def draw(vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # sample within each list, skipping colors known-taken by neighbors;
+        # a vertex whose list is all taken proposes nothing
+        used = batch_used_color_masks(
+            graph.csr, coloring.colors, vertices, num_colors
+        )
+        rows = lists[vertices]
+        can, picks = draw_free_colors(np.take_along_axis(used, rows, axis=1), rng)
+        return vertices[can], rows[can][np.arange(picks.size), picks]
+
+    sampler = BatchSampler(draw)
 
     remaining = np.arange(graph.n_vertices, dtype=np.int64)
     for _ in range(max_rounds):

@@ -142,7 +142,6 @@ def color_cluster_graph(
     runtime = ClusterRuntime(
         graph=graph, params=params, rng=rng, tracer=tracer, netmodel=netmodel
     )
-    tracer = runtime.tracer
     ledger = runtime.ledger
     stats = ColoringStats()
     num_colors = graph.max_degree + 1
@@ -161,13 +160,10 @@ def color_cluster_graph(
     if regime == "polylog":
         from repro.coloring.polylog import color_polylog
 
-        before = ledger.snapshot()
-        with tracer.span("polylog"):
+        with stats.stage(runtime, "polylog"):
             color_polylog(runtime, coloring, stats)
-        stats.record_stage("polylog", before, ledger)
     elif regime == "low_degree":
-        before = ledger.snapshot()
-        with tracer.span("low_degree") as span:
+        with stats.stage(runtime, "low_degree") as span:
             shatter_info = color_low_degree(runtime, coloring)
             span.counter(
                 "post_shattering_uncolored",
@@ -178,7 +174,6 @@ def color_cluster_graph(
                 fallback_color(
                     runtime, coloring, shatter_info["stuck"], stats, "low_degree"
                 )
-        stats.record_stage("low_degree", before, ledger)
         stats.notes.append(
             f"shattering left {shatter_info['post_shattering_uncolored']} vertices "
             f"in {shatter_info['num_components']} components "
@@ -186,59 +181,45 @@ def color_cluster_graph(
         )
     else:
         # ---- Algorithm 3 ----------------------------------------------------
-        before = ledger.snapshot()
-        with tracer.span("acd") as span:
-            acd = compute_acd(runtime)
-            with tracer.span("acd.cabals"):
-                annotate_with_cabals(runtime, acd)
+        with stats.stage(runtime, "acd") as span:
+            acd = annotate_with_cabals(runtime, compute_acd(runtime))
             span.counter("cliques", acd.num_cliques)
             span.counter("sparse_vertices", len(acd.sparse))
             span.counter("repaired_components", acd.repaired_components)
-        stats.record_stage("acd", before, ledger)
         if acd.repaired_components:
             stats.notes.append(f"ACD repaired {acd.repaired_components} components")
 
-        before = ledger.snapshot()
         non_cabal_vertices = [
             v
             for v in range(graph.n_vertices)
             if not acd.is_cabal_vertex(v)
         ]
-        with tracer.span("slack_generation") as span:
+        with stats.stage(runtime, "slack_generation") as span:
             span.counter("vertices", len(non_cabal_vertices))
             slack_generation(runtime, coloring, non_cabal_vertices)
-        stats.record_stage("slack_generation", before, ledger)
 
-        before = ledger.snapshot()
-        with tracer.span("sparse") as span:
+        with stats.stage(runtime, "sparse") as span:
             span.counter("vertices", len(acd.sparse))
             _color_sparse(runtime, coloring, acd.sparse, stats)
-        stats.record_stage("sparse", before, ledger)
 
-        before = ledger.snapshot()
-        with tracer.span("noncabals"):
+        with stats.stage(runtime, "noncabals"):
             try:
                 color_noncabals(runtime, coloring, acd)
             except StageFailure as failure:
                 fallback_color(runtime, coloring, failure.affected, stats, "noncabals")
-        stats.record_stage("noncabals", before, ledger)
 
-        before = ledger.snapshot()
-        with tracer.span("cabals"):
+        with stats.stage(runtime, "cabals"):
             try:
                 color_cabals(runtime, coloring, acd, stats=stats)
             except StageFailure as failure:
                 fallback_color(runtime, coloring, failure.affected, stats, "cabals")
-        stats.record_stage("cabals", before, ledger)
 
     # ---- safety net: nothing may remain uncolored -----------------------------
     leftover = coloring.uncolored_vertices()
     if leftover:
-        before = ledger.snapshot()
-        with tracer.span("pipeline_fallback") as span:
+        with stats.stage(runtime, "pipeline_fallback") as span:
             span.counter("vertices", len(leftover))
             fallback_color(runtime, coloring, leftover, stats, "pipeline")
-        stats.record_stage("pipeline_fallback", before, ledger)
 
     proper = not verify or (
         is_proper(graph, coloring.colors)

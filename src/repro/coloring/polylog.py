@@ -123,54 +123,48 @@ def color_polylog(
     is the caller's fallback problem, as in the other regimes.
     """
     graph = runtime.graph
-    ledger = runtime.ledger
 
-    before = ledger.snapshot()
-    acd = annotate_with_cabals(runtime, compute_acd(runtime))
-    stats.record_stage(op + "_acd", before, ledger)
+    with stats.stage(runtime, op + "_acd"):
+        acd = annotate_with_cabals(runtime, compute_acd(runtime))
 
-    before = ledger.snapshot()
-    non_cabal = [v for v in range(graph.n_vertices) if not acd.is_cabal_vertex(v)]
-    slack_generation(runtime, coloring, non_cabal, op=op + "_slack")
-    stats.record_stage(op + "_slack", before, ledger)
+    with stats.stage(runtime, op + "_slack"):
+        non_cabal = [v for v in range(graph.n_vertices) if not acd.is_cabal_vertex(v)]
+        slack_generation(runtime, coloring, non_cabal, op=op + "_slack")
 
     # --- sparse vertices -----------------------------------------------------
-    before = ledger.snapshot()
     full = uniform_range_sampler(runtime, coloring.num_colors, 0)
-    _finish_group(runtime, coloring, acd.sparse, full, op=op + "_sparse")
-    stats.record_stage(op + "_sparse", before, ledger)
+    with stats.stage(runtime, op + "_sparse"):
+        _finish_group(runtime, coloring, acd.sparse, full, op=op + "_sparse")
 
     # --- dense vertices: non-cabals first, then cabals (Algorithm 13) --------
     gamma = runtime.params.mct_slack_coeff
     for cabal_pass in (False, True):
         label = "_cabals" if cabal_pass else "_noncabals"
-        before = ledger.snapshot()
-        indices = acd.cabal_indices() if cabal_pass else acd.non_cabal_indices()
-        if not indices:
-            stats.record_stage(op + label, before, ledger)
-            continue
-        matching = colorful_matching(
-            runtime,
-            coloring,
-            {idx: acd.cliques[idx] for idx in indices},
-            reserved_floor=0,  # no reserved colors in this regime
-            rounds=max(4, int(round(1.0 / runtime.params.eps))),
-            op=op + label + "_matching",
-        )
-        for idx in indices:
-            members = acd.cliques[idx]
-            if cabal_pass:
-                inliers, outliers = inliers_cabal(acd, idx)
-            else:
-                inliers, outliers = inliers_noncabal(
-                    acd, graph, idx, matching[idx], gamma
+        with stats.stage(runtime, op + label):
+            indices = acd.cabal_indices() if cabal_pass else acd.non_cabal_indices()
+            if not indices:
+                continue
+            matching = colorful_matching(
+                runtime,
+                coloring,
+                {idx: acd.cliques[idx] for idx in indices},
+                reserved_floor=0,  # no reserved colors in this regime
+                rounds=max(4, int(round(1.0 / runtime.params.eps))),
+                op=op + label + "_matching",
+            )
+            for idx in indices:
+                members = acd.cliques[idx]
+                if cabal_pass:
+                    inliers, outliers = inliers_cabal(acd, idx)
+                else:
+                    inliers, outliers = inliers_noncabal(
+                        acd, graph, idx, matching[idx], gamma
+                    )
+                _finish_group(
+                    runtime, coloring, outliers, full, op=op + label + "_outliers"
                 )
-            _finish_group(
-                runtime, coloring, outliers, full, op=op + label + "_outliers"
-            )
-            sampler = _clique_palette_sampler(runtime, coloring, members)
-            _finish_group(
-                runtime, coloring, inliers, sampler, op=op + label + "_inliers"
-            )
-        stats.record_stage(op + label, before, ledger)
+                sampler = _clique_palette_sampler(runtime, coloring, members)
+                _finish_group(
+                    runtime, coloring, inliers, sampler, op=op + label + "_inliers"
+                )
     return acd

@@ -8,11 +8,11 @@ visible in benchmark output (docs/ARCHITECTURE.md, D3).
 from __future__ import annotations
 
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
-
-from repro.network.ledger import BandwidthLedger, LedgerSnapshot
 
 
 @dataclass
@@ -25,12 +25,14 @@ class ColoringStats:
     regime: str = ""
     notes: list[str] = field(default_factory=list)
 
-    def record_stage(
-        self, name: str, before: LedgerSnapshot, ledger: BandwidthLedger
-    ) -> None:
-        """Attribute the rounds accumulated since ``before`` to ``name``."""
-        diff = before.diff(ledger.snapshot())
-        self.stage_rounds[name] = self.stage_rounds.get(name, 0) + diff.rounds_h
+    @contextmanager
+    def stage(self, runtime, name: str) -> Iterator:
+        """Run the wrapped block as stage ``name`` of ``runtime``: inside the
+        tracer span ``name`` (yielded, for counters) and one ledger window,
+        whose ``rounds_h`` is added to ``stage_rounds[name]``."""
+        with runtime.tracer.span(name) as span, runtime.ledger.window() as window:
+            yield span
+        self.stage_rounds[name] = self.stage_rounds.get(name, 0) + window.rounds_h
 
     def record_fallback(self, stage: str, count: int = 1) -> None:
         """A stage degraded to the fallback path ``count`` times."""
@@ -39,21 +41,6 @@ class ColoringStats:
     def record_retry(self, stage: str) -> None:
         """A stage retried after missing its postcondition."""
         self.retries[stage] += 1
-
-    @property
-    def total_rounds(self) -> int:
-        """Sum of per-stage H-rounds."""
-        return sum(self.stage_rounds.values())
-
-    def summary(self) -> dict:
-        """Plain-dict view for experiment records."""
-        return {
-            "stage_rounds": dict(self.stage_rounds),
-            "total_rounds": self.total_rounds,
-            "fallbacks": dict(self.fallbacks),
-            "retries": dict(self.retries),
-            "regime": self.regime,
-        }
 
 
 @dataclass

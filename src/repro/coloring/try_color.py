@@ -40,11 +40,6 @@ class BatchSampler:
     draw: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 
-#: ``sampler(v)`` draws from ``C(v)`` (``None``: no proposal), or a
-#: :class:`BatchSampler` drawing for a whole round.
-ColorSampler = Callable[[int], int | None] | BatchSampler
-
-
 def resolve_proposals(
     runtime: ClusterRuntime,
     coloring: PartialColoring,
@@ -86,7 +81,7 @@ def try_color_round(
     runtime: ClusterRuntime,
     coloring: PartialColoring,
     vertices: Iterable[int],
-    sampler: ColorSampler,
+    sampler: BatchSampler,
     *,
     op: str = "try_color",
 ) -> np.ndarray:
@@ -95,12 +90,7 @@ def try_color_round(
     """
     verts = np.asarray(vertices, dtype=np.int64)
     verts = verts[coloring.colors[verts] == UNCOLORED]
-    if isinstance(sampler, BatchSampler):
-        verts, cands = sampler.draw(verts)
-    else:
-        draws = [sampler(v) for v in verts.tolist()]
-        verts = verts[np.array([c is not None for c in draws], dtype=bool)]
-        cands = np.array([c for c in draws if c is not None], dtype=np.int64)
+    verts, cands = sampler.draw(verts)
     if verts.size == 0:
         runtime.h_rounds(op, count=1, bits=runtime.color_bits)
         return verts
@@ -149,7 +139,7 @@ def try_color_until(
     runtime: ClusterRuntime,
     coloring: PartialColoring,
     vertices: list[int],
-    sampler: ColorSampler,
+    sampler: BatchSampler,
     *,
     max_rounds: int,
     op: str = "try_color",

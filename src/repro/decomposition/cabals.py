@@ -35,45 +35,49 @@ def annotate_with_cabals(
     Cost: one fingerprint pass (``O(1/delta^2)`` rounds) plus one exact
     aggregation over a clique-spanning BFS tree per clique (``O(1)`` rounds,
     cliques are vertex-disjoint).
+
+    Runs inside the tracer span ``acd.cabals``, so both regimes that
+    classify cabals show it as a child of their ACD stage.
     """
-    graph = runtime.graph
-    params = runtime.params
-    n = runtime.n
-    delta = graph.max_degree
-    trials = params.fingerprint_trials(n, max(params.delta, 1e-3))
+    with runtime.tracer.span("acd.cabals"):
+        graph = runtime.graph
+        params = runtime.params
+        n = runtime.n
+        delta = graph.max_degree
+        trials = params.fingerprint_trials(n, max(params.delta, 1e-3))
 
-    # All dense vertices at once: external degrees are one label-mismatch
-    # gather over the CSR (label = clique id), estimates one batched
-    # fingerprint pass.  Vertex order (clique by clique, members in order)
-    # matches the per-vertex loop this replaces, so the RNG stream and the
-    # resulting estimates are bitwise identical.
-    dense = [v for members in acd.cliques for v in members]
-    e_tilde: dict[int, float] = {}
-    if dense:
-        true_external = batch_label_mismatch_counts(
-            graph.csr, acd.clique_of, dense
-        )
-        estimates = batch_count_estimates(runtime.rng, true_external, trials)
-        e_tilde = {v: float(e) for v, e in zip(dense, estimates)}
-    runtime.wide_message(op + "_external", 2 * trials + 16)
+        # All dense vertices at once: external degrees are one label-mismatch
+        # gather over the CSR (label = clique id), estimates one batched
+        # fingerprint pass.  Vertex order (clique by clique, members in order)
+        # matches the per-vertex loop this replaces, so the RNG stream and the
+        # resulting estimates are bitwise identical.
+        dense = [v for members in acd.cliques for v in members]
+        e_tilde: dict[int, float] = {}
+        if dense:
+            true_external = batch_label_mismatch_counts(
+                graph.csr, acd.clique_of, dense
+            )
+            estimates = batch_count_estimates(runtime.rng, true_external, trials)
+            e_tilde = {v: float(e) for v, e in zip(dense, estimates)}
+        runtime.wide_message(op + "_external", 2 * trials + 16)
 
-    e_tilde_clique: list[float] = []
-    cabal_flags: list[bool] = []
-    reserved: list[int] = []
-    ell = params.ell(n)
-    for members in acd.cliques:
-        avg = sum(e_tilde[v] for v in members) / max(1, len(members))
-        e_tilde_clique.append(avg)
-        cabal_flags.append(avg < ell)
-        reserved.append(params.reserved_colors(avg, n, delta))
-    # |K| and the e~_K average: one convergecast + broadcast per clique, all
-    # cliques in parallel (they are vertex-disjoint).
-    runtime.h_rounds(op + "_average", count=2)
+        e_tilde_clique: list[float] = []
+        cabal_flags: list[bool] = []
+        reserved: list[int] = []
+        ell = params.ell(n)
+        for members in acd.cliques:
+            avg = sum(e_tilde[v] for v in members) / max(1, len(members))
+            e_tilde_clique.append(avg)
+            cabal_flags.append(avg < ell)
+            reserved.append(params.reserved_colors(avg, n, delta))
+        # |K| and the e~_K average: one convergecast + broadcast per clique, all
+        # cliques in parallel (they are vertex-disjoint).
+        runtime.h_rounds(op + "_average", count=2)
 
-    acd.e_tilde = e_tilde
-    acd.e_tilde_clique = e_tilde_clique
-    acd.cabal_flags = cabal_flags
-    acd.reserved = reserved
+        acd.e_tilde = e_tilde
+        acd.e_tilde_clique = e_tilde_clique
+        acd.cabal_flags = cabal_flags
+        acd.reserved = reserved
     return acd
 
 

@@ -183,7 +183,7 @@ class DynamicColoring:
         :meth:`apply` call in a span (``stream.bootstrap``,
         ``stream.batch[batch=i]``); a batch span holds one child span per
         step, ``stream.ingest``, ``stream.repair``, ``stream.compact`` and
-        ``stream.verify``.  Tracing reads snapshots only -- traced
+        ``stream.verify``.  Tracing reads ledger windows only -- traced
         streams are bitwise-identical to untraced ones.
     netmodel:
         Optional :class:`~repro.network.hetnet.HetNetModel` attached to
@@ -240,8 +240,9 @@ class DynamicColoring:
                 rng=self.rng,
                 verify=True,
             )
+        if not bootstrap.proper:
+            raise RepairError("bootstrap: the one-shot coloring is not proper")
         self.colors = bootstrap.colors.astype(np.int64)
-        self._assert_proper("bootstrap")
         # the last coloring that passed the check (None: scan every edge)
         self._verified = self.colors.copy()
         self.reports: list[BatchReport] = []
@@ -302,50 +303,49 @@ class DynamicColoring:
 
     def _apply_in_span(self, batch: UpdateBatch, span) -> BatchReport:
         start = time.perf_counter()
-        before = self.ledger.snapshot()
-        with self.tracer.span("stream.ingest"):
-            dirty, events = self._ingest(batch)
-        with self.tracer.span("stream.repair"):
-            # repairs run on the post-update network: charge them at the
-            # dilation the batch's merges/splits/arrivals produced, and at
-            # the link budget of the largest network seen so far -- a
-            # scratch sub-run sizes its own cap from the live machines, and
-            # the ledger keeps one all-time widest message to check
-            self.ledger.dilation = self.dilation
-            self.ledger.bandwidth_bits = max(
-                self.ledger.bandwidth_bits,
-                self.params.bandwidth_bits(max(2, self.n_machines)),
-            )
-            dirty |= self._retighten_palette()
-            dirty = {v for v in dirty if self.delta.is_alive(v)}
-            for v in dirty:
-                self.colors[v] = UNCOLORED
+        with self.ledger.window() as window:
+            with self.tracer.span("stream.ingest"):
+                dirty, events = self._ingest(batch)
+            with self.tracer.span("stream.repair"):
+                # repairs run on the post-update network: charge them at the
+                # dilation the batch's merges/splits/arrivals produced, and at
+                # the link budget of the largest network seen so far -- a
+                # scratch sub-run sizes its own cap from the live machines, and
+                # the ledger keeps one all-time widest message to check
+                self.ledger.dilation = self.dilation
+                self.ledger.bandwidth_bits = max(
+                    self.ledger.bandwidth_bits,
+                    self.params.bandwidth_bits(max(2, self.n_machines)),
+                )
+                dirty |= self._retighten_palette()
+                dirty = {v for v in dirty if self.delta.is_alive(v)}
+                for v in dirty:
+                    self.colors[v] = UNCOLORED
 
-            escalated = False
-            repair_rounds = 0
-            greedy_count = 0
-            if self.mode == "scratch":
-                self._recolor_scratch(op="stream_scratch")
-                repaired = self.n_alive  # the baseline recolors everything
-            elif dirty and len(dirty) > _ESCALATE_FRACTION * max(1, self.n_alive):
-                self._recolor_scratch(op="stream_escalation")
-                repaired = self.n_alive
-                escalated = True
-            else:
-                repaired, repair_rounds, greedy_count, escalated = self._repair(
-                    sorted(dirty)
+                escalated = False
+                repair_rounds = 0
+                greedy_count = 0
+                if self.mode == "scratch":
+                    self._recolor_scratch(op="stream_scratch")
+                    repaired = self.n_alive  # the baseline recolors everything
+                elif dirty and len(dirty) > _ESCALATE_FRACTION * max(1, self.n_alive):
+                    self._recolor_scratch(op="stream_escalation")
+                    repaired = self.n_alive
+                    escalated = True
+                else:
+                    repaired, repair_rounds, greedy_count, escalated = self._repair(
+                        sorted(dirty)
+                    )
+
+            with self.tracer.span("stream.compact"):
+                compacted = self.delta.maybe_compact()
+            with self.tracer.span("stream.verify"):
+                # report a miss instead of raising: sweep cells and the CLI
+                # surface proper=False the same graceful way static cells do
+                proper = self._verify_batch(
+                    full=compacted or escalated or self.mode == "scratch"
                 )
 
-        with self.tracer.span("stream.compact"):
-            compacted = self.delta.maybe_compact()
-        with self.tracer.span("stream.verify"):
-            # report a miss instead of raising: sweep cells and the CLI
-            # surface proper=False the same graceful way static cells do
-            proper = self._verify_batch(
-                full=compacted or escalated or self.mode == "scratch"
-            )
-        after = self.ledger.snapshot()
-        diff = before.diff(after)
         report = BatchReport(
             batch_index=len(self.reports),
             events=events,
@@ -356,8 +356,8 @@ class DynamicColoring:
             repair_rounds=repair_rounds,
             greedy_vertices=greedy_count,
             compacted=compacted,
-            rounds_h=diff.rounds_h,
-            message_bits=diff.total_message_bits,
+            rounds_h=window.rounds_h,
+            message_bits=window.message_bits,
             wall_time_s=time.perf_counter() - start,
             proper=proper,
             num_colors=self.num_colors,
@@ -667,8 +667,8 @@ class DynamicColoring:
         return None if proper else "monochromatic edge survived repair"
 
     def _assert_proper(self, context: str) -> None:
-        """Raise :class:`RepairError` on an invariant miss (the bootstrap
-        contract: a caller-supplied starting coloring must be valid)."""
+        """Raise :class:`RepairError` on an invariant miss, after a full
+        edge scan (the stream-end check of :meth:`run`)."""
         problem = self._check_proper()
         if problem is not None:
             raise RepairError(f"{context}: {problem}")

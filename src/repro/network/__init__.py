@@ -3,7 +3,7 @@ and the heterogeneous simulated-time layer (:mod:`repro.network.hetnet`)."""
 
 from repro.network.commgraph import CommGraph
 from repro.network.hetnet import HetNetModel, HetNetSpec
-from repro.network.ledger import BandwidthLedger, LedgerSnapshot, ModelViolation
+from repro.network.ledger import BandwidthLedger, LedgerWindow, ModelViolation
 from repro.network.machine_sim import MachineSimulator, Message
 
 __all__ = [
@@ -11,7 +11,7 @@ __all__ = [
     "BandwidthLedger",
     "HetNetModel",
     "HetNetSpec",
-    "LedgerSnapshot",
+    "LedgerWindow",
     "ModelViolation",
     "MachineSimulator",
     "Message",

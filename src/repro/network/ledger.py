@@ -28,45 +28,52 @@ class ModelViolation(RuntimeError):
     """Raised when an operation breaks the communication model."""
 
 
-@dataclass
-class LedgerSnapshot:
-    """Immutable view of ledger counters, for before/after diffs.
+class LedgerWindow:
+    """What a region of an execution charged: the context manager
+    :meth:`BandwidthLedger.window` hands out.
 
-    ``makespan_ms`` is the simulated-clock total of the heterogeneous
-    network model (:mod:`repro.network.hetnet`); it stays ``0.0`` on
-    ledgers without an attached model, so snapshot consumers predating
-    the model see only zeros.
+    On exit ``rounds_h`` / ``rounds_g`` / ``message_bits`` (payload) /
+    ``num_operations`` / ``makespan_ms`` hold the ledger's growth over the
+    window (they read zero while it is open), and ``max_message_bits`` the
+    widest (capped) message charged inside it -- window-local, not the
+    ledger's running maximum.  Windows nest: a closing window folds its
+    maximum into the enclosing one, so an outer window sees everything its
+    inner windows saw.  ``makespan_ms`` stays ``0.0`` on ledgers without a
+    network model (:mod:`repro.network.hetnet`).
     """
 
-    rounds_h: int
-    rounds_g: int
-    total_message_bits: int
-    max_message_bits: int
-    num_operations: int
-    makespan_ms: float = 0.0
+    __slots__ = (
+        "rounds_h", "rounds_g", "message_bits", "max_message_bits",
+        "num_operations", "makespan_ms", "_ledger", "_start",
+    )
 
-    def diff(self, later: "LedgerSnapshot") -> "LedgerSnapshot":
-        """Counters accumulated between ``self`` and ``later``.
+    def __init__(self, ledger: "BandwidthLedger") -> None:
+        self.rounds_h = self.rounds_g = self.message_bits = 0
+        self.max_message_bits = self.num_operations = 0
+        self.makespan_ms = 0.0
+        self._ledger = ledger
+        self._start = None
 
-        Contract: ``rounds_h`` / ``rounds_g`` / ``total_message_bits`` /
-        ``num_operations`` are true window differences.
-        ``max_message_bits`` is **not** window-local: a high-water mark
-        cannot be reconstructed from two running maxima, so the diff
-        carries ``later``'s *global* running maximum (the mark as of the
-        window's end) unchanged.  Callers needing the true within-window
-        maximum must bracket the window with
-        :meth:`BandwidthLedger.push_max_window` /
-        :meth:`BandwidthLedger.pop_max_window`, which is what tracer spans
-        do.
-        """
-        return LedgerSnapshot(
-            rounds_h=later.rounds_h - self.rounds_h,
-            rounds_g=later.rounds_g - self.rounds_g,
-            total_message_bits=later.total_message_bits - self.total_message_bits,
-            max_message_bits=later.max_message_bits,
-            num_operations=later.num_operations - self.num_operations,
-            makespan_ms=later.makespan_ms - self.makespan_ms,
+    def __enter__(self) -> "LedgerWindow":
+        ledger = self._ledger
+        self._start = (
+            ledger.rounds_h, ledger.rounds_g, ledger.total_message_bits,
+            ledger.num_operations, ledger.makespan_ms,
         )
+        ledger._open_windows.append(self)
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        ledger = self._ledger
+        ledger._open_windows.pop()
+        rounds_h, rounds_g, bits, ops, makespan = self._start
+        self.rounds_h = ledger.rounds_h - rounds_h
+        self.rounds_g = ledger.rounds_g - rounds_g
+        self.message_bits = ledger.total_message_bits - bits
+        self.num_operations = ledger.num_operations - ops
+        self.makespan_ms = ledger.makespan_ms - makespan
+        ledger._widen_window(self.max_message_bits)
+        return False
 
 
 @dataclass
@@ -105,8 +112,8 @@ class BandwidthLedger:
     per_op_bits: Counter = field(default_factory=Counter, init=False)
     netmodel: object | None = field(default=None, init=False)
     makespan_ms: float = field(default=0.0, init=False)
-    #: Open max-window frames (innermost last); see :meth:`push_max_window`.
-    _window_maxes: list = field(default_factory=list, init=False, repr=False)
+    #: Open windows (innermost last); see :meth:`window`.
+    _open_windows: list = field(default_factory=list, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.bandwidth_bits <= 0:
@@ -185,8 +192,7 @@ class BandwidthLedger:
                 capped_width, effective_rounds_h
             )
         self.max_message_bits = max(self.max_message_bits, capped_width)
-        if self._window_maxes and capped_width > self._window_maxes[-1]:
-            self._window_maxes[-1] = capped_width
+        self._widen_window(capped_width)
         self.num_operations += 1
         self.per_op_rounds[op] += effective_rounds_h
         self.per_op_bits[op] += bits_charged
@@ -215,9 +221,7 @@ class BandwidthLedger:
             self.max_message_bits, int(summary["max_message_bits"])
         )
         self.num_operations += int(summary["num_operations"])
-        absorbed_max = int(summary["max_message_bits"])
-        if self._window_maxes and absorbed_max > self._window_maxes[-1]:
-            self._window_maxes[-1] = absorbed_max
+        self._widen_window(int(summary["max_message_bits"]))
         self.per_op_rounds[op] += rounds_h
         self.per_op_bits[op] += bits
 
@@ -235,43 +239,22 @@ class BandwidthLedger:
             )
         self.netmodel = model
 
-    # ---- window-local maxima -------------------------------------------------
-    #
-    # A running maximum cannot be diffed from snapshots (see
-    # LedgerSnapshot.diff), so the ledger tracks within-window maxima
-    # directly: a stack of frames, each holding the widest capped message
-    # charged while it was open.  O(1) per charge, exact under nesting --
-    # popping a frame folds its maximum into the parent frame, so an outer
-    # window sees everything its inner windows saw.
+    # ---- windows ------------------------------------------------------------
 
-    def push_max_window(self) -> None:
-        """Open a max-window frame: start tracking the widest (capped)
-        message charged from now until the matching :meth:`pop_max_window`."""
-        self._window_maxes.append(0)
+    def window(self) -> LedgerWindow:
+        """A context manager measuring what the region it wraps charged:
+        ``with ledger.window() as w: ...`` leaves the region's counters on
+        ``w`` (a :class:`LedgerWindow`).  A running maximum cannot be
+        recovered from two totals, so the ledger keeps the open windows
+        and widens the innermost one on every charge: O(1) per charge,
+        exact under nesting."""
+        return LedgerWindow(self)
 
-    def pop_max_window(self) -> int:
-        """Close the innermost max-window frame and return its true
-        within-window maximum message width (0 if nothing was charged).
-        Folds the result into the enclosing frame, if any."""
-        if not self._window_maxes:
-            raise RuntimeError("pop_max_window without a matching push")
-        window_max = self._window_maxes.pop()
-        if self._window_maxes and window_max > self._window_maxes[-1]:
-            self._window_maxes[-1] = window_max
-        return window_max
+    def _widen_window(self, width: int) -> None:
+        if self._open_windows and width > self._open_windows[-1].max_message_bits:
+            self._open_windows[-1].max_message_bits = width
 
     # ---- inspection ----------------------------------------------------------
-
-    def snapshot(self) -> LedgerSnapshot:
-        """Current counters as an immutable snapshot."""
-        return LedgerSnapshot(
-            rounds_h=self.rounds_h,
-            rounds_g=self.rounds_g,
-            total_message_bits=self.total_message_bits,
-            max_message_bits=self.max_message_bits,
-            num_operations=self.num_operations,
-            makespan_ms=self.makespan_ms,
-        )
 
     def summary(self) -> dict[str, int]:
         """Headline counters as a plain dict (for experiment records).

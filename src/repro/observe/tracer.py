@@ -7,7 +7,7 @@ put-aside finish -- in ``O(log* n)`` broadcast-and-aggregate rounds, but a
 A :class:`Tracer` attributes those totals: each :meth:`Tracer.span` opens a
 named window that records wall time, the ledger counters accumulated inside
 it (``rounds_h`` / ``rounds_g`` / payload bits, plus the true
-*window-local* maximum message width via the ledger's max-window stack),
+*window-local* maximum message width), read from one ledger window,
 and free-form counters (frontier sizes, escalations, rows processed).  Each
 span also notes the process's resident-set high-water mark at its exit, so
 a trace shows which stage raised the peak memory.
@@ -18,7 +18,7 @@ Neutrality contract
 -------------------
 
 Tracing must be *bitwise-invisible*: an enabled tracer only reads ledger
-snapshots and the wall clock -- it never draws randomness, never charges
+windows and the wall clock -- it never draws randomness, never charges
 the ledger, and never changes control flow.  The pinned-seed digest tests
 (``tests/test_observe.py``) prove an enabled-tracer run produces the same
 colorings, per-op ledger, and RNG end state as an untraced run.  The
@@ -49,15 +49,14 @@ __all__ = [
 class SpanRecord:
     """One closed (or still-open) span: a named, tagged measurement window.
 
-    ``rounds_h`` / ``rounds_g`` / ``message_bits`` / ``num_operations`` are
-    ledger-counter differences between span entry and exit (zero when the
-    tracer has no bound ledger); ``max_message_bits`` is the true
-    *window-local* maximum capped message width (see
-    :meth:`repro.network.ledger.BandwidthLedger.push_max_window`), not the
-    ledger's global running maximum.  ``peak_rss_mb`` is the process's
-    resident-set high-water mark (``getrusage`` ``ru_maxrss``) when the
-    span last exited: the first span whose value exceeds the one closed
-    before it is where the peak grew.
+    The ledger fields are those of the
+    :class:`~repro.network.ledger.LedgerWindow` the span held open (zero
+    when the tracer has no bound ledger): counter differences between span
+    entry and exit, and the true *window-local* maximum capped message
+    width, not the ledger's global running maximum.  ``peak_rss_mb`` is
+    the process's resident-set high-water mark (``getrusage``
+    ``ru_maxrss``) when the span last exited: the first span whose value
+    exceeds the one closed before it is where the peak grew.
     """
 
     name: str
@@ -117,13 +116,13 @@ class _ActiveSpan:
     ``with tracer.span("x") as sp: sp.counter("rows", k)``.
     """
 
-    __slots__ = ("_tracer", "record", "_start", "_before")
+    __slots__ = ("_tracer", "record", "_start", "_window")
 
     def __init__(self, tracer: "Tracer", record: SpanRecord) -> None:
         self._tracer = tracer
         self.record = record
         self._start = 0.0
-        self._before = None
+        self._window = None
 
     def counter(self, name: str, value: float = 1) -> None:
         """Accumulate ``value`` onto the span's counter ``name``."""
@@ -132,29 +131,22 @@ class _ActiveSpan:
     def __enter__(self) -> "_ActiveSpan":
         ledger = self._tracer.ledger
         if ledger is not None:
-            self._before = ledger.snapshot()
-            ledger.push_max_window()
+            self._window = ledger.window().__enter__()
         self._start = time.perf_counter()
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
         self.record.wall_time_s += time.perf_counter() - self._start
-        ledger = self._tracer.ledger
-        if ledger is not None and self._before is not None:
-            after = ledger.snapshot()
-            before = self._before
-            self.record.rounds_h += after.rounds_h - before.rounds_h
-            self.record.rounds_g += after.rounds_g - before.rounds_g
-            self.record.message_bits += (
-                after.total_message_bits - before.total_message_bits
-            )
-            self.record.num_operations += (
-                after.num_operations - before.num_operations
-            )
-            self.record.makespan_ms += after.makespan_ms - before.makespan_ms
-            window_max = ledger.pop_max_window()
-            if window_max > self.record.max_message_bits:
-                self.record.max_message_bits = window_max
+        window = self._window
+        if window is not None:
+            window.__exit__(exc_type, exc, tb)
+            record = self.record
+            record.rounds_h = window.rounds_h
+            record.rounds_g = window.rounds_g
+            record.message_bits = window.message_bits
+            record.max_message_bits = window.max_message_bits
+            record.num_operations = window.num_operations
+            record.makespan_ms = window.makespan_ms
         # ru_maxrss is in KiB on Linux
         self.record.peak_rss_mb = (
             resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
@@ -186,8 +178,8 @@ class Tracer:
         """Attach the ledger whose counters spans will attribute.
 
         Binding is only legal while no span is open: an open span holds a
-        snapshot (and a max-window frame) of the previously bound ledger,
-        and swapping underneath it would mis-attribute every counter.
+        window of the previously bound ledger, and swapping underneath it
+        would mis-attribute every counter.
         """
         if len(self._stack) > 1:
             raise RuntimeError(
@@ -253,7 +245,7 @@ class NullTracer:
 
     ``span`` hands back one shared context-manager instance, so the cost
     of an untraced call site is a method call and nothing else -- no
-    allocation, no clock read, no ledger snapshot.  Use the module
+    allocation, no clock read, no ledger window.  Use the module
     singleton :data:`NULL_TRACER` rather than constructing new instances.
     """
 

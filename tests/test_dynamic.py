@@ -697,6 +697,27 @@ class TestEngineInvariants:
                          [r.repaired for r in result.reports]))
         assert runs[0] == runs[1]
 
+    def test_improper_bootstrap_raises(self, monkeypatch):
+        import repro
+        from repro.coloring.stats import ColoringResult, ColoringStats
+
+        graph = small_cluster_graph(3)
+
+        def monochromatic(graph, **_kwargs):
+            return ColoringResult(
+                colors=np.zeros(graph.n_vertices, dtype=np.int64),
+                num_colors=graph.max_degree + 1,
+                stats=ColoringStats(),
+                ledger_summary={},
+                proper=False,
+                seed=0,
+                params_name="scaled",
+            )
+
+        monkeypatch.setattr(repro, "color_cluster_graph", monochromatic)
+        with pytest.raises(RepairError, match="bootstrap"):
+            DynamicColoring(graph, seed=0)
+
 
 # ---------------------------------------------------------------------------
 # Targeted update semantics

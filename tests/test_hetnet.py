@@ -210,12 +210,11 @@ class TestLedgerIntegration:
         self.charge_seq(modeled)
         assert modeled.summary()["makespan_ms"] > 0
 
-    def test_snapshot_diff_carries_makespan(self):
+    def test_window_carries_makespan(self):
         ledger = BandwidthLedger(bandwidth_bits=64)
         ledger.attach_netmodel(sample_model())
-        before = ledger.snapshot()
-        self.charge_seq(ledger)
-        window = before.diff(ledger.snapshot())
+        with ledger.window() as window:
+            self.charge_seq(ledger)
         assert window.makespan_ms == pytest.approx(ledger.makespan_ms)
 
     def test_zero_round_charge_advances_no_clock(self):

@@ -126,14 +126,13 @@ class TestLedger:
         assert ledger.rounds_h == 4
         assert ledger.max_message_bits <= 32
 
-    def test_snapshot_diff(self):
+    def test_window_diff(self):
         ledger = BandwidthLedger(bandwidth_bits=32)
-        before = ledger.snapshot()
-        ledger.charge("a", 8)
-        ledger.charge("b", 8, rounds_h=3)
-        diff = before.diff(ledger.snapshot())
-        assert diff.rounds_h == 4
-        assert diff.num_operations == 2
+        with ledger.window() as window:
+            ledger.charge("a", 8)
+            ledger.charge("b", 8, rounds_h=3)
+        assert window.rounds_h == 4
+        assert window.num_operations == 2
 
     def test_per_op_breakdown(self):
         ledger = BandwidthLedger(bandwidth_bits=32)
@@ -230,44 +229,79 @@ class TestLedger:
         assert ledger.rounds_g == 6  # every pipelined piece pays the depth
 
 
-class TestLedgerSnapshot:
-    def test_diff_is_directional_counters(self):
+class TestLedgerWindow:
+    def test_counters_are_differences(self):
         ledger = BandwidthLedger(bandwidth_bits=32)
         ledger.charge("before", 8, rounds_h=5)
-        first = ledger.snapshot()
-        ledger.charge("after", 16, rounds_h=2)
-        diff = first.diff(ledger.snapshot())
-        assert diff.rounds_h == 2
-        assert diff.rounds_g == 2
-        assert diff.total_message_bits == 16 * 2
-        assert diff.num_operations == 1
+        with ledger.window() as window:
+            ledger.charge("after", 16, rounds_h=2)
+        assert window.rounds_h == 2
+        assert window.rounds_g == 2
+        assert window.message_bits == 16 * 2
+        assert window.num_operations == 1
 
-    def test_diff_max_message_bits_is_max_not_difference(self):
-        # max_message_bits is a high-water mark, so diff keeps the larger of
-        # the two marks rather than subtracting
-        ledger = BandwidthLedger(bandwidth_bits=32)
-        ledger.charge("wide", 30)
-        first = ledger.snapshot()
-        ledger.charge("narrow", 4)
-        diff = first.diff(ledger.snapshot())
-        assert diff.max_message_bits == 30
+    def test_window_is_local_not_global(self):
+        ledger = BandwidthLedger(bandwidth_bits=64)
+        ledger.charge("wide", 60)
+        with ledger.window() as window:
+            ledger.charge("narrow", 10)
+        assert window.max_message_bits == 10
+        assert ledger.max_message_bits == 60
 
-    def test_diff_of_identical_snapshots_is_zero(self):
+    def test_nested_windows_fold_into_parent(self):
+        ledger = BandwidthLedger(bandwidth_bits=64)
+        with ledger.window() as outer:
+            ledger.charge("a", 5)
+            with ledger.window() as inner:
+                ledger.charge("b", 30)
+            ledger.charge("c", 12)
+        assert inner.max_message_bits == 30
+        assert outer.max_message_bits == 30  # inner max visible to outer
+        assert outer.rounds_h == 3
+
+    def test_width_is_capped_at_bandwidth(self):
+        ledger = BandwidthLedger(bandwidth_bits=64)
+        with ledger.window() as window:
+            ledger.charge("wide", 1000, pipelined=True)
+        # width of one message piece, not the payload
+        assert window.max_message_bits == 64
+
+    def test_absorb_updates_window(self):
+        ledger = BandwidthLedger(bandwidth_bits=64)
+        with ledger.window() as window:
+            ledger.absorb(
+                {"rounds_h": 3, "rounds_g": 3, "total_message_bits": 50,
+                 "max_message_bits": 40, "num_operations": 2},
+                op="sub",
+            )
+        assert window.max_message_bits == 40
+        assert window.rounds_h == 3
+
+    def test_empty_window_is_zero(self):
         ledger = BandwidthLedger(bandwidth_bits=32)
         ledger.charge("op", 8)
-        snap = ledger.snapshot()
-        diff = snap.diff(ledger.snapshot())
-        assert diff.rounds_h == 0
-        assert diff.rounds_g == 0
-        assert diff.total_message_bits == 0
-        assert diff.num_operations == 0
+        with ledger.window() as window:
+            pass
+        assert window.rounds_h == 0
+        assert window.rounds_g == 0
+        assert window.message_bits == 0
+        assert window.max_message_bits == 0
+        assert window.num_operations == 0
+        assert window.makespan_ms == 0.0
 
-    def test_snapshot_is_immutable_view(self):
+    def test_exception_closes_nested_windows(self):
         ledger = BandwidthLedger(bandwidth_bits=32)
-        snap = ledger.snapshot()
-        ledger.charge("later", 8)
-        assert snap.rounds_h == 0
-        assert ledger.snapshot().rounds_h == 1
+        with pytest.raises(KeyError):
+            with ledger.window() as outer:
+                with ledger.window():
+                    ledger.charge("op", 8)
+                    raise KeyError("boom")
+        assert outer.rounds_h == 1
+        assert outer.max_message_bits == 8
+        # no window is left open: a later charge widens no stale window
+        ledger.charge("later", 16)
+        assert outer.max_message_bits == 8
+        assert ledger._open_windows == []
 
 
 class TestMachineSimulator:

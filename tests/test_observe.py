@@ -4,8 +4,8 @@ The load-bearing property is *bitwise invisibility*: enabling a tracer
 must not change a single color, ledger counter, or RNG draw.  The golden
 table (tests/test_golden_runs.py) pins that on every row, traced and
 untraced.  This file covers span accounting (nesting, ledger attribution,
-the stage-sum == ledger-total partition invariant) and the ledger's
-max-window stack.
+the stage-sum == ledger-total partition invariant); the ledger window
+the spans read is tested in tests/test_network.py.
 """
 
 import json
@@ -241,55 +241,24 @@ class TestSpanAccounting:
             )
 
 
-class TestMaxWindow:
-    def test_window_is_local_not_global(self):
-        ledger = make_ledger()
-        ledger.charge("a", 60)  # global max 60
-        ledger.push_max_window()
-        ledger.charge("b", 10)
-        assert ledger.pop_max_window() == 10
-        assert ledger.max_message_bits == 60
-
-    def test_nested_windows_fold_into_parent(self):
-        ledger = make_ledger()
-        ledger.push_max_window()
-        ledger.charge("a", 5)
-        ledger.push_max_window()
-        ledger.charge("b", 30)
-        assert ledger.pop_max_window() == 30
-        ledger.charge("c", 12)
-        assert ledger.pop_max_window() == 30  # inner max visible to outer
-
-    def test_width_is_capped_at_bandwidth(self):
-        ledger = make_ledger(bandwidth_bits=64)
-        ledger.push_max_window()
-        ledger.charge("wide", 1000, pipelined=True)
-        # width of one message piece, not the payload
-        assert ledger.pop_max_window() == 64
-
-    def test_pop_without_push_raises(self):
-        with pytest.raises(RuntimeError):
-            make_ledger().pop_max_window()
-
-    def test_absorb_updates_window(self):
-        ledger = make_ledger()
-        ledger.push_max_window()
-        ledger.absorb(
-            {"rounds_h": 3, "rounds_g": 3, "total_message_bits": 50,
-             "max_message_bits": 40, "num_operations": 2},
-            op="sub",
-        )
-        assert ledger.pop_max_window() == 40
-
-    def test_snapshot_diff_documents_global_max(self):
-        ledger = make_ledger()
-        ledger.charge("a", 50)
-        before = ledger.snapshot()
-        ledger.charge("b", 10)
-        diff = before.diff(ledger.snapshot())
-        # contract: NOT window-local -- carries the later global running max
-        assert diff.max_message_bits == 50
-        assert diff.total_message_bits == 10
+class TestPolylogSpans:
+    def test_substages_are_children_of_the_polylog_span(self):
+        graph = GENERATORS["cabal"](np.random.default_rng(0)).graph
+        tracer = Tracer()
+        result = color_cluster_graph(graph, seed=0, regime="polylog", tracer=tracer)
+        (span,) = [s for s in tracer.spans if s.name == "polylog"]
+        substages = ["polylog_acd", "polylog_slack", "polylog_sparse",
+                     "polylog_noncabals", "polylog_cabals"]
+        assert [c.name for c in span.children] == substages
+        stages = result.stats.stage_rounds
+        assert {c.name: c.rounds_h for c in span.children} == {
+            name: stages[name] for name in substages
+        }
+        assert sum(c.rounds_h for c in span.children) == span.rounds_h
+        assert span.rounds_h == stages["polylog"]
+        acd = span.children[0]
+        assert "acd.cabals" in [c.name for c in acd.children]
+        assert sum(c.rounds_h for c in acd.children) == acd.rounds_h
 
 
 class TestTracerNeutrality:

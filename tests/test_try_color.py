@@ -7,6 +7,7 @@ import pytest
 from repro.cluster import blowup
 from repro.coloring.slack import reserved_zone, slack_generation
 from repro.coloring.try_color import (
+    BatchSampler,
     greedy_finish,
     resolve_proposals,
     try_color_round,
@@ -112,10 +113,12 @@ class TestTryColorLoop:
 
     def test_sampler_none_skips(self):
         runtime, coloring = _runtime_and_coloring()
+        nothing = BatchSampler(lambda vertices: (vertices[:0], vertices[:0]))
         adopted = try_color_round(
-            runtime, coloring, range(coloring.n_vertices), lambda v: None
+            runtime, coloring, range(coloring.n_vertices), nothing
         )
         assert adopted.tolist() == []
+        assert coloring.colored_count() == 0
 
 
 class TestGreedyFinish:
