@@ -248,6 +248,16 @@ class TestLedgerWindow:
         assert window.max_message_bits == 10
         assert ledger.max_message_bits == 60
 
+    def test_window_max_is_high_water_mark(self):
+        # max_message_bits is a high-water mark: a narrower later charge in
+        # the same window neither lowers nor subtracts from it
+        ledger = BandwidthLedger(bandwidth_bits=32)
+        with ledger.window() as window:
+            ledger.charge("wide", 30)
+            ledger.charge("narrow", 4)
+        assert window.max_message_bits == 30
+        assert window.num_operations == 2
+
     def test_nested_windows_fold_into_parent(self):
         ledger = BandwidthLedger(bandwidth_bits=64)
         with ledger.window() as outer:
