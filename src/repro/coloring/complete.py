@@ -28,7 +28,7 @@ from repro.coloring.multicolor_trial import multicolor_trial
 from repro.coloring.try_color import resolve_proposals
 from repro.coloring.types import PartialColoring, UNCOLORED
 from repro.decomposition.acd import AlmostCliqueDecomposition
-from repro.graphcore import gather_neighborhoods
+from repro.graphcore import gather_neighborhoods, row_blocks
 from repro.sketch.fingerprint import count_estimate, direct_count_fingerprint
 
 PHASE_ONE_ITERATIONS = 3
@@ -82,7 +82,7 @@ def z_proxy(
     (Claim 8.3).
 
     The per-vertex scalar reference: Phase I computes the same value, with
-    the same draws, from one CSR gather per iteration.
+    the same draws, from blocked CSR gathers per iteration.
     """
     graph = runtime.graph
     idx = plan.clique_index
@@ -131,8 +131,8 @@ def _phase_one_z(
     The coloring must stay frozen while the generator runs, as it does in
     a Phase I iteration (adoption waits for ``resolve_proposals``).  So the
     in-clique counts and every inlier's external count (neighbors outside
-    its clique colored ``>= r_v``) come from one CSR gather up front.  Only
-    the fingerprint draw stays per vertex, and it happens when the
+    its clique colored ``>= r_v``) come from blocked CSR gathers up front.
+    Only the fingerprint draw stays per vertex, and it happens when the
     generator advances to that vertex: a consumer that draws between items
     (Phase I's palette rank) keeps the scalar loop's RNG stream.
     """
@@ -153,11 +153,14 @@ def _phase_one_z(
         sizes,
     )
     pending = np.concatenate([np.zeros(0, dtype=np.int64), *waiting])
-    seg_ids, flat = gather_neighborhoods(graph.csr, pending)
-    outside = (acd.clique_of[flat] != owner[seg_ids]) & (
-        colors[flat] >= floor[seg_ids]
-    )
-    external = iter(np.bincount(seg_ids[outside], minlength=pending.size).tolist())
+    counts = np.zeros(pending.size, dtype=np.int64)
+    for start, stop in row_blocks(graph.csr, pending):
+        seg_ids, flat = gather_neighborhoods(graph.csr, pending[start:stop])
+        outside = (acd.clique_of[flat] != owner[start:stop][seg_ids]) & (
+            colors[flat] >= floor[start:stop][seg_ids]
+        )
+        counts[start:stop] = np.bincount(seg_ids[outside], minlength=stop - start)
+    external = iter(counts.tolist())
     for plan, vertices in zip(plans, waiting):
         idx = plan.clique_index
         members = acd.cliques[idx]

@@ -30,7 +30,7 @@ import numpy as np
 from repro.aggregation.runtime import ClusterRuntime
 from repro.coloring.types import UNCOLORED, PartialColoring
 from repro.coloring.try_color import palette_sampler, try_color_round
-from repro.graphcore import batch_used_color_masks, gather_neighborhoods
+from repro.graphcore import batch_used_color_masks, gather_neighborhoods, row_blocks
 
 
 def shattering(
@@ -111,12 +111,16 @@ def small_instance_coloring(
             break
         pending_mask = np.zeros(graph.n_vertices, dtype=bool)
         pending_mask[pending] = True
-        # local minima: no smaller-ID uncolored neighbor (one CSR gather)
-        seg_ids, flat = gather_neighborhoods(csr, pending)
-        smaller_active = pending_mask[flat] & (flat < pending[seg_ids])
-        has_smaller = (
-            np.bincount(seg_ids[smaller_active], minlength=pending.size) > 0
-        )
+        # local minima: no smaller-ID uncolored neighbor (blocked CSR
+        # gathers)
+        has_smaller = np.zeros(pending.size, dtype=bool)
+        for start, stop in row_blocks(csr, pending):
+            part = pending[start:stop]
+            seg_ids, flat = gather_neighborhoods(csr, part)
+            smaller_active = pending_mask[flat] & (flat < part[seg_ids])
+            has_smaller[start:stop] = (
+                np.bincount(seg_ids[smaller_active], minlength=part.size) > 0
+            )
         minima = pending[~has_smaller]
         # each minimum takes its smallest free color (round-start state,
         # exactly the deferred-assignment semantics of the loop this

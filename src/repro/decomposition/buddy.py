@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.aggregation.runtime import ClusterRuntime
+from repro.graphcore import kernels
 from repro.sketch.fingerprint import FingerprintTable
 from repro.sketch.streaming import UnionPlanes, neighborhood_planes
 
@@ -69,6 +70,7 @@ def buddy_predicate(
     # both the degree estimates and the union probes.
     with tracer.span(span + ".maxima"):
         stack, first = neighborhood_planes(graph.csr, table.rows)
+        del table  # no later step reads the draws, only their planes
     with tracer.span(span + ".planes"):
         planes = UnionPlanes(stack, first, trials, graph.csr.degrees == 0)
         del stack  # UnionPlanes holds only the kept levels
@@ -82,29 +84,33 @@ def buddy_predicate(
     # Vertices whose estimated degree is clearly below Delta answer NO to all
     # incident edges: they cannot carry friendly edges (Lemma 5.8 first step).
     low_degree = degree_estimates < (1 - 2.0 * xi) * delta
+    threshold = (1 - 1.5 * xi) * delta
 
-    yes_u = np.empty(0, dtype=np.int64)
-    yes_v = np.empty(0, dtype=np.int64)
     edge_u, edge_v = graph.csr.edge_arrays()
+    yes = [np.empty(0, dtype=np.int64)]
     with tracer.span(span + ".probes") as probes:
         probes.counter("pairs", int(edge_u.size))
-        if edge_u.size:
-            # |N(u) ∩ N(v)| = deg(u) + deg(v) - |N(u) ∪ N(v)|, every term
-            # estimated by a fingerprint; accept when the intersection clears
-            # the midpoint between the YES ((1-xi)Delta) and NO ((1-2xi)Delta)
-            # cases.  The union term runs on the packed bit-plane index:
-            # per-edge union order statistics from ANDed plane popcounts, so
-            # nothing of size (edges x trials) is ever materialized (see
-            # docs/ESTIMATORS.md).
-            union_estimates = planes.union_estimates(edge_u, edge_v)
+        # |N(u) ∩ N(v)| = deg(u) + deg(v) - |N(u) ∪ N(v)|, every term
+        # estimated by a fingerprint; accept when the intersection clears
+        # the midpoint between the YES ((1-xi)Delta) and NO ((1-2xi)Delta)
+        # cases.  The union term runs on the packed bit-plane index:
+        # per-edge union order statistics from ANDed plane popcounts, so
+        # nothing of size (edges x trials) is ever materialized (see
+        # docs/ESTIMATORS.md).  Edges go in blocks, and a block keeps only
+        # the positions of its YES edges: every answer is its edge's own.
+        block = kernels._GATHER_CHUNK
+        for start in range(0, edge_u.size, block):
+            eu = edge_u[start : start + block]
+            ev = edge_v[start : start + block]
+            union_estimates = planes.union_estimates(eu, ev)
             intersections = (
-                degree_estimates[edge_u]
-                + degree_estimates[edge_v]
-                - union_estimates
-            )
-            accept = intersections >= (1 - 1.5 * xi) * delta
-            accept &= ~(low_degree[edge_u] | low_degree[edge_v])
-            yes_u, yes_v = edge_u[accept], edge_v[accept]
+                degree_estimates[eu] + degree_estimates[ev]
+            ) - union_estimates
+            accept = intersections >= threshold
+            accept &= ~(low_degree[eu] | low_degree[ev])
+            yes.append(np.flatnonzero(accept) + start)
+    yes = np.concatenate(yes)
+    yes_u, yes_v = edge_u[yes], edge_v[yes]
     return BuddyResult(
         yes_u=yes_u,
         yes_v=yes_v,

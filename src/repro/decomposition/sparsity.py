@@ -10,7 +10,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.graphcore import gather_neighborhoods, in_sorted, neighbor_counts_within
+from repro.graphcore import (
+    gather_neighborhoods,
+    in_sorted,
+    neighbor_counts_within,
+    row_blocks,
+)
 
 
 def sparsity(graph, v: int) -> float:
@@ -28,19 +33,14 @@ def sparsity(graph, v: int) -> float:
     return (delta * (delta - 1) / 2.0 - common_total / 2.0) / delta
 
 
-#: Largest gather (in neighbor entries) one pass of
-#: :func:`_edge_common_counts` holds.
-_GATHER_CHUNK = 1 << 20
-
-
 def _edge_common_counts(csr) -> np.ndarray:
     """``|N(u) ∩ N(v)|`` for every edge of ``csr.edge_arrays()``, aligned
     with it.
 
     Each edge gathers the row of its lower-degree endpoint and binary
     searches every entry, as a directed code ``other * n + w``, among the
-    CSR's sorted codes -- ``O(sum_e min(deg))`` work, in chunks of at most
-    ``_GATHER_CHUNK`` gathered entries.
+    CSR's sorted codes -- ``O(sum_e min(deg))`` work, in the gather blocks
+    of :func:`~repro.graphcore.row_blocks`.
     """
     n = csr.n_vertices
     eu, ev = csr.edge_arrays()
@@ -50,17 +50,12 @@ def _edge_common_counts(csr) -> np.ndarray:
     other = np.where(swap, eu, ev)
     codes = np.repeat(np.arange(n, dtype=np.int64) * n, degrees)
     codes += csr.indices  # sorted: the CSR is ordered by (row, neighbor)
-    ends = np.cumsum(degrees[short])
     counts = np.empty(eu.size, dtype=np.int64)
-    start = 0
-    while start < eu.size:
-        done = int(ends[start - 1]) if start else 0
-        stop = max(start + 1, int(np.searchsorted(ends, done + _GATHER_CHUNK, "right")))
+    for start, stop in row_blocks(csr, short):
         seg_ids, flat = gather_neighborhoods(csr, short[start:stop])
         flat += other[start:stop][seg_ids] * n
         hit = in_sorted(codes, flat)
         counts[start:stop] = np.bincount(seg_ids[hit], minlength=stop - start)
-        start = stop
     return counts
 
 

@@ -33,6 +33,7 @@ from repro.graphcore.kernels import (
     is_proper_edges,
     label_components,
     neighbor_counts_within,
+    row_blocks,
     used_color_masks_from_flat,
     violations_edges,
 )
@@ -54,6 +55,7 @@ __all__ = [
     "is_proper_edges",
     "label_components",
     "neighbor_counts_within",
+    "row_blocks",
     "used_color_masks_from_flat",
     "violations_edges",
 ]

@@ -163,13 +163,34 @@ class CSRAdjacency:
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Undirected edge list as ``(u, v)`` arrays with ``u < v``
         (derived once from the CSR and cached; the vectorized properness
-        checker iterates this instead of a Python edge loop)."""
+        checker iterates this instead of a Python edge loop).
+
+        Rows are read in the blocks of
+        :func:`~repro.graphcore.kernels.row_blocks`, each keeping the
+        entries above its row id, so the derivation holds its output plus
+        one block of row ids and mask -- nothing ``2m`` long.  The CSR is
+        symmetric, as every undirected build lays it out."""
         if self._edge_arrays is None:
-            sources = np.repeat(
-                np.arange(self.n_vertices, dtype=np.int64), self.degrees
-            )
-            keep = sources < self.indices
-            self._edge_arrays = (sources[keep], self.indices[keep].copy())
+            from repro.graphcore.kernels import row_blocks
+
+            rows = np.arange(self.n_vertices, dtype=np.int64)
+            degrees = self.degrees
+            half = self.indices.size // 2
+            edge_u = np.empty(half, dtype=np.int64)
+            edge_v = np.empty(half, dtype=np.int64)
+            filled = 0
+            for start, stop in row_blocks(self, rows):
+                lo, hi = self.indptr[start], self.indptr[stop]
+                sources = np.repeat(rows[start:stop], degrees[start:stop])
+                targets = self.indices[lo:hi]
+                keep = sources < targets
+                kept = int(np.count_nonzero(keep))
+                edge_u[filled : filled + kept] = sources[keep]
+                edge_v[filled : filled + kept] = targets[keep]
+                filled += kept
+            if filled != half:  # self-loops keep neither orientation
+                edge_u, edge_v = edge_u[:filled].copy(), edge_v[:filled].copy()
+            self._edge_arrays = (edge_u, edge_v)
         return self._edge_arrays
 
 

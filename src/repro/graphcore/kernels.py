@@ -13,13 +13,31 @@ mutation of ``colors``, and no RNG -- except :func:`draw_free_colors`,
 which advances the generator it is handed exactly as the per-vertex loop
 it replaces did.  They therefore change *nothing* about what the
 simulated algorithms compute -- only how fast the simulation computes it.
+
+Memory: a whole-graph query would flatten every CSR row it touches into
+several ``2m``-long int64 arrays at once.  The kernels that answer per
+query vertex (conflicts, used colors, slack, label mismatches, counts
+within a set) and :func:`bfs_depth`'s frontier expansion instead gather
+the blocks :func:`row_blocks` yields, each holding at most
+``_GATHER_CHUNK`` neighbor entries, and :func:`is_proper_edges` reads its
+edge list in blocks of as many edges, so their working set is
+``O(_GATHER_CHUNK)`` words plus the per-query output.  A block draws
+nothing and charges nothing, and every answer depends on its own row
+only, so the results are the single-gather results bit for bit.
 """
 
 from __future__ import annotations
 
+from typing import Iterator
+
 import numpy as np
 
 from repro.graphcore.csr import CSRAdjacency
+
+#: Largest number of CSR neighbor entries one blocked gather holds: the
+#: one memory budget of the whole-graph kernels, the buddy predicate's
+#: probes and its plane packing.
+_GATHER_CHUNK = 1 << 16
 
 # Kept in sync with repro.coloring.types.UNCOLORED (a one-line protocol
 # constant, duplicated to keep this layer free of import cycles).
@@ -57,6 +75,22 @@ def gather_neighborhoods(
     return seg_ids, csr.indices[positions]
 
 
+def row_blocks(csr: CSRAdjacency, vertices) -> Iterator[tuple[int, int]]:
+    """Split a query into consecutive ranges ``(start, stop)`` of positions
+    in ``vertices`` whose CSR rows hold at most ``_GATHER_CHUNK`` entries
+    together; a row longer than that gets a range of its own.  An empty
+    query yields nothing."""
+    verts = _as_vertex_array(vertices)
+    ends = np.cumsum(csr.indptr[verts + 1] - csr.indptr[verts])
+    start = 0
+    while start < verts.size:
+        done = int(ends[start - 1]) if start else 0
+        stop = int(np.searchsorted(ends, done + _GATHER_CHUNK, "right"))
+        stop = max(start + 1, stop)
+        yield start, stop
+        start = stop
+
+
 def in_sorted(pool: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Membership of each of ``values`` in the sorted array ``pool``, as a
     boolean array shaped like ``values`` (one binary search each)."""
@@ -79,9 +113,13 @@ def neighbor_counts_within(csr: CSRAdjacency, vertices, members) -> np.ndarray:
     query rows, a binary search of each neighbor in the sorted members,
     and a ``bincount``.  Returns an int64 array aligned with ``vertices``."""
     verts = _as_vertex_array(vertices)
-    seg_ids, flat = gather_neighborhoods(csr, verts)
-    inside = in_sorted(np.sort(_as_vertex_array(members)), flat)
-    return np.bincount(seg_ids[inside], minlength=verts.size)
+    pool = np.sort(_as_vertex_array(members))
+    counts = np.zeros(verts.size, dtype=np.int64)
+    for start, stop in row_blocks(csr, verts):
+        seg_ids, flat = gather_neighborhoods(csr, verts[start:stop])
+        inside = in_sorted(pool, flat)
+        counts[start:stop] = np.bincount(seg_ids[inside], minlength=stop - start)
+    return counts
 
 
 def batch_neighbor_colors(
@@ -118,16 +156,19 @@ def batch_conflict_mask(
     """
     verts = _as_vertex_array(vertices)
     cands = _as_vertex_array(candidates)
-    seg_ids, flat = gather_neighborhoods(csr, verts)
-    return conflict_mask_from_flat(
-        seg_ids,
-        flat,
-        colors,
-        verts,
-        cands,
-        proposal_map=proposal_map,
-        symmetric=symmetric,
-    )
+    blocked = np.zeros(verts.size, dtype=bool)
+    for start, stop in row_blocks(csr, verts):
+        seg_ids, flat = gather_neighborhoods(csr, verts[start:stop])
+        blocked[start:stop] = conflict_mask_from_flat(
+            seg_ids,
+            flat,
+            colors,
+            verts[start:stop],
+            cands[start:stop],
+            proposal_map=proposal_map,
+            symmetric=symmetric,
+        )
+    return blocked
 
 
 def conflict_mask_from_flat(
@@ -166,9 +207,15 @@ def used_color_masks_from_flat(
     out-of-palette values ignored).  Public so delta-buffered adjacencies
     (the dynamic subsystem) can feed their own gathers through it."""
     mask = np.zeros((n_rows, num_colors), dtype=bool)
-    valid = (flat_colors >= 0) & (flat_colors < num_colors)
-    mask[seg_ids[valid], flat_colors[valid]] = True
+    _mark_used(mask, seg_ids, flat_colors)
     return mask
+
+
+def _mark_used(mask: np.ndarray, seg_ids: np.ndarray, flat_colors: np.ndarray) -> None:
+    """Set ``mask[i, c]`` for every gathered color ``c`` of row ``i`` that
+    lies in the palette ``[0, mask.shape[1])``."""
+    valid = (flat_colors >= 0) & (flat_colors < mask.shape[1])
+    mask[seg_ids[valid], flat_colors[valid]] = True
 
 
 def batch_used_color_masks(
@@ -181,8 +228,11 @@ def batch_used_color_masks(
     rows double as palette complements (``~row`` = free colors).
     """
     verts = _as_vertex_array(vertices)
-    seg_ids, flat_colors = batch_neighbor_colors(csr, colors, verts)
-    return used_color_masks_from_flat(seg_ids, flat_colors, verts.size, num_colors)
+    mask = np.zeros((verts.size, num_colors), dtype=bool)
+    for start, stop in row_blocks(csr, verts):
+        seg_ids, flat_colors = batch_neighbor_colors(csr, colors, verts[start:stop])
+        _mark_used(mask[start:stop], seg_ids, flat_colors)
+    return mask
 
 
 def draw_free_colors(
@@ -227,17 +277,20 @@ def batch_slack_counts(
     ``among`` parameter of ``PartialColoring.slack``.
     """
     verts = _as_vertex_array(vertices)
-    seg_ids, flat = gather_neighborhoods(csr, verts)
-    flat_colors = colors[flat]
-    used_mask = used_color_masks_from_flat(
-        seg_ids, flat_colors, verts.size, num_colors
-    )
-    free_counts = num_colors - used_mask.sum(axis=1)
-    uncolored = flat_colors == UNCOLORED
-    if active_mask is not None:
-        uncolored &= active_mask[flat]
-    uncolored_deg = np.bincount(seg_ids[uncolored], minlength=verts.size)
-    return free_counts - uncolored_deg
+    slack = np.zeros(verts.size, dtype=np.int64)
+    for start, stop in row_blocks(csr, verts):
+        seg_ids, flat = gather_neighborhoods(csr, verts[start:stop])
+        flat_colors = colors[flat]
+        used_mask = used_color_masks_from_flat(
+            seg_ids, flat_colors, stop - start, num_colors
+        )
+        free_counts = num_colors - used_mask.sum(axis=1)
+        uncolored = flat_colors == UNCOLORED
+        if active_mask is not None:
+            uncolored &= active_mask[flat]
+        uncolored_deg = np.bincount(seg_ids[uncolored], minlength=stop - start)
+        slack[start:stop] = free_counts - uncolored_deg
+    return slack
 
 
 def batch_label_mismatch_counts(
@@ -268,18 +321,23 @@ def batch_label_mismatch_counts(
     is the "has a foreign neighbor" predicate.
     """
     verts = _as_vertex_array(vertices)
-    seg_ids, flat = gather_neighborhoods(csr, verts)
-    nbr_labels = labels[flat]
     if own_labels is None:
-        own = labels[verts][seg_ids]
-    elif np.isscalar(own_labels):
-        own = own_labels
-    else:
-        own = np.asarray(own_labels, dtype=np.int64)[seg_ids]
-    mismatch = nbr_labels != own
-    if ignore_label is not None:
-        mismatch &= nbr_labels != ignore_label
-    return np.bincount(seg_ids[mismatch], minlength=verts.size)
+        own_of = labels[verts]
+    elif not np.isscalar(own_labels):
+        own_of = np.asarray(own_labels, dtype=np.int64)
+    counts = np.zeros(verts.size, dtype=np.int64)
+    for start, stop in row_blocks(csr, verts):
+        seg_ids, flat = gather_neighborhoods(csr, verts[start:stop])
+        nbr_labels = labels[flat]
+        if np.isscalar(own_labels):
+            own = own_labels
+        else:
+            own = own_of[start:stop][seg_ids]
+        mismatch = nbr_labels != own
+        if ignore_label is not None:
+            mismatch &= nbr_labels != ignore_label
+        counts[start:stop] = np.bincount(seg_ids[mismatch], minlength=stop - start)
+    return counts
 
 
 def label_components(
@@ -335,9 +393,13 @@ def bfs_depth(csr: CSRAdjacency, labels: np.ndarray, sources) -> int:
     visited[frontier] = True
     depth = 0
     while True:
-        seg_ids, flat = gather_neighborhoods(csr, frontier)
-        keep = ~visited[flat] & (labels[flat] == labels[frontier][seg_ids])
-        frontier = np.unique(flat[keep])
+        reached = [np.empty(0, dtype=np.int64)]
+        for start, stop in row_blocks(csr, frontier):
+            part = frontier[start:stop]
+            seg_ids, flat = gather_neighborhoods(csr, part)
+            keep = ~visited[flat] & (labels[flat] == labels[part][seg_ids])
+            reached.append(np.unique(flat[keep]))
+        frontier = np.unique(np.concatenate(reached))
         if frontier.size == 0:
             return depth
         visited[frontier] = True
@@ -351,13 +413,17 @@ def is_proper_edges(
     *,
     allow_partial: bool = False,
 ) -> bool:
-    """Vectorized properness check over an explicit edge list."""
-    cu = colors[edge_u]
-    cv = colors[edge_v]
-    has_uncolored = (cu == UNCOLORED) | (cv == UNCOLORED)
-    if not allow_partial and bool(has_uncolored.any()):
-        return False
-    return not bool(((cu == cv) & ~has_uncolored).any())
+    """Vectorized properness check over an explicit edge list, read in
+    blocks of ``_GATHER_CHUNK`` edges."""
+    for start in range(0, len(edge_u), _GATHER_CHUNK):
+        cu = colors[edge_u[start : start + _GATHER_CHUNK]]
+        cv = colors[edge_v[start : start + _GATHER_CHUNK]]
+        has_uncolored = (cu == UNCOLORED) | (cv == UNCOLORED)
+        if not allow_partial and bool(has_uncolored.any()):
+            return False
+        if bool(((cu == cv) & ~has_uncolored).any()):
+            return False
+    return True
 
 
 def violations_edges(

@@ -45,6 +45,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.graphcore import kernels
+
 if TYPE_CHECKING:
     from repro.graphcore import CSRAdjacency
 
@@ -190,15 +192,27 @@ def _or_levels(
     ``t`` trial bits (``mask``) is ``[M_v < k]``.  Isolated vertices OR
     nothing, so their planes come out all ones: the empty set's maximum is
     below every level.
+
+    Memory: the own and the OR-ed planes, two ``(n, levels, words)``
+    uint64 arrays, plus one bool buffer for a block of rows that holds as
+    many bytes as a ``_GATHER_CHUNK`` gather of int64 entries (not one
+    byte per trial bit of every row), and one neighbor row's gathered
+    planes at a time.
     """
     n, t = rows.shape
     words = mask.size
     own = np.empty((n, len(levels), words), dtype=np.uint64)
+    step = max(1, 8 * kernels._GATHER_CHUNK // (words * 64))
     # trials padded to whole words; the padding bits stay False
-    buf = np.zeros((n, words * 64), dtype=bool)
-    for j, k in enumerate(levels):
-        np.greater_equal(rows, k, out=buf[:, :t])
-        own[:, j] = np.packbits(buf, axis=1).view(np.uint64)
+    buf = np.zeros((min(n, step), words * 64), dtype=bool)
+    for start in range(0, n, step):
+        block = rows[start : start + step]
+        bits = buf[: block.shape[0]]
+        for j, k in enumerate(levels):
+            np.greater_equal(block, k, out=bits[:, :t])
+            own[start : start + block.shape[0], j] = np.packbits(
+                bits, axis=1
+            ).view(np.uint64)
     flat = own.reshape(n, -1)
     out = np.zeros_like(own)
     flat_out = out.reshape(n, -1)
@@ -298,8 +312,11 @@ class UnionPlanes:
 
     Memory: one ``(rows * planes, ceil(trials / 64))`` uint64 array, row
     ``v * planes + (k - min K*)`` holding plane ``k`` of row ``v``, plus
-    ``O(chunk * trials / 64)`` probe temporaries -- nothing scales with the
-    number of queried pairs.  The order statistics are exactly the integers
+    ``O(chunk * trials / 64)`` probe temporaries.  A query's own arrays
+    (ids, ``(K*, Z)``, estimates) are a few words per queried pair, so the
+    buddy predicate queries its edges in blocks of ``_GATHER_CHUNK`` pairs
+    and nothing it holds scales with the edge count beyond the YES edges.
+    The order statistics are exactly the integers
     :func:`fused_topk_counts` yields on the rows and on the materialized
     union matrix, and the estimates use the ``log1p`` form of
     :func:`estimates_from_counts`.

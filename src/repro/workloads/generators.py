@@ -64,20 +64,37 @@ def _conflict_edges(n: int, chunks: list) -> tuple[int, np.ndarray]:
 
     ``edges()`` walks the nodes in order and, per node, its later
     neighbors in the order each edge was first inserted.  So: normalize
-    to ``(lo, hi)``, keep each pair's first insertion, then sort stably
-    by ``lo`` (ARCHITECTURE.md "Block draws").
+    to codes ``lo * n + hi``, keep each pair's first insertion, then sort
+    stably by ``lo`` (ARCHITECTURE.md "Block draws").
+
+    ``chunks`` is consumed: each chunk leaves the list once its codes
+    exist, and every later temporary is dropped once it is spent, so the
+    peak stays near the inserted pairs themselves.
     """
-    arr = np.concatenate(
-        [np.asarray(c, dtype=np.int64).reshape(-1, 2) for c in chunks]
-        or [np.empty((0, 2), dtype=np.int64)]
-    )
-    lo = np.minimum(arr[:, 0], arr[:, 1])
-    hi = np.maximum(arr[:, 0], arr[:, 1])
-    _, first = np.unique(lo * n + hi, return_index=True)
-    first.sort()
-    lo, hi = lo[first], hi[first]
-    order = np.argsort(lo, kind="stable")
-    return n, np.stack([lo[order], hi[order]], axis=1)
+    parts = [np.empty(0, dtype=np.int64)]
+    while chunks:
+        pairs = np.asarray(chunks.pop(0), dtype=np.int64).reshape(-1, 2)
+        codes = np.minimum(pairs[:, 0], pairs[:, 1])
+        codes *= n
+        codes += np.maximum(pairs[:, 0], pairs[:, 1])
+        parts.append(codes)
+        del pairs, codes
+    codes = np.concatenate(parts)
+    del parts
+    # a stable sort ranks each pair's first insertion first among equals
+    order = np.argsort(codes, kind="stable")
+    codes = codes[order]
+    first = np.ones(codes.size, dtype=bool)
+    np.not_equal(codes[1:], codes[:-1], out=first[1:])
+    codes, order = codes[first], order[first]
+    del first
+    codes = codes[np.argsort(order)]  # distinct codes, insertion order
+    del order
+    codes = codes[np.argsort(codes // n, kind="stable")]
+    edges = np.empty((codes.size, 2), dtype=np.int64)
+    np.floor_divide(codes, n, out=edges[:, 0])
+    np.remainder(codes, n, out=edges[:, 1])
+    return n, edges
 
 
 def _planted_almost_clique(

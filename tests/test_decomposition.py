@@ -46,12 +46,10 @@ class TestSparsity:
     def test_sparsity_and_friendly_edges_match_set_oracle(
         self, rng, seed, chunk, monkeypatch
     ):
-        import importlib
+        import repro.graphcore.kernels as kernels
 
-        # the package re-exports a function named ``sparsity``
-        sparsity_module = importlib.import_module("repro.decomposition.sparsity")
         # small chunks split the common-neighbor gather into many passes
-        monkeypatch.setattr(sparsity_module, "_GATHER_CHUNK", chunk)
+        monkeypatch.setattr(kernels, "_GATHER_CHUNK", chunk)
         h = blowup(nx.gnp_random_graph(40, 0.4, seed=seed), rng, cluster_size=1)
         delta = h.max_degree
         nbrs = [set(h.neighbors(v)) for v in range(h.n_vertices)]
@@ -108,6 +106,33 @@ class TestBuddyPredicate:
         precision = len(yes & planted) / max(1, len(yes))
         assert recall > 0.95
         assert precision > 0.95
+
+    @pytest.mark.parametrize("chunk", [1, 7])
+    def test_blocked_probes_equal_a_single_block(
+        self, planted_workload, chunk, monkeypatch
+    ):
+        """Edge blocks, plane-packing blocks and the freed table leave the
+        YES edges, the estimates, the ledger and the RNG end state as one
+        block leaves them."""
+        import repro.graphcore.kernels as kernels
+
+        g = planted_workload.graph
+
+        def run():
+            runtime = make_runtime(g)
+            result = buddy_predicate(runtime, xi=0.25)
+            return result, runtime
+
+        monkeypatch.setattr(kernels, "_GATHER_CHUNK", 1 << 40)
+        whole, whole_runtime = run()
+        monkeypatch.setattr(kernels, "_GATHER_CHUNK", chunk)
+        got, runtime = run()
+        assert whole.yes_u.size > 0
+        for name in ("yes_u", "yes_v", "degree_estimates"):
+            a, b = getattr(got, name), getattr(whole, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+        assert runtime.ledger.summary() == whole_runtime.ledger.summary()
+        assert runtime.rng.bit_generator.state == whole_runtime.rng.bit_generator.state
 
     def test_exact_friendly_edges_reference(self, planted_workload):
         g = planted_workload.graph

@@ -8,8 +8,10 @@ kernels are pure, deterministic functions).
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.graphcore.kernels as kernels
 from repro.cluster import ClusterGraph
 from repro.coloring.types import UNCOLORED, PartialColoring
 from repro.graphcore import (
@@ -20,12 +22,14 @@ from repro.graphcore import (
     batch_neighbor_colors,
     batch_slack_counts,
     batch_used_color_masks,
+    bfs_depth,
     draw_free_colors,
     gather_neighborhoods,
     in_sorted,
     is_proper_edges,
     label_components,
     neighbor_counts_within,
+    row_blocks,
     violations_edges,
 )
 from repro.network import CommGraph
@@ -108,6 +112,28 @@ class TestCSRStructure:
         assert csr.indptr.tolist() == ref.indptr.tolist()
         assert csr.indices.tolist() == ref.indices.tolist()
         assert given.tolist() == codes.tolist()  # the input is not consumed
+
+    @given(**graph_params, chunk=st.sampled_from([1, 3, 1 << 16]))
+    @settings(max_examples=60)
+    def test_edge_arrays_equal_the_repeat_formula(self, seed, n, density, chunk):
+        """The row-blocked derivation gives the arrays the one-shot
+        formula gave: values, dtype and order."""
+        csr = random_graph(seed, n, density).csr
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(kernels, "_GATHER_CHUNK", chunk)
+            eu, ev = CSRAdjacency(csr.indptr, csr.indices).edge_arrays()
+        sources = np.repeat(np.arange(csr.n_vertices, dtype=np.int64), csr.degrees)
+        keep = sources < csr.indices
+        for got, want in ((eu, sources[keep]), (ev, csr.indices[keep])):
+            assert got.dtype == np.int64
+            assert got.tolist() == want.tolist()
+
+    @pytest.mark.parametrize("n", [0, 5])
+    def test_edge_arrays_of_an_edgeless_graph(self, n):
+        empty = np.empty(0, dtype=np.int64)
+        eu, ev = CSRAdjacency.from_edge_arrays(empty, empty, n).edge_arrays()
+        assert eu.dtype == ev.dtype == np.int64
+        assert eu.size == ev.size == 0
 
     @given(st.lists(st.integers(-(2**40), 2**40), max_size=60))
     def test_sorted_unique_matches_np_unique(self, values):
@@ -412,3 +438,146 @@ class TestDrawFreeColors:
         can, colors = draw_free_colors(np.ones((4, 3), dtype=bool), rng)
         assert not can.any() and colors.size == 0
         assert rng.bit_generator.state == state
+
+
+def blocked_fixture() -> tuple[ClusterGraph, np.ndarray]:
+    """A graph with isolated vertices (24..29) and rows of up to about 20
+    entries, and a query that repeats vertices and includes isolated ones."""
+    rng = np.random.default_rng(7)
+    pairs = rng.integers(0, 24, size=(160, 2))
+    pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+    g = ClusterGraph.identity(CommGraph(30, pairs))
+    query = rng.choice(30, size=45, replace=True)
+    return g, query
+
+
+def kernel_answers(g: ClusterGraph, query: np.ndarray) -> dict:
+    """Every blocked kernel's answer on ``query``, from fixed inputs."""
+    rng = np.random.default_rng(11)
+    n, q = g.n_vertices, 6
+    csr = g.csr
+    colors = rng.integers(-1, q, size=n)
+    cands = rng.integers(0, q, size=query.size)
+    proposals = np.where(rng.random(n) < 0.5, rng.integers(0, q, size=n), -1)
+    labels = rng.integers(-1, 4, size=n)
+    active = rng.random(n) < 0.5
+    members = rng.choice(n, size=12, replace=False)
+    return {
+        "conflict": batch_conflict_mask(csr, colors, query, cands),
+        "conflict_smaller_id": batch_conflict_mask(
+            csr, colors, query, cands, proposal_map=proposals
+        ),
+        "conflict_symmetric": batch_conflict_mask(
+            csr, colors, query, cands, proposal_map=proposals, symmetric=True
+        ),
+        "used": batch_used_color_masks(csr, colors, query, q),
+        "slack": batch_slack_counts(csr, colors, query, q),
+        "slack_active": batch_slack_counts(csr, colors, query, q, active_mask=active),
+        "mismatch": batch_label_mismatch_counts(csr, labels, query),
+        "mismatch_scalar": batch_label_mismatch_counts(
+            csr, labels, query, ignore_label=-1, own_labels=2
+        ),
+        "mismatch_array": batch_label_mismatch_counts(
+            csr, labels, query, own_labels=rng.integers(0, 4, size=query.size)
+        ),
+        "within": neighbor_counts_within(csr, query, members),
+    }
+
+
+class TestBlockedGathers:
+    """Every blocked kernel equals its single-block run: a budget of one
+    entry (every block one row, every non-empty row over budget), one
+    below most rows, and one spanning several rows."""
+
+    @pytest.mark.parametrize("chunk", [1, 3, 40])
+    def test_kernels_equal_a_single_block(self, chunk, monkeypatch):
+        g, query = blocked_fixture()
+        assert g.csr.n_directed_edges < kernels._GATHER_CHUNK  # one block
+        assert (g.csr.degrees[query] == 0).any()
+        assert np.median(g.csr.degrees[:24]) > 3  # rows longer than 1 and 3
+        whole = kernel_answers(g, query)
+        whole_empty = kernel_answers(g, query[:0])
+        monkeypatch.setattr(kernels, "_GATHER_CHUNK", chunk)
+        assert len(list(row_blocks(g.csr, query))) > 1
+        for name, got in kernel_answers(g, query).items():
+            assert got.dtype == whole[name].dtype, name
+            assert np.array_equal(got, whole[name]), name
+        for name, got in kernel_answers(g, query[:0]).items():
+            assert got.shape == whole_empty[name].shape, name
+            assert got.dtype == whole_empty[name].dtype, name
+
+    @pytest.mark.parametrize("chunk", [1, 3, 40])
+    def test_row_blocks_cover_the_query_within_the_budget(self, chunk, monkeypatch):
+        g, query = blocked_fixture()
+        monkeypatch.setattr(kernels, "_GATHER_CHUNK", chunk)
+        blocks = list(row_blocks(g.csr, query))
+        degrees = g.csr.degrees[query]
+        assert [b[0] for b in blocks] == [0] + [b[1] for b in blocks[:-1]]
+        assert blocks[-1][1] == query.size
+        for start, stop in blocks:
+            assert stop > start
+            assert stop - start == 1 or degrees[start:stop].sum() <= chunk
+        assert list(row_blocks(g.csr, query[:0])) == []
+
+    @pytest.mark.parametrize("chunk", [1, 3, 40])
+    def test_bfs_depth_equals_a_single_block(self, chunk, monkeypatch):
+        g, _ = blocked_fixture()
+        labels = label_components(*g.h_edge_arrays(), g.n_vertices, np.ones(30, bool))
+        sources = np.unique(labels)
+        whole = bfs_depth(g.csr, labels, sources)
+        assert whole > 1
+        monkeypatch.setattr(kernels, "_GATHER_CHUNK", chunk)
+        assert bfs_depth(g.csr, labels, sources) == whole
+        assert bfs_depth(g.csr, labels, []) == 0
+
+    @pytest.mark.parametrize("chunk", [1, 3, 40])
+    def test_is_proper_edges_equals_a_single_block(self, chunk, monkeypatch):
+        g, _ = blocked_fixture()
+        eu, ev = g.h_edge_arrays()
+        proper = np.full(g.n_vertices, UNCOLORED, dtype=np.int64)
+        for v in range(g.n_vertices):  # greedy: a proper total coloring
+            used = set(proper[g.neighbor_array(v)].tolist())
+            proper[v] = min(set(range(g.max_degree + 1)) - used)
+        partial = proper.copy()
+        partial[3] = UNCOLORED
+        clash = proper.copy()
+        clash[ev[-1]] = clash[eu[-1]]  # one monochromatic edge, the last
+        cases = [(c, p) for c in (proper, partial, clash) for p in (False, True)]
+        whole = [is_proper_edges(eu, ev, c, allow_partial=p) for c, p in cases]
+        assert whole == [True, True, False, True, False, False]
+        monkeypatch.setattr(kernels, "_GATHER_CHUNK", chunk)
+        assert [is_proper_edges(eu, ev, c, allow_partial=p) for c, p in cases] == whole
+
+    @pytest.mark.parametrize(
+        "generator, kwargs",
+        [
+            # non-cabals, so Algorithm 11's Phase I counts run blocked
+            (
+                "planted_acd",
+                dict(n_cliques=2, clique_size=40, n_sparse=40, external_degree=12),
+            ),
+            ("low_degree", dict(n_vertices=200, target_degree=6)),
+        ],
+    )
+    def test_colorings_equal_a_single_block(self, generator, kwargs, monkeypatch):
+        """A whole coloring, every stage's gathers blocked (the low-degree
+        minima and Phase I's external counts included), is the one-block
+        coloring bit for bit: colors, ledger and RNG end state."""
+        from repro import color_cluster_graph
+        from repro.workloads import GENERATORS
+
+        graph = GENERATORS[generator](np.random.default_rng(3), **kwargs).graph
+
+        def run():
+            rng = np.random.default_rng(9)
+            result = color_cluster_graph(graph, rng=rng)
+            return result, rng.bit_generator.state
+
+        monkeypatch.setattr(kernels, "_GATHER_CHUNK", 1 << 40)
+        whole, whole_state = run()
+        monkeypatch.setattr(kernels, "_GATHER_CHUNK", 2)
+        got, state = run()
+        assert got.proper and whole.proper
+        assert np.array_equal(got.colors, whole.colors)
+        assert got.ledger_summary == whole.ledger_summary
+        assert state == whole_state

@@ -61,6 +61,30 @@ class TestSmallInstanceColoring:
         assert coloring.is_total()
         assert is_proper(w.graph, coloring.colors)
 
+    @pytest.mark.parametrize("chunk", [1, 3])
+    def test_blocked_minima_equal_a_single_block(self, chunk, monkeypatch):
+        """The local-minima gathers run in blocks; the coloring, ledger and
+        RNG end state are the single block's."""
+        import repro.graphcore.kernels as kernels
+
+        def run():
+            w, runtime, coloring = _setup(seed=4)
+            remaining = shattering(
+                runtime, coloring, list(range(coloring.n_vertices)), rounds=1
+            )
+            comps = uncolored_components(w.graph, coloring, remaining)
+            assert len(comps) > 1
+            small_instance_coloring(runtime, coloring, comps)
+            return coloring.colors, runtime
+
+        monkeypatch.setattr(kernels, "_GATHER_CHUNK", 1 << 40)
+        whole, whole_runtime = run()
+        monkeypatch.setattr(kernels, "_GATHER_CHUNK", chunk)
+        colors, runtime = run()
+        assert np.array_equal(colors, whole)
+        assert runtime.ledger.summary() == whole_runtime.ledger.summary()
+        assert runtime.rng.bit_generator.state == whole_runtime.rng.bit_generator.state
+
     def test_local_minima_rule_parallel_safe(self):
         """Two adjacent vertices are never both local minima, so the rounds
         commit conflict-free by construction; verify properness on a fresh
