@@ -253,13 +253,15 @@ def _count_block_maxima(
     chain, run in place in ``u`` (float64, overwritten) for set sizes
     ``divisors`` (float64, broadcast against ``u``), with the integer
     maxima written to ``out`` (int16 holds them: the ``1e-300`` clamp
-    bounds them by ``ceil(log2(1e300)) - 1 = 996``)."""
-    np.clip(u, 1e-300, 1.0, out=u)
+    bounds them by ``ceil(log2(1e300)) - 1 = 996``).  The clamps are lower
+    bounds only: ``u < 1``, and ``-expm1(x)`` lies in ``(0, 1]`` for
+    ``x < 0``, so the reference's upper bound of 1 never binds."""
+    np.maximum(u, 1e-300, out=u)
     np.log(u, out=u)
     np.divide(u, divisors, out=u)
     np.expm1(u, out=u)
     np.negative(u, out=u)
-    np.clip(u, 1e-300, 1.0, out=u)
+    np.maximum(u, 1e-300, out=u)
     np.log(u, out=u)
     np.divide(u, math.log(DEFAULT_LAMBDA), out=u)
     np.ceil(u, out=u)

@@ -56,14 +56,21 @@ def geometric_half_from_uniform(u: np.ndarray) -> np.ndarray:
     numpy's ``geometric(p)`` for ``p >= 1/3`` is a sequential search: it
     takes one double ``U`` and returns the smallest ``X >= 1`` with
     ``U <= 1 - 2^-X`` at ``p = 1/2`` (the partial sums are exact there).
-    With ``1 - U = m * 2^e`` and ``m`` in ``[1/2, 1)`` (``np.frexp``; the
-    subtraction is exact for a 53-bit ``U``), that ``X`` is ``1 - e``, except
-    at ``U = 0`` where the search stops at ``X = 1``.  The value is
-    ``X - 1 = max(-e, 0)``.  ``U <= 1 - 2^-53`` gives ``e >= -52``, so every
-    value lies in ``[0, 52]`` and int8 holds it exactly.
+    With ``1 - U = m * 2^e`` and ``m`` in ``[1/2, 1)`` (the subtraction is
+    exact for a 53-bit ``U``), that ``X`` is ``1 - e``, except at ``U = 0``
+    where the search stops at ``X = 1``.  The value is
+    ``X - 1 = max(-e, 0)``.  ``1 - U`` is a normal double in
+    ``[2^-53, 1]``, so ``e`` is read off its biased exponent field
+    ``E = e + 1022`` (bits 52-62; the sign bit is clear) without
+    ``np.frexp``: the value is ``max(1022 - E, 0)``.  ``U <= 1 - 2^-53``
+    gives ``e >= -52``, so every value lies in ``[0, 52]`` and int8 holds
+    it exactly.
     """
-    _, e = np.frexp(1.0 - u)
-    return np.maximum(-e, 0).astype(np.int8)
+    biased = np.subtract(1.0, u, dtype=np.float64).view(np.int64)
+    np.right_shift(biased, 52, out=biased)
+    np.subtract(1022, biased, out=biased)
+    np.maximum(biased, 0, out=biased)
+    return biased.astype(np.int8)
 
 
 def sample_geometric_half(
@@ -75,14 +82,18 @@ def sample_geometric_half(
     in the same state: ``rng.random`` consumes the same one double per
     element, in the same row-major order, and
     :func:`geometric_half_from_uniform` is the exact map numpy's search
-    applies to it.  The uniforms are drawn in blocks of 65,536 elements, so
-    no float64 array of the output's size is ever allocated.
+    applies to it.  The uniforms are drawn in blocks of 65,536 elements
+    into one reused buffer, so no float64 array of the output's size is
+    ever allocated.
     """
     out = np.empty(size, dtype=np.int8)
     flat = out.reshape(-1)
+    uniforms = np.empty(min(_HALF_DRAW_BLOCK, flat.size))
     for start in range(0, flat.size, _HALF_DRAW_BLOCK):
         stop = min(start + _HALF_DRAW_BLOCK, flat.size)
-        flat[start:stop] = geometric_half_from_uniform(rng.random(stop - start))
+        u = uniforms[: stop - start]
+        rng.random(out=u)
+        flat[start:stop] = geometric_half_from_uniform(u)
     return out
 
 

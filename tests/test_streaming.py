@@ -359,6 +359,33 @@ class TestNeighborhoodPlanes:
         k, z = planes.union_order_statistics([0, 1], [2, 3])
         assert k.tolist() == [0, 0] and z.tolist() == [10, 10]
 
+    @pytest.mark.parametrize("bad", [3, -1], ids=["past-rows", "negative"])
+    def test_neighbor_ids_outside_the_rows_raise(self, bad):
+        """The OR pass gathers neighbor planes in clip mode, which would
+        silently read the nearest row; one check up front raises
+        instead."""
+        csr = CSRAdjacency(
+            indptr=np.array([0, 1, 2, 3]), indices=np.array([1, bad, 1])
+        )
+        rows = np.zeros((3, 8), dtype=np.int8)
+        with pytest.raises(IndexError):
+            neighborhood_planes(csr, rows)
+
+
+@pytest.mark.parametrize("words", [1, 27, 64])
+def test_popcount_rows_is_the_exact_integer_sum(words):
+    """The float32 matvec popcount equals the integer row sum, on random
+    rows and on all-ones rows up to 64 words (the 4,096-trial cap, where
+    a row counts 4,096)."""
+    rng = np.random.default_rng(words)
+    random = rng.integers(0, 2**64, size=(200, words), dtype=np.uint64)
+    full = np.full((3, words), np.iinfo(np.uint64).max, dtype=np.uint64)
+    for w in (random, full):
+        assert np.array_equal(
+            streaming._popcount_rows(w), np.bitwise_count(w).sum(axis=1)
+        )
+    assert streaming._popcount_rows(full).tolist() == [64 * words] * 3
+
 
 _ROWS = np.zeros((3, 8), dtype=np.int16)
 # levels 0 and 1 of _ROWS: no bit below 0, all eight below 1
