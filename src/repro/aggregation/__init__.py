@@ -2,24 +2,12 @@
 
 from repro.aggregation.runtime import ClusterRuntime
 from repro.aggregation.bfs import HTree, bfs_forest
-from repro.aggregation.prefix_sum import local_identifiers, prefix_sums, tree_totals
 from repro.aggregation.groups import RandomGroups, random_groups
-from repro.aggregation.dedup import (
-    dedup_elected_links,
-    exact_degree,
-    find_free_color_binary_search,
-)
 
 __all__ = [
     "ClusterRuntime",
     "HTree",
     "bfs_forest",
-    "local_identifiers",
-    "prefix_sums",
-    "tree_totals",
     "RandomGroups",
     "random_groups",
-    "dedup_elected_links",
-    "exact_degree",
-    "find_free_color_binary_search",
 ]

@@ -38,10 +38,6 @@ class RandomGroups:
     group_of: dict[int, int]
     well_connected: bool
 
-    @property
-    def num_groups(self) -> int:
-        """Number of groups ``x``."""
-        return len(self.groups)
 
 
 def random_groups(

@@ -141,13 +141,6 @@ class ClusterGraph(CSRConflictGraph):
         """Number of machines in ``G`` (the ``n`` of the theorems)."""
         return self.comm.n
 
-    def link_count(self, v: int) -> int:
-        """Number of inter-cluster links incident to ``v`` -- the easy
-        aggregate that can grossly overestimate :meth:`degree` (Section 1.1).
-        """
-        u, w, _, _ = self.realizing_links()
-        return int(np.count_nonzero((u == v) | (w == v)))
-
     @cached_property
     def dilation(self) -> int:
         """``d``: the maximum support-tree *height* over all clusters, at

@@ -20,10 +20,6 @@ _LAZY_EXPORTS = {
     "fallback_color": ("repro.coloring.pipeline", "fallback_color"),
     "color_polylog": ("repro.coloring.polylog", "color_polylog"),
     "find_relays": ("repro.coloring.relays", "find_relays"),
-    "weighted_defective_coloring": (
-        "repro.coloring.defective",
-        "weighted_defective_coloring",
-    ),
 }
 
 __all__ = [
@@ -37,7 +33,6 @@ __all__ = [
     "fallback_color",
     "color_polylog",
     "find_relays",
-    "weighted_defective_coloring",
 ]
 
 
@@ -55,7 +50,3 @@ def __getattr__(name: str):
     globals()[name] = value  # cache: __getattr__ only fires on misses
     return value
 
-
-def __dir__() -> list[str]:
-    """Advertise lazy exports alongside the eagerly bound names."""
-    return sorted(set(globals()) | set(_LAZY_EXPORTS))

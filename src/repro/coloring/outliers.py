@@ -15,6 +15,7 @@ manufacture the slack the proxy would certify.
 from __future__ import annotations
 
 from repro.decomposition.acd import AlmostCliqueDecomposition
+from repro.decomposition.cabals import anti_degree_proxy
 
 EXTERNAL_MULT = 20.0  # the "20 e~_K" of Equation (4)
 
@@ -29,14 +30,12 @@ def inliers_noncabal(
     """Split a non-cabal into (inliers, outliers) per Equation (4)."""
     members = acd.cliques[clique_index]
     e_avg = acd.e_tilde_clique[clique_index]
-    k_size = len(members)
-    delta = graph.max_degree
     threshold_x = matching_size / 2.0 + (gamma / 8.0) * e_avg
     inliers: list[int] = []
     outliers: list[int] = []
     for v in members:
         e_v = acd.e_tilde[v]
-        x_v = k_size - (delta + 1) + e_v
+        x_v = anti_degree_proxy(acd, graph, v)
         if e_v <= EXTERNAL_MULT * max(e_avg, 1e-9) and x_v <= threshold_x:
             inliers.append(v)
         else:

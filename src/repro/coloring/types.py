@@ -1,4 +1,4 @@
-"""Partial colorings, palettes, and slack (Section 3.1 notation).
+"""Partial colorings and palettes (Section 3.1 notation).
 
 Colors are ``0..q-1`` (the paper's ``[q] = {1..q}`` shifted to 0-based);
 ``UNCOLORED = -1`` is the paper's ``⊥``.  The coloring object is simulation
@@ -8,7 +8,7 @@ cost charging lives in the algorithm modules, not here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -113,10 +113,6 @@ class PartialColoring:
             return [int(v) for v in np.flatnonzero(self.colors == UNCOLORED)]
         return [v for v in among if self.colors[v] == UNCOLORED]
 
-    def is_total(self) -> bool:
-        """Whether every vertex is colored."""
-        return bool((self.colors != UNCOLORED).all())
-
     # ---- neighborhood-derived quantities (simulation-side) -------------------
 
     def neighbor_colors(self, graph, v: int) -> np.ndarray:
@@ -124,54 +120,18 @@ class PartialColoring:
         return self.colors[graph.neighbor_array(v)]
 
     def palette_array(self, graph, v: int) -> np.ndarray:
-        """``L_φ(v)`` as a sorted int64 array (allocation-light hot-path
-        form of :meth:`palette`)."""
+        """``L_φ(v) = [q] \\ φ(N(v))`` as a sorted int64 array -- the
+        information a cluster-graph vertex *cannot* cheaply learn (Figure
+        2); algorithms must charge for any use of it."""
         ncols = self.neighbor_colors(graph, v)
         free_mask = np.ones(self.num_colors, dtype=bool)
         used = ncols[(ncols >= 0) & (ncols < self.num_colors)]
         free_mask[used] = False
         return np.flatnonzero(free_mask)
 
-    def palette(self, graph, v: int) -> set[int]:
-        """``L_φ(v) = [q] \\ φ(N(v))`` -- the information a cluster-graph
-        vertex *cannot* cheaply learn (Figure 2); algorithms must charge for
-        any use of it."""
-        return {int(c) for c in self.palette_array(graph, v)}
-
-    def slacks(
-        self, graph, vertices, among: set[int] | None = None
-    ) -> np.ndarray:
-        """``s_φ(v)`` for a whole vertex array at once (batched form of
-        :meth:`slack`, one CSR gather instead of per-vertex loops)."""
-        from repro.graphcore import batch_slack_counts
-
-        active_mask = None
-        if among is not None:
-            active_mask = np.zeros(self.n_vertices, dtype=bool)
-            active_mask[list(among)] = True
-        return batch_slack_counts(
-            graph.csr,
-            self.colors,
-            vertices,
-            self.num_colors,
-            active_mask=active_mask,
-        )
-
     def is_free_for(self, graph, v: int, color: int) -> bool:
         """Whether no colored neighbor of ``v`` uses ``color``."""
         return not bool((self.neighbor_colors(graph, v) == color).any())
-
-    def uncolored_degree(self, graph, v: int, among: set[int] | None = None) -> int:
-        """``deg_φ(v)``, optionally against an active subgraph ``H'``."""
-        nbrs = graph.neighbor_array(v)
-        mask = self.colors[nbrs] == UNCOLORED
-        if among is None:
-            return int(mask.sum())
-        return sum(1 for u in nbrs[mask] if int(u) in among)
-
-    def slack(self, graph, v: int, among: set[int] | None = None) -> int:
-        """``s_φ(v) = |L_φ(v)| - deg_φ(v; H')`` (Section 3.1)."""
-        return len(self.palette(graph, v)) - self.uncolored_degree(graph, v, among)
 
     def copy(self) -> "PartialColoring":
         """Deep copy (stages that may cancel work snapshot first)."""
@@ -181,51 +141,30 @@ class PartialColoring:
 @dataclass
 class CliquePaletteView:
     """The clique palette ``L_φ(K)`` as a distributed data structure
-    (Lemma 4.8): supports counting and i-th-color queries in ``O(1)`` rounds.
+    (Lemma 4.8): its ``O(1)``-round queries are the count :attr:`size` and
+    the ``i``-th free color ``free[i]``.
 
     Build one per (clique, coloring-state) moment; it snapshots ``φ(K)``.
     """
 
     members: list[int]
     free: np.ndarray  # sorted colors of [q] not used in K
-    used_count: int  # |{v in K : colored}|
-    distinct_used: int  # |φ(K)|
 
     @classmethod
     def build(cls, coloring: PartialColoring, members: list[int]) -> "CliquePaletteView":
         """Snapshot ``L_φ(K)`` for clique ``K`` (one aggregation, charged by
         callers via :func:`repro.coloring.clique_palette.palette_view`)."""
         cols = coloring.colors[np.asarray(members, dtype=np.int64)]
-        used = cols[cols != UNCOLORED]
-        distinct = np.unique(used)
         all_colors = np.arange(coloring.num_colors, dtype=np.int64)
         free_mask = np.ones(coloring.num_colors, dtype=bool)
-        free_mask[distinct] = False
-        return cls(
-            members=list(members),
-            free=all_colors[free_mask],
-            used_count=int(used.size),
-            distinct_used=int(distinct.size),
-        )
+        free_mask[cols[cols != UNCOLORED]] = False
+        return cls(members=list(members), free=all_colors[free_mask])
 
     @property
     def size(self) -> int:
         """``|L_φ(K)|``."""
         return int(self.free.size)
 
-    @property
-    def repeated_colors(self) -> int:
-        """``M_K``-style reuse count: ``|K ∩ dom φ| - |φ(K)|``."""
-        return self.used_count - self.distinct_used
-
-    def ith_free(self, i: int) -> int:
-        """The ``i``-th color of ``L_φ(K)`` (0-based; Lemma 4.8 query)."""
-        return int(self.free[i])
-
     def free_above(self, floor: int) -> np.ndarray:
         """``L_φ(K) \\ [floor]``: free colors excluding the reserved prefix."""
         return self.free[self.free >= floor]
-
-    def count_in_range(self, lo: int, hi: int) -> int:
-        """``|L_φ(K) ∩ [lo, hi)|`` (Lemma 4.8 query)."""
-        return int(np.searchsorted(self.free, hi) - np.searchsorted(self.free, lo))

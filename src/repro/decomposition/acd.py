@@ -23,7 +23,7 @@ import numpy as np
 from repro.aggregation.runtime import ClusterRuntime
 from repro.decomposition.buddy import buddy_predicate
 from repro.decomposition.sparsity import is_valid_almost_clique
-from repro.graphcore import adjacency_mask, bfs_depth, label_components
+from repro.graphcore import bfs_depth, label_components
 from repro.sketch.fingerprint import batch_count_estimates
 
 
@@ -79,22 +79,6 @@ class AlmostCliqueDecomposition:
         """Indices of cliques that are not cabals."""
         return [i for i, f in enumerate(self.cabal_flags) if not f]
 
-    def external_degree_true(self, graph, v: int) -> int:
-        """Exact ``e_v`` (test/benchmark ground truth, not algorithm-visible)."""
-        idx = int(self.clique_of[v])
-        if idx < 0:
-            return graph.degree(v)
-        members = set(self.cliques[idx])
-        return sum(1 for u in graph.neighbors(v) if u not in members)
-
-    def anti_degree_true(self, graph, v: int) -> int:
-        """Exact ``a_v = |K_v \\ N(v)| - 1`` (self excluded)."""
-        idx = int(self.clique_of[v])
-        if idx < 0:
-            return 0
-        members = np.asarray(self.cliques[idx], dtype=np.int64)
-        outside = ~adjacency_mask(graph.csr, v, members)
-        return int(np.count_nonzero(outside & (members != v)))
 
 
 def compute_acd(

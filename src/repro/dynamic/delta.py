@@ -199,11 +199,6 @@ class DeltaCSR:
         return int(self._degrees.max()) if self._n else 0
 
     @property
-    def pending_delta_ops(self) -> int:
-        """Overlay edits accumulated since the last compaction."""
-        return self._delta_ops
-
-    @property
     def rebuilds(self) -> int:
         """Number of compactions performed so far."""
         return self._rebuilds

@@ -331,8 +331,8 @@ def _luby_grows_with_delta(records: list[dict[str, Any]]) -> bool:
 # One suite per experiment whose claim is sweep-shaped (E1, E2, E11, E12,
 # E13, E15); the lemma-level experiments E3-E10 and E14 are tier-1 tests
 # (``tests/test_paper_claims.py``).  Plus cross-cutting suites: ``smoke``
-# (CI-fast), ``cross_regime``, ``dilation_stress``, ``scale``, ``stream``,
-# ``hetnet``, ``pathology`` and ``full``.
+# (CI-fast), ``cross_regime``, ``scale``, ``stream``, ``hetnet``,
+# ``pathology`` and ``full``.
 # ---------------------------------------------------------------------------
 
 SUITES: dict[str, ScenarioSpec] = {}
@@ -519,35 +519,6 @@ _register(
             WorkloadSpec.of("bridge"),
         ),
         regimes=("auto", "low_degree", "polylog", "high_degree"),
-        seeds=(0, 1),
-        cell_timeout_s=300.0,
-    )
-)
-
-_register(
-    ScenarioSpec(
-        name="dilation_stress",
-        description="Dilation sweep beyond E12: path/bridge clusters, both density regimes",
-        workloads=tuple(
-            WorkloadSpec.of(
-                "high_degree",
-                n_vertices=120,
-                degree_fraction=0.4,
-                cluster_size=cs,
-                topology="path",
-            )
-            for cs in (2, 6, 12, 24)
-        )
-        + tuple(
-            WorkloadSpec.of(
-                "low_degree",
-                n_vertices=240,
-                target_degree=8,
-                cluster_size=cs,
-                topology="path",
-            )
-            for cs in (3, 9, 18)
-        ),
         seeds=(0, 1),
         cell_timeout_s=300.0,
     )

@@ -6,8 +6,8 @@ Every conflict graph (:class:`~repro.cluster.cluster_graph.ClusterGraph`,
 row (CSR) adjacency and reads it through :class:`CSRConflictGraph`; the
 batched numpy kernels
 here run the coloring layer's hot paths -- conflict checks, used-color
-discovery, slack counting, properness checking -- over whole vertex sets at
-once instead of per-vertex Python loops.
+discovery, properness checking -- over whole vertex sets at once instead of
+per-vertex Python loops.
 
 Kernels are pure functions of ``(csr, colors, vertices)`` and charge no
 ledger costs; the one kernel that draws randomness,
@@ -23,7 +23,6 @@ from repro.graphcore.kernels import (
     batch_conflict_mask,
     batch_label_mismatch_counts,
     batch_neighbor_colors,
-    batch_slack_counts,
     batch_used_color_masks,
     bfs_depth,
     conflict_mask_from_flat,
@@ -45,7 +44,6 @@ __all__ = [
     "batch_conflict_mask",
     "batch_label_mismatch_counts",
     "batch_neighbor_colors",
-    "batch_slack_counts",
     "batch_used_color_masks",
     "bfs_depth",
     "conflict_mask_from_flat",

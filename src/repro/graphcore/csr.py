@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -122,19 +120,6 @@ class CSRAdjacency:
         np.remainder(codes, n_vertices, out=codes)
         return cls(indptr=indptr, indices=codes)
 
-    @classmethod
-    def from_adj_lists(cls, adj: Sequence[Sequence[int]]) -> "CSRAdjacency":
-        """Build from per-vertex neighbor lists (one pass, no copies kept)."""
-        n = len(adj)
-        degrees = np.fromiter((len(a) for a in adj), dtype=np.int64, count=n)
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(degrees, out=indptr[1:])
-        total = int(indptr[-1])
-        indices = np.fromiter(
-            chain.from_iterable(adj), dtype=np.int64, count=total
-        )
-        return cls(indptr=indptr, indices=indices)
-
     @property
     def n_vertices(self) -> int:
         """Number of vertices."""
@@ -240,11 +225,6 @@ class CSRConflictGraph:
         computed once per graph: nothing mutates ``csr``."""
         degrees = self.csr.degrees
         return int(degrees.max()) if degrees.size else 0
-
-    def iter_h_edges(self) -> Iterable[tuple[int, int]]:
-        """All edges ``(u, v)`` with ``u < v`` (lexicographic)."""
-        edge_u, edge_v = self.csr.edge_arrays()
-        return zip(edge_u.tolist(), edge_v.tolist())
 
     def h_edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """All edges as ``(u, v)`` int64 arrays with ``u < v`` (the

@@ -2,11 +2,10 @@
 
 Each kernel answers, for a whole array of query vertices at once, a question
 the coloring layer used to ask one vertex at a time: which colors do my
-neighbors hold, does my proposal conflict, how much slack do I have.  The
-shared workhorse is :func:`gather_neighborhoods`, which flattens the CSR
-neighbor segments of the query vertices into one pair of aligned arrays
-(segment id, neighbor id) so every downstream question becomes a masked
-``bincount``.
+neighbors hold, does my proposal conflict.  The shared workhorse is
+:func:`gather_neighborhoods`, which flattens the CSR neighbor segments of
+the query vertices into one pair of aligned arrays (segment id, neighbor id)
+so every downstream question becomes a masked ``bincount``.
 
 Kernels are deterministic and side-effect free: no ledger charges, no
 mutation of ``colors``, and no RNG -- except :func:`draw_free_colors`,
@@ -16,7 +15,7 @@ simulated algorithms compute -- only how fast the simulation computes it.
 
 Memory: a whole-graph query would flatten every CSR row it touches into
 several ``2m``-long int64 arrays at once.  The kernels that answer per
-query vertex (conflicts, used colors, slack, label mismatches, counts
+query vertex (conflicts, used colors, label mismatches, counts
 within a set) and :func:`bfs_depth`'s frontier expansion instead gather
 the blocks :func:`row_blocks` yields, each holding at most
 ``_GATHER_CHUNK`` neighbor entries, and :func:`is_proper_edges` reads its
@@ -259,38 +258,6 @@ def draw_free_colors(
     ranks = rng.integers(0, free_counts[can])
     colors = (np.cumsum(~used[can], axis=1) > ranks[:, None]).argmax(axis=1)
     return can, colors.astype(np.int64, copy=False)
-
-
-def batch_slack_counts(
-    csr: CSRAdjacency,
-    colors: np.ndarray,
-    vertices,
-    num_colors: int,
-    *,
-    active_mask: np.ndarray | None = None,
-) -> np.ndarray:
-    """``s_φ(v) = |L_φ(v)| - deg_φ(v; H')`` for every query vertex
-    (Section 3.1), in one pass.
-
-    ``active_mask`` optionally restricts the uncolored-degree term to an
-    active subgraph ``H'`` (an n-sized boolean array), mirroring the
-    ``among`` parameter of ``PartialColoring.slack``.
-    """
-    verts = _as_vertex_array(vertices)
-    slack = np.zeros(verts.size, dtype=np.int64)
-    for start, stop in row_blocks(csr, verts):
-        seg_ids, flat = gather_neighborhoods(csr, verts[start:stop])
-        flat_colors = colors[flat]
-        used_mask = used_color_masks_from_flat(
-            seg_ids, flat_colors, stop - start, num_colors
-        )
-        free_counts = num_colors - used_mask.sum(axis=1)
-        uncolored = flat_colors == UNCOLORED
-        if active_mask is not None:
-            uncolored &= active_mask[flat]
-        uncolored_deg = np.bincount(seg_ids[uncolored], minlength=stop - start)
-        slack[start:stop] = free_counts - uncolored_deg
-    return slack
 
 
 def batch_label_mismatch_counts(

@@ -123,33 +123,6 @@ class CommGraph:
         (labelled in iteration order, see :func:`networkx_edge_array`)."""
         return cls(*networkx_edge_array(graph))
 
-    def to_networkx(self) -> nx.Graph:
-        """Export to networkx (used by reference checks)."""
-        import networkx as nx
-
-        graph = nx.Graph()
-        graph.add_nodes_from(range(self.n))
-        graph.add_edges_from(zip(*(a.tolist() for a in self.link_arrays())))
-        return graph
-
-    def is_connected_subset(self, machines: Sequence[int]) -> bool:
-        """Whether ``G[machines]`` is connected (BFS restricted to the set)."""
-        if len(machines) == 0:
-            return False
-        member = set(int(m) for m in machines)
-        start = int(machines[0])
-        seen = {start}
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for v in self.neighbors(u).tolist():
-                    if v in member and v not in seen:
-                        seen.add(v)
-                        nxt.append(v)
-            frontier = nxt
-        return len(seen) == len(member)
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"CommGraph(n={self.n}, links={self.num_links})"
 

@@ -259,12 +259,6 @@ class HetNetModel:
             self._cache[width] = hit
         return hit
 
-    def round_time_ms(self, width: int) -> float:
-        """Simulated duration of one H-round whose widest (capped) message
-        is ``width`` bits: the slowest element's ``latency + bits/bandwidth``
-        term, i.e. the upper envelope of every time line at ``width``."""
-        return self._envelope(width)[0]
-
     def account(self, width: int, rounds: int) -> float:
         """Charge ``rounds`` H-rounds of (capped) width ``width``.
 

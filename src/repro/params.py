@@ -30,7 +30,7 @@ Both presets are available; experiments record which one they used.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 
 def log_star(n: float) -> int:
@@ -191,9 +191,6 @@ class AlgorithmParameters:
             b = max(b, int(math.ceil((delta + 1) / self.donor_max_blocks)))
         return min(b, delta + 1)
 
-    def with_overrides(self, **kwargs) -> "AlgorithmParameters":
-        """Return a copy with some fields replaced (for ablations)."""
-        return replace(self, **kwargs)
 
 
 def paper() -> AlgorithmParameters:

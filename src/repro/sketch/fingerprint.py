@@ -144,13 +144,6 @@ class FingerprintTable:
         self.trials = trials
         self.rows = sample_geometric_half(rng, (n_vertices, trials))
 
-    def set_fingerprint(self, vertices) -> Fingerprint:
-        """Fingerprint of an arbitrary vertex set (max over their rows)."""
-        idx = np.fromiter(vertices, dtype=np.int64)
-        if idx.size == 0:
-            return Fingerprint.empty(self.trials)
-        return Fingerprint(self.rows[idx].max(axis=0).astype(np.int64))
-
     def argmax_per_trial(self, vertices) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """For each trial: the max value, the first vertex attaining it, and
         whether it is attained uniquely.  Drives Algorithm 7 (Step 4).

@@ -106,3 +106,66 @@ def union_planes(maxima: np.ndarray):
         maxima.shape[1],
         np.all(maxima == EMPTY_MAX, axis=1),
     )
+
+
+def h_edges(graph) -> list[tuple[int, int]]:
+    """Every H-edge ``(u, v)`` with ``u < v``, in lexicographic order."""
+    edge_u, edge_v = graph.h_edge_arrays()
+    return list(zip(edge_u.tolist(), edge_v.tolist()))
+
+
+def csr_from_adj_lists(adj):
+    """Oracle CSR laid out row by row from per-vertex neighbor lists."""
+    from repro.graphcore import CSRAdjacency
+
+    indptr = np.zeros(len(adj) + 1, dtype=np.int64)
+    np.cumsum(np.array([len(a) for a in adj], dtype=np.int64), out=indptr[1:])
+    indices = np.array([u for a in adj for u in a], dtype=np.int64)
+    return CSRAdjacency(indptr=indptr, indices=indices)
+
+
+def is_total(coloring) -> bool:
+    """Whether every vertex of a ``PartialColoring`` is colored."""
+    from repro.coloring import UNCOLORED
+
+    return bool((coloring.colors != UNCOLORED).all())
+
+
+def slack(coloring, graph, v: int) -> int:
+    """Oracle ``s_φ(v) = |L_φ(v)| - deg_φ(v)`` (Section 3.1): free colors
+    minus uncolored neighbors."""
+    from repro.coloring import UNCOLORED
+
+    nbrs = graph.neighbor_array(v)
+    uncolored = int(np.count_nonzero(coloring.colors[nbrs] == UNCOLORED))
+    return coloring.palette_array(graph, v).size - uncolored
+
+
+def external_degree(acd, graph, v: int) -> int:
+    """Exact ``e_v``: neighbors outside ``v``'s almost-clique (all of them
+    for a sparse vertex)."""
+    idx = int(acd.clique_of[v])
+    if idx < 0:
+        return graph.degree(v)
+    members = set(acd.cliques[idx])
+    return sum(1 for u in graph.neighbors(v) if u not in members)
+
+
+def anti_degree(acd, graph, v: int) -> int:
+    """Exact ``a_v = |K_v \\ N(v)| - 1`` (self excluded; 0 if sparse)."""
+    idx = int(acd.clique_of[v])
+    if idx < 0:
+        return 0
+    nbrs = set(graph.neighbors(v))
+    return sum(1 for u in acd.cliques[idx] if u != v and u not in nbrs)
+
+
+def set_fingerprint(table, vertices):
+    """The ``Fingerprint`` of a vertex set: the max over its rows of a
+    ``FingerprintTable`` (the merge identity for an empty set)."""
+    from repro.sketch import Fingerprint
+
+    idx = np.fromiter(vertices, dtype=np.int64)
+    if idx.size == 0:
+        return Fingerprint.empty(table.trials)
+    return Fingerprint(table.rows[idx].max(axis=0).astype(np.int64))

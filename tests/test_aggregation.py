@@ -1,17 +1,11 @@
-"""Aggregation primitives: BFS (Lemma 3.2), prefix sums (Lemma 3.3),
-random groups (Lemma 4.4), runtime charging."""
+"""Aggregation primitives: BFS (Lemma 3.2), random groups (Lemma 4.4),
+runtime charging."""
 
 import networkx as nx
 import numpy as np
 import pytest
 
-from repro.aggregation import (
-    bfs_forest,
-    local_identifiers,
-    prefix_sums,
-    random_groups,
-    tree_totals,
-)
+from repro.aggregation import bfs_forest, random_groups
 from repro.cluster import ClusterGraph, blowup
 from repro.network import CommGraph
 from tests.conftest import make_runtime
@@ -69,48 +63,6 @@ class TestBfsForest:
         for v, p in tree.parent.items():
             if p is not None:
                 assert pos[p] < pos[v]
-
-
-class TestPrefixSums:
-    def test_exclusive_prefix_sums(self):
-        runtime = _cycle_runtime(n=8)
-        (tree,) = bfs_forest(runtime, [(0, range(8))])
-        values = {v: v + 1 for v in range(8)}
-        sums = prefix_sums(runtime, [tree], values)
-        order = tree.order()
-        running = 0
-        for v in order:
-            assert sums[v] == running
-            running += values[v]
-
-    def test_subset_participation(self):
-        runtime = _cycle_runtime(n=8)
-        (tree,) = bfs_forest(runtime, [(0, range(8))])
-        values = {2: 10, 5: 20}
-        sums = prefix_sums(runtime, [tree], values)
-        assert set(sums) == {2, 5}
-        order = tree.order()
-        first, second = sorted([2, 5], key=order.index)
-        assert sums[first] == 0
-        assert sums[second] == values[first]
-
-    def test_local_identifiers_dense(self):
-        runtime = _cycle_runtime(n=9)
-        (tree,) = bfs_forest(runtime, [(0, range(9))])
-        ids = local_identifiers(runtime, [tree])
-        assert sorted(ids.values()) == list(range(1, 10))
-
-    def test_tree_totals(self):
-        runtime = _cycle_runtime(n=6)
-        trees = bfs_forest(runtime, [(0, [0, 1, 2]), (3, [3, 4, 5])])
-        totals = tree_totals(runtime, trees, {v: 1 for v in range(6)})
-        assert totals == {0: 3, 3: 3}
-
-    def test_shared_vertices_rejected(self):
-        runtime = _cycle_runtime(n=8)
-        trees = bfs_forest(runtime, [(0, range(8))])
-        with pytest.raises(ValueError, match="share"):
-            prefix_sums(runtime, [trees[0], trees[0]], {0: 1})
 
 
 class TestRandomGroups:

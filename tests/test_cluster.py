@@ -21,6 +21,7 @@ from repro.dynamic.view import FrozenConflictGraph
 from repro.graphcore import CSRAdjacency
 from repro.network import CommGraph
 from repro.workloads import figure1_example
+from tests.conftest import csr_from_adj_lists, h_edges
 
 
 class TestSupportTree:
@@ -53,7 +54,7 @@ class TestSupportTree:
 class TestClusterGraph:
     def test_figure1_semantics(self):
         """Figure 1's key feature: two clusters joined by several links form
-        ONE H-edge; link counting overestimates the true degree."""
+        ONE H-edge."""
         w = figure1_example()
         g = w.graph
         assert g.n_vertices == 4
@@ -61,16 +62,13 @@ class TestClusterGraph:
         u, v, _, _ = g.realizing_links()
         assert int(((u == 1) & (v == 2)).sum()) == 2
         assert g.degree(1) == g.degree(2) == 2
-        # the cheap aggregate (incident links) overcounts the true degree
-        assert g.link_count(1) == 3 > g.degree(1)
-        assert g.link_count(2) == 3 > g.degree(2)
 
     def test_identity_is_congest(self):
         comm = CommGraph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
         h = ClusterGraph.identity(comm)
         assert h.n_vertices == comm.n
         assert h.dilation == 1
-        assert sorted(h.iter_h_edges()) == sorted(
+        assert sorted(h_edges(h)) == sorted(
             zip(*(a.tolist() for a in comm.link_arrays()))
         )
 
@@ -94,7 +92,7 @@ class TestClusterGraph:
         assert h.max_degree == 2
         assert vars(h)["max_degree"] == 2  # cached on the instance
         star = dataclasses.replace(
-            h, csr=CSRAdjacency.from_adj_lists([[1, 2, 3], [0], [0], [0]])
+            h, csr=csr_from_adj_lists([[1, 2, 3], [0], [0], [0]])
         )
         assert star.max_degree == 3 and h.max_degree == 2
 
@@ -237,7 +235,7 @@ class TestBuilders:
         target = nx.petersen_graph()
         h = blowup(target, rng, cluster_size=3, topology="path", link_multiplicity=2)
         assert h.n_vertices == 10
-        got = nx.Graph(list(h.iter_h_edges()))
+        got = nx.Graph(list(h_edges(h)))
         assert nx.is_isomorphic(got, target)
 
     def test_blowup_topology_controls_dilation(self, rng):
@@ -347,7 +345,7 @@ class TestVirtualGraph:
         assert vg.max_degree == 3
         assert vars(vg)["max_degree"] == 3  # cached on the instance
         path = dataclasses.replace(
-            vg, csr=CSRAdjacency.from_adj_lists([[1], [0, 2], [1, 3], [2]])
+            vg, csr=csr_from_adj_lists([[1], [0, 2], [1, 3], [2]])
         )
         assert path.max_degree == 2 and vg.max_degree == 3
 
@@ -551,7 +549,6 @@ class TestConflictGraphInterface:
                 assert graph.neighbor_array(v).tolist() == sorted(nbrs[v])
                 assert graph.adj[v] == sorted(nbrs[v])
             assert graph.n_vertices == 4
-            assert list(graph.iter_h_edges()) == lex
             assert [a.tolist() for a in graph.h_edge_arrays()] == [list(e) for e in zip(*lex)]
             assert graph.n_h_edges == len(lex)
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from repro.cluster import blowup
 from repro.coloring import UNCOLORED, CliquePaletteView, PartialColoring
+from tests.conftest import is_total
 
 
 def _path_graph(n=6):
@@ -18,7 +19,7 @@ class TestPartialColoring:
     def test_empty_start(self):
         c = PartialColoring.empty(5, 4)
         assert c.colored_count() == 0
-        assert not c.is_total()
+        assert not is_total(c)
         assert c.uncolored_vertices() == [0, 1, 2, 3, 4]
 
     def test_assign_and_query(self):
@@ -60,7 +61,7 @@ class TestPartialColoring:
         c = PartialColoring.empty(3, 3)
         c.assign(0, 1)
         c.assign(2, 2)
-        assert c.palette(g, 1) == {0}
+        assert c.palette_array(g, 1).tolist() == [0]
 
     def test_is_free_for(self):
         g = _path_graph(3)
@@ -69,20 +70,6 @@ class TestPartialColoring:
         assert not c.is_free_for(g, 1, 1)
         assert c.is_free_for(g, 1, 0)
         assert c.is_free_for(g, 2, 1)  # not adjacent to 0
-
-    def test_uncolored_degree_and_slack(self):
-        g = _path_graph(4)
-        c = PartialColoring.empty(4, 4)
-        assert c.uncolored_degree(g, 1) == 2
-        c.assign(0, 0)
-        assert c.uncolored_degree(g, 1) == 1
-        # slack = |palette| - uncolored degree = 3 - 1
-        assert c.slack(g, 1) == 2
-
-    def test_uncolored_degree_within_subset(self):
-        g = _path_graph(4)
-        c = PartialColoring.empty(4, 4)
-        assert c.uncolored_degree(g, 1, among={2}) == 1
 
     def test_copy_is_independent(self):
         c = PartialColoring.empty(3, 4)
@@ -137,27 +124,8 @@ class TestCliquePaletteView:
         view = CliquePaletteView.build(c, [0, 1, 2, 3])
         assert list(view.free) == [0, 1, 3, 4]
         assert view.size == 4
-        assert view.used_count == 2
-        assert view.repeated_colors == 0
-
-    def test_repeated_colors_counted(self):
-        c = PartialColoring.empty(4, 6)
-        c.assign(0, 2)
-        c.assign(1, 2)
-        c.assign(2, 3)
-        view = CliquePaletteView.build(c, [0, 1, 2, 3])
-        assert view.repeated_colors == 1  # 3 colored, 2 distinct
-
-    def test_ith_free_and_range_queries(self):
-        c = PartialColoring.empty(2, 10)
-        c.assign(0, 0)
-        c.assign(1, 4)
-        view = CliquePaletteView.build(c, [0, 1])
-        assert view.ith_free(0) == 1
-        assert view.ith_free(3) == 5
-        assert view.count_in_range(0, 5) == 3  # {1, 2, 3}
-        # free_above(r) = L(K) \ [r] with [r] = {0..r-1}: 5 itself survives
-        assert list(view.free_above(5)) == [5, 6, 7, 8, 9]
+        # free_above(r) = L(K) \ [r] with [r] = {0..r-1}: 3 itself survives
+        assert list(view.free_above(3)) == [3, 4]
 
     def test_only_members_counted(self):
         c = PartialColoring.empty(3, 4)

@@ -15,7 +15,7 @@ from repro.coloring.types import PartialColoring
 from repro.decomposition import annotate_with_cabals, compute_acd
 from repro.verify import is_proper
 from repro.workloads import planted_acd_instance
-from tests.conftest import make_runtime
+from tests.conftest import anti_degree, external_degree, make_runtime
 
 
 def _noncabal_setup(seed=0):
@@ -49,7 +49,7 @@ class TestZProxy:
             member_set = set(members)
             for v in members[:8]:
                 z = z_proxy(runtime, coloring, acd, plan, v, gamma)
-                palette = coloring.palette(g, v)
+                palette = coloring.palette_array(g, v).tolist()
                 used_in_k = {
                     coloring.get(u) for u in members if coloring.is_colored(u)
                 }
@@ -60,10 +60,10 @@ class TestZProxy:
                     gamma * acd.e_tilde_clique[idx]
                     + abs(
                         acd.e_tilde[v]
-                        - acd.external_degree_true(g, v)
+                        - external_degree(acd, g, v)
                     )
-                    + 0.3 * max(acd.external_degree_true(g, v), 4)  # sketch noise
-                    + acd.anti_degree_true(g, v)
+                    + 0.3 * max(external_degree(acd, g, v), 4)  # sketch noise
+                    + anti_degree(acd, g, v)
                     + (g.max_degree - g.degree(v))
                 )
                 assert z <= avail + slack_terms + 2

@@ -20,7 +20,7 @@ from repro.decomposition import (
 from repro.params import scaled
 from repro.verify import check_acd
 from repro.workloads import cabal_instance, planted_acd_instance
-from tests.conftest import make_runtime
+from tests.conftest import anti_degree, external_degree, h_edges, make_runtime
 
 
 class TestSparsity:
@@ -62,7 +62,7 @@ class TestSparsity:
         xi = 0.7
         expected_friendly = {
             (u, v)
-            for u, v in h.iter_h_edges()
+            for u, v in h_edges(h)
             if len(nbrs[u] & nbrs[v]) >= (1 - xi) * delta
         }
         assert 0 < len(expected_friendly) < h.n_h_edges
@@ -197,7 +197,7 @@ class TestCabalClassification:
         errors = []
         for members in acd.cliques:
             for v in members:
-                true = acd.external_degree_true(g, v)
+                true = external_degree(acd, g, v)
                 errors.append(abs(acd.e_tilde[v] - true))
         assert np.mean(errors) < 2.0
 
@@ -219,8 +219,8 @@ class TestCabalClassification:
         for members in acd.cliques:
             for v in members[:10]:
                 x_v = anti_degree_proxy(acd, g, v)
-                a_v = acd.anti_degree_true(g, v)
-                e_v = acd.external_degree_true(g, v)
+                a_v = anti_degree(acd, g, v)
+                e_v = external_degree(acd, g, v)
                 center = a_v - (delta - g.degree(v))
                 noise = abs(acd.e_tilde[v] - e_v)
                 assert abs(x_v - center) <= scaled().delta * e_v + noise + 1e-9
@@ -230,19 +230,6 @@ class TestCabalClassification:
         acd = annotate_with_cabals(runtime, compute_acd(runtime))
         with pytest.raises(ValueError):
             anti_degree_proxy(acd, planted_workload.graph, acd.sparse[0])
-
-
-class TestGroundTruthHelpers:
-    def test_external_and_anti_degree(self, planted_workload):
-        g = planted_workload.graph
-        runtime = make_runtime(g)
-        acd = compute_acd(runtime)
-        members = acd.cliques[0]
-        mset = set(members)
-        v = members[0]
-        nbrs = set(g.neighbors(v))
-        assert acd.external_degree_true(g, v) == len(nbrs - mset)
-        assert acd.anti_degree_true(g, v) == len(mset - nbrs) - 1
 
 
 class TestLeaderBfsDepth:

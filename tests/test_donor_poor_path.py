@@ -23,7 +23,7 @@ from repro.decomposition import annotate_with_cabals, compute_acd
 from repro.params import scaled
 from repro.verify import is_proper
 from repro.workloads import cabal_instance
-from tests.conftest import make_runtime
+from tests.conftest import is_total, make_runtime
 
 
 @pytest.fixture(scope="module")
@@ -100,7 +100,7 @@ class TestPoorPath:
         assignments = find_safe_donors(runtime, work, plan, donors[0], view)
         leftover = donate_colors(runtime, work, plan, assignments)
         assert leftover == []
-        assert work.is_total()
+        assert is_total(work)
         assert is_proper(w.graph, work.colors)
 
     def test_donation_actually_recolors_donors(self, poor_palette_state):
@@ -123,5 +123,5 @@ class TestPoorPath:
         work = coloring.copy()
         leftover = color_put_aside_sets(runtime, work, [plan])
         assert leftover == []
-        assert work.is_total()
+        assert is_total(work)
         assert is_proper(w.graph, work.colors)

@@ -32,6 +32,7 @@ from repro.dynamic.updates import KINDS
 from repro.graphcore import CSRAdjacency, is_proper_edges
 from repro.network.ledger import BandwidthLedger
 from repro.verify.checker import is_proper
+from tests.conftest import csr_from_adj_lists
 
 
 def small_cluster_graph(seed: int, n: int = 10, density: float = 0.4,
@@ -62,7 +63,7 @@ class TestFromEdgeArrays:
         for u, v in pairs:
             adj[u].append(v)
             adj[v].append(u)
-        reference = CSRAdjacency.from_adj_lists([sorted(a) for a in adj])
+        reference = csr_from_adj_lists([sorted(a) for a in adj])
         arr = np.asarray(sorted(pairs), dtype=np.int64).reshape(-1, 2)
         built = CSRAdjacency.from_edge_arrays(arr[:, 0], arr[:, 1], n)
         assert np.array_equal(built.indptr, reference.indptr)
@@ -176,12 +177,12 @@ class TestDeltaCSR:
             if compact_every and step % compact_every == 0:
                 delta.compact()
                 pending = 0
-            assert delta.pending_delta_ops == pending
+            assert delta._delta_ops == pending
             if step % 7 == 0:
                 self._assert_equal(delta, reference, alive, rng)
         self._assert_equal(delta, reference, alive, rng)
         delta.compact()  # the rebuilt CSR must answer identically
-        assert delta.pending_delta_ops == 0
+        assert delta._delta_ops == 0
         self._assert_equal(delta, reference, alive, rng)
 
     @given(seed=st.integers(0, 2**31 - 1), n=st.integers(2, 12),
@@ -243,7 +244,7 @@ class TestDeltaCSR:
         for i, v in enumerate(verts.tolist()):
             assert flat[seg_ids == i].tolist() == delta.neighbors(v).tolist()
         built = delta.as_csr()
-        ref_csr = CSRAdjacency.from_adj_lists(
+        ref_csr = csr_from_adj_lists(
             [sorted(reference[v]) for v in reference]
         )
         assert np.array_equal(built.indptr, ref_csr.indptr)
@@ -305,7 +306,7 @@ class TestDeltaCSR:
             return (
                 delta.degrees.tolist(),
                 delta.n_edges,
-                delta.pending_delta_ops,
+                delta._delta_ops,
                 sorted(zip(*(a.tolist() for a in delta.edge_arrays()))),
             )
 
@@ -383,7 +384,7 @@ class TestDeltaCSR:
             assert a.neighbors(v).tolist() == b.neighbors(v).tolist(), v
         assert a.degrees.tolist() == b.degrees.tolist()
         assert a.n_edges == b.n_edges
-        assert a.pending_delta_ops == b.pending_delta_ops
+        assert a._delta_ops == b._delta_ops
 
         def edge_set(delta):
             return set(zip(*(x.tolist() for x in delta.edge_arrays())))
@@ -405,10 +406,10 @@ class TestDeltaCSR:
             DeltaCSR(huge)
         delta = self._edited_delta()
         monkeypatch.setattr(delta_module, "MAX_VERTICES", delta.n_vertices)
-        ops = delta.pending_delta_ops
+        ops = delta._delta_ops
         with pytest.raises(ValueError, match="bound"):
             delta.add_vertex()
-        assert delta.n_vertices == 6 and delta.pending_delta_ops == ops
+        assert delta.n_vertices == 6 and delta._delta_ops == ops
         assert delta.degrees.size == delta.alive_mask.size == 6
 
     def test_gather_matches_per_vertex_neighbors(self):
@@ -454,10 +455,10 @@ class TestDeltaCSR:
 
     def test_add_vertex_allocates_a_run(self):
         delta = self._edited_delta()
-        ops = delta.pending_delta_ops
+        ops = delta._delta_ops
         assert delta.add_vertex(3) == 6
         assert delta.add_vertex() == 9
-        assert delta.n_vertices == 10 and delta.pending_delta_ops == ops + 4
+        assert delta.n_vertices == 10 and delta._delta_ops == ops + 4
         assert delta.alive_mask[6:].all() and not delta.degrees[6:].any()
         delta.insert_edge(9, [6, 8])
         assert delta.neighbors(9).tolist() == [6, 8]
@@ -470,7 +471,7 @@ class TestDeltaCSR:
         assert delta.n_vertices == delta.n_alive == 3
         assert delta.alive_mask.size == delta.degrees.size == 3
         assert delta.neighbors(1).tolist() == [0]
-        assert delta.pending_delta_ops == 0
+        assert delta._delta_ops == 0
         assert delta.add_vertex() == 3
 
     def test_periodic_rebuild_triggers(self, monkeypatch):

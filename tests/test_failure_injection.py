@@ -11,7 +11,7 @@ from repro.coloring.stats import ColoringStats
 from repro.coloring.types import PartialColoring
 from repro.verify import is_proper
 from repro.workloads import cabal_instance, planted_acd_instance
-from tests.conftest import make_runtime
+from tests.conftest import is_total, make_runtime
 
 
 class TestFallbackColor:
@@ -23,7 +23,7 @@ class TestFallbackColor:
         fallback_color(
             runtime, coloring, list(range(coloring.n_vertices)), stats, "injected"
         )
-        assert coloring.is_total()
+        assert is_total(coloring)
         assert is_proper(w.graph, coloring.colors)
         assert stats.fallbacks["injected"] == coloring.n_vertices
 

@@ -14,7 +14,7 @@ from repro.sketch import (
     fused_topk_counts,
     trials_for,
 )
-from tests.conftest import neighborhood_maxima
+from tests.conftest import neighborhood_maxima, set_fingerprint
 
 
 def batched_estimates(rows, *, exact=False):
@@ -87,20 +87,20 @@ class TestFingerprintObject:
         """merge(fp(A), fp(B)) == fp(A ∪ B) when built from shared
         variables -- the property that defeats double counting."""
         table = FingerprintTable(100, 128, rng)
-        a = table.set_fingerprint(range(0, 60))
-        b = table.set_fingerprint(range(40, 100))  # overlaps A
-        union = table.set_fingerprint(range(0, 100))
+        a = set_fingerprint(table, range(0, 60))
+        b = set_fingerprint(table, range(40, 100))  # overlaps A
+        union = set_fingerprint(table, range(0, 100))
         merged = a.merge(b)
         assert (merged.maxima == union.maxima).all()
 
     def test_merge_with_empty(self, rng):
         table = FingerprintTable(10, 32, rng)
-        a = table.set_fingerprint(range(10))
+        a = set_fingerprint(table, range(10))
         assert (a.merge(Fingerprint.empty(32)).maxima == a.maxima).all()
 
     def test_encoded_bits_positive_and_linear_ish(self, rng):
         table = FingerprintTable(500, 256, rng)
-        fp = table.set_fingerprint(range(500))
+        fp = set_fingerprint(table, range(500))
         bits = fp.encoded_bits()
         # Lemma 5.6: O(t + loglog d); generous envelope check
         assert 2 * 256 <= bits <= 20 * 256

@@ -20,7 +20,6 @@ from repro.graphcore import (
     batch_conflict_mask,
     batch_label_mismatch_counts,
     batch_neighbor_colors,
-    batch_slack_counts,
     batch_used_color_masks,
     bfs_depth,
     draw_free_colors,
@@ -34,6 +33,7 @@ from repro.graphcore import (
 )
 from repro.network import CommGraph
 from repro.verify.checker import is_proper, violations
+from tests.conftest import h_edges
 
 
 def random_graph(seed: int, n: int, density: float) -> ClusterGraph:
@@ -74,11 +74,13 @@ class TestCSRStructure:
 
     @given(**graph_params)
     @settings(max_examples=60)
-    def test_edge_arrays_match_iter_h_edges(self, seed, n, density):
+    def test_edge_arrays_match_adj_lists(self, seed, n, density):
         g = random_graph(seed, n, density)
         eu, ev = g.h_edge_arrays()
         assert (eu < ev).all()
-        assert set(zip(eu.tolist(), ev.tolist())) == set(g.iter_h_edges())
+        assert set(zip(eu.tolist(), ev.tolist())) == {
+            (u, v) for u in range(n) for v in g.adj[u] if u < v
+        }
         assert eu.size == g.n_h_edges
 
     @given(**graph_params, dedupe=st.booleans())
@@ -225,21 +227,6 @@ class TestKernelAgreement:
             }
             assert set(np.flatnonzero(masks[v]).tolist()) == used
 
-    @given(among_half=st.booleans(), **graph_params)
-    @settings(max_examples=60)
-    def test_batch_slack_counts_vs_scalar_slack(
-        self, among_half, seed, n, density
-    ):
-        g = random_graph(seed, n, density)
-        rng = np.random.default_rng(seed + 5)
-        q = max(2, g.max_degree + 1)
-        coloring = random_coloring(rng, n, q)
-        among = set(range(0, n, 2)) if among_half else None
-        verts = np.arange(n)
-        got = coloring.slacks(g, verts, among=among)
-        expected = [coloring.slack(g, v, among=among) for v in range(n)]
-        assert got.tolist() == expected
-
     @given(**graph_params)
     @settings(max_examples=60)
     def test_is_proper_and_violations_vs_loop_reference(self, seed, n, density):
@@ -250,7 +237,7 @@ class TestKernelAgreement:
         colors = rng.integers(-1, min(q, 3), size=n).astype(np.int64)
 
         def reference(allow_partial: bool) -> bool:
-            for u, v in g.iter_h_edges():
+            for u, v in h_edges(g):
                 cu, cv = int(colors[u]), int(colors[v])
                 if cu == UNCOLORED or cv == UNCOLORED:
                     if not allow_partial:
@@ -266,7 +253,7 @@ class TestKernelAgreement:
             )
         expected_bad = {
             (u, v)
-            for u, v in g.iter_h_edges()
+            for u, v in h_edges(g)
             if colors[u] != UNCOLORED and colors[u] == colors[v]
         }
         assert set(violations(g, colors)) == expected_bad
@@ -299,21 +286,6 @@ class TestSetKernels:
         hits = in_sorted(np.sort(np.asarray(pool, dtype=np.int64)),
                          np.asarray(values, dtype=np.int64))
         assert hits.tolist() == [x in set(pool) for x in values]
-
-
-class TestCSRFromAdjLists:
-    def test_empty_graph(self):
-        csr = CSRAdjacency.from_adj_lists([])
-        assert csr.n_vertices == 0
-        assert csr.n_directed_edges == 0
-        eu, ev = csr.edge_arrays()
-        assert eu.size == 0 and ev.size == 0
-
-    def test_isolated_vertices(self):
-        csr = CSRAdjacency.from_adj_lists([[], [2], [1], []])
-        assert csr.neighbors(0).size == 0
-        assert csr.neighbors(1).tolist() == [2]
-        assert csr.degrees.tolist() == [0, 1, 1, 0]
 
 
 class TestLabelKernels:
@@ -460,7 +432,6 @@ def kernel_answers(g: ClusterGraph, query: np.ndarray) -> dict:
     cands = rng.integers(0, q, size=query.size)
     proposals = np.where(rng.random(n) < 0.5, rng.integers(0, q, size=n), -1)
     labels = rng.integers(-1, 4, size=n)
-    active = rng.random(n) < 0.5
     members = rng.choice(n, size=12, replace=False)
     return {
         "conflict": batch_conflict_mask(csr, colors, query, cands),
@@ -471,8 +442,6 @@ def kernel_answers(g: ClusterGraph, query: np.ndarray) -> dict:
             csr, colors, query, cands, proposal_map=proposals, symmetric=True
         ),
         "used": batch_used_color_masks(csr, colors, query, q),
-        "slack": batch_slack_counts(csr, colors, query, q),
-        "slack_active": batch_slack_counts(csr, colors, query, q, active_mask=active),
         "mismatch": batch_label_mismatch_counts(csr, labels, query),
         "mismatch_scalar": batch_label_mismatch_counts(
             csr, labels, query, ignore_label=-1, own_labels=2

@@ -130,9 +130,8 @@ class TestSimulatedClock:
     def test_uniform_fabric_degenerates_to_rounds(self):
         # skew 1: every link identical, so makespan == rounds x constant
         model = sample_model(skew=1.0, fill=0.5)
-        per_round = model.round_time_ms(32)
-        expected = BASE_LATENCY_MS + 32 / (BASE_BANDWIDTH_MBPS * 1e3)
-        assert per_round == pytest.approx(expected)
+        per_round = BASE_LATENCY_MS + 32 / (BASE_BANDWIDTH_MBPS * 1e3)
+        assert model.account(32, 1) == pytest.approx(per_round)
         assert model.account(32, 7) == pytest.approx(7 * per_round)
 
     def test_account_accumulates_critical_element(self):
@@ -184,9 +183,8 @@ class TestSimulatedClock:
     @given(width=st.integers(1, 512), rounds=st.integers(1, 50))
     def test_account_is_rounds_times_envelope(self, width, rounds):
         model = sample_model(TREE_GRAPH, skew=25.0, fill=0.4)
-        assert model.account(width, rounds) == pytest.approx(
-            rounds * model.round_time_ms(width)
-        )
+        envelope = float((model.line_a + model.line_b * width).max())
+        assert model.account(width, rounds) == pytest.approx(rounds * envelope)
 
 
 class TestLedgerIntegration:

@@ -12,7 +12,7 @@ from repro.coloring.low_degree import (
 from repro.coloring.types import PartialColoring
 from repro.verify import is_proper
 from repro.workloads import low_degree_instance
-from tests.conftest import make_runtime
+from tests.conftest import is_total, make_runtime
 
 
 def _setup(seed=0, **kw):
@@ -58,7 +58,7 @@ class TestSmallInstanceColoring:
         comps = uncolored_components(w.graph, coloring, remaining)
         stuck = small_instance_coloring(runtime, coloring, comps)
         assert stuck == []
-        assert coloring.is_total()
+        assert is_total(coloring)
         assert is_proper(w.graph, coloring.colors)
 
     @pytest.mark.parametrize("chunk", [1, 3])
@@ -94,7 +94,7 @@ class TestSmallInstanceColoring:
             w.graph, coloring, list(range(coloring.n_vertices))
         )
         small_instance_coloring(runtime, coloring, comps)
-        assert coloring.is_total()
+        assert is_total(coloring)
         assert is_proper(w.graph, coloring.colors)
 
 
@@ -102,7 +102,7 @@ class TestFullLowDegreePath:
     def test_end_to_end(self):
         w, runtime, coloring = _setup(seed=6)
         info = color_low_degree(runtime, coloring)
-        assert coloring.is_total()
+        assert is_total(coloring)
         assert is_proper(w.graph, coloring.colors)
         assert info["stuck"] == []
         assert info["num_components"] >= 0

@@ -11,7 +11,7 @@ from repro.coloring.multicolor_trial import _trial_schedule, multicolor_trial
 from repro.coloring.synchronized_trial import SctPlan, synchronized_color_trial
 from repro.coloring.types import PartialColoring
 from repro.verify import is_proper
-from tests.conftest import make_runtime
+from tests.conftest import is_total, make_runtime
 
 
 class TestTrialSchedule:
@@ -41,7 +41,7 @@ class TestMultiColorTrial:
             lambda v: space,
         )
         assert leftover == []
-        assert coloring.is_total()
+        assert is_total(coloring)
         assert is_proper(runtime.graph, coloring.colors)
 
     def test_raises_on_impossible_space(self):

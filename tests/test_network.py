@@ -89,22 +89,6 @@ class TestCommGraph:
         link_u, link_v = g.link_arrays()
         assert list(zip(link_u.tolist(), link_v.tolist())) == [(0, 2), (1, 3)]
 
-    def test_connected_subset(self):
-        g = CommGraph(5, [(0, 1), (1, 2), (3, 4)])
-        assert g.is_connected_subset([0, 1, 2])
-        assert not g.is_connected_subset([0, 1, 3])
-        assert g.is_connected_subset([3, 4])
-        assert not g.is_connected_subset([])
-
-    def test_networkx_round_trip(self):
-        import networkx as nx
-
-        nx_graph = nx.cycle_graph(6)
-        g = CommGraph.from_networkx(nx_graph)
-        back = g.to_networkx()
-        assert back.number_of_edges() == 6
-        assert nx.is_isomorphic(nx_graph, back)
-
 
 class TestLedger:
     def test_simple_charge(self):

@@ -7,6 +7,7 @@ checks them.  Every instance, seed and bound here is the one the
 experiment has always used.
 """
 
+import dataclasses
 import math
 
 import networkx as nx
@@ -40,12 +41,29 @@ from repro.sketch import (
     sample_max_of_geometrics,
 )
 from repro.verify import check_acd, is_proper
-from repro.workloads import cabal_instance, low_degree_instance, planted_acd_instance
+from repro.workloads import (
+    cabal_instance,
+    figure1_example,
+    low_degree_instance,
+    planted_acd_instance,
+)
+from tests.conftest import anti_degree, slack
 
 
 def _runtime(graph, seed: int = 5) -> ClusterRuntime:
     """Fresh scaled-preset runtime bound to a graph."""
     return ClusterRuntime(graph=graph, params=scaled(), rng=np.random.default_rng(seed))
+
+
+def test_figure1_link_counting_overestimates_degree():
+    """Section 1.1 / Figure 1: counting incident inter-cluster links does
+    not give a cluster its degree.  Clusters B (1) and C (2) share two
+    links, so each sees three links but has two neighbors."""
+    g = figure1_example().graph
+    u, w, _, _ = g.realizing_links()
+    for v in (1, 2):
+        links = int(np.count_nonzero((u == v) | (w == v)))
+        assert links == 3 > g.degree(v) == 2
 
 
 def test_e2b_shattered_components_are_polylog():
@@ -164,7 +182,7 @@ def test_e7_fingerprint_matching_covers_anti_degrees():
         )
         for i, members in enumerate(acd.cliques):
             covered = sum(
-                1 for v in members if acd.anti_degree_true(w.graph, v) <= colored[i]
+                1 for v in members if anti_degree(acd, w.graph, v) <= colored[i]
             )
             assert covered / len(members) >= 0.9
 
@@ -201,7 +219,7 @@ def test_e9_slack_generation():
         coloring = PartialColoring.empty(g.n_vertices, g.max_degree + 1)
         eligible = [v for v in range(g.n_vertices) if not acd.is_cabal_vertex(v)]
         slack_generation(runtime, coloring, eligible)
-        sparse_slacks = coloring.slacks(g, acd.sparse).tolist()
+        sparse_slacks = [slack(coloring, g, v) for v in acd.sparse]
         clique_colored_frac = [
             sum(coloring.is_colored(v) for v in m) / len(m) for m in acd.cliques
         ] or [0.0]
@@ -277,7 +295,7 @@ def test_a2_reserved_color_sizing_never_breaks_correctness():
     multiplier, starved or generous."""
     w = planted_acd_instance(np.random.default_rng(73), external_degree=12, n_sparse=120)
     for mult in (0.25, 1.0, 2.0, 4.0):
-        params = scaled().with_overrides(reserved_multiplier=mult)
+        params = dataclasses.replace(scaled(), reserved_multiplier=mult)
         assert color_cluster_graph(w.graph, params=params, seed=5).proper
 
 
@@ -308,5 +326,5 @@ def test_a4_donor_activation_never_breaks_correctness():
         anti_degree=2, cluster_size=1,
     )
     for p in (0.1, 0.5, 0.9):
-        params = scaled().with_overrides(donor_activation=p)
+        params = dataclasses.replace(scaled(), donor_activation=p)
         assert color_cluster_graph(w.graph, params=params, seed=9).proper

@@ -118,8 +118,3 @@ class TestDerivedSizes:
         s = scaled()
         k = s.donation_samples(10**6)
         assert 4 <= k <= 32
-
-    def test_overrides(self):
-        s = scaled().with_overrides(eps=0.33)
-        assert s.eps == pytest.approx(0.33)
-        assert s.name == "scaled"

@@ -16,7 +16,7 @@ from repro.workloads import (
     congest_instance,
     planted_acd_instance,
 )
-from tests.conftest import make_runtime
+from tests.conftest import is_total, make_runtime
 
 
 class TestRegimeDispatch:
@@ -55,7 +55,7 @@ class TestColorPolylog:
         )
         stats = ColoringStats()
         acd = color_polylog(runtime, coloring, stats)
-        assert coloring.is_total()
+        assert is_total(coloring)
         assert is_proper(w.graph, coloring.colors)
         assert acd.num_cliques > 0
 

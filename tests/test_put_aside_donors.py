@@ -17,7 +17,7 @@ from repro.coloring.types import PartialColoring
 from repro.decomposition import annotate_with_cabals, compute_acd
 from repro.verify import check_put_aside, is_proper
 from repro.workloads import cabal_instance
-from tests.conftest import make_runtime
+from tests.conftest import is_total, make_runtime
 
 
 def _setup(seed=0, **kw):
@@ -92,7 +92,7 @@ class TestTryFreeColors:
                 runtime, coloring, plan, view, ell_s=view.size
             )
             assert leftover == []
-        assert coloring.is_total()
+        assert is_total(coloring)
         assert is_proper(w.graph, coloring.colors)
 
 
@@ -143,7 +143,7 @@ class TestFullDonation:
         if leftover:
             leftover = color_put_aside_sets(runtime, coloring, plans)
         assert leftover == []
-        assert coloring.is_total()
+        assert is_total(coloring)
         assert is_proper(w.graph, coloring.colors)
 
     def test_recoloring_stays_proper_throughout(self):

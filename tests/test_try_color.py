@@ -16,7 +16,7 @@ from repro.coloring.try_color import (
 )
 from repro.coloring.types import PartialColoring
 from repro.verify import is_proper
-from tests.conftest import make_runtime
+from tests.conftest import is_total, make_runtime
 
 
 def _runtime_and_coloring(graph_seed=0, n=30, p=0.3, seed=5):
@@ -128,7 +128,7 @@ class TestGreedyFinish:
             runtime, coloring, list(range(coloring.n_vertices))
         )
         assert stuck == []
-        assert coloring.is_total()
+        assert is_total(coloring)
         assert is_proper(runtime.graph, coloring.colors)
 
     def test_respects_existing_colors(self):

@@ -32,6 +32,20 @@ class TestProperChecker:
         assert not is_proper(g, colors)  # total required by default
 
 
+class TestAudit:
+    def test_defects_reported(self, rng):
+        """A sabotaged pipeline run is caught by the end-of-run checker."""
+        from repro import color_cluster_graph
+        from repro.verify import is_proper, violations
+
+        w = figure1_example()
+        result = color_cluster_graph(w.graph, seed=1)
+        assert is_proper(w.graph, result.colors)
+        result.colors[0] = result.colors[1] = 0  # sabotage
+        assert not is_proper(w.graph, result.colors)
+        assert (0, 1) in violations(w.graph, result.colors)
+
+
 class TestRunInvariants:
     """``proper`` on the pipeline, baseline and engine paths also covers
     the palette and the link budget, not only the edges."""

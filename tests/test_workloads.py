@@ -14,6 +14,7 @@ from repro.workloads import (
     planted_acd_instance,
     voronoi_instance,
 )
+from tests.conftest import h_edges
 
 ALL_GENERATORS = [
     planted_acd_instance,
@@ -43,7 +44,7 @@ class TestAllGenerators:
         a = maker(np.random.default_rng(9))
         b = maker(np.random.default_rng(9))
         assert a.graph.n_vertices == b.graph.n_vertices
-        assert sorted(a.graph.iter_h_edges()) == sorted(b.graph.iter_h_edges())
+        assert sorted(h_edges(a.graph)) == sorted(h_edges(b.graph))
 
 
 class TestPlantedAcd:
@@ -158,7 +159,7 @@ class TestStreamGenerators:
 
         a = STREAMS[name](np.random.default_rng(5))
         b = STREAMS[name](np.random.default_rng(5))
-        assert sorted(a.graph.iter_h_edges()) == sorted(b.graph.iter_h_edges())
+        assert sorted(h_edges(a.graph)) == sorted(h_edges(b.graph))
         assert len(a.batches) == len(b.batches)
         for ba, bb in zip(a.batches, b.batches):
             ca, cb = ba.columns(), bb.columns()
