@@ -44,19 +44,12 @@ class ClusterRuntime:
         no-op :data:`~repro.observe.tracer.NULL_TRACER`.  The runtime binds
         its ledger to the tracer so spans attribute this execution's
         charges.  Tracing is bitwise-invisible: it reads snapshots only.
-    netmodel:
-        Optional :class:`~repro.network.hetnet.HetNetModel` attached to
-        the ledger before any charge: the execution then additionally
-        reports a simulated-clock makespan.  Read-only toward the
-        algorithm -- attaching one is bitwise-invisible to colorings,
-        counters, and the RNG stream (docs/NETWORK.md).
     """
 
     graph: object
     params: AlgorithmParameters
     rng: np.random.Generator
     tracer: object = None
-    netmodel: object = None
     #: A fresh ledger sized from the graph (built in ``__post_init__``).
     ledger: BandwidthLedger = field(init=False)
 
@@ -67,8 +60,6 @@ class ClusterRuntime:
             bandwidth_bits=self.params.bandwidth_bits(n),
             dilation=max(1, self.graph.dilation) * max(1, congestion),
         )
-        if self.netmodel is not None:
-            self.ledger.attach_netmodel(self.netmodel)
         if self.tracer is None:
             self.tracer = NULL_TRACER
         else:

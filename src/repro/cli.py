@@ -42,6 +42,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 
 import numpy as np
 
@@ -56,11 +57,41 @@ def _build_workload(args) -> object:
     return maker(np.random.default_rng(args.instance_seed))
 
 
+def _params(args):
+    """The constants preset ``--params`` names."""
+    return paper() if args.params == "paper" else scaled()
+
+
+def _run_traced(w, args, tracer) -> tuple[bool, int, int, dict[int, int]]:
+    """Run workload ``w`` once under ``tracer``: the stream engine for a
+    churn workload, the static pipeline otherwise.  Returns whether the run
+    stayed proper, its ledger's ``rounds_h`` and payload bits, and its
+    histogram of rounds per capped width (``rounds_by_width``)."""
+    if args.workload in STREAMS:
+        from repro.dynamic import run_stream
+
+        engine, _result, metrics = run_stream(
+            w, params=_params(args), seed=args.seed, mode=args.mode,
+            tracer=tracer,
+        )
+        return (
+            bool(metrics["proper"]), metrics["rounds_h"],
+            metrics["total_message_bits"], engine.ledger.rounds_by_width,
+        )
+    result = color_cluster_graph(
+        w.graph, params=_params(args), seed=args.seed, regime=args.regime,
+        tracer=tracer,
+    )
+    return (
+        bool(result.proper), result.rounds_h,
+        result.ledger_summary["total_message_bits"], result.rounds_by_width,
+    )
+
+
 def _cmd_color(args) -> int:
     w = _build_workload(args)
-    params = paper() if args.params == "paper" else scaled()
     result = color_cluster_graph(
-        w.graph, params=params, seed=args.seed, regime=args.regime
+        w.graph, params=_params(args), seed=args.seed, regime=args.regime
     )
     print(f"workload: {w.name}  ({w.notes})")
     print(
@@ -172,7 +203,7 @@ def _cmd_stream(args) -> int:
     from repro.dynamic import run_stream
 
     maker = GENERATORS[args.workload]
-    params = paper() if args.params == "paper" else scaled()
+    params = _params(args)
     modes = ("repair", "scratch") if args.mode == "both" else (args.mode,)
     summaries = {}
     for mode in modes:
@@ -279,31 +310,12 @@ def _cmd_trace(args) -> int:
     table."""
     from repro.observe import Tracer, stage_tree
 
-    maker = GENERATORS[args.workload]
-    w = maker(np.random.default_rng(args.instance_seed))
-    params = paper() if args.params == "paper" else scaled()
+    w = _build_workload(args)
     tracer = Tracer()
-    if args.workload in STREAMS:
-        from repro.dynamic import run_stream
-
-        _engine, _result, metrics = run_stream(
-            w, params=params, seed=args.seed, mode=args.mode, tracer=tracer
-        )
-        proper = bool(metrics["proper"])
-        ledger_rounds = metrics["rounds_h"]
-        ledger_bits = metrics["total_message_bits"]
-        # the bootstrap runs on its own runtime ledger (wall time only), so
-        # the span-sum invariant covers the batch spans alone
-        charged = lambda r: r["stage"] != "stream.bootstrap"  # noqa: E731
-    else:
-        result = color_cluster_graph(
-            w.graph, params=params, seed=args.seed, regime=args.regime,
-            tracer=tracer,
-        )
-        proper = bool(result.proper)
-        ledger_rounds = result.rounds_h
-        ledger_bits = result.ledger_summary["total_message_bits"]
-        charged = lambda r: True  # noqa: E731
+    proper, ledger_rounds, ledger_bits, _by_width = _run_traced(w, args, tracer)
+    # a stream's bootstrap runs on its own runtime ledger (wall time only),
+    # so the span-sum invariant covers the batch spans alone
+    charged = lambda r: r["stage"] != "stream.bootstrap"  # noqa: E731
     if args.json:
         print(json.dumps(tracer.to_dict(), indent=2))
         return 0 if proper else 1
@@ -362,29 +374,19 @@ def _cmd_netsim(args) -> int:
     except ValueError as exc:
         raise SystemExit(f"repro: {exc}") from exc
     model = w.netmodel
-    params = paper() if args.params == "paper" else scaled()
     tracer = Tracer()
-    if args.workload in STREAMS:
-        from repro.dynamic import run_stream
-
-        _engine, _result, metrics = run_stream(
-            w, params=params, seed=args.seed, mode=args.mode, tracer=tracer
-        )
-        proper = bool(metrics["proper"])
-        makespan = metrics["makespan_ms"]
-        rounds = metrics["rounds_h"]
-    else:
-        result = color_cluster_graph(
-            w.graph, params=params, seed=args.seed, regime=args.regime,
-            tracer=tracer, netmodel=model,
-        )
-        proper = bool(result.proper)
-        makespan = result.ledger_summary["makespan_ms"]
-        rounds = result.rounds_h
+    proper, rounds, _bits, by_width = _run_traced(w, args, tracer)
+    priced = model.price(by_width)
+    makespan, critical_link = priced["makespan_ms"], priced["critical_link"]
+    # price each stage on the rounds its top-level spans charged
+    stage_widths: dict[str, Counter] = {}
+    for span in tracer.spans:
+        stage_widths.setdefault(span.name, Counter()).update(span.rounds_by_width)
     rows = aggregate_stage_rows(stage_rows(tracer))
+    for r in rows:
+        r["makespan_ms"] = model.price(stage_widths[r["stage"]])["makespan_ms"]
     rows.sort(key=lambda r: r["makespan_ms"], reverse=True)
     critical_stage = rows[0]["stage"] if rows else "(none)"
-    critical_link, critical_ms = model.critical_element()
     if args.json:
         print(json.dumps(
             {
@@ -422,8 +424,9 @@ def _cmd_netsim(args) -> int:
         ]
     ))
     print(f"critical stage: {critical_stage}")
+    slowest = model.element_times(by_width, top=5)
+    critical_ms = slowest[0][1] if slowest else 0.0
     print(f"critical link:  {critical_link}  ({critical_ms:.3f}ms on the clock)")
-    slowest = model.element_times(top=5)
     if slowest:
         print("slowest elements:")
         for name, ms in slowest:

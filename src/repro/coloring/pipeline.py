@@ -101,7 +101,6 @@ def color_cluster_graph(
     regime: str = "auto",
     verify: bool = True,
     tracer=None,
-    netmodel=None,
 ) -> ColoringResult:
     """(Δ+1)-color a cluster (or virtual) graph.
 
@@ -129,19 +128,12 @@ def color_cluster_graph(
         wall/round/bit sums reproduce the ledger totals.  Tracing never
         touches the RNG or the ledger -- traced runs are bitwise-identical
         to untraced ones.
-    netmodel:
-        Optional :class:`~repro.network.hetnet.HetNetModel`: converts the
-        ledger's round charges into a simulated-clock makespan
-        (``ledger_summary["makespan_ms"]``).  Bitwise-invisible to the
-        coloring, counters, and RNG stream -- same contract as ``tracer``.
 
     Returns a :class:`~repro.coloring.stats.ColoringResult`.
     """
     params = params or scaled()
     rng = rng if rng is not None else np.random.default_rng(seed)
-    runtime = ClusterRuntime(
-        graph=graph, params=params, rng=rng, tracer=tracer, netmodel=netmodel
-    )
+    runtime = ClusterRuntime(graph=graph, params=params, rng=rng, tracer=tracer)
     ledger = runtime.ledger
     stats = ColoringStats()
     num_colors = graph.max_degree + 1
@@ -233,4 +225,5 @@ def color_cluster_graph(
         proper=proper,
         seed=seed,
         params_name=params.name,
+        rounds_by_width=ledger.rounds_by_width,
     )

@@ -54,6 +54,9 @@ class ColoringResult:
     proper: bool
     seed: int
     params_name: str
+    #: The run ledger's effective H-rounds per capped width, which a fabric
+    #: prices (:meth:`~repro.network.hetnet.HetNetModel.price`).
+    rounds_by_width: Counter = field(default_factory=Counter)
 
     @property
     def rounds_h(self) -> int:

@@ -185,13 +185,6 @@ class DynamicColoring:
         step, ``stream.ingest``, ``stream.repair``, ``stream.compact`` and
         ``stream.verify``.  Tracing reads ledger windows only -- traced
         streams are bitwise-identical to untraced ones.
-    netmodel:
-        Optional :class:`~repro.network.hetnet.HetNetModel` attached to
-        the stream ledger and shared with every scratch-escalation
-        sub-run, so the stream's ``makespan_ms`` covers exactly the
-        rounds the stream ledger accounts (the bootstrap, whose rounds
-        are not stream rounds, stays outside the simulated clock too).
-        Bitwise-invisible, same contract as ``tracer``.
     """
 
     def __init__(
@@ -202,14 +195,12 @@ class DynamicColoring:
         seed: int = 0,
         mode: str = "repair",
         tracer=None,
-        netmodel=None,
     ):
         if mode not in ("repair", "scratch"):
             raise ValueError(f"unknown mode {mode!r}")
         self.params = params or scaled()
         self.rng = np.random.default_rng(seed)
         self.mode = mode
-        self.netmodel = netmodel
         self.tracer = tracer if tracer is not None else NULL_TRACER
         # initial graph, kept for reporting static cell fields (sizes,
         # Delta, dilation at bootstrap); live topology is self.delta
@@ -221,11 +212,6 @@ class DynamicColoring:
             bandwidth_bits=self.params.bandwidth_bits(max(2, graph.n_machines)),
             dilation=max(1, graph.dilation),
         )
-        if netmodel is not None:
-            # the stream ledger and every pipeline sub-run (bootstrap,
-            # scratch escalations) share ONE model: per-element times
-            # accumulate across them while absorb() folds the scalar
-            self.ledger.attach_netmodel(netmodel)
         self.tracer.bind_ledger(self.ledger)
         self.num_colors = self.delta.max_degree + 1
         from repro import color_cluster_graph
@@ -597,11 +583,12 @@ class DynamicColoring:
             params=self.params,
             rng=self.rng,
             verify=False,
-            netmodel=self.netmodel,
         )
         self.colors = np.asarray(result.colors, dtype=np.int64).copy()
         self.num_colors = result.num_colors
-        self.ledger.absorb(result.ledger_summary, op=op)
+        self.ledger.absorb(
+            result.ledger_summary, op=op, rounds_by_width=result.rounds_by_width
+        )
 
     # ---- verification --------------------------------------------------------
 

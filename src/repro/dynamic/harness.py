@@ -54,9 +54,9 @@ def run_stream(
     ``tracer`` (optional) is handed to the engine: the trace gains a
     ``stream.bootstrap`` span plus one ``stream.batch`` span per batch.
     A workload carrying a sampled heterogeneous network model
-    (``workload.netmodel``, see :mod:`repro.network.hetnet`) has it
-    attached to the engine automatically; the returned metrics then also
-    carry ``makespan_ms`` and ``critical_link``.
+    (``workload.netmodel``, see :mod:`repro.network.hetnet`) has the
+    stream ledger's round histogram priced on it after the run; the
+    returned metrics then also carry ``makespan_ms`` and ``critical_link``.
     """
     graph = workload.graph
     batches = getattr(workload, "batches", None)
@@ -76,7 +76,6 @@ def run_stream(
         seed=seed,
         mode=engine_mode,
         tracer=tracer,
-        netmodel=getattr(workload, "netmodel", None),
     )
     bootstrap_s = time.perf_counter() - bootstrap_start
     result = engine.run(batches)
@@ -114,13 +113,9 @@ def run_stream(
         "vertices_final": engine.n_alive,
         "delta_final": engine.max_degree,
     }
-    if "makespan_ms" in ledger:
-        # heterogeneous network model attached (repro.network.hetnet):
-        # simulated-clock totals ride along; absent otherwise so
-        # homogeneous stream artifacts stay byte-identical to pre-model ones
-        metrics["makespan_ms"] = ledger["makespan_ms"]
-        if getattr(engine, "netmodel", None) is not None:
-            metrics["critical_link"] = engine.netmodel.critical_element()[0]
+    netmodel = getattr(workload, "netmodel", None)
+    if netmodel is not None:
+        metrics.update(netmodel.price(engine.ledger.rounds_by_width))
     # latency/throughput: exact percentiles of the per-batch wall times
     metrics["batch_wall_times_s"] = [round(t, 6) for t in wall_times]
     metrics["updates_per_sec"] = (

@@ -122,14 +122,12 @@ def _execute(cell: Cell, tracer: Tracer | None = None) -> dict[str, Any]:
             _engine.colors[_engine.delta.alive_mask]
         )
     elif cell.algorithm == "paper":
-        netmodel = getattr(workload, "netmodel", None)
         result = color_cluster_graph(
             graph,
             params=params,
             seed=cell.seed,
             regime=cell.regime,
             tracer=tracer,
-            netmodel=netmodel,
         )
         metrics.update(
             regime_effective=result.stats.regime,
@@ -143,10 +141,8 @@ def _execute(cell: Cell, tracer: Tracer | None = None) -> dict[str, Any]:
             retries=int(sum(result.stats.retries.values())),
             coloring_digest=coloring_digest(result.colors),
         )
-        if "makespan_ms" in result.ledger_summary:
-            # heterogeneous fabric attached: simulated-clock ride-alongs
-            metrics["makespan_ms"] = result.ledger_summary["makespan_ms"]
-            metrics["critical_link"] = netmodel.critical_element()[0]
+        if workload.netmodel is not None:
+            metrics.update(workload.netmodel.price(result.rounds_by_width))
     else:
         comparators = {
             "luby": luby_coloring,

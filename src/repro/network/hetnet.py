@@ -5,8 +5,8 @@ every link of ``G`` as identical: a round is a round.  Real clusters are
 not like that -- machines come in types, links have bandwidth and latency,
 and a fraction of links is simply slow (the cluster-generator idiom of
 Helix-style simulators: node-type percentages plus link statistics with a
-``fill_with_slow_link`` fraction).  This module adds that layer *on the
-side* of the ledger:
+``fill_with_slow_link`` fraction).  This module adds that layer *after*
+the run:
 
 * :class:`HetNetSpec` -- the distribution knobs (bandwidth skew and
   slow-link fill fraction, over the standard link of
@@ -17,9 +17,11 @@ side* of the ledger:
   node and a bandwidth/latency per G-link, drawn deterministically from a
   generator spawned off the workload RNG (spawning consumes no draws, so
   the sampled graph is bit-identical with or without the model);
-* simulated time -- every ledger charge of (capped) width ``w`` costs
-  ``effective_rounds x envelope(w)`` milliseconds, where ``envelope`` is
-  the upper envelope of one affine line ``A + B*w`` per *element*:
+* pricing -- a run leaves a histogram of effective H-rounds per capped
+  message width on its ledger (``BandwidthLedger.rounds_by_width``);
+  every round of width ``w`` costs ``envelope(w)`` milliseconds, where
+  ``envelope`` is the upper envelope of one affine line ``A + B*w`` per
+  *element*:
 
   - one line per support-tree **root path** (machine ``m`` of cluster
     ``c``): ``A`` = summed latency, ``B`` = summed inverse bandwidth along
@@ -29,20 +31,18 @@ side* of the ledger:
     the one the inter-cluster computation step pays).
 
   The active envelope segment names the element the round waited on;
-  per-element accumulated time makes ``critical_link`` a measurement, not
-  a guess.
+  per-element time makes ``critical_link`` a measurement, not a guess.
 
-Invisibility contract (same as the tracer, docs/OBSERVABILITY.md): the
-model never draws from the workload or algorithm RNG, never charges the
-ledger, and never branches algorithm control flow.  A run with the model
-attached produces bitwise-identical colorings, per-op ledger counters, and
-RNG end state; it only *additionally* reports ``makespan_ms`` and
-``critical_link``.  See docs/NETWORK.md.
+The model is priced *after* a run and never enters it: the algorithms,
+the runtime and the ledger do not know it exists, so a run on a sampled
+fabric is the same run as on the homogeneous one, and its price is a
+pure function of the histogram.  See docs/NETWORK.md.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -95,9 +95,9 @@ def _mbps_to_bits_per_ms(mbps: np.ndarray | float) -> np.ndarray | float:
     return mbps * 1e3
 
 
-@dataclass
+@dataclass(frozen=True)
 class HetNetModel:
-    """A sampled fabric plus the simulated-clock accounting over it.
+    """A sampled fabric: the immutable pricer of round histograms.
 
     Construction paths:
 
@@ -106,14 +106,12 @@ class HetNetModel:
     * :meth:`from_links` -- explicit per-link arrays (the property-test
       path: monotonicity and degeneracy tests build exact fabrics).
 
-    The model is attached to a
-    :class:`~repro.network.ledger.BandwidthLedger` via
-    ``ledger.attach_netmodel``; the ledger calls :meth:`account` once per
-    charge.  Several ledgers may share one model (the stream engine and
-    its scratch-escalation sub-runs do): per-element times accumulate in
-    the model while each ledger keeps its own ``makespan_ms`` scalar, and
-    :meth:`~repro.network.ledger.BandwidthLedger.absorb` folds the scalar
-    -- so split accounting sums to exactly the unsplit total.
+    A run never sees the model.  Its ledger counts effective H-rounds per
+    capped width (``BandwidthLedger.rounds_by_width``), a sufficient
+    statistic for the price: :meth:`price` turns that histogram into the
+    run's ``makespan_ms`` and ``critical_link`` afterwards.  Histograms are
+    integers, so one folded from sub-runs (``BandwidthLedger.absorb``) is
+    exactly the unsplit one, and so is its price.
     """
 
     #: Machine type index per node (0 = standard, 1 = slow).
@@ -128,15 +126,8 @@ class HetNetModel:
     element_names: list[str]
     #: The spec this fabric was sampled from (None for explicit fabrics).
     spec: HetNetSpec | None = None
-    #: Accumulated simulated time per element (filled by :meth:`account`).
-    element_time_ms: np.ndarray = field(default=None)  # type: ignore[assignment]
-    _cache: dict[int, tuple[float, int]] = field(
-        default_factory=dict, repr=False
-    )
 
     def __post_init__(self) -> None:
-        if self.element_time_ms is None:
-            self.element_time_ms = np.zeros(self.line_a.size, dtype=np.float64)
         if not (
             self.line_a.size == self.line_b.size == len(self.element_names)
         ):
@@ -246,50 +237,47 @@ class HetNetModel:
             spec=spec,
         )
 
-    # ---- simulated clock -----------------------------------------------------
+    # ---- pricing -----------------------------------------------------------
 
-    def _envelope(self, width: int) -> tuple[float, int]:
-        """Upper-envelope value and arg at ``width`` (cached per width; an
-        execution only charges a handful of distinct capped widths)."""
-        hit = self._cache.get(width)
-        if hit is None:
-            times = self.line_a + self.line_b * float(width)
-            idx = int(np.argmax(times))  # ties -> lowest index: deterministic
-            hit = (float(times[idx]), idx)
-            self._cache[width] = hit
-        return hit
+    def element_times_ms(self, rounds_by_width: Mapping[int, int]) -> np.ndarray:
+        """Simulated milliseconds per element for a round histogram.
 
-    def account(self, width: int, rounds: int) -> float:
-        """Charge ``rounds`` H-rounds of (capped) width ``width``.
-
-        Returns the simulated milliseconds added; accumulates the same
-        amount onto the critical element's clock (:meth:`critical_element`
-        reads it back).  Called by the ledger only -- algorithms never see
-        this object.
+        ``rounds_by_width`` maps a capped message width to the effective
+        H-rounds charged at it.  A round of width ``w`` lasts
+        ``envelope(w)`` and is booked on the element attaining it (ties go
+        to the lowest index), so the array sums to the makespan.  Widths
+        are visited in order, so equal histograms price bitwise equal.
         """
-        if rounds <= 0:
-            return 0.0
-        time_ms, idx = self._envelope(width)
-        total = time_ms * rounds
-        self.element_time_ms[idx] += total
-        return total
+        times = np.zeros(self.line_a.size, dtype=np.float64)
+        for width, rounds in sorted(rounds_by_width.items()):
+            lines = self.line_a + self.line_b * float(width)
+            idx = int(np.argmax(lines))
+            times[idx] += float(lines[idx]) * rounds
+        return times
 
-    # ---- attribution ---------------------------------------------------------
+    def price(self, rounds_by_width: Mapping[int, int]) -> dict[str, object]:
+        """``{"makespan_ms", "critical_link"}`` of a round histogram: the
+        simulated wall-clock total (rounded to 6 decimals) and the element
+        that took the most of it -- the two record metrics of a run on
+        this fabric."""
+        times = self.element_times_ms(rounds_by_width)
+        return {
+            "makespan_ms": round(float(times.sum()), 6),
+            "critical_link": self.element_names[int(np.argmax(times))],
+        }
 
-    def critical_element(self) -> tuple[str, float]:
-        """The element that accumulated the most simulated time (the
-        critical link/root-path of the execution) and its total ms."""
-        idx = int(np.argmax(self.element_time_ms))
-        return self.element_names[idx], float(self.element_time_ms[idx])
-
-    def element_times(self, top: int = 5) -> list[tuple[str, float]]:
-        """The ``top`` slowest elements as ``(name, ms)``, descending, only
-        those that accumulated any time."""
-        order = np.argsort(self.element_time_ms)[::-1][:top]
+    def element_times(
+        self, rounds_by_width: Mapping[int, int], top: int = 5
+    ) -> list[tuple[str, float]]:
+        """The ``top`` slowest elements of a round histogram as
+        ``(name, ms)``, descending (ties in element order, so the first is
+        :meth:`price`'s ``critical_link``), only those with any time."""
+        times = self.element_times_ms(rounds_by_width)
+        order = np.argsort(-times, kind="stable")[:top]
         return [
-            (self.element_names[int(i)], float(self.element_time_ms[int(i)]))
-            for i in order
-            if self.element_time_ms[int(i)] > 0
+            (self.element_names[i], float(times[i]))
+            for i in order.tolist()
+            if times[i] > 0
         ]
 
     @property

@@ -33,24 +33,23 @@ class LedgerWindow:
     :meth:`BandwidthLedger.window` hands out.
 
     On exit ``rounds_h`` / ``rounds_g`` / ``message_bits`` (payload) /
-    ``num_operations`` / ``makespan_ms`` hold the ledger's growth over the
-    window (they read zero while it is open), and ``max_message_bits`` the
-    widest (capped) message charged inside it -- window-local, not the
-    ledger's running maximum.  Windows nest: a closing window folds its
-    maximum into the enclosing one, so an outer window sees everything its
-    inner windows saw.  ``makespan_ms`` stays ``0.0`` on ledgers without a
-    network model (:mod:`repro.network.hetnet`).
+    ``num_operations`` / ``rounds_by_width`` hold the ledger's growth over
+    the window (they read zero, or empty, while it is open), and
+    ``max_message_bits`` the widest (capped) message charged inside it --
+    window-local, not the ledger's running maximum.  Windows nest: a
+    closing window folds its maximum into the enclosing one, so an outer
+    window sees everything its inner windows saw.
     """
 
     __slots__ = (
         "rounds_h", "rounds_g", "message_bits", "max_message_bits",
-        "num_operations", "makespan_ms", "_ledger", "_start",
+        "num_operations", "rounds_by_width", "_ledger", "_start",
     )
 
     def __init__(self, ledger: "BandwidthLedger") -> None:
         self.rounds_h = self.rounds_g = self.message_bits = 0
         self.max_message_bits = self.num_operations = 0
-        self.makespan_ms = 0.0
+        self.rounds_by_width = Counter()
         self._ledger = ledger
         self._start = None
 
@@ -58,7 +57,7 @@ class LedgerWindow:
         ledger = self._ledger
         self._start = (
             ledger.rounds_h, ledger.rounds_g, ledger.total_message_bits,
-            ledger.num_operations, ledger.makespan_ms,
+            ledger.num_operations, ledger.rounds_by_width.copy(),
         )
         ledger._open_windows.append(self)
         return self
@@ -66,12 +65,13 @@ class LedgerWindow:
     def __exit__(self, exc_type, exc, tb) -> bool:
         ledger = self._ledger
         ledger._open_windows.pop()
-        rounds_h, rounds_g, bits, ops, makespan = self._start
+        rounds_h, rounds_g, bits, ops, by_width = self._start
         self.rounds_h = ledger.rounds_h - rounds_h
         self.rounds_g = ledger.rounds_g - rounds_g
         self.message_bits = ledger.total_message_bits - bits
         self.num_operations = ledger.num_operations - ops
-        self.makespan_ms = ledger.makespan_ms - makespan
+        # counts only grow, so Counter's positive-part difference is exact
+        self.rounds_by_width = ledger.rounds_by_width - by_width
         ledger._widen_window(self.max_message_bits)
         return False
 
@@ -80,8 +80,8 @@ class LedgerWindow:
 class BandwidthLedger:
     """Accumulates the communication cost of a distributed execution.
 
-    A new ledger starts at zero: the counters and ``netmodel`` are not
-    constructor arguments.
+    A new ledger starts at zero: the counters are not constructor
+    arguments.
 
     Parameters
     ----------
@@ -91,14 +91,10 @@ class BandwidthLedger:
         Default support-tree diameter ``d`` used to convert H-rounds into
         G-rounds when an operation does not override it.
 
-    A :class:`~repro.network.hetnet.HetNetModel` attached with
-    :meth:`attach_netmodel` makes every charge additionally advance the
-    simulated clock (``makespan_ms``) by ``effective_rounds x
-    envelope(capped width)`` and account the time onto the critical
-    element.  The model is strictly read-only toward the execution: no RNG
-    draws, no extra charges, no control-flow changes -- attaching one is
-    bitwise invisible to every pre-existing counter (the golden table of
-    seeded runs pins this, same contract as the tracer).
+    ``rounds_by_width`` counts the effective H-rounds charged at each
+    capped message width.  It is all a fabric needs to price the run
+    (:meth:`~repro.network.hetnet.HetNetModel.price`), which happens after
+    the run, outside the ledger.
     """
 
     bandwidth_bits: int
@@ -110,8 +106,7 @@ class BandwidthLedger:
     num_operations: int = field(default=0, init=False)
     per_op_rounds: Counter = field(default_factory=Counter, init=False)
     per_op_bits: Counter = field(default_factory=Counter, init=False)
-    netmodel: object | None = field(default=None, init=False)
-    makespan_ms: float = field(default=0.0, init=False)
+    rounds_by_width: Counter = field(default_factory=Counter, init=False)
     #: Open windows (innermost last); see :meth:`window`.
     _open_windows: list = field(default_factory=list, init=False, repr=False)
 
@@ -160,7 +155,9 @@ class BandwidthLedger:
         * **Rounds measure time** and therefore include pipelining: both the
           ledger totals and ``per_op_rounds`` accumulate the *effective*
           (post-splitting) H-rounds, so
-          ``sum(per_op_rounds.values()) == rounds_h`` always holds.
+          ``sum(per_op_rounds.values()) == rounds_h`` always holds, and so
+          does ``sum(rounds_by_width.values()) == rounds_h`` while every
+          :meth:`absorb` passes the sub-run's histogram.
         * **Bits measure payload** and are therefore pipelining-invariant:
           splitting a wide message into cap-sized pieces repartitions the
           same ``message_bits * rounds_h`` payload over more rounds without
@@ -169,7 +166,7 @@ class BandwidthLedger:
           ``sum(per_op_bits.values()) == total_message_bits`` always holds.
         * A charge with ``rounds_h == 0`` but positive ``message_bits``
           accounts its payload once (it models data riding along an
-          already-charged round) and advances no simulated time.
+          already-charged round) and adds nothing to ``rounds_by_width``.
         """
         if message_bits < 0 or rounds_h < 0:
             raise ValueError("negative cost")
@@ -187,10 +184,8 @@ class BandwidthLedger:
         self.rounds_g += effective_rounds_h * d
         self.total_message_bits += bits_charged
         capped_width = min(message_bits, self.bandwidth_bits)
-        if self.netmodel is not None and effective_rounds_h > 0:
-            self.makespan_ms += self.netmodel.account(
-                capped_width, effective_rounds_h
-            )
+        if effective_rounds_h:
+            self.rounds_by_width[capped_width] += effective_rounds_h
         self.max_message_bits = max(self.max_message_bits, capped_width)
         self._widen_window(capped_width)
         self.num_operations += 1
@@ -198,20 +193,23 @@ class BandwidthLedger:
         self.per_op_bits[op] += bits_charged
         return effective_rounds_h
 
-    def absorb(self, summary: dict[str, int], *, op: str) -> None:
+    def absorb(
+        self,
+        summary: dict[str, int],
+        *,
+        op: str,
+        rounds_by_width: dict[int, int] | None = None,
+    ) -> None:
         """Fold another execution's headline counters into this ledger.
 
         The streaming engine runs the one-shot pipeline on a private ledger
         when it escalates to a scratch recolor; absorbing that run's
         :meth:`summary` under a single ``op`` label keeps the stream ledger's
         invariants intact (``sum(per_op_rounds) == rounds_h`` and
-        ``sum(per_op_bits) == total_message_bits``).  Simulated time folds
-        the same way: a sub-run sharing this ledger's network model
-        contributes its ``makespan_ms`` here, so split accounting sums to
-        exactly the unsplit total (the merge/absorb consistency tests).
+        ``sum(per_op_bits) == total_message_bits``).  The sub-run's
+        ``rounds_by_width`` folds by integer addition, so split accounting
+        equals the unsplit histogram exactly.
         """
-        if "makespan_ms" in summary:
-            self.makespan_ms += float(summary["makespan_ms"])
         rounds_h = int(summary["rounds_h"])
         bits = int(summary["total_message_bits"])
         self.rounds_h += rounds_h
@@ -224,20 +222,8 @@ class BandwidthLedger:
         self._widen_window(int(summary["max_message_bits"]))
         self.per_op_rounds[op] += rounds_h
         self.per_op_bits[op] += bits
-
-    def attach_netmodel(self, model) -> None:
-        """Attach a :class:`~repro.network.hetnet.HetNetModel`.
-
-        Only legal on a pristine ledger: attaching after charges were
-        recorded would leave those rounds outside the simulated clock and
-        silently under-report the makespan.
-        """
-        if self.num_operations or self.rounds_h:
-            raise RuntimeError(
-                "cannot attach a network model to a ledger that already "
-                f"recorded {self.num_operations} operations"
-            )
-        self.netmodel = model
+        if rounds_by_width:
+            self.rounds_by_width.update(rounds_by_width)
 
     # ---- windows ------------------------------------------------------------
 
@@ -257,18 +243,11 @@ class BandwidthLedger:
     # ---- inspection ----------------------------------------------------------
 
     def summary(self) -> dict[str, int]:
-        """Headline counters as a plain dict (for experiment records).
-
-        ``makespan_ms`` appears only when a network model is attached, so
-        artifacts of homogeneous runs are byte-identical to pre-model ones.
-        """
-        out = {
+        """Headline counters as a plain dict (for experiment records)."""
+        return {
             "rounds_h": self.rounds_h,
             "rounds_g": self.rounds_g,
             "total_message_bits": self.total_message_bits,
             "max_message_bits": self.max_message_bits,
             "num_operations": self.num_operations,
         }
-        if self.netmodel is not None:
-            out["makespan_ms"] = round(self.makespan_ms, 6)
-        return out

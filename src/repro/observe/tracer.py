@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import resource
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Iterator
 
@@ -67,10 +68,10 @@ class SpanRecord:
     message_bits: int = 0
     max_message_bits: int = 0
     num_operations: int = 0
-    #: Simulated time accumulated inside the span when the bound ledger
-    #: carries a heterogeneous network model (:mod:`repro.network.hetnet`);
-    #: stays 0.0 -- and is omitted from the serialized span -- otherwise.
-    makespan_ms: float = 0.0
+    #: Effective H-rounds per capped width charged inside the span, for
+    #: pricing on a fabric (:meth:`~repro.network.hetnet.HetNetModel.price`);
+    #: kept in memory only, never serialized.
+    rounds_by_width: Counter = field(default_factory=Counter)
     peak_rss_mb: float = 0.0
     counters: dict[str, float] = field(default_factory=dict)
     children: list["SpanRecord"] = field(default_factory=list)
@@ -97,8 +98,6 @@ class SpanRecord:
             "num_operations": self.num_operations,
             "peak_rss_mb": round(self.peak_rss_mb, 1),
         }
-        if self.makespan_ms:
-            out["makespan_ms"] = round(self.makespan_ms, 6)
         if self.tags:
             out["tags"] = dict(self.tags)
         if self.counters:
@@ -146,7 +145,7 @@ class _ActiveSpan:
             record.message_bits = window.message_bits
             record.max_message_bits = window.max_message_bits
             record.num_operations = window.num_operations
-            record.makespan_ms = window.makespan_ms
+            record.rounds_by_width = window.rounds_by_width
         # ru_maxrss is in KiB on Linux
         self.record.peak_rss_mb = (
             resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
@@ -290,7 +289,6 @@ def _span_rows(spans: list[dict[str, Any]]) -> list[dict[str, Any]]:
                 "rounds_g": int(span.get("rounds_g", 0)),
                 "bits": int(span.get("message_bits", 0)),
                 "max_bits": int(span.get("max_message_bits", 0)),
-                "makespan_ms": float(span.get("makespan_ms", 0.0)),
                 "peak_rss_mb": float(span.get("peak_rss_mb", 0.0)),
             }
         )
@@ -305,7 +303,7 @@ def stage_rows(
     Accepts a live :class:`Tracer` or a serialized ``to_dict()`` tree (the
     artifact ``trace`` section).  One row per top-level span, in execution
     order: ``stage`` (name plus any tags), ``wall_s``, ``rounds_h``,
-    ``rounds_g``, ``bits``, ``max_bits``, ``makespan_ms``, ``peak_rss_mb``.
+    ``rounds_g``, ``bits``, ``max_bits``, ``peak_rss_mb``.
     Top-level spans partition the run, so summing a ledger column
     reproduces the run's ledger totals -- the invariant ``repro trace``
     prints and tests assert.
@@ -348,15 +346,13 @@ def aggregate_stage_rows(rows: list[dict[str, Any]]) -> list[dict[str, Any]]:
         bucket = merged.setdefault(
             name,
             {"stage": name, "wall_s": 0.0, "rounds_h": 0, "rounds_g": 0,
-             "bits": 0, "max_bits": 0, "makespan_ms": 0.0,
-             "peak_rss_mb": 0.0, "spans": 0},
+             "bits": 0, "max_bits": 0, "peak_rss_mb": 0.0, "spans": 0},
         )
         bucket["wall_s"] += row["wall_s"]
         bucket["rounds_h"] += row["rounds_h"]
         bucket["rounds_g"] += row["rounds_g"]
         bucket["bits"] += row["bits"]
         bucket["max_bits"] = max(bucket["max_bits"], row["max_bits"])
-        bucket["makespan_ms"] += row.get("makespan_ms", 0.0)
         bucket["peak_rss_mb"] = max(bucket["peak_rss_mb"], row.get("peak_rss_mb", 0.0))
         bucket["spans"] += 1
     return list(merged.values())

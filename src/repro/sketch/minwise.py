@@ -8,8 +8,12 @@ near-uniform anti-neighbor.
 Substitution (docs/ARCHITECTURE.md, D4): instead of the ``O(log 1/eps)``-wise
 independent constructions of [Ind01], we use a seeded 64-bit mixing hash,
 which is statistically *stronger* (indistinguishable from full independence
-for our set sizes); the descriptor cost charged to the ledger is the
-``O(log N * log 1/eps)`` bits of the lemma.
+for our set sizes).  The ledger is *not* charged the lemma's
+``O(log N * log 1/eps)``-bit descriptor (:meth:`MinwiseHash.descriptor_bits`
+computes it): the caller, ``coloring/fingerprint_matching.py``, charges one
+pipelined ``k``-bit message per matching attempt,
+``wide_message(op + "_minwise", k)``.  Charging the descriptor would move
+the pinned golden rows, so it is separate work.
 """
 
 from __future__ import annotations

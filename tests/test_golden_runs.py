@@ -16,9 +16,11 @@ but ``wall_time_s`` (stream runs), and the rng's end state.
   engine-seed-4 runs on seed-11 instances.
 
 Pipeline and stream rows run four times: plain, under a
-:class:`~repro.observe.Tracer`, under a heterogeneous network model, and
-under both.  Observers may only add: a network model adds ``makespan_ms``
-(and, on streams, ``critical_link``) and nothing else.
+:class:`~repro.observe.Tracer`, on an instance built with the
+heterogeneous-fabric knobs (``net_skew`` / ``net_fill``), and under both.
+The knobs must not move a row: the run is the same run, priced on the
+sampled fabric afterwards, which adds ``makespan_ms`` and
+``critical_link`` and nothing else.
 
 A mismatch prints the run's actual row as JSON.  A change that is meant to
 alter the contract replaces the row by hand and says why.
@@ -39,7 +41,6 @@ import pytest
 import repro.coloring.pipeline
 from repro.baselines import luby_coloring, palette_sparsification_coloring
 from repro.dynamic import run_stream
-from repro.network import HetNetModel, HetNetSpec
 from repro.observe import Tracer
 from repro.workloads import GENERATORS, STREAMS
 
@@ -50,9 +51,7 @@ BASELINES = {
     "luby": luby_coloring,
     "palette_sparsification": palette_sparsification_coloring,
 }
-#: The fabric of every modeled run: static runs sample it with rng 5,
-#: stream workloads draw it from their generator's knobs.
-NET_SPEC = HetNetSpec(skew=100.0, fill=0.1)
+#: The fabric knobs of every modeled run.
 NET_KNOBS = {"net_skew": 100.0, "net_fill": 0.1}
 
 
@@ -77,7 +76,10 @@ def _runtimes(module):
 
 
 def _decided(colors, ledger, rng) -> dict:
-    """The fields every row pins."""
+    """The fields every row pins.  The ledger's round histogram, which a
+    fabric prices, must cover every round it counted, absorbed sub-runs
+    included."""
+    assert sum(ledger.rounds_by_width.values()) == ledger.rounds_h
     return {
         "colors": hashlib.sha256(
             np.ascontiguousarray(colors, dtype=np.int64).tobytes()
@@ -90,24 +92,24 @@ def _decided(colors, ledger, rng) -> dict:
 
 
 def _pipeline(row: dict, tracer, modeled: bool) -> dict:
-    graph = GENERATORS[row["workload"]](
-        np.random.default_rng(row["instance_seed"]), **row["kwargs"]
-    ).graph
-    netmodel = (
-        HetNetModel.sample(graph, NET_SPEC, np.random.default_rng(5))
-        if modeled
-        else None
+    workload = GENERATORS[row["workload"]](
+        np.random.default_rng(row["instance_seed"]),
+        **row["kwargs"],
+        **(NET_KNOBS if modeled else {}),
     )
     rng = np.random.default_rng(row["run_seed"])
     with _runtimes(repro.coloring.pipeline) as made:
         result = repro.coloring.pipeline.color_cluster_graph(
-            graph, rng=rng, regime=row["regime"], tracer=tracer, netmodel=netmodel
+            workload.graph, rng=rng, regime=row["regime"], tracer=tracer
         )
     assert result.proper
-    return {
+    decided = {
         **_decided(result.colors, made[0].ledger, rng),
         "stage_rounds": dict(result.stats.stage_rounds),
     }
+    if modeled:
+        decided.update(workload.netmodel.price(result.rounds_by_width))
+    return decided
 
 
 def _baseline(row: dict) -> dict:
@@ -140,14 +142,14 @@ def _stream(row: dict, tracer, modeled: bool) -> dict:
         for r in result.reports
     ]
     if modeled:
-        decided["critical_link"] = engine.netmodel.critical_element()[0]
+        decided.update(workload.netmodel.price(engine.ledger.rounds_by_width))
     return decided
 
 
 def run_row(row: dict, observer: str = "plain") -> dict:
     """What the run ``row`` names decides under ``observer``, in the
-    table's form.  Under a network model, ``makespan_ms`` moves out of the
-    ledger summary to the top level, beside the additive keys."""
+    table's form.  Under a network model the run's price sits at the top
+    level, beside the pinned keys."""
     tracer = Tracer() if observer in ("tracer", "both") else None
     modeled = observer in ("netmodel", "both")
     if row["runner"] == "pipeline":
@@ -157,10 +159,7 @@ def run_row(row: dict, observer: str = "plain") -> dict:
     else:
         assert observer == "plain", "baseline rows run without observers"
         decided = _baseline(row)
-    decided = _json(decided)
-    if "makespan_ms" in decided["ledger"]:
-        decided["makespan_ms"] = decided["ledger"].pop("makespan_ms")
-    return decided
+    return _json(decided)
 
 
 def _check(row: dict, observer: str) -> None:
@@ -170,10 +169,7 @@ def _check(row: dict, observer: str) -> None:
         {**row, "pinned": actual}, sort_keys=True
     )
     if observer in ("netmodel", "both"):
-        additive = {"makespan_ms"} | (
-            {"critical_link"} if row["runner"] == "stream" else set()
-        )
-        assert set(extra) == additive
+        assert set(extra) == {"makespan_ms", "critical_link"}
         assert extra["makespan_ms"] > 0
     else:
         assert not extra

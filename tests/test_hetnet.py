@@ -5,16 +5,18 @@ The load-bearing properties, mirroring docs/NETWORK.md:
 * **Determinism** -- identical (graph, spec, seed) always samples the
   identical fabric; the fabric RNG is spawned off the workload RNG, so
   the sampled *graph* is bit-identical with or without the net knobs.
+* **Purity** -- the model prices a run's round histogram after the run;
+  pricing one histogram twice gives the same answer, and the price equals
+  the per-charge running sum over the run.
 * **Monotonicity** -- slowing any single link (less bandwidth or more
-  latency) never decreases the simulated makespan of a charge sequence.
+  latency) never decreases the simulated makespan of a histogram.
 * **Degeneracy** -- a skew-1 fabric is uniform: makespan is exactly
   ``effective rounds x round_time`` per width, a constant multiple.
-* **Merge/absorb consistency** -- split accounting over a shared model
-  sums to exactly the unsplit total.
-* **Invisibility** -- attaching a model changes no coloring, counter, or
-  RNG draw; it only adds ``makespan_ms`` / ``critical_link`` reporting.
-  (The full bitwise-neutrality runs live in tests/test_observe.py next
-  to the tracer contract they share.)
+* **Merge/absorb consistency** -- split accounting folds the histograms
+  by integer addition, so it equals the unsplit histogram exactly.
+* **Invisibility** -- the net knobs change no coloring, counter, or RNG
+  draw; a run on a skewed fabric only prices higher.  (The golden table,
+  tests/test_golden_runs.py, runs every row with the knobs on.)
 """
 
 import json
@@ -124,26 +126,25 @@ class TestSampling:
 class TestSimulatedClock:
     def test_zero_rounds_advance_no_time(self):
         model = sample_model()
-        assert model.account(64, 0) == 0.0
-        assert model.element_time_ms.sum() == 0.0
+        assert model.price({})["makespan_ms"] == 0.0
+        assert model.element_times_ms({64: 0}).sum() == 0.0
+        assert model.element_times({}) == []
 
     def test_uniform_fabric_degenerates_to_rounds(self):
         # skew 1: every link identical, so makespan == rounds x constant
         model = sample_model(skew=1.0, fill=0.5)
         per_round = BASE_LATENCY_MS + 32 / (BASE_BANDWIDTH_MBPS * 1e3)
-        assert model.account(32, 1) == pytest.approx(per_round)
-        assert model.account(32, 7) == pytest.approx(7 * per_round)
+        assert model.price({32: 1})["makespan_ms"] == pytest.approx(per_round)
+        assert model.price({32: 7})["makespan_ms"] == pytest.approx(7 * per_round)
 
     def test_account_accumulates_critical_element(self):
         model = sample_model(skew=100.0, fill=0.3)
-        model.account(64, 3)
-        model.account(8, 1)
-        name, ms = model.critical_element()
-        assert ms == pytest.approx(model.element_time_ms.max())
-        assert name in model.element_names
-        tops = model.element_times(top=3)
-        assert tops and tops[0] == (name, pytest.approx(ms))
+        by_width = {64: 3, 8: 1}
+        times = model.element_times_ms(by_width)
+        tops = model.element_times(by_width, top=3)
+        assert tops[0] == (model.price(by_width)["critical_link"], times.max())
         assert all(a[1] >= b[1] for a, b in zip(tops, tops[1:]))
+        assert sum(ms for _name, ms in tops) <= times.sum() + 1e-9
 
     def test_tree_graph_has_root_path_elements(self):
         model = sample_model(TREE_GRAPH)
@@ -165,11 +166,11 @@ class TestSimulatedClock:
         bw = rng.uniform(1.0, 200.0, m)
         lat = rng.uniform(0.0, 2.0, m)
         idx = min(m - 1, int(idx_frac * m))
-        charges = [(8, 3), (64, 1), (32, 5), (1, 2)]
+        by_width = {8: 3, 64: 1, 32: 5, 1: 2}
 
         def total(bandwidth, latency):
             model = HetNetModel.from_links(TREE_GRAPH, bandwidth, latency)
-            return sum(model.account(w, r) for w, r in charges)
+            return model.element_times_ms(by_width).sum()
 
         base = total(bw, lat)
         slower_bw = bw.copy()
@@ -184,7 +185,44 @@ class TestSimulatedClock:
     def test_account_is_rounds_times_envelope(self, width, rounds):
         model = sample_model(TREE_GRAPH, skew=25.0, fill=0.4)
         envelope = float((model.line_a + model.line_b * width).max())
-        assert model.account(width, rounds) == pytest.approx(rounds * envelope)
+        assert model.element_times_ms({width: rounds}).sum() == pytest.approx(
+            rounds * envelope
+        )
+
+
+class TestPricing:
+    def test_pricing_one_histogram_twice_gives_equal_results(self):
+        # a model that accumulated time across runs once reported a
+        # critical element holding twice the run's whole makespan
+        model = sample_model(skew=100.0, fill=0.3)
+        runs = [
+            color_cluster_graph(GRAPH, rng=np.random.default_rng(1234))
+            for _ in range(2)
+        ]
+        prices = [model.price(run.rounds_by_width) for run in runs]
+        assert prices[0] == prices[1] == model.price(runs[0].rounds_by_width)
+        (_name, critical_ms), = model.element_times(runs[1].rounds_by_width, top=1)
+        assert 0 < critical_ms <= model.element_times_ms(runs[1].rounds_by_width).sum()
+
+    def test_price_matches_a_per_charge_running_sum(self, monkeypatch):
+        model = sample_model(skew=100.0, fill=0.1)
+        charges = []
+        real = BandwidthLedger.charge
+
+        def charge(ledger, op, message_bits, **kwargs):
+            rounds = real(ledger, op, message_bits, **kwargs)
+            charges.append((min(message_bits, ledger.bandwidth_bits), rounds))
+            return rounds
+
+        monkeypatch.setattr(BandwidthLedger, "charge", charge)
+        result = color_cluster_graph(GRAPH, rng=np.random.default_rng(1234))
+        running = 0.0
+        for width, rounds in charges:
+            running += rounds * float((model.line_a + model.line_b * width).max())
+        assert running > 0
+        assert model.price(result.rounds_by_width)["makespan_ms"] == pytest.approx(
+            running, abs=1e-5
+        )
 
 
 class TestLedgerIntegration:
@@ -192,51 +230,52 @@ class TestLedgerIntegration:
         ledger.charge(f"a{tag}", 8, rounds_h=2)
         ledger.charge(f"b{tag}", 60, rounds_h=1)
         ledger.charge(f"c{tag}", 1, rounds_h=4)
+        ledger.charge(f"d{tag}", 200, rounds_h=1, pipelined=True)
 
-    def test_attach_on_used_ledger_raises(self):
+    def test_summary_keeps_its_five_keys(self):
         ledger = BandwidthLedger(bandwidth_bits=64)
-        ledger.charge("op", 8)
-        with pytest.raises(RuntimeError, match="already"):
-            ledger.attach_netmodel(sample_model())
-
-    def test_summary_emits_makespan_only_with_model(self):
-        plain = BandwidthLedger(bandwidth_bits=64)
-        self.charge_seq(plain)
-        assert "makespan_ms" not in plain.summary()
-        modeled = BandwidthLedger(bandwidth_bits=64)
-        modeled.attach_netmodel(sample_model())
-        self.charge_seq(modeled)
-        assert modeled.summary()["makespan_ms"] > 0
+        self.charge_seq(ledger)
+        assert set(ledger.summary()) == {
+            "rounds_h", "rounds_g", "total_message_bits", "max_message_bits",
+            "num_operations",
+        }
+        # a pipelined charge lands at the capped width, once per piece
+        assert ledger.rounds_by_width == {8: 2, 60: 1, 1: 4, 64: 4}
+        assert sum(ledger.rounds_by_width.values()) == ledger.rounds_h
 
     def test_window_carries_makespan(self):
+        model = sample_model()
         ledger = BandwidthLedger(bandwidth_bits=64)
-        ledger.attach_netmodel(sample_model())
+        ledger.charge("before", 16, rounds_h=3)
         with ledger.window() as window:
             self.charge_seq(ledger)
-        assert window.makespan_ms == pytest.approx(ledger.makespan_ms)
+        assert window.rounds_by_width == {8: 2, 60: 1, 1: 4, 64: 4}
+        assert model.price(window.rounds_by_width)["makespan_ms"] < model.price(
+            ledger.rounds_by_width
+        )["makespan_ms"]
 
     def test_zero_round_charge_advances_no_clock(self):
         ledger = BandwidthLedger(bandwidth_bits=64)
-        ledger.attach_netmodel(sample_model())
         ledger.charge("piggyback", 32, rounds_h=0)
-        assert ledger.makespan_ms == 0.0
+        assert ledger.rounds_by_width == {}
+        assert sample_model().price(ledger.rounds_by_width)["makespan_ms"] == 0.0
 
     def test_absorb_matches_unsplit_accounting(self):
-        # split: two ledgers share one model, then A absorbs B's summary
-        shared = sample_model(seed=3)
+        # split: A absorbs B's summary and histogram
         a = BandwidthLedger(bandwidth_bits=64)
-        a.attach_netmodel(shared)
         b = BandwidthLedger(bandwidth_bits=64)
-        b.attach_netmodel(shared)
         self.charge_seq(a, "1")
         self.charge_seq(b, "2")
-        a.absorb(b.summary(), op="scratch")
-        # unsplit: one ledger, one fresh but identically-sampled model
+        b.charge("e", 16, rounds_h=2)
+        a.absorb(b.summary(), op="scratch", rounds_by_width=b.rounds_by_width)
+        # unsplit: one ledger
         single = BandwidthLedger(bandwidth_bits=64)
-        single.attach_netmodel(sample_model(seed=3))
         self.charge_seq(single, "1")
         self.charge_seq(single, "2")
-        assert a.makespan_ms == pytest.approx(single.makespan_ms, abs=1e-5)
+        single.charge("e", 16, rounds_h=2)
+        assert a.rounds_by_width == single.rounds_by_width
+        model = sample_model(seed=3)
+        assert model.price(a.rounds_by_width) == model.price(single.rounds_by_width)
         assert a.rounds_h == single.rounds_h
         assert a.total_message_bits == single.total_message_bits
 
@@ -286,24 +325,25 @@ class TestGeneratorKnobs:
 
 
 class TestPipelineIntegration:
-    def run(self, netmodel):
-        return color_cluster_graph(
-            GRAPH, rng=np.random.default_rng(1234), netmodel=netmodel
-        )
+    def run(self, **knobs):
+        w = GENERATORS["congest"](np.random.default_rng(7), n=40, **knobs)
+        return w, color_cluster_graph(w.graph, rng=np.random.default_rng(1234))
 
     def test_homogeneous_run_reports_no_makespan(self):
-        result = self.run(None)
+        _w, result = self.run()
         assert result.proper
         assert "makespan_ms" not in result.ledger_summary
 
     def test_skew_raises_makespan_not_colorings(self):
-        base = self.run(sample_model(skew=1.0, fill=0.1, seed=9))
-        skewed = self.run(sample_model(skew=100.0, fill=0.1, seed=9))
+        base_w, base = self.run(net_skew=1.0, net_fill=0.1)
+        skewed_w, skewed = self.run(net_skew=100.0, net_fill=0.1)
         assert base.colors.tolist() == skewed.colors.tolist()
         assert base.rounds_h == skewed.rounds_h
+        assert base.rounds_by_width == skewed.rounds_by_width
         assert (
-            skewed.ledger_summary["makespan_ms"]
-            > base.ledger_summary["makespan_ms"] > 0
+            skewed_w.netmodel.price(skewed.rounds_by_width)["makespan_ms"]
+            > base_w.netmodel.price(base.rounds_by_width)["makespan_ms"]
+            > 0
         )
 
 

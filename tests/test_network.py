@@ -134,13 +134,11 @@ class TestLedger:
     @pytest.mark.parametrize(
         "field",
         ["rounds_h", "rounds_g", "total_message_bits", "max_message_bits",
-         "num_operations", "per_op_rounds", "per_op_bits", "netmodel",
-         "makespan_ms"],
+         "num_operations", "per_op_rounds", "per_op_bits", "rounds_by_width"],
     )
     def test_new_ledger_starts_at_zero(self, field):
-        # counters and the network model are not constructor arguments:
-        # a model must go through attach_netmodel, whose guard refuses a
-        # ledger that already holds rounds the simulated clock never saw
+        # counters are not constructor arguments: a ledger holds only what
+        # it was charged (or absorbed)
         with pytest.raises(TypeError, match=field):
             BandwidthLedger(bandwidth_bits=64, **{field: 10})
 
@@ -281,7 +279,7 @@ class TestLedgerWindow:
         assert window.message_bits == 0
         assert window.max_message_bits == 0
         assert window.num_operations == 0
-        assert window.makespan_ms == 0.0
+        assert window.rounds_by_width == {}
 
     def test_exception_closes_nested_windows(self):
         ledger = BandwidthLedger(bandwidth_bits=32)

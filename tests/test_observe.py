@@ -332,31 +332,37 @@ class TestTracerNeutrality:
 
 
 class TestHetNetNeutrality:
-    """The simulated clock a network model adds is attributed to spans.
+    """The simulated clock is attributed to spans by pricing their rounds.
 
-    The model may only *add* ``makespan_ms`` / ``critical_link`` reporting
-    (docs/NETWORK.md); the golden table pins that every coloring, per-op
-    counter and RNG draw stays untouched.
+    A span keeps its window's histogram of rounds per capped width in
+    memory (docs/NETWORK.md); the top-level spans partition the run, so
+    their histograms fold to the run's and their prices sum to its price.
     """
 
     def test_traced_spans_attribute_makespan(self):
+        from collections import Counter
+
         from repro.network import HetNetModel, HetNetSpec
-        from repro.observe import aggregate_stage_rows
 
         graph = GENERATORS["congest"](np.random.default_rng(7)).graph
         model = HetNetModel.sample(
             graph, HetNetSpec(skew=10.0, fill=0.2), np.random.default_rng(5)
         )
         tracer = Tracer()
-        result = color_cluster_graph(graph, seed=3, tracer=tracer, netmodel=model)
-        rows = aggregate_stage_rows(stage_rows(tracer))
-        total = sum(r["makespan_ms"] for r in rows)
-        assert total == pytest.approx(
-            result.ledger_summary["makespan_ms"], rel=1e-6
+        result = color_cluster_graph(graph, seed=3, tracer=tracer)
+        folded = Counter()
+        for span in tracer.spans:
+            folded.update(span.rounds_by_width)
+        assert folded == result.rounds_by_width
+        total = sum(
+            model.price(span.rounds_by_width)["makespan_ms"]
+            for span in tracer.spans
         )
-        # homogeneous spans serialize without the field at all
-        plain_tracer = Tracer()
-        color_cluster_graph(graph, seed=3, tracer=plain_tracer)
-        for span in plain_tracer.spans:
+        assert total == pytest.approx(
+            model.price(result.rounds_by_width)["makespan_ms"], rel=1e-6
+        )
+        # the histogram stays in memory: serialized spans carry no price
+        for span in tracer.spans:
             assert "makespan_ms" not in span.to_dict()
+            assert "rounds_by_width" not in span.to_dict()
 
